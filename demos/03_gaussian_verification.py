@@ -30,9 +30,9 @@ print(f"solved constant C = {res.constant:.12f}")
 ext_d = direct_extremizers(datum, res.A)
 ext_r, envelope = reverse_extremizers(datum, res.A)
 sweeps = [
-    ("direct ", sweep_direct(datum, res.constant, 2000, 7, 1, ext_d)),
-    ("reverse", sweep_reverse(datum, res.constant, 2000, 7, 1, ext_r)),
-    ("dual   ", sweep_dual(datum, res.constant, 2000, 7, 1, envelope)),
+    ("direct ", sweep_direct(datum, res.constant, 2000, 7, extremizer=ext_d)),
+    ("reverse", sweep_reverse(datum, res.constant, 2000, 7, extremizer=ext_r)),
+    ("dual   ", sweep_dual(datum, res.constant, 2000, 7, extremizer=envelope)),
 ]
 print("\n2000 random SPD tuples per sweep:")
 for name, (report, ratios) in sweeps:
@@ -42,7 +42,7 @@ for name, (report, ratios) in sweeps:
     )
 
 # A deflated claim is caught immediately.
-report, _ = sweep_direct(datum, 0.5 * res.constant, 2000, 7, 1)
+report, _ = sweep_direct(datum, 0.5 * res.constant, 2000, 7)
 print(f"\nclaiming C/2 instead: {report.violations}/2000 violations, worst ratio {report.worst_ratio:.3f}")
 
 # Coordinate maps with unit weights: the dual inequality is det A <= prod a_ii,

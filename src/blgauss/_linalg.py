@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 COND_LIMIT = 1e14
+# exp(710) overflows a float64
+EXP_LIMIT = 700.0
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -60,6 +62,42 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]
     return L, 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
+def chol_logdet_stack(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of a stack of SPD matrices.
+
+    M has shape (..., k, k); the log-determinants have shape M.shape[:-2].
+    Every matrix gets the guards of check_spd (symmetry to relative 1e-12,
+    raising ValueError) and of chol_logdet (positive eigenvalues and
+    cond <= COND_LIMIT, raising IllConditionedError). Kept apart from
+    chol_logdet because stack handling slows the solver's 2-D calls.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 3 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"{name} must be a stack of square matrices, got shape {M.shape}")
+
+    def first(bad: np.ndarray) -> list[int]:
+        return [int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]
+
+    MT = M.swapaxes(-1, -2)
+    bad = np.abs(M - MT).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
+    if bad.any():
+        raise ValueError(f"{name} {first(bad)} is not symmetric to relative 1e-12")
+    M = 0.5 * (M + MT)
+    # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
+    # factor; skipping LAPACK there gives the same values with less overhead
+    w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
+    lo, hi = w[..., 0], w[..., -1]
+    bad = (lo <= 0.0) | (hi > COND_LIMIT * lo)
+    if bad.any():
+        j = tuple(first(bad))
+        raise IllConditionedError(
+            f"{name} {list(j)} is not positive definite with condition number <= "
+            f"{COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
+        )
+    L = np.sqrt(M) if M.shape[-1] == 1 else np.linalg.cholesky(M)
+    return L, 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+
+
 def spd_solve(M: np.ndarray, B: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve M X = B for SPD M with the same conditioning guard as chol_logdet."""
     L, _ = chol_logdet(M, name=name)
@@ -87,8 +125,13 @@ def numerical_rank(M: np.ndarray, tol: float = 1e-10) -> int:
 
 
 def expm_sym(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(S) for symmetric S, returning (exp(S), eigenvalues, eigenvectors)."""
+    """exp(S) for symmetric S, returning (exp(S), eigenvalues, eigenvectors).
+
+    Raises IllConditionedError for an eigenvalue above EXP_LIMIT, whose
+    exponential overflows, so a line search can reject the step."""
     w, U = np.linalg.eigh(sym(S))
+    if w.max() > EXP_LIMIT:
+        raise IllConditionedError(f"exp of eigenvalue {w.max():.3e} > {EXP_LIMIT:.0f} overflows")
     A = sym((U * np.exp(w)) @ U.T)
     return A, w, U
 

@@ -130,9 +130,9 @@ def cmd_check_gaussian(args) -> int:
         ext_reverse, ext_dual = reverse_extremizers(datum, res.A)
 
     sweeps = [
-        ("direct", sweep_direct(datum, constant, args.samples, args.seed, args.threads, ext_direct)),
-        ("reverse", sweep_reverse(datum, constant, args.samples, args.seed, args.threads, ext_reverse)),
-        ("dual", sweep_dual(datum, constant, args.samples, args.seed, args.threads, ext_dual)),
+        ("direct", sweep_direct(datum, constant, args.samples, args.seed, extremizer=ext_direct)),
+        ("reverse", sweep_reverse(datum, constant, args.samples, args.seed, extremizer=ext_reverse)),
+        ("dual", sweep_dual(datum, constant, args.samples, args.seed, extremizer=ext_dual)),
     ]
     payload = {"constant": constant, "checks": {}}
     failed = False
@@ -352,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
             solver=True, sampling=True)
     p.add_argument("--constant", type=float, default=None,
                    help="check this constant instead of the solver's")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; reports do not depend on this")
     p.add_argument("--csv", default=None, help="write per-sample ratios CSV here")
 
     p = add("check-quadrature", cmd_check_quadrature, "grid quadrature of the integral inequalities",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,30 @@ class BLDatum:
     def active_indices(self) -> list[int]:
         """Indices of factors that are not the zero map."""
         return [i for i, f in enumerate(self.factors) if not f.is_zero()]
+
+
+class FactorGroup(NamedTuple):
+    """The non-zero factors of one target dimension k, in datum order."""
+
+    positions: list[int]  # places among datum.active_indices(), as in a tuple
+    indices: list[int]  # factor indices
+    c: np.ndarray  # (m_k,) weights
+    B: np.ndarray  # (m_k, k, n) maps
+
+
+def factor_groups(datum: BLDatum) -> list[FactorGroup]:
+    """Non-zero factors grouped by target dimension, so that one stacked
+    linear-algebra call serves every factor of a group."""
+    active = datum.active_indices()
+    by_dim: dict[int, list[int]] = {}
+    for p, i in enumerate(active):
+        by_dim.setdefault(datum.factors[i].target_dim, []).append(p)
+    return [
+        FactorGroup(pos, [active[p] for p in pos],
+                    np.array([datum.factors[active[p]].c for p in pos]),
+                    np.stack([datum.factors[active[p]].B for p in pos]))
+        for pos in by_dim.values()
+    ]
 
 
 def make_datum(n: int, weights, maps) -> BLDatum:

@@ -13,19 +13,20 @@ Specialized to centered Gaussians, the two inequalities read
 
 and the dual form bounds det(A) <= C^2 prod_i det(B_i A B_i^T)^{c_i} for
 every SPD A on the ambient space. All ratios are formed in the log domain.
+Each inequality has one kernel that evaluates a whole stack of samples; the
+point checks call it on a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, dexp_adjoint, expm_sym, spd_inverse, sym
-from .datum import BLDatum, DatumError, validate
+from ._linalg import check_spd, chol_logdet, chol_logdet_stack, dexp_adjoint, expm_sym, spd_inverse, sym
+from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 from .gaussian_solver import HOMOGENEITY_TOL, grad_logdet, logdet_objective
-from .quadform import check_tuple, harmonic_combine
+from .quadform import check_tuple
 from .report import VerificationReport
 
 DEFAULT_SEED = 1729
@@ -35,63 +36,97 @@ DEFAULT_SAMPLES = 1000
 # quadrature-free exact arithmetic, so the slack only absorbs roundoff.
 VIOLATION_RTOL = 1e-9
 
-# Sample sweeps always split into this many RNG blocks so results do not
-# depend on how many worker threads execute them.
+# Sweeps draw their samples in this many blocks, block b from
+# SeedSequence((seed, b)): a block is the unit one stacked kernel call
+# evaluates, so memory stays at 1/_BLOCKS of the samples, and the layout
+# fixes which sample every seed produces.
 _BLOCKS = 16
 
 
-def sample_spd(n: int, rng: np.random.Generator, spread: bool = True) -> np.ndarray:
-    """Random SPD matrix G G^T + 1e-6 I, optionally rescaled log-uniformly
-    over [1e-2, 1e2] so sweeps exercise more than one scale."""
-    G = rng.standard_normal((n, n))
-    M = G @ G.T + 1e-6 * np.eye(n)
-    if spread:
-        M = M * math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
-    return sym(M)
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def sample_tuple(datum: BLDatum, rng: np.random.Generator, spread: bool = True) -> list[np.ndarray]:
+def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, n, n) stack of random SPD matrices G G^T + 1e-6 I, each
+    rescaled log-uniformly over [1e-2, 1e2] so sweeps exercise more than
+    one scale."""
+    G = rng.standard_normal((count, n, n))
+    # math.exp keeps one-matrix draws bit-identical to the scalar draws of
+    # earlier versions; np.exp differs in the last bit on a few inputs
+    scale = np.fromiter(map(math.exp, rng.uniform(math.log(1e-2), math.log(1e2), size=count)),
+                        float, count)
+    M = (G @ G.swapaxes(1, 2) + 1e-6 * np.eye(n)) * scale[:, None, None]
+    return _sym(M)
+
+
+def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One random SPD matrix from the distribution of sample_spd_stack."""
+    return sample_spd_stack(n, 1, rng)[0]
+
+
+def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     """One random SPD matrix per non-zero factor."""
-    return [sample_spd(datum.factors[i].target_dim, rng, spread) for i in datum.active_indices()]
+    return [sample_spd(datum.factors[i].target_dim, rng) for i in datum.active_indices()]
+
+
+# -- stacked kernels: one formula per inequality, over a block of samples -----
+# A tuple is one (count, n_i, n_i) stack per non-zero factor; see factor_groups.
+
+def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
+    log_num, S = 0.0, 0.0
+    for g in groups:
+        A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
+        log_num = log_num + chol_logdet_stack(A, name=f"tuple entries {g.indices}")[1] @ g.c
+        S = S + (g.c[:, None, None] * g.B.swapaxes(1, 2) @ A @ g.B).sum(axis=1)
+    _, log_den = chol_logdet_stack(_sym(S), name="combined precision")
+    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+
+
+def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
+    log_den, S = 0.0, 0.0
+    for g in groups:
+        A = np.stack([stacks[p] for p in g.positions], axis=1)
+        L, ld = chol_logdet_stack(A, name=f"tuple entries {g.indices}")
+        log_den = log_den + ld @ g.c
+        Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
+        S = S + (g.c[:, None, None] * Y.swapaxes(2, 3) @ Y).sum(axis=1)  # c_i B_i^T inv(A_i) B_i
+    try:
+        L, _ = chol_logdet_stack(_sym(S), name="harmonic sum")
+    except np.linalg.LinAlgError as exc:
+        raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
+    L_inv = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
+    _, log_num = chol_logdet_stack(_sym(L_inv.swapaxes(1, 2) @ L_inv), name="harmonic combination")
+    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+
+
+def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
+    _, log_num = chol_logdet_stack(A, name="A")
+    log_den = 0.0
+    for g in groups:
+        P = _sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
+        log_den = log_den + chol_logdet_stack(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
+    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
 def direct_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
     """Ratio of the Gaussian direct inequality; at most 1 when `constant`
     really dominates the datum, exactly 1 at the direct extremizers."""
-    mats = check_tuple(datum, tuple_)
-    log_num = 0.0
-    S = np.zeros((datum.n, datum.n))
-    for i, Ai in zip(datum.active_indices(), mats):
-        f = datum.factors[i]
-        log_num += f.c * chol_logdet(Ai, name=f"tuple entry {i}")[1]
-        S += f.c * (f.B.T @ Ai @ f.B)
-    _, log_den = chol_logdet(sym(S), name="combined precision")
-    return math.exp(log_num - 2.0 * math.log(constant) - log_den)
+    stacks = [M[None] for M in check_tuple(datum, tuple_)]
+    return float(_direct_ratios(factor_groups(datum), constant, stacks)[0])
 
 
 def reverse_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
     """Ratio of the Gaussian reversed inequality; at most 1 when `constant`
     dominates, exactly 1 at the reversed extremizers."""
-    mats = check_tuple(datum, tuple_)
-    M = harmonic_combine(datum, mats)
-    _, log_num = chol_logdet(M, name="harmonic combination")
-    log_den = sum(
-        datum.factors[i].c * chol_logdet(Ai, name=f"tuple entry {i}")[1]
-        for i, Ai in zip(datum.active_indices(), mats)
-    )
-    return math.exp(log_num - 2.0 * math.log(constant) - log_den)
+    stacks = [M[None] for M in check_tuple(datum, tuple_)]
+    return float(_reverse_ratios(factor_groups(datum), constant, stacks)[0])
 
 
 def dual_check(datum: BLDatum, constant: float, A: np.ndarray) -> float:
     """Ratio det(A) / (C^2 prod_i det(B_i A B_i^T)^{c_i}); at most 1 for every
     ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A."""
-    A = check_spd(A, "A")
-    _, log_num = chol_logdet(A, name="A")
-    log_den = 0.0
-    for i in datum.active_indices():
-        f = datum.factors[i]
-        log_den += f.c * chol_logdet(sym(f.B @ A @ f.B.T), name=f"B_{i} A B_{i}^T")[1]
-    return math.exp(log_num - 2.0 * math.log(constant) - log_den)
+    return float(_dual_ratios(factor_groups(datum), constant, check_spd(A, "A")[None])[0])
 
 
 def logdet_duality_check(A: np.ndarray, B: np.ndarray) -> float:
@@ -109,36 +144,27 @@ def logdet_duality_check(A: np.ndarray, B: np.ndarray) -> float:
 
 # -- randomized sweeps ---------------------------------------------------------
 
-def _block_sizes(samples: int) -> list[int]:
+def _sweep(datum, constant, kernel, draw, samples, seed, at_extremizer):
+    """Evaluate `kernel` on the samples `draw(rng, count)` of every RNG block."""
     base, extra = divmod(samples, _BLOCKS)
-    return [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
-
-
-def _sweep(kernel, samples: int, seed: int, threads: int) -> np.ndarray:
-    """Run `kernel(rng, count) -> ratios` over fixed RNG blocks. The block
-    layout never depends on `threads`, so reports are reproducible."""
-    sizes = _block_sizes(samples)
-
-    def run(b: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        return kernel(rng, sizes[b])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, range(_BLOCKS)))
-    else:
-        chunks = [run(b) for b in range(_BLOCKS)]
-    return np.concatenate(chunks)
-
-
-def _report(ratios: np.ndarray, seed: int, equality_gap: float | None) -> VerificationReport:
+    groups = factor_groups(datum)
+    ratios = np.concatenate([
+        kernel(groups, constant, draw(np.random.default_rng(np.random.SeedSequence((seed, b))),
+                                      base + (1 if b < extra else 0)))
+        for b in range(_BLOCKS)
+    ])
     return VerificationReport(
         samples=int(ratios.size),
         violations=int(np.sum(ratios > 1.0 + VIOLATION_RTOL)),
         worst_ratio=float(ratios.max()) if ratios.size else 1.0,
-        equality_gap=equality_gap,
+        equality_gap=None if at_extremizer is None else abs(1.0 - at_extremizer),
         seed=seed,
-    )
+    ), ratios
+
+
+def _draw_tuples(datum: BLDatum):
+    dims = [datum.factors[i].target_dim for i in datum.active_indices()]
+    return lambda rng, count: [sample_spd_stack(k, count, rng) for k in dims]
 
 
 def sweep_direct(
@@ -146,21 +172,12 @@ def sweep_direct(
     constant: float,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
+    *,
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the direct Gaussian inequality."""
-
-    def kernel(rng, count):
-        return np.array(
-            [direct_gaussian_check(datum, constant, sample_tuple(datum, rng)) for _ in range(count)]
-        )
-
-    ratios = _sweep(kernel, samples, seed, threads)
-    gap = None
-    if extremizer is not None:
-        gap = abs(1.0 - direct_gaussian_check(datum, constant, extremizer))
-    return _report(ratios, seed, gap), ratios
+    at_ext = None if extremizer is None else direct_gaussian_check(datum, constant, extremizer)
+    return _sweep(datum, constant, _direct_ratios, _draw_tuples(datum), samples, seed, at_ext)
 
 
 def sweep_reverse(
@@ -168,21 +185,12 @@ def sweep_reverse(
     constant: float,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
+    *,
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the reversed Gaussian inequality."""
-
-    def kernel(rng, count):
-        return np.array(
-            [reverse_gaussian_check(datum, constant, sample_tuple(datum, rng)) for _ in range(count)]
-        )
-
-    ratios = _sweep(kernel, samples, seed, threads)
-    gap = None
-    if extremizer is not None:
-        gap = abs(1.0 - reverse_gaussian_check(datum, constant, extremizer))
-    return _report(ratios, seed, gap), ratios
+    at_ext = None if extremizer is None else reverse_gaussian_check(datum, constant, extremizer)
+    return _sweep(datum, constant, _reverse_ratios, _draw_tuples(datum), samples, seed, at_ext)
 
 
 def sweep_dual(
@@ -190,21 +198,13 @@ def sweep_dual(
     constant: float,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
+    *,
     extremizer: np.ndarray | None = None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random ambient SPD matrices at the dual determinant bound."""
-
-    def kernel(rng, count):
-        return np.array(
-            [dual_check(datum, constant, sample_spd(datum.n, rng)) for _ in range(count)]
-        )
-
-    ratios = _sweep(kernel, samples, seed, threads)
-    gap = None
-    if extremizer is not None:
-        gap = abs(1.0 - dual_check(datum, constant, extremizer))
-    return _report(ratios, seed, gap), ratios
+    at_ext = None if extremizer is None else dual_check(datum, constant, extremizer)
+    return _sweep(datum, constant, _dual_ratios,
+                  lambda rng, count: sample_spd_stack(datum.n, count, rng), samples, seed, at_ext)
 
 
 # -- independent lower bound for the constant ----------------------------------

@@ -167,11 +167,14 @@ def closed_form_linear(A: np.ndarray, b: np.ndarray, horizon: float) -> float:
 
 
 def closed_form_quadratic(A: np.ndarray, Q: np.ndarray, horizon: float) -> float:
-    """log E exp(-<Q W_T, W_T>/2) = -logdet(I + T A Q) / 2 for PSD Q."""
+    """log E exp(-<Q W_T, W_T>/2) = -logdet(I + T A Q) / 2 for PSD Q.
+
+    Evaluated as logdet(I + T L^T Q L) with A = L L^T: same determinant, but
+    symmetric, which chol_logdet needs; I + T A Q is not unless A and Q commute."""
     A = check_spd(A, "A")
     Q = np.asarray(Q, dtype=float)
-    n = A.shape[0]
-    _, ld = chol_logdet(np.eye(n) + horizon * A @ Q, name="I + T A Q")
+    L = np.linalg.cholesky(A)
+    _, ld = chol_logdet(np.eye(A.shape[0]) + horizon * L.T @ Q @ L, name="I + T L^T Q L")
     return -0.5 * ld
 
 

@@ -119,8 +119,8 @@ def gaussian_inequality_sweeps():
     for d in data.values():
         t0 = time.perf_counter()
         r = solve(d)
-        rep_d, _ = sweep_direct(d, r.constant, 1000, 7, 1, direct_extremizers(d, r.A))
-        rep_r, _ = sweep_reverse(d, r.constant, 1000, 7, 1, reverse_extremizers(d, r.A)[0])
+        rep_d, _ = sweep_direct(d, r.constant, 1000, 7, extremizer=direct_extremizers(d, r.A))
+        rep_r, _ = sweep_reverse(d, r.constant, 1000, 7, extremizer=reverse_extremizers(d, r.A)[0])
         violations += rep_d.violations + rep_r.violations
         worst_gap = max(worst_gap, rep_d.equality_gap, rep_r.equality_gap)
         worst_dt = max(worst_dt, time.perf_counter() - t0)

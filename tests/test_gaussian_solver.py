@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestSolve:
         r = solve(d)
         assert not r.converged
         assert r.constant == math.inf
+
+    def test_overflowing_trial_step_is_rejected_not_leaked(self):
+        # n = 3, dims (3, 2): the kernel of B_2 breaks the dimension condition.
+        # Ascent trial steps there reach eigenvalues whose exp overflows; they
+        # must be rejected, not leak a warning or a LinAlgError.
+        rng = np.random.default_rng(2)
+        d = [random_datum(rng, homogeneous=True) for _ in range(5)][-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve(d)
+        assert r.constant == math.inf
+        assert r.converged is False
 
     def test_refuses_degenerate(self):
         d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])])

@@ -14,12 +14,14 @@ from blgauss import (
     reverse_extremizers,
     reverse_gaussian_check,
     sample_spd,
+    sample_spd_stack,
     sample_tuple,
     solve,
     sweep_direct,
     sweep_dual,
     sweep_reverse,
 )
+from blgauss._linalg import IllConditionedError, chol_logdet, chol_logdet_stack
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
@@ -40,6 +42,14 @@ def brute_force_direct_ratio(datum, mats, constant):
         num *= np.linalg.det(Ai) ** f.c
         S += f.c * (f.B.T @ Ai @ f.B)
     return num / (constant**2 * np.linalg.det(S))
+
+
+def dims_one_to_three_datum():
+    """n = 3 with factor dimensions 1, 2 and 3 and well-conditioned maps."""
+    maps = [np.array([[1.0, 1.0, 0.0]]),
+            np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
+            np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])]
+    return make_datum(3, [0.6, 0.6, 0.4], maps)
 
 
 def brute_force_reverse_ratio(datum, mats, constant):
@@ -137,21 +147,70 @@ class TestSweeps:
         # the detector must fire when the claimed constant is too small
         _, d = young_flagship()
         r = solve(d)
-        rep, _ = sweep_direct(d, 0.5 * r.constant, samples=100, seed=11)
-        assert rep.violations > 0
-        assert not rep.ok
+        for sweep in (sweep_direct, sweep_reverse, sweep_dual):
+            rep, _ = sweep(d, 0.5 * r.constant, samples=100, seed=11)
+            assert rep.violations > 0
+            assert not rep.ok
 
-    def test_thread_count_does_not_change_ratios(self):
-        d = mercedes_frame_datum()
-        _, r1 = sweep_direct(d, 1.0, samples=64, seed=3, threads=1)
-        _, r8 = sweep_direct(d, 1.0, samples=64, seed=3, threads=8)
-        np.testing.assert_array_equal(r1, r8)
+    @pytest.mark.parametrize("samples", [5, 40])  # 5 < 16 leaves blocks empty
+    @pytest.mark.parametrize("datum", [young_flagship()[1], dims_one_to_three_datum()],
+                             ids=["young", "dims123"])
+    def test_blocks_replay_against_brute_force(self, datum, samples):
+        # block b holds the next samples of SeedSequence((seed, b)); every
+        # ratio is recomputed from them with plain dense dets and inverses.
+        # The reverse ratio is det(inv(S)) for the harmonic sum S, known in
+        # floating point only to about eps * cond(S), whatever the method.
+        seed, constant = 3, 0.9
+        want = {"direct": [], "reverse": [], "dual": []}
+        rtol = {"direct": 1e-10, "reverse": [], "dual": 1e-10}
+        base, extra = divmod(samples, 16)
+        for b in range(16):
+            count = base + (1 if b < extra else 0)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+            stacks = [sample_spd_stack(f.target_dim, count, rng) for f in datum.factors]
+            for j in range(count):
+                mats = [S[j] for S in stacks]
+                want["direct"].append(brute_force_direct_ratio(datum, mats, constant))
+                want["reverse"].append(brute_force_reverse_ratio(datum, mats, constant))
+                S = sum(f.c * f.B.T @ np.linalg.inv(M) @ f.B for f, M in zip(datum.factors, mats))
+                rtol["reverse"].append(1e-10 + 1e-14 * np.linalg.cond(S))
+            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+            for A in sample_spd_stack(datum.n, count, rng):
+                den = np.prod([np.linalg.det(f.B @ A @ f.B.T) ** f.c for f in datum.factors])
+                want["dual"].append(np.linalg.det(A) / (constant**2 * den))
+        for name, sweep in (("direct", sweep_direct), ("reverse", sweep_reverse),
+                            ("dual", sweep_dual)):
+            rep, ratios = sweep(datum, constant, samples, seed)
+            assert rep.samples == samples
+            assert np.all(np.abs(ratios / np.array(want[name]) - 1.0) <= rtol[name])
 
     def test_sample_split_covers_requested_count(self):
         d = prekopa_leindler_datum()
         rep, ratios = sweep_dual(d, 1.0, samples=37, seed=0)
         assert rep.samples == 37
         assert ratios.shape == (37,)
+
+
+class TestStackedCholesky:
+    def test_matches_chol_logdet_per_matrix(self, rng):
+        for k in (1, 3):
+            stack = sample_spd_stack(k, 6, rng).reshape(2, 3, k, k)
+            L, ld = chol_logdet_stack(stack)
+            assert ld.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                L1, ld1 = chol_logdet(stack[idx])
+                np.testing.assert_allclose(L[idx], L1, rtol=1e-14)
+                assert ld[idx] == pytest.approx(ld1, rel=1e-14, abs=1e-14)
+
+    def test_guards_of_the_per_matrix_path(self):
+        good = np.eye(2)
+        with pytest.raises(ValueError, match="symmetric"):
+            chol_logdet_stack(np.stack([good, [[1.0, 0.1], [0.0, 1.0]]]))
+        for bad in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1e-15]], [[0.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(IllConditionedError, match=r"\[1\]"):
+                chol_logdet_stack(np.stack([good, bad]))
+        with pytest.raises(IllConditionedError):
+            chol_logdet_stack(-np.ones((4, 1, 1)))
 
 
 class TestSampling:

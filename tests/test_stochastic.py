@@ -106,6 +106,14 @@ class TestClosedForms:
             -0.5 * math.log(2.0)
         )
 
+    def test_quadratic_non_commuting(self):
+        # sym(I + T A Q) has a different determinant from I + T A Q when A
+        # and Q do not commute, so the closed form must not symmetrize it
+        Q = np.array([[0.9, -0.4], [-0.4, 0.3]])
+        assert not np.allclose(A2 @ Q, Q @ A2)
+        _, ld = np.linalg.slogdet(np.eye(2) + 1.5 * A2 @ Q)
+        assert closed_form_quadratic(A2, Q, 1.5) == pytest.approx(-0.5 * ld, rel=1e-12)
+
     def test_mc_agrees_with_linear(self):
         c = small_config(paths=40000)
         b = np.array([0.8, -0.4])
