@@ -19,8 +19,9 @@ class IllConditionedError(np.linalg.LinAlgError):
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part of M. Used after every update to kill drift."""
-    return 0.5 * (M + M.T)
+    """Symmetric part of M, or of each matrix in a (..., k, k) stack. Used
+    after every update to kill drift."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def check_spd(M: np.ndarray, name: str = "matrix", sym_tol: float = 1e-12) -> np.ndarray:
@@ -78,11 +79,10 @@ def chol_logdet_stack(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, 
     def first(bad: np.ndarray) -> list[int]:
         return [int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]
 
-    MT = M.swapaxes(-1, -2)
-    bad = np.abs(M - MT).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
+    bad = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
     if bad.any():
         raise ValueError(f"{name} {first(bad)} is not symmetric to relative 1e-12")
-    M = 0.5 * (M + MT)
+    M = sym(M)
     # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
     # factor; skipping LAPACK there gives the same values with less overhead
     w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
@@ -107,10 +107,6 @@ def spd_solve(M: np.ndarray, B: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def spd_inverse(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(spd_solve(M, np.eye(M.shape[0]), name=name))
-
-
-def logdet(M: np.ndarray, name: str = "matrix") -> float:
-    return chol_logdet(M, name=name)[1]
 
 
 def numerical_rank(M: np.ndarray, tol: float = 1e-10) -> int:

@@ -22,8 +22,10 @@ import numpy as np
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
 from .functional_verify import GridFunction, direct_integral_check, gaussian_function, reverse_integral_check
-from .gaussian_solver import bl_constant, direct_extremizers, reverse_extremizers, solve
-from .gaussian_verify import DEFAULT_SAMPLES, DEFAULT_SEED, sweep_direct, sweep_dual, sweep_reverse
+from .gaussian_solver import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, bl_constant, direct_extremizers,
+                              reverse_extremizers, solve)
+from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
+                              sweep_reverse)
 from .quadform import check_inf
 from .stochastic import BrownianConfig, builtin_suite
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
@@ -194,8 +196,6 @@ def cmd_check_quadrature(args) -> int:
 def cmd_check_inf(args) -> int:
     datum = load_datum(args.datum)
     rng = np.random.default_rng(args.seed)
-    from .gaussian_verify import sample_tuple
-
     failed = False
     reports = []
     for k in range(args.instances):
@@ -333,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--datum", required=True, help="path to a datum JSON file ({n, factors:[{c, rows}]})")
         p.add_argument("--out", default=None, help="write a JSON report here")
         if solver:
-            p.add_argument("--tol", type=float, default=1e-10, help="solver convergence tolerance")
-            p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
-            p.add_argument("--damping", type=float, default=0.5)
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver convergence tolerance")
+            p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
+            p.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
         if sampling:
             p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -372,15 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write a JSON report here")
 
-    p = sub.add_parser("young", help="closed-form convolution datum on the line")
-    p.set_defaults(func=cmd_young)
+    p = add("young", cmd_young, "closed-form convolution datum on the line", datum=False, solver=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--r", type=float, default=None, help="inferred from p, q when omitted")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--out", default=None, help="write a JSON report here")
 
     p = add("split", cmd_split, "critical-subspace multiplicativity check", solver=True)
     p.add_argument("--subspace", default=None,
@@ -396,9 +391,6 @@ def main(argv=None) -> int:
     except (DatumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -10,11 +10,14 @@ That equation is the stationarity condition of the scale-invariant objective
     F(A) = logdet(A) - sum_i c_i logdet(B_i A B_i^T),
 
 whose supremum over positive definite A equals twice the log of the shared
-constant. The solver runs a damped fixed-point iteration with a determinant
-normalization as gauge fixing, and falls back to backtracking gradient ascent
-through the parameterization A = exp(S) when the iteration stalls. A datum
-whose objective is unbounded above has no finite constant; that is detected
-heuristically and reported as +inf rather than raised.
+constant. The solver is one loop in three phases. It starts with a damped
+fixed-point iteration, det-normalized as gauge fixing. When the residual
+stalls it moves to backtracking gradient ascent through the parameterization
+A = exp(S), and when the ascent stalls too, or its line search fails, it
+polishes with fixed-point steps at the default damping. A polish stall ends
+the run like an exhausted budget. A datum whose objective is unbounded above
+has no finite constant; that is detected heuristically and reported as +inf
+rather than raised.
 """
 
 from __future__ import annotations
@@ -160,22 +163,20 @@ class SolveResult:
                 fh.write(f"{k},{res!r},{obj!r}\n")
 
 
-def _normalize_det(A: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    if w is None:
-        w = np.linalg.eigvalsh(A)
-    return A * math.exp(-float(np.sum(np.log(w))) / A.shape[0])
+def _normalize_det(A: np.ndarray) -> np.ndarray:
+    return A * math.exp(-float(np.sum(np.log(np.linalg.eigvalsh(A)))) / A.shape[0])
 
 
-def _eval_state(datum: BLDatum, A: np.ndarray):
-    """eigh-based snapshot: (eigvals, inv_A, objective, M, relative residual)."""
+def _log_traceless(A: np.ndarray) -> np.ndarray:
+    """S = log(A) shifted to trace zero, so that exp(S) has determinant 1."""
     w, U = np.linalg.eigh(sym(A))
-    if w.min() <= 0.0:
-        return w, None, None, None, None
-    inv_A = sym((U / w) @ U.T)
-    M, lds = _john_sum(datum, A)
-    obj = float(np.sum(np.log(w))) - lds
-    res = float(np.linalg.norm(inv_A - M) / np.linalg.norm(inv_A))
-    return w, inv_A, obj, M, res
+    S = sym((U * np.log(w)) @ U.T)
+    return S - np.trace(S) / A.shape[0] * np.eye(A.shape[0])
+
+
+def _rising(trace: list[tuple[int, float, float]]) -> bool:
+    """Whether the objective rose over the last _STALL_WINDOW trace rows."""
+    return len(trace) >= 2 and trace[-1][2] > trace[max(0, len(trace) - _STALL_WINDOW)][2] + 1e-9
 
 
 def solve(
@@ -195,8 +196,10 @@ def solve(
         Convergence threshold on the relative gradient norm
         ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F.
     max_iter : int
-        Total iteration budget shared by the fixed-point phase and the
-        ascent fallback.
+        Total iteration budget shared by the three phases: fixed point,
+        then ascent when the fixed point stalls, then polish when the
+        ascent stalls or its line search fails. A polish stall ends the run
+        as if the budget were spent.
     damping : float
         Weight of the fixed-point image in each update; 0.5 trades speed
         for robustness on poorly conditioned data.
@@ -220,145 +223,115 @@ def solve(
             "the constant is degenerate (0 or +inf) unless sum c_i n_i = n"
         )
 
-    return _fp_loop(datum, np.eye(datum.n), tol, max_iter, damping, 0, [], ascend_ok=True)
+    return _iterate(datum, np.eye(datum.n), "fixed point", tol, max_iter, damping)
 
 
-def _fp_loop(
-    datum: BLDatum,
-    A: np.ndarray,
-    tol: float,
-    max_iter: int,
-    damping: float,
-    k0: int,
-    trace: list[tuple[int, float, float]],
-    ascend_ok: bool,
-) -> SolveResult:
-    best_res = math.inf
-    best_res_iter = k0
-    rising = False
-    stalled = False
-    k = k0
+def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: int,
+             damping: float) -> SolveResult:
+    """The solver loop from A, starting in `phase`.
 
-    while k < max_iter:
-        try:
-            w, inv_A, obj, M, res = _eval_state(datum, A)
-        except IllConditionedError:
-            if rising:
-                return SolveResult(A, math.inf, math.nan, k, False, trace)
-            raise
-        if w.min() < MIN_EIGENVALUE:
-            return SolveResult(A, math.inf, math.nan, k, False, trace)
-        trace.append((k, res, obj))
-        rising = len(trace) >= 2 and trace[-1][2] > trace[max(0, len(trace) - _STALL_WINDOW)][2] + 1e-9
-        if res <= tol:
-            return SolveResult(A, math.exp(0.5 * obj), res, k, True, trace)
-        if obj > OBJECTIVE_LIMIT:
-            return SolveResult(A, math.inf, res, k, False, trace)
-        if res < best_res * _STALL_FACTOR:
-            best_res = res
-            best_res_iter = k
-        elif k - best_res_iter >= _STALL_WINDOW:
-            stalled = True
-            break  # damped iteration stalled; switch to ascent
-        try:
-            F = spd_inverse(M, name="fixed point sum")
-        except IllConditionedError:
-            if rising:
-                return SolveResult(A, math.inf, res, k, False, trace)
-            raise
-        A = _normalize_det(sym((1.0 - damping) * A + damping * F))
-        k += 1
-
-    if stalled and ascend_ok:
-        return _ascend(datum, A, tol, max_iter, k, trace)
-    return _exhausted(A, trace)
-
-
-def _exhausted(A: np.ndarray, trace: list[tuple[int, float, float]]) -> SolveResult:
-    """Budget ran out without a verdict. Divergence along a ray shows up as a
-    rising objective together with a stagnant residual; a residual that is
-    still shrinking means the run was merely slow, and the best estimate is
-    returned as inconclusive."""
-    k, res, obj = trace[-1]
-    rising = len(trace) >= 2 and trace[-1][2] > trace[max(0, len(trace) - _STALL_WINDOW)][2] + 1e-9
-    stagnant = len(trace) >= 10 and trace[-1][1] > 0.5 * trace[len(trace) // 2][1]
-    if rising and stagnant:
-        return SolveResult(A, math.inf, res, k + 1, False, trace)
-    constant = math.exp(0.5 * obj) if math.isfinite(obj) else math.inf
-    return SolveResult(A, constant, res, k + 1, False, trace)
-
-
-def _ascend(
-    datum: BLDatum,
-    A: np.ndarray,
-    tol: float,
-    max_iter: int,
-    k0: int,
-    trace: list[tuple[int, float, float]],
-) -> SolveResult:
-    """Backtracking gradient ascent on F(exp(S)), S symmetric traceless.
-
-    Monotone by construction: a step is only taken when it achieves the
-    Armijo fraction of the predicted increase."""
+    Each iteration evaluates the iterate, appends its trace row and takes the
+    exits every phase shares; only the evaluation and the step are per phase.
+    "fixed point" and "polish" take damped fixed-point steps, "polish" at
+    DEFAULT_DAMPING; "ascent" takes Armijo backtracking steps on F(exp(S)), S
+    symmetric traceless, so the objective never decreases. A fixed-point stall
+    moves to ascent at the same k, an ascent stall or a failed line search to
+    polish at k + 1, and a polish stall or the end of the budget to the budget
+    verdict."""
     n = datum.n
-    w, U = np.linalg.eigh(sym(A))
-    S = sym((U * np.log(w)) @ U.T)
-    S -= np.trace(S) / n * np.eye(n)
-    step = 1.0
-    best_res = math.inf
-    best_res_iter = k0
-    k = k0
-
+    trace: list[tuple[int, float, float]] = []
+    k, entered = 0, None
     while k < max_iter:
-        A, w, U = expm_sym(S)
-        if w.min() < math.log(MIN_EIGENVALUE):
-            return SolveResult(_normalize_det(A), math.inf, math.nan, k, False, trace)
-        try:
+        if phase != entered:
+            entered, best_res, best_res_iter, rising = phase, math.inf, k, False
+            if phase == "ascent":
+                S, step = _log_traceless(A), 1.0
+            elif phase == "polish":
+                damping = DEFAULT_DAMPING
+
+        if phase == "ascent":
+            A, w, U = expm_sym(S)
+            if w.min() < math.log(MIN_EIGENVALUE):
+                return SolveResult(_normalize_det(A), math.inf, math.nan, k, False, trace)
+            try:
+                M, lds = _john_sum(datum, A)
+            except IllConditionedError:
+                return SolveResult(A, math.inf, math.nan, k, False, trace)
             inv_A = sym((U * np.exp(-w)) @ U.T)
-            M, lds = _john_sum(datum, A)
-        except IllConditionedError:
-            return SolveResult(A, math.inf, math.nan, k, False, trace)
-        obj = float(np.sum(w)) - lds
+            obj = float(np.sum(w)) - lds
+        else:
+            w, U = np.linalg.eigh(sym(A))
+            try:
+                if w.min() > 0.0:
+                    M, lds = _john_sum(datum, A)
+            except IllConditionedError:
+                if rising:
+                    return SolveResult(A, math.inf, math.nan, k, False, trace)
+                raise
+            if w.min() < MIN_EIGENVALUE:
+                return SolveResult(A, math.inf, math.nan, k, False, trace)
+            inv_A = sym((U / w) @ U.T)
+            obj = float(np.sum(np.log(w))) - lds
         G = inv_A - M
         res = float(np.linalg.norm(G) / np.linalg.norm(inv_A))
         trace.append((k, res, obj))
+        rising = _rising(trace)
         if res <= tol:
             return SolveResult(A, math.exp(0.5 * obj), res, k, True, trace)
         if obj > OBJECTIVE_LIMIT:
             return SolveResult(A, math.inf, res, k, False, trace)
         if res < best_res * _STALL_FACTOR:
-            best_res = res
-            best_res_iter = k
+            best_res, best_res_iter = res, k
         elif k - best_res_iter >= _STALL_WINDOW:
+            if phase == "polish":
+                break
+            if phase == "fixed point":
+                phase = "ascent"
+                continue
             # Armijo steps keep being accepted without residual progress once
             # objective differences fall below float resolution; the fixed
             # point iteration needs no differencing, so let it polish
-            return _fp_loop(datum, A, tol, max_iter, DEFAULT_DAMPING, k + 1, trace, ascend_ok=False)
-        GS = dexp_adjoint(w, U, G)
-        g2 = float(np.sum(GS * GS))
-        accepted = False
-        while step >= 1e-14:
-            S_try = sym(S + step * GS)
-            S_try -= np.trace(S_try) / n * np.eye(n)
-            try:
-                A_try, w_try, _ = expm_sym(S_try)
-                _, lds_try = _john_sum(datum, A_try)
-                obj_try = float(np.sum(w_try)) - lds_try
-            except IllConditionedError:
+            phase = "polish"
+            k += 1
+            continue
+
+        if phase == "ascent":
+            GS = dexp_adjoint(w, U, G)
+            g2 = float(np.sum(GS * GS))
+            while step >= 1e-14:
+                S_try = sym(S + step * GS)
+                S_try -= np.trace(S_try) / n * np.eye(n)
+                try:
+                    A_try, w_try, _ = expm_sym(S_try)
+                    _, lds_try = _john_sum(datum, A_try)
+                except IllConditionedError:
+                    step *= 0.5
+                    continue
+                if float(np.sum(w_try)) - lds_try >= obj + 1e-4 * step * g2:
+                    S, A, step = S_try, A_try, min(step * 2.0, 1e2)
+                    break
                 step *= 0.5
-                continue
-            if obj_try >= obj + 1e-4 * step * g2:
-                S = S_try
-                step = min(step * 2.0, 1e2)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # no ascent direction left at line-search resolution
-            return _fp_loop(
-                datum, _normalize_det(expm_sym(S)[0]), tol, max_iter,
-                DEFAULT_DAMPING, k + 1, trace, ascend_ok=False,
-            )
+            else:
+                # no ascent direction left at line-search resolution
+                phase, A = "polish", _normalize_det(A)
+        else:
+            try:
+                F = spd_inverse(M, name="fixed point sum")
+            except IllConditionedError:
+                if rising:
+                    return SolveResult(A, math.inf, res, k, False, trace)
+                raise
+            A = _normalize_det(sym((1.0 - damping) * A + damping * F))
         k += 1
 
-    return _exhausted(_normalize_det(expm_sym(S)[0]), trace)
+    # Budget verdict. Divergence along a ray shows up as a rising objective
+    # together with a stagnant residual; a residual that is still shrinking
+    # means the run was merely slow, and the best estimate is returned as
+    # inconclusive.
+    if phase == "ascent":
+        A = _normalize_det(A)
+    k, res, obj = trace[-1]
+    stagnant = len(trace) >= 10 and res > 0.5 * trace[len(trace) // 2][1]
+    if (_rising(trace) and stagnant) or not math.isfinite(obj):
+        return SolveResult(A, math.inf, res, k + 1, False, trace)
+    return SolveResult(A, math.exp(0.5 * obj), res, k + 1, False, trace)

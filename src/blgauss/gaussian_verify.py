@@ -43,10 +43,6 @@ VIOLATION_RTOL = 1e-9
 _BLOCKS = 16
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.swapaxes(-1, -2))
-
-
 def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n, n) stack of random SPD matrices G G^T + 1e-6 I, each
     rescaled log-uniformly over [1e-2, 1e2] so sweeps exercise more than
@@ -57,7 +53,7 @@ def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray
     scale = np.fromiter(map(math.exp, rng.uniform(math.log(1e-2), math.log(1e2), size=count)),
                         float, count)
     M = (G @ G.swapaxes(1, 2) + 1e-6 * np.eye(n)) * scale[:, None, None]
-    return _sym(M)
+    return sym(M)
 
 
 def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,7 +75,7 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         log_num = log_num + chol_logdet_stack(A, name=f"tuple entries {g.indices}")[1] @ g.c
         S = S + (g.c[:, None, None] * g.B.swapaxes(1, 2) @ A @ g.B).sum(axis=1)
-    _, log_den = chol_logdet_stack(_sym(S), name="combined precision")
+    _, log_den = chol_logdet_stack(sym(S), name="combined precision")
     return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
@@ -92,19 +88,19 @@ def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nd
         Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
         S = S + (g.c[:, None, None] * Y.swapaxes(2, 3) @ Y).sum(axis=1)  # c_i B_i^T inv(A_i) B_i
     try:
-        L, _ = chol_logdet_stack(_sym(S), name="harmonic sum")
+        _, log_det_S = chol_logdet_stack(sym(S), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
-    L_inv = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
-    _, log_num = chol_logdet_stack(_sym(L_inv.swapaxes(1, 2) @ L_inv), name="harmonic combination")
-    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+    # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
+    # the harmonic sum guard already bounds its condition number
+    return np.exp(-log_det_S - 2.0 * math.log(constant) - log_den)
 
 
 def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
     _, log_num = chol_logdet_stack(A, name="A")
     log_den = 0.0
     for g in groups:
-        P = _sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
+        P = sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
         log_den = log_den + chol_logdet_stack(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
     return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 

@@ -16,6 +16,7 @@ from blgauss import (
     reverse_extremizers,
     solve,
 )
+from blgauss.gaussian_solver import DEFAULT_DAMPING, MIN_EIGENVALUE, _iterate
 from blgauss.young import beckner_constant, closed_form_A
 from conftest import (
     coordinate_datum,
@@ -195,19 +196,15 @@ class TestSolve:
         assert r.constant == pytest.approx(YOUNG_CONSTANT, abs=1e-3)
 
     def test_ascent_fallback_reaches_tolerance(self):
-        from blgauss.gaussian_solver import _ascend
-
         e, d = young_flagship()
-        r = _ascend(d, np.diag([4.0, 0.25]), 1e-10, 10_000, 0, [])
+        r = _iterate(d, np.diag([4.0, 0.25]), "ascent", 1e-10, 10_000, DEFAULT_DAMPING)
         assert r.converged
         assert r.residual <= 1e-10
         assert r.constant == pytest.approx(beckner_constant(e), abs=1e-12)
 
     def test_ascent_trace_objective_is_monotone(self):
-        from blgauss.gaussian_solver import _ascend
-
         _, d = young_flagship()
-        r = _ascend(d, np.diag([4.0, 0.25]), 1e-10, 10_000, 0, [])
+        r = _iterate(d, np.diag([4.0, 0.25]), "ascent", 1e-10, 10_000, DEFAULT_DAMPING)
         objs = [obj for _, _, obj in r.trace]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
@@ -224,6 +221,67 @@ class TestSolve:
                 assert np.abs(grad_logdet(d, r.A)).max() <= 1e-8
             else:
                 assert r.constant == math.inf
+
+
+def _unattained_datum():
+    # E = span(e1) is critical and C = 1, but no Gaussian attains it
+    return make_datum(2, [0.5, 1.0, 0.5], [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
+                                           np.array([[1.0, 1.0]])])
+
+
+def _infeasible_datum():
+    return make_datum(2, [1.5, 0.5], [np.eye(2)[:1], np.eye(2)[1:]])
+
+
+def _overflow_datum():
+    rng = np.random.default_rng(2)
+    return [random_datum(rng, homogeneous=True) for _ in range(5)][-1]
+
+
+# How each kind of run ends: iterations, constant, trace rows, the k at which
+# the fixed point stalled and the ascent re-evaluated it (a repeated trace
+# row), and the exit. These pins change only when the algorithm changes on
+# purpose (ROADMAP items 2 and 3), and CHANGES.md must record it when they do.
+@pytest.mark.parametrize("make, options, iterations, constant, rows, ascent_at, exit_", [
+    # fixed point -> ascent -> polish; the polish stalls: budget verdict +inf
+    pytest.param(_unattained_datum, {}, 5147, math.inf, 5148, 5041, "budget", id="unattained"),
+    # the same phases, but the verdict is finite and inconclusive; the polish
+    # runs at DEFAULT_DAMPING, not at the caller's damping
+    pytest.param(_unattained_datum, {"damping": 0.25}, 5122, 0.9998056488150809, 5123, 5004, "budget",
+                 id="unattained-damped"),
+    # fixed point -> ascent, which exits on MIN_EIGENVALUE
+    pytest.param(_infeasible_datum, {}, 55, math.inf, 56, 50, "min eigenvalue", id="infeasible"),
+    # the fixed-point sum becomes ill-conditioned while the objective rises
+    pytest.param(_infeasible_datum, {"damping": 0.9}, 32, math.inf, 33, None, "fixed point sum",
+                 id="infeasible-fast"),
+    # the fixed point crawls until the budget is spent: finite, inconclusive
+    pytest.param(lambda: young_flagship()[1], {"damping": 0.001}, 10_000, 0.8773635757113353, 10_000,
+                 None, "budget", id="young-slow"),
+    # fixed point -> ascent -> polish, which meets an ill-conditioned factor
+    # while the objective rises. The path is ill-conditioned: OpenBLAS kernels
+    # for different CPUs end it after 61 to 63 iterations, so that count and
+    # the row count are not pinned.
+    pytest.param(_overflow_datum, {}, None, math.inf, None, 55, "ill-conditioned", id="random-overflow"),
+])
+def test_how_runs_end_is_pinned(make, options, iterations, constant, rows, ascent_at, exit_):
+    r = solve(make(), **options)
+    assert not r.converged
+    if math.isinf(constant):
+        assert r.constant == math.inf
+    else:
+        assert r.constant == pytest.approx(constant, rel=1e-12)
+    ks = [k for k, _, _ in r.trace]
+    assert [a for a, b in zip(ks, ks[1:]) if a == b] == ([] if ascent_at is None else [ascent_at])
+    if iterations is not None:
+        assert (r.iterations, len(r.trace)) == (iterations, rows)
+    last_k, last_res, _ = r.trace[-1]
+    if exit_ == "fixed point sum":  # the step failed after the row of k was written
+        assert (r.iterations, r.residual) == (last_k, last_res)
+    elif exit_ == "budget":
+        assert (r.iterations, r.residual) == (last_k + 1, last_res)
+    else:  # the evaluation of k failed before its row was written
+        assert r.iterations == last_k + 1 and math.isnan(r.residual)
+        assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
 
 
 class TestExtremizers:
