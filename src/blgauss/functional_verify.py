@@ -26,6 +26,9 @@ from .quadform import harmonic_combine
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
+# decomposition points per sup-convolution chunk (resolution points per grid
+# point when the kernel is a line): ~2 MB per factor coordinate
+_SUPCONV_CHUNK = 250_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class GridFunction:
                 def f1(pts):
                     t = np.asarray(pts)[..., 0]
                     v = spline(t)
-                    return np.clip(np.nan_to_num(v, nan=0.0), 0.0, None)
+                    return np.fmax(v, 0.0, out=v)  # NaN outside the box -> 0
 
                 return f1
 
@@ -234,6 +237,12 @@ def _ambient_grid(n: int, box: float, resolution: int):
     return axes, pts
 
 
+def _log0(vals: np.ndarray) -> np.ndarray:
+    """In-place log of non-negative interpolant values, log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(vals, out=vals)
+
+
 def _trapezoid_nd(values: np.ndarray, axes) -> float:
     out = values
     for d in reversed(range(len(axes))):
@@ -258,9 +267,7 @@ def direct_integral_check(
     log_prod = np.zeros(pts.shape[:-1])
     for i, gf in zip(datum.active_indices(), fs):
         f = datum.factors[i]
-        vals = gf.interpolator()(pts @ f.B.T)
-        with np.errstate(divide="ignore"):
-            log_prod += f.c * np.where(vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf)
+        log_prod += f.c * _log0(gf.interpolator()(pts @ f.B.T))
     lhs = _trapezoid_nd(np.exp(log_prod), axes)
 
     log_rhs = math.log(constant)
@@ -323,22 +330,28 @@ def sup_convolution(
     flat = pts.reshape(-1, datum.n)
     out = np.zeros(flat.shape[0])
 
-    def log_product(y):
-        """y: (..., total_dim) decompositions -> sum_i c_i log f_i(y_i)."""
-        acc = np.zeros(y.shape[:-1])
-        for k, (c, itp) in enumerate(zip(cs, interps)):
-            yi = y[..., offsets[k] : offsets[k + 1]]
-            vals = itp(yi)
-            with np.errstate(divide="ignore"):
-                acc += c * np.where(vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf)
+    spans = list(zip(offsets[:-1], offsets[1:]))
+
+    def log_product(parts):
+        """Per-factor slices y_i of shape (..., n_i) -> sum_i c_i log f_i(y_i).
+
+        parts may be a generator, so only one factor's slice is alive at once."""
+        acc = None
+        for c, itp, y in zip(cs, interps, parts):
+            vals = _log0(itp(y))
+            vals *= c
+            acc = vals if acc is None else np.add(acc, vals, out=acc)
         return acc
 
-    chunk = max(1, int(2e6) // max(resolution, 1) if kdim >= 1 else flat.shape[0])
+    def split(y):
+        return [y[..., a:b] for a, b in spans]
+
+    chunk = max(1, _SUPCONV_CHUNK // max(resolution, 1) if kdim >= 1 else flat.shape[0])
     for start in range(0, flat.shape[0], chunk):
         X = flat[start : start + chunk]
         Y0 = X @ W.T  # (chunk, total_dim)
         if kdim == 0:
-            out[start : start + chunk] = np.exp(log_product(Y0))
+            out[start : start + chunk] = np.exp(log_product(split(Y0)))
             continue
         if kdim == 1:
             k1 = kernel[:, 0]
@@ -357,15 +370,15 @@ def sup_convolution(
             mid = 0.5 * (t_lo + t_hi)
             base = np.linspace(-0.5, 0.5, resolution)
             T = mid[:, None] + width[:, None] * base[None, :]
-            Y = Y0[:, None, :] + T[:, :, None] * k1[None, None, :]
-            logs = log_product(Y)
+            # factor i's points on the segment Y0 + t k1, built one factor at a time
+            logs = log_product(Y0[:, None, a:b] + T[:, :, None] * k1[a:b] for a, b in spans)
             vals = np.exp(logs.max(axis=1))
             vals[dead | (width == 0.0)] = 0.0
             # the window can degenerate to a point that is still feasible
             point = (~dead) & (t_hi >= t_lo) & (width == 0.0)
             if np.any(point):
                 Yp = Y0[point] + mid[point, None] * k1[None, :]
-                vals[point] = np.exp(log_product(Yp))
+                vals[point] = np.exp(log_product(split(Yp)))
             out[start : start + chunk] = vals
         else:
             # rigorous l2 bound: orthonormal kernel columns give
@@ -379,7 +392,7 @@ def sup_convolution(
                 T0, T1 = np.meshgrid(t0, t0, indexing="ij")
                 T = np.stack([T0.ravel(), T1.ravel()], axis=-1)
                 Y = Y0[idx][None, :] + T @ kernel.T
-                vals[idx] = np.exp(log_product(Y).max())
+                vals[idx] = np.exp(log_product(split(Y)).max())
             out[start : start + chunk] = vals
 
     values = out.reshape(pts.shape[:-1])

@@ -213,6 +213,8 @@ def solve(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     diag = validate(datum)
     if diag.degenerate:
         raise DatumError("degenerate datum: the factor maps do not jointly span; "

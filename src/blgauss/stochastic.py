@@ -25,6 +25,8 @@ from ._linalg import check_spd, chol_logdet, spd_solve
 
 DEFAULT_SEED = 1729
 MAX_DRAWS = 10**8
+# normal draws per path chunk in terminal_points: ~2 MB of float64
+_PATH_CHUNK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,11 @@ class BrownianConfig:
         object.__setattr__(self, "A", check_spd(self.A, "covariance density"))
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1 or self.paths < 1:
-            raise ValueError("steps and paths must be at least 1")
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.paths < 2:
+            # every standard error is a sample standard deviation (ddof=1)
+            raise ValueError(f"paths must be at least 2, got {self.paths}")
         if self.steps * self.paths > self.max_draws:
             raise ValueError(
                 f"steps * paths = {self.steps * self.paths} exceeds the budget {self.max_draws}"
@@ -105,7 +110,10 @@ class DriftPolicy:
 
 def simulate(config: BrownianConfig) -> np.ndarray:
     """Path batch of shape (paths, steps+1, n); W_0 = 0, increments
-    N(0, dt * A) through a fixed Cholesky factor. Same seed, same batch."""
+    N(0, dt * A) through a fixed Cholesky factor. Same seed, same batch.
+
+    The estimators read only W_T; terminal_points gives it without the
+    path array."""
     rng = np.random.default_rng(config.seed)
     L = np.linalg.cholesky(config.A)
     out = np.empty((config.paths, config.steps + 1, config.n))
@@ -116,13 +124,43 @@ def simulate(config: BrownianConfig) -> np.ndarray:
     return out
 
 
-def mc_log_mgf(config: BrownianConfig, g, batch: np.ndarray | None = None) -> tuple[float, float]:
+def terminal_points(config: BrownianConfig) -> np.ndarray:
+    """W_T of every path, shape (paths, n): exactly simulate(config)[:, -1, :].
+
+    Paths are drawn in chunks of consecutive paths. The generator fills each
+    chunk in the same C order as simulate's single draw, and each path goes
+    through the same Cholesky product, scaling and cumulative sum, so the
+    numbers agree bit for bit while memory stays at one chunk."""
+    rng = np.random.default_rng(config.seed)
+    L = np.linalg.cholesky(config.A)
+    scale = math.sqrt(config.dt)
+    out = np.empty((config.paths, config.n))
+    chunk = max(1, _PATH_CHUNK_DRAWS // (config.steps * config.n))
+    for start in range(0, config.paths, chunk):
+        stop = min(start + chunk, config.paths)
+        inc = rng.standard_normal((stop - start, config.steps, config.n)) @ L.T
+        inc *= scale
+        np.cumsum(inc, axis=1, out=inc)
+        out[start:stop] = inc[:, -1, :]
+    return out
+
+
+def _terminal(config: BrownianConfig, terminal: np.ndarray | None) -> np.ndarray:
+    if terminal is None:
+        return terminal_points(config)
+    terminal = np.asarray(terminal, dtype=float)
+    if terminal.ndim != 2 or terminal.shape[1] != config.n:
+        raise ValueError(f"terminal must have shape (paths, {config.n}), got {terminal.shape}")
+    return terminal
+
+
+def mc_log_mgf(config: BrownianConfig, g, terminal: np.ndarray | None = None) -> tuple[float, float]:
     """Estimate log E exp(g(W_T)) with a delta-method standard error.
 
+    terminal holds the (paths, n) points W_T (default terminal_points(config)).
     Stabilized as m + log mean exp(g - m) with m = max g; raises
     OverflowError only if g itself produced non-finite values."""
-    W = simulate(config) if batch is None else batch
-    vals = np.asarray(g(W[:, -1, :]), dtype=float)
+    vals = np.asarray(g(_terminal(config, terminal)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("g produced non-finite values at the terminal points")
     m = float(vals.max())
@@ -137,19 +175,19 @@ def drift_value(
     config: BrownianConfig,
     g,
     policy: DriftPolicy,
-    batch: np.ndarray | None = None,
+    terminal: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Estimate E[g(W_T + U_T)] - ||U||_H^2 / 2 for a deterministic policy.
 
-    Always a lower bound for mc_log_mgf in expectation; the gap closes at
-    the optimal drift."""
-    W = simulate(config) if batch is None else batch
+    terminal as in mc_log_mgf. Always a lower bound for mc_log_mgf in
+    expectation; the gap closes at the optimal drift."""
+    WT = _terminal(config, terminal)
     times = np.arange(config.steps) * config.dt
     ud = policy.derivative(times, config.n)
     U_T = ud.sum(axis=0) * config.dt
     weighted = spd_solve(config.A, ud.T, name="covariance density").T
     h_norm_sq = float(np.sum(weighted * ud)) * config.dt
-    vals = np.asarray(g(W[:, -1, :] + U_T), dtype=float)
+    vals = np.asarray(g(WT + U_T), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("g produced non-finite values at the shifted points")
     estimate = float(vals.mean()) - 0.5 * h_norm_sq
@@ -203,7 +241,7 @@ class SuiteRow:
 
 
 def builtin_suite(config: BrownianConfig) -> list[SuiteRow]:
-    """Run every built-in (g, policy) pair on one shared path batch.
+    """Run every built-in (g, policy) pair on one shared set of terminal points.
 
     Rows of kind "closed" compare an estimator against its closed form
     (z = (estimate - closed) / stderr, two-sided). Rows of kind "bound"
@@ -213,7 +251,7 @@ def builtin_suite(config: BrownianConfig) -> list[SuiteRow]:
     A, T, n = config.A, config.horizon, config.n
     b = np.linspace(1.0, 0.5, n)
     Q = np.diag(np.linspace(0.5, 1.5, n)) + 0.1 * np.ones((n, n)) / n
-    batch = simulate(config)
+    WT = terminal_points(config)
 
     ramp = np.stack([0.3 * b, 0.4 * b], axis=1)
     policies = {
@@ -229,7 +267,7 @@ def builtin_suite(config: BrownianConfig) -> list[SuiteRow]:
 
     rows: list[SuiteRow] = []
     for g_name, (g, closed) in gs.items():
-        mc, mc_se = mc_log_mgf(config, g, batch=batch)
+        mc, mc_se = mc_log_mgf(config, g, terminal=WT)
         rows.append(
             SuiteRow(
                 label=f"mc_log_mgf[{g_name}]",
@@ -241,7 +279,7 @@ def builtin_suite(config: BrownianConfig) -> list[SuiteRow]:
             )
         )
         for p_name, policy in policies.items():
-            dv, dv_se = drift_value(config, g, policy, batch=batch)
+            dv, dv_se = drift_value(config, g, policy, terminal=WT)
             comb = math.hypot(dv_se, mc_se)
             rows.append(
                 SuiteRow(

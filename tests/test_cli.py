@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driven through main(argv) in-process."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,10 @@ class TestSolveAndConstant:
         assert main(["constant", "--datum", INFEASIBLE]) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_empty_iteration_budget_exits_2(self, capsys):
+        assert main(["constant", "--datum", YOUNG, "--max-iter", "0"]) == 2
+        assert "max_iter" in capsys.readouterr().err
+
 
 class TestCheckGaussian:
     def test_clean_sweeps_exit_0(self, capsys):
@@ -176,6 +181,15 @@ class TestBd:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "label,estimate,stderr,closed_form,z"
         assert len(lines) > 5
+
+    def test_single_path_exits_2_without_warnings(self, capsys):
+        # one path has no sample standard deviation; reject it as bad input
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bd", "--paths", "1", "--steps", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "paths must be at least 2" in captured.err
+        assert captured.out == ""
 
     def test_datum_covariance_run(self, tmp_path):
         out = tmp_path / "report.json"

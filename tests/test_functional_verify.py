@@ -203,7 +203,76 @@ class TestDirectIntegralCheck:
             direct_integral_check(d, [grid_gaussian([[1.0]])], 1.0)
 
 
+def dense_sup_convolution(datum, fs, resolution, box=8.0):
+    """Reference for a one-dimensional decomposition kernel: every grid point
+    at once, with the full (points, resolution, total_dim) array of
+    decompositions Y0 + t k1, sliced into factors afterwards."""
+    active = datum.active_indices()
+    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in active])
+    dims = [datum.factors[i].target_dim for i in active]
+    offsets = np.cumsum([0] + dims)
+    k1 = np.linalg.svd(L)[2][datum.n :][0]
+    assert k1.size == sum(dims) == datum.n + 1
+    lows = np.concatenate([gf.lo for gf in fs])
+    highs = np.concatenate([gf.hi for gf in fs])
+    axis = np.linspace(-box, box, resolution)
+    X = np.stack(np.meshgrid(*[axis] * datum.n, indexing="ij"), axis=-1).reshape(-1, datum.n)
+    Y0 = X @ np.linalg.pinv(L).T
+    t_lo = np.full(X.shape[0], -np.inf)
+    t_hi = np.full(X.shape[0], np.inf)
+    dead = np.zeros(X.shape[0], dtype=bool)
+    for j in range(k1.size):
+        if abs(k1[j]) > 1e-12:
+            a = (lows[j] - Y0[:, j]) / k1[j]
+            b = (highs[j] - Y0[:, j]) / k1[j]
+            t_lo = np.maximum(t_lo, np.minimum(a, b))
+            t_hi = np.minimum(t_hi, np.maximum(a, b))
+        else:
+            dead |= (Y0[:, j] < lows[j]) | (Y0[:, j] > highs[j])
+    width = np.where(t_hi > t_lo, t_hi - t_lo, 0.0)
+    mid = 0.5 * (t_lo + t_hi)
+    T = mid[:, None] + width[:, None] * np.linspace(-0.5, 0.5, resolution)[None, :]
+
+    def log_product(y):
+        acc = np.zeros(y.shape[:-1])
+        for k, i in enumerate(active):
+            vals = fs[k].interpolator()(y[..., offsets[k] : offsets[k + 1]])
+            with np.errstate(divide="ignore"):
+                acc += datum.factors[i].c * np.where(
+                    vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf
+                )
+        return acc
+
+    Y = Y0[:, None, :] + T[:, :, None] * k1[None, None, :]
+    vals = np.exp(log_product(Y).max(axis=1))
+    vals[dead | (width == 0.0)] = 0.0
+    point = (~dead) & (t_hi >= t_lo) & (width == 0.0)
+    if np.any(point):
+        vals[point] = np.exp(log_product(Y0[point] + mid[point, None] * k1[None, :]))
+    return vals.reshape((resolution,) * datum.n)
+
+
 class TestSupConvolution:
+    def test_young_matches_dense_reference(self):
+        # 71^2 grid points in chunks of 250_000 // 71 = 3521: the last is partial
+        _, d = young_flagship()
+        fs = [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])]
+        env = sup_convolution(d, fs, resolution=71)
+        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 71))
+
+    def test_two_dim_factor_matches_dense_reference(self):
+        # a 2-d factor next to a 1-d one: the kernel is still a line
+        B = np.array([[1.0, 0.3], [0.0, 1.0]])
+        d = make_datum(2, [0.5, 1.0], [B, np.array([[0.6, 0.8]])])
+        fs = [
+            grid_gaussian([[1.2, 0.2], [0.2, 0.8]], points=121),
+            grid_gaussian([[0.7]], points=201),
+        ]
+        env = sup_convolution(d, fs, resolution=71)
+        ref = dense_sup_convolution(d, fs, 71)
+        assert ref.max() > 0.5  # the envelope is not trivially zero
+        assert np.array_equal(env.values, ref)
+
     def test_single_identity_factor_reproduces_input(self):
         d = make_datum(1, [1.0], [np.eye(1)])
         f = grid_gaussian([[0.9]])

@@ -187,6 +187,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prekopa_leindler_datum(), damping=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_empty_budget(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(prekopa_leindler_datum(), max_iter=max_iter)
+
     def test_budget_exhaustion_is_inconclusive_not_inf(self):
         # a crawl toward a finite supremum must not be misread as divergence
         _, d = young_flagship()

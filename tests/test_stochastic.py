@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from blgauss import (
     mc_log_mgf,
     quadratic_g,
     simulate,
+    terminal_points,
 )
 
 A2 = np.array([[1.0, 0.3], [0.3, 0.8]])
@@ -37,6 +39,11 @@ class TestConfig:
     def test_rejects_budget_blowout(self):
         with pytest.raises(ValueError):
             BrownianConfig(A=np.eye(1), steps=10**5, paths=10**5)
+
+    def test_rejects_single_path(self):
+        # standard errors are sample standard deviations and need two paths
+        with pytest.raises(ValueError, match="paths must be at least 2"):
+            BrownianConfig(A=np.eye(1), paths=1)
 
     def test_dt(self):
         c = BrownianConfig(A=np.eye(1), horizon=2.0, steps=8)
@@ -67,6 +74,48 @@ class TestSimulate:
         W = simulate(c)
         inc = W[:, 1, :] - W[:, 0, :]
         np.testing.assert_allclose(np.cov(inc.T), c.dt * A2, atol=0.02)
+
+
+class TestTerminalPoints:
+    @pytest.mark.parametrize(
+        "n, steps, paths",
+        [
+            (1, 64, 5000),  # several path chunks, the last one partial
+            (3, 64, 5000),
+            (3, 1, 5000),
+            (2, 128, 2049),
+        ],
+    )
+    def test_equals_last_row_of_simulate(self, n, steps, paths):
+        A = np.eye(n) + 0.2 * np.ones((n, n))
+        c = BrownianConfig(A=A, steps=steps, paths=paths, seed=7)
+        WT = terminal_points(c)
+        assert WT.shape == (paths, n)
+        assert np.array_equal(WT, simulate(c)[:, -1, :])
+
+    def test_estimators_default_to_terminal_points(self):
+        c = small_config(paths=3000)
+        g = quadratic_g(np.diag([0.7, 1.2]))
+        WT = simulate(c)[:, -1, :]
+        assert mc_log_mgf(c, g) == mc_log_mgf(c, g, terminal=WT)
+        policy = DriftPolicy.constant([0.2, -0.1])
+        assert drift_value(c, g, policy) == drift_value(c, g, policy, terminal=WT)
+
+    def test_rejects_path_arrays(self):
+        c = small_config(paths=16, steps=8)
+        with pytest.raises(ValueError, match="terminal must have shape"):
+            mc_log_mgf(c, linear_g([1.0, 0.0]), terminal=simulate(c))
+
+    def test_suite_never_builds_a_path_array(self):
+        # the (paths, steps+1, n) array would take 206 MB here
+        c = BrownianConfig(A=A2, steps=128, paths=100_000, seed=11)
+        tracemalloc.start()
+        try:
+            builtin_suite(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDriftPolicy:
@@ -132,7 +181,7 @@ class TestDriftValue:
         c = small_config()
         b = np.array([1.0, 0.0])
         W = simulate(c)
-        est, _ = drift_value(c, linear_g(b), DriftPolicy.zero(), batch=W)
+        est, _ = drift_value(c, linear_g(b), DriftPolicy.zero(), terminal=W[:, -1, :])
         assert est == pytest.approx(float(W[:, -1, 0].mean()), abs=1e-12)
 
     def test_every_policy_is_a_lower_bound(self):
@@ -140,14 +189,14 @@ class TestDriftValue:
         b = np.array([0.8, -0.4])
         g = linear_g(b)
         W = simulate(c)
-        mc, mc_se = mc_log_mgf(c, g, batch=W)
+        mc, mc_se = mc_log_mgf(c, g, terminal=W[:, -1, :])
         for policy in (
             DriftPolicy.zero(),
             DriftPolicy.constant(A2 @ b),
             DriftPolicy.constant(0.3 * (A2 @ b)),
             DriftPolicy.linear_in_time(np.stack([0.2 * b, 0.5 * b], axis=1)),
         ):
-            dv, dv_se = drift_value(c, g, policy, batch=W)
+            dv, dv_se = drift_value(c, g, policy, terminal=W[:, -1, :])
             assert dv <= mc + 3.0 * math.hypot(dv_se, mc_se)
 
     def test_optimal_drift_attains_closed_form(self):
@@ -184,8 +233,8 @@ class TestDiscretization:
         W64 = W[:, ::2, :]
         c64 = small_config(paths=500, steps=64)
         b = np.array([0.8, -0.4])
-        full, _ = mc_log_mgf(c, linear_g(b), batch=W)
-        half, _ = mc_log_mgf(c64, linear_g(b), batch=W64)
+        full, _ = mc_log_mgf(c, linear_g(b), terminal=W[:, -1, :])
+        half, _ = mc_log_mgf(c64, linear_g(b), terminal=W64[:, -1, :])
         assert full == pytest.approx(half, abs=1e-12)
 
 
