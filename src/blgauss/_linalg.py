@@ -3,6 +3,11 @@
 Everything here works in the log domain where determinants are involved:
 constants are ratios of determinants that overflow long before the answer
 does, so only Cholesky / eigenvalue log-determinants are ever formed.
+
+chol_logdet is the one guarded Cholesky of the package. It takes a single
+matrix or a (..., k, k) stack, so the solver's fixed-point sum and the
+verification kernels factor a whole group of factors or samples per call
+behind the same symmetry, positivity and conditioning guards.
 """
 
 from __future__ import annotations
@@ -44,54 +49,43 @@ def check_spd(M: np.ndarray, name: str = "matrix", sym_tol: float = 1e-12) -> np
     return sym(M)
 
 
-def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """Cholesky factor and log-determinant of an SPD matrix.
+def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of an SPD matrix or of each
+    matrix in a (..., k, k) stack; the log-determinants have shape
+    M.shape[:-2].
 
-    Also enforces the condition-number ceiling: a factor with
-    cond > COND_LIMIT cannot be inverted at the tolerances this package
+    Every matrix must be symmetric to relative 1e-12 (ValueError) and
+    positive definite with cond <= COND_LIMIT (IllConditionedError): a factor
+    beyond that ceiling cannot be inverted at the tolerances this package
     promises, so it is reported instead of silently degrading.
     """
-    M = sym(np.asarray(M, dtype=float))
-    w = np.linalg.eigvalsh(M)
-    if w.min() <= 0.0:
-        raise IllConditionedError(f"{name} is not positive definite (min eig {w.min():.3e})")
-    if w.max() / w.min() > COND_LIMIT:
-        raise IllConditionedError(
-            f"{name} has condition number {w.max() / w.min():.3e} > {COND_LIMIT:.0e}"
-        )
-    L = np.linalg.cholesky(M)
-    return L, 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
-def chol_logdet_stack(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors and log-determinants of a stack of SPD matrices.
-
-    M has shape (..., k, k); the log-determinants have shape M.shape[:-2].
-    Every matrix gets the guards of check_spd (symmetry to relative 1e-12,
-    raising ValueError) and of chol_logdet (positive eigenvalues and
-    cond <= COND_LIMIT, raising IllConditionedError). Kept apart from
-    chol_logdet because stack handling slows the solver's 2-D calls.
-    """
     M = np.asarray(M, dtype=float)
-    if M.ndim < 3 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"{name} must be a stack of square matrices, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {M.shape}")
 
-    def first(bad: np.ndarray) -> list[int]:
-        return [int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]
+    def first(bad: np.ndarray) -> tuple:
+        return np.unravel_index(bad.argmax(), bad.shape)
 
-    bad = np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
-    if bad.any():
-        raise ValueError(f"{name} {first(bad)} is not symmetric to relative 1e-12")
-    M = sym(M)
+    def where(bad: np.ndarray) -> str:
+        return "" if bad.ndim == 0 else f" {[int(j) for j in first(bad)]}"
+
+    skew = M - M.swapaxes(-1, -2)
+    # callers inside the package pass exactly symmetric sym() output, which
+    # needs neither the relative check nor symmetrizing
+    if skew.any():
+        bad = np.abs(skew).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
+        if bad.any():
+            raise ValueError(f"{name}{where(bad)} is not symmetric to relative 1e-12")
+        M = sym(M)
     # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
     # factor; skipping LAPACK there gives the same values with less overhead
     w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
     lo, hi = w[..., 0], w[..., -1]
     bad = (lo <= 0.0) | (hi > COND_LIMIT * lo)
     if bad.any():
-        j = tuple(first(bad))
+        j = first(bad)
         raise IllConditionedError(
-            f"{name} {list(j)} is not positive definite with condition number <= "
+            f"{name}{where(bad)} is not positive definite with condition number <= "
             f"{COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
         )
     L = np.sqrt(M) if M.shape[-1] == 1 else np.linalg.cholesky(M)

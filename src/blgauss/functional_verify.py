@@ -76,12 +76,7 @@ class GridFunction:
         """Sample f on a uniform grid; f takes an array of shape (..., dim)."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        axes = [np.linspace(lo[d], hi[d], points) for d in range(lo.size)]
-        if lo.size == 1:
-            pts = axes[0][:, None]
-        else:
-            X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.stack([X, Y], axis=-1)
+        _, pts = _tensor_grid(lo, hi, points)
         return cls(lo, hi, np.asarray(f(pts), dtype=float))
 
     def max_boundary_value(self) -> float:
@@ -148,11 +143,7 @@ class GridFunction:
 
 def integrate(gf: GridFunction) -> float:
     """Tensor-product trapezoid rule on the function's own grid."""
-    axes = gf.axes()
-    if gf.dim == 1:
-        return float(np.trapezoid(gf.values, axes[0]))
-    inner = np.trapezoid(gf.values, axes[1], axis=1)
-    return float(np.trapezoid(inner, axes[0]))
+    return _trapezoid_nd(gf.values, gf.axes())
 
 
 # -- built-in function families -------------------------------------------------
@@ -227,14 +218,10 @@ def _warn_truncation(fs) -> None:
             )
 
 
-def _ambient_grid(n: int, box: float, resolution: int):
-    axes = [np.linspace(-box, box, resolution) for _ in range(n)]
-    if n == 1:
-        pts = axes[0][:, None]
-    else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-    return axes, pts
+def _tensor_grid(lo, hi, points: int):
+    """Axes and (..., dim) points of the uniform tensor grid on the box [lo, hi]."""
+    axes = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
+    return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _log0(vals: np.ndarray) -> np.ndarray:
@@ -263,7 +250,7 @@ def direct_integral_check(
     the right-hand side vanishes."""
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
-    axes, pts = _ambient_grid(datum.n, box, resolution)
+    axes, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
     log_prod = np.zeros(pts.shape[:-1])
     for i, gf in zip(datum.active_indices(), fs):
         f = datum.factors[i]
@@ -326,7 +313,8 @@ def sup_convolution(
     highs = np.concatenate([np.asarray(gf.hi) for gf in fs])
     offsets = np.cumsum([0] + dims)
 
-    axes, pts = _ambient_grid(datum.n, box, resolution)
+    lo, hi = np.full(datum.n, -box), np.full(datum.n, box)
+    _, pts = _tensor_grid(lo, hi, resolution)
     flat = pts.reshape(-1, datum.n)
     out = np.zeros(flat.shape[0])
 
@@ -395,10 +383,7 @@ def sup_convolution(
                 vals[idx] = np.exp(log_product(split(Y)).max())
             out[start : start + chunk] = vals
 
-    values = out.reshape(pts.shape[:-1])
-    lo = np.full(datum.n, -box)
-    hi = np.full(datum.n, box)
-    return GridFunction(lo, hi, values)
+    return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 
 
 def reverse_integral_check(

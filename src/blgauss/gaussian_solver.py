@@ -18,6 +18,12 @@ polishes with fixed-point steps at the default damping. A polish stall ends
 the run like an exhausted budget. A datum whose objective is unbounded above
 has no finite constant; that is detected heuristically and reported as +inf
 rather than raised.
+
+Every iteration evaluates the fixed-point sum over the datum's factor groups
+(datum.factor_groups, built once per solve): one stacked Cholesky and solve
+per target dimension, not one per factor. The solver imports only _linalg
+and datum, so the verification layers that re-check it share none of its
+fixed-point logic.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from ._linalg import (
     spd_inverse,
     sym,
 )
-from .datum import BLDatum, DatumError, validate
+from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -62,41 +68,40 @@ class ConvergenceError(RuntimeError):
     """Raised by callers that need a converged solve and did not get one."""
 
 
-def _john_sum(datum: BLDatum, A: np.ndarray) -> tuple[np.ndarray, float]:
+def _john_sum(groups: list[FactorGroup], A: np.ndarray) -> tuple[np.ndarray, float]:
     """sum_i c_i B_i^T inv(B_i A B_i^T) B_i and sum_i c_i logdet(B_i A B_i^T),
-    over non-zero factors."""
-    n = datum.n
-    M = np.zeros((n, n))
-    logdets = 0.0
-    for i in datum.active_indices():
-        f = datum.factors[i]
-        Mi = sym(f.B @ A @ f.B.T)
-        L, ld = chol_logdet(Mi, name=f"B_{i} A B_{i}^T")
-        X = np.linalg.solve(L.T, np.linalg.solve(L, f.B))
-        M += f.c * (f.B.T @ X)
-        logdets += f.c * ld
+    over the factor groups of a datum: one stacked Cholesky and solve per
+    target dimension."""
+    n = A.shape[0]
+    M, logdets = np.zeros((n, n)), 0.0
+    for g in groups:
+        P = sym(g.B @ A @ g.B.swapaxes(1, 2))  # (m_k, k, k)
+        L, ld = chol_logdet(P, name=f"B_i A B_i^T, i in {g.indices}")
+        X = np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, g.B))  # inv(P_i) B_i
+        M += (g.c[:, None, None] * (g.B.swapaxes(1, 2) @ X)).sum(axis=0)
+        logdets += float(ld @ g.c)
     return sym(M), logdets
 
 
 def fp_map(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """One application of A |-> inv(sum_i c_i B_i^T inv(B_i A B_i^T) B_i)."""
     A = check_spd(A, "A")
-    M, _ = _john_sum(datum, A)
+    M, _ = _john_sum(factor_groups(datum), A)
     return spd_inverse(M, name="fixed point sum")
 
 
 def grad_logdet(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """Gradient of the log-det objective at A (zero exactly at a fixed point)."""
     A = check_spd(A, "A")
-    M, _ = _john_sum(datum, A)
+    M, _ = _john_sum(factor_groups(datum), A)
     return spd_inverse(A, name="A") - M
 
 
 def logdet_objective(datum: BLDatum, A: np.ndarray) -> float:
     A = check_spd(A, "A")
     _, ld_A = chol_logdet(A, name="A")
-    _, lds = _john_sum(datum, A)
-    return ld_A - lds
+    _, lds = _john_sum(factor_groups(datum), A)
+    return float(ld_A) - lds
 
 
 def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
@@ -108,7 +113,7 @@ def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
     A = check_spd(A, "A")
     w, U = np.linalg.eigh(A)
     inv_A = sym((U / w) @ U.T)
-    M, lds = _john_sum(datum, A)
+    M, lds = _john_sum(factor_groups(datum), A)
     grad = inv_A - M
     rel = np.linalg.norm(grad) / np.linalg.norm(inv_A)
     if rel > STATIONARITY_WARN:
@@ -241,6 +246,7 @@ def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: in
     polish at k + 1, and a polish stall or the end of the budget to the budget
     verdict."""
     n = datum.n
+    groups = factor_groups(datum)
     trace: list[tuple[int, float, float]] = []
     k, entered = 0, None
     while k < max_iter:
@@ -256,7 +262,7 @@ def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: in
             if w.min() < math.log(MIN_EIGENVALUE):
                 return SolveResult(_normalize_det(A), math.inf, math.nan, k, False, trace)
             try:
-                M, lds = _john_sum(datum, A)
+                M, lds = _john_sum(groups, A)
             except IllConditionedError:
                 return SolveResult(A, math.inf, math.nan, k, False, trace)
             inv_A = sym((U * np.exp(-w)) @ U.T)
@@ -265,7 +271,7 @@ def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: in
             w, U = np.linalg.eigh(sym(A))
             try:
                 if w.min() > 0.0:
-                    M, lds = _john_sum(datum, A)
+                    M, lds = _john_sum(groups, A)
             except IllConditionedError:
                 if rising:
                     return SolveResult(A, math.inf, math.nan, k, False, trace)
@@ -305,7 +311,7 @@ def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: in
                 S_try -= np.trace(S_try) / n * np.eye(n)
                 try:
                     A_try, w_try, _ = expm_sym(S_try)
-                    _, lds_try = _john_sum(datum, A_try)
+                    _, lds_try = _john_sum(groups, A_try)
                 except IllConditionedError:
                     step *= 0.5
                     continue

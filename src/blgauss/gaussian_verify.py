@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, chol_logdet_stack, dexp_adjoint, expm_sym, spd_inverse, sym
+from ._linalg import check_spd, chol_logdet, dexp_adjoint, expm_sym, spd_inverse, sym
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 from .gaussian_solver import HOMOGENEITY_TOL, grad_logdet, logdet_objective
-from .quadform import check_tuple
+from .quadform import check_tuple, harmonic_sum
 from .report import VerificationReport
 
 DEFAULT_SEED = 1729
@@ -73,22 +73,16 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
     log_num, S = 0.0, 0.0
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
-        log_num = log_num + chol_logdet_stack(A, name=f"tuple entries {g.indices}")[1] @ g.c
+        log_num = log_num + chol_logdet(A, name=f"tuple entries {g.indices}")[1] @ g.c
         S = S + (g.c[:, None, None] * g.B.swapaxes(1, 2) @ A @ g.B).sum(axis=1)
-    _, log_den = chol_logdet_stack(sym(S), name="combined precision")
+    _, log_den = chol_logdet(sym(S), name="combined precision")
     return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
 def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
-    log_den, S = 0.0, 0.0
-    for g in groups:
-        A = np.stack([stacks[p] for p in g.positions], axis=1)
-        L, ld = chol_logdet_stack(A, name=f"tuple entries {g.indices}")
-        log_den = log_den + ld @ g.c
-        Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
-        S = S + (g.c[:, None, None] * Y.swapaxes(2, 3) @ Y).sum(axis=1)  # c_i B_i^T inv(A_i) B_i
+    S, log_den = harmonic_sum(groups, stacks)
     try:
-        _, log_det_S = chol_logdet_stack(sym(S), name="harmonic sum")
+        _, log_det_S = chol_logdet(S, name="harmonic sum")
     except np.linalg.LinAlgError as exc:
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
@@ -97,11 +91,11 @@ def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nd
 
 
 def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
-    _, log_num = chol_logdet_stack(A, name="A")
+    _, log_num = chol_logdet(A, name="A")
     log_den = 0.0
     for g in groups:
         P = sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
-        log_den = log_den + chol_logdet_stack(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
+        log_den = log_den + chol_logdet(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
     return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
@@ -135,7 +129,7 @@ def logdet_duality_check(A: np.ndarray, B: np.ndarray) -> float:
     n = A.shape[0]
     _, ld_A = chol_logdet(A, "A")
     _, ld_B = chol_logdet(B, "B")
-    return float(np.trace(A @ B)) - n - ld_B - ld_A
+    return float(np.trace(A @ B)) - n - float(ld_B) - float(ld_A)
 
 
 # -- randomized sweeps ---------------------------------------------------------

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import check_spd, spd_inverse, spd_solve, sym
-from .datum import BLDatum, DatumError
+from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym
+from .datum import BLDatum, DatumError, FactorGroup, factor_groups
 from .report import VerificationReport
 
 INF_SLACK = 1e-10
@@ -44,15 +44,26 @@ def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
     return out
 
 
+def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i c_i B_i^T inv(A_i) B_i and sum_i c_i logdet(A_i) for a stack of
+    tuples, one (count, n_i, n_i) stack of A_i per non-zero factor in tuple
+    order; shapes (count, n, n) and (count,). One stacked Cholesky and solve
+    per factor group."""
+    S, log_det = 0.0, 0.0
+    for g in groups:
+        A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
+        L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
+        log_det = log_det + ld @ g.c
+        Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
+        S = S + (g.c[:, None, None] * Y.swapaxes(2, 3) @ Y).sum(axis=1)
+    return sym(S), log_det
+
+
 def harmonic_combine(datum: BLDatum, tuple_) -> np.ndarray:
     """inv(sum_i c_i B_i^T inv(A_i) B_i) over non-zero factors."""
-    mats = check_tuple(datum, tuple_)
-    S = np.zeros((datum.n, datum.n))
-    for i, Ai in zip(datum.active_indices(), mats):
-        f = datum.factors[i]
-        S += f.c * (f.B.T @ spd_solve(Ai, f.B, name=f"tuple entry {i}"))
+    S, _ = harmonic_sum(factor_groups(datum), [M[None] for M in check_tuple(datum, tuple_)])
     try:
-        return spd_inverse(sym(S), name="harmonic sum")
+        return spd_inverse(S[0], name="harmonic sum")
     except np.linalg.LinAlgError as exc:
         raise DatumError(
             "harmonic combination is singular; the factor maps do not jointly span "

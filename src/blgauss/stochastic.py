@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, spd_solve
+from ._linalg import check_spd, chol_logdet, spd_solve, sym
 
 DEFAULT_SEED = 1729
 MAX_DRAWS = 10**8
@@ -210,10 +210,10 @@ def closed_form_quadratic(A: np.ndarray, Q: np.ndarray, horizon: float) -> float
     Evaluated as logdet(I + T L^T Q L) with A = L L^T: same determinant, but
     symmetric, which chol_logdet needs; I + T A Q is not unless A and Q commute."""
     A = check_spd(A, "A")
-    Q = np.asarray(Q, dtype=float)
+    Q = sym(np.asarray(Q, dtype=float))  # the payoff reads only the symmetric part
     L = np.linalg.cholesky(A)
     _, ld = chol_logdet(np.eye(A.shape[0]) + horizon * L.T @ Q @ L, name="I + T L^T Q L")
-    return -0.5 * ld
+    return -0.5 * float(ld)
 
 
 def linear_g(b):

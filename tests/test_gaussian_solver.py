@@ -1,9 +1,12 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blgauss.gaussian_solver
 from blgauss import (
     DatumError,
     bl_constant,
@@ -88,6 +91,23 @@ class TestObjectiveAndGradient:
         d = prekopa_leindler_datum()
         with pytest.raises(ValueError):
             logdet_objective(d, np.array([[-1.0]]))
+
+    def test_grouped_sum_matches_per_factor_formula(self, rng):
+        # target dimensions 2, 1, 2 interleave, so factor groups reorder the
+        # sum; the zero map contributes nothing
+        maps = [rng.standard_normal((2, 3)), rng.standard_normal((1, 3)), np.zeros((1, 3)),
+                rng.standard_normal((2, 3))]
+        d = make_datum(3, [0.7, 0.4, 1.3, 0.6], maps)
+        active = [(c, B) for c, B in zip(d.weights, maps) if B.any()]
+        for _ in range(5):
+            A = well_conditioned_spd(3, rng)
+            M = sum(c * B.T @ np.linalg.inv(B @ A @ B.T) @ B for c, B in active)
+            objective = np.linalg.slogdet(A)[1] - sum(c * np.linalg.slogdet(B @ A @ B.T)[1]
+                                                      for c, B in active)
+            for got, want in ((fp_map(d, A), np.linalg.inv(M)),
+                              (grad_logdet(d, A), np.linalg.inv(A) - M)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert logdet_objective(d, A) == pytest.approx(objective, rel=1e-12)
 
 
 class TestBlConstant:
@@ -341,3 +361,13 @@ class TestSolveResult:
         k, res, obj = lines[1].split(",")
         assert int(k) == 0
         float(res), float(obj)
+
+
+def test_solver_imports_no_verification_layer():
+    """Verification layers may share _linalg and datum with the solver, never
+    the fixed-point logic, so the solver imports no other package module."""
+    tree = ast.parse(Path(blgauss.gaussian_solver.__file__).read_text(encoding="utf-8"))
+    imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert {m for m in imported if m.startswith((".", "blgauss"))} == {"._linalg", ".datum"}

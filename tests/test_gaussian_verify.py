@@ -21,7 +21,7 @@ from blgauss import (
     sweep_dual,
     sweep_reverse,
 )
-from blgauss._linalg import IllConditionedError, chol_logdet, chol_logdet_stack
+from blgauss._linalg import IllConditionedError, chol_logdet, sym
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
@@ -195,7 +195,7 @@ class TestStackedCholesky:
     def test_matches_chol_logdet_per_matrix(self, rng):
         for k in (1, 3):
             stack = sample_spd_stack(k, 6, rng).reshape(2, 3, k, k)
-            L, ld = chol_logdet_stack(stack)
+            L, ld = chol_logdet(stack)
             assert ld.shape == (2, 3)
             for idx in np.ndindex(2, 3):
                 L1, ld1 = chol_logdet(stack[idx])
@@ -205,12 +205,30 @@ class TestStackedCholesky:
     def test_guards_of_the_per_matrix_path(self):
         good = np.eye(2)
         with pytest.raises(ValueError, match="symmetric"):
-            chol_logdet_stack(np.stack([good, [[1.0, 0.1], [0.0, 1.0]]]))
+            chol_logdet(np.stack([good, [[1.0, 0.1], [0.0, 1.0]]]))
         for bad in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1e-15]], [[0.0, 0.0], [0.0, 0.0]]):
             with pytest.raises(IllConditionedError, match=r"\[1\]"):
-                chol_logdet_stack(np.stack([good, bad]))
+                chol_logdet(np.stack([good, bad]))
         with pytest.raises(IllConditionedError):
-            chol_logdet_stack(-np.ones((4, 1, 1)))
+            chol_logdet(-np.ones((4, 1, 1)))
+
+    def test_matrix_and_stack_of_one_agree(self, rng):
+        for k in (1, 2, 5):
+            M = sample_spd(k, rng)
+            L, ld = chol_logdet(M)
+            Ls, lds = chol_logdet(M[None])
+            assert np.array_equal(L, Ls[0]) and ld == lds[0]
+            assert np.ndim(ld) == 0 and lds.shape == (1,)
+
+    def test_single_matrix_symmetry_guard(self, rng):
+        M = sample_spd(3, rng)
+        E = np.zeros((3, 3))
+        E[0, 1] = np.abs(M).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            chol_logdet(M + 1e-11 * E)
+        L, ld = chol_logdet(M + 1e-14 * E)
+        L0, ld0 = chol_logdet(sym(M + 1e-14 * E))
+        assert np.array_equal(L, L0) and ld == ld0
 
 
 class TestSampling:
