@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
 from .functional_verify import GridFunction, direct_integral_check, gaussian_function, reverse_integral_check
-from .gaussian_solver import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, bl_constant, direct_extremizers,
-                              reverse_extremizers, solve)
+from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, bl_constant, direct_extremizers, reverse_extremizers,
+                              solve)
 from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
                               sweep_reverse)
 from .quadform import check_inf
@@ -73,7 +73,7 @@ def _write_ratio_csv(path: str, named_ratios: list[tuple[str, np.ndarray]]) -> N
 
 
 def _solve_args(args) -> dict:
-    return {"tol": args.tol, "max_iter": args.max_iter, "damping": args.damping}
+    return {"tol": args.tol, "max_iter": args.max_iter}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver convergence tolerance")
             p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
-            p.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
         if sampling:
             p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -3,27 +3,27 @@
 The best constant in both the direct and the reversed inequality is attained
 on centered Gaussians, and the optimal covariance A solves
 
-    inv(A) = sum_i c_i B_i^T inv(B_i A B_i^T) B_i.
+    inv(A) = sum_i c_i B_i^T inv(B_i A B_i^T) B_i,
 
-That equation is the stationarity condition of the scale-invariant objective
+the stationarity condition of the scale-invariant objective
 
     F(A) = logdet(A) - sum_i c_i logdet(B_i A B_i^T),
 
-whose supremum over positive definite A equals twice the log of the shared
-constant. The solver is one loop in three phases. It starts with a damped
-fixed-point iteration, det-normalized as gauge fixing. When the residual
-stalls it moves to backtracking gradient ascent through the parameterization
-A = exp(S), and when the ascent stalls too, or its line search fails, it
-polishes with fixed-point steps at the default damping. A polish stall ends
-the run like an exhausted budget. A datum whose objective is unbounded above
-has no finite constant; that is detected heuristically and reported as +inf
-rather than raised.
+whose supremum over positive definite A is twice the log of the shared
+constant. F is geodesically concave, and the solver takes Newton steps
+A <- R exp(tH) R, R = A^{1/2}, H symmetric and traceless, so det(A) stays 1.
+With Y_i = inv(L_i) B_i R, L_i L_i^T = B_i A B_i^T, and Q_i = Y_i^T Y_i, F has
+the gradient I - Qbar, Qbar = sum_i c_i Q_i, and the positive semidefinite
+negative Hessian -Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i. Truncated
+conjugate gradients solve -Hess[H] = I - Qbar, and an Armijo line search on
+F picks t. An objective unbounded above (no finite constant) is detected
+heuristically and reported as +inf rather than raised.
 
-Every iteration evaluates the fixed-point sum over the datum's factor groups
-(datum.factor_groups, built once per solve): one stacked Cholesky and solve
-per target dimension, not one per factor. The solver imports only _linalg
-and datum, so the verification layers that re-check it share none of its
-fixed-point logic.
+_whiten factors B_i A B_i^T with one stacked Cholesky and triangular solve
+per factor group (datum.factor_groups, built once per solve), for the loop,
+its line search and the public evaluations alike. The solver imports only
+_linalg and datum, so the verification layers that re-check it share none
+of its fixed-point logic.
 """
 
 from __future__ import annotations
@@ -34,26 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (
-    IllConditionedError,
-    chol_logdet,
-    check_spd,
-    dexp_adjoint,
-    expm_sym,
-    spd_inverse,
-    sym,
-)
+from ._linalg import IllConditionedError, check_spd, chol_logdet, spd_inverse, sym
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMPING = 0.5
 
 # Homogeneity defect beyond this means the objective cannot have a finite
 # supremum with equality anywhere; refuse instead of iterating.
 HOMOGENEITY_TOL = 1e-9
 
-# Divergence heuristics on the det-normalized iterate.
+# Divergence heuristics on the det-1 iterate.
 OBJECTIVE_LIMIT = 1e3
 MIN_EIGENVALUE = 1e-12
 
@@ -61,47 +52,71 @@ MIN_EIGENVALUE = 1e-12
 STATIONARITY_WARN = 1e-6
 
 _STALL_WINDOW = 50
-_STALL_FACTOR = 0.99
+
+# Line search: the Armijo fraction, the halvings allowed from the capped
+# first trial, and a slack relative to 1 + |F| so that steps whose gain is
+# below the float resolution of F still pass.
+_ARMIJO = 1e-4
+_HALVINGS = 34
+_SLACK = 1e-13
 
 
 class ConvergenceError(RuntimeError):
     """Raised by callers that need a converged solve and did not get one."""
 
 
-def _john_sum(groups: list[FactorGroup], A: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_i c_i B_i^T inv(B_i A B_i^T) B_i and sum_i c_i logdet(B_i A B_i^T),
-    over the factor groups of a datum: one stacked Cholesky and solve per
-    target dimension."""
-    n = A.shape[0]
-    M, logdets = np.zeros((n, n)), 0.0
+def _whiten(groups: list[FactorGroup], R: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Whitened factors at A = R R^T: per group the stack Y = inv(L) B R with
+    L L^T = B A B^T, one stacked Cholesky and triangular solve per target
+    dimension; then Qbar = sum_i c_i Y_i^T Y_i and
+    sum_i c_i logdet(B_i A B_i^T)."""
+    n = R.shape[1]
+    Ys, Qbar, lds = [], np.zeros((n, n)), 0.0
     for g in groups:
-        P = sym(g.B @ A @ g.B.swapaxes(1, 2))  # (m_k, k, k)
-        L, ld = chol_logdet(P, name=f"B_i A B_i^T, i in {g.indices}")
-        X = np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, g.B))  # inv(P_i) B_i
-        M += (g.c[:, None, None] * (g.B.swapaxes(1, 2) @ X)).sum(axis=0)
-        logdets += float(ld @ g.c)
-    return sym(M), logdets
+        C = g.B @ R  # (m_k, k, n)
+        L, ld = chol_logdet(sym(C @ C.swapaxes(1, 2)), name=f"B_i A B_i^T, i in {g.indices}")
+        Y = np.linalg.solve(L, C)
+        Ys.append(Y)
+        Yc = (np.sqrt(g.c)[:, None, None] * Y).reshape(-1, n)
+        Qbar += Yc.T @ Yc
+        lds += float(ld @ g.c)
+    return Ys, sym(Qbar), lds
+
+
+def _roots(w: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A^{1/2} and A^{-1/2} from the eigendecomposition A = U diag(w) U^T."""
+    s = np.sqrt(w)
+    return sym((U * s) @ U.T), sym((U / s) @ U.T)
+
+
+def _gradient(R_inv: np.ndarray, Qbar: np.ndarray) -> np.ndarray:
+    """inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i = R^{-1} (I - Qbar) R^{-1}."""
+    return sym(R_inv @ (np.eye(Qbar.shape[0]) - Qbar) @ R_inv)
+
+
+def _at(datum: BLDatum, A: np.ndarray):
+    """Eigenvalues of a caller's A, R = A^{1/2}, inv(R) and the whitening at A."""
+    w, U = np.linalg.eigh(check_spd(A, "A"))
+    R, R_inv = _roots(w, U)
+    _, Qbar, lds = _whiten(factor_groups(datum), R)
+    return w, R, R_inv, Qbar, lds
 
 
 def fp_map(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """One application of A |-> inv(sum_i c_i B_i^T inv(B_i A B_i^T) B_i)."""
-    A = check_spd(A, "A")
-    M, _ = _john_sum(factor_groups(datum), A)
-    return spd_inverse(M, name="fixed point sum")
+    _, R, _, Qbar, _ = _at(datum, A)
+    return sym(R @ spd_inverse(Qbar, name="fixed point sum") @ R)
 
 
 def grad_logdet(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """Gradient of the log-det objective at A (zero exactly at a fixed point)."""
-    A = check_spd(A, "A")
-    M, _ = _john_sum(factor_groups(datum), A)
-    return spd_inverse(A, name="A") - M
+    _, _, R_inv, Qbar, _ = _at(datum, A)
+    return _gradient(R_inv, Qbar)
 
 
 def logdet_objective(datum: BLDatum, A: np.ndarray) -> float:
-    A = check_spd(A, "A")
-    _, ld_A = chol_logdet(A, name="A")
-    _, lds = _john_sum(factor_groups(datum), A)
-    return float(ld_A) - lds
+    w, _, _, _, lds = _at(datum, A)
+    return float(np.sum(np.log(w))) - lds
 
 
 def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
@@ -110,12 +125,8 @@ def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
     The value is only the Brascamp-Lieb constant when A is stationary; the
     relative gradient norm is checked at 1e-6 and a warning is emitted when
     the caller hands in a point that is not."""
-    A = check_spd(A, "A")
-    w, U = np.linalg.eigh(A)
-    inv_A = sym((U / w) @ U.T)
-    M, lds = _john_sum(factor_groups(datum), A)
-    grad = inv_A - M
-    rel = np.linalg.norm(grad) / np.linalg.norm(inv_A)
+    w, _, R_inv, Qbar, lds = _at(datum, A)
+    rel = np.linalg.norm(_gradient(R_inv, Qbar)) / np.linalg.norm(1.0 / w)
     if rel > STATIONARITY_WARN:
         warnings.warn(
             f"bl_constant evaluated away from stationarity (relative gradient {rel:.2e})",
@@ -168,15 +179,8 @@ class SolveResult:
                 fh.write(f"{k},{res!r},{obj!r}\n")
 
 
-def _normalize_det(A: np.ndarray) -> np.ndarray:
-    return A * math.exp(-float(np.sum(np.log(np.linalg.eigvalsh(A)))) / A.shape[0])
-
-
-def _log_traceless(A: np.ndarray) -> np.ndarray:
-    """S = log(A) shifted to trace zero, so that exp(S) has determinant 1."""
-    w, U = np.linalg.eigh(sym(A))
-    S = sym((U * np.log(w)) @ U.T)
-    return S - np.trace(S) / A.shape[0] * np.eye(A.shape[0])
+def _traceless(X: np.ndarray) -> np.ndarray:
+    return X - np.trace(X) / X.shape[0] * np.eye(X.shape[0])
 
 
 def _rising(trace: list[tuple[int, float, float]]) -> bool:
@@ -184,12 +188,68 @@ def _rising(trace: list[tuple[int, float, float]]) -> bool:
     return len(trace) >= 2 and trace[-1][2] > trace[max(0, len(trace) - _STALL_WINDOW)][2] + 1e-9
 
 
-def solve(
-    datum: BLDatum,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
-) -> SolveResult:
+def _neg_hess(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
+              H: np.ndarray) -> np.ndarray:
+    """-Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i, projected to trace zero,
+    with Q_i H Q_i = Y_i^T (Y_i H Y_i^T) Y_i stacked per factor group."""
+    n = H.shape[0]
+    out = sym(Qbar @ H)
+    for g, Y in zip(groups, Ys):
+        W = (g.c[:, None, None] * (Y @ H @ Y.swapaxes(1, 2))) @ Y
+        out -= sym(Y.reshape(-1, n).T @ W.reshape(-1, n))
+    return _traceless(out)
+
+
+def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
+                      G: np.ndarray) -> np.ndarray:
+    """Truncated conjugate gradients for -Hess[H] = G over symmetric traceless
+    H, from H = 0. CG stops at a relative residual of min(1/2, sqrt(||G||)),
+    or on a direction without positive curvature; when that is the first
+    direction, the step is G itself."""
+    n = G.shape[0]
+    H, r, p = np.zeros_like(G), G, G
+    rr = float(np.sum(G * G))
+    stop = min(0.25, math.sqrt(rr)) * rr
+    for _ in range(n * (n + 1) // 2):
+        Hp = _neg_hess(groups, Ys, Qbar, p)
+        curvature = float(np.sum(p * Hp))
+        if curvature <= np.finfo(float).eps * float(np.sum(p * p)):
+            break
+        a = rr / curvature
+        H, r = H + a * p, r - a * Hp
+        rr_next = float(np.sum(r * r))
+        if rr_next <= stop:
+            break
+        p, rr = r + (rr_next / rr) * p, rr_next
+    return H if H.any() else G
+
+
+def _line_search(groups: list[FactorGroup], R: np.ndarray, H: np.ndarray, G: np.ndarray,
+                 logdet_A: float, obj: float) -> np.ndarray | None:
+    """K = R exp(tH/2), so that K K^T = R exp(tH) R, for the first t that
+    passes, or None. The first trial t = min(1, 2/||H||_2) keeps exp(tH)
+    within [e^-2, e^2] however long the CG direction is; each later trial
+    halves t. As tr H = 0, logdet(K K^T) = logdet(A), so a trial costs one
+    whitening; one with an ill-conditioned factor fails."""
+    lam, V = np.linalg.eigh(H)
+    norm = float(np.abs(lam).max())
+    if norm == 0.0:
+        return None
+    t, slope = min(1.0, 2.0 / norm), float(np.sum(G * H))
+    floor = obj - _SLACK * (1.0 + abs(obj))
+    for _ in range(_HALVINGS + 1):
+        K = R @ ((V * np.exp(0.5 * t * lam)) @ V.T)
+        try:
+            _, _, lds = _whiten(groups, K)
+        except IllConditionedError:
+            lds = math.inf
+        if logdet_A - lds >= floor + _ARMIJO * t * slope:
+            return K
+        t *= 0.5
+    return None
+
+
+def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Find the optimal Gaussian covariance and the constant for a datum.
 
     Parameters
@@ -201,23 +261,15 @@ def solve(
         Convergence threshold on the relative gradient norm
         ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F.
     max_iter : int
-        Total iteration budget shared by the three phases: fixed point,
-        then ascent when the fixed point stalls, then polish when the
-        ascent stalls or its line search fails. A polish stall ends the run
-        as if the budget were spent.
-    damping : float
-        Weight of the fixed-point image in each update; 0.5 trades speed
-        for robustness on poorly conditioned data.
+        Budget of Newton iterations.
 
     Returns
     -------
     SolveResult
-        A is det-normalized. `constant` is +inf when the iteration
-        diagnosed an unbounded objective (no finite constant); `converged`
-        is False both then and on an inconclusive budget exhaustion.
+        A has determinant 1. `constant` is +inf when the iteration diagnosed
+        an unbounded objective (no finite constant); `converged` is False
+        both then and on an inconclusive budget exhaustion.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     diag = validate(datum)
@@ -230,116 +282,51 @@ def solve(
             "the constant is degenerate (0 or +inf) unless sum c_i n_i = n"
         )
 
-    return _iterate(datum, np.eye(datum.n), "fixed point", tol, max_iter, damping)
+    return _iterate(datum, np.eye(datum.n), tol, max_iter)
 
 
-def _iterate(datum: BLDatum, A: np.ndarray, phase: str, tol: float, max_iter: int,
-             damping: float) -> SolveResult:
-    """The solver loop from A, starting in `phase`.
-
-    Each iteration evaluates the iterate, appends its trace row and takes the
-    exits every phase shares; only the evaluation and the step are per phase.
-    "fixed point" and "polish" take damped fixed-point steps, "polish" at
-    DEFAULT_DAMPING; "ascent" takes Armijo backtracking steps on F(exp(S)), S
-    symmetric traceless, so the objective never decreases. A fixed-point stall
-    moves to ascent at the same k, an ascent stall or a failed line search to
-    polish at k + 1, and a polish stall or the end of the budget to the budget
-    verdict."""
-    n = datum.n
+def _iterate(datum: BLDatum, A: np.ndarray, tol: float, max_iter: int) -> SolveResult:
+    """Newton iterations from a det-1 A. An eigenvalue of A below
+    MIN_EIGENVALUE or an ill-conditioned B_i A B_i^T is +inf before the row
+    of A is written. After it, a residual at most tol converges and an
+    objective above OBJECTIVE_LIMIT is +inf. A failed line search is +inf
+    while the objective is rising and otherwise ends, like the budget, in
+    the budget verdict."""
     groups = factor_groups(datum)
     trace: list[tuple[int, float, float]] = []
-    k, entered = 0, None
-    while k < max_iter:
-        if phase != entered:
-            entered, best_res, best_res_iter, rising = phase, math.inf, k, False
-            if phase == "ascent":
-                S, step = _log_traceless(A), 1.0
-            elif phase == "polish":
-                damping = DEFAULT_DAMPING
-
-        if phase == "ascent":
-            A, w, U = expm_sym(S)
-            if w.min() < math.log(MIN_EIGENVALUE):
-                return SolveResult(_normalize_det(A), math.inf, math.nan, k, False, trace)
-            try:
-                M, lds = _john_sum(groups, A)
-            except IllConditionedError:
-                return SolveResult(A, math.inf, math.nan, k, False, trace)
-            inv_A = sym((U * np.exp(-w)) @ U.T)
-            obj = float(np.sum(w)) - lds
-        else:
-            w, U = np.linalg.eigh(sym(A))
-            try:
-                if w.min() > 0.0:
-                    M, lds = _john_sum(groups, A)
-            except IllConditionedError:
-                if rising:
-                    return SolveResult(A, math.inf, math.nan, k, False, trace)
-                raise
-            if w.min() < MIN_EIGENVALUE:
-                return SolveResult(A, math.inf, math.nan, k, False, trace)
-            inv_A = sym((U / w) @ U.T)
-            obj = float(np.sum(np.log(w))) - lds
-        G = inv_A - M
-        res = float(np.linalg.norm(G) / np.linalg.norm(inv_A))
+    steps = 0
+    for k in range(max_iter):
+        w, U = np.linalg.eigh(A)
+        if w.min() < MIN_EIGENVALUE:
+            return SolveResult(A, math.inf, math.nan, k, False, trace)
+        R, R_inv = _roots(w, U)
+        try:
+            Ys, Qbar, lds = _whiten(groups, R)
+        except IllConditionedError:
+            return SolveResult(A, math.inf, math.nan, k, False, trace)
+        logdet_A = float(np.sum(np.log(w)))
+        obj = logdet_A - lds
+        res = float(np.linalg.norm(_gradient(R_inv, Qbar)) / np.linalg.norm(1.0 / w))
         trace.append((k, res, obj))
-        rising = _rising(trace)
         if res <= tol:
             return SolveResult(A, math.exp(0.5 * obj), res, k, True, trace)
         if obj > OBJECTIVE_LIMIT:
             return SolveResult(A, math.inf, res, k, False, trace)
-        if res < best_res * _STALL_FACTOR:
-            best_res, best_res_iter = res, k
-        elif k - best_res_iter >= _STALL_WINDOW:
-            if phase == "polish":
-                break
-            if phase == "fixed point":
-                phase = "ascent"
-                continue
-            # Armijo steps keep being accepted without residual progress once
-            # objective differences fall below float resolution; the fixed
-            # point iteration needs no differencing, so let it polish
-            phase = "polish"
-            k += 1
-            continue
 
-        if phase == "ascent":
-            GS = dexp_adjoint(w, U, G)
-            g2 = float(np.sum(GS * GS))
-            while step >= 1e-14:
-                S_try = sym(S + step * GS)
-                S_try -= np.trace(S_try) / n * np.eye(n)
-                try:
-                    A_try, w_try, _ = expm_sym(S_try)
-                    _, lds_try = _john_sum(groups, A_try)
-                except IllConditionedError:
-                    step *= 0.5
-                    continue
-                if float(np.sum(w_try)) - lds_try >= obj + 1e-4 * step * g2:
-                    S, A, step = S_try, A_try, min(step * 2.0, 1e2)
-                    break
-                step *= 0.5
-            else:
-                # no ascent direction left at line-search resolution
-                phase, A = "polish", _normalize_det(A)
-        else:
-            try:
-                F = spd_inverse(M, name="fixed point sum")
-            except IllConditionedError:
-                if rising:
-                    return SolveResult(A, math.inf, res, k, False, trace)
-                raise
-            A = _normalize_det(sym((1.0 - damping) * A + damping * F))
-        k += 1
+        G = _traceless(np.eye(datum.n) - Qbar)
+        K = _line_search(groups, R, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
+        if K is None:
+            if _rising(trace):
+                return SolveResult(A, math.inf, res, k, False, trace)
+            break
+        A, steps = sym(K @ K.T), k + 1
 
     # Budget verdict. Divergence along a ray shows up as a rising objective
     # together with a stagnant residual; a residual that is still shrinking
     # means the run was merely slow, and the best estimate is returned as
     # inconclusive.
-    if phase == "ascent":
-        A = _normalize_det(A)
-    k, res, obj = trace[-1]
+    _, res, obj = trace[-1]
     stagnant = len(trace) >= 10 and res > 0.5 * trace[len(trace) // 2][1]
-    if (_rising(trace) and stagnant) or not math.isfinite(obj):
-        return SolveResult(A, math.inf, res, k + 1, False, trace)
-    return SolveResult(A, math.exp(0.5 * obj), res, k + 1, False, trace)
+    if _rising(trace) and stagnant:
+        return SolveResult(A, math.inf, res, steps, False, trace)
+    return SolveResult(A, math.exp(0.5 * obj), res, steps, False, trace)

@@ -44,6 +44,17 @@ class TestExitCodes:
         assert main(["validate", "--datum", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--datum", YOUNG], ["constant", "--datum", YOUNG], ["check-gaussian", "--datum", YOUNG],
+        ["check-quadrature", "--datum", YOUNG], ["young", "--p", "1.5", "--q", "1.2"],
+        ["split", "--datum", YOUNG_PAIR],
+    ], ids=lambda argv: argv[0])
+    def test_removed_damping_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--damping", "0.5"])
+        assert err.value.code == 2
+        assert "--damping" in capsys.readouterr().err
+
     def test_non_onto_map_exits_2(self, tmp_path, capsys):
         doc = {"n": 2, "factors": [{"c": 1.0, "rows": [[1.0, 0.0], [1.0, 0.0]]}]}
         path = tmp_path / "nononto.json"
@@ -92,7 +103,7 @@ class TestSolveAndConstant:
         assert len(lines) == doc["result"]["iterations"] + 2  # header + iteration-0 row
 
     def test_inconclusive_solve_exits_1(self, capsys):
-        code = main(["solve", "--datum", YOUNG, "--damping", "0.001"])
+        code = main(["solve", "--datum", YOUNG, "--max-iter", "3"])
         assert code == 1
         assert "inconclusive" in capsys.readouterr().err
 

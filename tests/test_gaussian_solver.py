@@ -19,8 +19,9 @@ from blgauss import (
     reverse_extremizers,
     solve,
 )
-from blgauss.gaussian_solver import DEFAULT_DAMPING, MIN_EIGENVALUE, _iterate
-from blgauss.young import beckner_constant, closed_form_A
+from blgauss.datum import factor_groups
+from blgauss.gaussian_solver import MIN_EIGENVALUE, _iterate, _neg_hess, _whiten
+from blgauss.young import YoungExponents, beckner_constant, closed_form_A, datum_from_exponents
 from conftest import (
     coordinate_datum,
     mercedes_frame_datum,
@@ -183,8 +184,8 @@ class TestSolve:
 
     def test_overflowing_trial_step_is_rejected_not_leaked(self):
         # n = 3, dims (3, 2): the kernel of B_2 breaks the dimension condition.
-        # Ascent trial steps there reach eigenvalues whose exp overflows; they
-        # must be rejected, not leak a warning or a LinAlgError.
+        # Trial steps there make factors ill-conditioned; they must be
+        # rejected, not leak a warning or a LinAlgError.
         rng = np.random.default_rng(2)
         d = [random_datum(rng, homogeneous=True) for _ in range(5)][-1]
         with warnings.catch_warnings():
@@ -203,10 +204,6 @@ class TestSolve:
         with pytest.raises(DatumError):
             solve(d)
 
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            solve(prekopa_leindler_datum(), damping=0.0)
-
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_rejects_empty_budget(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
@@ -215,21 +212,21 @@ class TestSolve:
     def test_budget_exhaustion_is_inconclusive_not_inf(self):
         # a crawl toward a finite supremum must not be misread as divergence
         _, d = young_flagship()
-        r = solve(d, damping=0.001)
+        r = solve(d, max_iter=3)
         assert not r.converged
         assert math.isfinite(r.constant)
         assert r.constant == pytest.approx(YOUNG_CONSTANT, abs=1e-3)
 
     def test_ascent_fallback_reaches_tolerance(self):
         e, d = young_flagship()
-        r = _iterate(d, np.diag([4.0, 0.25]), "ascent", 1e-10, 10_000, DEFAULT_DAMPING)
+        r = _iterate(d, np.diag([4.0, 0.25]), 1e-10, 10_000)
         assert r.converged
         assert r.residual <= 1e-10
         assert r.constant == pytest.approx(beckner_constant(e), abs=1e-12)
 
     def test_ascent_trace_objective_is_monotone(self):
         _, d = young_flagship()
-        r = _iterate(d, np.diag([4.0, 0.25]), "ascent", 1e-10, 10_000, DEFAULT_DAMPING)
+        r = _iterate(d, np.diag([4.0, 0.25]), 1e-10, 10_000)
         objs = [obj for _, _, obj in r.trace]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
@@ -237,7 +234,7 @@ class TestSolve:
         # random data are usually infeasible (some subspace violates the
         # dimension conditions); either way solve must not raise and must
         # label its result honestly
-        for _ in range(8):
+        for _ in range(40):
             d = random_datum(rng, homogeneous=True)
             r = solve(d)
             if r.converged:
@@ -263,50 +260,71 @@ def _overflow_datum():
     return [random_datum(rng, homogeneous=True) for _ in range(5)][-1]
 
 
-# How each kind of run ends: iterations, constant, trace rows, the k at which
-# the fixed point stalled and the ascent re-evaluated it (a repeated trace
-# row), and the exit. These pins change only when the algorithm changes on
-# purpose (ROADMAP items 2 and 3), and CHANGES.md must record it when they do.
-@pytest.mark.parametrize("make, options, iterations, constant, rows, ascent_at, exit_", [
-    # fixed point -> ascent -> polish; the polish stalls: budget verdict +inf
-    pytest.param(_unattained_datum, {}, 5147, math.inf, 5148, 5041, "budget", id="unattained"),
-    # the same phases, but the verdict is finite and inconclusive; the polish
-    # runs at DEFAULT_DAMPING, not at the caller's damping
-    pytest.param(_unattained_datum, {"damping": 0.25}, 5122, 0.9998056488150809, 5123, 5004, "budget",
-                 id="unattained-damped"),
-    # fixed point -> ascent, which exits on MIN_EIGENVALUE
-    pytest.param(_infeasible_datum, {}, 55, math.inf, 56, 50, "min eigenvalue", id="infeasible"),
-    # the fixed-point sum becomes ill-conditioned while the objective rises
-    pytest.param(_infeasible_datum, {"damping": 0.9}, 32, math.inf, 33, None, "fixed point sum",
-                 id="infeasible-fast"),
-    # the fixed point crawls until the budget is spent: finite, inconclusive
-    pytest.param(lambda: young_flagship()[1], {"damping": 0.001}, 10_000, 0.8773635757113353, 10_000,
-                 None, "budget", id="young-slow"),
-    # fixed point -> ascent -> polish, which meets an ill-conditioned factor
-    # while the objective rises. The path is ill-conditioned: OpenBLAS kernels
-    # for different CPUs end it after 61 to 63 iterations, so that count and
+# How each kind of run ends: iterations, constant, trace rows and the exit.
+# These pins change only when the algorithm changes on purpose (ROADMAP item
+# 2), and CHANGES.md must record it when they do.
+@pytest.mark.parametrize("make, iterations, constant, rows, exit_", [
+    # A degenerates toward the critical e1 (cond(A) about 3e9), yet the
+    # residual reaches tol with C within 1e-9 of 1
+    pytest.param(_unattained_datum, 22, 1.0, 23, "converged", id="unattained"),
+    # no curvature along the divergent ray: gradient steps until an
+    # eigenvalue of A falls below MIN_EIGENVALUE
+    pytest.param(_infeasible_datum, 56, math.inf, 56, "min eigenvalue", id="infeasible"),
+    # a factor B_i A B_i^T becomes ill-conditioned. OpenBLAS kernels for
+    # different CPUs get there after 19 to 24 iterations, so that count and
     # the row count are not pinned.
-    pytest.param(_overflow_datum, {}, None, math.inf, None, 55, "ill-conditioned", id="random-overflow"),
+    pytest.param(_overflow_datum, None, math.inf, None, "ill-conditioned", id="random-overflow"),
 ])
-def test_how_runs_end_is_pinned(make, options, iterations, constant, rows, ascent_at, exit_):
-    r = solve(make(), **options)
-    assert not r.converged
-    if math.isinf(constant):
-        assert r.constant == math.inf
-    else:
-        assert r.constant == pytest.approx(constant, rel=1e-12)
-    ks = [k for k, _, _ in r.trace]
-    assert [a for a, b in zip(ks, ks[1:]) if a == b] == ([] if ascent_at is None else [ascent_at])
+def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
+    r = solve(make())
     if iterations is not None:
         assert (r.iterations, len(r.trace)) == (iterations, rows)
     last_k, last_res, _ = r.trace[-1]
-    if exit_ == "fixed point sum":  # the step failed after the row of k was written
-        assert (r.iterations, r.residual) == (last_k, last_res)
-    elif exit_ == "budget":
-        assert (r.iterations, r.residual) == (last_k + 1, last_res)
-    else:  # the evaluation of k failed before its row was written
-        assert r.iterations == last_k + 1 and math.isnan(r.residual)
-        assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
+    if exit_ == "converged":
+        assert r.converged and r.constant == pytest.approx(constant, abs=1e-9)
+        assert (r.iterations, r.residual) == (last_k, last_res) and r.residual <= 1e-10
+        return
+    assert not r.converged and r.constant == math.inf
+    # the evaluation of k failed before its row was written
+    assert r.iterations == last_k + 1 and math.isnan(r.residual)
+    assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
+
+
+def _sqrt_and_exp(A, H, t):
+    w, U = np.linalg.eigh(A)
+    R = (U * np.sqrt(w)) @ U.T
+    lam, V = np.linalg.eigh(H)
+    return R, R @ ((V * np.exp(t * lam)) @ V.T) @ R
+
+
+def test_hessian_matches_second_difference_and_is_psd(rng):
+    # along A(t) = R exp(tH) R, F''(0) = -<H, -Hess[H]>; the negative
+    # Hessian is positive semidefinite, and zero when every B_i is square
+    h = 1e-4
+    for _ in range(20):
+        d = random_datum(rng, homogeneous=True)
+        A = well_conditioned_spd(d.n, rng)
+        H = rng.standard_normal((d.n, d.n))
+        H = H + H.T - 2.0 * np.trace(H) / d.n * np.eye(d.n)
+        R, _ = _sqrt_and_exp(A, H, 0.0)
+        groups = factor_groups(d)
+        Ys, Qbar, _ = _whiten(groups, R)
+        curvature = float(np.sum(H * _neg_hess(groups, Ys, Qbar, H)))
+        assert curvature >= -1e-12 * float(np.sum(H * H))
+        f = [logdet_objective(d, _sqrt_and_exp(A, H, t)[1]) for t in (-h, 0.0, h)]
+        second = (f[0] - 2.0 * f[1] + f[2]) / h**2
+        assert second == pytest.approx(-curvature, rel=1e-4, abs=1e-6 * float(np.sum(H * H)))
+
+
+def test_young_grid_converges_in_few_newton_steps():
+    # the damped fixed point that Newton steps replaced needed 3,383
+    # iterations at p = q = 1.01
+    axis = np.linspace(1.1, 1.75, 6)
+    for p, q in [(p, q) for p in axis for q in axis] + [(1.01, 1.01)]:
+        e = YoungExponents.from_pq(p, q)
+        r = solve(datum_from_exponents(e))
+        assert r.converged and r.iterations <= 10, (p, q, r.iterations)
+        assert r.constant == pytest.approx(beckner_constant(e), abs=1e-12), (p, q)
 
 
 class TestExtremizers:
