@@ -39,7 +39,7 @@ print(f"  hand simplification sqrt((4/3)^1.5 / 2) = {((4 / 3) ** 1.5 / 2) ** 0.5
 
 # The quadratic for the off-diagonal entry has a second root, but it gives a
 # singular matrix and is discarded by the closed form.
-bad = closed_form_A(e, discarded=True)
+bad = np.array([[1.0, -1.0], [-1.0, 1.0]])
 print(f"\ndiscarded second root has eigenvalues {np.linalg.eigvalsh(bad)} (singular)")
 
 print("\nconstants across the valid exponent range (always < 1, -> 1 at the edges):")

@@ -29,7 +29,7 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def check_spd(M: np.ndarray, name: str = "matrix", sym_tol: float = 1e-12) -> np.ndarray:
+def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that M is symmetric positive definite and return it as float array.
 
     Symmetry is relative (1e-12 of the largest entry); positivity is checked
@@ -41,7 +41,7 @@ def check_spd(M: np.ndarray, name: str = "matrix", sym_tol: float = 1e-12) -> np
     scale = np.abs(M).max()
     if scale == 0.0:
         raise ValueError(f"{name} is zero, not positive definite")
-    if np.abs(M - M.T).max() > sym_tol * scale:
+    if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric to relative 1e-12")
     w = np.linalg.eigvalsh(sym(M))
     if w.min() <= 0.0:

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
-from .functional_verify import GridFunction, direct_integral_check, gaussian_function, reverse_integral_check
-from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, bl_constant, direct_extremizers, reverse_extremizers,
-                              solve)
+from .functional_verify import (MAX_KERNEL_DIM, GridFunction, direct_integral_check, gaussian_function,
+                                reverse_integral_check)
+from .gaussian_solver import DEFAULT_MAX_ITER, DEFAULT_TOL, direct_extremizers, reverse_extremizers, solve
 from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
                               sweep_reverse)
 from .quadform import check_inf
@@ -175,7 +175,7 @@ def cmd_check_quadrature(args) -> int:
     failed |= not ok
 
     kernel_dim = sum(datum.factors[i].target_dim for i in datum.active_indices()) - datum.n
-    if kernel_dim <= 2:
+    if kernel_dim <= MAX_KERNEL_DIM:
         tuple_r, _ = reverse_extremizers(datum, res.A)
         fs_r = [
             GridFunction.from_callable(gaussian_function(P), -args.box, args.box, args.resolution)
@@ -187,7 +187,7 @@ def cmd_check_quadrature(args) -> int:
         payload["checks"]["reverse"] = {"ratio": reverse, "ok": ok}
         failed |= not ok
     else:
-        print(f"reverse  skipped (decomposition kernel has dimension {kernel_dim} > 2)")
+        print(f"reverse  skipped (decomposition kernel has dimension {kernel_dim} > {MAX_KERNEL_DIM})")
 
     _write_report(args, payload, datum)
     return 1 if failed else 0

@@ -22,12 +22,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .datum import BLDatum
-from .quadform import harmonic_combine
+from .quadform import decomposition_map
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
-# decomposition points per sup-convolution chunk (resolution points per grid
-# point when the kernel is a line): ~2 MB per factor coordinate
+# largest decomposition-kernel dimension sup_convolution samples
+MAX_KERNEL_DIM = 2
+# decomposition samples per sup-convolution chunk (a grid point takes one,
+# resolution or resolution^2 by kernel dimension): ~2 MB per factor coordinate
 _SUPCONV_CHUNK = 250_000
 
 
@@ -267,121 +269,106 @@ def direct_integral_check(
     return lhs / math.exp(log_rhs)
 
 
+def _sample_base(kdim: int, resolution: int) -> np.ndarray:
+    """Fixed (samples, kdim) pattern that every window scales: one point for
+    a unique decomposition, resolution points on [-1/2, 1/2] for a line, a
+    resolution^2 grid on [-1, 1]^2 for a plane."""
+    if kdim == 0:
+        return np.zeros((1, 0))
+    if kdim == 1:
+        return np.linspace(-0.5, 0.5, resolution)[:, None]
+    axis = np.linspace(-1.0, 1.0, resolution)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+    """Centre (count, kdim), scale (count,) and dead mask (count,) of the
+    kernel coordinates t to sample at each particular preimage Y0: the
+    samples are centre + scale * base, and a dead point has no feasible
+    decomposition inside the factor boxes."""
+    if K.shape[1] == 1:
+        # the exact feasible segment of the line Y0 + t k; coordinates with
+        # k_j = 0 do not move and must lie in their box
+        k = K[:, 0]
+        on = np.abs(k) > 1e-12
+        a = (lows[on] - Y0[:, on]) / k[on]
+        b = (highs[on] - Y0[:, on]) / k[on]
+        t_lo, t_hi = np.minimum(a, b).max(axis=1), np.maximum(a, b).min(axis=1)
+        fixed = Y0[:, ~on]
+        dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo)
+        return 0.5 * (t_lo + t_hi)[:, None], t_hi - t_lo, dead
+    # rigorous l2 bound: orthonormal kernel columns give
+    # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2 (unused for kdim 0, whose
+    # base has no columns)
+    r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
+    return np.zeros((len(Y0), K.shape[1])), np.sqrt(np.sum(r * r, axis=1)), np.zeros(len(Y0), dtype=bool)
+
+
+def _kernel_offsets(T: np.ndarray, K: np.ndarray, spans):
+    """Factor slices of K t for samples T of shape (..., kdim), one at a time.
+    A line is a broadcast product, the fastest form; otherwise one matmul
+    serves every factor, since a matmul on a one-column slice of K takes
+    BLAS's matrix-vector path and rounds differently."""
+    if K.shape[1] == 1:
+        return (T * K[a:b, 0] for a, b in spans)
+    KT = T @ K.T
+    return (KT[..., a:b] for a, b in spans)
+
+
 def sup_convolution(
     datum: BLDatum,
     fs,
     resolution: int = 401,
     box: float = DEFAULT_BOX,
-    tuple_=None,
 ) -> GridFunction:
     """Smallest envelope f with prod_i f_i(x_i)^{c_i} <= f(sum_i c_i B_i^T x_i),
     evaluated by brute force on a grid over [-box, box]^n.
 
-    For each grid point x the decompositions form an affine set: a particular
-    preimage plus the kernel of the stacked adjoint. The kernel has dimension
-    sum_i n_i - n, limited here to 2. The particular preimage is the
-    pseudo-inverse solution, or the quadratic-form minimizer when a Gaussian
-    tuple is passed (sharper centering when the f_i are near Gaussians).
+    The decompositions of a grid point x are Y0 + K t, with Y0 = pinv(L) x
+    the min-norm preimage under L = [c_i B_i^T] and K an orthonormal basis
+    of ker L, whose dimension sum_i n_i - n is at most MAX_KERNEL_DIM. One
+    loop serves every kernel dimension; only the window on t differs:
+
+    0  no window: the decomposition Y0 is unique
+    1  the exact segment of the line inside the factor boxes, sampled at
+       resolution points (zero when the segment is empty)
+    2  the disc whose radius bounds every feasible t, sampled on a
+       resolution^2 grid over its bounding square
     """
     fs = _check_functions(datum, fs)
     active = datum.active_indices()
     cs = [datum.factors[i].c for i in active]
-    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in active])
     dims = [datum.factors[i].target_dim for i in active]
-    total_dim = sum(dims)
-    kdim = total_dim - datum.n
-    if kdim > 2:
-        raise ValueError(f"decomposition kernel has dimension {kdim} > 2")
-
-    _, s, Vt = np.linalg.svd(L)
-    if s.size < datum.n or s[-1] <= 1e-12 * s[0]:
-        raise ValueError("degenerate datum: the constraint map is not onto")
-    kernel = Vt[datum.n :].T  # (total_dim, kdim), orthonormal columns
-
-    if tuple_ is None:
-        W = np.linalg.pinv(L)  # min-norm particular preimage
-    else:
-        A_h = harmonic_combine(datum, tuple_)
-        blocks = []
-        for i, Ai in zip(active, tuple_):
-            f = datum.factors[i]
-            blocks.append(np.linalg.solve(Ai, f.B @ A_h))
-        W = np.vstack(blocks)
+    kdim = sum(dims) - datum.n
+    if kdim > MAX_KERNEL_DIM:
+        raise ValueError(f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}")
+    L, K = decomposition_map(datum)
+    W = np.linalg.pinv(L)
 
     interps = [gf.interpolator() for gf in fs]
-    lows = np.concatenate([np.asarray(gf.lo) for gf in fs])
-    highs = np.concatenate([np.asarray(gf.hi) for gf in fs])
+    lows = np.concatenate([gf.lo for gf in fs])
+    highs = np.concatenate([gf.hi for gf in fs])
     offsets = np.cumsum([0] + dims)
+    spans = list(zip(offsets[:-1], offsets[1:]))
 
     lo, hi = np.full(datum.n, -box), np.full(datum.n, box)
     _, pts = _tensor_grid(lo, hi, resolution)
     flat = pts.reshape(-1, datum.n)
     out = np.zeros(flat.shape[0])
 
-    spans = list(zip(offsets[:-1], offsets[1:]))
-
-    def log_product(parts):
-        """Per-factor slices y_i of shape (..., n_i) -> sum_i c_i log f_i(y_i).
-
-        parts may be a generator, so only one factor's slice is alive at once."""
-        acc = None
-        for c, itp, y in zip(cs, interps, parts):
-            vals = _log0(itp(y))
-            vals *= c
-            acc = vals if acc is None else np.add(acc, vals, out=acc)
-        return acc
-
-    def split(y):
-        return [y[..., a:b] for a, b in spans]
-
-    chunk = max(1, _SUPCONV_CHUNK // max(resolution, 1) if kdim >= 1 else flat.shape[0])
+    base = _sample_base(kdim, resolution)
+    chunk = max(1, _SUPCONV_CHUNK // len(base))
     for start in range(0, flat.shape[0], chunk):
-        X = flat[start : start + chunk]
-        Y0 = X @ W.T  # (chunk, total_dim)
-        if kdim == 0:
-            out[start : start + chunk] = np.exp(log_product(split(Y0)))
-            continue
-        if kdim == 1:
-            k1 = kernel[:, 0]
-            t_lo = np.full(X.shape[0], -np.inf)
-            t_hi = np.full(X.shape[0], np.inf)
-            dead = np.zeros(X.shape[0], dtype=bool)
-            for j in range(total_dim):
-                if abs(k1[j]) > 1e-12:
-                    a = (lows[j] - Y0[:, j]) / k1[j]
-                    b = (highs[j] - Y0[:, j]) / k1[j]
-                    t_lo = np.maximum(t_lo, np.minimum(a, b))
-                    t_hi = np.minimum(t_hi, np.maximum(a, b))
-                else:
-                    dead |= (Y0[:, j] < lows[j]) | (Y0[:, j] > highs[j])
-            width = np.where(t_hi > t_lo, t_hi - t_lo, 0.0)
-            mid = 0.5 * (t_lo + t_hi)
-            base = np.linspace(-0.5, 0.5, resolution)
-            T = mid[:, None] + width[:, None] * base[None, :]
-            # factor i's points on the segment Y0 + t k1, built one factor at a time
-            logs = log_product(Y0[:, None, a:b] + T[:, :, None] * k1[a:b] for a, b in spans)
-            vals = np.exp(logs.max(axis=1))
-            vals[dead | (width == 0.0)] = 0.0
-            # the window can degenerate to a point that is still feasible
-            point = (~dead) & (t_hi >= t_lo) & (width == 0.0)
-            if np.any(point):
-                Yp = Y0[point] + mid[point, None] * k1[None, :]
-                vals[point] = np.exp(log_product(split(Yp)))
-            out[start : start + chunk] = vals
-        else:
-            # rigorous l2 bound: orthonormal kernel columns give
-            # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2
-            r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
-            w = np.sqrt(np.sum(r * r, axis=1))
-            base = np.linspace(-1.0, 1.0, resolution)
-            vals = np.zeros(X.shape[0])
-            for idx in range(X.shape[0]):
-                t0 = w[idx] * base
-                T0, T1 = np.meshgrid(t0, t0, indexing="ij")
-                T = np.stack([T0.ravel(), T1.ravel()], axis=-1)
-                Y = Y0[idx][None, :] + T @ kernel.T
-                vals[idx] = np.exp(log_product(split(Y)).max())
-            out[start : start + chunk] = vals
+        Y0 = flat[start : start + chunk] @ W.T  # (chunk, sum n_i)
+        centre, scale, dead = _window(Y0, K, lows, highs)
+        T = centre[:, None, :] + scale[:, None, None] * base  # (chunk, samples, kdim)
+        # sum_i c_i log f_i over the samples, one factor's slice alive at once
+        logs = None
+        for (a, b), c, itp, t in zip(spans, cs, interps, _kernel_offsets(T, K, spans)):
+            vals = _log0(itp(Y0[:, None, a:b] + t))
+            vals *= c
+            logs = vals if logs is None else np.add(logs, vals, out=logs)
+        out[start : start + chunk] = np.where(dead, 0.0, np.exp(logs.max(axis=1)))
 
     return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 
@@ -392,7 +379,6 @@ def reverse_integral_check(
     constant: float,
     resolution: int = 401,
     box: float = DEFAULT_BOX,
-    tuple_=None,
 ) -> float:
     """prod_i (integral f_i)^{c_i} divided by C * integral of the
     sup-convolution envelope. At most ~1 when C dominates the reversed
@@ -407,7 +393,7 @@ def reverse_integral_check(
             warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
             return 0.0
         log_num += datum.factors[i].c * math.log(total)
-    envelope = sup_convolution(datum, fs, resolution=resolution, box=box, tuple_=tuple_)
+    envelope = sup_convolution(datum, fs, resolution=resolution, box=box)
     total = integrate(envelope)
     if total <= 0.0:
         warnings.warn("the envelope integrates to zero; ratio reported as 0", stacklevel=2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import check_spd, chol_logdet, dexp_adjoint, expm_sym, spd_inverse, sym
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
-from .gaussian_solver import HOMOGENEITY_TOL, grad_logdet, logdet_objective
+from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
 from .report import VerificationReport
 
@@ -208,7 +208,8 @@ def gaussian_constant_search(
     """Best constant found by plain gradient ascent of the log-det objective
     over SPD matrices, parameterized as A = exp(S) with S symmetric.
 
-    Deliberately ignorant of the fixed-point iteration: this is the sanity
+    Deliberately ignorant of the solver: the objective and its gradient come
+    from harmonic_sum, not the solver's whitening, so this is an independent
     bound the solver's constant is compared against. The first restart
     starts at the identity, the rest at random symmetric S.
     """
@@ -231,18 +232,28 @@ def gaussian_constant_search(
     return math.exp(0.5 * best)
 
 
+def _objective(datum: BLDatum, groups: list[FactorGroup], A: np.ndarray):
+    """F(A) = logdet A - sum_i c_i logdet(B_i A B_i^T), its gradient
+    inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i, and inv(A); both sums come
+    from the harmonic sum of the tuple (B_i A B_i^T)_i."""
+    S, log_det = harmonic_sum(groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
+                                       for i in datum.active_indices()])
+    A_inv = spd_inverse(A, "A")
+    return float(chol_logdet(A, "A")[1] - log_det[0]), sym(A_inv - S[0]), A_inv
+
+
 def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int, gtol: float = 1e-9) -> float:
+    groups = factor_groups(datum)
     n = datum.n
     step = 1.0
     obj = -math.inf
     for _ in range(iters):
         A, w, U = expm_sym(S)
         try:
-            obj = logdet_objective(datum, A)
-            G = grad_logdet(datum, A)
+            obj, G, A_inv = _objective(datum, groups, A)
         except np.linalg.LinAlgError:
             return obj
-        if np.linalg.norm(G) <= gtol * np.linalg.norm(spd_inverse(A, "A")):
+        if np.linalg.norm(G) <= gtol * np.linalg.norm(A_inv):
             return obj
         GS = dexp_adjoint(w, U, G)
         g2 = float(np.sum(GS * GS))
@@ -250,7 +261,7 @@ def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int, gtol: float = 1e-9) 
             S_try = sym(S + step * GS)
             S_try -= np.trace(S_try) / n * np.eye(n)
             try:
-                obj_try = logdet_objective(datum, expm_sym(S_try)[0])
+                obj_try = _objective(datum, groups, expm_sym(S_try)[0])[0]
             except np.linalg.LinAlgError:
                 step *= 0.5
                 continue

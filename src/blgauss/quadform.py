@@ -92,10 +92,16 @@ def inf_decomposition(datum: BLDatum, tuple_, x: np.ndarray):
     return value, parts
 
 
-def _stacked_adjoint(datum: BLDatum) -> np.ndarray:
-    """n x (sum n_i) matrix with blocks c_i B_i^T, non-zero factors only."""
-    blocks = [datum.factors[i].c * datum.factors[i].B.T for i in datum.active_indices()]
-    return np.hstack(blocks)
+def decomposition_map(datum: BLDatum) -> tuple[np.ndarray, np.ndarray]:
+    """L = [c_i B_i^T] over non-zero factors, the n x (sum n_i) map
+    (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, and K, an orthonormal basis of
+    its kernel as columns. The decompositions of x are pinv(L) x + K t.
+    Raises DatumError when L is not onto."""
+    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active_indices()])
+    _, s, Vt = np.linalg.svd(L)
+    if s.size < datum.n or s[-1] <= 1e-12 * s[0]:
+        raise DatumError("degenerate datum: the constraint map is not onto")
+    return L, Vt[datum.n :].T
 
 
 def check_inf(
@@ -117,12 +123,7 @@ def check_inf(
     """
     mats = check_tuple(datum, tuple_)
     value, parts = inf_decomposition(datum, mats, x)
-    L = _stacked_adjoint(datum)
-    U, s, Vt = np.linalg.svd(L)
-    rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    if rank < datum.n:
-        raise DatumError("degenerate datum: the constraint map is not onto")
-    kernel = Vt[rank:].T  # (sum n_i, kernel dim), orthonormal columns
+    _, kernel = decomposition_map(datum)
     y0 = np.concatenate(parts)
     if scale is None:
         scale = float(np.linalg.norm(y0))

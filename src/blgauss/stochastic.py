@@ -38,7 +38,6 @@ class BrownianConfig:
     steps: int = 128
     paths: int = 10_000
     seed: int = DEFAULT_SEED
-    max_draws: int = MAX_DRAWS
 
     def __post_init__(self):
         object.__setattr__(self, "A", check_spd(self.A, "covariance density"))
@@ -49,10 +48,8 @@ class BrownianConfig:
         if self.paths < 2:
             # every standard error is a sample standard deviation (ddof=1)
             raise ValueError(f"paths must be at least 2, got {self.paths}")
-        if self.steps * self.paths > self.max_draws:
-            raise ValueError(
-                f"steps * paths = {self.steps * self.paths} exceeds the budget {self.max_draws}"
-            )
+        if self.steps * self.paths > MAX_DRAWS:
+            raise ValueError(f"steps * paths = {self.steps * self.paths} exceeds the budget {MAX_DRAWS}")
 
     @property
     def n(self) -> int:

@@ -71,18 +71,12 @@ def datum_from_exponents(e: YoungExponents) -> BLDatum:
     )
 
 
-def closed_form_A(e: YoungExponents, discarded: bool = False) -> np.ndarray:
+def closed_form_A(e: YoungExponents) -> np.ndarray:
     """The SPD root of the fixed-point system, det-normalized.
 
     The quadratic system has a second root proportional to [[1,-1],[-1,1]];
     it is singular, never positive definite, and plays no role in the
-    constant. Pass discarded=True to get that root back (the function
-    asserts it is indeed not SPD before returning it)."""
-    if discarded:
-        bad = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        if np.linalg.eigvalsh(bad).min() > 0.0:
-            raise AssertionError("the discarded root unexpectedly became positive definite")
-        return bad
+    constant."""
     _, c2, c3 = e.weights
     x = c3 * (1.0 - c3)
     y = c2 * (1.0 - c2)

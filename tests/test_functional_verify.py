@@ -204,20 +204,49 @@ class TestDirectIntegralCheck:
 
 
 def dense_sup_convolution(datum, fs, resolution, box=8.0):
-    """Reference for a one-dimensional decomposition kernel: every grid point
-    at once, with the full (points, resolution, total_dim) array of
-    decompositions Y0 + t k1, sliced into factors afterwards."""
+    """Reference with one construction per kernel dimension: the unique
+    preimage Y0 for kdim 0; for kdim 1 every grid point at once, with the
+    full (points, resolution, total_dim) array of decompositions Y0 + t k1
+    sliced into factors afterwards; for kdim 2 one grid point at a time over
+    a resolution^2 grid of the square |t|_inf <= w, w bounding every
+    feasible t."""
     active = datum.active_indices()
     L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in active])
     dims = [datum.factors[i].target_dim for i in active]
     offsets = np.cumsum([0] + dims)
-    k1 = np.linalg.svd(L)[2][datum.n :][0]
-    assert k1.size == sum(dims) == datum.n + 1
+    kernel = np.linalg.svd(L)[2][datum.n :].T
+    kdim = kernel.shape[1]
+    assert kdim == sum(dims) - datum.n <= 2
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
     axis = np.linspace(-box, box, resolution)
     X = np.stack(np.meshgrid(*[axis] * datum.n, indexing="ij"), axis=-1).reshape(-1, datum.n)
     Y0 = X @ np.linalg.pinv(L).T
+
+    def log_product(y):
+        acc = np.zeros(y.shape[:-1])
+        for k, i in enumerate(active):
+            vals = fs[k].interpolator()(y[..., offsets[k] : offsets[k + 1]])
+            with np.errstate(divide="ignore"):
+                acc += datum.factors[i].c * np.where(
+                    vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf
+                )
+        return acc
+
+    if kdim == 0:
+        return np.exp(log_product(Y0)).reshape((resolution,) * datum.n)
+    if kdim == 2:
+        r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
+        w = np.sqrt(np.sum(r * r, axis=1))
+        base = np.linspace(-1.0, 1.0, resolution)
+        vals = np.zeros(X.shape[0])
+        for idx in range(X.shape[0]):
+            T0, T1 = np.meshgrid(w[idx] * base, w[idx] * base, indexing="ij")
+            T = np.stack([T0.ravel(), T1.ravel()], axis=-1)
+            vals[idx] = np.exp(log_product(Y0[idx][None, :] + T @ kernel.T).max())
+        return vals.reshape((resolution,) * datum.n)
+
+    k1 = kernel[:, 0]
     t_lo = np.full(X.shape[0], -np.inf)
     t_hi = np.full(X.shape[0], np.inf)
     dead = np.zeros(X.shape[0], dtype=bool)
@@ -232,17 +261,6 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
     width = np.where(t_hi > t_lo, t_hi - t_lo, 0.0)
     mid = 0.5 * (t_lo + t_hi)
     T = mid[:, None] + width[:, None] * np.linspace(-0.5, 0.5, resolution)[None, :]
-
-    def log_product(y):
-        acc = np.zeros(y.shape[:-1])
-        for k, i in enumerate(active):
-            vals = fs[k].interpolator()(y[..., offsets[k] : offsets[k + 1]])
-            with np.errstate(divide="ignore"):
-                acc += datum.factors[i].c * np.where(
-                    vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf
-                )
-        return acc
-
     Y = Y0[:, None, :] + T[:, :, None] * k1[None, None, :]
     vals = np.exp(log_product(Y).max(axis=1))
     vals[dead | (width == 0.0)] = 0.0
@@ -273,6 +291,58 @@ class TestSupConvolution:
         assert ref.max() > 0.5  # the envelope is not trivially zero
         assert np.array_equal(env.values, ref)
 
+    def test_kdim0_matches_dense_reference(self):
+        # a rotated 2-d factor: the decomposition is unique
+        d = make_datum(2, [1.0], [np.array([[1.0, 0.4], [-0.2, 1.1]])])
+        fs = [grid_gaussian([[1.2, 0.3], [0.3, 0.8]], points=101)]
+        env = sup_convolution(d, fs, resolution=61)
+        ref = dense_sup_convolution(d, fs, 61)
+        assert ref.max() > 0.5
+        assert np.array_equal(env.values, ref)
+
+    def test_kdim2_matches_dense_reference_on_a_line(self):
+        # three identities on the line; 81 grid points of 81^2 samples in
+        # chunks of 250_000 // 81^2 = 38: the last is partial
+        d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
+        fs = [grid_gaussian([[1.3]], points=401)] * 3
+        env = sup_convolution(d, fs, resolution=81)
+        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 81))
+
+    def test_kdim2_matches_dense_reference_in_the_plane(self):
+        # four coordinate factors on R^2; 31^2 grid points in chunks of
+        # 250_000 // 31^2 = 260: the last is partial
+        d = make_datum(
+            2, [0.5] * 4, [np.eye(2)[:1], np.eye(2)[1:], np.eye(2)[:1], np.eye(2)[1:]]
+        )
+        fs = [grid_gaussian([[p]], points=401) for p in (1.0, 2.0, 0.5, 1.5)]
+        env = sup_convolution(d, fs, resolution=31)
+        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 31))
+
+    @pytest.mark.parametrize(
+        "boxes, x, parts",
+        [
+            # feasible segment 1.4e-15 wide in floating point
+            (([0.0], [1.0], [1.0], [2.0]), 1.5, (1.0, 2.0)),
+            # exactly zero width: the window is the single point t = mid
+            (([0.0], [1.0], [0.0], [1.0]), 0.0, (0.0, 0.0)),
+        ],
+    )
+    def test_collapsed_window_keeps_its_one_decomposition(self, boxes, x, parts):
+        # x = (x_1 + x_2) / 2 has exactly one decomposition inside the boxes
+        d = prekopa_leindler_datum()
+        fs = [
+            GridFunction.from_callable(gaussian_function([[1.0]]), boxes[0], boxes[1], 11),
+            GridFunction.from_callable(gaussian_function([[1.0]]), boxes[2], boxes[3], 11),
+        ]
+        env = sup_convolution(d, fs, resolution=33)
+        k = int(np.argmin(np.abs(np.linspace(-8.0, 8.0, 33) - x)))
+        want = math.sqrt(
+            fs[0].interpolator()(np.array([[parts[0]]]))[0]
+            * fs[1].interpolator()(np.array([[parts[1]]]))[0]
+        )
+        assert env.values[k] == pytest.approx(want, rel=1e-14)
+        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 33))
+
     def test_single_identity_factor_reproduces_input(self):
         d = make_datum(1, [1.0], [np.eye(1)])
         f = grid_gaussian([[0.9]])
@@ -288,14 +358,6 @@ class TestSupConvolution:
         A = harmonic_combine(d, P)
         expect = GridFunction.from_callable(gaussian_function(A), env.lo, env.hi, 201)
         assert np.abs(env.values - expect.values).max() <= 5e-3
-
-    def test_gaussian_tuple_centering_agrees_with_pinv(self):
-        _, d = young_flagship()
-        P = [np.array([[1.3]]), np.array([[0.7]]), np.array([[2.1]])]
-        fs = [grid_gaussian(p) for p in P]
-        a = sup_convolution(d, fs, resolution=101)
-        b = sup_convolution(d, fs, resolution=101, tuple_=P)
-        np.testing.assert_allclose(a.values, b.values, atol=5e-3)
 
     def test_gaussian_closure_two_dim_kernel(self):
         d = make_datum(
@@ -321,16 +383,14 @@ class TestReverseIntegralCheck:
         r = solve(d)
         exts, _ = reverse_extremizers(d, r.A)
         fs = [grid_gaussian(P) for P in exts]
-        ratio = reverse_integral_check(d, fs, r.constant, resolution=201, tuple_=exts)
+        ratio = reverse_integral_check(d, fs, r.constant, resolution=201)
         assert ratio == pytest.approx(1.0, abs=2e-3)
 
     def test_matches_sqrt_of_gaussian_ratio(self):
         _, d = young_flagship()
         r = solve(d)
         Q = [np.array([[0.8]]), np.array([[1.4]]), np.array([[0.6]])]
-        quad = reverse_integral_check(
-            d, [grid_gaussian(q) for q in Q], r.constant, resolution=201, tuple_=Q
-        )
+        quad = reverse_integral_check(d, [grid_gaussian(q) for q in Q], r.constant, resolution=201)
         gauss = reverse_gaussian_check(d, r.constant, Q)
         assert quad == pytest.approx(math.sqrt(gauss), abs=2e-3)
 

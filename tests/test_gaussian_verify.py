@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blgauss.gaussian_verify
 from blgauss import (
     DatumError,
     direct_extremizers,
@@ -271,3 +274,20 @@ class TestConstantSearch:
                                    [np.eye(2)[:1], np.eye(2)[1:], np.eye(2)[:1]])
         with pytest.raises(DatumError):
             gaussian_constant_search(inhomogeneous)
+
+
+def test_constant_search_imports_no_solver_logic():
+    """The search is a cross-check of the solver, so the only thing it takes
+    from gaussian_solver is the homogeneity tolerance both sides refuse at."""
+    tree = ast.parse(Path(blgauss.gaussian_verify.__file__).read_text(encoding="utf-8"))
+    from_solver = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            assert "gaussian_solver" not in names
+            if module in (".gaussian_solver", "blgauss.gaussian_solver"):
+                from_solver |= names
+        elif isinstance(node, ast.Import):
+            assert not any("gaussian_solver" in a.name for a in node.names)
+    assert from_solver == {"HOMOGENEITY_TOL"}

@@ -95,11 +95,6 @@ class TestClosedFormA:
                 A = closed_form_A(e)
                 assert np.abs(grad_logdet(d, A)).max() <= 1e-10
 
-    def test_discarded_root_is_singular(self):
-        bad = closed_form_A(FLAGSHIP, discarded=True)
-        np.testing.assert_array_equal(bad, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.linalg.eigvalsh(bad).min() == pytest.approx(0.0, abs=1e-15)
-
 
 class TestConstants:
     def test_flagship_frozen_value(self):
