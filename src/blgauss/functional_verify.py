@@ -10,6 +10,9 @@ direct   integral of prod_i f_i(B_i x)^{c_i} over the ambient box, against
 reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
          is the smallest admissible envelope: the sup-convolution
          f(x) = sup { prod_i f_i(x_i)^{c_i} : sum_i c_i B_i^T x_i = x }.
+
+SciPy is used only here, by GridFunction.interpolator, and is imported on
+the first spline it builds; everything else in the package runs on numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .datum import BLDatum
 from .quadform import decomposition_map
@@ -91,6 +93,10 @@ class GridFunction:
         """Cubic interpolant, zero outside the box, clipped at zero.
 
         Falls back to linear when the grid is too coarse for cubics."""
+        # the package's one use of SciPy, imported here so that every
+        # command but the quadrature checks runs without loading it
+        from scipy.interpolate import CubicSpline, RectBivariateSpline
+
         axes = self.axes()
         if self.dim == 1:
             ax = axes[0]
@@ -285,7 +291,8 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     """Centre (count, kdim), scale (count,) and dead mask (count,) of the
     kernel coordinates t to sample at each particular preimage Y0: the
     samples are centre + scale * base, and a dead point has no feasible
-    decomposition inside the factor boxes."""
+    decomposition inside the factor boxes. A scale of 0 occurs only for a
+    line whose feasible segment is a single point."""
     if K.shape[1] == 1:
         # the exact feasible segment of the line Y0 + t k; coordinates with
         # k_j = 0 do not move and must lie in their box
@@ -294,9 +301,13 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         a = (lows[on] - Y0[:, on]) / k[on]
         b = (highs[on] - Y0[:, on]) / k[on]
         t_lo, t_hi = np.minimum(a, b).max(axis=1), np.maximum(a, b).min(axis=1)
+        # a and b carry rounding of order eps (|box| + |Y0|) / |k|, so a
+        # segment that is empty by less than that is a single point
+        mag = (np.maximum(np.abs(lows[on]), np.abs(highs[on])) + np.abs(Y0[:, on])) / np.abs(k[on])
+        slack = 8.0 * np.finfo(float).eps * mag.max(axis=1)
         fixed = Y0[:, ~on]
-        dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo)
-        return 0.5 * (t_lo + t_hi)[:, None], t_hi - t_lo, dead
+        dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo - slack)
+        return 0.5 * (t_lo + t_hi)[:, None], np.maximum(t_hi - t_lo, 0.0), dead
     # rigorous l2 bound: orthonormal kernel columns give
     # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2 (unused for kdim 0, whose
     # base has no columns)
@@ -362,10 +373,16 @@ def sup_convolution(
         Y0 = flat[start : start + chunk] @ W.T  # (chunk, sum n_i)
         centre, scale, dead = _window(Y0, K, lows, highs)
         T = centre[:, None, :] + scale[:, None, None] * base  # (chunk, samples, kdim)
+        # a single-point segment lies on the boxes' boundary, which rounding
+        # may cross: clamp it so the interpolators do not read it as outside
+        point = (scale == 0.0) & ~dead
         # sum_i c_i log f_i over the samples, one factor's slice alive at once
         logs = None
         for (a, b), c, itp, t in zip(spans, cs, interps, _kernel_offsets(T, K, spans)):
-            vals = _log0(itp(Y0[:, None, a:b] + t))
+            y = Y0[:, None, a:b] + t
+            if point.any():
+                y[point] = np.clip(y[point], lows[a:b], highs[a:b])
+            vals = _log0(itp(y))
             vals *= c
             logs = vals if logs is None else np.add(logs, vals, out=logs)
         out[start : start + chunk] = np.where(dead, 0.0, np.exp(logs.max(axis=1)))

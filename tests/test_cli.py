@@ -1,6 +1,9 @@
 """End-to-end command-line tests, driven through main(argv) in-process."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from blgauss.cli import main
 from blgauss.datum import datum_digest, load_datum, save_datum
 from conftest import mercedes_frame_datum
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 YOUNG = str(DATA / "young.json")
 YOUNG_PAIR = str(DATA / "young_pair.json")
@@ -263,3 +267,57 @@ class TestSplit:
         save_datum(mercedes_frame_datum(), path)
         assert main(["split", "--datum", str(path)]) == 0
         assert "no critical coordinate subspace" in capsys.readouterr().out
+
+
+class TestColdStart:
+    """SciPy is loaded only when a quadrature check builds a spline: every
+    other command runs on numpy alone. One fresh interpreter per case."""
+
+    @staticmethod
+    def _run(script: str) -> list:
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(DATA)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_commands_run_with_scipy_blocked(self):
+        script = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from blgauss.cli import main
+from blgauss.functional_verify import GridFunction, gaussian_function, integrate
+D = sys.argv[1] + "/"
+runs = [
+    ["validate", "--datum", D + "young.json"],
+    ["solve", "--datum", D + "young.json"],
+    ["constant", "--datum", D + "young.json"],
+    ["constant", "--datum", D + "infeasible.json"],
+    ["young", "--p", "1.5", "--q", "1.2"],
+    ["split", "--datum", D + "young_pair.json"],
+    ["check-gaussian", "--datum", D + "young.json"],
+    ["check-inf", "--datum", D + "young.json"],
+    ["bd", "--paths", "4000", "--steps", "32"],
+]
+codes = [main(argv) for argv in runs]
+gf = GridFunction.from_callable(gaussian_function([[1.0]]), [-6.0], [6.0], 121)
+mass = integrate(gf)
+doc = gf.to_dict()
+print(json.dumps([codes, mass, doc["points_per_axis"]]))
+"""
+        codes, mass, shape = self._run(script)
+        assert codes == [0] * 9
+        assert mass == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
+        assert shape == [121]
+
+    def test_quadrature_check_loads_the_spline_library(self):
+        script = """
+import json, sys
+from blgauss.cli import main
+before = "scipy.interpolate" in sys.modules
+code = main(["check-quadrature", "--datum", sys.argv[1] + "/young.json", "--resolution", "201"])
+print(json.dumps([before, code, "scipy.interpolate" in sys.modules]))
+"""
+        assert self._run(script) == [False, 0, True]

@@ -258,15 +258,19 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
             t_hi = np.minimum(t_hi, np.maximum(a, b))
         else:
             dead |= (Y0[:, j] < lows[j]) | (Y0[:, j] > highs[j])
+    # a segment empty only by rounding is its one decomposition, which lies
+    # on the boxes' boundary
+    dead |= t_hi < t_lo - 1e-12
     width = np.where(t_hi > t_lo, t_hi - t_lo, 0.0)
     mid = 0.5 * (t_lo + t_hi)
     T = mid[:, None] + width[:, None] * np.linspace(-0.5, 0.5, resolution)[None, :]
     Y = Y0[:, None, :] + T[:, :, None] * k1[None, None, :]
     vals = np.exp(log_product(Y).max(axis=1))
     vals[dead | (width == 0.0)] = 0.0
-    point = (~dead) & (t_hi >= t_lo) & (width == 0.0)
+    point = (~dead) & (width == 0.0)
     if np.any(point):
-        vals[point] = np.exp(log_product(Y0[point] + mid[point, None] * k1[None, :]))
+        y = np.clip(Y0[point] + mid[point, None] * k1[None, :], lows, highs)
+        vals[point] = np.exp(log_product(y))
     return vals.reshape((resolution,) * datum.n)
 
 
@@ -325,6 +329,8 @@ class TestSupConvolution:
             (([0.0], [1.0], [1.0], [2.0]), 1.5, (1.0, 2.0)),
             # exactly zero width: the window is the single point t = mid
             (([0.0], [1.0], [0.0], [1.0]), 0.0, (0.0, 0.0)),
+            # t_hi 4.4e-16 below t_lo in floating point: not an empty segment
+            (([0.0], [1.0], [1.0], [2.0]), 0.5, (0.0, 1.0)),
         ],
     )
     def test_collapsed_window_keeps_its_one_decomposition(self, boxes, x, parts):
