@@ -1,12 +1,13 @@
 """Newton steps on the Gaussian objective, and the solver's verdicts.
 
 `solve` maximizes F(A) = logdet A - sum_i c_i logdet(B_i A B_i^T) over
-positive definite A of determinant 1 by geodesic Newton steps
-A <- R exp(tH) R, R = A^{1/2}. Its stationary points are the fixed points
-inv(A) = sum_i c_i B_i^T inv(B_i A B_i^T) B_i. Frames are solved at the
-identity without a step; generic homogeneous data converge quadratically in a
-handful of steps; infeasible data are diagnosed with constant = +inf when the
-objective climbs along a ray until the iterate degenerates.
+positive definite A of determinant 1 by geodesic Newton steps on a factor K
+of A = K K^T, K <- K exp(tH/2), from K = I. Its stationary points are the
+fixed points inv(A) = sum_i c_i B_i^T inv(B_i A B_i^T) B_i. Frames are solved
+at the identity without a step; generic homogeneous data converge
+quadratically in a handful of steps; infeasible data are diagnosed with
+constant = +inf when the objective climbs along a ray until the iterate
+degenerates.
 """
 
 import numpy as np

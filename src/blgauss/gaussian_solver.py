@@ -10,20 +10,23 @@ the stationarity condition of the scale-invariant objective
     F(A) = logdet(A) - sum_i c_i logdet(B_i A B_i^T),
 
 whose supremum over positive definite A is twice the log of the shared
-constant. F is geodesically concave, and the solver takes Newton steps
-A <- R exp(tH) R, R = A^{1/2}, H symmetric and traceless, so det(A) stays 1.
-With Y_i = inv(L_i) B_i R, L_i L_i^T = B_i A B_i^T, and Q_i = Y_i^T Y_i, F has
-the gradient I - Qbar, Qbar = sum_i c_i Q_i, and the positive semidefinite
+constant. F is geodesically concave. The solver carries a factor K of
+A = K K^T from K = I, and any factor whitens: with Y_i = inv(L_i) B_i K,
+L_i L_i^T = B_i A B_i^T, and Q_i = Y_i^T Y_i, H |-> F(K exp(H) K^T) has the
+gradient I - Qbar, Qbar = sum_i c_i Q_i, and the positive semidefinite
 negative Hessian -Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i. Truncated
-conjugate gradients solve -Hess[H] = I - Qbar, and an Armijo line search on
-F picks t. An objective unbounded above (no finite constant) is detected
-heuristically and reported as +inf rather than raised.
+conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H, an
+Armijo line search on F picks t, and K <- K exp(tH/2) keeps det(A) = 1. The
+loop never forms or factors A: the line search hands back the accepted K
+with its whitening, and one SVD of K gives logdet(A) and the residual. An
+objective unbounded above (no finite constant) is detected heuristically and
+reported as +inf rather than raised.
 
 _whiten factors B_i A B_i^T with one stacked Cholesky and triangular solve
 per factor group (datum.factor_groups, built once per solve), for the loop,
-its line search and the public evaluations alike. The solver imports only
-_linalg and datum, so the verification layers that re-check it share none
-of its fixed-point logic.
+its line search and, at the Cholesky factor of a caller's A, the public
+evaluations. The solver imports only _linalg and datum, so the verification
+layers that re-check it share none of its fixed-point logic.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ class ConvergenceError(RuntimeError):
     """Raised by callers that need a converged solve and did not get one."""
 
 
-def _whiten(groups: list[FactorGroup], R: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Whitened factors at A = R R^T: per group the stack Y = inv(L) B R with
+def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Whitened factors at A = K K^T: per group the stack Y = inv(L) B K with
     L L^T = B A B^T, one stacked Cholesky and triangular solve per target
     dimension; then Qbar = sum_i c_i Y_i^T Y_i and
     sum_i c_i logdet(B_i A B_i^T)."""
-    n = R.shape[1]
+    n = K.shape[1]
     Ys, Qbar, lds = [], np.zeros((n, n)), 0.0
     for g in groups:
-        C = g.B @ R  # (m_k, k, n)
+        C = g.B @ K  # (m_k, k, n)
         L, ld = chol_logdet(sym(C @ C.swapaxes(1, 2)), name=f"B_i A B_i^T, i in {g.indices}")
         Y = np.linalg.solve(L, C)
         Ys.append(Y)
@@ -83,40 +86,34 @@ def _whiten(groups: list[FactorGroup], R: np.ndarray) -> tuple[list[np.ndarray],
     return Ys, sym(Qbar), lds
 
 
-def _roots(w: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A^{1/2} and A^{-1/2} from the eigendecomposition A = U diag(w) U^T."""
-    s = np.sqrt(w)
-    return sym((U * s) @ U.T), sym((U / s) @ U.T)
-
-
-def _gradient(R_inv: np.ndarray, Qbar: np.ndarray) -> np.ndarray:
-    """inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i = R^{-1} (I - Qbar) R^{-1}."""
-    return sym(R_inv @ (np.eye(Qbar.shape[0]) - Qbar) @ R_inv)
-
-
 def _at(datum: BLDatum, A: np.ndarray):
-    """Eigenvalues of a caller's A, R = A^{1/2}, inv(R) and the whitening at A."""
-    w, U = np.linalg.eigh(check_spd(A, "A"))
-    R, R_inv = _roots(w, U)
-    _, Qbar, lds = _whiten(factor_groups(datum), R)
-    return w, R, R_inv, Qbar, lds
+    """A caller's A = L L^T: the Cholesky factor L, inv(L), logdet(A) and the
+    whitening at L."""
+    L = np.linalg.cholesky(check_spd(A, "A"))
+    _, Qbar, lds = _whiten(factor_groups(datum), L)
+    return L, np.linalg.inv(L), 2.0 * float(np.sum(np.log(np.diag(L)))), Qbar, lds
+
+
+def _gradient(L_inv: np.ndarray, Qbar: np.ndarray) -> np.ndarray:
+    """inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i = L^{-T} (I - Qbar) L^{-1}."""
+    return sym(L_inv.T @ (np.eye(Qbar.shape[0]) - Qbar) @ L_inv)
 
 
 def fp_map(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """One application of A |-> inv(sum_i c_i B_i^T inv(B_i A B_i^T) B_i)."""
-    _, R, _, Qbar, _ = _at(datum, A)
-    return sym(R @ spd_inverse(Qbar, name="fixed point sum") @ R)
+    L, _, _, Qbar, _ = _at(datum, A)
+    return sym(L @ spd_inverse(Qbar, name="fixed point sum") @ L.T)
 
 
 def grad_logdet(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """Gradient of the log-det objective at A (zero exactly at a fixed point)."""
-    _, _, R_inv, Qbar, _ = _at(datum, A)
-    return _gradient(R_inv, Qbar)
+    _, L_inv, _, Qbar, _ = _at(datum, A)
+    return _gradient(L_inv, Qbar)
 
 
 def logdet_objective(datum: BLDatum, A: np.ndarray) -> float:
-    w, _, _, _, lds = _at(datum, A)
-    return float(np.sum(np.log(w))) - lds
+    _, _, logdet_A, _, lds = _at(datum, A)
+    return logdet_A - lds
 
 
 def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
@@ -125,14 +122,14 @@ def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
     The value is only the Brascamp-Lieb constant when A is stationary; the
     relative gradient norm is checked at 1e-6 and a warning is emitted when
     the caller hands in a point that is not."""
-    w, _, R_inv, Qbar, lds = _at(datum, A)
-    rel = np.linalg.norm(_gradient(R_inv, Qbar)) / np.linalg.norm(1.0 / w)
+    _, L_inv, logdet_A, Qbar, lds = _at(datum, A)
+    rel = np.linalg.norm(_gradient(L_inv, Qbar)) / np.linalg.norm(L_inv.T @ L_inv)
     if rel > STATIONARITY_WARN:
         warnings.warn(
             f"bl_constant evaluated away from stationarity (relative gradient {rel:.2e})",
             stacklevel=2,
         )
-    return math.exp(0.5 * (float(np.sum(np.log(w))) - lds))
+    return math.exp(0.5 * (logdet_A - lds))
 
 
 def direct_extremizers(datum: BLDatum, A: np.ndarray) -> list[np.ndarray]:
@@ -224,13 +221,13 @@ def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.
     return H if H.any() else G
 
 
-def _line_search(groups: list[FactorGroup], R: np.ndarray, H: np.ndarray, G: np.ndarray,
-                 logdet_A: float, obj: float) -> np.ndarray | None:
-    """K = R exp(tH/2), so that K K^T = R exp(tH) R, for the first t that
-    passes, or None. The first trial t = min(1, 2/||H||_2) keeps exp(tH)
-    within [e^-2, e^2] however long the CG direction is; each later trial
-    halves t. As tr H = 0, logdet(K K^T) = logdet(A), so a trial costs one
-    whitening; one with an ill-conditioned factor fails."""
+def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.ndarray,
+                 logdet_A: float, obj: float) -> tuple[np.ndarray, tuple] | None:
+    """The first trial K exp(tH/2) that passes, with its whitening, or None.
+    The first trial t = min(1, 2/||H||_2) keeps exp(tH) within [e^-2, e^2]
+    however long the CG direction is; each later trial halves t. As tr H = 0,
+    logdet(A) does not change, so a trial costs one whitening. A trial with an
+    ill-conditioned factor ends the search."""
     lam, V = np.linalg.eigh(H)
     norm = float(np.abs(lam).max())
     if norm == 0.0:
@@ -238,13 +235,13 @@ def _line_search(groups: list[FactorGroup], R: np.ndarray, H: np.ndarray, G: np.
     t, slope = min(1.0, 2.0 / norm), float(np.sum(G * H))
     floor = obj - _SLACK * (1.0 + abs(obj))
     for _ in range(_HALVINGS + 1):
-        K = R @ ((V * np.exp(0.5 * t * lam)) @ V.T)
+        K_t = K @ ((V * np.exp(0.5 * t * lam)) @ V.T)
         try:
-            _, _, lds = _whiten(groups, K)
+            whitened = _whiten(groups, K_t)
         except IllConditionedError:
-            lds = math.inf
-        if logdet_A - lds >= floor + _ARMIJO * t * slope:
-            return K
+            return None
+        if logdet_A - whitened[2] >= floor + _ARMIJO * t * slope:
+            return K_t, whitened
         t *= 0.5
     return None
 
@@ -285,40 +282,42 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     return _iterate(datum, np.eye(datum.n), tol, max_iter)
 
 
-def _iterate(datum: BLDatum, A: np.ndarray, tol: float, max_iter: int) -> SolveResult:
-    """Newton iterations from a det-1 A. An eigenvalue of A below
-    MIN_EIGENVALUE or an ill-conditioned B_i A B_i^T is +inf before the row
-    of A is written. After it, a residual at most tol converges and an
-    objective above OBJECTIVE_LIMIT is +inf. A failed line search is +inf
-    while the objective is rising and otherwise ends, like the budget, in
-    the budget verdict."""
+def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveResult:
+    """Newton iterations on the factor K of a det-1 A = K K^T. An
+    ill-conditioned B_i A B_i^T at the start, or a singular value of K below
+    sqrt(MIN_EIGENVALUE), is +inf before the row of A is written. After it, a
+    residual at most tol converges and an objective above OBJECTIVE_LIMIT is
+    +inf. A failed line search is +inf while the objective is rising and
+    otherwise ends, like the budget, in the budget verdict."""
     groups = factor_groups(datum)
     trace: list[tuple[int, float, float]] = []
-    steps = 0
+    A, steps = sym(K @ K.T), 0
+    try:
+        Ys, Qbar, lds = _whiten(groups, K)
+    except IllConditionedError:
+        return SolveResult(A, math.inf, math.nan, 0, False, trace)
     for k in range(max_iter):
-        w, U = np.linalg.eigh(A)
-        if w.min() < MIN_EIGENVALUE:
+        _, s, Vt = np.linalg.svd(K)
+        if s[-1] ** 2 < MIN_EIGENVALUE:
             return SolveResult(A, math.inf, math.nan, k, False, trace)
-        R, R_inv = _roots(w, U)
-        try:
-            Ys, Qbar, lds = _whiten(groups, R)
-        except IllConditionedError:
-            return SolveResult(A, math.inf, math.nan, k, False, trace)
-        logdet_A = float(np.sum(np.log(w)))
+        logdet_A = 2.0 * float(np.sum(np.log(s)))
         obj = logdet_A - lds
-        res = float(np.linalg.norm(_gradient(R_inv, Qbar)) / np.linalg.norm(1.0 / w))
+        # the gradient K^{-T} (I - Qbar) K^{-1} relative to inv(A), K = U S V^T
+        E = np.eye(datum.n) - Qbar
+        res = float(np.linalg.norm((Vt @ E @ Vt.T) / np.outer(s, s)) / np.linalg.norm(s ** -2.0))
         trace.append((k, res, obj))
         if res <= tol:
             return SolveResult(A, math.exp(0.5 * obj), res, k, True, trace)
         if obj > OBJECTIVE_LIMIT:
             return SolveResult(A, math.inf, res, k, False, trace)
 
-        G = _traceless(np.eye(datum.n) - Qbar)
-        K = _line_search(groups, R, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
-        if K is None:
+        G = _traceless(E)
+        step = _line_search(groups, K, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
+        if step is None:
             if _rising(trace):
                 return SolveResult(A, math.inf, res, k, False, trace)
             break
+        K, (Ys, Qbar, lds) = step
         A, steps = sym(K @ K.T), k + 1
 
     # Budget verdict. Divergence along a ray shows up as a rising objective

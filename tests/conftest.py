@@ -1,9 +1,19 @@
 """Shared builders for the test suite. Everything is deterministic."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from blgauss import BLDatum, YoungExponents, datum_from_exponents, make_datum
+from blgauss import (
+    BLDatum,
+    YoungExponents,
+    beckner_constant,
+    closed_form_A,
+    datum_from_exponents,
+    direct_sum,
+    make_datum,
+)
 from blgauss._linalg import numerical_rank
 
 
@@ -68,6 +78,79 @@ def well_conditioned_spd(n: int, rng: np.random.Generator) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = rng.uniform(0.5, 2.0, size=n)
     return (Q * w) @ Q.T
+
+
+# -- closed-form families under GL(n) ------------------------------------------------
+#
+# For M in GL(n), C(B M) = C(B) / |det M| (the constant's change of variables)
+# and the optimal covariances map as A*(B M) = M^{-1} A*(B) M^{-T}.
+
+
+def loomis_whitney_datum(n: int) -> BLDatum:
+    """Projections onto the n coordinate hyperplanes, weights 1/(n-1): C = 1,
+    attained by every diagonal A."""
+    return make_datum(n, [1.0 / (n - 1)] * n, [np.delete(np.eye(n), i, axis=0) for i in range(n)])
+
+
+def young_power(k: int) -> BLDatum:
+    """k copies of the flagship Young datum summed: C = C_Y^k."""
+    d = young_flagship()[1]
+    for _ in range(k - 1):
+        d = direct_sum(d, young_flagship()[1])
+    return d
+
+
+def gl_family(name: str) -> tuple[BLDatum, float, list[np.ndarray] | None]:
+    """A datum with a known constant and the diagonal blocks of its optimal A,
+    each det-normalized and free up to a positive scale (None: every A is
+    optimal)."""
+    e, _ = young_flagship()
+    c_young, a_young = beckner_constant(e), closed_form_A(e)
+    if name == "loomis-whitney-6+young^2":
+        return (direct_sum(loomis_whitney_datum(6), young_power(2)), c_young**2,
+                [np.eye(1)] * 6 + [a_young] * 2)
+    if name.startswith("loomis-whitney-"):
+        n = int(name.rsplit("-", 1)[1])
+        return loomis_whitney_datum(n), 1.0, [np.eye(1)] * n
+    if name == "holder":  # identity maps, weights summing to 1: C = 1 at every A
+        return make_datum(3, [0.5, 0.3, 0.2], [np.eye(3)] * 3), 1.0, None
+    if name.startswith("young^"):
+        k = int(name[len("young^"):])
+        return young_power(k), c_young**k, [a_young] * k
+    raise KeyError(name)
+
+
+GL_FAMILIES = ["loomis-whitney-3", "loomis-whitney-6", "loomis-whitney-12", "holder",
+               "young^1", "young^2", "young^3", "loomis-whitney-6+young^2"]
+
+
+def random_gl(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
+    """U diag(s) V^T with random orthogonal U, V, s[0] = 1 and s[-1] = 1/cond,
+    rounded to multiples of 2^-40: each row of a family's B_i M is then a sum
+    of at most two rows of M, computed exactly."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = cond ** -np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    return np.round((U * s) @ V.T * 2.0**40) / 2.0**40
+
+
+def exact_abs_det(M: np.ndarray) -> float:
+    """|det M| by Gaussian elimination in exact rationals, rounded once."""
+    a = [[Fraction(x) for x in row] for row in M.tolist()]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next(i for i in range(k, len(a)) if a[i][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return float(abs(det))
+
+
+def gl_map(datum: BLDatum, M: np.ndarray) -> BLDatum:
+    """The datum with every map B_i replaced by B_i M."""
+    return make_datum(datum.n, datum.weights, [f.B @ M for f in datum.factors])
 
 
 @pytest.fixture

@@ -20,13 +20,18 @@ from blgauss import (
     solve,
 )
 from blgauss.datum import factor_groups
-from blgauss.gaussian_solver import MIN_EIGENVALUE, _iterate, _neg_hess, _whiten
+from blgauss.gaussian_solver import MIN_EIGENVALUE, _iterate, _line_search, _neg_hess, _whiten
 from blgauss.young import YoungExponents, beckner_constant, closed_form_A, datum_from_exponents
 from conftest import (
+    GL_FAMILIES,
     coordinate_datum,
+    exact_abs_det,
+    gl_family,
+    gl_map,
     mercedes_frame_datum,
     prekopa_leindler_datum,
     random_datum,
+    random_gl,
     well_conditioned_spd,
     young_flagship,
 )
@@ -219,14 +224,14 @@ class TestSolve:
 
     def test_ascent_fallback_reaches_tolerance(self):
         e, d = young_flagship()
-        r = _iterate(d, np.diag([4.0, 0.25]), 1e-10, 10_000)
+        r = _iterate(d, np.diag([2.0, 0.5]), 1e-10, 10_000)
         assert r.converged
         assert r.residual <= 1e-10
         assert r.constant == pytest.approx(beckner_constant(e), abs=1e-12)
 
     def test_ascent_trace_objective_is_monotone(self):
         _, d = young_flagship()
-        r = _iterate(d, np.diag([4.0, 0.25]), 1e-10, 10_000)
+        r = _iterate(d, np.diag([2.0, 0.5]), 1e-10, 10_000)
         objs = [obj for _, _, obj in r.trace]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
 
@@ -270,10 +275,12 @@ def _overflow_datum():
     # no curvature along the divergent ray: gradient steps until an
     # eigenvalue of A falls below MIN_EIGENVALUE
     pytest.param(_infeasible_datum, 56, math.inf, 56, "min eigenvalue", id="infeasible"),
-    # a factor B_i A B_i^T becomes ill-conditioned. OpenBLAS kernels for
-    # different CPUs get there after 19 to 24 iterations, so that count and
-    # the row count are not pinned.
-    pytest.param(_overflow_datum, None, math.inf, None, "ill-conditioned", id="random-overflow"),
+    # a line search trial makes a factor B_i A B_i^T ill-conditioned while
+    # the objective rises. OpenBLAS kernels for different CPUs get there
+    # after 13 to 18 iterations, so that count and the row count are not
+    # pinned.
+    pytest.param(_overflow_datum, None, math.inf, None, "ill-conditioned trial",
+                 id="random-overflow"),
 ])
 def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
     r = solve(make())
@@ -285,8 +292,12 @@ def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
         assert (r.iterations, r.residual) == (last_k, last_res) and r.residual <= 1e-10
         return
     assert not r.converged and r.constant == math.inf
-    # the evaluation of k failed before its row was written
-    assert r.iterations == last_k + 1 and math.isnan(r.residual)
+    if exit_ == "min eigenvalue":
+        # the evaluation of k failed before its row was written
+        assert r.iterations == last_k + 1 and math.isnan(r.residual)
+    else:
+        # the line search from the iterate of row k failed
+        assert (r.iterations, r.residual) == (last_k, last_res)
     assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
 
 
@@ -308,12 +319,76 @@ def test_hessian_matches_second_difference_and_is_psd(rng):
         H = H + H.T - 2.0 * np.trace(H) / d.n * np.eye(d.n)
         R, _ = _sqrt_and_exp(A, H, 0.0)
         groups = factor_groups(d)
-        Ys, Qbar, _ = _whiten(groups, R)
+        Ys, Qbar, lds = _whiten(groups, R)
         curvature = float(np.sum(H * _neg_hess(groups, Ys, Qbar, H)))
         assert curvature >= -1e-12 * float(np.sum(H * H))
+        # any factor whitens: at the Cholesky factor L = R O, O orthogonal,
+        # Qbar turns into O^T Qbar O and the direction H into O^T H O
+        L = np.linalg.cholesky(A)
+        O = np.linalg.solve(R, L)
+        Ys_L, Qbar_L, lds_L = _whiten(groups, L)
+        assert lds_L == pytest.approx(lds, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(Qbar_L, O.T @ Qbar @ O, atol=1e-12)
+        H_L = O.T @ H @ O
+        assert float(np.sum(H_L * _neg_hess(groups, Ys_L, Qbar_L, H_L))) == pytest.approx(
+            curvature, rel=1e-10, abs=1e-12 * float(np.sum(H * H)))
         f = [logdet_objective(d, _sqrt_and_exp(A, H, t)[1]) for t in (-h, 0.0, h)]
         second = (f[0] - 2.0 * f[1] + f[2]) / h**2
         assert second == pytest.approx(-curvature, rel=1e-4, abs=1e-6 * float(np.sum(H * H)))
+
+
+# Every A is optimal for Hoelder, so its solve starts at an optimum, K = I,
+# where the Cholesky whitening of B_i M M^T B_i^T resolves only about
+# cond(M)^2 eps and the objective is flat but for rounding noise. Of 24 draws
+# at cond(M) = 1e4, 10 reach 1e-10, 6 converge less accurately, 2 are
+# inconclusive and 6 end in a false +inf; at 1e6, 21 end in +inf (ROADMAP
+# item 2).
+_HOELDER_NOISE = pytest.mark.xfail(reason="flat objective at the cond(M)^2 eps whitening floor")
+
+
+@pytest.mark.parametrize("family, cond", [
+    pytest.param(family, cond, id=f"{family}-{cond:.0e}",
+                 marks=_HOELDER_NOISE if family == "holder" and cond >= 1e4 else ())
+    for family in GL_FAMILIES for cond in (1.0, 1e2, 1e4, 1e6)
+])
+def test_gl_families_reach_the_mapped_closed_form(family, cond):
+    # C(B M) = C(B) / |det M| and A*(B M) = M^{-1} A* M^{-T}. Iterating on a
+    # factor of A, not on A, keeps the iteration count flat up to
+    # cond(M) = 1e6.
+    d, constant, blocks = gl_family(family)
+    M = random_gl(d.n, cond, np.random.default_rng(d.n))
+    r = solve(gl_map(d, M))
+    assert r.converged and r.iterations <= 30, (r.iterations, r.residual)
+    assert r.constant == pytest.approx(constant / exact_abs_det(M), rel=1e-10)
+    if blocks is None:
+        return
+    # M A M^T is optimal for the unmapped datum: block diagonal, each block
+    # a positive multiple of the known det-normalized one. A float A holds
+    # only eps cond(A) relative accuracy in its own metric.
+    X = M @ r.A @ M.T
+    edges = np.cumsum([0] + [len(b) for b in blocks])
+    scaled = np.zeros_like(X)
+    for lo, hi, b in zip(edges, edges[1:], blocks):
+        scaled[lo:hi, lo:hi] = np.linalg.det(X[lo:hi, lo:hi]) ** (1.0 / (hi - lo)) * b
+    L_inv = np.linalg.inv(np.linalg.cholesky(scaled))
+    error = np.abs(L_inv @ X @ L_inv.T - np.eye(d.n)).max()
+    assert error <= 1e-10 + np.finfo(float).eps * np.linalg.cond(r.A)
+
+
+def test_ill_conditioned_trial_ends_the_line_search(monkeypatch):
+    # Hoelder on R^2 at cond(A) = 4e13: the trials at t = 1 and t = 1/2 push
+    # cond(A) past COND_LIMIT = 1e14, the one at t = 1/4 does not. The search
+    # must stop at the first, after one whitening, instead of halving.
+    d = make_datum(2, [0.5, 0.5], [np.eye(2), np.eye(2)])
+    groups = factor_groups(d)
+    K, H = np.diag([10.0**3.4, 10.0**-3.4]), np.diag([1.0, -1.0])
+    _, _, lds = _whiten(groups, K)
+    whitened = []
+    whiten = blgauss.gaussian_solver._whiten
+    monkeypatch.setattr(blgauss.gaussian_solver, "_whiten",
+                        lambda g, K_t: whitened.append(K_t) or whiten(g, K_t))
+    assert _line_search(groups, K, H, np.zeros((2, 2)), 0.0, -lds) is None
+    assert len(whitened) == 1
 
 
 def test_young_grid_converges_in_few_newton_steps():
