@@ -15,18 +15,17 @@ A = K K^T from K = I, and any factor whitens: with Y_i = inv(L_i) B_i K,
 L_i L_i^T = B_i A B_i^T, and Q_i = Y_i^T Y_i, H |-> F(K exp(H) K^T) has the
 gradient I - Qbar, Qbar = sum_i c_i Q_i, and the positive semidefinite
 negative Hessian -Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i. Truncated
-conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H, an
-Armijo line search on F picks t, and K <- K exp(tH/2) keeps det(A) = 1. The
-loop never forms or factors A: the line search hands back the accepted K
-with its whitening, and one SVD of K gives logdet(A) and the residual. An
-objective unbounded above (no finite constant) is detected heuristically and
-reported as +inf rather than raised.
+conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H,
+an Armijo line search on F picks t, and K <- K exp(tH/2) keeps det(A) = 1.
+The loop never forms or factors A: the line search hands back the accepted
+K with its whitening, and one SVD of K gives logdet(A) and the residual. An
+objective unbounded above (no finite constant) is detected heuristically
+and reported as +inf rather than raised.
 
-_whiten factors B_i A B_i^T with one stacked Cholesky and triangular solve
-per factor group (datum.factor_groups, built once per solve), for the loop,
-its line search and, at the Cholesky factor of a caller's A, the public
-evaluations. The solver imports only _linalg and datum, so the verification
-layers that re-check it share none of its fixed-point logic.
+_whiten factors B_i A B_i^T in two passes of stacked Cholesky and triangular
+solve per factor group (datum.factor_groups), for the loop, its line search
+and the public evaluations. The solver imports only _linalg and datum, so
+the verification layers that re-check it share none of its fixed-point logic.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ HOMOGENEITY_TOL = 1e-9
 OBJECTIVE_LIMIT = 1e3
 MIN_EIGENVALUE = 1e-12
 
-# Stationarity threshold past which bl_constant warns the caller.
+# Relative gradient past which bl_constant warns and a failed rising search is +inf.
 STATIONARITY_WARN = 1e-6
 
 _STALL_WINDOW = 50
@@ -69,16 +68,19 @@ class ConvergenceError(RuntimeError):
 
 
 def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Whitened factors at A = K K^T: per group the stack Y = inv(L) B K with
-    L L^T = B A B^T, one stacked Cholesky and triangular solve per target
-    dimension; then Qbar = sum_i c_i Y_i^T Y_i and
-    sum_i c_i logdet(B_i A B_i^T)."""
+    """Whitened factors at A = K K^T: per group Y = inv(L) B K, L L^T = B A B^T,
+    in two stacked Cholesky passes (CholeskyQR2: one leaves Y Y^T off I by about
+    eps cond(B A B^T) <= 0.02, and the second makes it I to rounding); then
+    Qbar = sum_i c_i Y_i^T Y_i and sum_i c_i logdet(B_i A B_i^T)."""
     n = K.shape[1]
     Ys, Qbar, lds = [], np.zeros((n, n)), 0.0
     for g in groups:
         C = g.B @ K  # (m_k, k, n)
         L, ld = chol_logdet(sym(C @ C.swapaxes(1, 2)), name=f"B_i A B_i^T, i in {g.indices}")
         Y = np.linalg.solve(L, C)
+        if Y.shape[1] > 1:  # one row is already normalized to rounding
+            L = np.linalg.cholesky(sym(Y @ Y.swapaxes(1, 2)))
+            Y, ld = np.linalg.solve(L, Y), ld + 2.0 * np.log(np.diagonal(L, 0, 1, 2)).sum(1)
         Ys.append(Y)
         Yc = (np.sqrt(g.c)[:, None, None] * Y).reshape(-1, n)
         Qbar += Yc.T @ Yc
@@ -87,8 +89,7 @@ def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray],
 
 
 def _at(datum: BLDatum, A: np.ndarray):
-    """A caller's A = L L^T: the Cholesky factor L, inv(L), logdet(A) and the
-    whitening at L."""
+    """A caller's A = L L^T: L, inv(L), logdet(A) and the whitening at L."""
     L = np.linalg.cholesky(check_spd(A, "A"))
     _, Qbar, lds = _whiten(factor_groups(datum), L)
     return L, np.linalg.inv(L), 2.0 * float(np.sum(np.log(np.diag(L)))), Qbar, lds
@@ -201,8 +202,8 @@ def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.
                       G: np.ndarray) -> np.ndarray:
     """Truncated conjugate gradients for -Hess[H] = G over symmetric traceless
     H, from H = 0. CG stops at a relative residual of min(1/2, sqrt(||G||)),
-    or on a direction without positive curvature; when that is the first
-    direction, the step is G itself."""
+    or on a direction without positive curvature; on the first one nothing
+    bounds the step along G, and it goes to the line search's cap."""
     n = G.shape[0]
     H, r, p = np.zeros_like(G), G, G
     rr = float(np.sum(G * G))
@@ -218,16 +219,15 @@ def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.
         if rr_next <= stop:
             break
         p, rr = r + (rr_next / rr) * p, rr_next
-    return H if H.any() else G
+    return H if H.any() or not G.any() else 2.0 * G / np.linalg.norm(G, 2)
 
 
 def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.ndarray,
                  logdet_A: float, obj: float) -> tuple[np.ndarray, tuple] | None:
     """The first trial K exp(tH/2) that passes, with its whitening, or None.
-    The first trial t = min(1, 2/||H||_2) keeps exp(tH) within [e^-2, e^2]
-    however long the CG direction is; each later trial halves t. As tr H = 0,
-    logdet(A) does not change, so a trial costs one whitening. A trial with an
-    ill-conditioned factor ends the search."""
+    It starts at t = min(1, 2/||H||_2), which keeps exp(tH) within [e^-2, e^2],
+    and halves t; tr H = 0 keeps logdet(A), so a trial costs one whitening. A
+    trial with an ill-conditioned factor, or one that rounds to K, ends it."""
     lam, V = np.linalg.eigh(H)
     norm = float(np.abs(lam).max())
     if norm == 0.0:
@@ -236,6 +236,8 @@ def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.
     floor = obj - _SLACK * (1.0 + abs(obj))
     for _ in range(_HALVINGS + 1):
         K_t = K @ ((V * np.exp(0.5 * t * lam)) @ V.T)
+        if (K_t == K).all():  # and so would every shorter trial
+            return None
         try:
             whitened = _whiten(groups, K_t)
         except IllConditionedError:
@@ -283,23 +285,25 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
 
 
 def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveResult:
-    """Newton iterations on the factor K of a det-1 A = K K^T. An
-    ill-conditioned B_i A B_i^T at the start, or a singular value of K below
-    sqrt(MIN_EIGENVALUE), is +inf before the row of A is written. After it, a
-    residual at most tol converges and an objective above OBJECTIVE_LIMIT is
-    +inf. A failed line search is +inf while the objective is rising and
-    otherwise ends, like the budget, in the budget verdict."""
+    """Newton iterations on the factor K of a det-1 A = K K^T. An ill-conditioned
+    B_i A B_i^T at the start, or a singular value of K below sqrt(MIN_EIGENVALUE),
+    is +inf before the row of k is written. After it, a residual at most tol
+    converges and an objective above OBJECTIVE_LIMIT is +inf. A failed line search
+    is +inf while the objective rises with a residual above STATIONARITY_WARN (below
+    it, rounding stops the search), and otherwise ends in the budget verdict."""
     groups = factor_groups(datum)
     trace: list[tuple[int, float, float]] = []
-    A, steps = sym(K @ K.T), 0
+
+    def end(constant: float, res: float, k: int, converged: bool = False) -> SolveResult:
+        return SolveResult(sym(K @ K.T), constant, res, k, converged, trace)
     try:
         Ys, Qbar, lds = _whiten(groups, K)
     except IllConditionedError:
-        return SolveResult(A, math.inf, math.nan, 0, False, trace)
+        return end(math.inf, math.nan, 0)
     for k in range(max_iter):
         _, s, Vt = np.linalg.svd(K)
         if s[-1] ** 2 < MIN_EIGENVALUE:
-            return SolveResult(A, math.inf, math.nan, k, False, trace)
+            return end(math.inf, math.nan, k)
         logdet_A = 2.0 * float(np.sum(np.log(s)))
         obj = logdet_A - lds
         # the gradient K^{-T} (I - Qbar) K^{-1} relative to inv(A), K = U S V^T
@@ -307,25 +311,21 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
         res = float(np.linalg.norm((Vt @ E @ Vt.T) / np.outer(s, s)) / np.linalg.norm(s ** -2.0))
         trace.append((k, res, obj))
         if res <= tol:
-            return SolveResult(A, math.exp(0.5 * obj), res, k, True, trace)
+            return end(math.exp(0.5 * obj), res, k, True)
         if obj > OBJECTIVE_LIMIT:
-            return SolveResult(A, math.inf, res, k, False, trace)
-
+            return end(math.inf, res, k)
         G = _traceless(E)
         step = _line_search(groups, K, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
         if step is None:
-            if _rising(trace):
-                return SolveResult(A, math.inf, res, k, False, trace)
+            if _rising(trace) and res > STATIONARITY_WARN:
+                return end(math.inf, res, k)
             break
         K, (Ys, Qbar, lds) = step
-        A, steps = sym(K @ K.T), k + 1
 
     # Budget verdict. Divergence along a ray shows up as a rising objective
     # together with a stagnant residual; a residual that is still shrinking
     # means the run was merely slow, and the best estimate is returned as
-    # inconclusive.
+    # inconclusive. Every row but that of a failed search took a step.
     _, res, obj = trace[-1]
-    stagnant = len(trace) >= 10 and res > 0.5 * trace[len(trace) // 2][1]
-    if _rising(trace) and stagnant:
-        return SolveResult(A, math.inf, res, steps, False, trace)
-    return SolveResult(A, math.exp(0.5 * obj), res, steps, False, trace)
+    diverging = _rising(trace) and len(trace) >= 10 and res > 0.5 * trace[len(trace) // 2][1]
+    return end(math.inf if diverging else math.exp(0.5 * obj), res, len(trace) - (step is None))
