@@ -11,8 +11,11 @@ reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
          is the smallest admissible envelope: the sup-convolution
          f(x) = sup { prod_i f_i(x_i)^{c_i} : sum_i c_i B_i^T x_i = x }.
 
-SciPy is used only here, by GridFunction.interpolator, and is imported on
-the first spline it builds; everything else in the package runs on numpy.
+Grid functions are read between nodes through not-a-knot cubic splines on
+their uniform grids, built and evaluated in numpy: one tridiagonal sweep per
+axis builds them, and an evaluation finds its interval by floor division.
+They equal SciPy's CubicSpline and RectBivariateSpline(kx=ky=3, s=0) to
+rounding, which the tests check; the package itself needs only numpy.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
 # largest decomposition-kernel dimension sup_convolution samples
 MAX_KERNEL_DIM = 2
-# decomposition samples per sup-convolution chunk (a grid point takes one,
-# resolution or resolution^2 by kernel dimension): ~2 MB per factor coordinate
-_SUPCONV_CHUNK = 250_000
+# samples per chunk of the quadrature loops (a sup-convolution grid point
+# takes one, resolution or resolution^2 by kernel dimension): 512 KiB per
+# array of floats, so that a chunk's arrays stay in a 4 MiB L2 cache
+_SUPCONV_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -90,47 +94,41 @@ class GridFunction:
         return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
 
     def interpolator(self):
-        """Cubic interpolant, zero outside the box, clipped at zero.
+        """Not-a-knot cubic interpolant, zero outside the box, clipped at zero.
 
-        Falls back to linear when the grid is too coarse for cubics."""
-        # the package's one use of SciPy, imported here so that every
-        # command but the quadrature checks runs without loading it
-        from scipy.interpolate import CubicSpline, RectBivariateSpline
-
-        axes = self.axes()
+        An axis with fewer than 4 points is interpolated linearly. The
+        interpolant takes points of shape (..., dim) and returns (...)."""
+        coef, bases = self.values, []
+        for axis in range(self.dim):
+            coef, basis = _axis_coefficients(coef, axis)
+            bases.append(basis)
+        lo, hi, n = self.lo, self.hi, self.values.shape
         if self.dim == 1:
-            ax = axes[0]
-            if ax.size >= 4:
-                spline = CubicSpline(ax, self.values, extrapolate=False)
+            # per-interval power coefficients, highest power first for
+            # Horner, one contiguous row per power
+            table = np.lib.stride_tricks.sliding_window_view(coef, 4) @ bases[0]
+            powers = np.ascontiguousarray(table.T[::-1])
 
-                def f1(pts):
-                    t = np.asarray(pts)[..., 0]
-                    v = spline(t)
-                    return np.fmax(v, 0.0, out=v)  # NaN outside the box -> 0
+            def f1(pts):
+                i, u, inside = _locate(np.asarray(pts)[..., 0], lo[0], hi[0], n[0])
+                v = powers[0].take(i)
+                for c in powers[1:]:
+                    v *= u
+                    v += c.take(i)
+                return _clip_to_box(v, inside)
 
-                return f1
+            return f1
 
-            def f1_lin(pts):
-                t = np.asarray(pts)[..., 0]
-                v = np.interp(t, ax, self.values)
-                inside = (t >= ax[0]) & (t <= ax[-1])
-                return np.where(inside, np.clip(v, 0.0, None), 0.0)
-
-            return f1_lin
-
-        ax0, ax1 = axes
-        kx = 3 if ax0.size >= 4 else 1
-        ky = 3 if ax1.size >= 4 else 1
-        spline = RectBivariateSpline(ax0, ax1, self.values, kx=kx, ky=ky)
+        # the 4 x 4 coefficients acting on each cell, as a view of the grid
+        patches = np.lib.stride_tricks.sliding_window_view(coef, (4, 4))
 
         def f2(pts):
             pts = np.asarray(pts)
-            x, y = pts[..., 0], pts[..., 1]
-            v = spline.ev(x.ravel(), y.ravel()).reshape(x.shape)
-            inside = (
-                (x >= ax0[0]) & (x <= ax0[-1]) & (y >= ax1[0]) & (y <= ax1[-1])
-            )
-            return np.where(inside, np.clip(v, 0.0, None), 0.0)
+            ix, ux, in_x = _locate(pts[..., 0], lo[0], hi[0], n[0])
+            iy, uy, in_y = _locate(pts[..., 1], lo[1], hi[1], n[1])
+            wx, wy = _weights(ux, bases[0]), _weights(uy, bases[1])
+            v = np.einsum("...k,...kl,...l->...", wx, patches[ix, iy], wy)
+            return _clip_to_box(v, in_x & in_y)
 
         return f2
 
@@ -147,6 +145,97 @@ class GridFunction:
         shape = tuple(doc["points_per_axis"])
         values = np.asarray(doc["values"], dtype=float).reshape(shape)
         return cls(np.asarray(doc["lo"]), np.asarray(doc["hi"]), values)
+
+
+# -- uniform-grid splines ---------------------------------------------------------
+
+# Rows: the four coefficients a_{i-1} .. a_{i+2} that act on interval i of a
+# uniform grid; columns: the powers u^0 .. u^3 of the offset u in [0, 1] into
+# it. The cubic rows are the uniform cubic B-splines; the linear rows read
+# the values themselves, padded by one zero at each end.
+_CUBIC_BASIS = np.array([[1, -3, 3, -1], [4, 0, -6, 3], [1, 3, 3, -3], [0, 0, 0, 1]]) / 6.0
+_LINEAR_BASIS = np.array([[0, 0, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
+
+
+def _axis_coefficients(values: np.ndarray, axis: int):
+    """Coefficients along one axis (N + 2 for N points) and the basis they
+    go with: the not-a-knot cubic from 4 points on, else linear."""
+    v = np.moveaxis(values, axis, 0)
+    if len(v) < 4:
+        pad = np.zeros((1,) + v.shape[1:])
+        coef, basis = np.concatenate([pad, v, pad]), _LINEAR_BASIS
+    else:
+        coef, basis = _not_a_knot(v), _CUBIC_BASIS
+    return np.ascontiguousarray(np.moveaxis(coef, 0, axis)), basis
+
+
+def _not_a_knot(f: np.ndarray) -> np.ndarray:
+    """B-spline coefficients a_{-1} .. a_N (axis 0) of the not-a-knot cubic
+    through f_0 .. f_{N-1} on a uniform grid, N >= 4; trailing axes of f are
+    independent right-hand sides.
+
+    Interpolation reads (a_{i-1} + 4 a_i + a_{i+1}) / 6 = f_i. Not-a-knot
+    makes [x_0, x_2] one cubic, whose coefficient a_1 is its value at x_1
+    less h^2/6 times its second derivative there, which the central
+    difference gives exactly: a_1 = (8 f_1 - f_0 - f_2) / 6, and a_{N-2}
+    likewise. Rows 2 .. N-3 then form a (1, 4, 1) tridiagonal system for
+    a_2 .. a_{N-3}, solved by one Thomas sweep; rows 1, 0 and N-2, N-1 give
+    the two outer coefficients at each end."""
+    # Python floats for one right-hand side, else array rows: the sweep is
+    # sequential, and a numpy call per scalar would cost more than the sweep
+    rows = f.tolist() if f.ndim == 1 else list(f)
+    first = (8.0 * rows[1] - rows[0] - rows[2]) / 6.0
+    last = (8.0 * rows[-2] - rows[-3] - rows[-1]) / 6.0
+    x = [6.0 * r for r in rows[2:-2]]
+    if x:
+        x[0] = x[0] - first
+        x[-1] = x[-1] - last
+        pivots = [0.25]  # inverse pivots of the forward elimination
+        x[0] = x[0] * 0.25
+        for k in range(1, len(x)):
+            pivots.append(1.0 / (4.0 - pivots[-1]))
+            x[k] = (x[k] - x[k - 1]) * pivots[k]
+        for k in range(len(x) - 2, -1, -1):
+            x[k] = x[k] - pivots[k] * x[k + 1]
+    inner = [first, *x, last]  # a_1 .. a_{N-2}
+    a0 = 6.0 * rows[1] - 4.0 * inner[0] - inner[1]
+    an = 6.0 * rows[-2] - 4.0 * inner[-1] - inner[-2]
+    return np.array(
+        [6.0 * rows[0] - 4.0 * a0 - inner[0], a0, *inner, an, 6.0 * rows[-1] - 4.0 * an - inner[-1]]
+    )
+
+
+def _locate(t: np.ndarray, lo: float, hi: float, n: int):
+    """Interval index, offset u in [0, 1] and inside mask of coordinates t on
+    the n-point uniform grid over [lo, hi]. t == hi lies on the last
+    interval, at u = 1; t outside the box reads as the nearest end."""
+    u = np.clip(t, lo, hi, out=np.empty(np.shape(t)))
+    inside = u == t
+    u -= lo
+    u *= (n - 1) / (hi - lo)
+    i = np.floor(u, out=np.empty_like(u))
+    np.minimum(i, n - 2, out=i)
+    u -= i
+    return i.astype(np.intp), u, inside
+
+
+def _weights(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Weights (..., 4) of the four coefficients at offsets u, by Horner."""
+    u = u[..., None]
+    w = u * basis[:, 3]
+    for p in (2, 1):
+        w += basis[:, p]
+        w *= u
+    w += basis[:, 0]
+    return w
+
+
+def _clip_to_box(v, inside: np.ndarray) -> np.ndarray:
+    """Interpolant values clipped at zero and zeroed outside the box."""
+    v = np.asarray(v)
+    np.fmax(v, 0.0, out=v)
+    v *= inside
+    return v
 
 
 def integrate(gf: GridFunction) -> float:
@@ -259,11 +348,17 @@ def direct_integral_check(
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     axes, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
-    log_prod = np.zeros(pts.shape[:-1])
-    for i, gf in zip(datum.active_indices(), fs):
-        f = datum.factors[i]
-        log_prod += f.c * _log0(gf.interpolator()(pts @ f.B.T))
-    lhs = _trapezoid_nd(np.exp(log_prod), axes)
+    flat = pts.reshape(-1, datum.n)
+    factors = [(datum.factors[i], gf.interpolator()) for i, gf in zip(datum.active_indices(), fs)]
+    log_prod = np.zeros(len(flat))
+    for start in range(0, len(flat), _SUPCONV_CHUNK):
+        x = flat[start : start + _SUPCONV_CHUNK]
+        acc = log_prod[start : start + _SUPCONV_CHUNK]
+        for f, itp in factors:
+            vals = _log0(itp(x @ f.B.T))
+            vals *= f.c
+            acc += vals
+    lhs = _trapezoid_nd(np.exp(log_prod).reshape(pts.shape[:-1]), axes)
 
     log_rhs = math.log(constant)
     for i, gf in zip(datum.active_indices(), fs):
@@ -315,15 +410,14 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     return np.zeros((len(Y0), K.shape[1])), np.sqrt(np.sum(r * r, axis=1)), np.zeros(len(Y0), dtype=bool)
 
 
-def _kernel_offsets(T: np.ndarray, K: np.ndarray, spans):
-    """Factor slices of K t for samples T of shape (..., kdim), one at a time.
-    A line is a broadcast product, the fastest form; otherwise one matmul
-    serves every factor, since a matmul on a one-column slice of K takes
+def _kernel_offsets(T: np.ndarray, K: np.ndarray):
+    """K t for samples T of shape (..., kdim), one factor coordinate at a
+    time. A line is a broadcast product, the fastest form; otherwise one
+    matmul serves every coordinate, since a matmul on one column of K takes
     BLAS's matrix-vector path and rounds differently."""
     if K.shape[1] == 1:
-        return (T * K[a:b, 0] for a, b in spans)
-    KT = T @ K.T
-    return (KT[..., a:b] for a, b in spans)
+        return (k * T[..., 0] for k in K[:, 0])
+    return np.moveaxis(T @ K.T, -1, 0)
 
 
 def sup_convolution(
@@ -345,6 +439,10 @@ def sup_convolution(
        resolution points (zero when the segment is empty)
     2  the disc whose radius bounds every feasible t, sampled on a
        resolution^2 grid over its bounding square
+
+    The interpolants see no dead point (one without a decomposition inside
+    the boxes, whose envelope is 0) and, for a plane, no sample outside the
+    boxes.
     """
     fs = _check_functions(datum, fs)
     active = datum.active_indices()
@@ -354,7 +452,6 @@ def sup_convolution(
     if kdim > MAX_KERNEL_DIM:
         raise ValueError(f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}")
     L, K = decomposition_map(datum)
-    W = np.linalg.pinv(L)
 
     interps = [gf.interpolator() for gf in fs]
     lows = np.concatenate([gf.lo for gf in fs])
@@ -364,28 +461,46 @@ def sup_convolution(
 
     lo, hi = np.full(datum.n, -box), np.full(datum.n, box)
     _, pts = _tensor_grid(lo, hi, resolution)
-    flat = pts.reshape(-1, datum.n)
-    out = np.zeros(flat.shape[0])
+    # one product for the whole grid, so that no preimage depends on the
+    # chunk it falls in
+    Y0 = pts.reshape(-1, datum.n) @ np.linalg.pinv(L).T  # (points, sum n_i)
+    out = np.zeros(len(Y0))
 
     base = _sample_base(kdim, resolution)
     chunk = max(1, _SUPCONV_CHUNK // len(base))
-    for start in range(0, flat.shape[0], chunk):
-        Y0 = flat[start : start + chunk] @ W.T  # (chunk, sum n_i)
-        centre, scale, dead = _window(Y0, K, lows, highs)
-        T = centre[:, None, :] + scale[:, None, None] * base  # (chunk, samples, kdim)
+    for start in range(0, len(Y0), chunk):
+        centre, scale, dead = _window(Y0[start : start + chunk], K, lows, highs)
+        # a dead point has no decomposition inside the boxes and stays 0
+        live = start + np.flatnonzero(~dead)
+        centre, scale = centre[~dead], scale[~dead]
+        T = centre[:, None, :] + scale[:, None, None] * base  # (live, samples, kdim)
+        # the decompositions, one (live, samples) array per factor coordinate
+        Y = [y0[:, None] + kt for y0, kt in zip(Y0[live].T, _kernel_offsets(T, K))]
         # a single-point segment lies on the boxes' boundary, which rounding
-        # may cross: clamp it so the interpolators do not read it as outside
-        point = (scale == 0.0) & ~dead
-        # sum_i c_i log f_i over the samples, one factor's slice alive at once
-        logs = None
-        for (a, b), c, itp, t in zip(spans, cs, interps, _kernel_offsets(T, K, spans)):
-            y = Y0[:, None, a:b] + t
-            if point.any():
-                y[point] = np.clip(y[point], lows[a:b], highs[a:b])
-            vals = _log0(itp(y))
+        # may cross: clamp it so that the interpolators read it as inside
+        point = scale == 0.0
+        if point.any():
+            for y, a, b in zip(Y, lows, highs):
+                y[point] = np.clip(y[point], a, b)
+        inside = None
+        if kdim == 2:
+            # the disc's square is mostly outside the boxes: interpolate only
+            # the samples inside every box, the rest keep log 0 = -inf. A
+            # line's segment and a unique decomposition are feasible already.
+            inside = np.ones(T.shape[:2], dtype=bool)
+            for y, a, b in zip(Y, lows, highs):
+                inside &= (y >= a) & (y <= b)
+            Y = [y[inside] for y in Y]
+        # sum_i c_i log f_i over the samples, one factor at a time
+        logs = np.zeros(Y[0].shape)
+        for (a, b), c, itp in zip(spans, cs, interps):
+            vals = _log0(itp(np.stack(Y[a:b], axis=-1)))
             vals *= c
-            logs = vals if logs is None else np.add(logs, vals, out=logs)
-        out[start : start + chunk] = np.where(dead, 0.0, np.exp(logs.max(axis=1)))
+            logs += vals
+        if inside is not None:
+            logs, kept = np.full(inside.shape, -np.inf), logs
+            logs[inside] = kept
+        out[live] = np.exp(logs.max(axis=1))
 
     return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 

@@ -270,8 +270,25 @@ class TestSplit:
 
 
 class TestColdStart:
-    """SciPy is loaded only when a quadrature check builds a spline: every
-    other command runs on numpy alone. One fresh interpreter per case."""
+    """The package runs on numpy alone: no command loads SciPy, the
+    quadrature checks included. One fresh interpreter per case."""
+
+    COMMANDS = """
+D = sys.argv[1] + "/"
+runs = [
+    ["validate", "--datum", D + "young.json"],
+    ["solve", "--datum", D + "young.json"],
+    ["constant", "--datum", D + "young.json"],
+    ["constant", "--datum", D + "infeasible.json"],
+    ["young", "--p", "1.5", "--q", "1.2"],
+    ["split", "--datum", D + "young_pair.json"],
+    ["check-gaussian", "--datum", D + "young.json"],
+    ["check-inf", "--datum", D + "young.json"],
+    ["check-quadrature", "--datum", D + "young.json", "--resolution", "101"],
+    ["bd", "--paths", "4000", "--steps", "32"],
+]
+codes = [main(argv) for argv in runs]
+"""
 
     @staticmethod
     def _run(script: str) -> list:
@@ -289,35 +306,23 @@ import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from blgauss.cli import main
 from blgauss.functional_verify import GridFunction, gaussian_function, integrate
-D = sys.argv[1] + "/"
-runs = [
-    ["validate", "--datum", D + "young.json"],
-    ["solve", "--datum", D + "young.json"],
-    ["constant", "--datum", D + "young.json"],
-    ["constant", "--datum", D + "infeasible.json"],
-    ["young", "--p", "1.5", "--q", "1.2"],
-    ["split", "--datum", D + "young_pair.json"],
-    ["check-gaussian", "--datum", D + "young.json"],
-    ["check-inf", "--datum", D + "young.json"],
-    ["bd", "--paths", "4000", "--steps", "32"],
-]
-codes = [main(argv) for argv in runs]
+""" + self.COMMANDS + """
 gf = GridFunction.from_callable(gaussian_function([[1.0]]), [-6.0], [6.0], 121)
 mass = integrate(gf)
-doc = gf.to_dict()
-print(json.dumps([codes, mass, doc["points_per_axis"]]))
+value = float(gf.interpolator()([[0.05]])[0])
+print(json.dumps([codes, mass, value, gf.to_dict()["points_per_axis"]]))
 """
-        codes, mass, shape = self._run(script)
-        assert codes == [0] * 9
+        codes, mass, value, shape = self._run(script)
+        assert codes == [0] * 10
         assert mass == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
+        assert value == pytest.approx(np.exp(-0.5 * 0.05**2), rel=1e-6)
         assert shape == [121]
 
-    def test_quadrature_check_loads_the_spline_library(self):
+    def test_no_command_loads_scipy(self):
         script = """
 import json, sys
 from blgauss.cli import main
-before = "scipy.interpolate" in sys.modules
-code = main(["check-quadrature", "--datum", sys.argv[1] + "/young.json", "--resolution", "201"])
-print(json.dumps([before, code, "scipy.interpolate" in sys.modules]))
+""" + self.COMMANDS + """
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
-        assert self._run(script) == [False, 0, True]
+        assert self._run(script) == [[0] * 10, []]

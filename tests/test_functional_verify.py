@@ -5,6 +5,7 @@ import pytest
 
 from blgauss import (
     GridFunction,
+    functional_verify,
     box_function,
     bump_function,
     direct_extremizers,
@@ -79,6 +80,7 @@ class TestGridFunction:
         np.testing.assert_allclose(itp(xs[:, None]), gf.values, atol=1e-12)
         assert itp(np.array([[9.5]]))[()] == 0.0
         assert itp(np.array([[-100.0]]))[()] == 0.0
+        assert itp([0.0]).shape == () and itp([0.0]) == pytest.approx(1.0)  # one point
 
     def test_interpolator_clips_negative_overshoot(self):
         # cubic overshoot next to a step must be clipped at zero
@@ -96,6 +98,79 @@ class TestGridFunction:
         v = itp(np.array([[0.5, -0.25]]))[0]
         assert v == pytest.approx(math.exp(-0.5 * (0.25 + 0.0625)), abs=1e-5)
         assert itp(np.array([[8.5, 0.0]]))[0] == 0.0
+
+
+def scipy_interpolate():
+    """SciPy's splines, the reference the numpy interpolant reproduces; the
+    package itself does not need SciPy."""
+    return pytest.importorskip("scipy.interpolate")
+
+
+class TestSplineReference:
+    """GridFunction.interpolator against SciPy's not-a-knot splines, to
+    1e-12 of max |f|, on odd and even grids. Probes: every node, lo and hi
+    exactly, unsorted points across the box and past it."""
+
+    @staticmethod
+    def probes_1d(ax, rng):
+        lo, hi = ax[0], ax[-1]
+        pad = 0.25 * (hi - lo)
+        return np.concatenate([ax, [lo, hi], rng.uniform(lo - pad, hi + pad, 2000)])
+
+    @pytest.mark.parametrize("points", [4, 5, 8, 11, 200, 201])
+    def test_1d_matches_cubic_spline(self, points):
+        si = scipy_interpolate()
+        rng = np.random.default_rng(points)
+        ax = np.linspace(-1.3, 2.7, points)
+        f = np.exp(-ax * ax) + 0.2 * rng.random(points)
+        t = self.probes_1d(ax, rng)
+        ref = si.CubicSpline(ax, f, extrapolate=False)(t)
+        ref = np.where(np.isnan(ref), 0.0, np.fmax(ref, 0.0))  # NaN outside the box
+        got = GridFunction([-1.3], [2.7], f).interpolator()(t[:, None])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(f).max()
+        assert np.all(got[(t < -1.3) | (t > 2.7)] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (11, 8), (60, 61), (3, 7), (7, 2), (2, 3)])
+    def test_2d_matches_rect_bivariate_spline(self, shape):
+        # an axis of fewer than 4 points is linear, as RectBivariateSpline
+        # with k = 1 on that axis
+        si = scipy_interpolate()
+        rng = np.random.default_rng(sum(shape))
+        lo, hi = np.array([-1.0, 0.5]), np.array([2.0, 3.0])
+        axes = [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)]
+        f = rng.random(shape)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+        scatter = rng.uniform(lo - 0.5, hi + 0.5, size=(3000, 2))
+        pts = np.concatenate([nodes, corners, scatter])
+        kx, ky = (3 if k >= 4 else 1 for k in shape)
+        ref = si.RectBivariateSpline(*axes, f, kx=kx, ky=ky, s=0).ev(pts[:, 0], pts[:, 1])
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+        ref = np.where(inside, np.clip(ref, 0.0, None), 0.0)
+        got = GridFunction(lo, hi, f).interpolator()(pts)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(f).max()
+        assert np.all(got[~inside] == 0.0)
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_short_1d_grid_is_linear(self, points):
+        rng = np.random.default_rng(points)
+        ax = np.linspace(0.0, 1.0, points)
+        f = rng.random(points)
+        t = self.probes_1d(ax, rng)
+        ref = np.where((t >= 0.0) & (t <= 1.0), np.interp(t, ax, f), 0.0)
+        got = GridFunction([0.0], [1.0], f).interpolator()(t[:, None])
+        assert np.abs(got - ref).max() <= 1e-12 * f.max()
+
+    def test_overshoot_is_clipped_where_scipy_goes_negative(self):
+        si = scipy_interpolate()
+        ax = np.linspace(-1.0, 1.0, 12)
+        f = np.where(np.abs(ax) < 0.3, 1.0, 0.0)
+        t = np.linspace(-1.0, 1.0, 1001)
+        raw = si.CubicSpline(ax, f, extrapolate=False)(t)
+        assert raw.min() < -1e-2  # the cubic rings below zero next to the step
+        got = GridFunction([-1.0], [1.0], f).interpolator()(t[:, None])
+        assert got.min() == 0.0
+        assert np.abs(got - np.fmax(raw, 0.0)).max() <= 1e-12
 
 
 class TestIntegrate:
@@ -276,7 +351,7 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
 
 class TestSupConvolution:
     def test_young_matches_dense_reference(self):
-        # 71^2 grid points in chunks of 250_000 // 71 = 3521: the last is partial
+        # 71^2 grid points in chunks of 65_536 // 71 = 923: the last is partial
         _, d = young_flagship()
         fs = [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])]
         env = sup_convolution(d, fs, resolution=71)
@@ -306,7 +381,7 @@ class TestSupConvolution:
 
     def test_kdim2_matches_dense_reference_on_a_line(self):
         # three identities on the line; 81 grid points of 81^2 samples in
-        # chunks of 250_000 // 81^2 = 38: the last is partial
+        # nine chunks of 65_536 // 81^2 = 9
         d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
         fs = [grid_gaussian([[1.3]], points=401)] * 3
         env = sup_convolution(d, fs, resolution=81)
@@ -314,7 +389,7 @@ class TestSupConvolution:
 
     def test_kdim2_matches_dense_reference_in_the_plane(self):
         # four coordinate factors on R^2; 31^2 grid points in chunks of
-        # 250_000 // 31^2 = 260: the last is partial
+        # 65_536 // 31^2 = 68: the last is partial
         d = make_datum(
             2, [0.5] * 4, [np.eye(2)[:1], np.eye(2)[1:], np.eye(2)[:1], np.eye(2)[1:]]
         )
@@ -348,6 +423,53 @@ class TestSupConvolution:
         )
         assert env.values[k] == pytest.approx(want, rel=1e-14)
         assert np.array_equal(env.values, dense_sup_convolution(d, fs, 33))
+
+    @staticmethod
+    def kernel_cases():
+        """One datum per kernel dimension: (datum, functions, resolution)."""
+        _, young = young_flagship()
+        line3 = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
+        rotated = make_datum(2, [1.0], [np.array([[1.0, 0.4], [-0.2, 1.1]])])
+        return [
+            (rotated, [grid_gaussian([[1.2, 0.3], [0.3, 0.8]], points=101)], 31),
+            (young, [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])], 41),
+            (line3, [grid_gaussian([[1.3]], points=401)] * 3, 41),
+        ]
+
+    @pytest.mark.parametrize("kdim", [0, 1, 2])
+    def test_one_point_chunks_are_bit_identical(self, kdim, monkeypatch):
+        d, fs, res = self.kernel_cases()[kdim]
+        env = sup_convolution(d, fs, resolution=res)
+        monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", 1)
+        assert np.array_equal(sup_convolution(d, fs, resolution=res).values, env.values)
+
+    @pytest.mark.parametrize("kdim", [0, 1, 2])
+    def test_dead_points_and_outside_samples_are_not_interpolated(self, kdim, monkeypatch):
+        # count the samples each factor's interpolant is asked for: a dead
+        # point (kdim 1) and a sample outside some box (kdim 2) cost nothing,
+        # and the envelope is still the dense reference
+        d, fs, res = self.kernel_cases()[kdim]
+        ref = dense_sup_convolution(d, fs, res)
+        asked = []
+        build = GridFunction.interpolator
+
+        def counted(gf):
+            itp = build(gf)
+
+            def f(pts):
+                asked.append(np.asarray(pts).size // gf.dim)
+                return itp(pts)
+
+            return f
+
+        monkeypatch.setattr(GridFunction, "interpolator", counted)
+        env = sup_convolution(d, fs, resolution=res)
+        assert np.array_equal(env.values, ref)
+        every = len(fs) * res**d.n * res**kdim  # each factor, every point, every sample
+        if kdim == 0:
+            assert sum(asked) == every
+        else:
+            assert 0 < sum(asked) < (0.9 if kdim == 1 else 0.5) * every
 
     def test_single_identity_factor_reproduces_input(self):
         d = make_datum(1, [1.0], [np.eye(1)])
