@@ -22,8 +22,9 @@ from blgauss import (
 
 A = np.array([[1.0, 0.3], [0.3, 0.8]])
 config = BrownianConfig(A=A, horizon=1.0, steps=128, paths=50_000, seed=1729)
-WT = terminal_points(config)  # W_T only: the estimators never read whole paths
-print(f"simulated {config.paths} paths, {config.steps} steps, covariance rate A cond {np.linalg.cond(A):.2f}")
+WT = terminal_points(config)  # W_T ~ N(0, T A) drawn directly: the estimators never read whole paths
+print(f"drew {config.paths} terminal points W_T, drift quadrature on {config.steps} steps, "
+      f"covariance rate A cond {np.linalg.cond(A):.2f}")
 
 b = np.array([1.0, 0.5])
 g = linear_g(b)

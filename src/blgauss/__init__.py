@@ -70,7 +70,6 @@ from .stochastic import (
     linear_g,
     mc_log_mgf,
     quadratic_g,
-    simulate,
     terminal_points,
 )
 from .structure import (
@@ -155,7 +154,6 @@ __all__ = [
     "sample_spd_stack",
     "sample_tuple",
     "save_datum",
-    "simulate",
     "solve",
     "sup_convolution",
     "sweep_direct",

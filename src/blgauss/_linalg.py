@@ -36,8 +36,8 @@ def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     by eigenvalue. Raises ValueError on failure.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
     scale = np.abs(M).max()
     if scale == 0.0:
         raise ValueError(f"{name} is zero, not positive definite")
@@ -81,7 +81,8 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nda
     # factor; skipping LAPACK there gives the same values with less overhead
     w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
     lo, hi = w[..., 0], w[..., -1]
-    bad = (lo <= 0.0) | (hi > COND_LIMIT * lo)
+    # hi / COND_LIMIT cannot overflow where COND_LIMIT * lo can
+    bad = (lo <= 0.0) | (hi / COND_LIMIT > lo)
     if bad.any():
         j = first(bad)
         raise IllConditionedError(

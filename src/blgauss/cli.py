@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datum", default=None, help="use the solved covariance of this datum")
     p.add_argument("--dim", type=int, default=1, help="dimension when no datum is given")
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=128)
+    p.add_argument("--steps", type=int, default=128,
+                   help="time steps of the drift quadrature; W_T does not depend on it")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write a JSON report here")

@@ -197,13 +197,23 @@ class TestBd:
         assert lines[0] == "label,estimate,stderr,closed_form,z"
         assert len(lines) > 5
 
-    def test_single_path_exits_2_without_warnings(self, capsys):
-        # one path has no sample standard deviation; reject it as bad input
+    @pytest.mark.parametrize("argv, message", [
+        # one path has no sample standard deviation
+        (["--paths", "1", "--steps", "8"], "paths must be at least 2"),
+        # the ramp drift's U_T and the quadratic payoffs overflow
+        (["--horizon", "1e300", "--paths", "100", "--steps", "2"], "horizon 1e+300 is out of range"),
+        # every exp(g - max g) rounds to 1, so the standard error is 0
+        (["--horizon", "1e-300", "--paths", "100", "--steps", "2"], "horizon 1e-300 is out of range"),
+        (["--dim", "0", "--paths", "100", "--steps", "2"], "must be a non-empty square matrix"),
+    ], ids=["one-path", "huge-horizon", "tiny-horizon", "dim-0"])
+    def test_bad_input_exits_2_without_warnings(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["bd", "--paths", "1", "--steps", "8"]) == 2
+            assert main(["bd", *argv]) == 2
         captured = capsys.readouterr()
-        assert "paths must be at least 2" in captured.err
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
         assert captured.out == ""
 
     def test_datum_covariance_run(self, tmp_path):

@@ -14,7 +14,6 @@ from blgauss import (
     linear_g,
     mc_log_mgf,
     quadratic_g,
-    simulate,
     terminal_points,
 )
 
@@ -50,53 +49,41 @@ class TestConfig:
         assert c.dt == 0.25
 
 
-class TestSimulate:
-    def test_shape_and_start(self):
-        c = small_config(paths=16, steps=10)
-        W = simulate(c)
-        assert W.shape == (16, 11, 2)
-        np.testing.assert_array_equal(W[:, 0, :], 0.0)
-
-    def test_seed_reproducibility(self):
-        a = simulate(small_config(paths=8))
-        b = simulate(small_config(paths=8))
-        np.testing.assert_array_equal(a, b)
-
-    def test_terminal_covariance(self):
-        # W_T ~ N(0, T A); sample covariance must agree loosely
-        c = small_config(paths=20000, steps=16)
-        WT = simulate(c)[:, -1, :]
-        cov = np.cov(WT.T)
-        np.testing.assert_allclose(cov, c.horizon * A2, atol=0.05)
-
-    def test_increment_covariance(self):
-        c = small_config(paths=20000, steps=4)
-        W = simulate(c)
-        inc = W[:, 1, :] - W[:, 0, :]
-        np.testing.assert_allclose(np.cov(inc.T), c.dt * A2, atol=0.02)
-
-
 class TestTerminalPoints:
     @pytest.mark.parametrize(
-        "n, steps, paths",
+        "n, steps, paths, horizon",
         [
-            (1, 64, 5000),  # several path chunks, the last one partial
-            (3, 64, 5000),
-            (3, 1, 5000),
-            (2, 128, 2049),
+            (1, 64, 5000, 1.0),
+            (3, 64, 5000, 0.3),
+            (3, 1, 5000, 2.5),
+            (2, 128, 2049, 1.0),
         ],
     )
-    def test_equals_last_row_of_simulate(self, n, steps, paths):
+    def test_is_one_scaled_gaussian_draw(self, n, steps, paths, horizon):
+        # W_T = sqrt(T) Z L^T, Z one (paths, n) standard normal draw
         A = np.eye(n) + 0.2 * np.ones((n, n))
-        c = BrownianConfig(A=A, steps=steps, paths=paths, seed=7)
+        c = BrownianConfig(A=A, horizon=horizon, steps=steps, paths=paths, seed=7)
+        Z = np.random.default_rng(7).standard_normal((paths, n))
         WT = terminal_points(c)
         assert WT.shape == (paths, n)
-        assert np.array_equal(WT, simulate(c)[:, -1, :])
+        assert np.array_equal(WT, math.sqrt(horizon) * Z @ np.linalg.cholesky(A).T)
+
+    def test_seed_reproducibility(self):
+        a = terminal_points(small_config(paths=8))
+        b = terminal_points(small_config(paths=8))
+        np.testing.assert_array_equal(a, b)
+
+    def test_covariance_is_horizon_times_A(self):
+        # W_T ~ N(0, T A) with T != 1 and a coarse grid, so a leftover
+        # sqrt(dt) scaling (covariance dt A = 0.36 A) cannot pass
+        c = small_config(horizon=2.5, steps=7, paths=20000)
+        cov = np.cov(terminal_points(c).T)
+        np.testing.assert_allclose(cov, 2.5 * A2, atol=0.1)
 
     def test_estimators_default_to_terminal_points(self):
         c = small_config(paths=3000)
         g = quadratic_g(np.diag([0.7, 1.2]))
-        WT = simulate(c)[:, -1, :]
+        WT = terminal_points(c)
         assert mc_log_mgf(c, g) == mc_log_mgf(c, g, terminal=WT)
         policy = DriftPolicy.constant([0.2, -0.1])
         assert drift_value(c, g, policy) == drift_value(c, g, policy, terminal=WT)
@@ -104,10 +91,11 @@ class TestTerminalPoints:
     def test_rejects_path_arrays(self):
         c = small_config(paths=16, steps=8)
         with pytest.raises(ValueError, match="terminal must have shape"):
-            mc_log_mgf(c, linear_g([1.0, 0.0]), terminal=simulate(c))
+            mc_log_mgf(c, linear_g([1.0, 0.0]), terminal=np.zeros((16, 9, 2)))
 
     def test_suite_never_builds_a_path_array(self):
-        # the (paths, steps+1, n) array would take 206 MB here
+        # a few (paths, n) arrays at most; one normal per path, step and
+        # coordinate would take 205 MB here
         c = BrownianConfig(A=A2, steps=128, paths=100_000, seed=11)
         tracemalloc.start()
         try:
@@ -115,7 +103,7 @@ class TestTerminalPoints:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * c.paths * c.n * 8
 
 
 class TestDriftPolicy:
@@ -163,6 +151,13 @@ class TestClosedForms:
         _, ld = np.linalg.slogdet(np.eye(2) + 1.5 * A2 @ Q)
         assert closed_form_quadratic(A2, Q, 1.5) == pytest.approx(-0.5 * ld, rel=1e-12)
 
+    def test_quadratic_g_matches_pointwise_form(self):
+        Q = np.array([[0.9, -0.4], [0.2, 0.3]])
+        x = np.random.default_rng(3).standard_normal((50, 2))
+        expected = [-0.5 * float(xi @ Q @ xi) for xi in x]
+        np.testing.assert_allclose(quadratic_g(Q)(x), expected, rtol=1e-13, atol=1e-15)
+        assert quadratic_g(Q)(x[0]) == pytest.approx(expected[0], rel=1e-13)
+
     def test_mc_agrees_with_linear(self):
         c = small_config(paths=40000)
         b = np.array([0.8, -0.4])
@@ -180,23 +175,23 @@ class TestDriftValue:
     def test_zero_drift_is_plain_mean(self):
         c = small_config()
         b = np.array([1.0, 0.0])
-        W = simulate(c)
-        est, _ = drift_value(c, linear_g(b), DriftPolicy.zero(), terminal=W[:, -1, :])
-        assert est == pytest.approx(float(W[:, -1, 0].mean()), abs=1e-12)
+        WT = terminal_points(c)
+        est, _ = drift_value(c, linear_g(b), DriftPolicy.zero(), terminal=WT)
+        assert est == pytest.approx(float(WT[:, 0].mean()), abs=1e-12)
 
     def test_every_policy_is_a_lower_bound(self):
         c = small_config(paths=20000)
         b = np.array([0.8, -0.4])
         g = linear_g(b)
-        W = simulate(c)
-        mc, mc_se = mc_log_mgf(c, g, terminal=W[:, -1, :])
+        WT = terminal_points(c)
+        mc, mc_se = mc_log_mgf(c, g, terminal=WT)
         for policy in (
             DriftPolicy.zero(),
             DriftPolicy.constant(A2 @ b),
             DriftPolicy.constant(0.3 * (A2 @ b)),
             DriftPolicy.linear_in_time(np.stack([0.2 * b, 0.5 * b], axis=1)),
         ):
-            dv, dv_se = drift_value(c, g, policy, terminal=W[:, -1, :])
+            dv, dv_se = drift_value(c, g, policy, terminal=WT)
             assert dv <= mc + 3.0 * math.hypot(dv_se, mc_se)
 
     def test_optimal_drift_attains_closed_form(self):
@@ -225,17 +220,12 @@ class TestDriftValue:
 
 
 class TestDiscretization:
-    def test_coarsened_paths_share_terminal_points(self):
-        # halving the grid by taking every other point must preserve W_T,
-        # so estimates depend on the grid only through the drift quadrature
-        c = small_config(paths=500, steps=128)
-        W = simulate(c)
-        W64 = W[:, ::2, :]
-        c64 = small_config(paths=500, steps=64)
-        b = np.array([0.8, -0.4])
-        full, _ = mc_log_mgf(c, linear_g(b), terminal=W[:, -1, :])
-        half, _ = mc_log_mgf(c64, linear_g(b), terminal=W64[:, -1, :])
-        assert full == pytest.approx(half, abs=1e-12)
+    def test_terminal_points_do_not_depend_on_steps(self):
+        # W_T is drawn exactly, so estimates depend on the grid only
+        # through the drift quadrature
+        WT = [terminal_points(small_config(paths=500, steps=steps)) for steps in (1, 7, 128)]
+        assert np.array_equal(WT[0], WT[1])
+        assert np.array_equal(WT[0], WT[2])
 
 
 class TestBuiltinSuite:
