@@ -5,16 +5,18 @@ point itself, check-gaussian / check-quadrature / check-inf / bd for the
 independent verification layers, young and split for the closed-form test
 bed and critical-subspace splitting.
 
-Exit codes: 0 success, 1 a check was violated (or a solve was inconclusive),
-2 bad input. Reports written via --out are deterministic for a fixed
-command line: seeds default to fixed constants and every report embeds the
-datum digest, the options used, the seed, and the library version.
+Exit codes: 0 success, 1 a check was violated or a solve was inconclusive
+(or +inf where a finite constant is needed), 2 bad input. Reports written
+via --out are deterministic for a fixed command line: seeds default to fixed
+constants and every report embeds the datum digest, the options used, the
+seed, and the library version.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,7 +25,8 @@ from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
 from .functional_verify import (MAX_KERNEL_DIM, GridFunction, direct_integral_check, gaussian_function,
                                 reverse_integral_check)
-from .gaussian_solver import DEFAULT_MAX_ITER, DEFAULT_TOL, direct_extremizers, reverse_extremizers, solve
+from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
+                              reverse_extremizers, solve)
 from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
                               sweep_reverse)
 from .quadform import check_inf
@@ -76,6 +79,15 @@ def _solve_args(args) -> dict:
     return {"tol": args.tol, "max_iter": args.max_iter}
 
 
+def _verdict(res: SolveResult, inf_ok: bool) -> SolveResult:
+    """The one reading of a solve's verdict: pass it through when it converged,
+    or found +inf and `inf_ok`; else raise ConvergenceError saying why."""
+    if res.converged or (inf_ok and res.constant == math.inf):
+        return res
+    raise ConvergenceError("the constant is +inf" if res.constant == math.inf
+                           else "the solve was inconclusive")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -101,10 +113,8 @@ def cmd_solve(args) -> int:
     if args.trace:
         res.write_trace_csv(args.trace)
     _write_report(args, {"result": res.to_dict()}, datum)
-    if res.converged or res.constant == float("inf"):
-        return 0
-    print("solve was inconclusive within the iteration budget", file=sys.stderr)
-    return 1
+    _verdict(res, inf_ok=True)
+    return 0
 
 
 def cmd_constant(args) -> int:
@@ -112,9 +122,8 @@ def cmd_constant(args) -> int:
     res = solve(datum, **_solve_args(args))
     print(f"{res.constant!r}")
     _write_report(args, {"constant": res.constant, "converged": res.converged}, datum)
-    if res.converged or res.constant == float("inf"):
-        return 0
-    return 1
+    _verdict(res, inf_ok=True)
+    return 0
 
 
 def cmd_check_gaussian(args) -> int:
@@ -123,10 +132,7 @@ def cmd_check_gaussian(args) -> int:
         constant = args.constant
         ext_direct = ext_reverse = ext_dual = None
     else:
-        res = solve(datum, **_solve_args(args))
-        if not res.converged:
-            print("solver did not converge; no constant to check", file=sys.stderr)
-            return 1
+        res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
         constant = res.constant
         ext_direct = direct_extremizers(datum, res.A)
         ext_reverse, ext_dual = reverse_extremizers(datum, res.A)
@@ -156,11 +162,7 @@ def cmd_check_quadrature(args) -> int:
     datum = load_datum(args.datum)
     if datum.n > 2:
         raise DatumError("quadrature checks support ambient dimension 1 and 2 only")
-    res = solve(datum, **_solve_args(args))
-    if not res.converged:
-        print("solver did not converge; no constant to check", file=sys.stderr)
-        return 1
-
+    res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
     payload = {"constant": res.constant, "checks": {}}
     failed = False
 
@@ -194,6 +196,8 @@ def cmd_check_quadrature(args) -> int:
 
 
 def cmd_check_inf(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"instances must be at least 1, got {args.instances}")
     datum = load_datum(args.datum)
     rng = np.random.default_rng(args.seed)
     failed = False
@@ -217,11 +221,7 @@ def cmd_check_inf(args) -> int:
 def cmd_bd(args) -> int:
     if args.datum:
         datum = load_datum(args.datum)
-        res = solve(datum)
-        if not res.converged:
-            print("solver did not converge; no covariance to simulate", file=sys.stderr)
-            return 1
-        A = res.A
+        A = _verdict(solve(datum), inf_ok=False).A
     else:
         datum = None
         A = np.eye(args.dim)
@@ -261,7 +261,7 @@ def cmd_young(args) -> int:
         e = YoungExponents(args.p, args.q, args.r)
     datum = datum_from_exponents(e)
     A = closed_form_A(e)
-    res = solve(datum, **_solve_args(args))
+    res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
     c1, c2, c3 = e.weights
     print(f"p={e.p} q={e.q} r={e.r}  weights=({c1:.6f}, {c2:.6f}, {c3:.6f})")
     print("closed-form A (det-normalized):")
@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     except (DatumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

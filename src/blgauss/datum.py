@@ -155,14 +155,14 @@ class DatumDiagnostics:
         }
 
 
-def validate(datum: BLDatum, tol: float = RANK_TOL) -> DatumDiagnostics:
+def validate(datum: BLDatum) -> DatumDiagnostics:
     """Check a datum and summarize it. Raises DatumError for a non-zero map
     that is not onto; zero maps are legal and merely flagged."""
     zero_idx = [i for i, f in enumerate(datum.factors) if f.is_zero()]
     active = [i for i in range(datum.m) if i not in zero_idx]
     for i in active:
         f = datum.factors[i]
-        r = numerical_rank(f.B, tol)
+        r = numerical_rank(f.B, RANK_TOL)
         if r < f.target_dim:
             raise DatumError(
                 f"factor {i} has rank {r} < target dimension {f.target_dim}; "
@@ -171,18 +171,18 @@ def validate(datum: BLDatum, tol: float = RANK_TOL) -> DatumDiagnostics:
     defect = sum(datum.factors[i].c * datum.factors[i].target_dim for i in active) - datum.n
     if active:
         stacked = np.vstack([datum.factors[i].B for i in active])
-        degenerate = numerical_rank(stacked, tol) < datum.n
+        degenerate = numerical_rank(stacked, RANK_TOL) < datum.n
     else:
         degenerate = True
     return DatumDiagnostics(
         homogeneity_defect=float(defect),
         degenerate=bool(degenerate),
-        frame=is_frame(datum, tol),
+        frame=is_frame(datum),
         zero_map_indices=zero_idx,
     )
 
 
-def is_frame(datum: BLDatum, tol: float = RANK_TOL) -> bool:
+def is_frame(datum: BLDatum) -> bool:
     """True when each non-zero B_i has orthonormal rows and the weighted sum
     of B_i^T B_i is the identity. Zero maps are ignored."""
     active = datum.active_indices()
@@ -192,10 +192,10 @@ def is_frame(datum: BLDatum, tol: float = RANK_TOL) -> bool:
     for i in active:
         f = datum.factors[i]
         gram = f.B @ f.B.T
-        if np.abs(gram - np.eye(f.target_dim)).max() > tol:
+        if np.abs(gram - np.eye(f.target_dim)).max() > RANK_TOL:
             return False
         total += f.c * (f.B.T @ f.B)
-    return bool(np.abs(total - np.eye(datum.n)).max() <= tol)
+    return bool(np.abs(total - np.eye(datum.n)).max() <= RANK_TOL)
 
 
 def direct_sum(a: BLDatum, b: BLDatum) -> BLDatum:

@@ -18,9 +18,10 @@ negative Hessian -Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i. Truncated
 conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H,
 an Armijo line search on F picks t, and K <- K exp(tH/2) keeps det(A) = 1.
 The loop never forms or factors A: the line search hands back the accepted
-K with its whitening, and one SVD of K gives logdet(A) and the residual. An
-objective unbounded above (no finite constant) is detected heuristically
-and reported as +inf rather than raised.
+K with its whitening, and one SVD of K gives logdet(A) and the residual.
++inf (no finite constant) is reported only on evidence: a degenerating
+iterate, a failed line search while F rises far from stationarity, or
+exp(F/2) <= C past the float range. Anything else unconverged is inconclusive.
 
 _whiten factors B_i A B_i^T in two passes of stacked Cholesky and triangular
 solve per factor group (datum.factor_groups), for the loop, its line search
@@ -46,8 +47,7 @@ DEFAULT_MAX_ITER = 10_000
 # supremum with equality anywhere; refuse instead of iterating.
 HOMOGENEITY_TOL = 1e-9
 
-# Divergence heuristics on the det-1 iterate.
-OBJECTIVE_LIMIT = 1e3
+# An eigenvalue of the det-1 iterate below this is a degenerating A: +inf.
 MIN_EIGENVALUE = 1e-12
 
 # Relative gradient past which bl_constant warns and a failed rising search is +inf.
@@ -265,9 +265,11 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     Returns
     -------
     SolveResult
-        A has determinant 1. `constant` is +inf when the iteration diagnosed
-        an unbounded objective (no finite constant); `converged` is False
-        both then and on an inconclusive budget exhaustion.
+        A has determinant 1. Converged: `constant` is the constant. Otherwise
+        `converged` is False and `constant` is +inf when the run found the
+        objective unbounded above (no finite constant), or else the best
+        estimate exp(F/2) of an inconclusive run (NaN when an ill-conditioned
+        factor stopped it at the start).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -286,20 +288,25 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
 
 def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveResult:
     """Newton iterations on the factor K of a det-1 A = K K^T. An ill-conditioned
-    B_i A B_i^T at the start, or a singular value of K below sqrt(MIN_EIGENVALUE),
-    is +inf before the row of k is written. After it, a residual at most tol
-    converges and an objective above OBJECTIVE_LIMIT is +inf. A failed line search
-    is +inf while the objective rises with a residual above STATIONARITY_WARN (below
-    it, rounding stops the search), and otherwise ends in the budget verdict."""
+    B_i A B_i^T at the start is inconclusive with a NaN constant, and a singular
+    value of K below sqrt(MIN_EIGENVALUE) is +inf, both before the row of k is
+    written. After it, a residual at most tol converges. A failed line search is
+    +inf while the objective rises with a residual above STATIONARITY_WARN (below
+    it, rounding stops the search); otherwise it, like a spent budget, ends the
+    run inconclusive with the last estimate."""
     groups = factor_groups(datum)
     trace: list[tuple[int, float, float]] = []
 
-    def end(constant: float, res: float, k: int, converged: bool = False) -> SolveResult:
+    def end(obj: float, res: float, k: int, converged: bool = False) -> SolveResult:
+        try:
+            constant = math.exp(0.5 * obj)
+        except OverflowError:  # exp(F/2) <= C at every A, so C is past the float range too
+            constant, converged = math.inf, False
         return SolveResult(sym(K @ K.T), constant, res, k, converged, trace)
     try:
         Ys, Qbar, lds = _whiten(groups, K)
     except IllConditionedError:
-        return end(math.inf, math.nan, 0)
+        return end(math.nan, math.nan, 0)
     for k in range(max_iter):
         _, s, Vt = np.linalg.svd(K)
         if s[-1] ** 2 < MIN_EIGENVALUE:
@@ -311,9 +318,7 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
         res = float(np.linalg.norm((Vt @ E @ Vt.T) / np.outer(s, s)) / np.linalg.norm(s ** -2.0))
         trace.append((k, res, obj))
         if res <= tol:
-            return end(math.exp(0.5 * obj), res, k, True)
-        if obj > OBJECTIVE_LIMIT:
-            return end(math.inf, res, k)
+            return end(obj, res, k, True)
         G = _traceless(E)
         step = _line_search(groups, K, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
         if step is None:
@@ -321,11 +326,5 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
                 return end(math.inf, res, k)
             break
         K, (Ys, Qbar, lds) = step
-
-    # Budget verdict. Divergence along a ray shows up as a rising objective
-    # together with a stagnant residual; a residual that is still shrinking
-    # means the run was merely slow, and the best estimate is returned as
-    # inconclusive. Every row but that of a failed search took a step.
-    _, res, obj = trace[-1]
-    diverging = _rising(trace) and len(trace) >= 10 and res > 0.5 * trace[len(trace) // 2][1]
-    return end(math.inf if diverging else math.exp(0.5 * obj), res, len(trace) - (step is None))
+    # every row but that of a failed search took a step
+    return end(obj, res, len(trace) - (step is None))

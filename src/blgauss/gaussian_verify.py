@@ -42,6 +42,9 @@ VIOLATION_RTOL = 1e-9
 # fixes which sample every seed produces.
 _BLOCKS = 16
 
+# Ascents per gaussian_constant_search, and the relative gradient that stops one.
+_RESTARTS, _ASCENT_GTOL = 4, 1e-9
+
 
 def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n, n) stack of random SPD matrices G G^T + 1e-6 I, each
@@ -136,6 +139,8 @@ def logdet_duality_check(A: np.ndarray, B: np.ndarray) -> float:
 
 def _sweep(datum, constant, kernel, draw, samples, seed, at_extremizer):
     """Evaluate `kernel` on the samples `draw(rng, count)` of every RNG block."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     base, extra = divmod(samples, _BLOCKS)
     groups = factor_groups(datum)
     ratios = np.concatenate([
@@ -146,7 +151,7 @@ def _sweep(datum, constant, kernel, draw, samples, seed, at_extremizer):
     return VerificationReport(
         samples=int(ratios.size),
         violations=int(np.sum(ratios > 1.0 + VIOLATION_RTOL)),
-        worst_ratio=float(ratios.max()) if ratios.size else 1.0,
+        worst_ratio=float(ratios.max()),
         equality_gap=None if at_extremizer is None else abs(1.0 - at_extremizer),
         seed=seed,
     ), ratios
@@ -199,19 +204,14 @@ def sweep_dual(
 
 # -- independent lower bound for the constant ----------------------------------
 
-def gaussian_constant_search(
-    datum: BLDatum,
-    iters: int = 400,
-    seed: int = DEFAULT_SEED,
-    restarts: int = 4,
-) -> float:
+def gaussian_constant_search(datum: BLDatum, iters: int = 400) -> float:
     """Best constant found by plain gradient ascent of the log-det objective
     over SPD matrices, parameterized as A = exp(S) with S symmetric.
 
     Deliberately ignorant of the solver: the objective and its gradient come
     from harmonic_sum, not the solver's whitening, so this is an independent
-    bound the solver's constant is compared against. The first restart
-    starts at the identity, the rest at random symmetric S.
+    bound the solver's constant is compared against. The first of _RESTARTS
+    ascents starts at the identity, the rest at random symmetric S.
     """
     diag = validate(datum)
     if diag.degenerate:
@@ -220,9 +220,9 @@ def gaussian_constant_search(
         raise DatumError("inhomogeneous datum: no finite positive constant")
 
     n = datum.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     best = -math.inf
-    for r in range(restarts):
+    for r in range(_RESTARTS):
         if r == 0:
             S = np.zeros((n, n))
         else:
@@ -242,7 +242,7 @@ def _objective(datum: BLDatum, groups: list[FactorGroup], A: np.ndarray):
     return float(chol_logdet(A, "A")[1] - log_det[0]), sym(A_inv - S[0]), A_inv
 
 
-def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int, gtol: float = 1e-9) -> float:
+def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int) -> float:
     groups = factor_groups(datum)
     n = datum.n
     step = 1.0
@@ -253,7 +253,7 @@ def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int, gtol: float = 1e-9) 
             obj, G, A_inv = _objective(datum, groups, A)
         except np.linalg.LinAlgError:
             return obj
-        if np.linalg.norm(G) <= gtol * np.linalg.norm(A_inv):
+        if np.linalg.norm(G) <= _ASCENT_GTOL * np.linalg.norm(A_inv):
             return obj
         GS = dexp_adjoint(w, U, G)
         g2 = float(np.sum(GS * GS))

@@ -110,23 +110,23 @@ def check_inf(
     x: np.ndarray,
     samples: int = 1000,
     seed: int = 0,
-    scale: float | None = None,
 ) -> VerificationReport:
     """Brute-force the variational identity: no feasible decomposition may
     beat the claimed infimum.
 
     Feasible competitors are the minimizer plus random elements of the
     kernel of (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, with standard normal
-    coefficients scaled by the minimizer's norm (override with `scale`).
-    A sample counts as a violation when its objective is below the claimed
-    value by more than 1e-10.
+    coefficients scaled by the minimizer's norm. A sample counts as a
+    violation when its objective is below the claimed value by more than
+    1e-10.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     mats = check_tuple(datum, tuple_)
     value, parts = inf_decomposition(datum, mats, x)
     _, kernel = decomposition_map(datum)
     y0 = np.concatenate(parts)
-    if scale is None:
-        scale = float(np.linalg.norm(y0))
+    scale = float(np.linalg.norm(y0))
 
     rng = np.random.default_rng(seed)
     kdim = kernel.shape[1]

@@ -50,8 +50,9 @@ class BrownianConfig:
         if self.paths < 2:
             # every standard error is a sample standard deviation (ddof=1)
             raise ValueError(f"paths must be at least 2, got {self.paths}")
-        if self.steps * self.paths > MAX_DRAWS:
-            raise ValueError(f"steps * paths = {self.steps * self.paths} exceeds the budget {MAX_DRAWS}")
+        draws = (self.paths + self.steps) * self.n  # W_T is (paths, n), a drift grid (steps, n)
+        if draws > MAX_DRAWS:
+            raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")
 
     @property
     def n(self) -> int:

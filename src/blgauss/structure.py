@@ -10,7 +10,6 @@ two induced data and checks that product relation numerically.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,12 +128,12 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
     return BLDatum(datum.n - E.dim, tuple(factors))
 
 
-def is_critical(datum: BLDatum, E: Subspace, tol: float = CRITICAL_TOL) -> bool:
-    """dim E = sum_i c_i dim(B_i E) within tol (zero maps contribute zero)."""
+def is_critical(datum: BLDatum, E: Subspace) -> bool:
+    """dim E = sum_i c_i dim(B_i E) within CRITICAL_TOL (zero maps contribute zero)."""
     if E.n != datum.n:
         raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
     total = sum(f.c * numerical_rank(f.B @ E.basis, RANK_TOL) for f in datum.factors)
-    return abs(E.dim - total) <= tol
+    return abs(E.dim - total) <= CRITICAL_TOL
 
 
 @dataclass
@@ -185,8 +184,8 @@ def multiplicativity_check(datum: BLDatum, E: Subspace, **solve_opts) -> SplitRe
     results = {}
     for name, d in pieces.items():
         res = solve(d, **solve_opts)
-        if not res.converged or not math.isfinite(res.constant):
-            raise ConvergenceError(f"solver did not converge on the {name}")
+        if not res.converged:
+            raise ConvergenceError(f"no converged solve of the {name}")
         results[name] = res
     return SplitResult(
         full=results["full datum"],

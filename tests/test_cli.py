@@ -120,9 +120,54 @@ class TestSolveAndConstant:
         assert main(["constant", "--datum", INFEASIBLE]) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_spent_budget_on_infeasible_is_inconclusive(self, capsys):
+        # a run cut off before the evidence of +inf is not +inf
+        assert main(["constant", "--datum", INFEASIBLE, "--max-iter", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip() != "inf"
+        assert captured.err == "constant: the solve was inconclusive\n"
+
     def test_empty_iteration_budget_exits_2(self, capsys):
         assert main(["constant", "--datum", YOUNG, "--max-iter", "0"]) == 2
         assert "max_iter" in capsys.readouterr().err
+
+
+def _one_line_no_traceback(err: str, message: str) -> None:
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err and "did not converge" not in err
+
+
+class TestVerdicts:
+    """Commands that need a finite constant exit 1 with one stderr line when
+    the solve gives none."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-gaussian", "--datum", INFEASIBLE, "--samples", "50"],
+        ["check-quadrature", "--datum", INFEASIBLE, "--resolution", "41"],
+        ["bd", "--datum", INFEASIBLE, "--paths", "100", "--steps", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_infinite_constant_has_nothing_to_check(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        _one_line_no_traceback(captured.err, "the constant is +inf")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # one Newton step leaves the solver at 0.7937 against 0.8858
+        (["young", "--p", "1.5", "--q", "1.2", "--max-iter", "1"],
+         "young: the solve was inconclusive"),
+        (["check-gaussian", "--datum", YOUNG, "--samples", "50", "--max-iter", "1"],
+         "check-gaussian: the solve was inconclusive"),
+        # multiplicativity_check raises ConvergenceError
+        (["split", "--datum", YOUNG_PAIR, "--max-iter", "1"],
+         "split: no converged solve of the full datum"),
+    ], ids=["young", "check-gaussian", "split"])
+    def test_inconclusive_solve_exits_1(self, argv, message, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        _one_line_no_traceback(captured.err, message)
+        assert captured.out == "" and not out.exists()
 
 
 class TestCheckGaussian:
@@ -187,6 +232,25 @@ class TestCheckInf:
         text = capsys.readouterr().out
         assert "violations=0" in text
         assert "instances=3" in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-gaussian", "--samples", "0"], "samples must be at least 1"),
+    (["check-gaussian", "--samples", "-5"], "samples must be at least 1"),
+    (["check-gaussian", "--samples", "0", "--constant", "0.9"], "samples must be at least 1"),
+    (["check-inf", "--samples", "0"], "samples must be at least 1"),
+    (["check-inf", "--samples", "-5"], "samples must be at least 1"),
+    (["check-inf", "--instances", "0"], "instances must be at least 1"),
+    (["check-inf", "--instances", "-2"], "instances must be at least 1"),
+], ids=["gaussian-samples-0", "gaussian-samples-neg", "gaussian-constant-samples-0", "inf-samples-0",
+        "inf-samples-neg", "inf-instances-0", "inf-instances-neg"])
+def test_bad_sampling_counts_exit_2(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--datum", YOUNG, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}, got {argv[2]}\n"
+    assert captured.out == ""
 
 
 class TestBd:

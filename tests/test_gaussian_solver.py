@@ -301,6 +301,40 @@ def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
     assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
 
 
+@pytest.mark.parametrize("max_iter", [10, 13])
+def test_spent_budget_is_inconclusive_on_a_divergent_datum(max_iter):
+    # The infeasible datum's constant is +inf, but a run cut off before its
+    # MIN_EIGENVALUE exit (14 iterations) holds no evidence of that: with a
+    # rising objective and a flat residual it used to read +inf from 10
+    # iterations on, and inconclusive at 9.
+    r = solve(_infeasible_datum(), max_iter=max_iter)
+    assert not r.converged and math.isfinite(r.constant)
+    assert (r.iterations, len(r.trace)) == (max_iter, max_iter)
+
+
+@pytest.mark.parametrize("family", ["holder", "loomis-whitney-6", "loomis-whitney-12"])
+def test_ill_conditioned_start_is_inconclusive_not_inf(family):
+    # Mapped by M with cond(M) = 1e8, some B_i B_i^T is ill-conditioned at
+    # K = I. That is the datum's own conditioning: the constants are finite
+    # (about 1.5e14, 1.9e27 and 1.6e37).
+    d, _, _ = gl_family(family)
+    r = solve(gl_map(d, random_gl(d.n, 1e8, np.random.default_rng(100))))
+    assert not r.converged and r.iterations == 0 and not r.trace
+    assert math.isnan(r.constant) and math.isnan(r.residual)
+
+
+def test_constant_past_the_float_range_is_inf():
+    # Hoelder on R^24 with B_i = 1e-13 I: every A is optimal, C = 1e312.
+    # exp(F/2) <= C at every A, so an overflowing estimate is evidence of a
+    # constant past the float range; it must not raise OverflowError.
+    d = make_datum(24, [0.5, 0.3, 0.2], [1e-13 * np.eye(24)] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(d)
+    assert not r.converged and r.constant == math.inf
+    assert (r.iterations, len(r.trace)) == (0, 1) and r.residual <= 1e-10
+
+
 def _sqrt_and_exp(A, H, t):
     w, U = np.linalg.eigh(A)
     R = (U * np.sqrt(w)) @ U.T

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,15 @@ class TestSweeps:
         rep, ratios = sweep_dual(d, 1.0, samples=37, seed=0)
         assert rep.samples == 37
         assert ratios.shape == (37,)
+
+    @pytest.mark.parametrize("sweep", [sweep_direct, sweep_reverse, sweep_dual])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_no_samples(self, sweep, samples):
+        # zero samples would pass a check that tested nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                sweep(prekopa_leindler_datum(), 1.0, samples=samples)
 
 
 class TestStackedCholesky:

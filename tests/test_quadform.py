@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,13 +169,15 @@ class TestCheckInf:
         assert rep.violations == 0
         assert rep.worst_ratio < 1.0  # every competitor strictly worse
 
-    def test_scale_zero_gives_exact_equality(self):
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_no_samples(self, samples):
+        # zero samples would certify nothing; negative ones reached numpy
         d = young_flagship()[1]
         mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
-        rep = check_inf(d, mats, np.array([0.3, -1.2]), samples=50, scale=0.0)
-        assert rep.violations == 0
-        assert rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
-        assert rep.equality_gap <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                check_inf(d, mats, np.array([0.3, -1.2]), samples=samples)
 
     def test_degenerate_raises(self):
         d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])

@@ -36,8 +36,11 @@ class TestConfig:
             BrownianConfig(A=np.array([[0.0]]))
 
     def test_rejects_budget_blowout(self):
-        with pytest.raises(ValueError):
-            BrownianConfig(A=np.eye(1), steps=10**5, paths=10**5)
+        # the budget bounds what is allocated: W_T, (paths, n), and a drift's
+        # time grid, (steps, n)
+        with pytest.raises(ValueError, match=r"\(paths \+ steps\) \* n"):
+            BrownianConfig(A=np.eye(2), steps=1, paths=5 * 10**7)
+        BrownianConfig(A=np.eye(2), steps=10**5, paths=10**5)
 
     def test_rejects_single_path(self):
         # standard errors are sample standard deviations and need two paths
