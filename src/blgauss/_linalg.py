@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 COND_LIMIT = 1e14
-# exp(710) overflows a float64
-EXP_LIMIT = 700.0
+# Numerical rank cutoff shared across the package.
+RANK_TOL = 1e-10
 
 
 class IllConditionedError(np.linalg.LinAlgError):
@@ -104,42 +104,13 @@ def spd_inverse(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(spd_solve(M, np.eye(M.shape[0]), name=name))
 
 
-def numerical_rank(M: np.ndarray, tol: float = 1e-10) -> int:
-    """Singular values above tol * largest count toward the rank."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Singular values above RANK_TOL * largest count toward the rank."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
-
-def expm_sym(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(S) for symmetric S, returning (exp(S), eigenvalues, eigenvectors).
-
-    Raises IllConditionedError for an eigenvalue above EXP_LIMIT, whose
-    exponential overflows, so a line search can reject the step."""
-    w, U = np.linalg.eigh(sym(S))
-    if w.max() > EXP_LIMIT:
-        raise IllConditionedError(f"exp of eigenvalue {w.max():.3e} > {EXP_LIMIT:.0f} overflows")
-    A = sym((U * np.exp(w)) @ U.T)
-    return A, w, U
-
-
-def dexp_adjoint(w: np.ndarray, U: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Pull an ambient gradient back through A = exp(S).
-
-    For symmetric S = U diag(w) U^T the derivative of exp is, in the
-    eigenbasis, entrywise multiplication by the divided differences
-    phi_kl = (e^{w_k} - e^{w_l}) / (w_k - w_l); the map is self-adjoint, so
-    the gradient in S of F(exp(S)) is U (phi * (U^T G U)) U^T where G is the
-    gradient of F at A. The divided difference is evaluated in the stable
-    form e^{(w_k+w_l)/2} sinh(d)/d, d = (w_k - w_l)/2.
-    """
-    d = 0.5 * (w[:, None] - w[None, :])
-    mid = 0.5 * (w[:, None] + w[None, :])
-    small = np.abs(d) < 1e-8
-    ratio = np.where(small, 1.0 + d * d / 6.0, np.sinh(np.where(small, 1.0, d)) / np.where(small, 1.0, d))
-    phi = np.exp(mid) * ratio
-    return sym(U @ (phi * (U.T @ G @ U)) @ U.T)

@@ -15,6 +15,7 @@ seed, and the library version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -233,24 +234,7 @@ def cmd_bd(args) -> int:
         closed = "" if r.closed_form is None else repr(r.closed_form)
         print(f"{r.label},{r.estimate!r},{r.stderr!r},{closed},{r.z!r}")
         failed |= not r.ok
-    _write_report(
-        args,
-        {
-            "rows": [
-                {
-                    "label": r.label,
-                    "estimate": r.estimate,
-                    "stderr": r.stderr,
-                    "closed_form": r.closed_form,
-                    "z": r.z,
-                    "kind": r.kind,
-                    "ok": r.ok,
-                }
-                for r in rows
-            ]
-        },
-        datum,
-    )
+    _write_report(args, {"rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in rows]}, datum)
     return 1 if failed else 0
 
 

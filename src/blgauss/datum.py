@@ -15,13 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import numerical_rank
+from ._linalg import RANK_TOL, numerical_rank
 
 # Entries at or below this (in max-abs) mean "exactly the zero map".
 ZERO_MAP_TOL = 1e-14
-
-# Numerical rank cutoff shared across the package.
-RANK_TOL = 1e-10
 
 
 class DatumError(ValueError):
@@ -162,7 +159,7 @@ def validate(datum: BLDatum) -> DatumDiagnostics:
     active = [i for i in range(datum.m) if i not in zero_idx]
     for i in active:
         f = datum.factors[i]
-        r = numerical_rank(f.B, RANK_TOL)
+        r = numerical_rank(f.B)
         if r < f.target_dim:
             raise DatumError(
                 f"factor {i} has rank {r} < target dimension {f.target_dim}; "
@@ -171,7 +168,7 @@ def validate(datum: BLDatum) -> DatumDiagnostics:
     defect = sum(datum.factors[i].c * datum.factors[i].target_dim for i in active) - datum.n
     if active:
         stacked = np.vstack([datum.factors[i].B for i in active])
-        degenerate = numerical_rank(stacked, RANK_TOL) < datum.n
+        degenerate = numerical_rank(stacked) < datum.n
     else:
         degenerate = True
     return DatumDiagnostics(

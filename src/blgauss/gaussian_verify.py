@@ -2,9 +2,9 @@
 
 Everything in this module treats the solver's output as a claim to be
 falsified: random SPD inputs are thrown at the determinant inequalities
-that the constant is supposed to dominate, and a random-restart ascent
-recomputes a lower bound for the constant without ever touching the
-fixed-point iteration.
+that the constant is supposed to dominate, and a random-restart gradient
+ascent along SPD geodesics recomputes a lower bound for the constant
+without ever touching the fixed-point iteration.
 
 Specialized to centered Gaussians, the two inequalities read
 
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, dexp_adjoint, expm_sym, spd_inverse, sym
+from ._linalg import check_spd, chol_logdet, sym
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
@@ -42,8 +42,9 @@ VIOLATION_RTOL = 1e-9
 # fixes which sample every seed produces.
 _BLOCKS = 16
 
-# Ascents per gaussian_constant_search, and the relative gradient that stops one.
-_RESTARTS, _ASCENT_GTOL = 4, 1e-9
+# Ascents per gaussian_constant_search, the iterations and the relative
+# gradient that stop one.
+_RESTARTS, _ASCENT_ITERS, _ASCENT_GTOL = 4, 400, 1e-9
 
 
 def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,6 +73,15 @@ def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
 # -- stacked kernels: one formula per inequality, over a block of samples -----
 # A tuple is one (count, n_i, n_i) stack per non-zero factor; see factor_groups.
 
+def _log_constant_sq(constant: float) -> float:
+    """2 log C, the constant's term in every log ratio. A NaN ratio is never
+    counted as a violation and C = +inf makes every ratio 0, so only a finite
+    positive C is checked."""
+    if not 0.0 < constant < math.inf:
+        raise ValueError(f"constant must be finite and positive, got {constant}")
+    return 2.0 * math.log(constant)
+
+
 def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
     log_num, S = 0.0, 0.0
     for g in groups:
@@ -79,7 +89,7 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
         log_num = log_num + chol_logdet(A, name=f"tuple entries {g.indices}")[1] @ g.c
         S = S + (g.c[:, None, None] * g.B.swapaxes(1, 2) @ A @ g.B).sum(axis=1)
     _, log_den = chol_logdet(sym(S), name="combined precision")
-    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+    return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
 def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
@@ -90,7 +100,7 @@ def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nd
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
     # the harmonic sum guard already bounds its condition number
-    return np.exp(-log_det_S - 2.0 * math.log(constant) - log_den)
+    return np.exp(-log_det_S - _log_constant_sq(constant) - log_den)
 
 
 def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
@@ -99,7 +109,7 @@ def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> n
     for g in groups:
         P = sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
         log_den = log_den + chol_logdet(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
-    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+    return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
 def direct_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
@@ -204,14 +214,19 @@ def sweep_dual(
 
 # -- independent lower bound for the constant ----------------------------------
 
-def gaussian_constant_search(datum: BLDatum, iters: int = 400) -> float:
+def gaussian_constant_search(datum: BLDatum) -> float:
     """Best constant found by plain gradient ascent of the log-det objective
-    over SPD matrices, parameterized as A = exp(S) with S symmetric.
+    F(A) = logdet A - sum_i c_i logdet(B_i A B_i^T) along SPD geodesics.
 
-    Deliberately ignorant of the solver: the objective and its gradient come
-    from harmonic_sum, not the solver's whitening, so this is an independent
-    bound the solver's constant is compared against. The first of _RESTARTS
-    ascents starts at the identity, the rest at random symmetric S.
+    F is geodesically concave: each ascent carries a factor K of A = K K^T
+    and climbs H -> F(K exp(H) K^T), whose gradient at H = 0 is I - K^T S K,
+    S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i; F is scale invariant, so the
+    step is the traceless part of it.
+
+    Deliberately ignorant of the solver: F and S come from harmonic_sum, not
+    the solver's whitening, so this is an independent bound the solver's
+    constant is compared against. The first of _RESTARTS ascents starts at
+    the identity, the rest at A = exp(S) for a random traceless symmetric S.
     """
     diag = validate(datum)
     if diag.degenerate:
@@ -220,54 +235,56 @@ def gaussian_constant_search(datum: BLDatum, iters: int = 400) -> float:
         raise DatumError("inhomogeneous datum: no finite positive constant")
 
     n = datum.n
+    groups = factor_groups(datum)
     rng = np.random.default_rng(DEFAULT_SEED)
     best = -math.inf
     for r in range(_RESTARTS):
         if r == 0:
-            S = np.zeros((n, n))
+            K = np.eye(n)
         else:
             S = 0.5 * sym(rng.standard_normal((n, n)))
             S -= np.trace(S) / n * np.eye(n)
-        best = max(best, _ascend_once(datum, S, iters))
+            w, U = np.linalg.eigh(S)
+            K = (U * np.exp(0.5 * w)) @ U.T
+        best = max(best, _ascend_once(datum, groups, K))
     return math.exp(0.5 * best)
 
 
-def _objective(datum: BLDatum, groups: list[FactorGroup], A: np.ndarray):
-    """F(A) = logdet A - sum_i c_i logdet(B_i A B_i^T), its gradient
-    inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i, and inv(A); both sums come
-    from the harmonic sum of the tuple (B_i A B_i^T)_i."""
+def _objective(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray):
+    """F(A) at A = K K^T and the sum S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i;
+    both sums come from the harmonic sum of the tuple (B_i A B_i^T)_i."""
+    A = sym(K @ K.T)
     S, log_det = harmonic_sum(groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
                                        for i in datum.active_indices()])
-    A_inv = spd_inverse(A, "A")
-    return float(chol_logdet(A, "A")[1] - log_det[0]), sym(A_inv - S[0]), A_inv
+    return float(chol_logdet(A, "A")[1] - log_det[0]), S[0]
 
 
-def _ascend_once(datum: BLDatum, S: np.ndarray, iters: int) -> float:
-    groups = factor_groups(datum)
+def _ascend_once(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray) -> float:
     n = datum.n
+    try:
+        obj, S = _objective(datum, groups, K)
+    except np.linalg.LinAlgError:
+        return -math.inf
     step = 1.0
-    obj = -math.inf
-    for _ in range(iters):
-        A, w, U = expm_sym(S)
-        try:
-            obj, G, A_inv = _objective(datum, groups, A)
-        except np.linalg.LinAlgError:
+    for _ in range(_ASCENT_ITERS):
+        H = sym(np.eye(n) - K.T @ S @ K)
+        H -= np.trace(H) / n * np.eye(n)
+        h2 = float(np.sum(H * H))
+        if math.sqrt(h2) <= _ASCENT_GTOL * math.sqrt(n):
             return obj
-        if np.linalg.norm(G) <= _ASCENT_GTOL * np.linalg.norm(A_inv):
-            return obj
-        GS = dexp_adjoint(w, U, G)
-        g2 = float(np.sum(GS * GS))
+        lam, V = np.linalg.eigh(H)
+        # exp(step * lam / 2) stays within [e^-2, e^2], so no trial overflows
+        step = min(step, 4.0 / np.abs(lam).max())
         while step >= 1e-14:
-            S_try = sym(S + step * GS)
-            S_try -= np.trace(S_try) / n * np.eye(n)
+            K_try = K @ (V * np.exp(0.5 * step * lam)) @ V.T
             try:
-                obj_try = _objective(datum, groups, expm_sym(S_try)[0])[0]
+                obj_try, S_try = _objective(datum, groups, K_try)
             except np.linalg.LinAlgError:
                 step *= 0.5
                 continue
-            if obj_try >= obj + 1e-4 * step * g2:
-                S = S_try
-                step = min(2.0 * step, 1e2)
+            if obj_try >= obj + 1e-4 * step * h2:
+                K, obj, S = K_try, obj_try, S_try
+                step *= 2.0
                 break
             step *= 0.5
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import numerical_rank
-from .datum import RANK_TOL, BLDatum, DatumError, LinearFactor
+from .datum import BLDatum, DatumError, LinearFactor
 from .gaussian_solver import ConvergenceError, SolveResult, solve
 
 CRITICAL_TOL = 1e-9
@@ -63,7 +63,7 @@ class Subspace:
     def from_rows(cls, rows) -> "Subspace":
         """Span of the given (not necessarily orthonormal) row vectors."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        k = numerical_rank(rows, RANK_TOL)
+        k = numerical_rank(rows)
         if k < rows.shape[0]:
             raise ValueError("subspace rows are linearly dependent")
         Q, _ = np.linalg.qr(rows.T)
@@ -93,7 +93,7 @@ def restrict(datum: BLDatum, E: Subspace) -> BLDatum:
     for f in datum.factors:
         M = f.B @ E.basis
         M = _snap_zero(M, float(np.abs(f.B).max()))
-        r = numerical_rank(M, RANK_TOL)
+        r = numerical_rank(M)
         if r == 0:
             factors.append(LinearFactor(f.c, np.zeros((f.target_dim, E.dim))))
         else:
@@ -115,7 +115,7 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
     for f in datum.factors:
         M = f.B @ E.basis
         M = _snap_zero(M, float(np.abs(f.B).max()))
-        r = numerical_rank(M, RANK_TOL)
+        r = numerical_rank(M)
         if r == f.target_dim:
             continue  # B_i E is everything; nothing survives the projection
         U, _, _ = np.linalg.svd(M, full_matrices=True)
@@ -132,7 +132,7 @@ def is_critical(datum: BLDatum, E: Subspace) -> bool:
     """dim E = sum_i c_i dim(B_i E) within CRITICAL_TOL (zero maps contribute zero)."""
     if E.n != datum.n:
         raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
-    total = sum(f.c * numerical_rank(f.B @ E.basis, RANK_TOL) for f in datum.factors)
+    total = sum(f.c * numerical_rank(f.B @ E.basis) for f in datum.factors)
     return abs(E.dim - total) <= CRITICAL_TOL
 
 

@@ -253,6 +253,17 @@ def test_bad_sampling_counts_exit_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
+def test_bad_constant_exits_2(value, shown, capsys):
+    # a NaN ratio never counts as a violation and C = +inf makes every ratio 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-gaussian", "--datum", YOUNG, "--samples", "10", "--constant", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: constant must be finite and positive, got {shown}\n"
+    assert captured.out == ""
+
+
 class TestBd:
     def test_small_run_exit_0(self, capsys):
         code = main(["bd", "--paths", "4000", "--steps", "32"])

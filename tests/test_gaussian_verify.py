@@ -31,6 +31,7 @@ from conftest import (
     coordinate_datum,
     mercedes_frame_datum,
     prekopa_leindler_datum,
+    random_datum,
     random_spd_tuple,
     young_flagship,
 )
@@ -261,20 +262,30 @@ class TestSampling:
 
 class TestConstantSearch:
     def test_frame_search_finds_one(self):
-        assert gaussian_constant_search(mercedes_frame_datum(), iters=200) == pytest.approx(
-            1.0, abs=1e-8
-        )
+        assert gaussian_constant_search(mercedes_frame_datum()) == pytest.approx(1.0, abs=1e-8)
 
     def test_young_search_matches_closed_form(self):
         e, d = young_flagship()
-        assert gaussian_constant_search(d, iters=400) == pytest.approx(
-            beckner_constant(e), abs=1e-6
-        )
+        assert gaussian_constant_search(d) == pytest.approx(beckner_constant(e), abs=1e-6)
 
     def test_search_agrees_with_solver_independently(self):
         d = coordinate_datum(3, weights=[1.0, 1.0, 1.0])
         r = solve(d)
-        assert gaussian_constant_search(d, iters=200) == pytest.approx(r.constant, abs=1e-8)
+        assert gaussian_constant_search(d) == pytest.approx(r.constant, abs=1e-8)
+
+    def test_search_reaches_a_hard_random_optimum(self):
+        # C = 5.49146752..., reached from no start in the chart A = exp(S)
+        rng = np.random.default_rng(7)
+        d = [random_datum(rng, homogeneous=True) for _ in range(46)][-1]
+        r = solve(d)
+        assert r.converged
+        assert gaussian_constant_search(d) == pytest.approx(r.constant, rel=1e-10)
+
+    def test_search_approaches_an_unattained_constant(self):
+        # C = 1 is a supremum that no Gaussian attains; the search is a lower bound
+        d = make_datum(2, [0.5, 1.0, 0.5], [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
+                                            np.array([[1.0, 1.0]])])
+        assert 0.9995 <= gaussian_constant_search(d) <= 1.0 + 1e-12
 
     def test_refuses_bad_data(self):
         degenerate = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])])
