@@ -39,7 +39,6 @@ from .gaussian_verify import (
     direct_gaussian_check,
     dual_check,
     gaussian_constant_search,
-    logdet_duality_check,
     reverse_gaussian_check,
     sample_spd,
     sample_spd_stack,
@@ -138,7 +137,6 @@ __all__ = [
     "is_frame",
     "linear_g",
     "load_datum",
-    "logdet_duality_check",
     "grad_logdet",
     "logdet_objective",
     "make_datum",

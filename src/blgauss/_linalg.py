@@ -2,12 +2,12 @@
 
 Everything here works in the log domain where determinants are involved:
 constants are ratios of determinants that overflow long before the answer
-does, so only Cholesky / eigenvalue log-determinants are ever formed.
+does, so only log-determinants are ever formed.
 
-chol_logdet is the one guarded Cholesky of the package. It takes a single
-matrix or a (..., k, k) stack, so the solver's fixed-point sum and the
-verification kernels factor a whole group of factors or samples per call
-behind the same symmetry, positivity and conditioning guards.
+Two guarded log-determinants share one conditioning guard and take a matrix
+or a stack of them. chol_logdet factors a given SPD matrix. whiten and
+gram_logdet read logdet(C C^T) off the singular values of C, so a Gram
+matrix is never formed and loses eps cond(C), not eps cond(C)^2.
 """
 
 from __future__ import annotations
@@ -49,48 +49,75 @@ def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(M)
 
 
+def _where(bad: np.ndarray) -> str:
+    return "" if bad.ndim == 0 else f" {[int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]}"
+
+
+def _guard(lo: np.ndarray, hi: np.ndarray, name: str) -> None:
+    """IllConditionedError unless each matrix, with extreme eigenvalues lo and
+    hi, is positive definite with cond <= COND_LIMIT: a factor beyond that
+    ceiling cannot be inverted at the tolerances this package promises, so it
+    is reported instead of silently degrading."""
+    # hi / COND_LIMIT cannot overflow where COND_LIMIT * lo can
+    bad = (lo <= 0.0) | (hi / COND_LIMIT > lo)
+    if bad.any():
+        j = np.unravel_index(bad.argmax(), bad.shape)
+        raise IllConditionedError(
+            f"{name}{_where(bad)} is not positive definite with condition number <= "
+            f"{COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
+        )
+
+
 def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors and log-determinants of an SPD matrix or of each
     matrix in a (..., k, k) stack; the log-determinants have shape
     M.shape[:-2].
 
-    Every matrix must be symmetric to relative 1e-12 (ValueError) and
-    positive definite with cond <= COND_LIMIT (IllConditionedError): a factor
-    beyond that ceiling cannot be inverted at the tolerances this package
-    promises, so it is reported instead of silently degrading.
+    Every matrix must be symmetric to relative 1e-12 (ValueError) and pass
+    the conditioning guard (IllConditionedError).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {M.shape}")
-
-    def first(bad: np.ndarray) -> tuple:
-        return np.unravel_index(bad.argmax(), bad.shape)
-
-    def where(bad: np.ndarray) -> str:
-        return "" if bad.ndim == 0 else f" {[int(j) for j in first(bad)]}"
-
     skew = M - M.swapaxes(-1, -2)
     # callers inside the package pass exactly symmetric sym() output, which
     # needs neither the relative check nor symmetrizing
     if skew.any():
         bad = np.abs(skew).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
         if bad.any():
-            raise ValueError(f"{name}{where(bad)} is not symmetric to relative 1e-12")
+            raise ValueError(f"{name}{_where(bad)} is not symmetric to relative 1e-12")
         M = sym(M)
     # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
     # factor; skipping LAPACK there gives the same values with less overhead
     w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
-    lo, hi = w[..., 0], w[..., -1]
-    # hi / COND_LIMIT cannot overflow where COND_LIMIT * lo can
-    bad = (lo <= 0.0) | (hi / COND_LIMIT > lo)
-    if bad.any():
-        j = first(bad)
-        raise IllConditionedError(
-            f"{name}{where(bad)} is not positive definite with condition number <= "
-            f"{COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
-        )
+    _guard(w[..., 0], w[..., -1], name)
     L = np.sqrt(M) if M.shape[-1] == 1 else np.linalg.cholesky(M)
     return L, 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+
+
+def whiten(C: np.ndarray, name: str = "matrix", rows: bool = True):
+    """Orthonormal rows V^T of the SVD C = U diag(s) V^T and logdet(C C^T) =
+    2 sum log s, for a (k, n) matrix or each matrix of a (..., k, n) stack,
+    guarded on s^2 (k > n rows make C C^T singular). One row skips the SVD,
+    which costs three times its norm, and rounds like a 1 x 1 Cholesky
+    whitening of it."""
+    C = np.asarray(C, dtype=float)
+    k, n = C.shape[-2:]
+    if k == 1:  # cond(C C^T) = 1: its root is s, and V^T = C (1/s) below
+        s = np.sqrt((C @ C.swapaxes(-1, -2))[..., 0])
+    else:  # C^T = V diag(s) U^T: LAPACK takes the tall C^T faster than C
+        svd = np.linalg.svd(C.swapaxes(-1, -2), full_matrices=False, compute_uv=rows)
+        s = svd.S if rows else svd
+    _guard(s[..., -1] ** 2 if k <= n else np.zeros(s.shape[:-1]), s[..., 0] ** 2, name)
+    ld = 2.0 * np.sum(np.log(s), axis=-1)
+    if not rows:
+        return None, ld
+    return (C * (1.0 / s)[..., None] if k == 1 else svd.U.swapaxes(-1, -2)), ld
+
+
+def gram_logdet(C: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """logdet(C C^T) of whiten, without the rows."""
+    return whiten(C, name, rows=False)[1]
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -51,6 +51,18 @@ def _json_options(args: argparse.Namespace) -> dict:
     }
 
 
+def _strict(x):
+    """x with every non-finite float spelled "inf", "-inf" or "nan": strict
+    JSON has no literal for them."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
+    return x
+
+
 def _write_report(args, payload: dict, datum: BLDatum | None = None) -> None:
     out = getattr(args, "out", None)
     if not out:
@@ -64,7 +76,7 @@ def _write_report(args, payload: dict, datum: BLDatum | None = None) -> None:
         doc["datum_digest"] = datum_digest(datum)
     doc.update(payload)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -23,10 +23,10 @@ K with its whitening, and one SVD of K gives logdet(A) and the residual.
 iterate, a failed line search while F rises far from stationarity, or
 exp(F/2) <= C past the float range. Anything else unconverged is inconclusive.
 
-_whiten factors B_i A B_i^T in two passes of stacked Cholesky and triangular
-solve per factor group (datum.factor_groups), for the loop, its line search
-and the public evaluations. The solver imports only _linalg and datum, so
-the verification layers that re-check it share none of its fixed-point logic.
+_whiten reads logdet(B_i A B_i^T) and Y_i off one stacked SVD of B_i K per
+factor group (datum.factor_groups), for the loop, its line search and the
+public evaluations. The solver imports only _linalg and datum, so the
+verification layers that re-check it share none of its fixed-point logic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import IllConditionedError, check_spd, chol_logdet, spd_inverse, sym
+from ._linalg import IllConditionedError, check_spd, spd_inverse, sym, whiten
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 
 DEFAULT_TOL = 1e-10
@@ -68,19 +68,14 @@ class ConvergenceError(RuntimeError):
 
 
 def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Whitened factors at A = K K^T: per group Y = inv(L) B K, L L^T = B A B^T,
-    in two stacked Cholesky passes (CholeskyQR2: one leaves Y Y^T off I by about
-    eps cond(B A B^T) <= 0.02, and the second makes it I to rounding); then
-    Qbar = sum_i c_i Y_i^T Y_i and sum_i c_i logdet(B_i A B_i^T)."""
+    """Whitened factors at A = K K^T: per group the orthonormal rows Y of the
+    SVD of B K, which give the same Q = Y^T Y as inv(L) B K for any
+    L L^T = B A B^T; then Qbar = sum_i c_i Y_i^T Y_i and
+    sum_i c_i logdet(B_i A B_i^T)."""
     n = K.shape[1]
     Ys, Qbar, lds = [], np.zeros((n, n)), 0.0
     for g in groups:
-        C = g.B @ K  # (m_k, k, n)
-        L, ld = chol_logdet(sym(C @ C.swapaxes(1, 2)), name=f"B_i A B_i^T, i in {g.indices}")
-        Y = np.linalg.solve(L, C)
-        if Y.shape[1] > 1:  # one row is already normalized to rounding
-            L = np.linalg.cholesky(sym(Y @ Y.swapaxes(1, 2)))
-            Y, ld = np.linalg.solve(L, Y), ld + 2.0 * np.log(np.diagonal(L, 0, 1, 2)).sum(1)
+        Y, ld = whiten(g.B @ K, name=f"B_i A B_i^T, i in {g.indices}")
         Ys.append(Y)
         Yc = (np.sqrt(g.c)[:, None, None] * Y).reshape(-1, n)
         Qbar += Yc.T @ Yc

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, sym
+from ._linalg import check_spd, chol_logdet, gram_logdet, sym
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
@@ -83,19 +83,21 @@ def _log_constant_sq(constant: float) -> float:
 
 
 def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
-    log_num, S = 0.0, 0.0
+    # logdet of S = sum_i c_i B_i^T A_i B_i = Z^T Z off the rows sqrt(c_i) L_i^T B_i
+    log_num, rows = 0.0, []
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
-        log_num = log_num + chol_logdet(A, name=f"tuple entries {g.indices}")[1] @ g.c
-        S = S + (g.c[:, None, None] * g.B.swapaxes(1, 2) @ A @ g.B).sum(axis=1)
-    _, log_den = chol_logdet(sym(S), name="combined precision")
+        L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
+        log_num = log_num + ld @ g.c
+        rows.extend(np.sqrt(g.c)[:, None, None, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
+    log_den = gram_logdet(np.concatenate(rows, axis=1).swapaxes(1, 2), name="combined precision")
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
 def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
-    S, log_den = harmonic_sum(groups, stacks)
+    Z, log_den = harmonic_sum(groups, stacks)
     try:
-        _, log_det_S = chol_logdet(S, name="harmonic sum")
+        log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
@@ -104,11 +106,11 @@ def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nd
 
 
 def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
-    _, log_num = chol_logdet(A, name="A")
+    # B_i A B_i^T = (B_i L)(B_i L)^T for A = L L^T
+    L, log_num = chol_logdet(A, name="A")
     log_den = 0.0
     for g in groups:
-        P = sym(g.B @ A[:, None] @ g.B.swapaxes(1, 2))  # (count, m_k, k, k)
-        log_den = log_den + chol_logdet(P, name=f"B_i A B_i^T, i in {g.indices}")[1] @ g.c
+        log_den = log_den + gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}") @ g.c
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
@@ -130,19 +132,6 @@ def dual_check(datum: BLDatum, constant: float, A: np.ndarray) -> float:
     """Ratio det(A) / (C^2 prod_i det(B_i A B_i^T)^{c_i}); at most 1 for every
     ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A."""
     return float(_dual_ratios(factor_groups(datum), constant, check_spd(A, "A")[None])[0])
-
-
-def logdet_duality_check(A: np.ndarray, B: np.ndarray) -> float:
-    """Gap of the concave-duality bound logdet(A) <= tr(A B) - n - logdet(inv(B)).
-
-    Written with B as the dual variable: gap = tr(A B) - n - logdet(B) - logdet(A),
-    nonnegative for all SPD pairs and zero exactly at B = inv(A)."""
-    A = check_spd(A, "A")
-    B = check_spd(B, "B")
-    n = A.shape[0]
-    _, ld_A = chol_logdet(A, "A")
-    _, ld_B = chol_logdet(B, "B")
-    return float(np.trace(A @ B)) - n - float(ld_B) - float(ld_A)
 
 
 # -- randomized sweeps ---------------------------------------------------------
@@ -254,9 +243,9 @@ def _objective(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray):
     """F(A) at A = K K^T and the sum S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i;
     both sums come from the harmonic sum of the tuple (B_i A B_i^T)_i."""
     A = sym(K @ K.T)
-    S, log_det = harmonic_sum(groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
+    Z, log_det = harmonic_sum(groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
                                        for i in datum.active_indices()])
-    return float(chol_logdet(A, "A")[1] - log_det[0]), S[0]
+    return float(gram_logdet(K, "A") - log_det[0]), sym(Z[0].T @ Z[0])
 
 
 def _ascend_once(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray) -> float:

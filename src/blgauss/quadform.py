@@ -45,25 +45,26 @@ def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
 
 
 def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i c_i B_i^T inv(A_i) B_i and sum_i c_i logdet(A_i) for a stack of
-    tuples, one (count, n_i, n_i) stack of A_i per non-zero factor in tuple
-    order; shapes (count, n, n) and (count,). One stacked Cholesky and solve
-    per factor group."""
-    S, log_det = 0.0, 0.0
+    """The rows Z of sqrt(c_i) inv(L_i) B_i, A_i = L_i L_i^T, whose Gram matrix
+    Z^T Z is the harmonic sum sum_i c_i B_i^T inv(A_i) B_i, and sum_i c_i
+    logdet(A_i), for one (count, n_i, n_i) stack of A_i per non-zero factor in
+    tuple order; shapes (count, sum_i n_i, n) and (count,). One stacked
+    Cholesky and solve per factor group."""
+    rows, log_det = [], 0.0
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
         log_det = log_det + ld @ g.c
         Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
-        S = S + (g.c[:, None, None] * Y.swapaxes(2, 3) @ Y).sum(axis=1)
-    return sym(S), log_det
+        rows.extend(np.sqrt(g.c)[:, None, None, None] * Y.swapaxes(0, 1))
+    return np.concatenate(rows, axis=1), log_det
 
 
 def harmonic_combine(datum: BLDatum, tuple_) -> np.ndarray:
     """inv(sum_i c_i B_i^T inv(A_i) B_i) over non-zero factors."""
-    S, _ = harmonic_sum(factor_groups(datum), [M[None] for M in check_tuple(datum, tuple_)])
+    Z, _ = harmonic_sum(factor_groups(datum), [M[None] for M in check_tuple(datum, tuple_)])
     try:
-        return spd_inverse(S[0], name="harmonic sum")
+        return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
         raise DatumError(
             "harmonic combination is singular; the factor maps do not jointly span "

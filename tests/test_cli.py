@@ -13,7 +13,7 @@ import pytest
 from blgauss import __version__
 from blgauss.cli import main
 from blgauss.datum import datum_digest, load_datum, save_datum
-from conftest import mercedes_frame_datum
+from conftest import gl_family, gl_map, mercedes_frame_datum, random_gl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -130,6 +130,35 @@ class TestSolveAndConstant:
     def test_empty_iteration_budget_exits_2(self, capsys):
         assert main(["constant", "--datum", YOUNG, "--max-iter", "0"]) == 2
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "constant"])
+    def test_infeasible_report_is_strict_json(self, command, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([command, "--datum", INFEASIBLE, "--out", str(out)]) == 0
+        doc = _strict_json(out)
+        if command == "solve":
+            assert (doc["result"]["constant"], doc["result"]["residual"]) == ("inf", "nan")
+        else:
+            assert doc["constant"] == "inf"
+
+    @pytest.mark.parametrize("command", ["solve", "constant"])
+    def test_nan_constant_and_option_are_strict_json(self, command, tmp_path):
+        # Hoelder mapped by M with cond(M) = 1e8 is ill-conditioned at the
+        # start: an inconclusive run with a NaN constant
+        d, _, _ = gl_family("holder")
+        path, out = tmp_path / "holder.json", tmp_path / "report.json"
+        save_datum(gl_map(d, random_gl(3, 1e8, np.random.default_rng(100))), path)
+        assert main([command, "--datum", str(path), "--tol", "nan", "--out", str(out)]) == 1
+        doc = _strict_json(out)
+        assert doc["options"]["tol"] == "nan"
+        assert (doc["result"]["constant"] if command == "solve" else doc["constant"]) == "nan"
+        assert doc["options"]["max_iter"] == 10_000
+
+
+def _strict_json(path: Path) -> dict:
+    def refuse(name):
+        raise ValueError(f"{path.name} holds the non-standard JSON constant {name}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def _one_line_no_traceback(err: str, message: str) -> None:

@@ -1,6 +1,7 @@
 import ast
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from blgauss import (
     direct_gaussian_check,
     dual_check,
     gaussian_constant_search,
-    logdet_duality_check,
     make_datum,
     reverse_extremizers,
     reverse_gaussian_check,
@@ -25,7 +25,10 @@ from blgauss import (
     sweep_dual,
     sweep_reverse,
 )
-from blgauss._linalg import IllConditionedError, chol_logdet, sym
+from blgauss._linalg import COND_LIMIT, IllConditionedError, chol_logdet, gram_logdet, sym, whiten
+from blgauss.datum import factor_groups
+from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _draw_tuples, _dual_ratios,
+                                     _reverse_ratios)
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
@@ -112,24 +115,6 @@ class TestPointChecks:
             assert dual_check(d, 1.0, np.eye(d.n)) == pytest.approx(1.0, abs=1e-14)
 
 
-class TestLogdetDuality:
-    def test_frozen_example(self):
-        # A = I_2, B = 2 I_2: gap = tr(2I) - 2 - logdet(2I) = 2 - 2 log 2
-        gap = logdet_duality_check(np.eye(2), 2.0 * np.eye(2))
-        assert gap == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-14)
-
-    def test_zero_exactly_at_inverse(self, rng):
-        for _ in range(10):
-            A = sample_spd(3, rng)
-            assert abs(logdet_duality_check(A, np.linalg.inv(A))) <= 1e-10
-
-    def test_nonnegative_everywhere(self, rng):
-        for _ in range(50):
-            A = sample_spd(2, rng)
-            B = sample_spd(2, rng)
-            assert logdet_duality_check(A, B) >= -1e-12
-
-
 class TestSweeps:
     def test_young_sweeps_clean(self):
         _, d = young_flagship()
@@ -205,6 +190,75 @@ class TestSweeps:
                 sweep(prekopa_leindler_datum(), 1.0, samples=samples)
 
 
+def _exact(M):
+    """M = N / D exactly: every float is a dyadic rational, so N is an object
+    array of Python ints and D a power of two."""
+    q = [Fraction(x) for x in np.ravel(M).tolist()]
+    D = max(x.denominator for x in q)
+    return np.array([x.numerator * (D // x.denominator) for x in q], dtype=object).reshape(np.shape(M)), D
+
+
+def _exact_log_abs_det(N, D) -> float:
+    """log |det(N / D)| for a square object array N of ints: Bareiss
+    elimination in exact integers, rounded once."""
+    a = N.tolist()
+    k, prev = len(a), 1
+    for i in range(k - 1):
+        p = next(r for r in range(i, k) if a[r][i])  # a row swap only flips the sign
+        a[i], a[p] = a[p], a[i]
+        for r in range(i + 1, k):
+            for j in range(i + 1, k):
+                a[r][j] = (a[r][j] * a[i][i] - a[r][i] * a[i][j]) // prev
+        prev = a[i][i]
+    return math.log(abs(Fraction(a[-1][-1], D**k)))
+
+
+class TestExactRatios:
+    # Per-factor scales 1e-2..1e2 make the sums S of the direct and reversed
+    # inequalities ill-conditioned (cond(S) up to 4.4e8 here). A logdet taken
+    # off a formed S loses eps cond(S), above VIOLATION_RTOL; read off the
+    # rows whose Gram matrix S is, it loses eps sqrt(cond(S)). The remaining
+    # 1.6e-10 is the logdet of one ill-conditioned A_i itself. The maps are
+    # three draws from one generator.
+    MAPS = list(map(np.random.default_rng(0).standard_normal, [(1, 3), (2, 3), (3, 3)]))
+
+    def test_log_ratios_match_exact_arithmetic(self):
+        d = make_datum(3, [0.5] * 3, self.MAPS)
+        groups, B = factor_groups(d), [_exact(M) for M in self.MAPS]
+        worst = dict.fromkeys(("direct", "reverse", "dual"), 0.0)
+        for seed in range(30):
+            tup = _draw_tuples(d)(np.random.default_rng(seed), 40)
+            amb = sample_spd_stack(3, 40, np.random.default_rng(seed))
+            got = {"direct": np.log(_direct_ratios(groups, 1.0, tup)),
+                   "reverse": np.log(_reverse_ratios(groups, 1.0, tup)),
+                   "dual": np.log(_dual_ratios(groups, 1.0, amb))}
+            for j in range(40):
+                A = [_exact(T[j]) for T in tup]
+                ld_A = [_exact_log_abs_det(*a) for a in A]
+                # S = sum_i B_i^T A_i B_i / 2, exact over one power-of-two denominator
+                terms = [(Bn.T @ An @ Bn, 2 * Db * Db * Da) for (Bn, Db), (An, Da) in zip(B, A)]
+                D = max(t for _, t in terms)
+                ld_S = _exact_log_abs_det(sum(T * (D // t) for T, t in terms), D)
+                # reversed: S = sum_i B_i^T inv(2 A_i) B_i is the Schur complement
+                # of blockdiag(2 A_i) in [[blockdiag(2 A_i), B], [B^T, 0]]
+                M, rows = np.zeros((9, 9)), 0
+                for Bi, T in zip(self.MAPS, tup):
+                    k = len(Bi)
+                    M[rows:rows + k, rows:rows + k] = 2.0 * T[j]
+                    M[rows:rows + k, 6:], M[6:, rows:rows + k] = Bi, Bi.T
+                    rows += k
+                ld_H = (_exact_log_abs_det(*_exact(M))
+                        - sum(ld + k * math.log(2.0) for ld, k in zip(ld_A, (1, 2, 3))))
+                An, Da = _exact(amb[j])
+                ld_P = [_exact_log_abs_det(Bn @ An @ Bn.T, Db * Db * Da) for Bn, Db in B]
+                exact = {"direct": 0.5 * sum(ld_A) - ld_S,
+                         "reverse": -ld_H - 0.5 * sum(ld_A),
+                         "dual": _exact_log_abs_det(An, Da) - 0.5 * sum(ld_P)}
+                for kind, value in exact.items():
+                    worst[kind] = max(worst[kind], abs(got[kind][j] - value))
+        assert max(worst.values()) <= VIOLATION_RTOL / 3, worst
+
+
 class TestStackedCholesky:
     def test_matches_chol_logdet_per_matrix(self, rng):
         for k in (1, 3):
@@ -243,6 +297,57 @@ class TestStackedCholesky:
         L, ld = chol_logdet(M + 1e-14 * E)
         L0, ld0 = chol_logdet(sym(M + 1e-14 * E))
         assert np.array_equal(L, L0) and ld == ld0
+
+
+class TestGramLogdet:
+    def test_matches_chol_logdet_of_the_formed_gram(self, rng):
+        for k in (1, 2, 3):
+            C = rng.standard_normal((2, 5, k, 4))
+            _, ld0 = chol_logdet(sym(C @ C.swapaxes(-1, -2)))
+            Vt, ld = whiten(C)
+            np.testing.assert_allclose(ld, ld0, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(gram_logdet(C), ld0, rtol=0, atol=1e-13)
+            assert Vt.shape == C.shape and ld.shape == (2, 5)
+            assert np.ndim(gram_logdet(C[0, 0])) == 0
+
+    def test_rows_are_orthonormal_and_span_c(self, rng):
+        for k in (1, 2, 3):
+            C = rng.standard_normal((6, k, 4))
+            Vt, _ = whiten(C)
+            np.testing.assert_allclose(Vt @ Vt.swapaxes(1, 2), np.broadcast_to(np.eye(k), (6, k, k)),
+                                       rtol=0, atol=1e-14)
+            # the same projection Y^T Y as any whitening Y = inv(L) C
+            L = np.linalg.cholesky(C @ C.swapaxes(1, 2))
+            Y = np.linalg.solve(L, C)
+            np.testing.assert_allclose(Vt.swapaxes(1, 2) @ Vt, Y.swapaxes(1, 2) @ Y,
+                                       rtol=0, atol=1e-13)
+
+    def test_guard_names_the_stack_index(self):
+        t = math.sqrt(1.0 / COND_LIMIT)
+        good = np.eye(2, 3)
+        for bad in ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],          # rank one
+                    [[1.0, 0.0, 0.0], [0.0, t * (1 - 1e-6), 0.0]]):  # cond just above the limit
+            C = np.stack([good] * 6).reshape(2, 3, 2, 3)
+            C[1, 2] = bad
+            for fn in (gram_logdet, whiten):
+                with pytest.raises(IllConditionedError, match=r"^Gram \[1, 2\] is not positive definite"):
+                    fn(C, name="Gram")
+        gram_logdet(np.array([[1.0, 0.0, 0.0], [0.0, t * (1 + 1e-6), 0.0]]))
+        with pytest.raises(IllConditionedError):  # more rows than columns
+            gram_logdet(np.ones((3, 2)))
+        with pytest.raises(IllConditionedError, match=r"\[1\]"):
+            whiten(np.array([[[1.0, 2.0]], [[0.0, 0.0]]]))
+
+    def test_empty_stack(self):
+        for k in (1, 2):
+            Vt, ld = whiten(np.zeros((0, k, 3)))
+            assert Vt.shape == (0, k, 3) and ld.shape == (0,)
+            assert gram_logdet(np.zeros((0, k, 3))).shape == (0,)
+        # fewer samples than RNG blocks hand some kernel calls an empty stack
+        d = make_datum(3, [0.5] * 3, TestExactRatios.MAPS)
+        for sweep in (sweep_direct, sweep_reverse, sweep_dual):
+            rep, ratios = sweep(d, 1e6, samples=3)
+            assert rep.samples == 3 and ratios.shape == (3,)
 
 
 class TestSampling:
