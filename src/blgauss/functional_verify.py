@@ -16,11 +16,27 @@ their uniform grids, built and evaluated in numpy: one tridiagonal sweep per
 axis builds them, and an evaluation finds its interval by floor division.
 They equal SciPy's CubicSpline and RectBivariateSpline(kx=ky=3, s=0) to
 rounding, which the tests check; the package itself needs only numpy.
+
+Both checks add c_i log f_i over their samples in place (_add_log), in
+chunks of _SUPCONV_CHUNK samples, with work arrays that the caller allocates
+once (_Scratch) instead of once per chunk. The sup-convolution runs its
+chunks on one worker per CPU this process may run on: the calling thread
+takes chunks 0, W, 2W, ..., and W - 1 threads, each in a copy of the
+caller's context (so its np.errstate holds there too), take the rest. Each
+chunk writes only its own slice of the envelope, and every sample goes
+through the same operations in the same order, so the envelope is the same
+to the bit whatever W is. The first exception in a worker stops the others
+and is re-raised in the caller. The direct check runs serially, since a
+second worker did not make it faster, and reads each chunk's grid points
+off the axis instead of holding the whole grid.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +51,9 @@ DECAY_WARN = 1e-6
 MAX_KERNEL_DIM = 2
 # samples per chunk of the quadrature loops (a sup-convolution grid point
 # takes one, resolution or resolution^2 by kernel dimension): 512 KiB per
-# array of floats, so that a chunk's arrays stay in a 4 MiB L2 cache
+# array of floats. A chunk's working arrays outgrow a 2 MiB per-core L2
+# cache, but a smaller chunk pays numpy's per-call cost more often: at
+# 16,384 samples two workers ran the sup-convolution slower than one
 _SUPCONV_CHUNK = 65_536
 
 
@@ -48,13 +66,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo, hi = _bounds(self.lo, self.hi)
         values = np.asarray(self.values, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size not in (1, 2):
-            raise ValueError("lo/hi must be vectors of length 1 or 2")
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent on every axis")
         if values.ndim != lo.size:
             raise ValueError(f"values must be {lo.size}-dimensional, got {values.ndim}")
         if min(values.shape) < 2:
@@ -82,8 +95,7 @@ class GridFunction:
     @classmethod
     def from_callable(cls, f, lo, hi, points: int) -> "GridFunction":
         """Sample f on a uniform grid; f takes an array of shape (..., dim)."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo, hi = _bounds(lo, hi)
         _, pts = _tensor_grid(lo, hi, points)
         return cls(lo, hi, np.asarray(f(pts), dtype=float))
 
@@ -98,39 +110,7 @@ class GridFunction:
 
         An axis with fewer than 4 points is interpolated linearly. The
         interpolant takes points of shape (..., dim) and returns (...)."""
-        coef, bases = self.values, []
-        for axis in range(self.dim):
-            coef, basis = _axis_coefficients(coef, axis)
-            bases.append(basis)
-        lo, hi, n = self.lo, self.hi, self.values.shape
-        if self.dim == 1:
-            # per-interval power coefficients, highest power first for
-            # Horner, one contiguous row per power
-            table = np.lib.stride_tricks.sliding_window_view(coef, 4) @ bases[0]
-            powers = np.ascontiguousarray(table.T[::-1])
-
-            def f1(pts):
-                i, u, inside = _locate(np.asarray(pts)[..., 0], lo[0], hi[0], n[0])
-                v = powers[0].take(i)
-                for c in powers[1:]:
-                    v *= u
-                    v += c.take(i)
-                return _clip_to_box(v, inside)
-
-            return f1
-
-        # the 4 x 4 coefficients acting on each cell, as a view of the grid
-        patches = np.lib.stride_tricks.sliding_window_view(coef, (4, 4))
-
-        def f2(pts):
-            pts = np.asarray(pts)
-            ix, ux, in_x = _locate(pts[..., 0], lo[0], hi[0], n[0])
-            iy, uy, in_y = _locate(pts[..., 1], lo[1], hi[1], n[1])
-            wx, wy = _weights(ux, bases[0]), _weights(uy, bases[1])
-            v = np.einsum("...k,...kl,...l->...", wx, patches[ix, iy], wy)
-            return _clip_to_box(v, in_x & in_y)
-
-        return f2
+        return _Spline(self)
 
     def to_dict(self) -> dict:
         return {
@@ -145,6 +125,20 @@ class GridFunction:
         shape = tuple(doc["points_per_axis"])
         values = np.asarray(doc["values"], dtype=float).reshape(shape)
         return cls(np.asarray(doc["lo"]), np.asarray(doc["hi"]), values)
+
+
+def _bounds(lo, hi):
+    """lo and hi as float vectors, refused unless they bound a finite box of
+    positive extent in 1 or 2 dimensions."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != hi.shape or lo.ndim != 1 or lo.size not in (1, 2):
+        raise ValueError("lo/hi must be vectors of length 1 or 2")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"box bounds must be finite, got lo={lo.tolist()} hi={hi.tolist()}")
+    if np.any(hi <= lo):
+        raise ValueError("box must have positive extent on every axis")
+    return lo, hi
 
 
 # -- uniform-grid splines ---------------------------------------------------------
@@ -205,18 +199,105 @@ def _not_a_knot(f: np.ndarray) -> np.ndarray:
     )
 
 
-def _locate(t: np.ndarray, lo: float, hi: float, n: int):
-    """Interval index, offset u in [0, 1] and inside mask of coordinates t on
-    the n-point uniform grid over [lo, hi]. t == hi lies on the last
-    interval, at u = 1; t outside the box reads as the nearest end."""
-    u = np.clip(t, lo, hi, out=np.empty(np.shape(t)))
-    inside = u == t
+class _Spline:
+    """The not-a-knot tables of one grid function, read between its nodes by
+    _add_log and, through GridFunction.interpolator, by calling it on points
+    of shape (..., dim)."""
+
+    def __init__(self, gf: GridFunction):
+        coef, bases = gf.values, []
+        for axis in range(gf.dim):
+            coef, basis = _axis_coefficients(coef, axis)
+            bases.append(basis)
+        self.dim, self.lo, self.hi, self.n = gf.dim, gf.lo, gf.hi, gf.values.shape
+        if gf.dim == 1:
+            # per-interval power coefficients, highest power first for
+            # Horner, one contiguous row per power
+            table = np.lib.stride_tricks.sliding_window_view(coef, 4) @ bases[0]
+            self.powers = np.ascontiguousarray(table.T[::-1])
+        else:
+            # the 4 x 4 coefficients acting on each cell, as a view of the grid
+            self.patches = np.lib.stride_tricks.sliding_window_view(coef, (4, 4))
+            self.bases = bases
+
+    def __call__(self, pts) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return self.values([pts[..., d] for d in range(self.dim)], _Scratch(pts[..., 0].size))
+
+    def values(self, coords, s: "_Scratch") -> np.ndarray:
+        """Interpolant values at the points whose coordinates along each axis
+        are the equally shaped arrays coords, clipped at zero and zeroed
+        outside the box: a view of s.v for a 1-d grid, a new array for a 2-d
+        one."""
+        shape = coords[0].shape
+        m = coords[0].size
+        if self.dim == 1:
+            i, u, inside, v, w = (a[:m].reshape(shape) for a in (s.i, s.u, s.inside, s.v, s.w))
+            _locate(coords[0], self.lo[0], self.hi[0], self.n[0], i, u, inside)
+            # i is in range, and mode="clip" lets take write into v and w
+            # directly, where the default mode would buffer them
+            self.powers[0].take(i, out=v, mode="clip")
+            for c in self.powers[1:]:
+                v *= u
+                v += c.take(i, out=w, mode="clip")
+        else:
+            (ix, ux, inside), (iy, uy, in_y) = (
+                _locate(t, lo, hi, n, np.empty(shape, dtype=np.intp), np.empty(shape),
+                        np.empty(shape, dtype=bool))
+                for t, lo, hi, n in zip(coords, self.lo, self.hi, self.n)
+            )
+            wx, wy = _weights(ux, self.bases[0]), _weights(uy, self.bases[1])
+            v = np.einsum("...k,...kl,...l->...", wx, self.patches[ix, iy], wy)
+            inside &= in_y
+        np.fmax(v, 0.0, out=v)
+        v *= inside
+        return v
+
+
+class _Scratch:
+    """Work arrays of one thread for `size` samples, allocated by the caller
+    once and reused by every chunk that thread takes: those of _add_log
+    and, when `coords` is given, those of a sup-convolution chunk (its
+    kernel coordinates t, its decompositions, their log-product and, for a
+    plane, the inside mask and the padded logs)."""
+
+    def __init__(self, size: int, coords: int = 0, kdim: int = 0):
+        self.u, self.v, self.w = np.empty(size), np.empty(size), np.empty(size)
+        self.i = np.empty(size, dtype=np.intp)
+        self.inside = np.empty(size, dtype=bool)
+        if coords:
+            self.t = np.empty(size * kdim)
+            self.y = np.empty(size * coords)
+            self.acc = np.empty(size)
+        if kdim == 2:
+            self.keep = np.empty(size, dtype=bool)
+            self.test = np.empty(size, dtype=bool)
+            self.logs = np.empty(size)
+
+
+def _add_log(acc: np.ndarray, spline: _Spline, coords, c: float, s: _Scratch) -> None:
+    """acc += c * log f(y) in place, f the spline, y the points whose
+    coordinates along each axis are the arrays coords, shaped like acc;
+    log 0 = -inf."""
+    v = _log0(spline.values(coords, s))
+    v *= c
+    acc += v
+
+
+def _locate(t, lo: float, hi: float, n: int, i, u, inside):
+    """Interval index i, offset u in [0, 1] and inside mask of coordinates t
+    on the n-point uniform grid over [lo, hi], written into the arrays given.
+    t == hi lies on the last interval, at u = 1; t outside the box reads as
+    the nearest end."""
+    np.clip(t, lo, hi, out=u)
+    np.equal(u, t, out=inside)
     u -= lo
     u *= (n - 1) / (hi - lo)
-    i = np.floor(u, out=np.empty_like(u))
+    # u >= 0 after the clip, so the cast truncates to floor(u)
+    np.copyto(i, u, casting="unsafe")
     np.minimum(i, n - 2, out=i)
     u -= i
-    return i.astype(np.intp), u, inside
+    return i, u, inside
 
 
 def _weights(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -228,14 +309,6 @@ def _weights(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
         w *= u
     w += basis[:, 0]
     return w
-
-
-def _clip_to_box(v, inside: np.ndarray) -> np.ndarray:
-    """Interpolant values clipped at zero and zeroed outside the box."""
-    v = np.asarray(v)
-    np.fmax(v, 0.0, out=v)
-    v *= inside
-    return v
 
 
 def integrate(gf: GridFunction) -> float:
@@ -321,6 +394,11 @@ def _tensor_grid(lo, hi, points: int):
     return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def _check_half_width(box: float) -> None:
+    if not (math.isfinite(box) and box > 0.0):
+        raise ValueError(f"box must be finite and positive, got {box}")
+
+
 def _log0(vals: np.ndarray) -> np.ndarray:
     """In-place log of non-negative interpolant values, log 0 = -inf."""
     with np.errstate(divide="ignore"):
@@ -345,20 +423,38 @@ def direct_integral_check(
     C * prod_i (integral f_i)^{c_i}. At most ~1 when C dominates; equals 1
     at extremizers up to quadrature error. Returns 0 (with a warning) when
     the right-hand side vanishes."""
+    _check_half_width(box)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
-    axes, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
-    flat = pts.reshape(-1, datum.n)
-    factors = [(datum.factors[i], gf.interpolator()) for i, gf in zip(datum.active_indices(), fs)]
-    log_prod = np.zeros(len(flat))
-    for start in range(0, len(flat), _SUPCONV_CHUNK):
-        x = flat[start : start + _SUPCONV_CHUNK]
-        acc = log_prod[start : start + _SUPCONV_CHUNK]
-        for f, itp in factors:
-            vals = _log0(itp(x @ f.B.T))
-            vals *= f.c
-            acc += vals
-    lhs = _trapezoid_nd(np.exp(log_prod).reshape(pts.shape[:-1]), axes)
+    axis = np.linspace(-box, box, resolution)
+    shape = (resolution,) * datum.n
+    size = math.prod(shape)
+    factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active_indices(), fs)]
+    chunk = min(size, _SUPCONV_CHUNK)
+    s = _Scratch(chunk)
+    # a chunk's grid points and their images under one B_i; in the plane,
+    # the point at offset j from the start (r0, c0) of its chunk lies in row
+    # r0 + row[c0 + j] and column tiled[c0 + j], which spares the chunk any
+    # integer division
+    x, column = np.empty((chunk, datum.n)), np.empty(chunk)
+    image = np.empty(chunk * max(f.target_dim for f, _ in factors))
+    rows = -(-chunk // resolution) + 1
+    row, tiled = np.arange(rows).repeat(resolution), np.tile(axis, rows)
+    log_prod = np.zeros(size)
+    for start in range(0, size, chunk):
+        acc = log_prod[start : start + chunk]
+        m = len(acc)
+        pts = x[:m]
+        if datum.n == 1:
+            pts[:, 0] = axis[start : start + m]
+        else:
+            r0, c0 = divmod(start, resolution)
+            pts[:, 0] = axis[r0:].take(row[c0 : c0 + m], out=column[:m], mode="clip")
+            pts[:, 1] = tiled[c0 : c0 + m]
+        for f, spline in factors:
+            y = np.matmul(pts, f.B.T, out=image[: m * f.target_dim].reshape(m, f.target_dim))
+            _add_log(acc, spline, list(y.T), f.c, s)
+    lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
 
     log_rhs = math.log(constant)
     for i, gf in zip(datum.active_indices(), fs):
@@ -410,14 +506,61 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     return np.zeros((len(Y0), K.shape[1])), np.sqrt(np.sum(r * r, axis=1)), np.zeros(len(Y0), dtype=bool)
 
 
-def _kernel_offsets(T: np.ndarray, K: np.ndarray):
-    """K t for samples T of shape (..., kdim), one factor coordinate at a
-    time. A line is a broadcast product, the fastest form; otherwise one
-    matmul serves every coordinate, since a matmul on one column of K takes
-    BLAS's matrix-vector path and rounds differently."""
-    if K.shape[1] == 1:
-        return (k * T[..., 0] for k in K[:, 0])
-    return np.moveaxis(T @ K.T, -1, 0)
+def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray, buf: np.ndarray):
+    """The decompositions y0 + K t of samples T (live, samples, kdim) at the
+    preimages y0 (live, sum n_i), written into buf: one (live, samples) array
+    per factor coordinate. A line is a broadcast product per coordinate, the
+    fastest form; otherwise one matmul serves every coordinate, since a
+    matmul on one column of K takes BLAS's matrix-vector path and rounds
+    differently."""
+    live, samples, kdim = T.shape
+    if kdim == 1:
+        Y = buf.reshape(len(K), live, samples)
+        for y, k, y0j in zip(Y, K[:, 0], y0.T):
+            np.multiply(k, T[..., 0], out=y)
+            y += y0j[:, None]
+        return list(Y)
+    P = np.matmul(T, K.T, out=buf.reshape(live, samples, len(K)))
+    P += y0[:, None, :]
+    return [P[..., j] for j in range(len(K))]
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(tasks: int, scratches: list, run) -> None:
+    """run(task, scratch) for every task in range(tasks), on one worker per
+    scratch set: worker w takes tasks w, w + W, ... with scratches[w].
+    Worker 0 is the calling thread; the others are threads, each in a copy
+    of the caller's context. The first exception stops every worker before
+    its next task and is re-raised here once all have ended."""
+    errors = []
+    workers = len(scratches)
+
+    def worker(w: int) -> None:
+        try:
+            for task in range(w, tasks, workers):
+                if errors:
+                    return
+                run(task, scratches[w])
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(worker, w))
+        for w in range(1, workers)
+    ]
+    for t in threads:
+        t.start()
+    worker(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def sup_convolution(
@@ -442,8 +585,11 @@ def sup_convolution(
 
     The interpolants see no dead point (one without a decomposition inside
     the boxes, whose envelope is 0) and, for a plane, no sample outside the
-    boxes.
+    boxes. The chunks of grid points run on one worker per CPU this process
+    may run on, each with its own scratch; the envelope does not depend on
+    how many.
     """
+    _check_half_width(box)
     fs = _check_functions(datum, fs)
     active = datum.active_indices()
     cs = [datum.factors[i].c for i in active]
@@ -453,7 +599,7 @@ def sup_convolution(
         raise ValueError(f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}")
     L, K = decomposition_map(datum)
 
-    interps = [gf.interpolator() for gf in fs]
+    splines = [_Spline(gf) for gf in fs]
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
     offsets = np.cumsum([0] + dims)
@@ -468,40 +614,54 @@ def sup_convolution(
 
     base = _sample_base(kdim, resolution)
     chunk = max(1, _SUPCONV_CHUNK // len(base))
-    for start in range(0, len(Y0), chunk):
-        centre, scale, dead = _window(Y0[start : start + chunk], K, lows, highs)
+
+    def run(task: int, s: _Scratch) -> None:
+        start = task * chunk
+        window = Y0[start : start + chunk]
+        centre, scale, dead = _window(window, K, lows, highs)
         # a dead point has no decomposition inside the boxes and stays 0
-        live = start + np.flatnonzero(~dead)
-        centre, scale = centre[~dead], scale[~dead]
-        T = centre[:, None, :] + scale[:, None, None] * base  # (live, samples, kdim)
-        # the decompositions, one (live, samples) array per factor coordinate
-        Y = [y0[:, None] + kt for y0, kt in zip(Y0[live].T, _kernel_offsets(T, K))]
+        live = np.flatnonzero(~dead)
+        if not len(live):
+            return
+        centre, scale = centre[live], scale[live]
+        samples = len(live) * len(base)
+        T = s.t[: samples * kdim].reshape(len(live), len(base), kdim)
+        np.multiply(scale[:, None, None], base, out=T)
+        T += centre[:, None, :]
+        Y = _decompositions(window[live], T, K, s.y[: samples * len(lows)])
         # a single-point segment lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the interpolators read it as inside
         point = scale == 0.0
         if point.any():
             for y, a, b in zip(Y, lows, highs):
                 y[point] = np.clip(y[point], a, b)
-        inside = None
         if kdim == 2:
             # the disc's square is mostly outside the boxes: interpolate only
             # the samples inside every box, the rest keep log 0 = -inf. A
             # line's segment and a unique decomposition are feasible already.
-            inside = np.ones(T.shape[:2], dtype=bool)
+            inside = s.keep[:samples].reshape(T.shape[:2])
+            test = s.test[:samples].reshape(T.shape[:2])
+            inside.fill(True)
             for y, a, b in zip(Y, lows, highs):
-                inside &= (y >= a) & (y <= b)
+                inside &= np.greater_equal(y, a, out=test)
+                inside &= np.less_equal(y, b, out=test)
             Y = [y[inside] for y in Y]
         # sum_i c_i log f_i over the samples, one factor at a time
-        logs = np.zeros(Y[0].shape)
-        for (a, b), c, itp in zip(spans, cs, interps):
-            vals = _log0(itp(np.stack(Y[a:b], axis=-1)))
-            vals *= c
-            logs += vals
-        if inside is not None:
-            logs, kept = np.full(inside.shape, -np.inf), logs
+        logs = s.acc[: Y[0].size].reshape(Y[0].shape)
+        logs.fill(0.0)
+        for (a, b), c, spline in zip(spans, cs, splines):
+            _add_log(logs, spline, Y[a:b], c, s)
+        if kdim == 2:
+            logs, kept = s.logs[:samples].reshape(T.shape[:2]), logs
+            logs.fill(-np.inf)
             logs[inside] = kept
-        out[live] = np.exp(logs.max(axis=1))
+        peaks = logs.reshape(len(live), len(base)).max(axis=1)
+        out[start + live] = np.exp(peaks, out=peaks)
 
+    tasks = -(-len(Y0) // chunk)
+    workers = min(_worker_count(), tasks)
+    size = min(chunk, len(Y0)) * len(base)
+    _in_workers(tasks, [_Scratch(size, len(lows), kdim) for _ in range(workers)], run)
     return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 
 
@@ -516,6 +676,7 @@ def reverse_integral_check(
     sup-convolution envelope. At most ~1 when C dominates the reversed
     inequality, 1 at the reversed extremizers up to quadrature error.
     All-zero input returns 0 by convention (with a warning)."""
+    _check_half_width(box)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     log_num = 0.0

@@ -253,7 +253,8 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         absolute value; anything else is refused with DatumError.
     tol : float
         Convergence threshold on the relative gradient norm
-        ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F.
+        ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F;
+        finite and non-negative, else ValueError.
     max_iter : int
         Budget of Newton iterations.
 
@@ -268,6 +269,8 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     diag = validate(datum)
     if diag.degenerate:
         raise DatumError("degenerate datum: the factor maps do not jointly span; "

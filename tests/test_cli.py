@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driven through main(argv) in-process."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from blgauss import __version__
-from blgauss.cli import main
+from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
 from conftest import gl_family, gl_map, mercedes_frame_datum, random_gl
 
@@ -148,11 +149,17 @@ class TestSolveAndConstant:
         d, _, _ = gl_family("holder")
         path, out = tmp_path / "holder.json", tmp_path / "report.json"
         save_datum(gl_map(d, random_gl(3, 1e8, np.random.default_rng(100))), path)
-        assert main([command, "--datum", str(path), "--tol", "nan", "--out", str(out)]) == 1
+        argv = [command, "--datum", str(path), "--out", str(out)]
+        assert main(argv) == 1
         doc = _strict_json(out)
-        assert doc["options"]["tol"] == "nan"
         assert (doc["result"]["constant"] if command == "solve" else doc["constant"]) == "nan"
         assert doc["options"]["max_iter"] == 10_000
+        # the CLI refuses --tol nan as bad input, so a NaN option reaches the
+        # report writer only from a caller that builds its own arguments
+        args = build_parser().parse_args(argv)
+        args.tol = math.nan
+        _write_report(args, {"constant": math.nan})
+        assert _strict_json(out)["options"]["tol"] == "nan"
 
 
 def _strict_json(path: Path) -> dict:
@@ -290,6 +297,38 @@ def test_bad_constant_exits_2(value, shown, capsys):
         assert main(["check-gaussian", "--datum", YOUNG, "--samples", "10", "--constant", value]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: constant must be finite and positive, got {shown}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("box", ["inf", "nan", "-1", "0"])
+def test_bad_box_exits_2(box, capsys):
+    # an infinite or NaN box used to reach np.linspace and leak its warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-quadrature", "--datum", YOUNG, "--resolution", "21", "--box", box]) == 2
+    captured = capsys.readouterr()
+    _one_line_no_traceback(captured.err, "box")
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--datum", YOUNG],
+    ["constant", "--datum", YOUNG],
+    ["check-gaussian", "--datum", YOUNG, "--samples", "10"],
+    ["check-quadrature", "--datum", YOUNG, "--resolution", "21"],
+    ["young", "--p", "1.5", "--q", "1.2"],
+    ["split", "--datum", YOUNG_PAIR],
+], ids=lambda argv: argv[0])
+def test_bad_tol_exits_2(argv, value, shown, capsys):
+    # --tol inf used to report the iteration-0 estimate as converged, and
+    # --tol nan or -1 ran the whole solve to exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tol must be finite and non-negative, got {shown}\n"
     assert captured.out == ""
 
 

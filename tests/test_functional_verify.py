@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +52,16 @@ class TestGridFunction:
             GridFunction([0.0], [1.0], np.array([1.0]))
         with pytest.raises(ValueError):
             GridFunction([0.0], [1.0], np.ones((3, 3)))
+
+    @pytest.mark.parametrize("lo, hi", [([-np.inf], [np.inf]), ([0.0], [np.inf]), ([np.nan], [1.0]),
+                                        ([0.0, -np.inf], [1.0, 1.0])])
+    def test_rejects_unbounded_boxes(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                GridFunction(lo, hi, np.ones((3,) * len(lo)))
+            with pytest.raises(ValueError, match="finite"):
+                GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), lo, hi, 5)
 
     def test_from_callable_1d(self):
         gf = GridFunction.from_callable(lambda p: p[..., 0] ** 2, [0.0], [1.0], 5)
@@ -253,6 +266,23 @@ class TestDirectIntegralCheck:
         ratio = direct_integral_check(d, fs, r.constant, resolution=801)
         assert ratio <= 1.0 + 1e-3
 
+    @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 1000, 1])
+    def test_chunks_read_the_grid_point_by_point(self, chunk, monkeypatch):
+        # chunks that start mid-row build their points from the axis alone;
+        # off-centre factors on a skewed datum tell a point from its mirror
+        # or transpose, against the dense meshgrid of every point at once
+        d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.4]]), np.array([[-0.3, 1.0]])])
+        fs = [grid_gaussian([[1.1]], points=201, center=[0.6]),
+              grid_gaussian([[0.7]], points=201, center=[-1.1])]
+        axis = np.linspace(-8.0, 8.0, 41)
+        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        prod = np.ones(X.shape[:-1])
+        for f, gf in zip(d.factors, fs):
+            prod *= gf.interpolator()(X @ f.B.T) ** f.c
+        expect = np.trapezoid(np.trapezoid(prod, axis, axis=1), axis) / (integrate(fs[0]) * integrate(fs[1]))
+        monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
+        assert direct_integral_check(d, fs, 1.0, resolution=41) == pytest.approx(expect, rel=1e-13)
+
     def test_zero_factor_returns_zero_with_warning(self):
         d = prekopa_leindler_datum()
         zero = GridFunction([-8.0], [8.0], np.zeros(11))
@@ -451,18 +481,13 @@ class TestSupConvolution:
         d, fs, res = self.kernel_cases()[kdim]
         ref = dense_sup_convolution(d, fs, res)
         asked = []
-        build = GridFunction.interpolator
+        add_log = functional_verify._add_log
 
-        def counted(gf):
-            itp = build(gf)
+        def counted(acc, spline, coords, c, s):
+            asked.append(coords[0].size)
+            add_log(acc, spline, coords, c, s)
 
-            def f(pts):
-                asked.append(np.asarray(pts).size // gf.dim)
-                return itp(pts)
-
-            return f
-
-        monkeypatch.setattr(GridFunction, "interpolator", counted)
+        monkeypatch.setattr(functional_verify, "_add_log", counted)
         env = sup_convolution(d, fs, resolution=res)
         assert np.array_equal(env.values, ref)
         every = len(fs) * res**d.n * res**kdim  # each factor, every point, every sample
@@ -470,6 +495,76 @@ class TestSupConvolution:
             assert sum(asked) == every
         else:
             assert 0 < sum(asked) < (0.9 if kdim == 1 else 0.5) * every
+
+    @staticmethod
+    def two_dim_factor_case():
+        B = np.array([[1.0, 0.3], [0.0, 1.0]])
+        d = make_datum(2, [0.5, 1.0], [B, np.array([[0.6, 0.8]])])
+        fs = [
+            grid_gaussian([[1.2, 0.2], [0.2, 0.8]], points=121),
+            grid_gaussian([[0.7]], points=201),
+        ]
+        return d, fs, 41
+
+    @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 300, 1])
+    @pytest.mark.parametrize("case", range(4), ids=["kdim0", "kdim1", "kdim2", "two-dim-factor"])
+    def test_any_worker_count_is_bit_identical(self, case, chunk, monkeypatch):
+        # every chunk writes its own slice of the envelope by the same
+        # operations, so W workers (W = 3 can outnumber the cores, and a
+        # short switch interval interleaves them finely) give one envelope
+        d, fs, res = (self.kernel_cases() + [self.two_dim_factor_case()])[case]
+        monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
+        envelopes = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(functional_verify, "_worker_count", lambda w=workers: w)
+                envelopes.append(sup_convolution(d, fs, resolution=res).values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert envelopes[0].max() > 0.1
+        assert all(np.array_equal(env, envelopes[0]) for env in envelopes[1:])
+
+    @staticmethod
+    def fail_off_the_calling_thread(monkeypatch, fail):
+        """Two workers whose _add_log calls fail() on the second worker's
+        thread only; returns the threads that called it."""
+        seen = []
+        add_log = functional_verify._add_log
+
+        def patched(*args):
+            seen.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                fail()
+            add_log(*args)
+
+        monkeypatch.setattr(functional_verify, "_add_log", patched)
+        monkeypatch.setattr(functional_verify, "_worker_count", lambda: 2)
+        return seen
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        d, fs, res = self.kernel_cases()[2]  # two chunks, one per worker
+
+        def fail():
+            raise RuntimeError("worker failed")
+
+        seen = self.fail_off_the_calling_thread(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            sup_convolution(d, fs, resolution=res)
+        assert any(t is not threading.main_thread() for t in seen)
+        assert threading.active_count() == threads
+
+    def test_the_callers_errstate_holds_in_the_workers(self, monkeypatch):
+        d, fs, res = self.kernel_cases()[2]
+
+        def fail():
+            np.ones(3) / np.zeros(3)
+
+        self.fail_off_the_calling_thread(monkeypatch, fail)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            sup_convolution(d, fs, resolution=res)
 
     def test_single_identity_factor_reproduces_input(self):
         d = make_datum(1, [1.0], [np.eye(1)])
@@ -503,6 +598,22 @@ class TestSupConvolution:
         fs = [grid_gaussian([[1.0]], points=11)] * 4
         with pytest.raises(ValueError):
             sup_convolution(d, fs, resolution=11)
+
+
+@pytest.mark.parametrize("box", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
+def test_bad_box_is_refused_before_any_grid(check, box):
+    d = prekopa_leindler_datum()
+    fs = [grid_gaussian([[1.0]], points=41)] * 2
+    run = {
+        "direct": lambda: direct_integral_check(d, fs, 1.0, resolution=21, box=box),
+        "sup": lambda: sup_convolution(d, fs, resolution=21, box=box),
+        "reverse": lambda: reverse_integral_check(d, fs, 1.0, resolution=21, box=box),
+    }[check]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="box must be finite and positive"):
+            run()
 
 
 class TestReverseIntegralCheck:

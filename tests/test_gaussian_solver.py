@@ -216,6 +216,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             solve(prekopa_leindler_datum(), max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            solve(prekopa_leindler_datum(), tol=tol)
+
     def test_budget_exhaustion_is_inconclusive_not_inf(self):
         # a crawl toward a finite supremum must not be misread as divergence
         _, d = young_flagship()
