@@ -8,6 +8,8 @@ Two guarded log-determinants share one conditioning guard and take a matrix
 or a stack of them. chol_logdet factors a given SPD matrix. whiten and
 gram_logdet read logdet(C C^T) off the singular values of C, so a Gram
 matrix is never formed and loses eps cond(C), not eps cond(C)^2.
+weighted_sum adds the per-factor log-determinants of a stack so that a
+row's sum does not depend on the stack's size.
 """
 
 from __future__ import annotations
@@ -118,6 +120,18 @@ def whiten(C: np.ndarray, name: str = "matrix", rows: bool = True):
 def gram_logdet(C: np.ndarray, name: str = "matrix") -> np.ndarray:
     """logdet(C C^T) of whiten, without the rows."""
     return whiten(C, name, rows=False)[1]
+
+
+def weighted_sum(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x @ c over the last axis of a (..., m) stack, rounded the same way for
+    every row however many rows share the call. OpenBLAS's gemv may round
+    the rows of a full group of four and the remaining rows differently, and
+    numpy hands a single row to ddot; padding to a multiple of four rows
+    puts every row in a full group."""
+    rows = x.reshape(-1, x.shape[-1])
+    padded = np.zeros((-(-len(rows) // 4) * 4, rows.shape[1]))
+    padded[: len(rows)] = rows
+    return (padded @ c)[: len(rows)].reshape(x.shape[:-1])
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -31,6 +31,7 @@ from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, S
 from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
                               sweep_reverse)
 from .quadform import check_inf
+from .report import check_seed
 from .stochastic import BrownianConfig, builtin_suite
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents
@@ -211,6 +212,7 @@ def cmd_check_quadrature(args) -> int:
 def cmd_check_inf(args) -> int:
     if args.instances < 1:
         raise ValueError(f"instances must be at least 1, got {args.instances}")
+    check_seed(args.seed)
     datum = load_datum(args.datum)
     rng = np.random.default_rng(args.seed)
     failed = False

@@ -14,7 +14,12 @@ Specialized to centered Gaussians, the two inequalities read
 and the dual form bounds det(A) <= C^2 prod_i det(B_i A B_i^T)^{c_i} for
 every SPD A on the ambient space. All ratios are formed in the log domain.
 Each inequality has one kernel that evaluates a whole stack of samples; the
-point checks call it on a stack of one.
+point checks call it on a stack of one. A sweep draws its samples in RNG
+blocks but evaluates them in as few kernel calls as memory allows: one call
+takes a run of consecutive blocks, with a supplied extremizer as one more
+sample. Every kernel step works matrix by matrix, element by element or,
+for the weighted sums over factors, row by row (weighted_sum), so no ratio
+depends on which samples share a call.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ import math
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, gram_logdet, sym
+from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
-from .report import VerificationReport
+from .report import VerificationReport, check_seed
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 1000
@@ -37,10 +42,14 @@ DEFAULT_SAMPLES = 1000
 VIOLATION_RTOL = 1e-9
 
 # Sweeps draw their samples in this many blocks, block b from
-# SeedSequence((seed, b)): a block is the unit one stacked kernel call
-# evaluates, so memory stays at 1/_BLOCKS of the samples, and the layout
-# fixes which sample every seed produces.
+# SeedSequence((seed, b)); the layout fixes which sample every seed produces.
 _BLOCKS = 16
+# One kernel call evaluates a run of consecutive blocks of at most this many
+# samples, or one larger block alone, so a call never holds more than a
+# chunk or a block. A chunk of the n = 6, eight-factor reverse sweep peaks
+# at about 7 MiB of arrays; 400,000 such samples in one call peaked at
+# 784 MiB of RSS instead of 87 MiB, and ran no faster.
+_CHUNK = 4096
 
 # Ascents per gaussian_constant_search, the iterations and the relative
 # gradient that stop one.
@@ -51,12 +60,27 @@ def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray
     """(count, n, n) stack of random SPD matrices G G^T + 1e-6 I, each
     rescaled log-uniformly over [1e-2, 1e2] so sweeps exercise more than
     one scale."""
+    return _finish_spd([_draw_spd(n, count, rng)])
+
+
+def _draw_spd(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of sample_spd_stack: G and the scales."""
     G = rng.standard_normal((count, n, n))
     # math.exp keeps one-matrix draws bit-identical to the scalar draws of
     # earlier versions; np.exp differs in the last bit on a few inputs
     scale = np.fromiter(map(math.exp, rng.uniform(math.log(1e-2), math.log(1e2), size=count)),
                         float, count)
-    M = (G @ G.swapaxes(1, 2) + 1e-6 * np.eye(n)) * scale[:, None, None]
+    return G, scale
+
+
+def _finish_spd(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The arithmetic of sample_spd_stack on the draws of one or more RNG
+    blocks, one stack in block order. It works matrix by matrix, so a
+    matrix does not depend on which blocks are finished together."""
+    G, scale = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*draws))
+    M = G @ G.swapaxes(1, 2)
+    M += 1e-6 * np.eye(G.shape[-1])
+    M *= scale[:, None, None]
     return sym(M)
 
 
@@ -65,12 +89,21 @@ def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
     return sample_spd_stack(n, 1, rng)[0]
 
 
+def _tuple_dims(datum: BLDatum) -> list[int]:
+    return [datum.factors[i].target_dim for i in datum.active_indices()]
+
+
+def _draw_tuples(datum: BLDatum):
+    dims = _tuple_dims(datum)
+    return lambda rng, count: [sample_spd_stack(k, count, rng) for k in dims]
+
+
 def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     """One random SPD matrix per non-zero factor."""
-    return [sample_spd(datum.factors[i].target_dim, rng) for i in datum.active_indices()]
+    return [S[0] for S in _draw_tuples(datum)(rng, 1)]
 
 
-# -- stacked kernels: one formula per inequality, over a block of samples -----
+# -- stacked kernels: one formula per inequality, over a stack of samples -----
 # A tuple is one (count, n_i, n_i) stack per non-zero factor; see factor_groups.
 
 def _log_constant_sq(constant: float) -> float:
@@ -88,7 +121,7 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
-        log_num = log_num + ld @ g.c
+        log_num = log_num + weighted_sum(ld, g.c)
         rows.extend(np.sqrt(g.c)[:, None, None, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
     log_den = gram_logdet(np.concatenate(rows, axis=1).swapaxes(1, 2), name="combined precision")
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
@@ -110,7 +143,8 @@ def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> n
     L, log_num = chol_logdet(A, name="A")
     log_den = 0.0
     for g in groups:
-        log_den = log_den + gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}") @ g.c
+        ld = gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}")
+        log_den = log_den + weighted_sum(ld, g.c)
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
@@ -128,37 +162,71 @@ def reverse_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
     return float(_reverse_ratios(factor_groups(datum), constant, stacks)[0])
 
 
+def _ambient(datum: BLDatum, A) -> np.ndarray:
+    A = check_spd(A, "A")
+    if A.shape[0] != datum.n:
+        raise ValueError(f"A has shape {A.shape}, expected ({datum.n}, {datum.n})")
+    return A
+
+
 def dual_check(datum: BLDatum, constant: float, A: np.ndarray) -> float:
     """Ratio det(A) / (C^2 prod_i det(B_i A B_i^T)^{c_i}); at most 1 for every
     ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A."""
-    return float(_dual_ratios(factor_groups(datum), constant, check_spd(A, "A")[None])[0])
+    return float(_dual_ratios(factor_groups(datum), constant, _ambient(datum, A)[None])[0])
 
 
 # -- randomized sweeps ---------------------------------------------------------
 
-def _sweep(datum, constant, kernel, draw, samples, seed, at_extremizer):
-    """Evaluate `kernel` on the samples `draw(rng, count)` of every RNG block."""
+def _runs(counts: list[int]):
+    """Consecutive block indices whose counts add up to at most _CHUNK, or
+    one larger block alone."""
+    run, size = [], 0
+    for b, count in enumerate(counts):
+        if run and size + count > _CHUNK:
+            yield run
+            run, size = [], 0
+        run.append(b)
+        size += count
+    yield run
+
+
+def _draw_run(dims: list[int], counts: list[int], run: list[int], seed: int) -> list[np.ndarray]:
+    """One (sum of counts, k, k) stack per k in dims: the samples of the
+    blocks in `run`, in block order. Each block has its own generator, which
+    draws its matrices in the order of dims, as sample_spd_stack would; the
+    arithmetic of each stack is done once for all the blocks."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, b))) for b in run]
+    return [_finish_spd([_draw_spd(k, counts[b], rng) for b, rng in zip(run, rngs)]) for k in dims]
+
+
+def _sweep(datum, constant, kernel, dims, extremizer, samples, seed):
+    """Evaluate `kernel` on the samples of every RNG block, one call per run
+    of blocks (see _runs), each sample one SPD matrix per entry of `dims`.
+    A validated `extremizer`, one matrix per entry of `dims`, is sample 0 of
+    the first call; its ratio gives the report's equality gap."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
+    counts = [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
     groups = factor_groups(datum)
-    ratios = np.concatenate([
-        kernel(groups, constant, draw(np.random.default_rng(np.random.SeedSequence((seed, b))),
-                                      base + (1 if b < extra else 0)))
-        for b in range(_BLOCKS)
-    ])
+    parts = []
+    for run in _runs(counts):
+        stacks = _draw_run(dims, counts, run, seed)
+        if extremizer is not None and not parts:
+            stacks = [np.concatenate([M[None], S]) for M, S in zip(extremizer, stacks)]
+        parts.append(kernel(groups, constant, stacks))
+        del stacks  # before the next run is drawn
+    ratios, gap = np.concatenate(parts), None
+    if extremizer is not None:
+        gap, ratios = abs(1.0 - float(ratios[0])), ratios[1:]
     return VerificationReport(
         samples=int(ratios.size),
         violations=int(np.sum(ratios > 1.0 + VIOLATION_RTOL)),
         worst_ratio=float(ratios.max()),
-        equality_gap=None if at_extremizer is None else abs(1.0 - at_extremizer),
+        equality_gap=gap,
         seed=seed,
     ), ratios
-
-
-def _draw_tuples(datum: BLDatum):
-    dims = [datum.factors[i].target_dim for i in datum.active_indices()]
-    return lambda rng, count: [sample_spd_stack(k, count, rng) for k in dims]
 
 
 def sweep_direct(
@@ -170,8 +238,8 @@ def sweep_direct(
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the direct Gaussian inequality."""
-    at_ext = None if extremizer is None else direct_gaussian_check(datum, constant, extremizer)
-    return _sweep(datum, constant, _direct_ratios, _draw_tuples(datum), samples, seed, at_ext)
+    ext = None if extremizer is None else check_tuple(datum, extremizer)
+    return _sweep(datum, constant, _direct_ratios, _tuple_dims(datum), ext, samples, seed)
 
 
 def sweep_reverse(
@@ -183,8 +251,8 @@ def sweep_reverse(
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the reversed Gaussian inequality."""
-    at_ext = None if extremizer is None else reverse_gaussian_check(datum, constant, extremizer)
-    return _sweep(datum, constant, _reverse_ratios, _draw_tuples(datum), samples, seed, at_ext)
+    ext = None if extremizer is None else check_tuple(datum, extremizer)
+    return _sweep(datum, constant, _reverse_ratios, _tuple_dims(datum), ext, samples, seed)
 
 
 def sweep_dual(
@@ -196,9 +264,9 @@ def sweep_dual(
     extremizer: np.ndarray | None = None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random ambient SPD matrices at the dual determinant bound."""
-    at_ext = None if extremizer is None else dual_check(datum, constant, extremizer)
-    return _sweep(datum, constant, _dual_ratios,
-                  lambda rng, count: sample_spd_stack(datum.n, count, rng), samples, seed, at_ext)
+    ext = None if extremizer is None else [_ambient(datum, extremizer)]
+    return _sweep(datum, constant, lambda groups, c, stacks: _dual_ratios(groups, c, stacks[0]),
+                  [datum.n], ext, samples, seed)
 
 
 # -- independent lower bound for the constant ----------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym
+from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup, factor_groups
-from .report import VerificationReport
+from .report import VerificationReport, check_seed
 
 INF_SLACK = 1e-10
 
@@ -54,7 +54,7 @@ def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndar
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
-        log_det = log_det + ld @ g.c
+        log_det = log_det + weighted_sum(ld, g.c)
         Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
         rows.extend(np.sqrt(g.c)[:, None, None, None] * Y.swapaxes(0, 1))
     return np.concatenate(rows, axis=1), log_det
@@ -123,6 +123,7 @@ def check_inf(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    check_seed(seed)
     mats = check_tuple(datum, tuple_)
     value, parts = inf_decomposition(datum, mats, x)
     _, kernel = decomposition_map(datum)

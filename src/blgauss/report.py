@@ -1,8 +1,16 @@
-"""Shared result record for sampling-based verification sweeps."""
+"""Shared result record and seed check for sampling-based verification."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+
+def check_seed(seed) -> None:
+    """ValueError unless seed is a non-negative integer, the only seed every
+    sampler here accepts; raised before anything is drawn."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_solve, sym
+from .report import check_seed
 
 DEFAULT_SEED = 1729
 MAX_DRAWS = 10**8
@@ -50,6 +51,7 @@ class BrownianConfig:
         if self.paths < 2:
             # every standard error is a sample standard deviation (ddof=1)
             raise ValueError(f"paths must be at least 2, got {self.paths}")
+        check_seed(self.seed)
         draws = (self.paths + self.steps) * self.n  # W_T is (paths, n), a drift grid (steps, n)
         if draws > MAX_DRAWS:
             raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")

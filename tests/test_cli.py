@@ -289,6 +289,17 @@ def test_bad_sampling_counts_exit_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check-gaussian", "check-inf", "bd"])
+def test_negative_seed_exits_2(command, capsys):
+    # numpy's "expected non-negative integer" named no input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--datum", YOUNG, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
 def test_bad_constant_exits_2(value, shown, capsys):
     # a NaN ratio never counts as a violation and C = +inf makes every ratio 0

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,14 @@ def dims_one_to_three_datum():
             np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
             np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])]
     return make_datum(3, [0.6, 0.6, 0.4], maps)
+
+
+def generic_datum():
+    """n = 6 with eight Gaussian maps of target dimension 1 to 3, five of
+    them rank one, weights 6 / sum n_i: homogeneous, finite, attained."""
+    rng = np.random.default_rng(0)
+    dims = [int(k) for k in rng.integers(1, 4, size=8)]
+    return make_datum(6, [6 / sum(dims)] * 8, [rng.standard_normal((k, 6)) for k in dims])
 
 
 def brute_force_reverse_ratio(datum, mats, constant):
@@ -188,6 +197,74 @@ class TestSweeps:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 sweep(prekopa_leindler_datum(), 1.0, samples=samples)
+
+    @pytest.mark.parametrize("sweep", [sweep_direct, sweep_reverse, sweep_dual])
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, sweep, seed, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew samples for a bad seed")
+        monkeypatch.setattr(blgauss.gaussian_verify, "_draw_spd", draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+                sweep(prekopa_leindler_datum(), 1.0, samples=10, seed=seed)
+
+
+SWEEPS = {"direct": sweep_direct, "reverse": sweep_reverse, "dual": sweep_dual}
+
+
+class TestGroupedBlocks:
+    """One kernel call evaluates a run of consecutive RNG blocks (at most
+    _CHUNK samples, or one larger block alone). Which blocks share a call
+    must change no ratio and no report."""
+
+    @pytest.mark.parametrize("samples", [5, 40, 250, 1000])
+    @pytest.mark.parametrize("datum", [young_flagship()[1], dims_one_to_three_datum(), generic_datum()],
+                             ids=["young", "dims123", "generic6"])
+    def test_grouping_changes_no_ratio(self, datum, samples, monkeypatch):
+        r = solve(datum)
+        if r.converged:
+            constant, ext = r.constant, {"direct": direct_extremizers(datum, r.A)}
+            ext["reverse"], ext["dual"] = reverse_extremizers(datum, r.A)
+        else:  # dims123 has constant +inf and no extremizers
+            constant, ext = 0.9, dict.fromkeys(SWEEPS)
+        calls, out = [], {}
+        kernel = blgauss.gaussian_verify._direct_ratios
+        monkeypatch.setattr(blgauss.gaussian_verify, "_direct_ratios",
+                            lambda *args: calls.append(args[2][0].shape[0]) or kernel(*args))
+        for chunk in (1, samples):  # every block alone; every block in one call
+            monkeypatch.setattr(blgauss.gaussian_verify, "_CHUNK", chunk)
+            out[chunk] = {name: sweep(datum, constant, samples, seed=5, extremizer=ext[name])
+                          for name, sweep in SWEEPS.items()}
+        # the extremizer rides along as one more sample of the first call
+        blocks = [c for c in (samples // 16 + (b < samples % 16) for b in range(16)) if c]
+        lead = int(r.converged)
+        assert calls == [blocks[0] + lead, *blocks[1:], samples + lead]
+        for name in SWEEPS:
+            (rep_alone, alone), (rep_one, one) = out[1][name], out[samples][name]
+            assert np.array_equal(alone, one), name
+            assert rep_alone == rep_one, name
+            assert (rep_one.equality_gap is not None) == r.converged
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_memory_stays_at_a_chunk_or_a_block(self, name, monkeypatch):
+        # a call holds max(_CHUNK, one block) samples at most; every block in
+        # one call would hold 4 and 20 chunks' worth in the last two sweeps
+        chunk = 512
+        monkeypatch.setattr(blgauss.gaussian_verify, "_CHUNK", chunk)
+        d, sweep = generic_datum(), SWEEPS[name]
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                sweep(d, 1.0, samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_call = peak(chunk)  # blocks of 32 in one call
+        assert peak(4 * chunk) < 1.5 * one_call  # four calls of four blocks
+        assert peak(16 * 640) < 1.5 * 640 / chunk * one_call  # blocks of 640, each alone
 
 
 def _exact(M):

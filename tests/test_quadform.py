@@ -179,6 +179,16 @@ class TestCheckInf:
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 check_inf(d, mats, np.array([0.3, -1.2]), samples=samples)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, seed):
+        # numpy's own message named no input
+        d = young_flagship()[1]
+        mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+                check_inf(d, mats, np.array([0.3, -1.2]), samples=10, seed=seed)
+
     def test_degenerate_raises(self):
         d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
         with pytest.raises(DatumError):

@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="paths must be at least 2"):
             BrownianConfig(A=np.eye(1), paths=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            small_config(seed=seed)
+
     def test_dt(self):
         c = BrownianConfig(A=np.eye(1), horizon=2.0, steps=8)
         assert c.dt == 0.25
