@@ -55,18 +55,22 @@ def _where(bad: np.ndarray) -> str:
     return "" if bad.ndim == 0 else f" {[int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]}"
 
 
-def _guard(lo: np.ndarray, hi: np.ndarray, name: str) -> None:
+def _guard(lo: np.ndarray, hi: np.ndarray, name) -> None:
     """IllConditionedError unless each matrix, with extreme eigenvalues lo and
     hi, is positive definite with cond <= COND_LIMIT: a factor beyond that
     ceiling cannot be inverted at the tolerances this package promises, so it
-    is reported instead of silently degrading."""
-    # hi / COND_LIMIT cannot overflow where COND_LIMIT * lo can
+    is reported instead of silently degrading. `name` may be a function that
+    returns it, called only on failure."""
+    # hi / COND_LIMIT cannot overflow where COND_LIMIT * lo can; with lo <= hi,
+    # a positive difference (its sign is exact) means lo > 0 as well
+    if (lo - hi / COND_LIMIT).min(initial=np.inf) > 0.0:
+        return
     bad = (lo <= 0.0) | (hi / COND_LIMIT > lo)
     if bad.any():
         j = np.unravel_index(bad.argmax(), bad.shape)
         raise IllConditionedError(
-            f"{name}{_where(bad)} is not positive definite with condition number <= "
-            f"{COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
+            f"{name() if callable(name) else name}{_where(bad)} is not positive definite "
+            f"with condition number <= {COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
         )
 
 
@@ -97,12 +101,12 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nda
     return L, 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
 
-def whiten(C: np.ndarray, name: str = "matrix", rows: bool = True):
+def whiten(C: np.ndarray, name="matrix", rows: bool = True):
     """Orthonormal rows V^T of the SVD C = U diag(s) V^T and logdet(C C^T) =
     2 sum log s, for a (k, n) matrix or each matrix of a (..., k, n) stack,
-    guarded on s^2 (k > n rows make C C^T singular). One row skips the SVD,
-    which costs three times its norm, and rounds like a 1 x 1 Cholesky
-    whitening of it."""
+    guarded on s^2 (k > n rows make C C^T singular; `name` as in _guard). One
+    row skips the SVD, which costs three times its norm, and rounds like a
+    1 x 1 Cholesky whitening of it."""
     C = np.asarray(C, dtype=float)
     k, n = C.shape[-2:]
     if k == 1:  # cond(C C^T) = 1: its root is s, and V^T = C (1/s) below
@@ -111,7 +115,7 @@ def whiten(C: np.ndarray, name: str = "matrix", rows: bool = True):
         svd = np.linalg.svd(C.swapaxes(-1, -2), full_matrices=False, compute_uv=rows)
         s = svd.S if rows else svd
     _guard(s[..., -1] ** 2 if k <= n else np.zeros(s.shape[:-1]), s[..., 0] ** 2, name)
-    ld = 2.0 * np.sum(np.log(s), axis=-1)
+    ld = 2.0 * np.log(s).sum(axis=-1)
     if not rows:
         return None, ld
     return (C * (1.0 / s)[..., None] if k == 1 else svd.U.swapaxes(-1, -2)), ld
@@ -145,13 +149,12 @@ def spd_inverse(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(spd_solve(M, np.eye(M.shape[0]), name=name))
 
 
-def numerical_rank(M: np.ndarray) -> int:
-    """Singular values above RANK_TOL * largest count toward the rank."""
+def numerical_rank(M: np.ndarray):
+    """Singular values above RANK_TOL * largest count toward the rank of a
+    matrix, or of each matrix in a (..., k, n) stack (an int array)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
-
+    ranks = (s > RANK_TOL * s[..., :1]).sum(axis=-1)
+    return int(ranks) if M.ndim == 2 else ranks

@@ -102,6 +102,8 @@ class FactorGroup(NamedTuple):
     indices: list[int]  # factor indices
     c: np.ndarray  # (m_k,) weights
     B: np.ndarray  # (m_k, k, n) maps
+    cb: np.ndarray  # (m_k, 1, 1) weights, to scale a stack of matrices
+    sqrt_cb: np.ndarray  # (m_k, 1, 1) their square roots
 
 
 def factor_groups(datum: BLDatum) -> list[FactorGroup]:
@@ -111,12 +113,13 @@ def factor_groups(datum: BLDatum) -> list[FactorGroup]:
     by_dim: dict[int, list[int]] = {}
     for p, i in enumerate(active):
         by_dim.setdefault(datum.factors[i].target_dim, []).append(p)
-    return [
-        FactorGroup(pos, [active[p] for p in pos],
-                    np.array([datum.factors[active[p]].c for p in pos]),
-                    np.stack([datum.factors[active[p]].B for p in pos]))
-        for pos in by_dim.values()
-    ]
+    groups = []
+    for pos in by_dim.values():
+        c = np.array([datum.factors[active[p]].c for p in pos])
+        groups.append(FactorGroup(pos, [active[p] for p in pos], c,
+                                  np.stack([datum.factors[active[p]].B for p in pos]),
+                                  c[:, None, None], np.sqrt(c)[:, None, None]))
+    return groups
 
 
 def make_datum(n: int, weights, maps) -> BLDatum:
@@ -155,27 +158,22 @@ class DatumDiagnostics:
 def validate(datum: BLDatum) -> DatumDiagnostics:
     """Check a datum and summarize it. Raises DatumError for a non-zero map
     that is not onto; zero maps are legal and merely flagged."""
-    zero_idx = [i for i, f in enumerate(datum.factors) if f.is_zero()]
-    active = [i for i in range(datum.m) if i not in zero_idx]
-    for i in active:
-        f = datum.factors[i]
-        r = numerical_rank(f.B)
-        if r < f.target_dim:
-            raise DatumError(
-                f"factor {i} has rank {r} < target dimension {f.target_dim}; "
-                "a non-zero factor map must be onto"
-            )
+    groups = factor_groups(datum)
+    active = sorted(i for g in groups for i in g.indices)
+    # one stacked SVD per factor group; the first factor that is not onto is named
+    short = [(i, int(r), g.B.shape[1]) for g in groups
+             for i, r in zip(g.indices, numerical_rank(g.B)) if r < g.B.shape[1]]
+    if short:
+        raise DatumError("factor {} has rank {} < target dimension {}; "
+                         "a non-zero factor map must be onto".format(*min(short)))
     defect = sum(datum.factors[i].c * datum.factors[i].target_dim for i in active) - datum.n
-    if active:
-        stacked = np.vstack([datum.factors[i].B for i in active])
-        degenerate = numerical_rank(stacked) < datum.n
-    else:
-        degenerate = True
+    maps = [datum.factors[i].B for i in active]
+    degenerate = not maps or numerical_rank(np.vstack(maps)) < datum.n
     return DatumDiagnostics(
         homogeneity_defect=float(defect),
         degenerate=bool(degenerate),
         frame=is_frame(datum),
-        zero_map_indices=zero_idx,
+        zero_map_indices=[i for i in range(datum.m) if i not in active],
     )
 
 

@@ -27,10 +27,16 @@ _whiten reads logdet(B_i A B_i^T) and Y_i off one stacked SVD of B_i K per
 factor group (datum.factor_groups), for the loop, its line search and the
 public evaluations. The solver imports only _linalg and datum, so the
 verification layers that re-check it share none of its fixed-point logic.
+
+One iteration costs one SVD of K, one eigh of the step H and, per line-search
+trial, one stacked SVD per factor group of more than one row; a step without
+curvature adds the SVD for ||G||_2. At n <= 3 the rest is call overhead, so
+the loop keeps to array methods and cached constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,6 +67,7 @@ _STALL_WINDOW = 50
 _ARMIJO = 1e-4
 _HALVINGS = 34
 _SLACK = 1e-13
+_EPS = np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -75,9 +82,9 @@ def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray],
     n = K.shape[1]
     Ys, Qbar, lds = [], np.zeros((n, n)), 0.0
     for g in groups:
-        Y, ld = whiten(g.B @ K, name=f"B_i A B_i^T, i in {g.indices}")
+        Y, ld = whiten(g.B @ K, name=lambda g=g: f"B_i A B_i^T, i in {g.indices}")
         Ys.append(Y)
-        Yc = (np.sqrt(g.c)[:, None, None] * Y).reshape(-1, n)
+        Yc = (g.sqrt_cb * Y).reshape(-1, n)
         Qbar += Yc.T @ Yc
         lds += float(ld @ g.c)
     return Ys, sym(Qbar), lds
@@ -172,8 +179,17 @@ class SolveResult:
                 fh.write(f"{k},{res!r},{obj!r}\n")
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _traceless(X: np.ndarray) -> np.ndarray:
-    return X - np.trace(X) / X.shape[0] * np.eye(X.shape[0])
+    """X minus its trace part, in place."""
+    X -= X.trace() / X.shape[0] * _eye(X.shape[0])
+    return X
 
 
 def _rising(trace: list[tuple[int, float, float]]) -> bool:
@@ -188,7 +204,7 @@ def _neg_hess(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
     n = H.shape[0]
     out = sym(Qbar @ H)
     for g, Y in zip(groups, Ys):
-        W = (g.c[:, None, None] * (Y @ H @ Y.swapaxes(1, 2))) @ Y
+        W = (g.cb * (Y @ H @ Y.swapaxes(1, 2))) @ Y
         out -= sym(Y.reshape(-1, n).T @ W.reshape(-1, n))
     return _traceless(out)
 
@@ -201,20 +217,21 @@ def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.
     bounds the step along G, and it goes to the line search's cap."""
     n = G.shape[0]
     H, r, p = np.zeros_like(G), G, G
-    rr = float(np.sum(G * G))
+    rr = float((G * G).sum())
     stop = min(0.25, math.sqrt(rr)) * rr
     for _ in range(n * (n + 1) // 2):
         Hp = _neg_hess(groups, Ys, Qbar, p)
-        curvature = float(np.sum(p * Hp))
-        if curvature <= np.finfo(float).eps * float(np.sum(p * p)):
+        curvature = float((p * Hp).sum())
+        if curvature <= _EPS * float((p * p).sum()):
             break
         a = rr / curvature
         H, r = H + a * p, r - a * Hp
-        rr_next = float(np.sum(r * r))
+        rr_next = float((r * r).sum())
         if rr_next <= stop:
             break
         p, rr = r + (rr_next / rr) * p, rr_next
-    return H if H.any() or not G.any() else 2.0 * G / np.linalg.norm(G, 2)
+    # ||G||_2 = np.linalg.norm(G, 2), the largest singular value, without its wrapper
+    return H if H.any() or not G.any() else 2.0 * G / np.linalg.svd(G, compute_uv=False)[0]
 
 
 def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.ndarray,
@@ -224,10 +241,10 @@ def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.
     and halves t; tr H = 0 keeps logdet(A), so a trial costs one whitening. A
     trial with an ill-conditioned factor, or one that rounds to K, ends it."""
     lam, V = np.linalg.eigh(H)
-    norm = float(np.abs(lam).max())
+    norm = float(max(-lam[0], lam[-1]))  # of the ascending eigenvalues
     if norm == 0.0:
         return None
-    t, slope = min(1.0, 2.0 / norm), float(np.sum(G * H))
+    t, slope = min(1.0, 2.0 / norm), float((G * H).sum())
     floor = obj - _SLACK * (1.0 + abs(obj))
     for _ in range(_HALVINGS + 1):
         K_t = K @ ((V * np.exp(0.5 * t * lam)) @ V.T)
@@ -309,11 +326,12 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
         _, s, Vt = np.linalg.svd(K)
         if s[-1] ** 2 < MIN_EIGENVALUE:
             return end(math.inf, math.nan, k)
-        logdet_A = 2.0 * float(np.sum(np.log(s)))
+        logdet_A = 2.0 * float(np.log(s).sum())
         obj = logdet_A - lds
         # the gradient K^{-T} (I - Qbar) K^{-1} relative to inv(A), K = U S V^T
-        E = np.eye(datum.n) - Qbar
-        res = float(np.linalg.norm((Vt @ E @ Vt.T) / np.outer(s, s)) / np.linalg.norm(s ** -2.0))
+        E = _eye(datum.n) - Qbar
+        X, w = ((Vt @ E @ Vt.T) / (s[:, None] * s)).ravel(), s ** -2.0
+        res = math.sqrt(X.dot(X)) / math.sqrt(w.dot(w))  # np.linalg.norm's sqrt(x . x)
         trace.append((k, res, obj))
         if res <= tol:
             return end(obj, res, k, True)

@@ -122,7 +122,7 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
         log_num = log_num + weighted_sum(ld, g.c)
-        rows.extend(np.sqrt(g.c)[:, None, None, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
+        rows.extend(g.sqrt_cb[:, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
     log_den = gram_logdet(np.concatenate(rows, axis=1).swapaxes(1, 2), name="combined precision")
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
 

@@ -56,7 +56,7 @@ def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndar
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
         log_det = log_det + weighted_sum(ld, g.c)
         Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
-        rows.extend(np.sqrt(g.c)[:, None, None, None] * Y.swapaxes(0, 1))
+        rows.extend(g.sqrt_cb[:, None] * Y.swapaxes(0, 1))
     return np.concatenate(rows, axis=1), log_det
 
 

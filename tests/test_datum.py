@@ -17,6 +17,7 @@ from blgauss import (
     save_datum,
     validate,
 )
+from blgauss._linalg import numerical_rank
 from conftest import (
     coordinate_datum,
     mercedes_frame_datum,
@@ -103,6 +104,33 @@ class TestValidate:
         d = make_datum(2, [1.0], [B])
         with pytest.raises(DatumError):
             validate(d)
+
+    def test_first_non_onto_factor_is_named_from_stacked_ranks(self, monkeypatch):
+        # factor 3 (two rows, rank 1) sits in the first factor group and
+        # factor 2 (three rows, rank 2) in the last; the message names the
+        # first by index, as the per-factor loop did, and validate makes one
+        # SVD per factor group plus one for the joint rank
+        rank_two = np.ones((3, 3)) + np.diag([1.0, 0.0, 0.0])
+        rank_one = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        d = make_datum(3, [1.0] * 5,
+                       [np.eye(3)[:2], np.eye(3)[:1], rank_two, rank_one, np.eye(3)[2:]])
+        with pytest.raises(DatumError) as err:
+            validate(d)
+        assert str(err.value) == ("factor 2 has rank 2 < target dimension 3; "
+                                  "a non-zero factor map must be onto")
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+        _, d = young_flagship()
+        validate(d)
+        assert shapes == [(3, 1, 2), (3, 2)]
+
+    def test_stacked_ranks_match_per_factor_ranks(self, rng):
+        for k in (1, 2, 3):
+            B = rng.standard_normal((40, k, 3))
+            B[::3, -1] = B[::3, 0] * 2.0  # every third map loses a rank
+            B[::7] *= 1e-9
+            assert numerical_rank(B).tolist() == [numerical_rank(M) for M in B]
 
     def test_exact_zero_map_allowed_and_flagged(self):
         d = make_datum(2, [1.0, 1.0, 0.7], [np.eye(2)[:1], np.eye(2)[1:], np.zeros((1, 2))])

@@ -306,6 +306,44 @@ def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
     assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
 
 
+@pytest.mark.parametrize("make, iterations, searches, multi_row, no_curvature", [
+    pytest.param(_infeasible_datum, 14, 14, 0, 14, id="infeasible"),
+    pytest.param(lambda: young_flagship()[1], 4, 4, 0, 0, id="young"),
+    # how many of its steps lack curvature depends on the BLAS kernel
+    pytest.param(_overflow_datum, 9, 10, 2, None, id="random-overflow"),
+])
+def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, multi_row,
+                                    no_curvature):
+    # An iteration at n <= 3 is bound by call overhead, so its LAPACK calls
+    # are counted rather than timed: one SVD of K, one eigh of the step, one
+    # whitening SVD per factor group of more than one row per line-search
+    # trial, and one SVD for ||G||_2 when a step has no curvature.
+    d = make()
+    assert sum(g.B.shape[1] > 1 for g in factor_groups(d)) == multi_row
+    calls = []
+    for name in ("svd", "eigh", "norm"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.ndim(a), kwargs.get("compute_uv", True)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    whiten, whitenings = blgauss.gaussian_solver._whiten, []
+    monkeypatch.setattr(blgauss.gaussian_solver, "_whiten",
+                        lambda g, K: whitenings.append(K) or whiten(g, K))
+    r = _iterate(d, np.eye(d.n), 1e-10, 10_000)
+    assert r.iterations == iterations
+    evaluations = len(r.trace) + math.isnan(r.residual)  # the MIN_EIGENVALUE exit has no row
+    assert evaluations <= iterations + 1
+    assert calls.count(("svd", 2, True)) == evaluations
+    assert calls.count(("eigh", 2, True)) == searches
+    # the first whitening is at K = I, the rest are trials; a trial that
+    # raises on its first group makes no SVD for the second
+    assert calls.count(("svd", 3, True)) <= multi_row * len(whitenings)
+    assert calls.count(("svd", 3, True)) >= multi_row * (len(whitenings) - 1)
+    spectral = calls.count(("svd", 2, False))
+    assert spectral <= searches and no_curvature in (None, spectral)
+    assert len(calls) == evaluations + searches + spectral + calls.count(("svd", 3, True))
+
+
 @pytest.mark.parametrize("max_iter", [10, 13])
 def test_spent_budget_is_inconclusive_on_a_divergent_datum(max_iter):
     # The infeasible datum's constant is +inf, but a run cut off before its

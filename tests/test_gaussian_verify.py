@@ -26,8 +26,10 @@ from blgauss import (
     sweep_dual,
     sweep_reverse,
 )
-from blgauss._linalg import COND_LIMIT, IllConditionedError, chol_logdet, gram_logdet, sym, whiten
+from blgauss._linalg import (COND_LIMIT, IllConditionedError, _guard, chol_logdet, gram_logdet, sym,
+                             whiten)
 from blgauss.datum import factor_groups
+from blgauss.gaussian_solver import _whiten
 from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _draw_tuples, _dual_ratios,
                                      _reverse_ratios)
 from blgauss.young import beckner_constant
@@ -409,11 +411,44 @@ class TestGramLogdet:
             for fn in (gram_logdet, whiten):
                 with pytest.raises(IllConditionedError, match=r"^Gram \[1, 2\] is not positive definite"):
                     fn(C, name="Gram")
-        gram_logdet(np.array([[1.0, 0.0, 0.0], [0.0, t * (1 + 1e-6), 0.0]]))
-        with pytest.raises(IllConditionedError):  # more rows than columns
-            gram_logdet(np.ones((3, 2)))
+        for fn in (gram_logdet, whiten):
+            fn(np.array([[1.0, 0.0, 0.0], [0.0, t * (1 + 1e-6), 0.0]]))  # cond just below
+            with pytest.raises(IllConditionedError):  # more rows than columns
+                fn(np.eye(3, 2))
         with pytest.raises(IllConditionedError, match=r"\[1\]"):
             whiten(np.array([[[1.0, 2.0]], [[0.0, 0.0]]]))
+
+    def test_guard_fast_path_keeps_verdicts_and_values(self, rng):
+        # a zero row of B_i K: the solver's whitening names the factor group
+        d = make_datum(2, [0.5, 0.5, 1.0], [np.eye(2), np.eye(2), np.eye(2)[:1]])
+        named = r"^B_i A B_i\^T, i in \[0, 1\] \[0\] is not positive definite"
+        with pytest.raises(IllConditionedError, match=named):
+            _whiten(factor_groups(d), np.diag([1.0, 0.0]))
+        # cond exactly COND_LIMIT passes, one ulp above it raises, and a
+        # name passed as a function is made only for the message
+        lo = np.array([1.0, 2.0]) / COND_LIMIT
+        _guard(lo, np.array([1.0, 2.0]), name=lambda: pytest.fail("name made for a passing guard"))
+        with pytest.raises(IllConditionedError, match=r"^made \[1\]"):
+            _guard(np.array([lo[0], np.nextafter(lo[1], 0.0)]), np.array([1.0, 2.0]),
+                   lambda: "made")
+        # NaN singular values pass unflagged
+        _, ld = whiten(np.array([[[np.nan, 1.0]], [[1.0, 1.0]]]))
+        assert np.isnan(ld[0]) and ld[1] == whiten(np.array([[1.0, 1.0]]))[1]
+        # the values are those of the formula without the fast path
+        for count in (1, 3, 6):
+            for k in (1, 2, 3):
+                C = rng.standard_normal((count, k, 4))
+                if k == 1:
+                    s = np.sqrt((C @ C.swapaxes(-1, -2))[..., 0])
+                    Y, s_only = C * (1.0 / s)[..., None], s
+                else:
+                    svd = np.linalg.svd(C.swapaxes(-1, -2), full_matrices=False)
+                    Y, s = svd.U.swapaxes(-1, -2), svd.S
+                    s_only = np.linalg.svd(C.swapaxes(-1, -2), compute_uv=False)
+                Vt, ld = whiten(C)
+                assert np.array_equal(Vt, Y)
+                assert np.array_equal(ld, 2.0 * np.sum(np.log(s), axis=-1))
+                assert np.array_equal(gram_logdet(C), 2.0 * np.sum(np.log(s_only), axis=-1))
 
     def test_empty_stack(self):
         for k in (1, 2):
