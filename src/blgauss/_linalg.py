@@ -34,12 +34,14 @@ def sym(M: np.ndarray) -> np.ndarray:
 def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that M is symmetric positive definite and return it as float array.
 
-    Symmetry is relative (1e-12 of the largest entry); positivity is checked
-    by eigenvalue. Raises ValueError on failure.
+    Entries must be finite, symmetry is relative (1e-12 of the largest entry)
+    and positivity is checked by eigenvalue. Raises ValueError on failure.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
     scale = np.abs(M).max()
     if scale == 0.0:
         raise ValueError(f"{name} is zero, not positive definite")

@@ -32,7 +32,7 @@ from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep
                               sweep_reverse)
 from .quadform import check_inf
 from .report import check_seed
-from .stochastic import BrownianConfig, builtin_suite
+from .stochastic import BrownianConfig, builtin_suite, check_draws
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents
 
@@ -190,7 +190,7 @@ def cmd_check_quadrature(args) -> int:
     payload["checks"]["direct"] = {"ratio": direct, "ok": ok}
     failed |= not ok
 
-    kernel_dim = sum(datum.factors[i].target_dim for i in datum.active_indices()) - datum.n
+    kernel_dim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     if kernel_dim <= MAX_KERNEL_DIM:
         tuple_r, _ = reverse_extremizers(datum, res.A)
         fs_r = [
@@ -239,6 +239,7 @@ def cmd_bd(args) -> int:
         A = _verdict(solve(datum), inf_ok=False).A
     else:
         datum = None
+        check_draws(args.dim, args.steps, args.paths)  # before np.eye allocates dim^2 floats
         A = np.eye(args.dim)
     config = BrownianConfig(A=A, horizon=args.horizon, steps=args.steps, paths=args.paths, seed=args.seed)
     rows = builtin_suite(config)

@@ -3,13 +3,18 @@
 A datum is a list of factors (c_i, B_i) with c_i > 0 and B_i a linear map
 from R^n onto R^{n_i}. The exact zero map is allowed as a degenerate marker
 (it contributes nothing to the inequalities and is excluded from all
-bookkeeping); a non-zero map that fails to be onto is malformed and rejected.
+bookkeeping); a non-zero map that fails to be onto is malformed. Every check
+runs once, when the datum is built: a malformed datum is refused there, and
+a BLDatum keeps its non-zero factors, their groups by target dimension and
+the two verdicts on the whole datum (homogeneity defect, degeneracy), which
+the other layers read instead of recomputing them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,26 +62,77 @@ class LinearFactor:
         return bool(np.abs(self.B).max() <= ZERO_MAP_TOL)
 
 
+class FactorGroup(NamedTuple):
+    """The non-zero factors of one target dimension k, in datum order, so
+    that one stacked linear-algebra call serves every factor of a group. The
+    arrays are read-only."""
+
+    positions: list[int]  # places in BLDatum.active, as in a tuple
+    indices: list[int]  # factor indices
+    c: np.ndarray  # (m_k,) weights
+    B: np.ndarray  # (m_k, k, n) maps
+    cb: np.ndarray  # (m_k, 1, 1) weights, to scale a stack of matrices
+    sqrt_cb: np.ndarray  # (m_k, 1, 1) their square roots
+
+
 @dataclass(frozen=True)
 class BLDatum:
-    """Ambient dimension n plus the factor list."""
+    """Ambient dimension n plus the factor list, checked when it is built.
+
+    active              indices of the non-zero factors, in datum order; a
+                        tuple of matrices has one per entry, in this order.
+    groups              the non-zero factors grouped by target dimension.
+    homogeneity_defect  sum of c_i * n_i over non-zero factors, minus n.
+    degenerate          the non-zero maps fail to jointly separate points
+                        (equivalently the adjoints fail to jointly span R^n);
+                        both constants are +inf for such a datum.
+    """
 
     n: int
     factors: tuple[LinearFactor, ...]
+    active: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    groups: tuple[FactorGroup, ...] = field(init=False, repr=False, compare=False)
+    homogeneity_defect: float = field(init=False, repr=False, compare=False)
+    degenerate: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DatumError(f"ambient dimension must be >= 1, got {self.n}")
-        factors = tuple(self.factors)
+        n = self.n
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral)
+                                       or isinstance(n, float) and n.is_integer()):
+            raise DatumError(f"ambient dimension must be an integer, got {n!r}")
+        if n < 1:
+            raise DatumError(f"ambient dimension must be >= 1, got {n}")
+        n, factors = int(n), tuple(self.factors)
         if not factors:
             raise DatumError("datum needs at least one factor")
         for i, f in enumerate(factors):
-            if f.B.shape[1] != self.n:
-                raise DatumError(
-                    f"factor {i} maps from R^{f.B.shape[1]}, datum is on R^{self.n}"
-                )
-        object.__setattr__(self, "n", int(self.n))
+            if f.B.shape[1] != n:
+                raise DatumError(f"factor {i} maps from R^{f.B.shape[1]}, datum is on R^{n}")
+        active = tuple(i for i, f in enumerate(factors) if not f.is_zero())
+        by_dim: dict[int, list[int]] = {}
+        for p, i in enumerate(active):
+            by_dim.setdefault(factors[i].target_dim, []).append(p)
+        groups = []
+        for pos in by_dim.values():
+            indices = [active[p] for p in pos]
+            c = _readonly([factors[i].c for i in indices])
+            groups.append(FactorGroup(pos, indices, c, _readonly([factors[i].B for i in indices]),
+                                      c[:, None, None], _readonly(np.sqrt(c))[:, None, None]))
+        # one stacked SVD per factor group; the first factor that is not onto is named
+        short = [(i, int(r), g.B.shape[1]) for g in groups
+                 for i, r in zip(g.indices, numerical_rank(g.B)) if r < g.B.shape[1]]
+        if short:
+            raise DatumError("factor {} has rank {} < target dimension {}; "
+                             "a non-zero factor map must be onto".format(*min(short)))
+        maps = [factors[i].B for i in active]
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "homogeneity_defect",
+                           float(sum(factors[i].c * factors[i].target_dim for i in active) - n))
+        object.__setattr__(self, "degenerate",
+                           bool(not maps or numerical_rank(np.vstack(maps)) < n))
 
     @property
     def m(self) -> int:
@@ -90,37 +146,6 @@ class BLDatum:
     def weights(self) -> tuple[float, ...]:
         return tuple(f.c for f in self.factors)
 
-    def active_indices(self) -> list[int]:
-        """Indices of factors that are not the zero map."""
-        return [i for i, f in enumerate(self.factors) if not f.is_zero()]
-
-
-class FactorGroup(NamedTuple):
-    """The non-zero factors of one target dimension k, in datum order."""
-
-    positions: list[int]  # places among datum.active_indices(), as in a tuple
-    indices: list[int]  # factor indices
-    c: np.ndarray  # (m_k,) weights
-    B: np.ndarray  # (m_k, k, n) maps
-    cb: np.ndarray  # (m_k, 1, 1) weights, to scale a stack of matrices
-    sqrt_cb: np.ndarray  # (m_k, 1, 1) their square roots
-
-
-def factor_groups(datum: BLDatum) -> list[FactorGroup]:
-    """Non-zero factors grouped by target dimension, so that one stacked
-    linear-algebra call serves every factor of a group."""
-    active = datum.active_indices()
-    by_dim: dict[int, list[int]] = {}
-    for p, i in enumerate(active):
-        by_dim.setdefault(datum.factors[i].target_dim, []).append(p)
-    groups = []
-    for pos in by_dim.values():
-        c = np.array([datum.factors[active[p]].c for p in pos])
-        groups.append(FactorGroup(pos, [active[p] for p in pos], c,
-                                  np.stack([datum.factors[active[p]].B for p in pos]),
-                                  c[:, None, None], np.sqrt(c)[:, None, None]))
-    return groups
-
 
 def make_datum(n: int, weights, maps) -> BLDatum:
     """Convenience constructor from parallel weight / matrix sequences."""
@@ -131,10 +156,7 @@ def make_datum(n: int, weights, maps) -> BLDatum:
 class DatumDiagnostics:
     """Result of validate(): global health indicators for a datum.
 
-    homogeneity_defect  sum of c_i * n_i over non-zero factors, minus n.
-    degenerate          the non-zero maps fail to jointly separate points
-                        (equivalently the adjoints fail to jointly span R^n);
-                        both constants are +inf for such a datum.
+    homogeneity_defect, degenerate  as on BLDatum.
     frame               every non-zero B_i B_i^T = id and the weighted sum
                         of B_i^T B_i is id, so identity solves the fixed
                         point and the constant is exactly 1.
@@ -156,35 +178,19 @@ class DatumDiagnostics:
 
 
 def validate(datum: BLDatum) -> DatumDiagnostics:
-    """Check a datum and summarize it. Raises DatumError for a non-zero map
-    that is not onto; zero maps are legal and merely flagged."""
-    groups = factor_groups(datum)
-    active = sorted(i for g in groups for i in g.indices)
-    # one stacked SVD per factor group; the first factor that is not onto is named
-    short = [(i, int(r), g.B.shape[1]) for g in groups
-             for i, r in zip(g.indices, numerical_rank(g.B)) if r < g.B.shape[1]]
-    if short:
-        raise DatumError("factor {} has rank {} < target dimension {}; "
-                         "a non-zero factor map must be onto".format(*min(short)))
-    defect = sum(datum.factors[i].c * datum.factors[i].target_dim for i in active) - datum.n
-    maps = [datum.factors[i].B for i in active]
-    degenerate = not maps or numerical_rank(np.vstack(maps)) < datum.n
-    return DatumDiagnostics(
-        homogeneity_defect=float(defect),
-        degenerate=bool(degenerate),
-        frame=is_frame(datum),
-        zero_map_indices=[i for i in range(datum.m) if i not in active],
-    )
+    """Summarize a datum. It only reads it: a malformed datum was refused when
+    it was built, and zero maps are legal and merely flagged here."""
+    return DatumDiagnostics(datum.homogeneity_defect, datum.degenerate, is_frame(datum),
+                            [i for i in range(datum.m) if i not in datum.active])
 
 
 def is_frame(datum: BLDatum) -> bool:
     """True when each non-zero B_i has orthonormal rows and the weighted sum
     of B_i^T B_i is the identity. Zero maps are ignored."""
-    active = datum.active_indices()
-    if not active:
+    if not datum.active:
         return False
     total = np.zeros((datum.n, datum.n))
-    for i in active:
+    for i in datum.active:
         f = datum.factors[i]
         gram = f.B @ f.B.T
         if np.abs(gram - np.eye(f.target_dim)).max() > RANK_TOL:
@@ -219,7 +225,7 @@ def datum_to_dict(datum: BLDatum) -> dict:
 
 def datum_from_dict(doc: dict) -> BLDatum:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         factors = tuple(LinearFactor(float(f["c"]), np.asarray(f["rows"], dtype=float))
                         for f in doc["factors"])
     except (KeyError, TypeError, ValueError) as exc:

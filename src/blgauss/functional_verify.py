@@ -362,7 +362,7 @@ def box_function(lo, hi):
 # -- the two integral checks -----------------------------------------------------
 
 def _check_functions(datum: BLDatum, fs) -> list[GridFunction]:
-    active = datum.active_indices()
+    active = datum.active
     fs = list(fs)
     if len(fs) != len(active):
         raise ValueError(f"expected {len(active)} grid functions, got {len(fs)}")
@@ -429,7 +429,7 @@ def direct_integral_check(
     axis = np.linspace(-box, box, resolution)
     shape = (resolution,) * datum.n
     size = math.prod(shape)
-    factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active_indices(), fs)]
+    factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active, fs)]
     chunk = min(size, _SUPCONV_CHUNK)
     s = _Scratch(chunk)
     # a chunk's grid points and their images under one B_i; in the plane,
@@ -457,7 +457,7 @@ def direct_integral_check(
     lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
 
     log_rhs = math.log(constant)
-    for i, gf in zip(datum.active_indices(), fs):
+    for i, gf in zip(datum.active, fs):
         total = integrate(gf)
         if total <= 0.0:
             warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
@@ -591,7 +591,7 @@ def sup_convolution(
     """
     _check_half_width(box)
     fs = _check_functions(datum, fs)
-    active = datum.active_indices()
+    active = datum.active
     cs = [datum.factors[i].c for i in active]
     dims = [datum.factors[i].target_dim for i in active]
     kdim = sum(dims) - datum.n
@@ -680,7 +680,7 @@ def reverse_integral_check(
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     log_num = 0.0
-    for i, gf in zip(datum.active_indices(), fs):
+    for i, gf in zip(datum.active, fs):
         total = integrate(gf)
         if total <= 0.0:
             warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)

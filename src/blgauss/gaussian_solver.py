@@ -24,7 +24,7 @@ iterate, a failed line search while F rises far from stationarity, or
 exp(F/2) <= C past the float range. Anything else unconverged is inconclusive.
 
 _whiten reads logdet(B_i A B_i^T) and Y_i off one stacked SVD of B_i K per
-factor group (datum.factor_groups), for the loop, its line search and the
+factor group (datum.groups), for the loop, its line search and the
 public evaluations. The solver imports only _linalg and datum, so the
 verification layers that re-check it share none of its fixed-point logic.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import IllConditionedError, check_spd, spd_inverse, sym, whiten
-from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
+from .datum import BLDatum, DatumError, FactorGroup
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -74,7 +74,7 @@ class ConvergenceError(RuntimeError):
     """Raised by callers that need a converged solve and did not get one."""
 
 
-def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+def _whiten(groups: tuple[FactorGroup, ...], K: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
     """Whitened factors at A = K K^T: per group the orthonormal rows Y of the
     SVD of B K, which give the same Q = Y^T Y as inv(L) B K for any
     L L^T = B A B^T; then Qbar = sum_i c_i Y_i^T Y_i and
@@ -93,7 +93,7 @@ def _whiten(groups: list[FactorGroup], K: np.ndarray) -> tuple[list[np.ndarray],
 def _at(datum: BLDatum, A: np.ndarray):
     """A caller's A = L L^T: L, inv(L), logdet(A) and the whitening at L."""
     L = np.linalg.cholesky(check_spd(A, "A"))
-    _, Qbar, lds = _whiten(factor_groups(datum), L)
+    _, Qbar, lds = _whiten(datum.groups, L)
     return L, np.linalg.inv(L), 2.0 * float(np.sum(np.log(np.diag(L)))), Qbar, lds
 
 
@@ -139,18 +139,15 @@ def direct_extremizers(datum: BLDatum, A: np.ndarray) -> list[np.ndarray]:
     """Precision matrices of the optimal inputs for the direct inequality,
     one per non-zero factor: inv(B_i A B_i^T)."""
     A = check_spd(A, "A")
-    out = []
-    for i in datum.active_indices():
-        f = datum.factors[i]
-        out.append(spd_inverse(sym(f.B @ A @ f.B.T), name=f"B_{i} A B_{i}^T"))
-    return out
+    return [spd_inverse(sym(datum.factors[i].B @ A @ datum.factors[i].B.T), name=f"B_{i} A B_{i}^T")
+            for i in datum.active]
 
 
 def reverse_extremizers(datum: BLDatum, A: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Precisions for the reversed inequality: the factor inputs get
     B_i A B_i^T and the enveloping function gets A itself."""
     A = check_spd(A, "A")
-    tuple_ = [sym(datum.factors[i].B @ A @ datum.factors[i].B.T) for i in datum.active_indices()]
+    tuple_ = [sym(datum.factors[i].B @ A @ datum.factors[i].B.T) for i in datum.active]
     return tuple_, A
 
 
@@ -197,7 +194,7 @@ def _rising(trace: list[tuple[int, float, float]]) -> bool:
     return len(trace) >= 2 and trace[-1][2] > trace[max(0, len(trace) - _STALL_WINDOW)][2] + 1e-9
 
 
-def _neg_hess(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
+def _neg_hess(groups: tuple[FactorGroup, ...], Ys: list[np.ndarray], Qbar: np.ndarray,
               H: np.ndarray) -> np.ndarray:
     """-Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i, projected to trace zero,
     with Q_i H Q_i = Y_i^T (Y_i H Y_i^T) Y_i stacked per factor group."""
@@ -209,7 +206,7 @@ def _neg_hess(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
     return _traceless(out)
 
 
-def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.ndarray,
+def _newton_direction(groups: tuple[FactorGroup, ...], Ys: list[np.ndarray], Qbar: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
     """Truncated conjugate gradients for -Hess[H] = G over symmetric traceless
     H, from H = 0. CG stops at a relative residual of min(1/2, sqrt(||G||)),
@@ -234,7 +231,7 @@ def _newton_direction(groups: list[FactorGroup], Ys: list[np.ndarray], Qbar: np.
     return H if H.any() or not G.any() else 2.0 * G / np.linalg.svd(G, compute_uv=False)[0]
 
 
-def _line_search(groups: list[FactorGroup], K: np.ndarray, H: np.ndarray, G: np.ndarray,
+def _line_search(groups: tuple[FactorGroup, ...], K: np.ndarray, H: np.ndarray, G: np.ndarray,
                  logdet_A: float, obj: float) -> tuple[np.ndarray, tuple] | None:
     """The first trial K exp(tH/2) that passes, with its whitening, or None.
     It starts at t = min(1, 2/||H||_2), which keeps exp(tH) within [e^-2, e^2],
@@ -288,13 +285,12 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    diag = validate(datum)
-    if diag.degenerate:
+    if datum.degenerate:
         raise DatumError("degenerate datum: the factor maps do not jointly span; "
                          "both constants are +inf")
-    if abs(diag.homogeneity_defect) > HOMOGENEITY_TOL:
+    if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
         raise DatumError(
-            f"homogeneity defect {diag.homogeneity_defect:.3e} exceeds {HOMOGENEITY_TOL:.0e}; "
+            f"homogeneity defect {datum.homogeneity_defect:.3e} exceeds {HOMOGENEITY_TOL:.0e}; "
             "the constant is degenerate (0 or +inf) unless sum c_i n_i = n"
         )
 
@@ -309,7 +305,7 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
     +inf while the objective rises with a residual above STATIONARITY_WARN (below
     it, rounding stops the search); otherwise it, like a spent budget, ends the
     run inconclusive with the last estimate."""
-    groups = factor_groups(datum)
+    groups = datum.groups
     trace: list[tuple[int, float, float]] = []
 
     def end(obj: float, res: float, k: int, converged: bool = False) -> SolveResult:

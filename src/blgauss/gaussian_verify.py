@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup, factor_groups, validate
+from .datum import BLDatum, DatumError, FactorGroup
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
 from .report import VerificationReport, check_seed
@@ -90,21 +90,16 @@ def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _tuple_dims(datum: BLDatum) -> list[int]:
-    return [datum.factors[i].target_dim for i in datum.active_indices()]
-
-
-def _draw_tuples(datum: BLDatum):
-    dims = _tuple_dims(datum)
-    return lambda rng, count: [sample_spd_stack(k, count, rng) for k in dims]
+    return [datum.factors[i].target_dim for i in datum.active]
 
 
 def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     """One random SPD matrix per non-zero factor."""
-    return [S[0] for S in _draw_tuples(datum)(rng, 1)]
+    return [sample_spd(k, rng) for k in _tuple_dims(datum)]
 
 
 # -- stacked kernels: one formula per inequality, over a stack of samples -----
-# A tuple is one (count, n_i, n_i) stack per non-zero factor; see factor_groups.
+# A tuple is one (count, n_i, n_i) stack per non-zero factor; see BLDatum.groups.
 
 def _log_constant_sq(constant: float) -> float:
     """2 log C, the constant's term in every log ratio. A NaN ratio is never
@@ -115,7 +110,7 @@ def _log_constant_sq(constant: float) -> float:
     return 2.0 * math.log(constant)
 
 
-def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
+def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
     # logdet of S = sum_i c_i B_i^T A_i B_i = Z^T Z off the rows sqrt(c_i) L_i^T B_i
     log_num, rows = 0.0, []
     for g in groups:
@@ -127,7 +122,7 @@ def _direct_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nda
     return np.exp(log_num - _log_constant_sq(constant) - log_den)
 
 
-def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.ndarray:
+def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
     Z, log_den = harmonic_sum(groups, stacks)
     try:
         log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
@@ -138,7 +133,7 @@ def _reverse_ratios(groups: list[FactorGroup], constant: float, stacks) -> np.nd
     return np.exp(-log_det_S - _log_constant_sq(constant) - log_den)
 
 
-def _dual_ratios(groups: list[FactorGroup], constant: float, A: np.ndarray) -> np.ndarray:
+def _dual_ratios(groups: tuple[FactorGroup, ...], constant: float, A: np.ndarray) -> np.ndarray:
     # B_i A B_i^T = (B_i L)(B_i L)^T for A = L L^T
     L, log_num = chol_logdet(A, name="A")
     log_den = 0.0
@@ -152,14 +147,14 @@ def direct_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
     """Ratio of the Gaussian direct inequality; at most 1 when `constant`
     really dominates the datum, exactly 1 at the direct extremizers."""
     stacks = [M[None] for M in check_tuple(datum, tuple_)]
-    return float(_direct_ratios(factor_groups(datum), constant, stacks)[0])
+    return float(_direct_ratios(datum.groups, constant, stacks)[0])
 
 
 def reverse_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
     """Ratio of the Gaussian reversed inequality; at most 1 when `constant`
     dominates, exactly 1 at the reversed extremizers."""
     stacks = [M[None] for M in check_tuple(datum, tuple_)]
-    return float(_reverse_ratios(factor_groups(datum), constant, stacks)[0])
+    return float(_reverse_ratios(datum.groups, constant, stacks)[0])
 
 
 def _ambient(datum: BLDatum, A) -> np.ndarray:
@@ -172,7 +167,7 @@ def _ambient(datum: BLDatum, A) -> np.ndarray:
 def dual_check(datum: BLDatum, constant: float, A: np.ndarray) -> float:
     """Ratio det(A) / (C^2 prod_i det(B_i A B_i^T)^{c_i}); at most 1 for every
     ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A."""
-    return float(_dual_ratios(factor_groups(datum), constant, _ambient(datum, A)[None])[0])
+    return float(_dual_ratios(datum.groups, constant, _ambient(datum, A)[None])[0])
 
 
 # -- randomized sweeps ---------------------------------------------------------
@@ -209,13 +204,12 @@ def _sweep(datum, constant, kernel, dims, extremizer, samples, seed):
     check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
     counts = [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
-    groups = factor_groups(datum)
     parts = []
     for run in _runs(counts):
         stacks = _draw_run(dims, counts, run, seed)
         if extremizer is not None and not parts:
             stacks = [np.concatenate([M[None], S]) for M, S in zip(extremizer, stacks)]
-        parts.append(kernel(groups, constant, stacks))
+        parts.append(kernel(datum.groups, constant, stacks))
         del stacks  # before the next run is drawn
     ratios, gap = np.concatenate(parts), None
     if extremizer is not None:
@@ -285,14 +279,12 @@ def gaussian_constant_search(datum: BLDatum) -> float:
     constant is compared against. The first of _RESTARTS ascents starts at
     the identity, the rest at A = exp(S) for a random traceless symmetric S.
     """
-    diag = validate(datum)
-    if diag.degenerate:
+    if datum.degenerate:
         raise DatumError("degenerate datum: constant is +inf")
-    if abs(diag.homogeneity_defect) > HOMOGENEITY_TOL:
+    if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
         raise DatumError("inhomogeneous datum: no finite positive constant")
 
     n = datum.n
-    groups = factor_groups(datum)
     rng = np.random.default_rng(DEFAULT_SEED)
     best = -math.inf
     for r in range(_RESTARTS):
@@ -303,23 +295,23 @@ def gaussian_constant_search(datum: BLDatum) -> float:
             S -= np.trace(S) / n * np.eye(n)
             w, U = np.linalg.eigh(S)
             K = (U * np.exp(0.5 * w)) @ U.T
-        best = max(best, _ascend_once(datum, groups, K))
+        best = max(best, _ascend_once(datum, K))
     return math.exp(0.5 * best)
 
 
-def _objective(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray):
+def _objective(datum: BLDatum, K: np.ndarray):
     """F(A) at A = K K^T and the sum S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i;
     both sums come from the harmonic sum of the tuple (B_i A B_i^T)_i."""
     A = sym(K @ K.T)
-    Z, log_det = harmonic_sum(groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
-                                       for i in datum.active_indices()])
+    Z, log_det = harmonic_sum(datum.groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
+                                             for i in datum.active])
     return float(gram_logdet(K, "A") - log_det[0]), sym(Z[0].T @ Z[0])
 
 
-def _ascend_once(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray) -> float:
+def _ascend_once(datum: BLDatum, K: np.ndarray) -> float:
     n = datum.n
     try:
-        obj, S = _objective(datum, groups, K)
+        obj, S = _objective(datum, K)
     except np.linalg.LinAlgError:
         return -math.inf
     step = 1.0
@@ -335,7 +327,7 @@ def _ascend_once(datum: BLDatum, groups: list[FactorGroup], K: np.ndarray) -> fl
         while step >= 1e-14:
             K_try = K @ (V * np.exp(0.5 * step * lam)) @ V.T
             try:
-                obj_try, S_try = _objective(datum, groups, K_try)
+                obj_try, S_try = _objective(datum, K_try)
             except np.linalg.LinAlgError:
                 step *= 0.5
                 continue

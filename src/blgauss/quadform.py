@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup, factor_groups
+from .datum import BLDatum, DatumError, FactorGroup
 from .report import VerificationReport, check_seed
 
 INF_SLACK = 1e-10
@@ -26,14 +26,13 @@ INF_SLACK = 1e-10
 
 def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
     """Validate one SPD matrix per non-zero factor, shapes matching."""
-    active = datum.active_indices()
     mats = list(tuple_)
-    if len(mats) != len(active):
+    if len(mats) != len(datum.active):
         raise ValueError(
-            f"expected {len(active)} matrices (one per non-zero factor), got {len(mats)}"
+            f"expected {len(datum.active)} matrices (one per non-zero factor), got {len(mats)}"
         )
     out = []
-    for i, M in zip(active, mats):
+    for i, M in zip(datum.active, mats):
         want = datum.factors[i].target_dim
         M = check_spd(M, name=f"tuple entry for factor {i}")
         if M.shape[0] != want:
@@ -44,7 +43,7 @@ def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
     return out
 
 
-def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndarray]:
+def harmonic_sum(groups: tuple[FactorGroup, ...], stacks) -> tuple[np.ndarray, np.ndarray]:
     """The rows Z of sqrt(c_i) inv(L_i) B_i, A_i = L_i L_i^T, whose Gram matrix
     Z^T Z is the harmonic sum sum_i c_i B_i^T inv(A_i) B_i, and sum_i c_i
     logdet(A_i), for one (count, n_i, n_i) stack of A_i per non-zero factor in
@@ -62,7 +61,7 @@ def harmonic_sum(groups: list[FactorGroup], stacks) -> tuple[np.ndarray, np.ndar
 
 def harmonic_combine(datum: BLDatum, tuple_) -> np.ndarray:
     """inv(sum_i c_i B_i^T inv(A_i) B_i) over non-zero factors."""
-    Z, _ = harmonic_sum(factor_groups(datum), [M[None] for M in check_tuple(datum, tuple_)])
+    Z, _ = harmonic_sum(datum.groups, [M[None] for M in check_tuple(datum, tuple_)])
     try:
         return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
@@ -86,10 +85,8 @@ def inf_decomposition(datum: BLDatum, tuple_, x: np.ndarray):
     A = harmonic_combine(datum, mats)
     Ax = A @ x
     value = float(x @ Ax)
-    parts = []
-    for i, Ai in zip(datum.active_indices(), mats):
-        f = datum.factors[i]
-        parts.append(spd_solve(Ai, f.B @ Ax, name=f"tuple entry {i}"))
+    parts = [spd_solve(Ai, datum.factors[i].B @ Ax, name=f"tuple entry {i}")
+             for i, Ai in zip(datum.active, mats)]
     return value, parts
 
 
@@ -98,7 +95,7 @@ def decomposition_map(datum: BLDatum) -> tuple[np.ndarray, np.ndarray]:
     (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, and K, an orthonormal basis of
     its kernel as columns. The decompositions of x are pinv(L) x + K t.
     Raises DatumError when L is not onto."""
-    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active_indices()])
+    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active])
     _, s, Vt = np.linalg.svd(L)
     if s.size < datum.n or s[-1] <= 1e-12 * s[0]:
         raise DatumError("degenerate datum: the constraint map is not onto")
@@ -139,7 +136,7 @@ def check_inf(
 
     objective = np.zeros(samples)
     offset = 0
-    for i, Ai in zip(datum.active_indices(), mats):
+    for i, Ai in zip(datum.active, mats):
         f = datum.factors[i]
         block = ys[:, offset : offset + f.target_dim]
         objective += f.c * np.einsum("sj,jk,sk->s", block, Ai, block)
@@ -148,12 +145,8 @@ def check_inf(
     violations = int(np.sum(objective < value - INF_SLACK))
     positive = objective[objective > 0.0]
     worst = float(np.max(value / positive)) if positive.size and value > 0.0 else 1.0
-    at_minimizer = float(
-        sum(
-            datum.factors[i].c * (p @ Ai @ p)
-            for i, Ai, p in zip(datum.active_indices(), mats, parts)
-        )
-    )
+    at_minimizer = float(sum(datum.factors[i].c * (p @ Ai @ p)
+                             for i, Ai, p in zip(datum.active, mats, parts)))
     return VerificationReport(
         samples=samples,
         violations=violations,

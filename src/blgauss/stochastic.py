@@ -32,6 +32,13 @@ DEFAULT_SEED = 1729
 MAX_DRAWS = 10**8
 
 
+def check_draws(n: int, steps: int, paths: int) -> None:
+    """ValueError when W_T, (paths, n), and a drift grid, (steps, n), exceed MAX_DRAWS."""
+    draws = (paths + steps) * n
+    if draws > MAX_DRAWS:
+        raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")
+
+
 @dataclass(frozen=True)
 class BrownianConfig:
     """Covariance density A, horizon, grid size, path count, seed."""
@@ -43,7 +50,6 @@ class BrownianConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        object.__setattr__(self, "A", check_spd(self.A, "covariance density"))
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.steps < 1:
@@ -52,9 +58,10 @@ class BrownianConfig:
             # every standard error is a sample standard deviation (ddof=1)
             raise ValueError(f"paths must be at least 2, got {self.paths}")
         check_seed(self.seed)
-        draws = (self.paths + self.steps) * self.n  # W_T is (paths, n), a drift grid (steps, n)
-        if draws > MAX_DRAWS:
-            raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")
+        # the budget reads A's shape, before check_spd decomposes A
+        A = np.asarray(self.A, dtype=float)
+        check_draws(A.shape[0] if A.ndim else 1, self.steps, self.paths)
+        object.__setattr__(self, "A", check_spd(A, "covariance density"))
 
     @property
     def n(self) -> int:

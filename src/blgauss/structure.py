@@ -86,7 +86,7 @@ def _snap_zero(B: np.ndarray, ref: float) -> np.ndarray:
 def restrict(datum: BLDatum, E: Subspace) -> BLDatum:
     """Datum induced on E: factor i becomes B_i restricted to E, written in
     an orthonormal basis of B_i E. A factor whose restriction vanishes stays
-    in the list as an exact zero map (the validators flag and skip it)."""
+    in the list as an exact zero map (BLDatum leaves it out of `active`)."""
     if E.n != datum.n:
         raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
     factors = []

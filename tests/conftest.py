@@ -66,7 +66,7 @@ def random_datum(rng: np.random.Generator, homogeneous: bool = False) -> BLDatum
 
 def random_spd_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     out = []
-    for i in datum.active_indices():
+    for i in datum.active:
         d = datum.factors[i].target_dim
         G = rng.standard_normal((d, d))
         out.append(G @ G.T + 0.1 * np.eye(d))

@@ -153,7 +153,7 @@ def infimum_decomposition_oracle():
         x = rng.standard_normal(d.n)
         _, parts = inf_decomposition(d, check_tuple(d, tup), x)
         recombined = np.zeros(d.n)
-        for i, p in zip(d.active_indices(), parts):
+        for i, p in zip(d.active, parts):
             f = d.factors[i]
             recombined += f.c * (f.B.T @ p)
         worst_feas = max(worst_feas, float(np.abs(recombined - x).max()))

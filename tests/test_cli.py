@@ -68,6 +68,35 @@ class TestExitCodes:
         assert "onto" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["solve"], ["constant"], ["check-gaussian", "--constant", "1.0"],
+        ["check-quadrature"], ["check-inf"], ["split"], ["bd"],
+    ], ids=lambda argv: argv[0])
+    def test_non_onto_map_is_refused_at_load(self, argv, tmp_path, capsys):
+        # the second factor makes the maps span R^2, so nothing downstream
+        # would notice the first factor's defect
+        doc = {"n": 2, "factors": [{"c": 1.0, "rows": [[1.0, 0.0], [2.0, 0.0]]},
+                                   {"c": 1.0, "rows": [[0.0, 1.0]]}]}
+        path = tmp_path / "nononto.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([argv[0], "--datum", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: factor 0 has rank 1 < target dimension 2; "
+                                "a non-zero factor map must be onto\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", [2.7, True])
+    def test_non_integral_dimension_exits_2(self, n, tmp_path, capsys):
+        doc = json.loads(Path(YOUNG).read_text(encoding="utf-8"))
+        doc["n"] = n
+        path = tmp_path / "young.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["constant", "--datum", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ambient dimension must be an integer, got {n!r}\n"
+        assert captured.out == ""
+
+
 class TestValidate:
     def test_frame_datum(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -369,6 +398,15 @@ class TestBd:
         assert captured.err.count("\n") == 1
         assert message in captured.err
         assert captured.out == ""
+
+    def test_draw_budget_precedes_the_identity(self, monkeypatch, capsys):
+        # --dim 3000 with the default 100,000 paths is over the budget; no
+        # dim x dim matrix may be built before that is known
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.eye called before the draw budget was checked")
+        monkeypatch.setattr(np, "eye", refuse)
+        assert main(["bd", "--dim", "3000"]) == 2
+        assert "exceeds the budget" in capsys.readouterr().err
 
     def test_datum_covariance_run(self, tmp_path):
         out = tmp_path / "report.json"

@@ -17,6 +17,9 @@ from blgauss import (
     save_datum,
     validate,
 )
+import blgauss._linalg
+import blgauss.datum
+from blgauss import gaussian_constant_search, solve
 from blgauss._linalg import numerical_rank
 from conftest import (
     coordinate_datum,
@@ -61,12 +64,11 @@ class TestMakeDatum:
         assert d.m == 2
         assert d.dims == (2, 1)
         np.testing.assert_allclose(d.weights, [1.0, 0.5])
-        assert d.active_indices() == [0, 1]
+        assert d.active == (0, 1)
 
     def test_wide_target_cannot_be_onto(self):
-        d = make_datum(2, [1.0], [np.eye(3)[:, :2]])  # target dim 3 from R^2
         with pytest.raises(DatumError):
-            validate(d)
+            make_datum(2, [1.0], [np.eye(3)[:, :2]])  # target dim 3 from R^2
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -74,7 +76,7 @@ class TestMakeDatum:
 
     def test_zero_map_excluded_from_active(self):
         d = make_datum(2, [1.0, 1.0, 1.0], [np.eye(2)[:1], np.eye(2)[1:], np.zeros((1, 2))])
-        assert d.active_indices() == [0, 1]
+        assert d.active == (0, 1)
         assert d.dims == (1, 1, 1)
 
 
@@ -101,27 +103,27 @@ class TestValidate:
 
     def test_non_onto_factor_rejected(self):
         B = np.array([[1.0, 0.0], [2.0, 0.0]])  # rank 1, target dim 2
-        d = make_datum(2, [1.0], [B])
         with pytest.raises(DatumError):
-            validate(d)
+            make_datum(2, [1.0], [B])
 
     def test_first_non_onto_factor_is_named_from_stacked_ranks(self, monkeypatch):
         # factor 3 (two rows, rank 1) sits in the first factor group and
         # factor 2 (three rows, rank 2) in the last; the message names the
-        # first by index, as the per-factor loop did, and validate makes one
-        # SVD per factor group plus one for the joint rank
+        # first by index, as the per-factor loop did; building a datum makes
+        # one SVD per factor group plus one for the joint rank, and validate
+        # makes none
         rank_two = np.ones((3, 3)) + np.diag([1.0, 0.0, 0.0])
         rank_one = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-        d = make_datum(3, [1.0] * 5,
-                       [np.eye(3)[:2], np.eye(3)[:1], rank_two, rank_one, np.eye(3)[2:]])
         with pytest.raises(DatumError) as err:
-            validate(d)
+            make_datum(3, [1.0] * 5,
+                       [np.eye(3)[:2], np.eye(3)[:1], rank_two, rank_one, np.eye(3)[2:]])
         assert str(err.value) == ("factor 2 has rank 2 < target dimension 3; "
                                   "a non-zero factor map must be onto")
         svd, shapes = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
         _, d = young_flagship()
+        assert shapes == [(3, 1, 2), (3, 2)]
         validate(d)
         assert shapes == [(3, 1, 2), (3, 2)]
 
@@ -143,7 +145,7 @@ class TestValidate:
         d = make_datum(2, [1.0, 1.0, 0.7], [np.eye(2)[:1], np.eye(2)[1:], 1e-12 * np.ones((1, 2))])
         diag = validate(d)
         assert diag.zero_map_indices == []
-        assert d.active_indices() == [0, 1, 2]
+        assert d.active == (0, 1, 2)
 
     def test_zero_map_does_not_change_diagnostics(self, rng):
         for _ in range(5):
@@ -210,6 +212,18 @@ class TestSerialization:
         b = make_datum(1, [0.5, 0.5 + 1e-9], [np.array([[1.0]]), np.array([[1.0]])])
         assert datum_digest(a) != datum_digest(b)
 
+    @pytest.mark.parametrize("n", [2.7, True, "2", None])
+    def test_dimension_must_be_an_integer(self, n):
+        doc = datum_to_dict(young_flagship()[1])
+        doc["n"] = n
+        with pytest.raises(DatumError, match="ambient dimension must be an integer"):
+            datum_from_dict(doc)
+
+    def test_integral_float_dimension_is_read_as_an_int(self):
+        doc = datum_to_dict(young_flagship()[1])
+        doc["n"] = 2.0
+        assert type(datum_from_dict(doc).n) is int
+
     def test_load_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"n": 2}')
@@ -230,3 +244,32 @@ class TestImmutability:
         assert isinstance(d, BLDatum)
         with pytest.raises(AttributeError):
             d.n = 5
+
+
+class TestCheckedOnce:
+    def test_groups_follow_the_active_factors(self):
+        d = make_datum(3, [1.0, 0.5, 0.7, 0.5],
+                       [np.eye(3)[:2], np.eye(3)[2:], np.zeros((1, 3)), np.ones((1, 3))])
+        assert d.active == (0, 1, 3)
+        assert [(g.positions, g.indices) for g in d.groups] == [([0], [0]), ([1, 2], [1, 3])]
+        np.testing.assert_array_equal(d.groups[1].B, [np.eye(3)[2:], np.ones((1, 3))])
+
+    def test_group_arrays_are_read_only(self):
+        for g in young_flagship()[1].groups:
+            for a in (g.c, g.B, g.cb, g.sqrt_cb):
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1.0
+
+    def test_solve_and_search_read_the_built_datum(self, monkeypatch):
+        # the rank SVDs ran when the datum was built; neither a solve nor the
+        # independent search ranks or validates it again
+        _, d = young_flagship()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the datum was checked again")
+        for name in ("numerical_rank", "is_frame"):
+            monkeypatch.setattr(blgauss.datum, name, refuse)
+        monkeypatch.setattr(blgauss._linalg, "numerical_rank", refuse)
+        res = solve(d)
+        assert res.converged
+        assert gaussian_constant_search(d) == pytest.approx(res.constant, rel=1e-6)

@@ -315,7 +315,7 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
     sliced into factors afterwards; for kdim 2 one grid point at a time over
     a resolution^2 grid of the square |t|_inf <= w, w bounding every
     feasible t."""
-    active = datum.active_indices()
+    active = datum.active
     L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in active])
     dims = [datum.factors[i].target_dim for i in active]
     offsets = np.cumsum([0] + dims)

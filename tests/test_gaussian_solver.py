@@ -19,7 +19,6 @@ from blgauss import (
     reverse_extremizers,
     solve,
 )
-from blgauss.datum import factor_groups
 from blgauss.gaussian_solver import (
     MIN_EIGENVALUE, STATIONARITY_WARN, _iterate, _line_search, _neg_hess, _newton_direction, _whiten,
 )
@@ -319,7 +318,7 @@ def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, mul
     # whitening SVD per factor group of more than one row per line-search
     # trial, and one SVD for ||G||_2 when a step has no curvature.
     d = make()
-    assert sum(g.B.shape[1] > 1 for g in factor_groups(d)) == multi_row
+    assert sum(g.B.shape[1] > 1 for g in d.groups) == multi_row
     calls = []
     for name in ("svd", "eigh", "norm"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -395,7 +394,7 @@ def test_hessian_matches_second_difference_and_is_psd(rng):
         H = rng.standard_normal((d.n, d.n))
         H = H + H.T - 2.0 * np.trace(H) / d.n * np.eye(d.n)
         R, _ = _sqrt_and_exp(A, H, 0.0)
-        groups = factor_groups(d)
+        groups = d.groups
         Ys, Qbar, lds = _whiten(groups, R)
         curvature = float(np.sum(H * _neg_hess(groups, Ys, Qbar, H)))
         assert curvature >= -1e-12 * float(np.sum(H * H))
@@ -462,14 +461,14 @@ def test_step_without_curvature_goes_to_the_cap():
     # The step goes along G to ||H||_2 = 2, where the line search caps it,
     # not a unit step along G.
     d = _infeasible_datum()
-    groups = factor_groups(d)
+    groups = d.groups
     Ys, Qbar, _ = _whiten(groups, np.eye(2))
     G = np.eye(2) - Qbar
     H = _newton_direction(groups, Ys, Qbar, G)
     np.testing.assert_allclose(H, np.diag([-2.0, 2.0]), atol=1e-15)
     # a zero gradient (n = 1, where every traceless step is 0) stays 0
     d1 = make_datum(1, [0.5, 0.5], [np.eye(1), np.eye(1)])
-    groups1 = factor_groups(d1)
+    groups1 = d1.groups
     Ys1, Qbar1, _ = _whiten(groups1, np.eye(1))
     assert not _newton_direction(groups1, Ys1, Qbar1, np.zeros((1, 1))).any()
 
@@ -478,7 +477,7 @@ def test_trial_that_cannot_move_k_ends_the_line_search(monkeypatch):
     # K exp(tH/2) rounds to K itself: a slack-passing null step would be
     # taken again at every later iteration, so the search fails unwhitened.
     _, d = young_flagship()
-    groups = factor_groups(d)
+    groups = d.groups
     whitened = []
     monkeypatch.setattr(blgauss.gaussian_solver, "_whiten", lambda g, K_t: whitened.append(K_t))
     H = 1e-20 * np.diag([1.0, -1.0])
@@ -510,7 +509,7 @@ def test_ill_conditioned_trial_ends_the_line_search(monkeypatch):
     # cond(A) past COND_LIMIT = 1e14, the one at t = 1/4 does not. The search
     # must stop at the first, after one whitening, instead of halving.
     d = make_datum(2, [0.5, 0.5], [np.eye(2), np.eye(2)])
-    groups = factor_groups(d)
+    groups = d.groups
     K, H = np.diag([10.0**3.4, 10.0**-3.4]), np.diag([1.0, -1.0])
     _, _, lds = _whiten(groups, K)
     whitened = []

@@ -10,6 +10,7 @@ import pytest
 
 import blgauss.gaussian_verify
 from blgauss import (
+    BrownianConfig,
     DatumError,
     direct_extremizers,
     direct_gaussian_check,
@@ -26,11 +27,10 @@ from blgauss import (
     sweep_dual,
     sweep_reverse,
 )
-from blgauss._linalg import (COND_LIMIT, IllConditionedError, _guard, chol_logdet, gram_logdet, sym,
-                             whiten)
-from blgauss.datum import factor_groups
+from blgauss._linalg import (COND_LIMIT, IllConditionedError, _guard, check_spd, chol_logdet, gram_logdet,
+                             sym, whiten)
 from blgauss.gaussian_solver import _whiten
-from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _draw_tuples, _dual_ratios,
+from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _dual_ratios,
                                      _reverse_ratios)
 from blgauss.young import beckner_constant
 from conftest import (
@@ -48,7 +48,7 @@ def brute_force_direct_ratio(datum, mats, constant):
     the log-domain Cholesky pipeline."""
     num = 1.0
     S = np.zeros((datum.n, datum.n))
-    for i, Ai in zip(datum.active_indices(), mats):
+    for i, Ai in zip(datum.active, mats):
         f = datum.factors[i]
         num *= np.linalg.det(Ai) ** f.c
         S += f.c * (f.B.T @ Ai @ f.B)
@@ -74,7 +74,7 @@ def generic_datum():
 def brute_force_reverse_ratio(datum, mats, constant):
     S = np.zeros((datum.n, datum.n))
     den = 1.0
-    for i, Ai in zip(datum.active_indices(), mats):
+    for i, Ai in zip(datum.active, mats):
         f = datum.factors[i]
         S += f.c * (f.B.T @ np.linalg.inv(Ai) @ f.B)
         den *= np.linalg.det(Ai) ** f.c
@@ -124,6 +124,29 @@ class TestPointChecks:
             assert direct_gaussian_check(d, 1.0, tuple_) == pytest.approx(1.0, abs=1e-14)
             assert reverse_gaussian_check(d, 1.0, tuple_) == pytest.approx(1.0, abs=1e-14)
             assert dual_check(d, 1.0, np.eye(d.n)) == pytest.approx(1.0, abs=1e-14)
+
+
+def _poisoned(k: int, value: float) -> np.ndarray:
+    M = np.eye(k)
+    M[0, 0] = value
+    return M
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda M: check_spd(M(1)),
+    lambda M: BrownianConfig(A=M(2)),
+    lambda M: direct_gaussian_check(young_flagship()[1], 1.0, [np.eye(1), M(1), np.eye(1)]),
+    lambda M: dual_check(young_flagship()[1], 1.0, M(2)),
+    lambda M: sweep_direct(young_flagship()[1], 1.0, 10, extremizer=[np.eye(1), np.eye(1), M(1)]),
+], ids=["check_spd", "BrownianConfig", "direct_gaussian_check", "dual_check", "sweep-extremizer"])
+def test_non_finite_matrix_is_refused(call, value):
+    # refused by name before any arithmetic on it, so no ratio is NaN and no
+    # RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has non-finite entries"):
+            call(lambda k: _poisoned(k, value))
 
 
 class TestSweeps:
@@ -303,10 +326,11 @@ class TestExactRatios:
 
     def test_log_ratios_match_exact_arithmetic(self):
         d = make_datum(3, [0.5] * 3, self.MAPS)
-        groups, B = factor_groups(d), [_exact(M) for M in self.MAPS]
+        groups, B = d.groups, [_exact(M) for M in self.MAPS]
         worst = dict.fromkeys(("direct", "reverse", "dual"), 0.0)
         for seed in range(30):
-            tup = _draw_tuples(d)(np.random.default_rng(seed), 40)
+            rng = np.random.default_rng(seed)
+            tup = [sample_spd_stack(k, 40, rng) for k in d.dims]
             amb = sample_spd_stack(3, 40, np.random.default_rng(seed))
             got = {"direct": np.log(_direct_ratios(groups, 1.0, tup)),
                    "reverse": np.log(_reverse_ratios(groups, 1.0, tup)),
@@ -423,7 +447,7 @@ class TestGramLogdet:
         d = make_datum(2, [0.5, 0.5, 1.0], [np.eye(2), np.eye(2), np.eye(2)[:1]])
         named = r"^B_i A B_i\^T, i in \[0, 1\] \[0\] is not positive definite"
         with pytest.raises(IllConditionedError, match=named):
-            _whiten(factor_groups(d), np.diag([1.0, 0.0]))
+            _whiten(d.groups, np.diag([1.0, 0.0]))
         # cond exactly COND_LIMIT passes, one ulp above it raises, and a
         # name passed as a function is made only for the message
         lo = np.array([1.0, 2.0]) / COND_LIMIT

@@ -27,7 +27,7 @@ def kkt_infimum(datum, mats, x):
 
     directly from its KKT system, without the harmonic-combination formula.
     """
-    active = datum.active_indices()
+    active = datum.active
     sizes = [datum.factors[i].target_dim for i in active]
     N = sum(sizes)
     n = datum.n
@@ -117,12 +117,12 @@ class TestInfDecomposition:
             value, parts = inf_decomposition(d, mats, x)
             recombined = sum(
                 d.factors[i].c * d.factors[i].B.T @ p
-                for i, p in zip(d.active_indices(), parts)
+                for i, p in zip(d.active, parts)
             )
             np.testing.assert_allclose(recombined, x, atol=1e-10)
             attained = sum(
                 d.factors[i].c * float(p @ Ai @ p)
-                for i, Ai, p in zip(d.active_indices(), mats, parts)
+                for i, Ai, p in zip(d.active, mats, parts)
             )
             assert attained == pytest.approx(value, rel=1e-10, abs=1e-12)
 

@@ -42,6 +42,11 @@ class TestConfig:
             BrownianConfig(A=np.eye(2), steps=1, paths=5 * 10**7)
         BrownianConfig(A=np.eye(2), steps=10**5, paths=10**5)
 
+    def test_budget_is_read_before_the_covariance_is_decomposed(self):
+        # -I is not positive definite; the budget, read off its shape, refuses it first
+        with pytest.raises(ValueError, match=r"\(paths \+ steps\) \* n"):
+            BrownianConfig(A=-np.eye(2), paths=10**8)
+
     def test_rejects_single_path(self):
         # standard errors are sample standard deviations and need two paths
         with pytest.raises(ValueError, match="paths must be at least 2"):
