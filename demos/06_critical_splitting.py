@@ -47,3 +47,21 @@ try:
     multiplicativity_check(pair, e0)
 except ValueError as exc:
     print(f"multiplicativity_check refused: {exc}")
+
+# The same datum after a change of variables: every map B_i becomes B_i M,
+# and the critical subspace span(e0, e1) becomes M^-1 span(e0, e1), no longer
+# a coordinate subspace. The second block's maps send it to zero in exact
+# arithmetic and to roundoff here; measured against B_i M, that roundoff has
+# dimension 0, so the subspace is critical and the split goes through.
+M = np.array([[2.0, 1.0, 0.0, 1.0],
+              [0.0, 1.0, 1.0, 0.0],
+              [1.0, 0.0, 3.0, 1.0],
+              [0.0, 1.0, 0.0, 2.0]])
+mapped = make_datum(4, pair.weights, [f.B @ M for f in pair.factors])
+E = Subspace.from_rows(np.linalg.solve(M, np.eye(4)[:, :2]).T)
+r = multiplicativity_check(mapped, E)
+print(f"\nmapped by M, along M^-1 span(e0, e1): critical? {is_critical(mapped, E)}")
+print(
+    f"  C_E = {r.restricted_constant:.12f}, "
+    f"C_perp = {r.quotient_constant:.12f}, relative gap {r.gap:.1e}"
+)

@@ -151,12 +151,14 @@ def spd_inverse(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(spd_solve(M, np.eye(M.shape[0]), name=name))
 
 
-def numerical_rank(M: np.ndarray):
-    """Singular values above RANK_TOL * largest count toward the rank of a
-    matrix, or of each matrix in a (..., k, n) stack (an int array)."""
+def numerical_rank(M: np.ndarray, ref=None):
+    """Singular values above RANK_TOL * ref count toward the rank of a matrix,
+    or of each matrix in a (..., k, n) stack (an int array). ref, one scale or
+    one per matrix, defaults to each matrix's own largest singular value."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    ranks = (s > RANK_TOL * s[..., :1]).sum(axis=-1)
+    ref = s[..., :1] if ref is None else np.asarray(ref, dtype=float)[..., None]
+    ranks = (s > RANK_TOL * ref).sum(axis=-1)
     return int(ranks) if M.ndim == 2 else ranks

@@ -287,20 +287,18 @@ def cmd_split(args) -> int:
     datum = load_datum(args.datum)
     if args.subspace:
         with open(args.subspace, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-        candidates = [Subspace.from_rows(np.asarray(rows, dtype=float))]
+            candidates = [Subspace.from_rows(json.load(fh))]
     else:
         candidates = [E for E in coordinate_subspaces(datum.n) if is_critical(datum, E)]
         if not candidates:
-            print("no critical coordinate subspace found")
+            print("no critical coordinate subspace found (only coordinate subspaces were "
+                  "tried; pass --subspace to split along another)")
             _write_report(args, {"splits": []}, datum)
             return 0
 
     failed = False
     splits = []
     for E in candidates:
-        if not is_critical(datum, E):
-            raise DatumError("the supplied subspace is not critical for this datum")
         result = multiplicativity_check(datum, E, **_solve_args(args))
         ok = result.gap <= SPLIT_GAP_TOL
         axes = [int(a) for a in np.flatnonzero(np.abs(E.basis).max(axis=1) > 1e-12)]

@@ -36,9 +36,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFactor:
-    """One weighted factor (c, B) with B of shape (target_dim, n)."""
+    """One weighted factor (c, B) with B of shape (target_dim, n); a value, as is BLDatum."""
 
     c: float
     B: np.ndarray
@@ -60,6 +60,15 @@ class LinearFactor:
 
     def is_zero(self) -> bool:
         return bool(np.abs(self.B).max() <= ZERO_MAP_TOL)
+
+    def _content(self) -> tuple:
+        return self.c, self.B.shape, self.B.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, LinearFactor) and self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
 
 class FactorGroup(NamedTuple):

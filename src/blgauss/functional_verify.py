@@ -57,7 +57,7 @@ MAX_KERNEL_DIM = 2
 _SUPCONV_CHUNK = 65_536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Non-negative function sampled on a uniform tensor grid over a box."""
 

@@ -61,7 +61,12 @@ def harmonic_sum(groups: tuple[FactorGroup, ...], stacks) -> tuple[np.ndarray, n
 
 def harmonic_combine(datum: BLDatum, tuple_) -> np.ndarray:
     """inv(sum_i c_i B_i^T inv(A_i) B_i) over non-zero factors."""
-    Z, _ = harmonic_sum(datum.groups, [M[None] for M in check_tuple(datum, tuple_)])
+    return _combine(datum, check_tuple(datum, tuple_))
+
+
+def _combine(datum: BLDatum, mats: list[np.ndarray]) -> np.ndarray:
+    """harmonic_combine of a tuple check_tuple returned."""
+    Z, _ = harmonic_sum(datum.groups, [M[None] for M in mats])
     try:
         return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
@@ -78,11 +83,15 @@ def inf_decomposition(datum: BLDatum, tuple_, x: np.ndarray):
     combination A and parts[k] is the optimal x_i for the k-th non-zero
     factor. The parts always satisfy sum_i c_i B_i^T x_i = x.
     """
-    mats = check_tuple(datum, tuple_)
+    return _decompose(datum, check_tuple(datum, tuple_), x)
+
+
+def _decompose(datum: BLDatum, mats: list[np.ndarray], x: np.ndarray):
+    """inf_decomposition of a tuple check_tuple returned."""
     x = np.asarray(x, dtype=float)
     if x.shape != (datum.n,):
         raise ValueError(f"x must have shape ({datum.n},), got {x.shape}")
-    A = harmonic_combine(datum, mats)
+    A = _combine(datum, mats)
     Ax = A @ x
     value = float(x @ Ax)
     parts = [spd_solve(Ai, datum.factors[i].B @ Ax, name=f"tuple entry {i}")
@@ -94,12 +103,11 @@ def decomposition_map(datum: BLDatum) -> tuple[np.ndarray, np.ndarray]:
     """L = [c_i B_i^T] over non-zero factors, the n x (sum n_i) map
     (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, and K, an orthonormal basis of
     its kernel as columns. The decompositions of x are pinv(L) x + K t.
-    Raises DatumError when L is not onto."""
-    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active])
-    _, s, Vt = np.linalg.svd(L)
-    if s.size < datum.n or s[-1] <= 1e-12 * s[0]:
+    Raises DatumError on a degenerate datum, whose L is not onto."""
+    if datum.degenerate:
         raise DatumError("degenerate datum: the constraint map is not onto")
-    return L, Vt[datum.n :].T
+    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active])
+    return L, np.linalg.svd(L)[2][datum.n :].T
 
 
 def check_inf(
@@ -122,7 +130,7 @@ def check_inf(
         raise ValueError(f"samples must be at least 1, got {samples}")
     check_seed(seed)
     mats = check_tuple(datum, tuple_)
-    value, parts = inf_decomposition(datum, mats, x)
+    value, parts = _decompose(datum, mats, x)
     _, kernel = decomposition_map(datum)
     y0 = np.concatenate(parts)
     scale = float(np.linalg.norm(y0))

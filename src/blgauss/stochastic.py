@@ -39,7 +39,7 @@ def check_draws(n: int, steps: int, paths: int) -> None:
         raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrownianConfig:
     """Covariance density A, horizon, grid size, path count, seed."""
 
@@ -72,7 +72,7 @@ class BrownianConfig:
         return self.horizon / self.steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftPolicy:
     """Deterministic drift derivative u'(s), piecewise constant on the grid.
 

@@ -5,6 +5,11 @@ Along such a subspace the problem decouples: the datum restricted to E and
 the datum induced on the orthogonal complement (with each factor projected
 onto the complement of B_i E) multiply, constant-wise. This module builds the
 two induced data and checks that product relation numerically.
+
+One rank rule, read by is_critical, restrict and quotient: dim B_i E counts
+the singular values of B_i E above RANK_TOL * ||B_i||. Measured against B_i,
+not against itself, the roundoff in an image that is zero in exact arithmetic
+(a datum mapped by M, split along M^-1 E) has dimension 0.
 """
 
 from __future__ import annotations
@@ -20,13 +25,8 @@ from .gaussian_solver import ConvergenceError, SolveResult, solve
 
 CRITICAL_TOL = 1e-9
 
-# Entries this small (relative to the parent map) in an induced map are
-# roundoff from the projections, not structure; snap them to an exact zero
-# so the zero-map convention applies cleanly.
-_SNAP = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Proper nontrivial subspace given by an orthonormal column basis."""
 
@@ -71,29 +71,24 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, n: int, indices) -> "Subspace":
-        basis = np.zeros((n, len(indices)))
-        for j, i in enumerate(indices):
-            basis[i, j] = 1.0
-        return cls(basis)
+        return cls(np.eye(n)[:, list(indices)])
 
 
-def _snap_zero(B: np.ndarray, ref: float) -> np.ndarray:
-    if np.abs(B).max() <= _SNAP * max(ref, 1.0):
-        return np.zeros_like(B)
-    return B
+def _images(datum: BLDatum, E: Subspace):
+    """(factor, B_i @ E.basis, dim B_i E by the rank rule) for each factor."""
+    if E.n != datum.n:
+        raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
+    for f in datum.factors:
+        M = f.B @ E.basis
+        yield f, M, numerical_rank(M, np.linalg.svd(f.B, compute_uv=False)[0])
 
 
 def restrict(datum: BLDatum, E: Subspace) -> BLDatum:
     """Datum induced on E: factor i becomes B_i restricted to E, written in
     an orthonormal basis of B_i E. A factor whose restriction vanishes stays
     in the list as an exact zero map (BLDatum leaves it out of `active`)."""
-    if E.n != datum.n:
-        raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
     factors = []
-    for f in datum.factors:
-        M = f.B @ E.basis
-        M = _snap_zero(M, float(np.abs(f.B).max()))
-        r = numerical_rank(M)
+    for f, M, r in _images(datum, E):
         if r == 0:
             factors.append(LinearFactor(f.c, np.zeros((f.target_dim, E.dim))))
         else:
@@ -108,20 +103,13 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
     orthonormal bases on both sides. Factors whose projected target is
     zero-dimensional are dropped; zero maps with a nontrivial target are
     kept and flagged."""
-    if E.n != datum.n:
-        raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
     F = E.complement()
     factors = []
-    for f in datum.factors:
-        M = f.B @ E.basis
-        M = _snap_zero(M, float(np.abs(f.B).max()))
-        r = numerical_rank(M)
+    for f, M, r in _images(datum, E):
         if r == f.target_dim:
             continue  # B_i E is everything; nothing survives the projection
         U, _, _ = np.linalg.svd(M, full_matrices=True)
-        B_new = U[:, r:].T @ f.B @ F
-        B_new = _snap_zero(B_new, float(np.abs(f.B).max()))
-        factors.append(LinearFactor(f.c, B_new))
+        factors.append(LinearFactor(f.c, U[:, r:].T @ f.B @ F))
     if not factors:
         raise DatumError("every factor died in the quotient; the subspace is not proper "
                          "for this datum")
@@ -130,9 +118,7 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
 
 def is_critical(datum: BLDatum, E: Subspace) -> bool:
     """dim E = sum_i c_i dim(B_i E) within CRITICAL_TOL (zero maps contribute zero)."""
-    if E.n != datum.n:
-        raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
-    total = sum(f.c * numerical_rank(f.B @ E.basis) for f in datum.factors)
+    total = sum(f.c * r for f, _, r in _images(datum, E))
     return abs(E.dim - total) <= CRITICAL_TOL
 
 
@@ -181,17 +167,13 @@ def multiplicativity_check(datum: BLDatum, E: Subspace, **solve_opts) -> SplitRe
         "restriction to E": restrict(datum, E),
         "quotient on the complement": quotient(datum, E),
     }
-    results = {}
+    results = []
     for name, d in pieces.items():
         res = solve(d, **solve_opts)
         if not res.converged:
             raise ConvergenceError(f"no converged solve of the {name}")
-        results[name] = res
-    return SplitResult(
-        full=results["full datum"],
-        restricted=results["restriction to E"],
-        quotient=results["quotient on the complement"],
-    )
+        results.append(res)
+    return SplitResult(*results)
 
 
 def coordinate_subspaces(n: int):

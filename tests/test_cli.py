@@ -458,6 +458,15 @@ class TestSplit:
         assert main(["split", "--datum", YOUNG_PAIR, "--subspace", str(sub)]) == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_mapped_datum_splits_along_the_mapped_subspace(self, tmp_path, capsys):
+        # young_pair with its maps B_i replaced by B_i M, split along M^-1 span(e0, e1)
+        M = random_gl(4, 1e3, np.random.default_rng(7))
+        datum, sub = tmp_path / "mapped.json", tmp_path / "subspace.json"
+        save_datum(gl_map(load_datum(YOUNG_PAIR), M), datum)
+        sub.write_text(json.dumps(np.linalg.solve(M, np.eye(4)[:, :2]).T.tolist()), encoding="utf-8")
+        assert main(["split", "--datum", str(datum), "--subspace", str(sub)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" ok")
+
     def test_non_critical_subspace_exits_2(self, tmp_path, capsys):
         sub = tmp_path / "subspace.json"
         sub.write_text(json.dumps([[1, 0, 0, 0]]), encoding="utf-8")
@@ -468,7 +477,9 @@ class TestSplit:
         path = tmp_path / "mercedes.json"
         save_datum(mercedes_frame_datum(), path)
         assert main(["split", "--datum", str(path)]) == 0
-        assert "no critical coordinate subspace" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "no critical coordinate subspace" in out
+        assert "only coordinate subspaces were tried" in out and "--subspace" in out
 
 
 class TestColdStart:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ class TestValidate:
             B[::7] *= 1e-9
             assert numerical_rank(B).tolist() == [numerical_rank(M) for M in B]
 
+    def test_rank_against_a_reference_scale(self, rng):
+        # roundoff is rank 1 against itself and rank 0 against a unit scale
+        noise = np.array([[1e-17, -2e-17]])
+        assert numerical_rank(noise) == 1
+        assert numerical_rank(noise, 1.0) == 0
+        # a stack takes one scale for all or one per matrix
+        B = np.stack([noise, np.array([[1e-3, 0.0]])])
+        assert numerical_rank(B).tolist() == [1, 1]
+        assert numerical_rank(B, 1.0).tolist() == [0, 1]
+        assert numerical_rank(B, [1e-18, 1e8]).tolist() == [1, 0]
+        # the default scale is each matrix's own largest singular value
+        B = rng.standard_normal((30, 2, 3))
+        B[::3, 1] = B[::3, 0] * 2.0
+        B[::4, 0] *= 1e-11
+        norms = np.linalg.norm(B, 2, axis=(-2, -1))
+        assert numerical_rank(B).tolist() == numerical_rank(B, norms).tolist()
+        assert [numerical_rank(M) for M in B] == [numerical_rank(M, s) for M, s in zip(B, norms)]
+
     def test_exact_zero_map_allowed_and_flagged(self):
         d = make_datum(2, [1.0, 1.0, 0.7], [np.eye(2)[:1], np.eye(2)[1:], np.zeros((1, 2))])
         diag = validate(d)
@@ -244,6 +263,51 @@ class TestImmutability:
         assert isinstance(d, BLDatum)
         with pytest.raises(AttributeError):
             d.n = 5
+        assert hash(d) == hash(prekopa_leindler_datum())
+
+
+class TestValueSemantics:
+    """A datum and a factor are values: equal content compares equal and
+    hashes equal, as datum_digest does."""
+
+    def test_equal_data(self, tmp_path):
+        _, y = young_flagship()
+        pair = load_datum(Path(__file__).resolve().parents[1] / "demos" / "data" / "young_pair.json")
+        assert pair == direct_sum(y, y)
+        assert hash(pair) == hash(direct_sum(y, y))
+        save_datum(pair, tmp_path / "d.json")
+        assert load_datum(tmp_path / "d.json") == pair
+        assert {pair: 1}[direct_sum(y, y)] == 1
+        assert LinearFactor(0.5, [[1, 2]]) == LinearFactor(0.5, np.array([[1.0, 2.0]]))
+        assert hash(LinearFactor(0.5, [[1, 2]])) == hash(LinearFactor(0.5, [[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("other", [
+        make_datum(2, [1.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]]),  # equal, the reference
+        make_datum(2, [1.0, 0.5], [[[1.0, 0.0]], [[0.0, 1.0]]]),  # a weight
+        make_datum(2, [1.0, 1.0], [[[1.0, 0.0]], [[0.0, 2.0]]]),  # an entry
+        make_datum(2, [1.0, 1.0], [[[0.0, 1.0]], [[1.0, 0.0]]]),  # the order
+        make_datum(2, [1.0, 1.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]]),  # a factor
+        make_datum(2, [1.0, 1.0], [[[1.0, 0.0]], [[-0.0, 1.0]]]),  # the sign of a zero
+    ])
+    def test_equality_follows_the_digest(self, other):
+        d = make_datum(2, [1.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]])
+        same = datum_digest(d) == datum_digest(other)
+        assert (d == other) is same and (d != other) is not same
+        assert (hash(d) == hash(other)) is same  # no collision among these few
+        assert d != datum_to_dict(d) and d.factors[0] != (1.0, d.factors[0].B)
+
+    def test_array_holders_compare_by_identity(self):
+        # a Subspace, a grid function, a Brownian configuration and a drift
+        # policy hold arrays: == is identity and hashing does not raise
+        from blgauss import BrownianConfig, DriftPolicy, GridFunction, Subspace
+        made = [lambda: Subspace.coordinate(2, [0]),
+                lambda: GridFunction(np.zeros(1), np.ones(1), np.ones(3)),
+                lambda: BrownianConfig(A=np.eye(1)),
+                lambda: DriftPolicy.constant([1.0])]
+        for make in made:
+            a = make()
+            assert a == a and a != make()
+            assert hash(a) == hash(a)
 
 
 class TestCheckedOnce:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blgauss import (
+    DatumError,
     GridFunction,
     functional_verify,
     box_function,
@@ -592,6 +593,13 @@ class TestSupConvolution:
         A = harmonic_combine(d, P)
         expect = GridFunction.from_callable(gaussian_function(A), env.lo, env.hi, 61)
         assert np.abs(env.values - expect.values).max() <= 3e-2
+
+    def test_rejects_a_degenerate_datum(self):
+        # solve refuses this datum as degenerate; so does the sup-convolution
+        d = make_datum(2, [1, 1], [[[1, 0]], [[1, 1e-11]]])
+        fs = [grid_gaussian([[1.0]], points=21)] * 2
+        with pytest.raises(DatumError, match="degenerate"):
+            sup_convolution(d, fs, resolution=21)
 
     def test_rejects_kernel_dimension_above_two(self):
         d = make_datum(1, [0.25] * 4, [np.eye(1)] * 4)

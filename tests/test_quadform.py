@@ -10,7 +10,8 @@ from blgauss import (
     inf_decomposition,
     make_datum,
 )
-from blgauss.quadform import check_tuple
+import blgauss.quadform
+from blgauss.quadform import check_tuple, decomposition_map
 from conftest import (
     coordinate_datum,
     prekopa_leindler_datum,
@@ -192,6 +193,27 @@ class TestCheckInf:
     def test_degenerate_raises(self):
         d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
         with pytest.raises(DatumError):
+            check_inf(d, [np.eye(1), np.eye(1)], np.zeros(2))
+
+    def test_tuple_is_checked_once(self, monkeypatch):
+        # one check_spd per entry, not one per layer that reads the tuple
+        calls = []
+        check_spd = blgauss.quadform.check_spd
+        monkeypatch.setattr(blgauss.quadform, "check_spd",
+                            lambda M, name: calls.append(name) or check_spd(M, name))
+        _, d = young_flagship()
+        mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
+        check_inf(d, mats, np.array([0.3, -1.2]), samples=10)
+        assert len(calls) == 3
+
+    def test_near_degenerate_datum_is_refused(self):
+        # the maps (1, 0) and (1, 1e-11) span R^2 only to roundoff; the datum
+        # is degenerate, and every layer that reads the constraint map says so
+        d = make_datum(2, [1, 1], [[[1, 0]], [[1, 1e-11]]])
+        assert d.degenerate
+        with pytest.raises(DatumError, match="degenerate"):
+            decomposition_map(d)
+        with pytest.raises(DatumError, match="degenerate"):
             check_inf(d, [np.eye(1), np.eye(1)], np.zeros(2))
 
     def test_report_is_seed_deterministic(self, rng):

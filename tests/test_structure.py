@@ -13,7 +13,7 @@ from blgauss import (
     validate,
 )
 from blgauss.datum import DatumError
-from conftest import coordinate_datum, prekopa_leindler_datum, young_flagship
+from conftest import coordinate_datum, gl_map, prekopa_leindler_datum, random_gl, young_flagship
 
 YOUNG_CONSTANT = 0.8773826753016616
 
@@ -127,6 +127,26 @@ class TestCriticality:
         basis = np.zeros((4, 2))
         basis[:2, :] = Q  # same block, rotated basis
         assert is_critical(d, Subspace(basis))
+
+
+class TestMappedData:
+    """young_pair with every map B_i replaced by B_i M splits along
+    M^-1 span(e0, e1). The second block's images of that subspace are zero in
+    exact arithmetic and roundoff in floating point: measured against B_i M,
+    they have dimension 0."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6])
+    def test_mapped_young_pair_splits(self, cond):
+        _, y = young_flagship()
+        pair = direct_sum(y, y)
+        for s in range(20):
+            M = random_gl(4, cond, np.random.default_rng(s))
+            d = gl_map(pair, M)
+            E = Subspace.from_rows(np.linalg.solve(M, np.eye(4)[:, :2]).T)
+            assert is_critical(d, E)
+            assert restrict(d, E).active == (0, 1, 2)
+            assert quotient(d, E).m == 3
+            assert multiplicativity_check(d, E).gap <= 1e-9
 
 
 class TestMultiplicativity:
