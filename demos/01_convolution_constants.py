@@ -3,18 +3,23 @@
 The datum has maps (x+y, y, x) on R^2 with weights (2-2/r', 1/p', 1/q')
 written in conjugate-exponent form. The optimal Gaussian covariance is known
 in closed form, so the constant can be computed from the exponents, from the
-weights, and by the fixed-point solver - all three must agree.
+weights, and by the fixed-point solver - all three must agree. The solver's
+covariance A is checked through the dual form: every A certifies the lower
+bound sqrt(dual_check(datum, 1, A)) = exp(F(A)/2), with equality at the fixed
+point.
 """
+
+import math
 
 import numpy as np
 
 from blgauss import (
     YoungExponents,
     beckner_constant,
-    bl_constant,
     closed_form_A,
     constant_from_cs,
     datum_from_exponents,
+    dual_check,
     solve,
 )
 
@@ -34,7 +39,7 @@ print(f"  max |A_solver - A_closed| = {np.abs(res.A - A).max():.2e}")
 print("\nthe same constant three ways:")
 print(f"  exponent formula   {beckner_constant(e)!r}")
 print(f"  weight formula     {constant_from_cs(*e.weights)!r}")
-print(f"  solver objective   {bl_constant(datum, res.A)!r}")
+print(f"  dual form at A     {math.sqrt(dual_check(datum, 1.0, res.A))!r}")
 print(f"  hand simplification sqrt((4/3)^1.5 / 2) = {((4 / 3) ** 1.5 / 2) ** 0.5!r}")
 
 # The quadratic for the off-diagonal entry has a second root, but it gives a

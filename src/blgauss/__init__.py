@@ -27,11 +27,9 @@ from .datum import (
 from .gaussian_solver import (
     ConvergenceError,
     SolveResult,
-    bl_constant,
     direct_extremizers,
     fp_map,
     grad_logdet,
-    logdet_objective,
     reverse_extremizers,
     solve,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "VerificationReport",
     "YoungExponents",
     "beckner_constant",
-    "bl_constant",
     "box_function",
     "builtin_suite",
     "bump_function",
@@ -138,7 +135,6 @@ __all__ = [
     "linear_g",
     "load_datum",
     "grad_logdet",
-    "logdet_objective",
     "make_datum",
     "mc_log_mgf",
     "multiplicativity_check",

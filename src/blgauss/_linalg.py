@@ -151,14 +151,18 @@ def spd_inverse(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sym(spd_solve(M, np.eye(M.shape[0]), name=name))
 
 
-def numerical_rank(M: np.ndarray, ref=None):
-    """Singular values above RANK_TOL * ref count toward the rank of a matrix,
-    or of each matrix in a (..., k, n) stack (an int array). ref, one scale or
-    one per matrix, defaults to each matrix's own largest singular value."""
+def rank_and_norm(M: np.ndarray, ref=None):
+    """Numerical rank and largest singular value of a matrix, or of each
+    matrix in a (..., k, n) stack (an int and a float array). Singular values
+    above RANK_TOL * ref count toward the rank; ref, one scale or one per
+    matrix, defaults to each matrix's own largest singular value."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
     s = np.linalg.svd(M, compute_uv=False)
     ref = s[..., :1] if ref is None else np.asarray(ref, dtype=float)[..., None]
     ranks = (s > RANK_TOL * ref).sum(axis=-1)
-    return int(ranks) if M.ndim == 2 else ranks
+    return (int(ranks), float(s[0])) if M.ndim == 2 else (ranks, s[..., 0])
+
+
+def numerical_rank(M: np.ndarray, ref=None):
+    """The rank of rank_and_norm."""
+    return rank_and_norm(M, ref)[0]

@@ -24,14 +24,13 @@ import numpy as np
 
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
-from .functional_verify import (MAX_KERNEL_DIM, GridFunction, direct_integral_check, gaussian_function,
-                                reverse_integral_check)
+from .functional_verify import (DEFAULT_BOX, MAX_KERNEL_DIM, GridFunction, direct_integral_check,
+                                gaussian_function, reverse_integral_check)
 from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
                               reverse_extremizers, solve)
-from .gaussian_verify import (DEFAULT_SAMPLES, DEFAULT_SEED, sample_tuple, sweep_direct, sweep_dual,
-                              sweep_reverse)
+from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct, sweep_dual, sweep_reverse
 from .quadform import check_inf
-from .report import check_seed
+from .report import DEFAULT_SEED, check_seed
 from .stochastic import BrownianConfig, builtin_suite, check_draws
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-quadrature", cmd_check_quadrature, "grid quadrature of the integral inequalities",
             solver=True)
     p.add_argument("--resolution", type=int, default=801, help="grid points per axis")
-    p.add_argument("--box", type=float, default=8.0, help="half-width of every box")
+    p.add_argument("--box", type=float, default=DEFAULT_BOX, help="half-width of every box")
 
     p = add("check-inf", cmd_check_inf, "brute-force the harmonic-combination infimum", sampling=True)
     p.add_argument("--instances", type=int, default=10, help="random (tuple, point) instances")

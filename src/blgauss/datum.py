@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import RANK_TOL, numerical_rank
+from ._linalg import RANK_TOL, numerical_rank, rank_and_norm
 
 # Entries at or below this (in max-abs) mean "exactly the zero map".
 ZERO_MAP_TOL = 1e-14
@@ -91,6 +91,8 @@ class BLDatum:
     active              indices of the non-zero factors, in datum order; a
                         tuple of matrices has one per entry, in this order.
     groups              the non-zero factors grouped by target dimension.
+    norms               each factor's largest singular value ||B_i||, 0 for
+                        a zero map.
     homogeneity_defect  sum of c_i * n_i over non-zero factors, minus n.
     degenerate          the non-zero maps fail to jointly separate points
                         (equivalently the adjoints fail to jointly span R^n);
@@ -101,6 +103,7 @@ class BLDatum:
     factors: tuple[LinearFactor, ...]
     active: tuple[int, ...] = field(init=False, repr=False, compare=False)
     groups: tuple[FactorGroup, ...] = field(init=False, repr=False, compare=False)
+    norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
     homogeneity_defect: float = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
 
@@ -121,16 +124,18 @@ class BLDatum:
         by_dim: dict[int, list[int]] = {}
         for p, i in enumerate(active):
             by_dim.setdefault(factors[i].target_dim, []).append(p)
-        groups = []
+        groups, norms, short = [], [0.0] * len(factors), []
         for pos in by_dim.values():
             indices = [active[p] for p in pos]
-            c = _readonly([factors[i].c for i in indices])
-            groups.append(FactorGroup(pos, indices, c, _readonly([factors[i].B for i in indices]),
-                                      c[:, None, None], _readonly(np.sqrt(c))[:, None, None]))
-        # one stacked SVD per factor group; the first factor that is not onto is named
-        short = [(i, int(r), g.B.shape[1]) for g in groups
-                 for i, r in zip(g.indices, numerical_rank(g.B)) if r < g.B.shape[1]]
-        if short:
+            c, B = _readonly([factors[i].c for i in indices]), _readonly([factors[i].B for i in indices])
+            groups.append(FactorGroup(pos, indices, c, B, c[:, None, None],
+                                      _readonly(np.sqrt(c))[:, None, None]))
+            # one stacked SVD per factor group gives its ranks and norms
+            for i, r, s in zip(indices, *rank_and_norm(B)):
+                norms[i] = float(s)
+                if r < B.shape[1]:
+                    short.append((i, int(r), B.shape[1]))
+        if short:  # the first factor that is not onto is named
             raise DatumError("factor {} has rank {} < target dimension {}; "
                              "a non-zero factor map must be onto".format(*min(short)))
         maps = [factors[i].B for i in active]
@@ -138,6 +143,7 @@ class BLDatum:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "norms", tuple(norms))
         object.__setattr__(self, "homogeneity_defect",
                            float(sum(factors[i].c * factors[i].target_dim for i in active) - n))
         object.__setattr__(self, "degenerate",

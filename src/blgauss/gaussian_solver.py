@@ -10,9 +10,11 @@ the stationarity condition of the scale-invariant objective
     F(A) = logdet(A) - sum_i c_i logdet(B_i A B_i^T),
 
 whose supremum over positive definite A is twice the log of the shared
-constant. F is geodesically concave. The solver carries a factor K of
-A = K K^T from K = I, and any factor whitens: with Y_i = inv(L_i) B_i K,
-L_i L_i^T = B_i A B_i^T, and Q_i = Y_i^T Y_i, H |-> F(K exp(H) K^T) has the
+constant: every A certifies the lower bound exp(F(A)/2), and the verification
+layer evaluates F at a caller's A as log dual_check(datum, 1, A). F is
+geodesically concave. The solver carries a factor K of A = K K^T from K = I,
+and any factor whitens: with Y_i = inv(L_i) B_i K, L_i L_i^T = B_i A B_i^T,
+and Q_i = Y_i^T Y_i, H |-> F(K exp(H) K^T) has the
 gradient I - Qbar, Qbar = sum_i c_i Q_i, and the positive semidefinite
 negative Hessian -Hess[H] = sym(Qbar H) - sum_i c_i Q_i H Q_i. Truncated
 conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H,
@@ -24,9 +26,9 @@ iterate, a failed line search while F rises far from stationarity, or
 exp(F/2) <= C past the float range. Anything else unconverged is inconclusive.
 
 _whiten reads logdet(B_i A B_i^T) and Y_i off one stacked SVD of B_i K per
-factor group (datum.groups), for the loop, its line search and the
-public evaluations. The solver imports only _linalg and datum, so the
-verification layers that re-check it share none of its fixed-point logic.
+factor group (datum.groups), for the loop, its line search, fp_map and
+grad_logdet. The solver imports only _linalg and datum, so the verification
+layers that re-check it share none of its fixed-point logic.
 
 One iteration costs one SVD of K, one eigh of the step H and, per line-search
 trial, one stacked SVD per factor group of more than one row; a step without
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ HOMOGENEITY_TOL = 1e-9
 # An eigenvalue of the det-1 iterate below this is a degenerating A: +inf.
 MIN_EIGENVALUE = 1e-12
 
-# Relative gradient past which bl_constant warns and a failed rising search is +inf.
+# Relative gradient past which a failed line search while F rises is +inf.
 STATIONARITY_WARN = 1e-6
 
 _STALL_WINDOW = 50
@@ -90,49 +91,24 @@ def _whiten(groups: tuple[FactorGroup, ...], K: np.ndarray) -> tuple[list[np.nda
     return Ys, sym(Qbar), lds
 
 
-def _at(datum: BLDatum, A: np.ndarray):
-    """A caller's A = L L^T: L, inv(L), logdet(A) and the whitening at L."""
+def _at(datum: BLDatum, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's A = L L^T: its Cholesky factor L and Qbar at L."""
     L = np.linalg.cholesky(check_spd(A, "A"))
-    _, Qbar, lds = _whiten(datum.groups, L)
-    return L, np.linalg.inv(L), 2.0 * float(np.sum(np.log(np.diag(L)))), Qbar, lds
-
-
-def _gradient(L_inv: np.ndarray, Qbar: np.ndarray) -> np.ndarray:
-    """inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i = L^{-T} (I - Qbar) L^{-1}."""
-    return sym(L_inv.T @ (np.eye(Qbar.shape[0]) - Qbar) @ L_inv)
+    return L, _whiten(datum.groups, L)[1]
 
 
 def fp_map(datum: BLDatum, A: np.ndarray) -> np.ndarray:
     """One application of A |-> inv(sum_i c_i B_i^T inv(B_i A B_i^T) B_i)."""
-    L, _, _, Qbar, _ = _at(datum, A)
+    L, Qbar = _at(datum, A)
     return sym(L @ spd_inverse(Qbar, name="fixed point sum") @ L.T)
 
 
 def grad_logdet(datum: BLDatum, A: np.ndarray) -> np.ndarray:
-    """Gradient of the log-det objective at A (zero exactly at a fixed point)."""
-    _, L_inv, _, Qbar, _ = _at(datum, A)
-    return _gradient(L_inv, Qbar)
-
-
-def logdet_objective(datum: BLDatum, A: np.ndarray) -> float:
-    _, _, logdet_A, _, lds = _at(datum, A)
-    return logdet_A - lds
-
-
-def bl_constant(datum: BLDatum, A: np.ndarray) -> float:
-    """Constant exp(F(A)/2) read off a (supposed) fixed point A.
-
-    The value is only the Brascamp-Lieb constant when A is stationary; the
-    relative gradient norm is checked at 1e-6 and a warning is emitted when
-    the caller hands in a point that is not."""
-    _, L_inv, logdet_A, Qbar, lds = _at(datum, A)
-    rel = np.linalg.norm(_gradient(L_inv, Qbar)) / np.linalg.norm(L_inv.T @ L_inv)
-    if rel > STATIONARITY_WARN:
-        warnings.warn(
-            f"bl_constant evaluated away from stationarity (relative gradient {rel:.2e})",
-            stacklevel=2,
-        )
-    return math.exp(0.5 * (logdet_A - lds))
+    """Gradient of F at A, inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i =
+    L^{-T} (I - Qbar) L^{-1}, zero exactly at a fixed point."""
+    L, Qbar = _at(datum, A)
+    L_inv = np.linalg.inv(L)
+    return sym(L_inv.T @ (np.eye(Qbar.shape[0]) - Qbar) @ L_inv)
 
 
 def direct_extremizers(datum: BLDatum, A: np.ndarray) -> list[np.ndarray]:

@@ -32,9 +32,8 @@ from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
-from .report import VerificationReport, check_seed
+from .report import DEFAULT_SEED, VerificationReport, check_seed
 
-DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 1000
 
 # A sampled ratio above this counts as a violation; everything below is
@@ -166,7 +165,10 @@ def _ambient(datum: BLDatum, A) -> np.ndarray:
 
 def dual_check(datum: BLDatum, constant: float, A: np.ndarray) -> float:
     """Ratio det(A) / (C^2 prod_i det(B_i A B_i^T)^{c_i}); at most 1 for every
-    ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A."""
+    ambient SPD A, exactly 1 at the fixed point. Invariant under A -> t A.
+    With constant 1 it is exp F(A), F(A) = logdet A - sum_i c_i
+    logdet(B_i A B_i^T), and its square root is the lower bound on the
+    constant that A certifies."""
     return float(_dual_ratios(datum.groups, constant, _ambient(datum, A)[None])[0])
 
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_solve, sym
-from .report import check_seed
+from .report import DEFAULT_SEED, check_seed
 
-DEFAULT_SEED = 1729
 MAX_DRAWS = 10**8
 
 

@@ -7,9 +7,10 @@ onto the complement of B_i E) multiply, constant-wise. This module builds the
 two induced data and checks that product relation numerically.
 
 One rank rule, read by is_critical, restrict and quotient: dim B_i E counts
-the singular values of B_i E above RANK_TOL * ||B_i||. Measured against B_i,
-not against itself, the roundoff in an image that is zero in exact arithmetic
-(a datum mapped by M, split along M^-1 E) has dimension 0.
+the singular values of B_i E above RANK_TOL * ||B_i||, the norm the datum
+keeps, and is 0 for a zero map. Measured against B_i, not against itself,
+the roundoff in an image that is zero in exact arithmetic (a datum mapped by
+M, split along M^-1 E) has dimension 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class Subspace:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-d array of column vectors")
+        if not np.isfinite(basis).all():
+            raise ValueError("subspace basis has non-finite entries")
         n, k = basis.shape
         if not 1 <= k < n:
             raise ValueError(f"subspace must be proper and nontrivial, got shape {basis.shape}")
@@ -61,8 +64,16 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, rows) -> "Subspace":
-        """Span of the given (not necessarily orthonormal) row vectors."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        """Span of the given (not necessarily orthonormal) row vectors, one
+        row or a non-empty 2-d array of them, with finite entries."""
+        try:
+            rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"subspace rows must be an array of numbers: {exc}") from exc
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError(f"subspace rows must be a non-empty 2-d array, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("subspace rows have non-finite entries")
         k = numerical_rank(rows)
         if k < rows.shape[0]:
             raise ValueError("subspace rows are linearly dependent")
@@ -78,9 +89,9 @@ def _images(datum: BLDatum, E: Subspace):
     """(factor, B_i @ E.basis, dim B_i E by the rank rule) for each factor."""
     if E.n != datum.n:
         raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
-    for f in datum.factors:
+    for f, norm in zip(datum.factors, datum.norms):
         M = f.B @ E.basis
-        yield f, M, numerical_rank(M, np.linalg.svd(f.B, compute_uv=False)[0])
+        yield f, M, numerical_rank(M, norm) if norm else 0
 
 
 def restrict(datum: BLDatum, E: Subspace) -> BLDatum:

@@ -473,6 +473,20 @@ class TestSplit:
         assert main(["split", "--datum", YOUNG_PAIR, "--subspace", str(sub)]) == 2
         assert "critical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"a": 1}', "array of numbers", id="object"),
+        pytest.param("[]", "non-empty 2-d array", id="empty"),
+        pytest.param("[[Infinity, 0, 0, 0]]", "non-finite", id="inf"),
+        pytest.param("[[NaN, 0, 0, 0]]", "non-finite", id="nan"),
+    ])
+    def test_bad_subspace_exits_2(self, text, message, tmp_path, capsys):
+        sub = tmp_path / "subspace.json"
+        sub.write_text(text, encoding="utf-8")
+        assert main(["split", "--datum", YOUNG_PAIR, "--subspace", str(sub)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        _one_line_no_traceback(err, message)
+
     def test_frame_has_no_critical_coordinate_subspace(self, tmp_path, capsys):
         path = tmp_path / "mercedes.json"
         save_datum(mercedes_frame_datum(), path)

@@ -9,12 +9,11 @@ import pytest
 import blgauss.gaussian_solver
 from blgauss import (
     DatumError,
-    bl_constant,
     direct_extremizers,
     direct_sum,
+    dual_check,
     fp_map,
     grad_logdet,
-    logdet_objective,
     make_datum,
     reverse_extremizers,
     solve,
@@ -47,6 +46,12 @@ YOUNG_A = np.array(
 )
 
 
+def _objective(datum, A):
+    """F(A) through the dual form, outside the solver: dual_check with
+    constant 1 is exp F(A)."""
+    return math.log(dual_check(datum, 1.0, A))
+
+
 def finite_diff_gradient(datum, A, h=1e-5):
     """Central differences of the objective along symmetric coordinate directions."""
     n = A.shape[0]
@@ -58,7 +63,7 @@ def finite_diff_gradient(datum, A, h=1e-5):
                 D[j, j] = 1.0
             else:
                 D[j, k] = D[k, j] = 1.0
-            val = (logdet_objective(datum, A + h * D) - logdet_objective(datum, A - h * D)) / (2 * h)
+            val = (_objective(datum, A + h * D) - _objective(datum, A - h * D)) / (2 * h)
             if j == k:
                 G[j, j] = val
             else:
@@ -82,13 +87,13 @@ class TestObjectiveAndGradient:
     def test_objective_scale_invariant_when_homogeneous(self, rng):
         d = random_datum(rng, homogeneous=True)
         A = well_conditioned_spd(d.n, rng)
-        f0 = logdet_objective(d, A)
+        f0 = _objective(d, A)
         for lam in (0.1, 3.0, 17.0):
-            assert abs(logdet_objective(d, lam * A) - f0) <= 1e-10 * max(1.0, abs(f0))
+            assert abs(_objective(d, lam * A) - f0) <= 1e-10 * max(1.0, abs(f0))
 
     def test_objective_zero_at_identity_for_frames(self):
         for d in (prekopa_leindler_datum(), coordinate_datum(3), mercedes_frame_datum()):
-            assert abs(logdet_objective(d, np.eye(d.n))) <= 1e-14
+            assert abs(_objective(d, np.eye(d.n))) <= 1e-14
 
     def test_fp_map_fixes_optimum(self):
         _, d = young_flagship()
@@ -97,7 +102,7 @@ class TestObjectiveAndGradient:
     def test_rejects_non_spd(self):
         d = prekopa_leindler_datum()
         with pytest.raises(ValueError):
-            logdet_objective(d, np.array([[-1.0]]))
+            _objective(d, np.array([[-1.0]]))
 
     def test_grouped_sum_matches_per_factor_formula(self, rng):
         # target dimensions 2, 1, 2 interleave, so factor groups reorder the
@@ -114,23 +119,20 @@ class TestObjectiveAndGradient:
             for got, want in ((fp_map(d, A), np.linalg.inv(M)),
                               (grad_logdet(d, A), np.linalg.inv(A) - M)):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert logdet_objective(d, A) == pytest.approx(objective, rel=1e-12)
+            assert _objective(d, A) == pytest.approx(objective, rel=1e-12)
 
 
 class TestBlConstant:
-    def test_warns_away_from_stationarity(self):
-        _, d = young_flagship()
-        with pytest.warns(UserWarning, match="stationarity"):
-            bl_constant(d, np.diag([1.0, 5.0]))
+    """The constant exp(F(A)/2) = sqrt(dual_check(datum, 1, A)) at the optimum."""
 
     def test_value_at_optimum(self):
         _, d = young_flagship()
-        assert bl_constant(d, YOUNG_A) == pytest.approx(YOUNG_CONSTANT, abs=1e-12)
+        assert math.sqrt(dual_check(d, 1.0, YOUNG_A)) == pytest.approx(YOUNG_CONSTANT, abs=1e-12)
 
     def test_scale_invariance_at_optimum(self):
         _, d = young_flagship()
-        a = bl_constant(d, YOUNG_A)
-        b = bl_constant(d, 7.0 * YOUNG_A)
+        a = math.sqrt(dual_check(d, 1.0, YOUNG_A))
+        b = math.sqrt(dual_check(d, 1.0, 7.0 * YOUNG_A))
         assert abs(a - b) <= 1e-12
 
 
@@ -408,7 +410,7 @@ def test_hessian_matches_second_difference_and_is_psd(rng):
         H_L = O.T @ H @ O
         assert float(np.sum(H_L * _neg_hess(groups, Ys_L, Qbar_L, H_L))) == pytest.approx(
             curvature, rel=1e-10, abs=1e-12 * float(np.sum(H * H)))
-        f = [logdet_objective(d, _sqrt_and_exp(A, H, t)[1]) for t in (-h, 0.0, h)]
+        f = [_objective(d, _sqrt_and_exp(A, H, t)[1]) for t in (-h, 0.0, h)]
         second = (f[0] - 2.0 * f[1] + f[2]) / h**2
         assert second == pytest.approx(-curvature, rel=1e-4, abs=1e-6 * float(np.sum(H * H)))
 

@@ -6,6 +6,7 @@ from blgauss import (
     coordinate_subspaces,
     direct_sum,
     is_critical,
+    make_datum,
     multiplicativity_check,
     quotient,
     restrict,
@@ -37,6 +38,24 @@ class TestSubspace:
     def test_from_rows_rejects_dependent(self):
         with pytest.raises(ValueError):
             Subspace.from_rows([[1.0, 0.0], [2.0, 0.0]])
+
+    def test_rejects_non_finite_basis(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(np.full((4, 2), np.nan))
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param({"a": 1}, "array of numbers", id="object"),
+        pytest.param([], "non-empty 2-d array", id="empty"),
+        pytest.param([[[1.0, 0.0]]], "non-empty 2-d array", id="3-d"),
+        pytest.param([[np.inf, 0.0, 0.0, 0.0]], "non-finite", id="inf"),
+        pytest.param([[np.nan, 0.0, 0.0, 0.0]], "non-finite", id="nan"),
+    ])
+    def test_from_rows_refuses_bad_rows_before_any_svd(self, rows, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD of bad rows")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(ValueError, match=message):
+            Subspace.from_rows(rows)
 
     def test_complement_is_orthonormal_completion(self):
         E = Subspace.from_rows([[1.0, 1.0, 0.0]])
@@ -119,6 +138,26 @@ class TestCriticality:
         d = coordinate_datum(2, weights=[1.0, 1.0])
         for E in coordinate_subspaces(2):
             assert is_critical(d, E)
+
+    def test_takes_no_svd_of_a_factor_map(self, monkeypatch):
+        # the rank rule reads ||B_i|| off the datum: one SVD per image B_i E
+        _, y = young_flagship()
+        d = direct_sum(y, y)
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: seen.append(np.array(a)) or svd(a, *args, **kw))
+        assert is_critical(d, Subspace.coordinate(4, [0, 1]))
+        assert len(seen) == len(d.active)
+        assert not any(np.array_equal(a, f.B) for a in seen for f in d.factors)
+
+    def test_near_zero_map_has_no_image(self):
+        # a map within ZERO_MAP_TOL of zero is outside `active`, and its image
+        # of any subspace has dimension 0, as an exact zero map's has
+        d = make_datum(2, [1.0, 1.0, 0.5], [[[1.0, 0.0]], [[0.0, 1.0]], [[1e-15, 0.0]]])
+        assert d.active == (0, 1) and d.homogeneity_defect == 0.0
+        E = Subspace.coordinate(2, [0])
+        assert is_critical(d, E)
+        assert multiplicativity_check(d, E).gap <= 1e-12
 
     def test_basis_independence(self, rng):
         _, y = young_flagship()
