@@ -18,23 +18,27 @@ They equal SciPy's CubicSpline and RectBivariateSpline(kx=ky=3, s=0) to
 rounding, which the tests check; the package itself needs only numpy.
 
 Both checks add c_i log f_i over their samples in place (_add_log), in
-chunks of _SUPCONV_CHUNK samples, with work arrays that the caller allocates
-once (_Scratch) instead of once per chunk. The sup-convolution runs its
-chunks on one worker per CPU this process may run on: the calling thread
-takes chunks 0, W, 2W, ..., and W - 1 threads, each in a copy of the
-caller's context (so its np.errstate holds there too), take the rest. Each
-chunk writes only its own slice of the envelope, and every sample goes
-through the same operations in the same order, so the envelope is the same
-to the bit whatever W is. The first exception in a worker stops the others
-and is re-raised in the caller. The direct check runs serially, since a
-second worker did not make it faster, and reads each chunk's grid points
-off the axis instead of holding the whole grid.
+chunks of _SUPCONV_CHUNK samples, and each chunk allocates its own arrays.
+Work arrays that each thread allocated once and reused were no faster: on
+a 2-core x86-64 host, allocating per chunk cut the `functional` benchmark's
+wall time by about 4 % and its median op time by about 8 %, for about 2.4
+MiB (3 %) more peak RSS. The sup-convolution runs its chunks on one worker
+per CPU this process may run on: the calling thread takes chunks 0, W, 2W,
+..., and W - 1 threads, each in a copy of the caller's context (so its
+np.errstate holds there too), take the rest. Each chunk writes only its own
+slice of the envelope, and every sample goes through the same operations
+in the same order, so the envelope is the same to the bit whatever W is.
+The first exception in a worker stops the others and is re-raised in the
+caller. The direct check runs serially, since a second worker did not make
+it faster, and reads each chunk's grid points off the axis instead of
+holding the whole grid.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -44,6 +48,7 @@ import numpy as np
 
 from .datum import BLDatum
 from .quadform import decomposition_map
+from .report import check_constant
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
@@ -111,20 +116,6 @@ class GridFunction:
         An axis with fewer than 4 points is interpolated linearly. The
         interpolant takes points of shape (..., dim) and returns (...)."""
         return _Spline(self)
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-            "points_per_axis": list(self.values.shape),
-            "values": self.values.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GridFunction":
-        shape = tuple(doc["points_per_axis"])
-        values = np.asarray(doc["values"], dtype=float).reshape(shape)
-        return cls(np.asarray(doc["lo"]), np.asarray(doc["hi"]), values)
 
 
 def _bounds(lo, hi):
@@ -222,29 +213,23 @@ class _Spline:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return self.values([pts[..., d] for d in range(self.dim)], _Scratch(pts[..., 0].size))
+        flat = pts.reshape(-1, self.dim)
+        return self.values([flat[:, d] for d in range(self.dim)]).reshape(pts.shape[:-1])
 
-    def values(self, coords, s: "_Scratch") -> np.ndarray:
-        """Interpolant values at the points whose coordinates along each axis
-        are the equally shaped arrays coords, clipped at zero and zeroed
-        outside the box: a view of s.v for a 1-d grid, a new array for a 2-d
-        one."""
-        shape = coords[0].shape
-        m = coords[0].size
+    def values(self, coords) -> np.ndarray:
+        """Interpolant values, clipped at zero and zeroed outside the box, at
+        the points whose coordinates along each axis are the equally shaped
+        arrays coords."""
         if self.dim == 1:
-            i, u, inside, v, w = (a[:m].reshape(shape) for a in (s.i, s.u, s.inside, s.v, s.w))
-            _locate(coords[0], self.lo[0], self.hi[0], self.n[0], i, u, inside)
-            # i is in range, and mode="clip" lets take write into v and w
-            # directly, where the default mode would buffer them
-            self.powers[0].take(i, out=v, mode="clip")
+            i, u, inside = _locate(coords[0], self.lo[0], self.hi[0], self.n[0])
+            # i is in range, and mode="clip" skips take's bounds check
+            v = self.powers[0].take(i, mode="clip")
             for c in self.powers[1:]:
                 v *= u
-                v += c.take(i, out=w, mode="clip")
+                v += c.take(i, mode="clip")
         else:
             (ix, ux, inside), (iy, uy, in_y) = (
-                _locate(t, lo, hi, n, np.empty(shape, dtype=np.intp), np.empty(shape),
-                        np.empty(shape, dtype=bool))
-                for t, lo, hi, n in zip(coords, self.lo, self.hi, self.n)
+                _locate(t, lo, hi, n) for t, lo, hi, n in zip(coords, self.lo, self.hi, self.n)
             )
             wx, wy = _weights(ux, self.bases[0]), _weights(uy, self.bases[1])
             v = np.einsum("...k,...kl,...l->...", wx, self.patches[ix, iy], wy)
@@ -254,48 +239,25 @@ class _Spline:
         return v
 
 
-class _Scratch:
-    """Work arrays of one thread for `size` samples, allocated by the caller
-    once and reused by every chunk that thread takes: those of _add_log
-    and, when `coords` is given, those of a sup-convolution chunk (its
-    kernel coordinates t, its decompositions, their log-product and, for a
-    plane, the inside mask and the padded logs)."""
-
-    def __init__(self, size: int, coords: int = 0, kdim: int = 0):
-        self.u, self.v, self.w = np.empty(size), np.empty(size), np.empty(size)
-        self.i = np.empty(size, dtype=np.intp)
-        self.inside = np.empty(size, dtype=bool)
-        if coords:
-            self.t = np.empty(size * kdim)
-            self.y = np.empty(size * coords)
-            self.acc = np.empty(size)
-        if kdim == 2:
-            self.keep = np.empty(size, dtype=bool)
-            self.test = np.empty(size, dtype=bool)
-            self.logs = np.empty(size)
-
-
-def _add_log(acc: np.ndarray, spline: _Spline, coords, c: float, s: _Scratch) -> None:
+def _add_log(acc: np.ndarray, spline: _Spline, coords, c: float) -> None:
     """acc += c * log f(y) in place, f the spline, y the points whose
     coordinates along each axis are the arrays coords, shaped like acc;
     log 0 = -inf."""
-    v = _log0(spline.values(coords, s))
+    v = _log0(spline.values(coords))
     v *= c
     acc += v
 
 
-def _locate(t, lo: float, hi: float, n: int, i, u, inside):
+def _locate(t, lo: float, hi: float, n: int):
     """Interval index i, offset u in [0, 1] and inside mask of coordinates t
-    on the n-point uniform grid over [lo, hi], written into the arrays given.
-    t == hi lies on the last interval, at u = 1; t outside the box reads as
-    the nearest end."""
-    np.clip(t, lo, hi, out=u)
-    np.equal(u, t, out=inside)
+    on the n-point uniform grid over [lo, hi]. t == hi lies on the last
+    interval, at u = 1; t outside the box reads as the nearest end."""
+    u = np.clip(t, lo, hi)
+    inside = u == t
     u -= lo
     u *= (n - 1) / (hi - lo)
     # u >= 0 after the clip, so the cast truncates to floor(u)
-    np.copyto(i, u, casting="unsafe")
-    np.minimum(i, n - 2, out=i)
+    i = np.minimum(u.astype(np.intp), n - 2)
     u -= i
     return i, u, inside
 
@@ -394,9 +356,25 @@ def _tensor_grid(lo, hi, points: int):
     return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _check_half_width(box: float) -> None:
+def _check_grid(box: float, resolution: int) -> None:
+    """ValueError unless the box half-width is finite and positive and the
+    resolution an integer of at least 2 points per axis."""
     if not (math.isfinite(box) and box > 0.0):
         raise ValueError(f"box must be finite and positive, got {box}")
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer of at least 2, got {resolution}")
+
+
+def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
+    """log_sum + sum_i c_i log(integral f_i), added in factor order; None,
+    with a warning, when some f_i integrates to zero."""
+    for i, gf in zip(datum.active, fs):
+        total = integrate(gf)
+        if total <= 0.0:
+            warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=3)
+            return None
+        log_sum += datum.factors[i].c * math.log(total)
+    return log_sum
 
 
 def _log0(vals: np.ndarray) -> np.ndarray:
@@ -423,46 +401,35 @@ def direct_integral_check(
     C * prod_i (integral f_i)^{c_i}. At most ~1 when C dominates; equals 1
     at extremizers up to quadrature error. Returns 0 (with a warning) when
     the right-hand side vanishes."""
-    _check_half_width(box)
+    check_constant(constant)
+    _check_grid(box, resolution)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
+    log_rhs = _log_masses(datum, fs, math.log(constant))
+    if log_rhs is None:
+        return 0.0
     axis = np.linspace(-box, box, resolution)
     shape = (resolution,) * datum.n
     size = math.prod(shape)
     factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active, fs)]
     chunk = min(size, _SUPCONV_CHUNK)
-    s = _Scratch(chunk)
-    # a chunk's grid points and their images under one B_i; in the plane,
-    # the point at offset j from the start (r0, c0) of its chunk lies in row
-    # r0 + row[c0 + j] and column tiled[c0 + j], which spares the chunk any
-    # integer division
-    x, column = np.empty((chunk, datum.n)), np.empty(chunk)
-    image = np.empty(chunk * max(f.target_dim for f, _ in factors))
+    # in the plane, the point at offset j from the start (r0, c0) of its
+    # chunk lies in row r0 + row[c0 + j] and column tiled[c0 + j], which
+    # spares the chunk any integer division
     rows = -(-chunk // resolution) + 1
     row, tiled = np.arange(rows).repeat(resolution), np.tile(axis, rows)
     log_prod = np.zeros(size)
     for start in range(0, size, chunk):
         acc = log_prod[start : start + chunk]
         m = len(acc)
-        pts = x[:m]
         if datum.n == 1:
-            pts[:, 0] = axis[start : start + m]
+            pts = axis[start : start + m, None]
         else:
             r0, c0 = divmod(start, resolution)
-            pts[:, 0] = axis[r0:].take(row[c0 : c0 + m], out=column[:m], mode="clip")
-            pts[:, 1] = tiled[c0 : c0 + m]
+            pts = np.stack([axis[r0:].take(row[c0 : c0 + m], mode="clip"), tiled[c0 : c0 + m]], axis=1)
         for f, spline in factors:
-            y = np.matmul(pts, f.B.T, out=image[: m * f.target_dim].reshape(m, f.target_dim))
-            _add_log(acc, spline, list(y.T), f.c, s)
+            _add_log(acc, spline, list((pts @ f.B.T).T), f.c)
     lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
-
-    log_rhs = math.log(constant)
-    for i, gf in zip(datum.active, fs):
-        total = integrate(gf)
-        if total <= 0.0:
-            warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
-            return 0.0
-        log_rhs += datum.factors[i].c * math.log(total)
     return lhs / math.exp(log_rhs)
 
 
@@ -506,21 +473,18 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     return np.zeros((len(Y0), K.shape[1])), np.sqrt(np.sum(r * r, axis=1)), np.zeros(len(Y0), dtype=bool)
 
 
-def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray, buf: np.ndarray):
+def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):
     """The decompositions y0 + K t of samples T (live, samples, kdim) at the
-    preimages y0 (live, sum n_i), written into buf: one (live, samples) array
-    per factor coordinate. A line is a broadcast product per coordinate, the
-    fastest form; otherwise one matmul serves every coordinate, since a
-    matmul on one column of K takes BLAS's matrix-vector path and rounds
-    differently."""
-    live, samples, kdim = T.shape
-    if kdim == 1:
-        Y = buf.reshape(len(K), live, samples)
-        for y, k, y0j in zip(Y, K[:, 0], y0.T):
-            np.multiply(k, T[..., 0], out=y)
+    preimages y0 (live, sum n_i): one (live, samples) array per factor
+    coordinate. A line is a broadcast product per coordinate, the fastest
+    form; otherwise one matmul serves every coordinate, since a matmul on
+    one column of K takes BLAS's matrix-vector path and rounds differently."""
+    if T.shape[2] == 1:
+        Y = [k * T[..., 0] for k in K[:, 0]]
+        for y, y0j in zip(Y, y0.T):
             y += y0j[:, None]
-        return list(Y)
-    P = np.matmul(T, K.T, out=buf.reshape(live, samples, len(K)))
+        return Y
+    P = T @ K.T
     P += y0[:, None, :]
     return [P[..., j] for j in range(len(K))]
 
@@ -532,21 +496,20 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _in_workers(tasks: int, scratches: list, run) -> None:
-    """run(task, scratch) for every task in range(tasks), on one worker per
-    scratch set: worker w takes tasks w, w + W, ... with scratches[w].
-    Worker 0 is the calling thread; the others are threads, each in a copy
-    of the caller's context. The first exception stops every worker before
-    its next task and is re-raised here once all have ended."""
+def _in_workers(tasks: int, workers: int, run) -> None:
+    """run(task) for every task in range(tasks) on W = workers workers:
+    worker w takes tasks w, w + W, w + 2W and so on. Worker 0 is the calling
+    thread; the others are threads, each in a copy of the caller's context.
+    The first exception stops every worker before its next task and is
+    re-raised here once all have ended."""
     errors = []
-    workers = len(scratches)
 
     def worker(w: int) -> None:
         try:
             for task in range(w, tasks, workers):
                 if errors:
                     return
-                run(task, scratches[w])
+                run(task)
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
 
@@ -586,10 +549,9 @@ def sup_convolution(
     The interpolants see no dead point (one without a decomposition inside
     the boxes, whose envelope is 0) and, for a plane, no sample outside the
     boxes. The chunks of grid points run on one worker per CPU this process
-    may run on, each with its own scratch; the envelope does not depend on
-    how many.
+    may run on; the envelope does not depend on how many.
     """
-    _check_half_width(box)
+    _check_grid(box, resolution)
     fs = _check_functions(datum, fs)
     active = datum.active
     cs = [datum.factors[i].c for i in active]
@@ -615,7 +577,7 @@ def sup_convolution(
     base = _sample_base(kdim, resolution)
     chunk = max(1, _SUPCONV_CHUNK // len(base))
 
-    def run(task: int, s: _Scratch) -> None:
+    def run(task: int) -> None:
         start = task * chunk
         window = Y0[start : start + chunk]
         centre, scale, dead = _window(window, K, lows, highs)
@@ -624,11 +586,9 @@ def sup_convolution(
         if not len(live):
             return
         centre, scale = centre[live], scale[live]
-        samples = len(live) * len(base)
-        T = s.t[: samples * kdim].reshape(len(live), len(base), kdim)
-        np.multiply(scale[:, None, None], base, out=T)
+        T = scale[:, None, None] * base
         T += centre[:, None, :]
-        Y = _decompositions(window[live], T, K, s.y[: samples * len(lows)])
+        Y = _decompositions(window[live], T, K)
         # a single-point segment lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the interpolators read it as inside
         point = scale == 0.0
@@ -639,29 +599,23 @@ def sup_convolution(
             # the disc's square is mostly outside the boxes: interpolate only
             # the samples inside every box, the rest keep log 0 = -inf. A
             # line's segment and a unique decomposition are feasible already.
-            inside = s.keep[:samples].reshape(T.shape[:2])
-            test = s.test[:samples].reshape(T.shape[:2])
-            inside.fill(True)
+            inside = np.ones(T.shape[:2], dtype=bool)
             for y, a, b in zip(Y, lows, highs):
-                inside &= np.greater_equal(y, a, out=test)
-                inside &= np.less_equal(y, b, out=test)
+                inside &= y >= a
+                inside &= y <= b
             Y = [y[inside] for y in Y]
         # sum_i c_i log f_i over the samples, one factor at a time
-        logs = s.acc[: Y[0].size].reshape(Y[0].shape)
-        logs.fill(0.0)
+        logs = np.zeros(Y[0].shape)
         for (a, b), c, spline in zip(spans, cs, splines):
-            _add_log(logs, spline, Y[a:b], c, s)
+            _add_log(logs, spline, Y[a:b], c)
         if kdim == 2:
-            logs, kept = s.logs[:samples].reshape(T.shape[:2]), logs
-            logs.fill(-np.inf)
+            logs, kept = np.full(T.shape[:2], -np.inf), logs
             logs[inside] = kept
         peaks = logs.reshape(len(live), len(base)).max(axis=1)
         out[start + live] = np.exp(peaks, out=peaks)
 
     tasks = -(-len(Y0) // chunk)
-    workers = min(_worker_count(), tasks)
-    size = min(chunk, len(Y0)) * len(base)
-    _in_workers(tasks, [_Scratch(size, len(lows), kdim) for _ in range(workers)], run)
+    _in_workers(tasks, min(_worker_count(), tasks), run)
     return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 
 
@@ -676,17 +630,13 @@ def reverse_integral_check(
     sup-convolution envelope. At most ~1 when C dominates the reversed
     inequality, 1 at the reversed extremizers up to quadrature error.
     All-zero input returns 0 by convention (with a warning)."""
-    _check_half_width(box)
-    fs = _check_functions(datum, fs)
-    _warn_truncation(fs)
-    log_num = 0.0
-    for i, gf in zip(datum.active, fs):
-        total = integrate(gf)
-        if total <= 0.0:
-            warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
-            return 0.0
-        log_num += datum.factors[i].c * math.log(total)
+    check_constant(constant)
+    fs = list(fs)
     envelope = sup_convolution(datum, fs, resolution=resolution, box=box)
+    _warn_truncation(fs)
+    log_num = _log_masses(datum, fs, 0.0)
+    if log_num is None:
+        return 0.0
     total = integrate(envelope)
     if total <= 0.0:
         warnings.warn("the envelope integrates to zero; ratio reported as 0", stacklevel=2)

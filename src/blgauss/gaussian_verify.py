@@ -32,7 +32,7 @@ from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
-from .report import DEFAULT_SEED, VerificationReport, check_seed
+from .report import DEFAULT_SEED, VerificationReport, check_constant, check_seed
 
 DEFAULT_SAMPLES = 1000
 
@@ -100,16 +100,8 @@ def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
 # -- stacked kernels: one formula per inequality, over a stack of samples -----
 # A tuple is one (count, n_i, n_i) stack per non-zero factor; see BLDatum.groups.
 
-def _log_constant_sq(constant: float) -> float:
-    """2 log C, the constant's term in every log ratio. A NaN ratio is never
-    counted as a violation and C = +inf makes every ratio 0, so only a finite
-    positive C is checked."""
-    if not 0.0 < constant < math.inf:
-        raise ValueError(f"constant must be finite and positive, got {constant}")
-    return 2.0 * math.log(constant)
-
-
 def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
+    check_constant(constant)
     # logdet of S = sum_i c_i B_i^T A_i B_i = Z^T Z off the rows sqrt(c_i) L_i^T B_i
     log_num, rows = 0.0, []
     for g in groups:
@@ -118,10 +110,11 @@ def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> 
         log_num = log_num + weighted_sum(ld, g.c)
         rows.extend(g.sqrt_cb[:, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
     log_den = gram_logdet(np.concatenate(rows, axis=1).swapaxes(1, 2), name="combined precision")
-    return np.exp(log_num - _log_constant_sq(constant) - log_den)
+    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
 def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
+    check_constant(constant)
     Z, log_den = harmonic_sum(groups, stacks)
     try:
         log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
@@ -129,17 +122,18 @@ def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) ->
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
     # the harmonic sum guard already bounds its condition number
-    return np.exp(-log_det_S - _log_constant_sq(constant) - log_den)
+    return np.exp(-log_det_S - 2.0 * math.log(constant) - log_den)
 
 
 def _dual_ratios(groups: tuple[FactorGroup, ...], constant: float, A: np.ndarray) -> np.ndarray:
+    check_constant(constant)
     # B_i A B_i^T = (B_i L)(B_i L)^T for A = L L^T
     L, log_num = chol_logdet(A, name="A")
     log_den = 0.0
     for g in groups:
         ld = gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}")
         log_den = log_den + weighted_sum(ld, g.c)
-    return np.exp(log_num - _log_constant_sq(constant) - log_den)
+    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
 def direct_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:

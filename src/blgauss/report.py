@@ -1,7 +1,8 @@
-"""Shared result record, default seed and seed check for sampling-based verification."""
+"""Shared result record, default seed, and the seed and constant checks of the verification layers."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -14,6 +15,15 @@ def check_seed(seed) -> None:
     sampler here accepts; raised before anything is drawn."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def check_constant(constant) -> None:
+    """ValueError unless the claimed constant is finite and positive, the
+    first thing every sweep kernel and integral check runs: a NaN ratio is
+    never counted as a violation, C = +inf makes every ratio 0, and C <= 0
+    has no logarithm."""
+    if not 0.0 < constant < math.inf:
+        raise ValueError(f"constant must be finite and positive, got {constant}")
 
 
 @dataclass

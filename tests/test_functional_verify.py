@@ -77,12 +77,6 @@ class TestGridFunction:
         assert gf.dim == 2
         assert gf.values[2, 1] == pytest.approx(1.0 + 2 * 0.5)
 
-    def test_round_trip(self):
-        gf = grid_gaussian([[1.0]], points=33)
-        back = GridFunction.from_dict(gf.to_dict())
-        np.testing.assert_array_equal(back.values, gf.values)
-        np.testing.assert_array_equal(back.lo, gf.lo)
-
     def test_max_boundary_value(self):
         gf = grid_gaussian([[1.0]], points=101)
         assert gf.max_boundary_value() == pytest.approx(math.exp(-32.0), rel=1e-12)
@@ -484,9 +478,9 @@ class TestSupConvolution:
         asked = []
         add_log = functional_verify._add_log
 
-        def counted(acc, spline, coords, c, s):
+        def counted(acc, spline, coords, c):
             asked.append(coords[0].size)
-            add_log(acc, spline, coords, c, s)
+            add_log(acc, spline, coords, c)
 
         monkeypatch.setattr(functional_verify, "_add_log", counted)
         env = sup_convolution(d, fs, resolution=res)
@@ -622,6 +616,39 @@ def test_bad_box_is_refused_before_any_grid(check, box):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="box must be finite and positive"):
             run()
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3, 2.5, 801.0])
+@pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
+def test_bad_resolution_is_refused_before_any_grid(check, resolution):
+    # one point per axis made the direct check a silent pass: 0.0 for the
+    # Young flagship at half its constant
+    _, d = young_flagship()
+    fs = [grid_gaussian([[1.0]], points=41)] * 3
+    c = 0.5 * solve(d).constant
+    run = {
+        "direct": lambda: direct_integral_check(d, fs, c, resolution=resolution),
+        "sup": lambda: sup_convolution(d, fs, resolution=resolution),
+        "reverse": lambda: reverse_integral_check(d, fs, c, resolution=resolution),
+    }[check]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"resolution must be an integer of at least 2, got {resolution}"):
+            run()
+
+
+@pytest.mark.parametrize("constant", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("check", ["direct", "reverse"])
+def test_bad_constant_is_refused_before_any_grid(check, constant):
+    # the sweeps' rule: +inf read as a pass (ratio 0), NaN gave a NaN ratio,
+    # -1 a negative one and 0 a ZeroDivisionError or a math domain error
+    d = prekopa_leindler_datum()
+    fs = [grid_gaussian([[1.0]], points=41)] * 2
+    run = {"direct": direct_integral_check, "reverse": reverse_integral_check}[check]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="constant must be finite and positive"):
+            run(d, fs, constant, resolution=21)
 
 
 class TestReverseIntegralCheck:
