@@ -5,11 +5,17 @@ point itself, check-gaussian / check-quadrature / check-inf / bd for the
 independent verification layers, young and split for the closed-form test
 bed and critical-subspace splitting.
 
-Exit codes: 0 success, 1 a check was violated or a solve was inconclusive
-(or +inf where a finite constant is needed), 2 bad input. Reports written
-via --out are deterministic for a fixed command line: seeds default to fixed
-constants and every report embeds the datum digest, the options used, the
-seed, and the library version.
+Each subcommand is a function (args, datum) -> (payload, outcome) that only
+computes and prints; main has loaded --datum (None for young and a bd run
+without one). The outcome is True when every check passed, or for solve and
+constant the SolveResult. main writes the --out report, then sets the exit
+code: 0 success, 1 a check was violated or a solve was inconclusive (or +inf
+where a finite constant is needed), 2 bad input. So a report is written
+whenever the checks ran, violated or not, and solve and constant write one
+whatever the verdict; none is written when a verdict stops the run before any
+check, or on bad input. A report is deterministic for a fixed command line:
+seeds default to fixed constants and it embeds the datum digest, the options
+used, the seed, and the library version.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
-from .functional_verify import (DEFAULT_BOX, MAX_KERNEL_DIM, GridFunction, direct_integral_check,
+from .functional_verify import (DEFAULT_BOX, MAX_KERNEL_DIM, GridFunction, check_grid, direct_integral_check,
                                 gaussian_function, reverse_integral_check)
 from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
                               reverse_extremizers, solve)
@@ -88,10 +94,6 @@ def _write_ratio_csv(path: str, named_ratios: list[tuple[str, np.ndarray]]) -> N
                 fh.write(f"{name},{i},{float(r)!r}\n")
 
 
-def _solve_args(args) -> dict:
-    return {"tol": args.tol, "max_iter": args.max_iter}
-
-
 def _verdict(res: SolveResult, inf_ok: bool) -> SolveResult:
     """The one reading of a solve's verdict: pass it through when it converged,
     or found +inf and `inf_ok`; else raise ConvergenceError saying why."""
@@ -101,23 +103,25 @@ def _verdict(res: SolveResult, inf_ok: bool) -> SolveResult:
                            else "the solve was inconclusive")
 
 
+def _finite_solve(args, datum: BLDatum) -> SolveResult:
+    """The converged solve at --tol and --max-iter that a check needs."""
+    return _verdict(solve(datum, tol=args.tol, max_iter=args.max_iter), inf_ok=False)
+
+
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    datum = load_datum(args.datum)
+def cmd_validate(args, datum):
     diag = validate(datum)
     print(f"n={datum.n} m={datum.m} dims={list(datum.dims)}")
     print(f"homogeneity defect: {diag.homogeneity_defect:+.3e}")
     print(f"degenerate: {diag.degenerate}")
     print(f"frame: {diag.frame}")
     print(f"zero maps: {diag.zero_map_indices or 'none'}")
-    _write_report(args, {"diagnostics": diag.to_dict()}, datum)
-    return 0
+    return {"diagnostics": diag.to_dict()}, True
 
 
-def cmd_solve(args) -> int:
-    datum = load_datum(args.datum)
-    res = solve(datum, **_solve_args(args))
+def cmd_solve(args, datum):
+    res = solve(datum, tol=args.tol, max_iter=args.max_iter)
     print(f"converged: {res.converged}  iterations: {res.iterations}  residual: {res.residual:.3e}")
     print(f"constant: {res.constant!r}")
     print("A (det-normalized):")
@@ -125,27 +129,21 @@ def cmd_solve(args) -> int:
         print("  " + "  ".join(f"{v:+.12e}" for v in row))
     if args.trace:
         res.write_trace_csv(args.trace)
-    _write_report(args, {"result": res.to_dict()}, datum)
-    _verdict(res, inf_ok=True)
-    return 0
+    return {"result": res.to_dict()}, res
 
 
-def cmd_constant(args) -> int:
-    datum = load_datum(args.datum)
-    res = solve(datum, **_solve_args(args))
+def cmd_constant(args, datum):
+    res = solve(datum, tol=args.tol, max_iter=args.max_iter)
     print(f"{res.constant!r}")
-    _write_report(args, {"constant": res.constant, "converged": res.converged}, datum)
-    _verdict(res, inf_ok=True)
-    return 0
+    return {"constant": res.constant, "converged": res.converged}, res
 
 
-def cmd_check_gaussian(args) -> int:
-    datum = load_datum(args.datum)
+def cmd_check_gaussian(args, datum):
     if args.constant is not None:
         constant = args.constant
         ext_direct = ext_reverse = ext_dual = None
     else:
-        res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
+        res = _finite_solve(args, datum)
         constant = res.constant
         ext_direct = direct_extremizers(datum, res.A)
         ext_reverse, ext_dual = reverse_extremizers(datum, res.A)
@@ -155,111 +153,82 @@ def cmd_check_gaussian(args) -> int:
         ("reverse", sweep_reverse(datum, constant, args.samples, args.seed, extremizer=ext_reverse)),
         ("dual", sweep_dual(datum, constant, args.samples, args.seed, extremizer=ext_dual)),
     ]
-    payload = {"constant": constant, "checks": {}}
-    failed = False
     for name, (report, _) in sweeps:
         gap = f"  extremizer gap {report.equality_gap:.2e}" if report.equality_gap is not None else ""
         print(
             f"{name:8s} samples={report.samples} violations={report.violations} "
             f"worst_ratio={report.worst_ratio:.12f}{gap}"
         )
-        payload["checks"][name] = report.to_dict()
-        failed |= not report.ok
     if args.csv:
         _write_ratio_csv(args.csv, [(name, ratios) for name, (_, ratios) in sweeps])
-    _write_report(args, payload, datum)
-    return 1 if failed else 0
+    checks = {name: report.to_dict() for name, (report, _) in sweeps}
+    return {"constant": constant, "checks": checks}, all(report.ok for _, (report, _) in sweeps)
 
 
-def cmd_check_quadrature(args) -> int:
-    datum = load_datum(args.datum)
+def cmd_check_quadrature(args, datum):
     if datum.n > 2:
         raise DatumError("quadrature checks support ambient dimension 1 and 2 only")
-    res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
-    payload = {"constant": res.constant, "checks": {}}
-    failed = False
-
-    fs = [
-        GridFunction.from_callable(gaussian_function(P), -args.box, args.box, args.resolution)
-        for P in direct_extremizers(datum, res.A)
-    ]
-    direct = direct_integral_check(datum, fs, res.constant, args.resolution, args.box)
-    ok = direct <= 1.0 + QUAD_DIRECT_SLACK
-    print(f"direct   ratio={direct:.8f}  (equality expected: gap {abs(direct - 1.0):.2e})")
-    payload["checks"]["direct"] = {"ratio": direct, "ok": ok}
-    failed |= not ok
-
+    check_grid(args.box, args.resolution)
+    res = _finite_solve(args, datum)
+    checks = [("direct", direct_extremizers(datum, res.A), direct_integral_check, QUAD_DIRECT_SLACK)]
     kernel_dim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     if kernel_dim <= MAX_KERNEL_DIM:
-        tuple_r, _ = reverse_extremizers(datum, res.A)
-        fs_r = [
-            GridFunction.from_callable(gaussian_function(P), -args.box, args.box, args.resolution)
-            for P in tuple_r
-        ]
-        reverse = reverse_integral_check(datum, fs_r, res.constant, args.resolution, args.box)
-        ok = reverse <= 1.0 + QUAD_REVERSE_SLACK
-        print(f"reverse  ratio={reverse:.8f}  (equality expected: gap {abs(reverse - 1.0):.2e})")
-        payload["checks"]["reverse"] = {"ratio": reverse, "ok": ok}
-        failed |= not ok
-    else:
+        checks.append(("reverse", reverse_extremizers(datum, res.A)[0], reverse_integral_check,
+                       QUAD_REVERSE_SLACK))
+
+    payload = {"constant": res.constant, "checks": {}}
+    for name, precisions, check, slack in checks:
+        fs = [GridFunction.from_callable(gaussian_function(P), -args.box, args.box, args.resolution)
+              for P in precisions]
+        ratio = check(datum, fs, res.constant, args.resolution, args.box)
+        print(f"{name:8s} ratio={ratio:.8f}  (equality expected: gap {abs(ratio - 1.0):.2e})")
+        payload["checks"][name] = {"ratio": ratio, "ok": ratio <= 1.0 + slack}
+    if kernel_dim > MAX_KERNEL_DIM:
         print(f"reverse  skipped (decomposition kernel has dimension {kernel_dim} > {MAX_KERNEL_DIM})")
-
-    _write_report(args, payload, datum)
-    return 1 if failed else 0
+    return payload, all(c["ok"] for c in payload["checks"].values())
 
 
-def cmd_check_inf(args) -> int:
+def cmd_check_inf(args, datum):
     if args.instances < 1:
         raise ValueError(f"instances must be at least 1, got {args.instances}")
     check_seed(args.seed)
-    datum = load_datum(args.datum)
     rng = np.random.default_rng(args.seed)
-    failed = False
     reports = []
     for k in range(args.instances):
         tup = sample_tuple(datum, rng)
         x = rng.standard_normal(datum.n)
-        report = check_inf(datum, tup, x, samples=args.samples, seed=args.seed + k)
-        reports.append(report.to_dict())
-        failed |= not report.ok
-    worst = max(r["worst_ratio"] for r in reports)
-    violations = sum(r["violations"] for r in reports)
+        reports.append(check_inf(datum, tup, x, samples=args.samples, seed=args.seed + k))
     print(
         f"instances={args.instances} samples={args.samples} per instance  "
-        f"violations={violations}  worst_ratio={worst:.12f}"
+        f"violations={sum(r.violations for r in reports)}  "
+        f"worst_ratio={max(r.worst_ratio for r in reports):.12f}"
     )
-    _write_report(args, {"instances": reports}, datum)
-    return 1 if failed else 0
+    return {"instances": [r.to_dict() for r in reports]}, all(r.ok for r in reports)
 
 
-def cmd_bd(args) -> int:
-    if args.datum:
-        datum = load_datum(args.datum)
+def cmd_bd(args, datum):
+    if datum is not None:
         A = _verdict(solve(datum), inf_ok=False).A
     else:
-        datum = None
         check_draws(args.dim, args.steps, args.paths)  # before np.eye allocates dim^2 floats
         A = np.eye(args.dim)
     config = BrownianConfig(A=A, horizon=args.horizon, steps=args.steps, paths=args.paths, seed=args.seed)
     rows = builtin_suite(config)
     print("label,estimate,stderr,closed_form,z")
-    failed = False
     for r in rows:
         closed = "" if r.closed_form is None else repr(r.closed_form)
         print(f"{r.label},{r.estimate!r},{r.stderr!r},{closed},{r.z!r}")
-        failed |= not r.ok
-    _write_report(args, {"rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in rows]}, datum)
-    return 1 if failed else 0
+    return {"rows": [{**dataclasses.asdict(r), "ok": r.ok} for r in rows]}, all(r.ok for r in rows)
 
 
-def cmd_young(args) -> int:
+def cmd_young(args, _):
     if args.r is None:
         e = YoungExponents.from_pq(args.p, args.q)
     else:
         e = YoungExponents(args.p, args.q, args.r)
     datum = datum_from_exponents(e)
     A = closed_form_A(e)
-    res = _verdict(solve(datum, **_solve_args(args)), inf_ok=False)
+    res = _finite_solve(args, datum)
     c1, c2, c3 = e.weights
     print(f"p={e.p} q={e.q} r={e.r}  weights=({c1:.6f}, {c2:.6f}, {c3:.6f})")
     print("closed-form A (det-normalized):")
@@ -269,21 +238,16 @@ def cmd_young(args) -> int:
     print(f"constant (weight form):   {constant_from_cs(c1, c2, c3)!r}")
     print(f"constant (solver):        {res.constant!r}")
     print(f"solver max|A - closed|:   {np.abs(res.A - A).max():.3e}")
-    _write_report(
-        args,
-        {
-            "exponents": {"p": e.p, "q": e.q, "r": e.r},
-            "constant": beckner_constant(e),
-            "solver_constant": res.constant,
-            "A": A.tolist(),
-        },
-        datum,
-    )
-    return 0
+    return {
+        "datum_digest": datum_digest(datum),
+        "exponents": {"p": e.p, "q": e.q, "r": e.r},
+        "constant": beckner_constant(e),
+        "solver_constant": res.constant,
+        "A": A.tolist(),
+    }, True
 
 
-def cmd_split(args) -> int:
-    datum = load_datum(args.datum)
+def cmd_split(args, datum):
     if args.subspace:
         with open(args.subspace, "r", encoding="utf-8") as fh:
             candidates = [Subspace.from_rows(json.load(fh))]
@@ -292,13 +256,10 @@ def cmd_split(args) -> int:
         if not candidates:
             print("no critical coordinate subspace found (only coordinate subspaces were "
                   "tried; pass --subspace to split along another)")
-            _write_report(args, {"splits": []}, datum)
-            return 0
 
-    failed = False
     splits = []
     for E in candidates:
-        result = multiplicativity_check(datum, E, **_solve_args(args))
+        result = multiplicativity_check(datum, E, tol=args.tol, max_iter=args.max_iter)
         ok = result.gap <= SPLIT_GAP_TOL
         axes = [int(a) for a in np.flatnonzero(np.abs(E.basis).max(axis=1) > 1e-12)]
         print(
@@ -307,9 +268,7 @@ def cmd_split(args) -> int:
             f"gap={result.gap:.2e} {'ok' if ok else 'VIOLATION'}"
         )
         splits.append({**result.to_dict(), "dim": E.dim, "ok": ok})
-        failed |= not ok
-    _write_report(args, {"splits": splits}, datum)
-    return 1 if failed else 0
+    return {"splits": splits}, all(s["ok"] for s in splits)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -357,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-inf", cmd_check_inf, "brute-force the harmonic-combination infimum", sampling=True)
     p.add_argument("--instances", type=int, default=10, help="random (tuple, point) instances")
 
-    p = sub.add_parser("bd", help="Monte Carlo of the variational log-MGF formula")
-    p.set_defaults(func=cmd_bd)
+    p = add("bd", cmd_bd, "Monte Carlo of the variational log-MGF formula", datum=False)
     p.add_argument("--datum", default=None, help="use the solved covariance of this datum")
     p.add_argument("--dim", type=int, default=1, help="dimension when no datum is given")
     p.add_argument("--horizon", type=float, default=1.0)
@@ -366,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time steps of the drift quadrature; W_T does not depend on it")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="write a JSON report here")
 
     p = add("young", cmd_young, "closed-form convolution datum on the line", datum=False, solver=True)
     p.add_argument("--p", type=float, required=True)
@@ -383,7 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        datum = None if getattr(args, "datum", None) is None else load_datum(args.datum)
+        payload, outcome = args.func(args, datum)
+        _write_report(args, payload, datum)
+        if isinstance(outcome, SolveResult):  # solve, constant: the report first, then the verdict
+            _verdict(outcome, inf_ok=True)
+            return 0
+        return 0 if outcome else 1
     except (DatumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -238,16 +238,34 @@ def datum_to_dict(datum: BLDatum) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def datum_from_dict(doc: dict) -> BLDatum:
-    try:
-        n = doc["n"]
-        factors = tuple(LinearFactor(float(f["c"]), np.asarray(f["rows"], dtype=float))
-                        for f in doc["factors"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DatumError):
-            raise
-        raise DatumError(f"bad datum document: {exc}") from exc
-    return BLDatum(n, factors)
+    """The datum of a parsed JSON document {n, factors: [{c, rows}]}. The
+    document is outside input, so its JSON types are checked: an object with
+    n and a list of factor objects, and JSON numbers (no bool, no string) for
+    each c and row entry. Each refusal is a DatumError naming the field."""
+    if not isinstance(doc, dict) or "n" not in doc or "factors" not in doc:
+        raise DatumError("a datum document must be an object with fields n and factors")
+    if not isinstance(doc["factors"], list):
+        raise DatumError(f"factors must be a list, got {type(doc['factors']).__name__}")
+    factors = []
+    for i, f in enumerate(doc["factors"]):
+        if not isinstance(f, dict) or "c" not in f or "rows" not in f:
+            raise DatumError(f"factor {i} must be an object with fields c and rows")
+        c, rows = f["c"], f["rows"]
+        if not _is_number(c):
+            raise DatumError(f"factor {i}: c must be a number, got {c!r}")
+        if not (isinstance(rows, list) and all(isinstance(r, list) and all(map(_is_number, r)) for r in rows)
+                and len({len(r) for r in rows}) <= 1):
+            raise DatumError(f"factor {i}: rows must be a list of equal-length lists of numbers")
+        try:
+            factors.append(LinearFactor(float(c), np.asarray(rows, dtype=float)))
+        except OverflowError as exc:  # an integer past the float range
+            raise DatumError(f"factor {i}: {exc}") from exc
+    return BLDatum(doc["n"], tuple(factors))
 
 
 def load_datum(path) -> BLDatum:

@@ -356,7 +356,7 @@ def _tensor_grid(lo, hi, points: int):
     return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _check_grid(box: float, resolution: int) -> None:
+def check_grid(box: float, resolution: int) -> None:
     """ValueError unless the box half-width is finite and positive and the
     resolution an integer of at least 2 points per axis."""
     if not (math.isfinite(box) and box > 0.0):
@@ -402,7 +402,7 @@ def direct_integral_check(
     at extremizers up to quadrature error. Returns 0 (with a warning) when
     the right-hand side vanishes."""
     check_constant(constant)
-    _check_grid(box, resolution)
+    check_grid(box, resolution)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     log_rhs = _log_masses(datum, fs, math.log(constant))
@@ -551,7 +551,7 @@ def sup_convolution(
     boxes. The chunks of grid points run on one worker per CPU this process
     may run on; the envelope does not depend on how many.
     """
-    _check_grid(box, resolution)
+    check_grid(box, resolution)
     fs = _check_functions(datum, fs)
     active = datum.active
     cs = [datum.factors[i].c for i in active]

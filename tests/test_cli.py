@@ -96,6 +96,17 @@ class TestExitCodes:
         assert captured.err == f"error: ambient dimension must be an integer, got {n!r}\n"
         assert captured.out == ""
 
+    def test_string_weight_exits_2(self, tmp_path, capsys):
+        # "c": "0.5" used to load and solve with exit 0
+        doc = json.loads(Path(YOUNG).read_text(encoding="utf-8"))
+        doc["factors"][0]["c"] = "0.75"
+        path = tmp_path / "young.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["constant", "--datum", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: factor 0: c must be a number, got '0.75'\n"
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_frame_datum(self, capsys, tmp_path):
@@ -350,6 +361,38 @@ def test_bad_box_exits_2(box, capsys):
     _one_line_no_traceback(captured.err, "box")
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("resolution", ["1", "0", "-3"])
+def test_bad_resolution_exits_2(resolution, capsys):
+    # the grid used to be refused by GridFunction with a message that named no option
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-quadrature", "--datum", YOUNG, "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    _one_line_no_traceback(captured.err, "resolution")
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code, written", [
+    (["check-gaussian", "--datum", YOUNG, "--samples", "50", "--constant", str(0.5 * YOUNG_CONSTANT)], 1, True),
+    (["constant", "--datum", YOUNG, "--max-iter", "1"], 1, True),
+    (["solve", "--datum", INFEASIBLE], 0, True),
+    (["check-gaussian", "--datum", YOUNG, "--samples", "50", "--max-iter", "1"], 1, False),
+    (["check-gaussian", "--datum", None, "--samples", "50"], 2, False),
+], ids=["violated-check", "inconclusive-constant", "infinite-solve", "inconclusive-check", "malformed-datum"])
+def test_report_rule(argv, code, written, tmp_path, capsys):
+    # a report is written whenever the checks ran, violated or not, and by
+    # solve and constant whatever the verdict; not when a verdict stops the
+    # run before any check, nor on bad input
+    bad, out = tmp_path / "bad.json", tmp_path / "report.json"
+    bad.write_text('{"n": 2, "factors": 5}', encoding="utf-8")
+    argv = [str(bad) if a is None else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.exists() == written
+    if written and argv[0] == "check-gaussian":
+        assert sum(check["violations"] for check in _strict_json(out)["checks"].values()) > 0
 
 
 @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])

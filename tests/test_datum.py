@@ -243,6 +243,29 @@ class TestSerialization:
         doc["n"] = 2.0
         assert type(datum_from_dict(doc).n) is int
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[1, 2]", "object with fields n and factors", id="list-document"),
+        pytest.param('{"n": 2, "factors": [[1]]}', "factor 0 must be an object with fields c and rows",
+                     id="list-factor"),
+        pytest.param('{"n": 2, "factors": 5}', "factors must be a list, got int", id="number-factors"),
+        pytest.param('{"n": 1, "factors": [{"c": "0.5", "rows": [[1]]}]}', "factor 0: c must be a number",
+                     id="string-weight"),
+        pytest.param('{"n": 1, "factors": [{"c": true, "rows": [[1]]}]}', "factor 0: c must be a number",
+                     id="bool-weight"),
+        pytest.param('{"n": 2, "factors": [{"c": 1, "rows": [["1", 1]]}]}', "factor 0: rows must be",
+                     id="string-entry"),
+        pytest.param('{"n": 2, "factors": [{"c": 1, "rows": [[true, 0]]}]}', "factor 0: rows must be",
+                     id="bool-entry"),
+        pytest.param('{"n": 2, "factors": [{"c": 1, "rows": [[1, 0], [1]]}]}', "factor 0: rows must be",
+                     id="ragged-rows"),
+        pytest.param('{"n": 2, "factors": [{"c": 1, "rows": [[1' + "0" * 400 + ', 0]]}]}',
+                     "factor 0: int too large", id="huge-integer"),
+    ])
+    def test_document_types_are_checked(self, text, message):
+        # every refusal is a DatumError that names the field, so the CLI exits 2
+        with pytest.raises(DatumError, match=message):
+            datum_from_dict(json.loads(text))
+
     def test_load_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"n": 2}')
