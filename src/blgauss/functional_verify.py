@@ -22,16 +22,15 @@ chunks of _SUPCONV_CHUNK samples, and each chunk allocates its own arrays.
 Work arrays that each thread allocated once and reused were no faster: on
 a 2-core x86-64 host, allocating per chunk cut the `functional` benchmark's
 wall time by about 4 % and its median op time by about 8 %, for about 2.4
-MiB (3 %) more peak RSS. The sup-convolution runs its chunks on one worker
-per CPU this process may run on: the calling thread takes chunks 0, W, 2W,
-..., and W - 1 threads, each in a copy of the caller's context (so its
-np.errstate holds there too), take the rest. Each chunk writes only its own
-slice of the envelope, and every sample goes through the same operations
-in the same order, so the envelope is the same to the bit whatever W is.
-The first exception in a worker stops the others and is re-raised in the
-caller. The direct check runs serially, since a second worker did not make
-it faster, and reads each chunk's grid points off the axis instead of
-holding the whole grid.
+MiB (3 %) more peak RSS. Both checks run their chunks on one worker per
+CPU this process may run on (_in_workers): the calling thread takes chunks
+0, W, 2W, ..., and W - 1 threads, each in a copy of the caller's context (so
+its np.errstate holds there too), take the rest. Each chunk writes only its
+own slice of the envelope or of the direct check's integrand, and every
+sample goes through the same operations in the same order, so both checks
+give the same bits whatever W is. The first exception in a worker stops the
+others and is re-raised in the caller. The direct check reads each chunk's
+grid points off the axis by flat index instead of holding the whole grid.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from .datum import BLDatum
 from .quadform import decomposition_map
-from .report import check_constant
+from .report import MAX_ELEMENTS, check_constant
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
@@ -358,11 +357,15 @@ def _tensor_grid(lo, hi, points: int):
 
 def check_grid(box: float, resolution: int) -> None:
     """ValueError unless the box half-width is finite and positive and the
-    resolution an integer of at least 2 points per axis."""
+    resolution an integer of at least 2 points per axis whose largest array,
+    4 * resolution^2 floats (the sup-convolution's preimages or samples of a
+    plane, in at most 4 factor coordinates), fits MAX_ELEMENTS."""
     if not (math.isfinite(box) and box > 0.0):
         raise ValueError(f"box must be finite and positive, got {box}")
     if not isinstance(resolution, numbers.Integral) or resolution < 2:
         raise ValueError(f"resolution must be an integer of at least 2, got {resolution}")
+    if (elements := 4 * int(resolution) ** 2) > MAX_ELEMENTS:
+        raise ValueError(f"4 * resolution^2 = {elements} exceeds the budget {MAX_ELEMENTS}")
 
 
 def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
@@ -413,22 +416,17 @@ def direct_integral_check(
     size = math.prod(shape)
     factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active, fs)]
     chunk = min(size, _SUPCONV_CHUNK)
-    # in the plane, the point at offset j from the start (r0, c0) of its
-    # chunk lies in row r0 + row[c0 + j] and column tiled[c0 + j], which
-    # spares the chunk any integer division
-    rows = -(-chunk // resolution) + 1
-    row, tiled = np.arange(rows).repeat(resolution), np.tile(axis, rows)
     log_prod = np.zeros(size)
-    for start in range(0, size, chunk):
+
+    def run(task: int) -> None:
+        start = task * chunk
         acc = log_prod[start : start + chunk]
-        m = len(acc)
-        if datum.n == 1:
-            pts = axis[start : start + m, None]
-        else:
-            r0, c0 = divmod(start, resolution)
-            pts = np.stack([axis[r0:].take(row[c0 : c0 + m], mode="clip"), tiled[c0 : c0 + m]], axis=1)
+        # the grid points of this chunk, read off the axis by flat index
+        pts = axis[np.stack(np.unravel_index(np.arange(start, start + len(acc)), shape), axis=1)]
         for f, spline in factors:
             _add_log(acc, spline, list((pts @ f.B.T).T), f.c)
+
+    _in_workers(-(-size // chunk), run)
     lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
     return lhs / math.exp(log_rhs)
 
@@ -496,13 +494,13 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _in_workers(tasks: int, workers: int, run) -> None:
-    """run(task) for every task in range(tasks) on W = workers workers:
-    worker w takes tasks w, w + W, w + 2W and so on. Worker 0 is the calling
-    thread; the others are threads, each in a copy of the caller's context.
-    The first exception stops every worker before its next task and is
-    re-raised here once all have ended."""
-    errors = []
+def _in_workers(tasks: int, run) -> None:
+    """run(task) for each task in range(tasks) on W = min(CPUs this process
+    may run on, tasks) workers: worker w takes tasks w, w + W, w + 2W and so
+    on. Worker 0 is the calling thread; the others are threads, each in a
+    copy of the caller's context. The first exception stops every worker
+    before its next task and is re-raised here once all have ended."""
+    workers, errors = min(_worker_count(), tasks), []
 
     def worker(w: int) -> None:
         try:
@@ -614,8 +612,7 @@ def sup_convolution(
         peaks = logs.reshape(len(live), len(base)).max(axis=1)
         out[start + live] = np.exp(peaks, out=peaks)
 
-    tasks = -(-len(Y0) // chunk)
-    _in_workers(tasks, min(_worker_count(), tasks), run)
+    _in_workers(-(-len(Y0) // chunk), run)
     return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
 
 

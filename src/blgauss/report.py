@@ -1,4 +1,4 @@
-"""Shared result record, default seed, and the seed and constant checks of the verification layers."""
+"""Shared result record, default seed, element budget, and the seed and constant checks of the verification layers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,11 @@ from dataclasses import dataclass
 
 # The seed of every sampler's default run, so a command line fixes its report.
 DEFAULT_SEED = 1729
+
+# The most floats one array may hold when its size follows from a command
+# line's options (bd's draws and covariance, check-quadrature's grids):
+# 800 MB, checked before anything that size is allocated.
+MAX_ELEMENTS = 10**8
 
 
 def check_seed(seed) -> None:

@@ -26,16 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_solve, sym
-from .report import DEFAULT_SEED, check_seed
-
-MAX_DRAWS = 10**8
+from .report import DEFAULT_SEED, MAX_ELEMENTS, check_seed
 
 
 def check_draws(n: int, steps: int, paths: int) -> None:
-    """ValueError when W_T, (paths, n), and a drift grid, (steps, n), exceed MAX_DRAWS."""
-    draws = (paths + steps) * n
-    if draws > MAX_DRAWS:
-        raise ValueError(f"(paths + steps) * n = {draws} exceeds the budget {MAX_DRAWS}")
+    """ValueError when W_T, (paths, n), a drift grid, (steps, n), and the
+    covariance density, (n, n), exceed MAX_ELEMENTS."""
+    draws = (paths + steps + n) * n
+    if draws > MAX_ELEMENTS:
+        raise ValueError(f"(paths + steps + n) * n = {draws} exceeds the budget {MAX_ELEMENTS}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blgauss import __version__
+from blgauss import __version__, cli
 from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
 from conftest import gl_family, gl_map, mercedes_frame_datum, random_gl
@@ -363,9 +363,14 @@ def test_bad_box_exits_2(box, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("resolution", ["1", "0", "-3"])
-def test_bad_resolution_exits_2(resolution, capsys):
-    # the grid used to be refused by GridFunction with a message that named no option
+@pytest.mark.parametrize("resolution", ["1", "0", "-3", "1000000"])
+def test_bad_resolution_exits_2(resolution, monkeypatch, capsys):
+    # the grid used to be refused by GridFunction with a message that named
+    # no option, and a million points per axis solved, then asked the direct
+    # check for 7.28 TiB; both are refused before the solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve called before the grid was checked")
+    monkeypatch.setattr(cli, "solve", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["check-quadrature", "--datum", YOUNG, "--resolution", resolution]) == 2
@@ -431,7 +436,10 @@ class TestBd:
         # every exp(g - max g) rounds to 1, so the standard error is 0
         (["--horizon", "1e-300", "--paths", "100", "--steps", "2"], "horizon 1e-300 is out of range"),
         (["--dim", "0", "--paths", "100", "--steps", "2"], "must be a non-empty square matrix"),
-    ], ids=["one-path", "huge-horizon", "tiny-horizon", "dim-0"])
+        # (paths + steps) * n passed the budget, and np.eye asked for 728 TiB
+        (["--dim", "10000000", "--paths", "2", "--steps", "1"],
+         "(paths + steps + n) * n = 100000030000000 exceeds the budget 100000000"),
+    ], ids=["one-path", "huge-horizon", "tiny-horizon", "dim-0", "covariance-over-budget"])
     def test_bad_input_exits_2_without_warnings(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

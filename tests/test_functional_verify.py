@@ -25,6 +25,7 @@ from blgauss import (
     solve,
     sup_convolution,
 )
+from blgauss.functional_verify import check_grid
 from conftest import coordinate_datum, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
@@ -501,25 +502,60 @@ class TestSupConvolution:
         ]
         return d, fs, 41
 
+    def direct_cases(self, chunk):
+        """(datum, functions, constant, resolution, ratio) of the direct check
+        on the Young flagship, the two-dim-factor case and a 1-D datum, with
+        the ratio it gave when it ran its chunks serially. Chunks of one
+        point take the flagship at 41 points per axis, not 801."""
+        _, young = young_flagship()
+        r = solve(young)
+        fy = [grid_gaussian(P) for P in direct_extremizers(young, r.A)]
+        d2, f2, res2 = self.two_dim_factor_case()
+        f1 = [grid_gaussian([[1.3]]), grid_gaussian([[0.7]])]
+        return [
+            (young, fy, r.constant, *((801, "0.9999999999913369") if chunk > 1 else (41, "0.9999999999843536"))),
+            (d2, f2, 1.0, res2, "1.235055770588894"),
+            (prekopa_leindler_datum(), f1, 1.0, 801, "0.9766981117201887"),
+        ]
+
     @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 300, 1])
-    @pytest.mark.parametrize("case", range(4), ids=["kdim0", "kdim1", "kdim2", "two-dim-factor"])
+    @pytest.mark.parametrize("case", range(7), ids=["kdim0", "kdim1", "kdim2", "two-dim-factor",
+                                                    "direct-young", "direct-two-dim-factor", "direct-1d"])
     def test_any_worker_count_is_bit_identical(self, case, chunk, monkeypatch):
-        # every chunk writes its own slice of the envelope by the same
-        # operations, so W workers (W = 3 can outnumber the cores, and a
-        # short switch interval interleaves them finely) give one envelope
-        d, fs, res = (self.kernel_cases() + [self.two_dim_factor_case()])[case]
+        # every chunk writes its own slice of the envelope, or of the direct
+        # check's integrand, by the same operations, so W workers (W = 3 can
+        # outnumber the cores, and a short switch interval interleaves them
+        # finely) give one envelope and one ratio
+        if case < 4:
+            d, fs, res = (self.kernel_cases() + [self.two_dim_factor_case()])[case]
+            run, pinned = lambda: sup_convolution(d, fs, resolution=res).values, None
+        else:
+            d, fs, c, res, pinned = self.direct_cases(chunk)[case - 4]
+            run = lambda: np.array([direct_integral_check(d, fs, c, resolution=res)])
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
-        envelopes = []
+        results = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(functional_verify, "_worker_count", lambda w=workers: w)
-                envelopes.append(sup_convolution(d, fs, resolution=res).values)
+                results.append(run())
         finally:
             sys.setswitchinterval(interval)
-        assert envelopes[0].max() > 0.1
-        assert all(np.array_equal(env, envelopes[0]) for env in envelopes[1:])
+        assert results[0].max() > 0.1
+        assert all(np.array_equal(x, results[0]) for x in results[1:])
+        if pinned is not None:
+            assert repr(float(results[0][0])) == pinned
+
+    def two_chunk_run(self, check):
+        """A run of the sup-convolution or of the direct check in two chunks,
+        one per worker."""
+        if check == "sup":
+            d, fs, res = self.kernel_cases()[2]
+            return lambda: sup_convolution(d, fs, resolution=res)
+        _, d = young_flagship()
+        fs = [grid_gaussian([[1.0]], points=41)] * 3
+        return lambda: direct_integral_check(d, fs, 1.0, resolution=301)
 
     @staticmethod
     def fail_off_the_calling_thread(monkeypatch, fail):
@@ -538,8 +574,9 @@ class TestSupConvolution:
         monkeypatch.setattr(functional_verify, "_worker_count", lambda: 2)
         return seen
 
-    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
-        d, fs, res = self.kernel_cases()[2]  # two chunks, one per worker
+    @pytest.mark.parametrize("check", ["sup", "direct"])
+    def test_a_worker_exception_reaches_the_caller(self, check, monkeypatch):
+        run = self.two_chunk_run(check)
 
         def fail():
             raise RuntimeError("worker failed")
@@ -547,19 +584,20 @@ class TestSupConvolution:
         seen = self.fail_off_the_calling_thread(monkeypatch, fail)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="worker failed"):
-            sup_convolution(d, fs, resolution=res)
+            run()
         assert any(t is not threading.main_thread() for t in seen)
         assert threading.active_count() == threads
 
-    def test_the_callers_errstate_holds_in_the_workers(self, monkeypatch):
-        d, fs, res = self.kernel_cases()[2]
+    @pytest.mark.parametrize("check", ["sup", "direct"])
+    def test_the_callers_errstate_holds_in_the_workers(self, check, monkeypatch):
+        run = self.two_chunk_run(check)
 
         def fail():
             np.ones(3) / np.zeros(3)
 
         self.fail_off_the_calling_thread(monkeypatch, fail)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            sup_convolution(d, fs, resolution=res)
+            run()
 
     def test_single_identity_factor_reproduces_input(self):
         d = make_datum(1, [1.0], [np.eye(1)])
@@ -635,6 +673,29 @@ def test_bad_resolution_is_refused_before_any_grid(check, resolution):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"resolution must be an integer of at least 2, got {resolution}"):
             run()
+
+
+def test_grid_budget_bounds_the_largest_array():
+    # no check builds an array of more than 4 * resolution^2 floats, which
+    # check_grid holds to the package's element budget of 10^8
+    check_grid(8.0, 5000)
+    for resolution, elements in ((5001, 100_040_004), (np.int64(10**10), 4 * 10**20)):
+        with pytest.raises(ValueError, match=rf"4 \* resolution\^2 = {elements} exceeds the budget 100000000$"):
+            check_grid(8.0, resolution)
+
+
+@pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
+def test_oversized_grid_is_refused_before_any_grid(check):
+    # a million points per axis asked the direct check for 7.28 TiB
+    _, d = young_flagship()
+    fs = [grid_gaussian([[1.0]], points=41)] * 3
+    run = {
+        "direct": lambda: direct_integral_check(d, fs, 1.0, resolution=10**6),
+        "sup": lambda: sup_convolution(d, fs, resolution=10**6),
+        "reverse": lambda: reverse_integral_check(d, fs, 1.0, resolution=10**6),
+    }[check]
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        run()
 
 
 @pytest.mark.parametrize("constant", [np.nan, np.inf, -np.inf, -1.0, 0.0])

@@ -16,6 +16,7 @@ from blgauss import (
     quadratic_g,
     terminal_points,
 )
+from blgauss.stochastic import check_draws
 
 A2 = np.array([[1.0, 0.3], [0.3, 0.8]])
 
@@ -36,15 +37,22 @@ class TestConfig:
             BrownianConfig(A=np.array([[0.0]]))
 
     def test_rejects_budget_blowout(self):
-        # the budget bounds what is allocated: W_T, (paths, n), and a drift's
-        # time grid, (steps, n)
-        with pytest.raises(ValueError, match=r"\(paths \+ steps\) \* n"):
+        # the budget bounds what is allocated: W_T, (paths, n), a drift's
+        # time grid, (steps, n), and the covariance density, (n, n)
+        with pytest.raises(ValueError, match=r"\(paths \+ steps \+ n\) \* n"):
             BrownianConfig(A=np.eye(2), steps=1, paths=5 * 10**7)
         BrownianConfig(A=np.eye(2), steps=10**5, paths=10**5)
+        check_draws(5000, 5000, 10_000)
+        with pytest.raises(ValueError, match=r"= 100005000 exceeds the budget 100000000$"):
+            check_draws(5000, 5000, 10_001)
+        # at n = 10^4 the covariance alone takes the whole budget; a
+        # broadcast A of that shape holds one float
+        with pytest.raises(ValueError, match=r"= 100030000 exceeds the budget 100000000$"):
+            BrownianConfig(A=np.broadcast_to(1.0, (10**4, 10**4)), steps=1, paths=2)
 
     def test_budget_is_read_before_the_covariance_is_decomposed(self):
         # -I is not positive definite; the budget, read off its shape, refuses it first
-        with pytest.raises(ValueError, match=r"\(paths \+ steps\) \* n"):
+        with pytest.raises(ValueError, match=r"\(paths \+ steps \+ n\) \* n"):
             BrownianConfig(A=-np.eye(2), paths=10**8)
 
     def test_rejects_single_path(self):
