@@ -1,7 +1,7 @@
 """Low-dimensional quadrature checks of the actual integral inequalities.
 
 The Gaussian checks exercise the determinant forms; this module goes back to
-the integrals themselves on compact boxes, with functions held as values on
+the integrals themselves on compact boxes, with functions sampled on
 tensor grids. Ambient dimension and factor dimensions are limited to 2: the
 point is an independent oracle at desk scale, not a general integrator.
 
@@ -11,26 +11,37 @@ reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
          is the smallest admissible envelope: the sup-convolution
          f(x) = sup { prod_i f_i(x_i)^{c_i} : sum_i c_i B_i^T x_i = x }.
 
-Grid functions are read between nodes through not-a-knot cubic splines on
-their uniform grids, built and evaluated in numpy: one tridiagonal sweep per
-axis builds them, and an evaluation finds its interval by floor division.
-They equal SciPy's CubicSpline and RectBivariateSpline(kx=ky=3, s=0) to
-rounding, which the tests check; the package itself needs only numpy.
+Each f_i is held twice: as its values on its own grid, which give the
+trapezoid rule for its integral, the boundary-decay warning and the
+envelope the sup-convolution returns, and as the callable it was sampled
+from (GridFunction.from_callable), which both checks read at every sample
+through one reader (_add_log): f_i clipped at 0 (a NaN reads 0), and 0
+outside its box. A GridFunction of bare values has no callable, and the
+checks refuse it. The checks call each f_i from up to W worker threads on
+chunks of shape (samples, dim), so f_i must be vectorized and hold no
+shared mutable state.
 
 Both checks add c_i log f_i over their samples in place (_add_log), in
 chunks of _SUPCONV_CHUNK samples, and each chunk allocates its own arrays.
 Work arrays that each thread allocated once and reused were no faster: on
 a 2-core x86-64 host, allocating per chunk cut the `functional` benchmark's
 wall time by about 4 % and its median op time by about 8 %, for about 2.4
-MiB (3 %) more peak RSS. Both checks run their chunks on one worker per
-CPU this process may run on (_in_workers): the calling thread takes chunks
-0, W, 2W, ..., and W - 1 threads, each in a copy of the caller's context (so
-its np.errstate holds there too), take the rest. Each chunk writes only its
-own slice of the envelope or of the direct check's integrand, and every
-sample goes through the same operations in the same order, so both checks
-give the same bits whatever W is. The first exception in a worker stops the
-others and is re-raised in the caller. The direct check reads each chunk's
-grid points off the axis by flat index instead of holding the whole grid.
+MiB (3 %) more peak RSS. That holds only once glibc's mmap threshold has
+risen, as it does when a larger mmapped block is freed (the direct check's
+integrand at 801 points, 5 MB, say). Before that, each chunk's 512 KiB
+arrays are mmapped and faulted in afresh: on that host a reverse check at
+201 points, first in a fresh process, took about 130,000 minor page faults
+and 0.42 s per call, against 0.22 s after a direct check had run.
+
+Both checks run their chunks on one worker per CPU this process may run on
+(_in_workers): the calling thread takes chunks 0, W, 2W, ..., and W - 1
+threads, each in a copy of the caller's context (so its np.errstate holds
+there too), take the rest. Each chunk writes only its own slice of the
+envelope or of the direct check's integrand, and every sample goes through
+the same operations in the same order, so both checks give the same bits
+whatever W is. The first exception in a worker stops the others and is
+re-raised in the caller. The direct check reads each chunk's grid points off
+the axis by flat index instead of holding the whole grid.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import numbers
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +74,13 @@ _SUPCONV_CHUNK = 65_536
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Non-negative function sampled on a uniform tensor grid over a box."""
+    """Non-negative function sampled on a uniform tensor grid over a box;
+    f is the callable it was sampled from, None for bare values."""
 
     lo: np.ndarray
     hi: np.ndarray
     values: np.ndarray
+    f: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         lo, hi = _bounds(self.lo, self.hi)
@@ -98,23 +111,24 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f, lo, hi, points: int) -> "GridFunction":
-        """Sample f on a uniform grid; f takes an array of shape (..., dim)."""
+        """Sample f on a uniform grid, and keep f: f takes an array of shape
+        (..., dim) and returns (...).
+
+        The integral checks read f itself between the nodes, from up to W
+        worker threads (one per CPU this process may run on) on chunks of
+        shape (samples, dim), so f must be vectorized and hold no shared
+        mutable state. They read 0 outside the box and clip f at 0."""
         lo, hi = _bounds(lo, hi)
         _, pts = _tensor_grid(lo, hi, points)
-        return cls(lo, hi, np.asarray(f(pts), dtype=float))
+        gf = cls(lo, hi, np.asarray(f(pts), dtype=float))
+        object.__setattr__(gf, "f", f)
+        return gf
 
     def max_boundary_value(self) -> float:
         v = self.values
         if self.dim == 1:
             return float(max(v[0], v[-1]))
         return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
-
-    def interpolator(self):
-        """Not-a-knot cubic interpolant, zero outside the box, clipped at zero.
-
-        An axis with fewer than 4 points is interpolated linearly. The
-        interpolant takes points of shape (..., dim) and returns (...)."""
-        return _Spline(self)
 
 
 def _bounds(lo, hi):
@@ -129,147 +143,6 @@ def _bounds(lo, hi):
     if np.any(hi <= lo):
         raise ValueError("box must have positive extent on every axis")
     return lo, hi
-
-
-# -- uniform-grid splines ---------------------------------------------------------
-
-# Rows: the four coefficients a_{i-1} .. a_{i+2} that act on interval i of a
-# uniform grid; columns: the powers u^0 .. u^3 of the offset u in [0, 1] into
-# it. The cubic rows are the uniform cubic B-splines; the linear rows read
-# the values themselves, padded by one zero at each end.
-_CUBIC_BASIS = np.array([[1, -3, 3, -1], [4, 0, -6, 3], [1, 3, 3, -3], [0, 0, 0, 1]]) / 6.0
-_LINEAR_BASIS = np.array([[0, 0, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
-
-
-def _axis_coefficients(values: np.ndarray, axis: int):
-    """Coefficients along one axis (N + 2 for N points) and the basis they
-    go with: the not-a-knot cubic from 4 points on, else linear."""
-    v = np.moveaxis(values, axis, 0)
-    if len(v) < 4:
-        pad = np.zeros((1,) + v.shape[1:])
-        coef, basis = np.concatenate([pad, v, pad]), _LINEAR_BASIS
-    else:
-        coef, basis = _not_a_knot(v), _CUBIC_BASIS
-    return np.ascontiguousarray(np.moveaxis(coef, 0, axis)), basis
-
-
-def _not_a_knot(f: np.ndarray) -> np.ndarray:
-    """B-spline coefficients a_{-1} .. a_N (axis 0) of the not-a-knot cubic
-    through f_0 .. f_{N-1} on a uniform grid, N >= 4; trailing axes of f are
-    independent right-hand sides.
-
-    Interpolation reads (a_{i-1} + 4 a_i + a_{i+1}) / 6 = f_i. Not-a-knot
-    makes [x_0, x_2] one cubic, whose coefficient a_1 is its value at x_1
-    less h^2/6 times its second derivative there, which the central
-    difference gives exactly: a_1 = (8 f_1 - f_0 - f_2) / 6, and a_{N-2}
-    likewise. Rows 2 .. N-3 then form a (1, 4, 1) tridiagonal system for
-    a_2 .. a_{N-3}, solved by one Thomas sweep; rows 1, 0 and N-2, N-1 give
-    the two outer coefficients at each end."""
-    # Python floats for one right-hand side, else array rows: the sweep is
-    # sequential, and a numpy call per scalar would cost more than the sweep
-    rows = f.tolist() if f.ndim == 1 else list(f)
-    first = (8.0 * rows[1] - rows[0] - rows[2]) / 6.0
-    last = (8.0 * rows[-2] - rows[-3] - rows[-1]) / 6.0
-    x = [6.0 * r for r in rows[2:-2]]
-    if x:
-        x[0] = x[0] - first
-        x[-1] = x[-1] - last
-        pivots = [0.25]  # inverse pivots of the forward elimination
-        x[0] = x[0] * 0.25
-        for k in range(1, len(x)):
-            pivots.append(1.0 / (4.0 - pivots[-1]))
-            x[k] = (x[k] - x[k - 1]) * pivots[k]
-        for k in range(len(x) - 2, -1, -1):
-            x[k] = x[k] - pivots[k] * x[k + 1]
-    inner = [first, *x, last]  # a_1 .. a_{N-2}
-    a0 = 6.0 * rows[1] - 4.0 * inner[0] - inner[1]
-    an = 6.0 * rows[-2] - 4.0 * inner[-1] - inner[-2]
-    return np.array(
-        [6.0 * rows[0] - 4.0 * a0 - inner[0], a0, *inner, an, 6.0 * rows[-1] - 4.0 * an - inner[-1]]
-    )
-
-
-class _Spline:
-    """The not-a-knot tables of one grid function, read between its nodes by
-    _add_log and, through GridFunction.interpolator, by calling it on points
-    of shape (..., dim)."""
-
-    def __init__(self, gf: GridFunction):
-        coef, bases = gf.values, []
-        for axis in range(gf.dim):
-            coef, basis = _axis_coefficients(coef, axis)
-            bases.append(basis)
-        self.dim, self.lo, self.hi, self.n = gf.dim, gf.lo, gf.hi, gf.values.shape
-        if gf.dim == 1:
-            # per-interval power coefficients, highest power first for
-            # Horner, one contiguous row per power
-            table = np.lib.stride_tricks.sliding_window_view(coef, 4) @ bases[0]
-            self.powers = np.ascontiguousarray(table.T[::-1])
-        else:
-            # the 4 x 4 coefficients acting on each cell, as a view of the grid
-            self.patches = np.lib.stride_tricks.sliding_window_view(coef, (4, 4))
-            self.bases = bases
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        return self.values([flat[:, d] for d in range(self.dim)]).reshape(pts.shape[:-1])
-
-    def values(self, coords) -> np.ndarray:
-        """Interpolant values, clipped at zero and zeroed outside the box, at
-        the points whose coordinates along each axis are the equally shaped
-        arrays coords."""
-        if self.dim == 1:
-            i, u, inside = _locate(coords[0], self.lo[0], self.hi[0], self.n[0])
-            # i is in range, and mode="clip" skips take's bounds check
-            v = self.powers[0].take(i, mode="clip")
-            for c in self.powers[1:]:
-                v *= u
-                v += c.take(i, mode="clip")
-        else:
-            (ix, ux, inside), (iy, uy, in_y) = (
-                _locate(t, lo, hi, n) for t, lo, hi, n in zip(coords, self.lo, self.hi, self.n)
-            )
-            wx, wy = _weights(ux, self.bases[0]), _weights(uy, self.bases[1])
-            v = np.einsum("...k,...kl,...l->...", wx, self.patches[ix, iy], wy)
-            inside &= in_y
-        np.fmax(v, 0.0, out=v)
-        v *= inside
-        return v
-
-
-def _add_log(acc: np.ndarray, spline: _Spline, coords, c: float) -> None:
-    """acc += c * log f(y) in place, f the spline, y the points whose
-    coordinates along each axis are the arrays coords, shaped like acc;
-    log 0 = -inf."""
-    v = _log0(spline.values(coords))
-    v *= c
-    acc += v
-
-
-def _locate(t, lo: float, hi: float, n: int):
-    """Interval index i, offset u in [0, 1] and inside mask of coordinates t
-    on the n-point uniform grid over [lo, hi]. t == hi lies on the last
-    interval, at u = 1; t outside the box reads as the nearest end."""
-    u = np.clip(t, lo, hi)
-    inside = u == t
-    u -= lo
-    u *= (n - 1) / (hi - lo)
-    # u >= 0 after the clip, so the cast truncates to floor(u)
-    i = np.minimum(u.astype(np.intp), n - 2)
-    u -= i
-    return i, u, inside
-
-
-def _weights(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Weights (..., 4) of the four coefficients at offsets u, by Horner."""
-    u = u[..., None]
-    w = u * basis[:, 3]
-    for p in (2, 1):
-        w += basis[:, p]
-        w *= u
-    w += basis[:, 0]
-    return w
 
 
 def integrate(gf: GridFunction) -> float:
@@ -287,7 +160,12 @@ def gaussian_function(precision, center=None):
 
     def f(pts):
         diff = np.asarray(pts) - c
-        q = np.einsum("...i,ij,...j->...", diff, P, diff)
+        # term by term: einsum sums a 2-D form in an order that depends on
+        # how many points share the call, and the checks call f on chunks
+        terms = (diff[..., i] * P[i, j] * diff[..., j] for i in range(d) for j in range(d))
+        q = next(terms)
+        for t in terms:
+            q += t
         return np.exp(-0.5 * q)
 
     return f
@@ -333,6 +211,11 @@ def _check_functions(datum: BLDatum, fs) -> list[GridFunction]:
             raise ValueError(f"function for factor {i} has dim {gf.dim}, expected {want}")
         if want > 2:
             raise ValueError("quadrature checks support factor dimensions 1 and 2 only")
+        if gf.f is None:
+            raise ValueError(
+                f"function for factor {i} holds bare values; build it with "
+                "GridFunction.from_callable, whose callable the checks read"
+            )
     if datum.n > 2:
         raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     return fs
@@ -381,9 +264,23 @@ def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
 
 
 def _log0(vals: np.ndarray) -> np.ndarray:
-    """In-place log of non-negative interpolant values, log 0 = -inf."""
+    """In-place log of non-negative values, log 0 = -inf."""
     with np.errstate(divide="ignore"):
         return np.log(vals, out=vals)
+
+
+def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
+    """acc += c * log f(y) in place, f the callable gf was sampled from, y
+    the points whose coordinates along each axis are the arrays coords,
+    shaped like acc. f is clipped at 0 (a NaN reads 0) and reads 0 outside
+    gf's box; log 0 = -inf."""
+    pts = coords[0][..., None] if gf.dim == 1 else np.stack(coords, axis=-1)
+    v = np.fmax(gf.f(pts), 0.0)
+    for y, lo, hi in zip(coords, gf.lo, gf.hi):
+        np.copyto(v, 0.0, where=(y < lo) | (y > hi))
+    _log0(v)
+    v *= c
+    acc += v
 
 
 def _trapezoid_nd(values: np.ndarray, axes) -> float:
@@ -414,7 +311,7 @@ def direct_integral_check(
     axis = np.linspace(-box, box, resolution)
     shape = (resolution,) * datum.n
     size = math.prod(shape)
-    factors = [(datum.factors[i], _Spline(gf)) for i, gf in zip(datum.active, fs)]
+    factors = [(datum.factors[i], gf) for i, gf in zip(datum.active, fs)]
     chunk = min(size, _SUPCONV_CHUNK)
     log_prod = np.zeros(size)
 
@@ -423,8 +320,8 @@ def direct_integral_check(
         acc = log_prod[start : start + chunk]
         # the grid points of this chunk, read off the axis by flat index
         pts = axis[np.stack(np.unravel_index(np.arange(start, start + len(acc)), shape), axis=1)]
-        for f, spline in factors:
-            _add_log(acc, spline, list((pts @ f.B.T).T), f.c)
+        for f, gf in factors:
+            _add_log(acc, gf, list((pts @ f.B.T).T), f.c)
 
     _in_workers(-(-size // chunk), run)
     lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
@@ -544,10 +441,10 @@ def sup_convolution(
     2  the disc whose radius bounds every feasible t, sampled on a
        resolution^2 grid over its bounding square
 
-    The interpolants see no dead point (one without a decomposition inside
-    the boxes, whose envelope is 0) and, for a plane, no sample outside the
-    boxes. The chunks of grid points run on one worker per CPU this process
-    may run on; the envelope does not depend on how many.
+    The functions are read at no dead point (one without a decomposition
+    inside the boxes, whose envelope is 0) and, for a plane, at no sample
+    outside the boxes. The chunks of grid points run on one worker per CPU
+    this process may run on; the envelope does not depend on how many.
     """
     check_grid(box, resolution)
     fs = _check_functions(datum, fs)
@@ -559,7 +456,6 @@ def sup_convolution(
         raise ValueError(f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}")
     L, K = decomposition_map(datum)
 
-    splines = [_Spline(gf) for gf in fs]
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
     offsets = np.cumsum([0] + dims)
@@ -588,14 +484,14 @@ def sup_convolution(
         T += centre[:, None, :]
         Y = _decompositions(window[live], T, K)
         # a single-point segment lies on the boxes' boundary, which rounding
-        # may cross: clamp it so that the interpolators read it as inside
+        # may cross: clamp it so that the functions are read inside their boxes
         point = scale == 0.0
         if point.any():
             for y, a, b in zip(Y, lows, highs):
                 y[point] = np.clip(y[point], a, b)
         if kdim == 2:
-            # the disc's square is mostly outside the boxes: interpolate only
-            # the samples inside every box, the rest keep log 0 = -inf. A
+            # the disc's square is mostly outside the boxes: read only the
+            # samples inside every box, the rest keep log 0 = -inf. A
             # line's segment and a unique decomposition are feasible already.
             inside = np.ones(T.shape[:2], dtype=bool)
             for y, a, b in zip(Y, lows, highs):
@@ -604,8 +500,8 @@ def sup_convolution(
             Y = [y[inside] for y in Y]
         # sum_i c_i log f_i over the samples, one factor at a time
         logs = np.zeros(Y[0].shape)
-        for (a, b), c, spline in zip(spans, cs, splines):
-            _add_log(logs, spline, Y[a:b], c)
+        for (a, b), c, gf in zip(spans, cs, fs):
+            _add_log(logs, gf, Y[a:b], c)
         if kdim == 2:
             logs, kept = np.full(T.shape[:2], -np.inf), logs
             logs[inside] = kept

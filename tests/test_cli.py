@@ -587,7 +587,7 @@ from blgauss.functional_verify import GridFunction, gaussian_function, integrate
 """ + self.COMMANDS + """
 gf = GridFunction.from_callable(gaussian_function([[1.0]]), [-6.0], [6.0], 121)
 mass = integrate(gf)
-value = float(gf.interpolator()([[0.05]])[0])
+value = float(gf.f([[0.05]])[0])
 print(json.dumps([codes, mass, value, gf.points_per_axis]))
 """
         codes, mass, value, shape = self._run(script)

@@ -31,6 +31,12 @@ from conftest import coordinate_datum, prekopa_leindler_datum, young_flagship
 BOX = [-8.0], [8.0]
 
 
+def read(gf, pts):
+    """gf's callable at points (..., dim), clipped at 0 and 0 outside its box."""
+    inside = np.all((pts >= gf.lo) & (pts <= gf.hi), axis=-1)
+    return np.where(inside, np.fmax(gf.f(pts), 0.0), 0.0)
+
+
 def grid_gaussian(precision, points=801, center=None):
     p = np.atleast_2d(precision)
     lo = [-8.0] * p.shape[0]
@@ -82,104 +88,10 @@ class TestGridFunction:
         gf = grid_gaussian([[1.0]], points=101)
         assert gf.max_boundary_value() == pytest.approx(math.exp(-32.0), rel=1e-12)
 
-    def test_interpolator_matches_nodes_and_zeroes_outside(self):
-        gf = grid_gaussian([[1.0]], points=201)
-        itp = gf.interpolator()
-        xs = gf.axes()[0]
-        np.testing.assert_allclose(itp(xs[:, None]), gf.values, atol=1e-12)
-        assert itp(np.array([[9.5]]))[()] == 0.0
-        assert itp(np.array([[-100.0]]))[()] == 0.0
-        assert itp([0.0]).shape == () and itp([0.0]) == pytest.approx(1.0)  # one point
-
-    def test_interpolator_clips_negative_overshoot(self):
-        # cubic overshoot next to a step must be clipped at zero
-        vals = np.zeros(11)
-        vals[5] = 1.0
-        gf = GridFunction([-1.0], [1.0], vals)
-        probe = np.linspace(-1, 1, 401)[:, None]
-        assert gf.interpolator()(probe).min() >= 0.0
-
-    def test_interpolator_2d(self):
-        gf = GridFunction.from_callable(
-            gaussian_function(np.eye(2)), [-8.0, -8.0], [8.0, 8.0], 101
-        )
-        itp = gf.interpolator()
-        v = itp(np.array([[0.5, -0.25]]))[0]
-        assert v == pytest.approx(math.exp(-0.5 * (0.25 + 0.0625)), abs=1e-5)
-        assert itp(np.array([[8.5, 0.0]]))[0] == 0.0
-
-
-def scipy_interpolate():
-    """SciPy's splines, the reference the numpy interpolant reproduces; the
-    package itself does not need SciPy."""
-    return pytest.importorskip("scipy.interpolate")
-
-
-class TestSplineReference:
-    """GridFunction.interpolator against SciPy's not-a-knot splines, to
-    1e-12 of max |f|, on odd and even grids. Probes: every node, lo and hi
-    exactly, unsorted points across the box and past it."""
-
-    @staticmethod
-    def probes_1d(ax, rng):
-        lo, hi = ax[0], ax[-1]
-        pad = 0.25 * (hi - lo)
-        return np.concatenate([ax, [lo, hi], rng.uniform(lo - pad, hi + pad, 2000)])
-
-    @pytest.mark.parametrize("points", [4, 5, 8, 11, 200, 201])
-    def test_1d_matches_cubic_spline(self, points):
-        si = scipy_interpolate()
-        rng = np.random.default_rng(points)
-        ax = np.linspace(-1.3, 2.7, points)
-        f = np.exp(-ax * ax) + 0.2 * rng.random(points)
-        t = self.probes_1d(ax, rng)
-        ref = si.CubicSpline(ax, f, extrapolate=False)(t)
-        ref = np.where(np.isnan(ref), 0.0, np.fmax(ref, 0.0))  # NaN outside the box
-        got = GridFunction([-1.3], [2.7], f).interpolator()(t[:, None])
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(f).max()
-        assert np.all(got[(t < -1.3) | (t > 2.7)] == 0.0)
-
-    @pytest.mark.parametrize("shape", [(4, 5), (11, 8), (60, 61), (3, 7), (7, 2), (2, 3)])
-    def test_2d_matches_rect_bivariate_spline(self, shape):
-        # an axis of fewer than 4 points is linear, as RectBivariateSpline
-        # with k = 1 on that axis
-        si = scipy_interpolate()
-        rng = np.random.default_rng(sum(shape))
-        lo, hi = np.array([-1.0, 0.5]), np.array([2.0, 3.0])
-        axes = [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)]
-        f = rng.random(shape)
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-        scatter = rng.uniform(lo - 0.5, hi + 0.5, size=(3000, 2))
-        pts = np.concatenate([nodes, corners, scatter])
-        kx, ky = (3 if k >= 4 else 1 for k in shape)
-        ref = si.RectBivariateSpline(*axes, f, kx=kx, ky=ky, s=0).ev(pts[:, 0], pts[:, 1])
-        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        ref = np.where(inside, np.clip(ref, 0.0, None), 0.0)
-        got = GridFunction(lo, hi, f).interpolator()(pts)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(f).max()
-        assert np.all(got[~inside] == 0.0)
-
-    @pytest.mark.parametrize("points", [2, 3])
-    def test_short_1d_grid_is_linear(self, points):
-        rng = np.random.default_rng(points)
-        ax = np.linspace(0.0, 1.0, points)
-        f = rng.random(points)
-        t = self.probes_1d(ax, rng)
-        ref = np.where((t >= 0.0) & (t <= 1.0), np.interp(t, ax, f), 0.0)
-        got = GridFunction([0.0], [1.0], f).interpolator()(t[:, None])
-        assert np.abs(got - ref).max() <= 1e-12 * f.max()
-
-    def test_overshoot_is_clipped_where_scipy_goes_negative(self):
-        si = scipy_interpolate()
-        ax = np.linspace(-1.0, 1.0, 12)
-        f = np.where(np.abs(ax) < 0.3, 1.0, 0.0)
-        t = np.linspace(-1.0, 1.0, 1001)
-        raw = si.CubicSpline(ax, f, extrapolate=False)(t)
-        assert raw.min() < -1e-2  # the cubic rings below zero next to the step
-        got = GridFunction([-1.0], [1.0], f).interpolator()(t[:, None])
-        assert got.min() == 0.0
-        assert np.abs(got - np.fmax(raw, 0.0)).max() <= 1e-12
+    def test_from_callable_keeps_the_callable(self):
+        f = gaussian_function([[1.0]])
+        assert GridFunction.from_callable(f, *BOX, 11).f is f
+        assert GridFunction([-8.0], [8.0], np.ones(11)).f is None
 
 
 class TestIntegrate:
@@ -274,21 +186,21 @@ class TestDirectIntegralCheck:
         X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         prod = np.ones(X.shape[:-1])
         for f, gf in zip(d.factors, fs):
-            prod *= gf.interpolator()(X @ f.B.T) ** f.c
+            prod *= read(gf, X @ f.B.T) ** f.c
         expect = np.trapezoid(np.trapezoid(prod, axis, axis=1), axis) / (integrate(fs[0]) * integrate(fs[1]))
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
         assert direct_integral_check(d, fs, 1.0, resolution=41) == pytest.approx(expect, rel=1e-13)
 
     def test_zero_factor_returns_zero_with_warning(self):
         d = prekopa_leindler_datum()
-        zero = GridFunction([-8.0], [8.0], np.zeros(11))
+        zero = GridFunction.from_callable(lambda p: np.zeros(p.shape[:-1]), [-8.0], [8.0], 11)
         with pytest.warns(UserWarning, match="integrates to zero"):
             ratio = direct_integral_check(d, [grid_gaussian([[1.0]]), zero], 1.0, resolution=101)
         assert ratio == 0.0
 
     def test_boundary_truncation_warns(self):
         d = prekopa_leindler_datum()
-        flat = GridFunction([-8.0], [8.0], np.ones(101))
+        flat = GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), [-8.0], [8.0], 101)
         with pytest.warns(UserWarning, match="decayed"):
             direct_integral_check(d, [flat, flat], 1.0, resolution=101)
 
@@ -327,7 +239,7 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
     def log_product(y):
         acc = np.zeros(y.shape[:-1])
         for k, i in enumerate(active):
-            vals = fs[k].interpolator()(y[..., offsets[k] : offsets[k + 1]])
+            vals = read(fs[k], y[..., offsets[k] : offsets[k + 1]])
             with np.errstate(divide="ignore"):
                 acc += datum.factors[i].c * np.where(
                     vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf
@@ -444,8 +356,8 @@ class TestSupConvolution:
         env = sup_convolution(d, fs, resolution=33)
         k = int(np.argmin(np.abs(np.linspace(-8.0, 8.0, 33) - x)))
         want = math.sqrt(
-            fs[0].interpolator()(np.array([[parts[0]]]))[0]
-            * fs[1].interpolator()(np.array([[parts[1]]]))[0]
+            read(fs[0], np.array([[parts[0]]]))[0]
+            * read(fs[1], np.array([[parts[1]]]))[0]
         )
         assert env.values[k] == pytest.approx(want, rel=1e-14)
         assert np.array_equal(env.values, dense_sup_convolution(d, fs, 33))
@@ -470,8 +382,8 @@ class TestSupConvolution:
         assert np.array_equal(sup_convolution(d, fs, resolution=res).values, env.values)
 
     @pytest.mark.parametrize("kdim", [0, 1, 2])
-    def test_dead_points_and_outside_samples_are_not_interpolated(self, kdim, monkeypatch):
-        # count the samples each factor's interpolant is asked for: a dead
+    def test_dead_points_and_outside_samples_are_not_read(self, kdim, monkeypatch):
+        # count the samples each factor's function is read at: a dead
         # point (kdim 1) and a sample outside some box (kdim 2) cost nothing,
         # and the envelope is still the dense reference
         d, fs, res = self.kernel_cases()[kdim]
@@ -479,9 +391,9 @@ class TestSupConvolution:
         asked = []
         add_log = functional_verify._add_log
 
-        def counted(acc, spline, coords, c):
+        def counted(acc, gf, coords, c):
             asked.append(coords[0].size)
-            add_log(acc, spline, coords, c)
+            add_log(acc, gf, coords, c)
 
         monkeypatch.setattr(functional_verify, "_add_log", counted)
         env = sup_convolution(d, fs, resolution=res)
@@ -505,16 +417,16 @@ class TestSupConvolution:
     def direct_cases(self, chunk):
         """(datum, functions, constant, resolution, ratio) of the direct check
         on the Young flagship, the two-dim-factor case and a 1-D datum, with
-        the ratio it gave when it ran its chunks serially. Chunks of one
-        point take the flagship at 41 points per axis, not 801."""
+        its pinned ratio. Chunks of one point take the flagship at 41 points
+        per axis, not 801."""
         _, young = young_flagship()
         r = solve(young)
         fy = [grid_gaussian(P) for P in direct_extremizers(young, r.A)]
         d2, f2, res2 = self.two_dim_factor_case()
         f1 = [grid_gaussian([[1.3]]), grid_gaussian([[0.7]])]
         return [
-            (young, fy, r.constant, *((801, "0.9999999999913369") if chunk > 1 else (41, "0.9999999999843536"))),
-            (d2, f2, 1.0, res2, "1.235055770588894"),
+            (young, fy, r.constant, *((801, "0.9999999999913372") if chunk > 1 else (41, "0.9999999999843541"))),
+            (d2, f2, 1.0, res2, "1.2350561626725352"),
             (prekopa_leindler_datum(), f1, 1.0, 801, "0.9766981117201887"),
         ]
 
@@ -604,7 +516,52 @@ class TestSupConvolution:
         f = grid_gaussian([[0.9]])
         env = sup_convolution(d, [f], resolution=201)
         expect = GridFunction.from_callable(gaussian_function([[0.9]]), env.lo, env.hi, 201)
-        np.testing.assert_allclose(env.values, expect.values, atol=1e-6)
+        # f itself is read at each grid point: exp(log f) is f to rounding
+        np.testing.assert_allclose(env.values, expect.values, rtol=0, atol=1e-14)
+
+    def test_identity_reads_a_box_indicator_exactly(self):
+        # the envelope's grid points (spacing 0.08) are not the input's
+        # nodes (spacing 1.6), yet the indicator is read exactly: no
+        # overshoot or ringing next to its jumps
+        d = make_datum(1, [1.0], [np.eye(1)])
+        box = box_function([-1.0], [2.0])
+        env = sup_convolution(d, [GridFunction.from_callable(box, *BOX, 11)], resolution=201)
+        assert np.array_equal(env.values, box(np.linspace(-8.0, 8.0, 201)[:, None]))
+        assert env.values.sum() == 38
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 8, 11, 200, 201])
+    def test_identity_reads_the_callable_at_any_sampling(self, points):
+        # the read does not depend on the grid f was sampled on: two nodes
+        # read as exactly as 201, at envelope points that are not nodes
+        d = make_datum(1, [1.0], [np.eye(1)])
+        f = gaussian_function([[0.7]], center=[0.3])
+        env = sup_convolution(d, [GridFunction.from_callable(f, *BOX, points)], resolution=101)
+        expect = f(np.linspace(-8.0, 8.0, 101)[:, None])
+        np.testing.assert_allclose(env.values, expect, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 8, 61])
+    def test_identity_reads_a_2d_callable_at_any_sampling(self, points):
+        d = make_datum(2, [1.0], [np.eye(2)])
+        f = gaussian_function([[2.0, 0.3], [0.3, 1.0]], center=[0.5, -0.2])
+        gf = GridFunction.from_callable(f, [-8.0, -8.0], [8.0, 8.0], points)
+        env = sup_convolution(d, [gf], resolution=41)
+        _, pts = functional_verify._tensor_grid(env.lo, env.hi, 41)
+        np.testing.assert_allclose(env.values, f(pts), rtol=1e-13, atol=0)
+
+    def test_negative_and_nan_reads_are_zero(self):
+        # f is non-negative and finite at its three nodes, but negative for
+        # 0 < |x| < 4 and NaN on (5, 6): both read 0, the rest reads f
+        def f(p):
+            x = p[..., 0]
+            return np.where((x > 5.0) & (x < 6.0), np.nan, x**2 * (x**2 - 16.0))
+
+        d = make_datum(1, [1.0], [np.eye(1)])
+        env = sup_convolution(d, [GridFunction.from_callable(f, *BOX, 3)], resolution=201)
+        ys = np.linspace(-8.0, 8.0, 201)
+        expect = np.fmax(f(ys[:, None]), 0.0)
+        assert np.all(np.isfinite(env.values))
+        assert np.all(env.values[((ys > 0) & (ys < 4)) | ((ys > 5) & (ys < 6))] == 0.0)
+        np.testing.assert_allclose(env.values, expect, rtol=1e-13, atol=0)
 
     def test_gaussian_closure_one_dim_kernel(self):
         _, d = young_flagship()
@@ -654,6 +611,20 @@ def test_bad_box_is_refused_before_any_grid(check, box):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="box must be finite and positive"):
             run()
+
+
+@pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
+def test_bare_values_are_refused(check):
+    # a function held only as values has no callable to read between nodes
+    d = prekopa_leindler_datum()
+    fs = [grid_gaussian([[1.0]], points=41), GridFunction([-8.0], [8.0], np.ones(41))]
+    run = {
+        "direct": lambda: direct_integral_check(d, fs, 1.0, resolution=21),
+        "sup": lambda: sup_convolution(d, fs, resolution=21),
+        "reverse": lambda: reverse_integral_check(d, fs, 1.0, resolution=21),
+    }[check]
+    with pytest.raises(ValueError, match="from_callable"):
+        run()
 
 
 @pytest.mark.parametrize("resolution", [1, 0, -3, 2.5, 801.0])
@@ -750,7 +721,7 @@ class TestReverseIntegralCheck:
 
     def test_zero_input_returns_zero_with_warning(self):
         d = prekopa_leindler_datum()
-        zero = GridFunction([-8.0], [8.0], np.zeros(11))
+        zero = GridFunction.from_callable(lambda p: np.zeros(p.shape[:-1]), [-8.0], [8.0], 11)
         with pytest.warns(UserWarning, match="integrates to zero"):
             ratio = reverse_integral_check(d, [zero, zero], 1.0, resolution=51)
         assert ratio == 0.0
