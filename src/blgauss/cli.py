@@ -34,7 +34,7 @@ from .functional_verify import (DEFAULT_BOX, MAX_KERNEL_DIM, GridFunction, check
                                 gaussian_function, reverse_integral_check)
 from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
                               reverse_extremizers, solve)
-from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct, sweep_dual, sweep_reverse
+from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct_and_reverse, sweep_dual
 from .quadform import check_inf
 from .report import DEFAULT_SEED, check_seed
 from .stochastic import BrownianConfig, builtin_suite, check_draws
@@ -148,9 +148,11 @@ def cmd_check_gaussian(args, datum):
         ext_direct = direct_extremizers(datum, res.A)
         ext_reverse, ext_dual = reverse_extremizers(datum, res.A)
 
+    direct, reverse = sweep_direct_and_reverse(datum, constant, args.samples, args.seed,
+                                               extremizers=(ext_direct, ext_reverse))
     sweeps = [
-        ("direct", sweep_direct(datum, constant, args.samples, args.seed, extremizer=ext_direct)),
-        ("reverse", sweep_reverse(datum, constant, args.samples, args.seed, extremizer=ext_reverse)),
+        ("direct", direct),
+        ("reverse", reverse),
         ("dual", sweep_dual(datum, constant, args.samples, args.seed, extremizer=ext_dual)),
     ]
     for name, (report, _) in sweeps:

@@ -32,8 +32,11 @@ layers that re-check it share none of its fixed-point logic.
 
 One iteration costs one SVD of K, one eigh of the step H and, per line-search
 trial, one stacked SVD per factor group of more than one row; a step without
-curvature adds the SVD for ||G||_2. At n <= 3 the rest is call overhead, so
-the loop keeps to array methods and cached constants.
+curvature adds the SVD for ||G||_2. A capped first trial on which F is still
+affine (a divergent ray) is extended by doubling t, one more trial each, so
+that +inf data reach their verdict in a few iterations instead of creeping
+along the ray at the cap. At n <= 3 the rest is call overhead, so the loop
+keeps to array methods and cached constants.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ _STALL_WINDOW = 50
 _ARMIJO = 1e-4
 _HALVINGS = 34
 _SLACK = 1e-13
+# The farthest an extended step reaches, in t ||H||_2.
+_REACH = -math.log(MIN_EIGENVALUE)
 _EPS = np.finfo(float).eps
 
 
@@ -209,17 +214,22 @@ def _newton_direction(groups: tuple[FactorGroup, ...], Ys: list[np.ndarray], Qba
 
 def _line_search(groups: tuple[FactorGroup, ...], K: np.ndarray, H: np.ndarray, G: np.ndarray,
                  logdet_A: float, obj: float) -> tuple[np.ndarray, tuple] | None:
-    """The first trial K exp(tH/2) that passes, with its whitening, or None.
-    It starts at t = min(1, 2/||H||_2), which keeps exp(tH) within [e^-2, e^2],
-    and halves t; tr H = 0 keeps logdet(A), so a trial costs one whitening. A
-    trial with an ill-conditioned factor, or one that rounds to K, ends it."""
+    """The first trial K exp(tH/2) that passes Armijo, with its whitening, or
+    None. It starts at t = min(1, 2/||H||_2), which keeps exp(tH) within
+    [e^-2, e^2], and halves t; tr H = 0 keeps logdet(A), so a trial costs one
+    whitening. A trial with an ill-conditioned factor, or one that rounds to K,
+    ends it. A capped first trial (||H||_2 >= 2) that also gains at least
+    (1 - _ARMIJO) t slope, Goldstein's "too short", found F still affine
+    along the ray: t doubles while each doubled trial raises F further,
+    whitens, and keeps 2t ||H||_2 <= -log MIN_EIGENVALUE, so that no step
+    moves an eigenvalue of A by more than a factor 1/MIN_EIGENVALUE."""
     lam, V = np.linalg.eigh(H)
     norm = float(max(-lam[0], lam[-1]))  # of the ascending eigenvalues
     if norm == 0.0:
         return None
     t, slope = min(1.0, 2.0 / norm), float((G * H).sum())
     floor = obj - _SLACK * (1.0 + abs(obj))
-    for _ in range(_HALVINGS + 1):
+    for halvings in range(_HALVINGS + 1):
         K_t = K @ ((V * np.exp(0.5 * t * lam)) @ V.T)
         if (K_t == K).all():  # and so would every shorter trial
             return None
@@ -227,10 +237,25 @@ def _line_search(groups: tuple[FactorGroup, ...], K: np.ndarray, H: np.ndarray, 
             whitened = _whiten(groups, K_t)
         except IllConditionedError:
             return None
-        if logdet_A - whitened[2] >= floor + _ARMIJO * t * slope:
-            return K_t, whitened
+        F_t = logdet_A - whitened[2]
+        if F_t >= floor + _ARMIJO * t * slope:
+            break
         t *= 0.5
-    return None
+    else:
+        return None
+    if halvings == 0 and norm >= 2.0 and F_t - obj >= (1.0 - _ARMIJO) * t * slope:
+        while 2.0 * t * norm <= _REACH:
+            t *= 2.0
+            K_2t = K @ ((V * np.exp(0.5 * t * lam)) @ V.T)
+            try:
+                doubled = _whiten(groups, K_2t)
+            except IllConditionedError:
+                break
+            F_2t = logdet_A - doubled[2]
+            if F_2t <= F_t:
+                break
+            K_t, whitened, F_t = K_2t, doubled, F_2t
+    return K_t, whitened
 
 
 def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:

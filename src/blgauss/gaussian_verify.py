@@ -17,9 +17,11 @@ Each inequality has one kernel that evaluates a whole stack of samples; the
 point checks call it on a stack of one. A sweep draws its samples in RNG
 blocks but evaluates them in as few kernel calls as memory allows: one call
 takes a run of consecutive blocks, with a supplied extremizer as one more
-sample. Every kernel step works matrix by matrix, element by element or,
-for the weighted sums over factors, row by row (weighted_sum), so no ratio
-depends on which samples share a call.
+sample. The direct and reversed sweeps draw the same tuples, and
+sweep_direct_and_reverse runs both kernels on one draw. Every kernel step
+works matrix by matrix, element by element or, for the weighted sums over
+factors, row by row (weighted_sum), so no ratio depends on which samples
+share a call.
 """
 
 from __future__ import annotations
@@ -190,25 +192,34 @@ def _draw_run(dims: list[int], counts: list[int], run: list[int], seed: int) -> 
     return [_finish_spd([_draw_spd(k, counts[b], rng) for b, rng in zip(run, rngs)]) for k in dims]
 
 
-def _sweep(datum, constant, kernel, dims, extremizer, samples, seed):
-    """Evaluate `kernel` on the samples of every RNG block, one call per run
-    of blocks (see _runs), each sample one SPD matrix per entry of `dims`.
-    A validated `extremizer`, one matrix per entry of `dims`, is sample 0 of
-    the first call; its ratio gives the report's equality gap."""
+def _sweep(datum, constant, kernels, dims, samples, seed):
+    """Evaluate each (kernel, extremizer) of `kernels` on the samples of every
+    RNG block, one draw and one call per kernel per run of blocks (see _runs),
+    each sample one SPD matrix per entry of `dims`. A validated `extremizer`,
+    one matrix per entry of `dims`, is sample 0 of its kernel's first call;
+    its ratio gives the report's equality gap. One result per kernel."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
     counts = [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
-    parts = []
+    parts = [[] for _ in kernels]
     for run in _runs(counts):
         stacks = _draw_run(dims, counts, run, seed)
-        if extremizer is not None and not parts:
-            stacks = [np.concatenate([M[None], S]) for M, S in zip(extremizer, stacks)]
-        parts.append(kernel(datum.groups, constant, stacks))
+        for (kernel, extremizer), part in zip(kernels, parts):
+            if extremizer is None or part:
+                part.append(kernel(datum.groups, constant, stacks))
+            else:
+                part.append(kernel(datum.groups, constant,
+                                   [np.concatenate([M[None], S]) for M, S in zip(extremizer, stacks)]))
         del stacks  # before the next run is drawn
-    ratios, gap = np.concatenate(parts), None
-    if extremizer is not None:
+    return [_report(np.concatenate(part), extremizer is not None, seed)
+            for (_, extremizer), part in zip(kernels, parts)]
+
+
+def _report(ratios: np.ndarray, with_extremizer: bool, seed: int) -> tuple[VerificationReport, np.ndarray]:
+    gap = None
+    if with_extremizer:
         gap, ratios = abs(1.0 - float(ratios[0])), ratios[1:]
     return VerificationReport(
         samples=int(ratios.size),
@@ -228,8 +239,8 @@ def sweep_direct(
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the direct Gaussian inequality."""
-    ext = None if extremizer is None else check_tuple(datum, extremizer)
-    return _sweep(datum, constant, _direct_ratios, _tuple_dims(datum), ext, samples, seed)
+    kernels = [(_direct_ratios, _checked(datum, extremizer))]
+    return _sweep(datum, constant, kernels, _tuple_dims(datum), samples, seed)[0]
 
 
 def sweep_reverse(
@@ -241,8 +252,27 @@ def sweep_reverse(
     extremizer=None,
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random SPD tuples at the reversed Gaussian inequality."""
-    ext = None if extremizer is None else check_tuple(datum, extremizer)
-    return _sweep(datum, constant, _reverse_ratios, _tuple_dims(datum), ext, samples, seed)
+    kernels = [(_reverse_ratios, _checked(datum, extremizer))]
+    return _sweep(datum, constant, kernels, _tuple_dims(datum), samples, seed)[0]
+
+
+def sweep_direct_and_reverse(
+    datum: BLDatum,
+    constant: float,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    *,
+    extremizers=(None, None),
+) -> list[tuple[VerificationReport, np.ndarray]]:
+    """sweep_direct and sweep_reverse with the same arguments, on one draw of
+    the tuples that both would draw; extremizers is (direct, reverse)."""
+    kernels = [(kernel, _checked(datum, ext))
+               for kernel, ext in zip((_direct_ratios, _reverse_ratios), extremizers)]
+    return _sweep(datum, constant, kernels, _tuple_dims(datum), samples, seed)
+
+
+def _checked(datum: BLDatum, tuple_):
+    return None if tuple_ is None else check_tuple(datum, tuple_)
 
 
 def sweep_dual(
@@ -255,8 +285,8 @@ def sweep_dual(
 ) -> tuple[VerificationReport, np.ndarray]:
     """Throw random ambient SPD matrices at the dual determinant bound."""
     ext = None if extremizer is None else [_ambient(datum, extremizer)]
-    return _sweep(datum, constant, lambda groups, c, stacks: _dual_ratios(groups, c, stacks[0]),
-                  [datum.n], ext, samples, seed)
+    kernels = [(lambda groups, c, stacks: _dual_ratios(groups, c, stacks[0]), ext)]
+    return _sweep(datum, constant, kernels, [datum.n], samples, seed)[0]
 
 
 # -- independent lower bound for the constant ----------------------------------

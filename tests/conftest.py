@@ -64,6 +64,55 @@ def random_datum(rng: np.random.Generator, homogeneous: bool = False) -> BLDatum
         return make_datum(n, cs, maps)
 
 
+def _span(M: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span of M."""
+    if M.shape[1] == 0:
+        return M
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, : int((s > 1e-9 * s[0]).sum())]
+
+
+def _complement(V: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the orthogonal complement of span(V)."""
+    return np.linalg.svd(V)[0][:, V.shape[1]:] if V.shape[1] else np.eye(V.shape[0])
+
+
+def dimension_condition_holds(datum: BLDatum) -> bool:
+    """Whether dim V <= sum_i c_i dim(B_i V) for every proper non-zero V in
+    the lattice that the kernels of the non-zero maps generate under sum and
+    intersection. A homogeneous datum has a finite constant exactly when the
+    condition holds for every subspace (Bennett-Carbery-Christ-Tao), and a
+    subspace that breaks it, if any, lies in that lattice. dim(B_i V) is
+    ranked against ||B_i||, so a V inside ker B_i counts 0."""
+    factors = [f for f in datum.factors if f.B.any()]
+    lattice = {}
+
+    def add(V: np.ndarray) -> bool:
+        key = (np.round(V @ V.T, 6) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        new = key not in lattice
+        lattice.setdefault(key, V)
+        return new
+
+    for f in factors:
+        add(_complement(_span(f.B.T)))
+    grew = True
+    while grew:
+        if len(lattice) > 256:
+            raise RuntimeError("the kernel lattice did not close")
+        grew = False
+        for U in list(lattice.values()):
+            for W in list(lattice.values()):
+                total = _span(np.hstack([U, W]))
+                meet = _complement(_span(np.hstack([_complement(U), _complement(W)])))
+                grew = add(total) | add(meet) | grew
+    for V in lattice.values():
+        if 0 < V.shape[1] < datum.n:
+            spanned = sum(f.c * numerical_rank(f.B @ V, np.linalg.norm(f.B, 2)) for f in factors)
+            if V.shape[1] > spanned + 1e-9:
+                return False
+    return True
+
+
 def random_spd_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     out = []
     for i in datum.active:

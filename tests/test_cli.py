@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blgauss.gaussian_verify
 from blgauss import __version__, cli
 from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
@@ -163,7 +164,7 @@ class TestSolveAndConstant:
 
     def test_spent_budget_on_infeasible_is_inconclusive(self, capsys):
         # a run cut off before the evidence of +inf is not +inf
-        assert main(["constant", "--datum", INFEASIBLE, "--max-iter", "10"]) == 1
+        assert main(["constant", "--datum", INFEASIBLE, "--max-iter", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out.strip() != "inf"
         assert captured.err == "constant: the solve was inconclusive\n"
@@ -273,6 +274,15 @@ class TestCheckGaussian:
         assert len(lines) == 1 + 3 * 50
         ratios = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(ratios) <= 1.0 + 1e-9
+
+    def test_tuple_sweeps_share_one_draw(self, monkeypatch, capsys):
+        # direct and reverse draw the same tuples once; dual draws its own
+        # ambient matrices: one draw of each of the 16 blocks for each
+        draw, dims = blgauss.gaussian_verify._draw_run, []
+        monkeypatch.setattr(blgauss.gaussian_verify, "_draw_run",
+                            lambda *args: dims.extend([tuple(args[0])] * len(args[2])) or draw(*args))
+        assert main(["check-gaussian", "--datum", YOUNG, "--samples", "100"]) == 0
+        assert sorted(dims) == [(1, 1, 1)] * 16 + [(2,)] * 16
 
     def test_reports_ignore_output_destinations(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

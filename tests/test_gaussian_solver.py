@@ -9,6 +9,7 @@ import pytest
 import blgauss.gaussian_solver
 from blgauss import (
     DatumError,
+    load_datum,
     direct_extremizers,
     direct_sum,
     dual_check,
@@ -27,6 +28,7 @@ from conftest import (
     coordinate_datum,
     exact_abs_det,
     gl_family,
+    dimension_condition_holds,
     gl_map,
     mercedes_frame_datum,
     prekopa_leindler_datum,
@@ -258,6 +260,28 @@ class TestSolve:
                 assert r.constant == math.inf
 
 
+def _verdict_data():
+    rngs = [np.random.default_rng(seed) for seed in range(3, 40)]
+    draws = [(f"random[{seed}:{k}]", random_datum(rng, homogeneous=True))
+             for seed, rng in zip(range(3, 40), rngs) for k in range(5)]
+    demos = sorted((Path(__file__).parent.parent / "demos" / "data").glob("*.json"))
+    return draws + [(path.name, load_datum(path)) for path in demos]
+
+
+def test_verdicts_agree_with_the_dimension_condition():
+    # A finite constant is never reported +inf, and +inf is never converged
+    # on: on 185 random homogeneous draws and on demos/data, each solve ends
+    # converged or +inf, and the kernel-lattice dimension condition, which
+    # shares no code with the solver, says which.
+    verdicts = {True: 0, False: 0}
+    for label, d in _verdict_data():
+        r = solve(d)
+        assert r.converged or r.constant == math.inf, (label, r.constant, r.iterations)
+        assert dimension_condition_holds(d) == r.converged, (label, r.converged, r.iterations)
+        verdicts[r.converged] += 1
+    assert verdicts == {True: 23, False: 167}
+
+
 def _unattained_datum():
     # E = span(e1) is critical and C = 1, but no Gaussian attains it
     return make_datum(2, [0.5, 1.0, 0.5], [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
@@ -280,12 +304,12 @@ def _overflow_datum():
     # A degenerates toward the critical e1 (cond(A) about 3e9), yet the
     # residual reaches tol with C within 1e-9 of 1
     pytest.param(_unattained_datum, 22, 1.0, 23, "converged", id="unattained"),
-    # no curvature along the divergent ray: steps to the line search's cap
-    # until an eigenvalue of A falls below MIN_EIGENVALUE
-    pytest.param(_infeasible_datum, 14, math.inf, 14, "min eigenvalue", id="infeasible"),
+    # no curvature along the divergent ray: each capped step doubles to the
+    # MIN_EIGENVALUE reach, until an eigenvalue of A falls below it
+    pytest.param(_infeasible_datum, 2, math.inf, 2, "min eigenvalue", id="infeasible"),
     # a line search trial makes a factor B_i A B_i^T ill-conditioned while
     # the objective rises
-    pytest.param(_overflow_datum, 9, math.inf, 10, "ill-conditioned trial",
+    pytest.param(_overflow_datum, 2, math.inf, 3, "ill-conditioned trial",
                  id="random-overflow"),
 ])
 def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
@@ -307,18 +331,20 @@ def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
     assert (np.linalg.eigvalsh(r.A).min() < MIN_EIGENVALUE) == (exit_ == "min eigenvalue")
 
 
-@pytest.mark.parametrize("make, iterations, searches, multi_row, no_curvature", [
-    pytest.param(_infeasible_datum, 14, 14, 0, 14, id="infeasible"),
-    pytest.param(lambda: young_flagship()[1], 4, 4, 0, 0, id="young"),
-    # how many of its steps lack curvature depends on the BLAS kernel
-    pytest.param(_overflow_datum, 9, 10, 2, None, id="random-overflow"),
+@pytest.mark.parametrize("make, iterations, searches, multi_row, no_curvature, trials", [
+    # each step is a first trial and three doublings
+    pytest.param(_infeasible_datum, 2, 2, 0, 2, 8, id="infeasible"),
+    pytest.param(lambda: young_flagship()[1], 4, 4, 0, 0, 4, id="young"),
+    # how many trials its line searches make depends on the BLAS kernel
+    pytest.param(_overflow_datum, 2, 3, 2, 3, None, id="random-overflow"),
 ])
 def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, multi_row,
-                                    no_curvature):
+                                    no_curvature, trials):
     # An iteration at n <= 3 is bound by call overhead, so its LAPACK calls
     # are counted rather than timed: one SVD of K, one eigh of the step, one
     # whitening SVD per factor group of more than one row per line-search
-    # trial, and one SVD for ||G||_2 when a step has no curvature.
+    # trial, extension trials included, and one SVD for ||G||_2 when a step
+    # has no curvature.
     d = make()
     assert sum(g.B.shape[1] > 1 for g in d.groups) == multi_row
     calls = []
@@ -332,6 +358,7 @@ def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, mul
                         lambda g, K: whitenings.append(K) or whiten(g, K))
     r = _iterate(d, np.eye(d.n), 1e-10, 10_000)
     assert r.iterations == iterations
+    assert trials in (None, len(whitenings) - 1)
     evaluations = len(r.trace) + math.isnan(r.residual)  # the MIN_EIGENVALUE exit has no row
     assert evaluations <= iterations + 1
     assert calls.count(("svd", 2, True)) == evaluations
@@ -345,12 +372,11 @@ def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, mul
     assert len(calls) == evaluations + searches + spectral + calls.count(("svd", 3, True))
 
 
-@pytest.mark.parametrize("max_iter", [10, 13])
+@pytest.mark.parametrize("max_iter", [1, 2])
 def test_spent_budget_is_inconclusive_on_a_divergent_datum(max_iter):
     # The infeasible datum's constant is +inf, but a run cut off before its
-    # MIN_EIGENVALUE exit (14 iterations) holds no evidence of that: with a
-    # rising objective and a flat residual it used to read +inf from 10
-    # iterations on, and inconclusive at 9.
+    # MIN_EIGENVALUE exit (at the evaluation after 2 iterations) holds no
+    # evidence of that, although the objective rises with a flat residual.
     r = solve(_infeasible_datum(), max_iter=max_iter)
     assert not r.converged and math.isfinite(r.constant)
     assert (r.iterations, len(r.trace)) == (max_iter, max_iter)
@@ -473,6 +499,65 @@ def test_step_without_curvature_goes_to_the_cap():
     groups1 = d1.groups
     Ys1, Qbar1, _ = _whiten(groups1, np.eye(1))
     assert not _newton_direction(groups1, Ys1, Qbar1, np.zeros((1, 1))).any()
+
+
+def _counting_searches(monkeypatch):
+    """Patch the solver's line search and whitening to record, per search,
+    ||H||_2 and the whitenings it made."""
+    search, whiten, searches = blgauss.gaussian_solver._line_search, blgauss.gaussian_solver._whiten, []
+
+    def counted_search(groups, K, H, *args):
+        lam = np.linalg.eigvalsh(H)
+        searches.append([max(-lam[0], lam[-1]), 0])
+        return search(groups, K, H, *args)
+
+    def counted_whiten(groups, K):
+        if searches:
+            searches[-1][1] += 1
+        return whiten(groups, K)
+
+    monkeypatch.setattr(blgauss.gaussian_solver, "_line_search", counted_search)
+    monkeypatch.setattr(blgauss.gaussian_solver, "_whiten", counted_whiten)
+    return searches
+
+
+def test_curved_or_uncapped_step_is_not_extended(monkeypatch):
+    # Only a capped first trial on which F is still affine is extended. From
+    # K = diag(2, 1/2) the flagship's first Newton step is capped
+    # (||H||_2 = 4.26) but curved, and every later one is uncapped: each
+    # search accepts its first trial after one whitening.
+    _, d = young_flagship()
+    searches = _counting_searches(monkeypatch)
+    r = _iterate(d, np.diag([2.0, 0.5]), 1e-10, 10_000)
+    assert r.converged and len(searches) == r.iterations == 5
+    assert searches[0][0] > 2.0 and all(norm < 2.0 for norm, _ in searches[1:])
+    assert [count for _, count in searches] == [1] * 5
+    # uncapped on the infeasible ray at K = I, where F gains exactly t <G, H>
+    # along H = G = diag(-1/2, 1/2): the unit step, after one whitening
+    d = _infeasible_datum()
+    G = np.diag([-0.5, 0.5])
+    searches.clear()
+    K_t, _ = blgauss.gaussian_solver._line_search(d.groups, np.eye(2), G, G, 0.0, 0.0)
+    np.testing.assert_array_equal(K_t, np.diag(np.exp([-0.25, 0.25])))
+    assert searches == [[0.5, 1]]
+
+
+def test_divergent_ray_doubles_to_the_min_eigenvalue_reach(monkeypatch):
+    # No curvature on the infeasible ray: each capped step (t ||H||_2 = 2)
+    # doubles while 2t ||H||_2 <= -log MIN_EIGENVALUE, to t ||H||_2 = 16, so
+    # A = diag(e^-16k, e^16k) after k steps, and the second step crosses
+    # MIN_EIGENVALUE without an overflow or a warning.
+    reach = 2.0
+    while 2.0 * reach <= -math.log(MIN_EIGENVALUE):
+        reach *= 2.0
+    searches = _counting_searches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(_infeasible_datum())
+    assert r.constant == math.inf and r.iterations == 2
+    assert searches == [[2.0, 1 + math.log2(reach / 2.0)]] * 2
+    np.testing.assert_allclose(np.diag(r.A), np.exp([-2.0 * reach, 2.0 * reach]), rtol=1e-12)
+    assert np.exp(-2.0 * reach) < MIN_EIGENVALUE < np.exp(-reach)
 
 
 def test_trial_that_cannot_move_k_ends_the_line_search(monkeypatch):

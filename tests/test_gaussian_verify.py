@@ -31,7 +31,7 @@ from blgauss._linalg import (COND_LIMIT, IllConditionedError, _guard, check_spd,
                              sym, whiten)
 from blgauss.gaussian_solver import _whiten
 from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _dual_ratios,
-                                     _reverse_ratios)
+                                     _reverse_ratios, sweep_direct_and_reverse)
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
@@ -233,6 +233,26 @@ class TestSweeps:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
                 sweep(prekopa_leindler_datum(), 1.0, samples=10, seed=seed)
+
+
+@pytest.mark.parametrize("samples, runs", [(300, 1), (70_000, 16)])
+def test_direct_and_reverse_share_one_draw(monkeypatch, samples, runs):
+    # the direct and reversed sweeps draw the same tuples: on one draw, each
+    # kernel with its own extremizer gives the reports and ratios of its own
+    # sweep, bit for bit, and each run of blocks is drawn once, not twice
+    d = young_flagship()[1]
+    r = solve(d)
+    exts = (direct_extremizers(d, r.A), reverse_extremizers(d, r.A)[0])
+    alone = [sweep(d, r.constant, samples, 5, extremizer=ext)
+             for sweep, ext in zip((sweep_direct, sweep_reverse), exts)]
+    draw, draws = blgauss.gaussian_verify._draw_run, []
+    monkeypatch.setattr(blgauss.gaussian_verify, "_draw_run",
+                        lambda *args: draws.append(args[2]) or draw(*args))
+    shared = sweep_direct_and_reverse(d, r.constant, samples, 5, extremizers=exts)
+    assert len(draws) == runs and sum(map(len, draws)) == 16
+    for (rep_a, ratios_a), (rep_s, ratios_s) in zip(alone, shared):
+        assert rep_a == rep_s and rep_s.equality_gap is not None
+        np.testing.assert_array_equal(ratios_a, ratios_s)
 
 
 SWEEPS = {"direct": sweep_direct, "reverse": sweep_reverse, "dual": sweep_dual}
