@@ -30,13 +30,13 @@ import numpy as np
 
 from . import __version__
 from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
-from .functional_verify import (DEFAULT_BOX, MAX_KERNEL_DIM, GridFunction, check_grid, direct_integral_check,
+from .functional_verify import (DEFAULT_BOX, GridFunction, check_quadrature, direct_integral_check,
                                 gaussian_function, reverse_integral_check)
 from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
                               reverse_extremizers, solve)
 from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct_and_reverse, sweep_dual
 from .quadform import check_inf
-from .report import DEFAULT_SEED, check_seed
+from .report import DEFAULT_SEED, check_count, check_seed
 from .stochastic import BrownianConfig, builtin_suite, check_draws
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents
@@ -168,13 +168,10 @@ def cmd_check_gaussian(args, datum):
 
 
 def cmd_check_quadrature(args, datum):
-    if datum.n > 2:
-        raise DatumError("quadrature checks support ambient dimension 1 and 2 only")
-    check_grid(args.box, args.resolution)
+    skipped = check_quadrature(datum, args.box, args.resolution)
     res = _finite_solve(args, datum)
     checks = [("direct", direct_extremizers(datum, res.A), direct_integral_check, QUAD_DIRECT_SLACK)]
-    kernel_dim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
-    if kernel_dim <= MAX_KERNEL_DIM:
+    if skipped is None:
         checks.append(("reverse", reverse_extremizers(datum, res.A)[0], reverse_integral_check,
                        QUAD_REVERSE_SLACK))
 
@@ -185,14 +182,13 @@ def cmd_check_quadrature(args, datum):
         ratio = check(datum, fs, res.constant, args.resolution, args.box)
         print(f"{name:8s} ratio={ratio:.8f}  (equality expected: gap {abs(ratio - 1.0):.2e})")
         payload["checks"][name] = {"ratio": ratio, "ok": ratio <= 1.0 + slack}
-    if kernel_dim > MAX_KERNEL_DIM:
-        print(f"reverse  skipped (decomposition kernel has dimension {kernel_dim} > {MAX_KERNEL_DIM})")
+    if skipped is not None:
+        print(f"reverse  skipped ({skipped})")
     return payload, all(c["ok"] for c in payload["checks"].values())
 
 
 def cmd_check_inf(args, datum):
-    if args.instances < 1:
-        raise ValueError(f"instances must be at least 1, got {args.instances}")
+    check_count("instances", args.instances, 1)
     check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     reports = []
@@ -212,6 +208,7 @@ def cmd_bd(args, datum):
     if datum is not None:
         A = _verdict(solve(datum), inf_ok=False).A
     else:
+        check_count("dim", args.dim, 1)
         check_draws(args.dim, args.steps, args.paths)  # before np.eye allocates dim^2 floats
         A = np.eye(args.dim)
     config = BrownianConfig(A=A, horizon=args.horizon, steps=args.steps, paths=args.paths, seed=args.seed)

@@ -2,8 +2,9 @@
 
 The Gaussian checks exercise the determinant forms; this module goes back to
 the integrals themselves on compact boxes, with functions sampled on
-tensor grids. Ambient dimension and factor dimensions are limited to 2: the
-point is an independent oracle at desk scale, not a general integrator.
+tensor grids. Ambient dimension is limited to 2 (check_quadrature, which also
+says whether the reverse check applies): the point is an independent oracle
+at desk scale, not a general integrator.
 
 direct   integral of prod_i f_i(B_i x)^{c_i} over the ambient box, against
          C * prod_i (integral of f_i)^{c_i}
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -58,7 +58,7 @@ import numpy as np
 
 from .datum import BLDatum
 from .quadform import decomposition_map
-from .report import MAX_ELEMENTS, check_constant
+from .report import MAX_ELEMENTS, check_constant, check_count
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
@@ -209,15 +209,11 @@ def _check_functions(datum: BLDatum, fs) -> list[GridFunction]:
         want = datum.factors[i].target_dim
         if gf.dim != want:
             raise ValueError(f"function for factor {i} has dim {gf.dim}, expected {want}")
-        if want > 2:
-            raise ValueError("quadrature checks support factor dimensions 1 and 2 only")
         if gf.f is None:
             raise ValueError(
                 f"function for factor {i} holds bare values; build it with "
                 "GridFunction.from_callable, whose callable the checks read"
             )
-    if datum.n > 2:
-        raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     return fs
 
 
@@ -245,10 +241,20 @@ def check_grid(box: float, resolution: int) -> None:
     plane, in at most 4 factor coordinates), fits MAX_ELEMENTS."""
     if not (math.isfinite(box) and box > 0.0):
         raise ValueError(f"box must be finite and positive, got {box}")
-    if not isinstance(resolution, numbers.Integral) or resolution < 2:
-        raise ValueError(f"resolution must be an integer of at least 2, got {resolution}")
+    check_count("resolution", resolution, 2)
     if (elements := 4 * int(resolution) ** 2) > MAX_ELEMENTS:
         raise ValueError(f"4 * resolution^2 = {elements} exceeds the budget {MAX_ELEMENTS}")
+
+
+def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
+    """ValueError unless the datum is on R^1 or R^2 and check_grid passes;
+    then None when the reverse check applies, else why not: its kernel,
+    sum_i n_i - n over the non-zero factors, is above MAX_KERNEL_DIM."""
+    if datum.n > 2:
+        raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
+    check_grid(box, resolution)
+    kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
+    return None if kdim <= MAX_KERNEL_DIM else f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
 
 
 def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
@@ -302,7 +308,7 @@ def direct_integral_check(
     at extremizers up to quadrature error. Returns 0 (with a warning) when
     the right-hand side vanishes."""
     check_constant(constant)
-    check_grid(box, resolution)
+    check_quadrature(datum, box, resolution)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     log_rhs = _log_masses(datum, fs, math.log(constant))
@@ -446,19 +452,16 @@ def sup_convolution(
     outside the boxes. The chunks of grid points run on one worker per CPU
     this process may run on; the envelope does not depend on how many.
     """
-    check_grid(box, resolution)
+    if (refusal := check_quadrature(datum, box, resolution)) is not None:
+        raise ValueError(refusal)
     fs = _check_functions(datum, fs)
-    active = datum.active
-    cs = [datum.factors[i].c for i in active]
-    dims = [datum.factors[i].target_dim for i in active]
-    kdim = sum(dims) - datum.n
-    if kdim > MAX_KERNEL_DIM:
-        raise ValueError(f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}")
+    cs = [datum.factors[i].c for i in datum.active]
     L, K = decomposition_map(datum)
+    kdim = K.shape[1]
 
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
-    offsets = np.cumsum([0] + dims)
+    offsets = np.cumsum([0] + [gf.dim for gf in fs])  # each n_i, as _check_functions holds
     spans = list(zip(offsets[:-1], offsets[1:]))
 
     lo, hi = np.full(datum.n, -box), np.full(datum.n, box)

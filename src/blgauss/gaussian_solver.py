@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,7 +272,7 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F;
         finite and non-negative, else ValueError.
     max_iter : int
-        Budget of Newton iterations.
+        Budget of Newton iterations, an integer of at least 1.
 
     Returns
     -------
@@ -280,10 +281,12 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         `converged` is False and `constant` is +inf when the run found the
         objective unbounded above (no finite constant), or else the best
         estimate exp(F/2) of an inconclusive run (NaN when an ill-conditioned
-        factor stopped it at the start).
+        factor stopped it at the start). A spent budget reports the iterate
+        after max_iter steps, with that iterate's own constant and residual.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    # report.check_count's rule, written out: the solver imports no verification layer
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if datum.degenerate:
@@ -302,10 +305,10 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
     """Newton iterations on the factor K of a det-1 A = K K^T. An ill-conditioned
     B_i A B_i^T at the start is inconclusive with a NaN constant, and a singular
     value of K below sqrt(MIN_EIGENVALUE) is +inf, both before the row of k is
-    written. After it, a residual at most tol converges. A failed line search is
-    +inf while the objective rises with a residual above STATIONARITY_WARN (below
-    it, rounding stops the search); otherwise it, like a spent budget, ends the
-    run inconclusive with the last estimate."""
+    written. After it, a residual at most tol converges, and row max_iter, a
+    spent budget, ends the run inconclusive. A failed line search is +inf while
+    the objective rises with a residual above STATIONARITY_WARN (below it,
+    rounding stops the search), else inconclusive. Every exit reports row k."""
     groups = datum.groups
     trace: list[tuple[int, float, float]] = []
 
@@ -319,7 +322,7 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
         Ys, Qbar, lds = _whiten(groups, K)
     except IllConditionedError:
         return end(math.nan, math.nan, 0)
-    for k in range(max_iter):
+    for k in range(max_iter + 1):
         _, s, Vt = np.linalg.svd(K)
         if s[-1] ** 2 < MIN_EIGENVALUE:
             return end(math.inf, math.nan, k)
@@ -332,6 +335,8 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
         trace.append((k, res, obj))
         if res <= tol:
             return end(obj, res, k, True)
+        if k == max_iter:
+            break
         G = _traceless(E)
         step = _line_search(groups, K, _newton_direction(groups, Ys, Qbar, G), G, logdet_A, obj)
         if step is None:
@@ -339,5 +344,4 @@ def _iterate(datum: BLDatum, K: np.ndarray, tol: float, max_iter: int) -> SolveR
                 return end(math.inf, res, k)
             break
         K, (Ys, Qbar, lds) = step
-    # every row but that of a failed search took a step
-    return end(obj, res, len(trace) - (step is None))
+    return end(obj, res, k)

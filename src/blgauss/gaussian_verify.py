@@ -34,7 +34,7 @@ from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup
 from .gaussian_solver import HOMOGENEITY_TOL
 from .quadform import check_tuple, harmonic_sum
-from .report import DEFAULT_SEED, VerificationReport, check_constant, check_seed
+from .report import DEFAULT_SEED, VerificationReport, check_constant, check_count, check_seed
 
 DEFAULT_SAMPLES = 1000
 
@@ -198,8 +198,7 @@ def _sweep(datum, constant, kernels, dims, samples, seed):
     each sample one SPD matrix per entry of `dims`. A validated `extremizer`,
     one matrix per entry of `dims`, is sample 0 of its kernel's first call;
     its ratio gives the report's equality gap. One result per kernel."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_count("samples", samples, 1)
     check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
     counts = [base + (1 if b < extra else 0) for b in range(_BLOCKS)]

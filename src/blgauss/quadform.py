@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup
-from .report import VerificationReport, check_seed
+from .report import DEFAULT_SEED, VerificationReport, check_count, check_seed
 
 INF_SLACK = 1e-10
 
@@ -115,7 +115,7 @@ def check_inf(
     tuple_,
     x: np.ndarray,
     samples: int = 1000,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Brute-force the variational identity: no feasible decomposition may
     beat the claimed infimum.
@@ -126,8 +126,7 @@ def check_inf(
     violation when its objective is below the claimed value by more than
     1e-10.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_count("samples", samples, 1)
     check_seed(seed)
     mats = check_tuple(datum, tuple_)
     value, parts = _decompose(datum, mats, x)

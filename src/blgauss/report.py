@@ -1,4 +1,4 @@
-"""Shared result record, default seed, element budget, and the seed and constant checks of the verification layers."""
+"""Shared result record, default seed, element budget, and the seed, count and constant checks of the verification layers."""
 
 from __future__ import annotations
 
@@ -20,6 +20,12 @@ def check_seed(seed) -> None:
     sampler here accepts; raised before anything is drawn."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer of at least `least`, the rule of every count."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
 def check_constant(constant) -> None:

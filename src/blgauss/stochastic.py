@@ -8,8 +8,9 @@ bounded measurable g,
 
 where U_t is the time integral of the drift derivative and the Cameron-Martin
 norm weighs that derivative by inv(A). Every drift therefore certifies a
-lower bound; this module estimates both sides by Monte Carlo for the built-in
-deterministic drift families and compares against closed forms for linear and
+lower bound; this module estimates both sides by Monte Carlo for the
+deterministic affine drifts u'(s) = a + s b (DriftPolicy; zero and constant
+drifts among them) and compares against closed forms for linear and
 quadratic g. Estimates come with standard errors so checks can run at fixed
 z-score bands.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_solve, sym
-from .report import DEFAULT_SEED, MAX_ELEMENTS, check_seed
+from .report import DEFAULT_SEED, MAX_ELEMENTS, check_count, check_seed
 
 
 def check_draws(n: int, steps: int, paths: int) -> None:
@@ -50,11 +51,8 @@ class BrownianConfig:
     def __post_init__(self):
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.paths < 2:
-            # every standard error is a sample standard deviation (ddof=1)
-            raise ValueError(f"paths must be at least 2, got {self.paths}")
+        check_count("steps", self.steps, 1)
+        check_count("paths", self.paths, 2)  # each standard error is a sample one (ddof=1)
         check_seed(self.seed)
         # the budget reads A's shape, before check_spd decomposes A
         A = np.asarray(self.A, dtype=float)
@@ -72,47 +70,38 @@ class BrownianConfig:
 
 @dataclass(frozen=True, eq=False)
 class DriftPolicy:
-    """Deterministic drift derivative u'(s), piecewise constant on the grid.
+    """Deterministic drift derivative u'(s) = rate[:, 0] + s * rate[:, 1] for
+    an (n, 2) matrix rate (None: zero), piecewise constant on the grid; a
+    constant v is rate [v, 0], and v + s * 0 = v exactly. Deterministic
+    policies keep U_T and the Cameron-Martin norm path-independent, so the
+    value estimate inherits the paths' stderr only through g."""
 
-    kinds: "zero"; "constant" with u'(s) = v; "linear_in_time" with
-    u'(s) = rate[:, 0] + s * rate[:, 1] for an (n, 2) coefficient matrix.
-    Deterministic policies keep U_T and the Cameron-Martin norm
-    path-independent, so the value estimate inherits the paths' stderr only
-    through g."""
-
-    kind: str
-    v: np.ndarray | None = None
     rate: np.ndarray | None = None
 
     @classmethod
     def zero(cls) -> "DriftPolicy":
-        return cls(kind="zero")
+        return cls()
 
     @classmethod
     def constant(cls, v) -> "DriftPolicy":
-        return cls(kind="constant", v=np.asarray(v, dtype=float))
+        if (v := np.asarray(v, dtype=float)).ndim != 1:
+            raise ValueError(f"constant drift must be a vector, got shape {v.shape}")
+        return cls.linear_in_time(np.stack([v, np.zeros_like(v)], axis=1))
 
     @classmethod
     def linear_in_time(cls, rate) -> "DriftPolicy":
         rate = np.asarray(rate, dtype=float)
         if rate.ndim != 2 or rate.shape[1] != 2:
             raise ValueError(f"rate must have shape (n, 2), got {rate.shape}")
-        return cls(kind="linear_in_time", rate=rate)
+        return cls(rate=rate)
 
     def derivative(self, times: np.ndarray, n: int) -> np.ndarray:
         """(len(times), n) array of u' sampled at the step left endpoints."""
-        if self.kind == "zero":
+        if self.rate is None:
             return np.zeros((times.size, n))
-        if self.kind == "constant":
-            v = np.asarray(self.v, dtype=float)
-            if v.shape != (n,):
-                raise ValueError(f"constant drift has shape {v.shape}, expected ({n},)")
-            return np.broadcast_to(v, (times.size, n)).copy()
-        if self.kind == "linear_in_time":
-            if self.rate.shape[0] != n:
-                raise ValueError(f"rate is for dimension {self.rate.shape[0]}, expected {n}")
-            return self.rate[None, :, 0] + times[:, None] * self.rate[None, :, 1]
-        raise ValueError(f"unknown drift policy kind {self.kind!r}")
+        if self.rate.shape[0] != n:
+            raise ValueError(f"rate is for dimension {self.rate.shape[0]}, expected {n}")
+        return self.rate[None, :, 0] + times[:, None] * self.rate[None, :, 1]
 
 
 def terminal_points(config: BrownianConfig) -> np.ndarray:

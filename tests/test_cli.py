@@ -310,6 +310,21 @@ class TestCheckQuadrature:
         assert main(["check-quadrature", "--datum", HADAMARD3]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    def test_kernel_dimension_three_skips_the_reverse_check(self, tmp_path, capsys):
+        # four identity factors on R^1 with c = 1/4: C = 1, and the
+        # decompositions of a point form a 3-dimensional kernel
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps({"n": 1, "factors": [{"c": 0.25, "rows": [[1.0]]}] * 4}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["check-quadrature", "--datum", str(path), "--resolution", "101", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "direct   ratio=1.00000000  (equality expected: gap 0.00e+00)\n"
+            "reverse  skipped (decomposition kernel has dimension 3 > 2)\n"
+        )
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["constant"] == 1.0 and list(doc["checks"]) == ["direct"]
+        assert doc["checks"]["direct"] == {"ratio": 1.0, "ok": True}
+
 
 class TestCheckInf:
     def test_random_instances_exit_0(self, capsys):
@@ -321,13 +336,13 @@ class TestCheckInf:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["check-gaussian", "--samples", "0"], "samples must be at least 1"),
-    (["check-gaussian", "--samples", "-5"], "samples must be at least 1"),
-    (["check-gaussian", "--samples", "0", "--constant", "0.9"], "samples must be at least 1"),
-    (["check-inf", "--samples", "0"], "samples must be at least 1"),
-    (["check-inf", "--samples", "-5"], "samples must be at least 1"),
-    (["check-inf", "--instances", "0"], "instances must be at least 1"),
-    (["check-inf", "--instances", "-2"], "instances must be at least 1"),
+    (["check-gaussian", "--samples", "0"], "samples must be an integer of at least 1"),
+    (["check-gaussian", "--samples", "-5"], "samples must be an integer of at least 1"),
+    (["check-gaussian", "--samples", "0", "--constant", "0.9"], "samples must be an integer of at least 1"),
+    (["check-inf", "--samples", "0"], "samples must be an integer of at least 1"),
+    (["check-inf", "--samples", "-5"], "samples must be an integer of at least 1"),
+    (["check-inf", "--instances", "0"], "instances must be an integer of at least 1"),
+    (["check-inf", "--instances", "-2"], "instances must be an integer of at least 1"),
 ], ids=["gaussian-samples-0", "gaussian-samples-neg", "gaussian-constant-samples-0", "inf-samples-0",
         "inf-samples-neg", "inf-instances-0", "inf-instances-neg"])
 def test_bad_sampling_counts_exit_2(argv, message, capsys):
@@ -337,6 +352,14 @@ def test_bad_sampling_counts_exit_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}, got {argv[2]}\n"
     assert captured.out == ""
+
+
+def test_float_instances_are_refused():
+    # argparse passes only integers; a caller of the subcommand gets the count rule
+    args = build_parser().parse_args(["check-inf", "--datum", YOUNG])
+    args.instances = 2.5
+    with pytest.raises(ValueError, match="instances must be an integer of at least 1, got 2.5"):
+        cli.cmd_check_inf(args, load_datum(YOUNG))
 
 
 @pytest.mark.parametrize("command", ["check-gaussian", "check-inf", "bd"])
@@ -440,16 +463,18 @@ class TestBd:
 
     @pytest.mark.parametrize("argv, message", [
         # one path has no sample standard deviation
-        (["--paths", "1", "--steps", "8"], "paths must be at least 2"),
+        (["--paths", "1", "--steps", "8"], "paths must be an integer of at least 2, got 1"),
         # the ramp drift's U_T and the quadratic payoffs overflow
         (["--horizon", "1e300", "--paths", "100", "--steps", "2"], "horizon 1e+300 is out of range"),
         # every exp(g - max g) rounds to 1, so the standard error is 0
         (["--horizon", "1e-300", "--paths", "100", "--steps", "2"], "horizon 1e-300 is out of range"),
-        (["--dim", "0", "--paths", "100", "--steps", "2"], "must be a non-empty square matrix"),
+        # named before np.eye builds an empty or negative-size covariance
+        (["--dim", "0", "--paths", "100", "--steps", "2"], "dim must be an integer of at least 1, got 0"),
+        (["--dim", "-1", "--paths", "100", "--steps", "2"], "dim must be an integer of at least 1, got -1"),
         # (paths + steps) * n passed the budget, and np.eye asked for 728 TiB
         (["--dim", "10000000", "--paths", "2", "--steps", "1"],
          "(paths + steps + n) * n = 100000030000000 exceeds the budget 100000000"),
-    ], ids=["one-path", "huge-horizon", "tiny-horizon", "dim-0", "covariance-over-budget"])
+    ], ids=["one-path", "huge-horizon", "tiny-horizon", "dim-0", "dim-neg", "covariance-over-budget"])
     def test_bad_input_exits_2_without_warnings(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

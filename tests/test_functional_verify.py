@@ -25,7 +25,7 @@ from blgauss import (
     solve,
     sup_convolution,
 )
-from blgauss.functional_verify import check_grid
+from blgauss.functional_verify import check_grid, check_quadrature
 from conftest import coordinate_datum, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
@@ -207,7 +207,7 @@ class TestDirectIntegralCheck:
     def test_rejects_high_dimensions(self):
         d = coordinate_datum(3)
         fs = [grid_gaussian([[1.0]], points=11) for _ in range(3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ambient dimension 1 and 2 only"):
             direct_integral_check(d, fs, 1.0, resolution=11)
 
     def test_rejects_wrong_function_count(self):
@@ -591,9 +591,10 @@ class TestSupConvolution:
             sup_convolution(d, fs, resolution=21)
 
     def test_rejects_kernel_dimension_above_two(self):
+        # the refusal check_quadrature returns, raised
         d = make_datum(1, [0.25] * 4, [np.eye(1)] * 4)
         fs = [grid_gaussian([[1.0]], points=11)] * 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^decomposition kernel has dimension 3 > 2$"):
             sup_convolution(d, fs, resolution=11)
 
 
@@ -644,6 +645,21 @@ def test_bad_resolution_is_refused_before_any_grid(check, resolution):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"resolution must be an integer of at least 2, got {resolution}"):
             run()
+
+
+def test_quadrature_support_rule():
+    # one rule for both checks and the command line: R^1 or R^2 and a good
+    # grid, else ValueError; then the reverse check's kernel dimension
+    assert check_quadrature(young_flagship()[1], 8.0, 11) is None
+    assert check_quadrature(make_datum(2, [1.0], [np.eye(2)]), 8.0, 11) is None
+    four = make_datum(1, [0.25] * 4, [np.eye(1)] * 4)
+    assert check_quadrature(four, 8.0, 11) == "decomposition kernel has dimension 3 > 2"
+    with pytest.raises(ValueError, match="ambient dimension 1 and 2 only"):
+        check_quadrature(coordinate_datum(3), 8.0, 11)
+    with pytest.raises(ValueError, match="resolution must be an integer of at least 2, got 1"):
+        check_quadrature(four, 8.0, 1)
+    with pytest.raises(ValueError, match="box must be finite and positive"):
+        check_quadrature(four, -1.0, 11)
 
 
 def test_grid_budget_bounds_the_largest_array():

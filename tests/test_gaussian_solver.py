@@ -214,9 +214,10 @@ class TestSolve:
         with pytest.raises(DatumError):
             solve(d)
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 1.0])
     def test_rejects_empty_budget(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter"):
+        # a float budget is refused like an empty one, not a TypeError
+        with pytest.raises(ValueError, match=f"max_iter must be an integer of at least 1, got {max_iter}"):
             solve(prekopa_leindler_datum(), max_iter=max_iter)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
@@ -372,14 +373,47 @@ def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, mul
     assert len(calls) == evaluations + searches + spectral + calls.count(("svd", 3, True))
 
 
-@pytest.mark.parametrize("max_iter", [1, 2])
-def test_spent_budget_is_inconclusive_on_a_divergent_datum(max_iter):
-    # The infeasible datum's constant is +inf, but a run cut off before its
-    # MIN_EIGENVALUE exit (at the evaluation after 2 iterations) holds no
-    # evidence of that, although the objective rises with a flat residual.
-    r = solve(_infeasible_datum(), max_iter=max_iter)
-    assert not r.converged and math.isfinite(r.constant)
-    assert (r.iterations, len(r.trace)) == (max_iter, max_iter)
+def test_spent_budget_reports_the_iterate_it_returns():
+    # A spent budget evaluates the iterate after max_iter steps and takes no
+    # step from it, so the constant and residual are those of the returned A.
+    # The infeasible datum's constant is +inf, but one step holds no evidence
+    # of that: the run is inconclusive, with the bound its A certifies.
+    d = _infeasible_datum()
+    r = solve(d, max_iter=1)
+    assert not r.converged and (r.iterations, len(r.trace)) == (1, 2)
+    assert r.constant == pytest.approx(math.sqrt(dual_check(d, 1.0, r.A)), rel=1e-12)
+    assert r.constant == pytest.approx(2980.9579870417283, rel=1e-9)
+    assert r.trace[-1][0] == r.iterations and r.residual == r.trace[-1][1]
+    # after two steps A degenerates: the MIN_EIGENVALUE exit, as without a budget
+    full, r = solve(d), solve(d, max_iter=2)
+    assert (r.constant, r.iterations, len(r.trace)) == (math.inf, 2, 2)
+    assert np.array_equal(r.A, full.A) and r.trace == full.trace
+
+
+def test_budget_of_the_converged_run_is_enough():
+    # the flagship converges at row 4: a budget of 4 steps gives the same bits
+    _, d = young_flagship()
+    full, r = solve(d), solve(d, max_iter=4)
+    assert full.iterations == 4 and r.converged
+    assert np.array_equal(r.A, full.A) and r.trace == full.trace
+    assert (r.constant, r.residual, r.iterations) == (full.constant, full.residual, full.iterations)
+
+
+@pytest.mark.parametrize("make, max_iter, exit_", [
+    pytest.param(lambda: young_flagship()[1], 10_000, "converged", id="converged"),
+    pytest.param(lambda: young_flagship()[1], 3, "budget", id="budget"),
+    pytest.param(_infeasible_datum, 1, "budget", id="infeasible-budget"),
+    pytest.param(_overflow_datum, 10_000, "failed search", id="failed-search"),
+])
+def test_trace_has_a_row_per_iterate(make, max_iter, exit_):
+    # every exit but the start failure and the MIN_EIGENVALUE exit writes the
+    # row of the iterate it returns, so the trace holds iterations + 1 rows
+    r = solve(make(), max_iter=max_iter)
+    assert len(r.trace) == r.iterations + 1
+    assert [k for k, _, _ in r.trace] == list(range(r.iterations + 1))
+    assert r.residual == r.trace[-1][1]
+    assert r.converged == (exit_ == "converged")
+    assert (r.constant == math.inf) == (exit_ == "failed search")
 
 
 @pytest.mark.parametrize("family", ["holder", "loomis-whitney-6", "loomis-whitney-12"])

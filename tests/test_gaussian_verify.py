@@ -215,12 +215,13 @@ class TestSweeps:
         assert ratios.shape == (37,)
 
     @pytest.mark.parametrize("sweep", [sweep_direct, sweep_reverse, sweep_dual])
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 40.5])
     def test_rejects_no_samples(self, sweep, samples):
-        # zero samples would pass a check that tested nothing
+        # zero samples would pass a check that tested nothing; a float count
+        # ended in a TypeError from the block split
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="samples must be at least 1"):
+            with pytest.raises(ValueError, match=f"samples must be an integer of at least 1, got {samples}"):
                 sweep(prekopa_leindler_datum(), 1.0, samples=samples)
 
     @pytest.mark.parametrize("sweep", [sweep_direct, sweep_reverse, sweep_dual])

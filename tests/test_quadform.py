@@ -12,6 +12,7 @@ from blgauss import (
 )
 import blgauss.quadform
 from blgauss.quadform import check_tuple, decomposition_map
+from blgauss.report import DEFAULT_SEED
 from conftest import (
     coordinate_datum,
     prekopa_leindler_datum,
@@ -170,15 +171,24 @@ class TestCheckInf:
         assert rep.violations == 0
         assert rep.worst_ratio < 1.0  # every competitor strictly worse
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 40.5])
     def test_rejects_no_samples(self, samples):
-        # zero samples would certify nothing; negative ones reached numpy
+        # zero samples would certify nothing; negative and float ones reached numpy
         d = young_flagship()[1]
         mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="samples must be at least 1"):
+            with pytest.raises(ValueError, match=f"samples must be an integer of at least 1, got {samples}"):
                 check_inf(d, mats, np.array([0.3, -1.2]), samples=samples)
+
+    def test_default_seed_is_the_shared_one(self):
+        # the seed of every sampler's default run, as for the sweeps
+        d = young_flagship()[1]
+        mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
+        x = np.array([0.3, -1.2])
+        rep = check_inf(d, mats, x, samples=50)
+        assert rep.seed == DEFAULT_SEED
+        assert rep == check_inf(d, mats, x, samples=50, seed=DEFAULT_SEED)
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_rejects_bad_seed(self, seed):

@@ -57,8 +57,19 @@ class TestConfig:
 
     def test_rejects_single_path(self):
         # standard errors are sample standard deviations and need two paths
-        with pytest.raises(ValueError, match="paths must be at least 2"):
+        with pytest.raises(ValueError, match="paths must be an integer of at least 2, got 1"):
             BrownianConfig(A=np.eye(1), paths=1)
+
+    @pytest.mark.parametrize("field, value, least", [
+        # 2.5 steps summed 3 steps of T / 2.5: a unit constant drift on
+        # T = 1 gave drift_value -0.6, not -0.5
+        ("steps", 2.5, 1), ("steps", 0, 1),
+        # 10.5 paths ended in a TypeError from the draw
+        ("paths", 10.5, 2),
+    ])
+    def test_counts_are_integers(self, field, value, least):
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least {least}, got {value}"):
+            BrownianConfig(A=np.eye(1), **{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_rejects_bad_seed(self, seed):
@@ -148,9 +159,19 @@ class TestDriftPolicy:
         with pytest.raises(ValueError):
             DriftPolicy.linear_in_time(np.zeros((2, 3)))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DriftPolicy(kind="sinusoid").derivative(np.zeros(2), 1)
+    def test_constant_is_the_ramp_without_slope(self):
+        # v + s * 0 = v exactly, so a constant drift keeps every bit
+        v = np.array([0.3, -1.7, 0.0])
+        times = np.arange(7) * 0.37
+        ud = DriftPolicy.constant(v).derivative(times, 3)
+        np.testing.assert_array_equal(ud, np.broadcast_to(v, (7, 3)))
+        np.testing.assert_array_equal(DriftPolicy.constant(v).rate, np.stack([v, np.zeros(3)], axis=1))
+        assert DriftPolicy.zero().rate is None
+
+    @pytest.mark.parametrize("v", [1.0, [[1.0, 2.0]]])
+    def test_constant_rejects_non_vector(self, v):
+        with pytest.raises(ValueError, match="constant drift must be a vector"):
+            DriftPolicy.constant(v)
 
 
 class TestClosedForms:
