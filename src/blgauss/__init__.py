@@ -34,11 +34,8 @@ from .gaussian_solver import (
     solve,
 )
 from .gaussian_verify import (
-    direct_gaussian_check,
     dual_check,
     gaussian_constant_search,
-    reverse_gaussian_check,
-    sample_spd,
     sample_spd_stack,
     sample_tuple,
     sweep_direct,
@@ -119,7 +116,6 @@ __all__ = [
     "datum_from_exponents",
     "datum_to_dict",
     "direct_extremizers",
-    "direct_gaussian_check",
     "direct_integral_check",
     "direct_sum",
     "drift_value",
@@ -127,6 +123,7 @@ __all__ = [
     "fp_map",
     "gaussian_constant_search",
     "gaussian_function",
+    "grad_logdet",
     "harmonic_combine",
     "inf_decomposition",
     "integrate",
@@ -134,7 +131,6 @@ __all__ = [
     "is_frame",
     "linear_g",
     "load_datum",
-    "grad_logdet",
     "make_datum",
     "mc_log_mgf",
     "multiplicativity_check",
@@ -142,9 +138,7 @@ __all__ = [
     "quotient",
     "restrict",
     "reverse_extremizers",
-    "reverse_gaussian_check",
     "reverse_integral_check",
-    "sample_spd",
     "sample_spd_stack",
     "sample_tuple",
     "save_datum",

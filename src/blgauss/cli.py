@@ -86,12 +86,13 @@ def _write_report(args, payload: dict, datum: BLDatum | None = None) -> None:
         fh.write("\n")
 
 
-def _write_ratio_csv(path: str, named_ratios: list[tuple[str, np.ndarray]]) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """The --trace and --csv files: the header line, then one line per row,
+    strings as they are and numbers by repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("check,sample,ratio\n")
-        for name, ratios in named_ratios:
-            for i, r in enumerate(ratios):
-                fh.write(f"{name},{i},{float(r)!r}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
 
 def _verdict(res: SolveResult, inf_ok: bool) -> SolveResult:
@@ -128,7 +129,7 @@ def cmd_solve(args, datum):
     for row in res.A:
         print("  " + "  ".join(f"{v:+.12e}" for v in row))
     if args.trace:
-        res.write_trace_csv(args.trace)
+        _write_csv(args.trace, "iteration,residual,objective", res.trace)
     return {"result": res.to_dict()}, res
 
 
@@ -162,7 +163,8 @@ def cmd_check_gaussian(args, datum):
             f"worst_ratio={report.worst_ratio:.12f}{gap}"
         )
     if args.csv:
-        _write_ratio_csv(args.csv, [(name, ratios) for name, (_, ratios) in sweeps])
+        _write_csv(args.csv, "check,sample,ratio", ((name, i, r) for name, (_, ratios) in sweeps
+                                                    for i, r in enumerate(ratios.tolist())))
     checks = {name: report.to_dict() for name, (report, _) in sweeps}
     return {"constant": constant, "checks": checks}, all(report.ok for _, (report, _) in sweeps)
 

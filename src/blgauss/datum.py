@@ -25,6 +25,10 @@ from ._linalg import RANK_TOL, numerical_rank, rank_and_norm
 # Entries at or below this (in max-abs) mean "exactly the zero map".
 ZERO_MAP_TOL = 1e-14
 
+# Homogeneity defect beyond this means the objective cannot have a finite
+# supremum with equality anywhere; refuse instead of iterating.
+HOMOGENEITY_TOL = 1e-9
+
 
 class DatumError(ValueError):
     """Malformed datum: bad shapes, non-positive weight, or a map that is not onto."""
@@ -197,6 +201,20 @@ def validate(datum: BLDatum) -> DatumDiagnostics:
     it was built, and zero maps are legal and merely flagged here."""
     return DatumDiagnostics(datum.homogeneity_defect, datum.degenerate, is_frame(datum),
                             [i for i in range(datum.m) if i not in datum.active])
+
+
+def check_solvable(datum: BLDatum) -> None:
+    """DatumError unless the datum can have a finite positive constant: it is
+    not degenerate and its homogeneity defect is at most HOMOGENEITY_TOL in
+    absolute value. The solver and gaussian_constant_search refuse by it."""
+    if datum.degenerate:
+        raise DatumError("degenerate datum: the factor maps do not jointly span; "
+                         "both constants are +inf")
+    if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
+        raise DatumError(
+            f"homogeneity defect {datum.homogeneity_defect:.3e} exceeds {HOMOGENEITY_TOL:.0e}; "
+            "the constant is degenerate (0 or +inf) unless sum c_i n_i = n"
+        )
 
 
 def is_frame(datum: BLDatum) -> bool:

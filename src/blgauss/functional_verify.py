@@ -117,8 +117,15 @@ class GridFunction:
         The integral checks read f itself between the nodes, from up to W
         worker threads (one per CPU this process may run on) on chunks of
         shape (samples, dim), so f must be vectorized and hold no shared
-        mutable state. They read 0 outside the box and clip f at 0."""
+        mutable state. They read 0 outside the box and clip f at 0.
+
+        points is an integer of at least 2, and the grid's dim * points^dim
+        coordinates must fit MAX_ELEMENTS; ValueError otherwise, before the
+        grid is allocated."""
         lo, hi = _bounds(lo, hi)
+        check_count("points", points, 2)
+        if (elements := lo.size * int(points) ** lo.size) > MAX_ELEMENTS:
+            raise ValueError(f"{lo.size} * points^{lo.size} = {elements} exceeds the budget {MAX_ELEMENTS}")
         _, pts = _tensor_grid(lo, hi, points)
         gf = cls(lo, hi, np.asarray(f(pts), dtype=float))
         object.__setattr__(gf, "f", f)

@@ -49,14 +49,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import IllConditionedError, check_spd, spd_inverse, sym, whiten
-from .datum import BLDatum, DatumError, FactorGroup
+from .datum import BLDatum, FactorGroup, check_solvable
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
-
-# Homogeneity defect beyond this means the objective cannot have a finite
-# supremum with equality anywhere; refuse instead of iterating.
-HOMOGENEITY_TOL = 1e-9
 
 # An eigenvalue of the det-1 iterate below this is a degenerating A: +inf.
 MIN_EIGENVALUE = 1e-12
@@ -150,12 +146,6 @@ class SolveResult:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,residual,objective\n")
-            for k, res, obj in self.trace:
-                fh.write(f"{k},{res!r},{obj!r}\n")
 
 
 @functools.cache
@@ -266,7 +256,8 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     ----------
     datum : BLDatum
         Must be non-degenerate with homogeneity defect at most 1e-9 in
-        absolute value; anything else is refused with DatumError.
+        absolute value; datum.check_solvable refuses anything else with
+        DatumError.
     tol : float
         Convergence threshold on the relative gradient norm
         ||inv(A) - sum_i c_i B_i^T inv(B_i A B_i^T) B_i||_F / ||inv(A)||_F;
@@ -289,15 +280,7 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if datum.degenerate:
-        raise DatumError("degenerate datum: the factor maps do not jointly span; "
-                         "both constants are +inf")
-    if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
-        raise DatumError(
-            f"homogeneity defect {datum.homogeneity_defect:.3e} exceeds {HOMOGENEITY_TOL:.0e}; "
-            "the constant is degenerate (0 or +inf) unless sum c_i n_i = n"
-        )
-
+    check_solvable(datum)
     return _iterate(datum, np.eye(datum.n), tol, max_iter)
 
 

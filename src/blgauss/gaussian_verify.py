@@ -13,8 +13,8 @@ Specialized to centered Gaussians, the two inequalities read
 
 and the dual form bounds det(A) <= C^2 prod_i det(B_i A B_i^T)^{c_i} for
 every SPD A on the ambient space. All ratios are formed in the log domain.
-Each inequality has one kernel that evaluates a whole stack of samples; the
-point checks call it on a stack of one. A sweep draws its samples in RNG
+Each inequality has one kernel that evaluates a whole stack of samples;
+dual_check calls it on a stack of one. A sweep draws its samples in RNG
 blocks but evaluates them in as few kernel calls as memory allows: one call
 takes a run of consecutive blocks, with a supplied extremizer as one more
 sample. The direct and reversed sweeps draw the same tuples, and
@@ -31,8 +31,7 @@ import math
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup
-from .gaussian_solver import HOMOGENEITY_TOL
+from .datum import BLDatum, DatumError, FactorGroup, check_solvable
 from .quadform import check_tuple, harmonic_sum
 from .report import DEFAULT_SEED, VerificationReport, check_constant, check_count, check_seed
 
@@ -85,18 +84,13 @@ def _finish_spd(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return sym(M)
 
 
-def sample_spd(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One random SPD matrix from the distribution of sample_spd_stack."""
-    return sample_spd_stack(n, 1, rng)[0]
-
-
 def _tuple_dims(datum: BLDatum) -> list[int]:
     return [datum.factors[i].target_dim for i in datum.active]
 
 
 def sample_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarray]:
     """One random SPD matrix per non-zero factor."""
-    return [sample_spd(k, rng) for k in _tuple_dims(datum)]
+    return [sample_spd_stack(k, 1, rng)[0] for k in _tuple_dims(datum)]
 
 
 # -- stacked kernels: one formula per inequality, over a stack of samples -----
@@ -136,20 +130,6 @@ def _dual_ratios(groups: tuple[FactorGroup, ...], constant: float, A: np.ndarray
         ld = gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}")
         log_den = log_den + weighted_sum(ld, g.c)
     return np.exp(log_num - 2.0 * math.log(constant) - log_den)
-
-
-def direct_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
-    """Ratio of the Gaussian direct inequality; at most 1 when `constant`
-    really dominates the datum, exactly 1 at the direct extremizers."""
-    stacks = [M[None] for M in check_tuple(datum, tuple_)]
-    return float(_direct_ratios(datum.groups, constant, stacks)[0])
-
-
-def reverse_gaussian_check(datum: BLDatum, constant: float, tuple_) -> float:
-    """Ratio of the Gaussian reversed inequality; at most 1 when `constant`
-    dominates, exactly 1 at the reversed extremizers."""
-    stacks = [M[None] for M in check_tuple(datum, tuple_)]
-    return float(_reverse_ratios(datum.groups, constant, stacks)[0])
 
 
 def _ambient(datum: BLDatum, A) -> np.ndarray:
@@ -303,12 +283,9 @@ def gaussian_constant_search(datum: BLDatum) -> float:
     the solver's whitening, so this is an independent bound the solver's
     constant is compared against. The first of _RESTARTS ascents starts at
     the identity, the rest at A = exp(S) for a random traceless symmetric S.
+    A datum that check_solvable refuses is refused here with the same error.
     """
-    if datum.degenerate:
-        raise DatumError("degenerate datum: constant is +inf")
-    if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
-        raise DatumError("inhomogeneous datum: no finite positive constant")
-
+    check_solvable(datum)
     n = datum.n
     rng = np.random.default_rng(DEFAULT_SEED)
     best = -math.inf

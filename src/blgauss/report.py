@@ -48,15 +48,15 @@ class VerificationReport:
                   objective below the claimed infimum by more than 1e-10)
     worst_ratio   largest observed ratio of claimed bound to sampled value;
                   anything at or below 1 means the claim held with room
-    equality_gap  |1 - ratio| at a supplied extremizer, when one was tested
     seed          RNG seed the sweep was run with
+    equality_gap  |1 - ratio| at a supplied extremizer, when one was tested
     """
 
     samples: int
     violations: int
     worst_ratio: float
+    seed: int
     equality_gap: float | None = None
-    seed: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -70,6 +70,5 @@ class VerificationReport:
         }
         if self.equality_gap is not None:
             doc["equality_gap"] = self.equality_gap
-        if self.seed is not None:
-            doc["seed"] = self.seed
+        doc["seed"] = self.seed
         return doc

@@ -15,6 +15,7 @@ from blgauss import (
     make_datum,
 )
 from blgauss._linalg import numerical_rank
+from blgauss.quadform import check_tuple
 
 
 def prekopa_leindler_datum() -> BLDatum:
@@ -120,6 +121,13 @@ def random_spd_tuple(datum: BLDatum, rng: np.random.Generator) -> list[np.ndarra
         G = rng.standard_normal((d, d))
         out.append(G @ G.T + 0.1 * np.eye(d))
     return out
+
+
+def gaussian_ratio(kernel, datum: BLDatum, constant: float, tuple_) -> float:
+    """One ratio of a sweep kernel (gaussian_verify._direct_ratios or
+    _reverse_ratios) at one tuple, evaluated as a stack of one."""
+    stacks = [M[None] for M in check_tuple(datum, tuple_)]
+    return float(kernel(datum.groups, constant, stacks)[0])
 
 
 def well_conditioned_spd(n: int, rng: np.random.Generator) -> np.ndarray:

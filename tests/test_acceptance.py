@@ -35,7 +35,7 @@ from blgauss import (
     multiplicativity_check,
     reverse_extremizers,
     reverse_integral_check,
-    sample_spd,
+    sample_spd_stack,
     solve,
     sweep_direct,
     sweep_reverse,
@@ -139,7 +139,7 @@ def gaussian_inequality_sweeps():
 def hadamard_diagonal_equality():
     d = coordinate_datum(3)
     rng = np.random.default_rng(4)
-    ratios = [dual_check(d, 1.0, sample_spd(3, rng)) for _ in range(1000)]
+    ratios = [dual_check(d, 1.0, sample_spd_stack(3, 1, rng)[0]) for _ in range(1000)]
     violations = sum(r > 1.0 + 1e-12 for r in ratios)
     gap = max(
         abs(dual_check(d, 1.0, np.diag(rng.uniform(0.2, 5.0, 3))) - 1.0) for _ in range(20)

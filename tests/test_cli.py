@@ -144,9 +144,13 @@ class TestSolveAndConstant:
         assert doc["options"]["tol"] == 1e-10
         assert doc["result"]["constant"] == pytest.approx(YOUNG_CONSTANT, abs=1e-12)
         assert doc["result"]["converged"] is True
-        lines = trace.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "iteration,residual,objective"
-        assert len(lines) == doc["result"]["iterations"] + 2  # header + iteration-0 row
+        # the header, then one row per iteration from 0, numbers by repr: the
+        # last residual is the report's, bit for bit
+        header, *rows = trace.read_text(encoding="utf-8").splitlines()
+        assert header == "iteration,residual,objective"
+        assert [int(row.split(",")[0]) for row in rows] == list(range(doc["result"]["iterations"] + 1))
+        assert rows[-1].split(",")[1] == repr(doc["result"]["residual"])
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[1:])
 
     def test_inconclusive_solve_exits_1(self, capsys):
         code = main(["solve", "--datum", YOUNG, "--max-iter", "3"])

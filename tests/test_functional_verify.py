@@ -13,20 +13,19 @@ from blgauss import (
     box_function,
     bump_function,
     direct_extremizers,
-    direct_gaussian_check,
     direct_integral_check,
     gaussian_function,
     harmonic_combine,
     integrate,
     make_datum,
     reverse_extremizers,
-    reverse_gaussian_check,
     reverse_integral_check,
     solve,
     sup_convolution,
 )
 from blgauss.functional_verify import check_grid, check_quadrature
-from conftest import coordinate_datum, prekopa_leindler_datum, young_flagship
+from blgauss.gaussian_verify import _direct_ratios, _reverse_ratios
+from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
 
@@ -92,6 +91,23 @@ class TestGridFunction:
         f = gaussian_function([[1.0]])
         assert GridFunction.from_callable(f, *BOX, 11).f is f
         assert GridFunction([-8.0], [8.0], np.ones(11)).f is None
+
+    @pytest.mark.parametrize("points", [2.5, 1, 0, True])
+    def test_from_callable_refuses_a_bad_point_count(self, points):
+        # 2.5 ended in a TypeError from np.linspace
+        with pytest.raises(ValueError, match=f"points must be an integer of at least 2, got {points}"):
+            GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), *BOX, points)
+
+    @pytest.mark.parametrize("lo, hi, points", [([-8.0], [8.0], 10**8 + 1),
+                                                ([-8.0, -8.0], [8.0, 8.0], 7072)])
+    def test_from_callable_refuses_a_grid_over_budget_before_it_allocates(self, lo, hi, points,
+                                                                          monkeypatch):
+        # dim * points^dim coordinates: 1e8 + 1 and 2 * 7072^2 = 100,026,368
+        def grid(*args):
+            raise AssertionError("allocated a grid over budget")
+        monkeypatch.setattr(functional_verify, "_tensor_grid", grid)
+        with pytest.raises(ValueError, match=r"points\^.* exceeds the budget 100000000"):
+            GridFunction.from_callable(lambda p: pytest.fail("sampled a grid over budget"), lo, hi, points)
 
 
 class TestIntegrate:
@@ -160,7 +176,7 @@ class TestDirectIntegralCheck:
         r = solve(d)
         Q = [np.array([[0.8]]), np.array([[1.4]]), np.array([[0.6]])]
         quad = direct_integral_check(d, [grid_gaussian(q) for q in Q], r.constant, resolution=401)
-        gauss = direct_gaussian_check(d, r.constant, Q)
+        gauss = gaussian_ratio(_direct_ratios, d, r.constant, Q)
         assert quad == pytest.approx(math.sqrt(gauss), abs=1e-8)
 
     def test_rough_functions_stay_dominated(self):
@@ -713,7 +729,7 @@ class TestReverseIntegralCheck:
         r = solve(d)
         Q = [np.array([[0.8]]), np.array([[1.4]]), np.array([[0.6]])]
         quad = reverse_integral_check(d, [grid_gaussian(q) for q in Q], r.constant, resolution=201)
-        gauss = reverse_gaussian_check(d, r.constant, Q)
+        gauss = gaussian_ratio(_reverse_ratios, d, r.constant, Q)
         assert quad == pytest.approx(math.sqrt(gauss), abs=2e-3)
 
     def test_prekopa_leindler_gaussians(self):
@@ -731,7 +747,7 @@ class TestReverseIntegralCheck:
         )
         mismatched = [grid_gaussian([[1.0]]), grid_gaussian([[3.0]])]
         ratio = reverse_integral_check(d, mismatched, 1.0, resolution=201)
-        expect = math.sqrt(reverse_gaussian_check(d, 1.0, [np.eye(1), 3.0 * np.eye(1)]))
+        expect = math.sqrt(gaussian_ratio(_reverse_ratios, d, 1.0, [np.eye(1), 3.0 * np.eye(1)]))
         assert ratio == pytest.approx(expect, abs=2e-3)
         assert ratio < 0.99
 

@@ -694,17 +694,6 @@ class TestSolveResult:
         assert doc["converged"] is True
         assert doc["A"] == [[1.0]]
 
-    def test_trace_csv(self, tmp_path):
-        r = solve(young_flagship()[1])
-        p = tmp_path / "trace.csv"
-        r.write_trace_csv(p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "iteration,residual,objective"
-        assert len(lines) == len(r.trace) + 1
-        k, res, obj = lines[1].split(",")
-        assert int(k) == 0
-        float(res), float(obj)
-
 
 def test_solver_imports_no_verification_layer():
     """Verification layers may share _linalg and datum with the solver, never

@@ -1,9 +1,7 @@
-import ast
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +11,10 @@ from blgauss import (
     BrownianConfig,
     DatumError,
     direct_extremizers,
-    direct_gaussian_check,
     dual_check,
     gaussian_constant_search,
     make_datum,
     reverse_extremizers,
-    reverse_gaussian_check,
-    sample_spd,
     sample_spd_stack,
     sample_tuple,
     solve,
@@ -35,6 +30,7 @@ from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _dual_ratio
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
+    gaussian_ratio,
     mercedes_frame_datum,
     prekopa_leindler_datum,
     random_datum,
@@ -86,7 +82,7 @@ class TestPointChecks:
         _, d = young_flagship()
         for _ in range(10):
             mats = random_spd_tuple(d, rng)
-            a = direct_gaussian_check(d, 0.9, mats)
+            a = gaussian_ratio(_direct_ratios, d, 0.9, mats)
             b = brute_force_direct_ratio(d, mats, 0.9)
             assert a == pytest.approx(b, rel=1e-10)
 
@@ -94,26 +90,27 @@ class TestPointChecks:
         _, d = young_flagship()
         for _ in range(10):
             mats = random_spd_tuple(d, rng)
-            a = reverse_gaussian_check(d, 0.9, mats)
+            a = gaussian_ratio(_reverse_ratios, d, 0.9, mats)
             b = brute_force_reverse_ratio(d, mats, 0.9)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_equality_at_direct_extremizers(self):
         _, d = young_flagship()
         r = solve(d)
-        exts = direct_extremizers(d, r.A)
-        assert direct_gaussian_check(d, r.constant, exts) == pytest.approx(1.0, abs=1e-10)
+        rep, _ = sweep_direct(d, r.constant, samples=1, extremizer=direct_extremizers(d, r.A))
+        assert rep.equality_gap <= 1e-10
 
     def test_equality_at_reverse_extremizers(self):
         _, d = young_flagship()
         r = solve(d)
         exts, env = reverse_extremizers(d, r.A)
-        assert reverse_gaussian_check(d, r.constant, exts) == pytest.approx(1.0, abs=1e-10)
+        rep, _ = sweep_reverse(d, r.constant, samples=1, extremizer=exts)
+        assert rep.equality_gap <= 1e-10
         assert dual_check(d, r.constant, env) == pytest.approx(1.0, abs=1e-10)
 
     def test_dual_scale_invariance(self, rng):
         _, d = young_flagship()
-        A = sample_spd(2, rng)
+        A = sample_spd_stack(2, 1, rng)[0]
         base = dual_check(d, 0.9, A)
         for t in (1e-3, 0.7, 42.0):
             assert dual_check(d, 0.9, t * A) == pytest.approx(base, rel=1e-12)
@@ -121,8 +118,8 @@ class TestPointChecks:
     def test_frames_peak_at_identity(self):
         for d in (prekopa_leindler_datum(), coordinate_datum(3), mercedes_frame_datum()):
             tuple_ = [np.eye(f.target_dim) for f in d.factors]
-            assert direct_gaussian_check(d, 1.0, tuple_) == pytest.approx(1.0, abs=1e-14)
-            assert reverse_gaussian_check(d, 1.0, tuple_) == pytest.approx(1.0, abs=1e-14)
+            for rep, _ in sweep_direct_and_reverse(d, 1.0, 1, extremizers=(tuple_, tuple_)):
+                assert rep.equality_gap <= 1e-14
             assert dual_check(d, 1.0, np.eye(d.n)) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -136,10 +133,9 @@ def _poisoned(k: int, value: float) -> np.ndarray:
 @pytest.mark.parametrize("call", [
     lambda M: check_spd(M(1)),
     lambda M: BrownianConfig(A=M(2)),
-    lambda M: direct_gaussian_check(young_flagship()[1], 1.0, [np.eye(1), M(1), np.eye(1)]),
     lambda M: dual_check(young_flagship()[1], 1.0, M(2)),
     lambda M: sweep_direct(young_flagship()[1], 1.0, 10, extremizer=[np.eye(1), np.eye(1), M(1)]),
-], ids=["check_spd", "BrownianConfig", "direct_gaussian_check", "dual_check", "sweep-extremizer"])
+], ids=["check_spd", "BrownianConfig", "dual_check", "sweep-extremizer"])
 def test_non_finite_matrix_is_refused(call, value):
     # refused by name before any arithmetic on it, so no ratio is NaN and no
     # RuntimeWarning escapes
@@ -406,14 +402,14 @@ class TestStackedCholesky:
 
     def test_matrix_and_stack_of_one_agree(self, rng):
         for k in (1, 2, 5):
-            M = sample_spd(k, rng)
+            M = sample_spd_stack(k, 1, rng)[0]
             L, ld = chol_logdet(M)
             Ls, lds = chol_logdet(M[None])
             assert np.array_equal(L, Ls[0]) and ld == lds[0]
             assert np.ndim(ld) == 0 and lds.shape == (1,)
 
     def test_single_matrix_symmetry_guard(self, rng):
-        M = sample_spd(3, rng)
+        M = sample_spd_stack(3, 1, rng)[0]
         E = np.zeros((3, 3))
         E[0, 1] = np.abs(M).max()
         with pytest.raises(ValueError, match="symmetric"):
@@ -511,7 +507,7 @@ class TestSampling:
     def test_sample_spd_is_spd_and_spread(self, rng):
         scales = []
         for _ in range(50):
-            M = sample_spd(3, rng)
+            M = sample_spd_stack(3, 1, rng)[0]
             assert np.linalg.eigvalsh(M).min() > 0
             scales.append(np.trace(M))
         assert max(scales) / min(scales) > 1e2  # log-uniform spread is real
@@ -550,27 +546,13 @@ class TestConstantSearch:
         assert 0.9995 <= gaussian_constant_search(d) <= 1.0 + 1e-12
 
     def test_refuses_bad_data(self):
+        # by the solver's rule, datum.check_solvable, with the solver's words
         degenerate = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])])
-        with pytest.raises(DatumError):
-            gaussian_constant_search(degenerate)
         inhomogeneous = make_datum(2, [1.0, 1.0, 1.0],
                                    [np.eye(2)[:1], np.eye(2)[1:], np.eye(2)[:1]])
-        with pytest.raises(DatumError):
-            gaussian_constant_search(inhomogeneous)
+        for d, words in ((degenerate, "^degenerate datum: the factor maps do not jointly span"),
+                         (inhomogeneous, "^homogeneity defect 1.000e\\+00 exceeds 1e-09")):
+            for refuse in (gaussian_constant_search, solve):
+                with pytest.raises(DatumError, match=words):
+                    refuse(d)
 
-
-def test_constant_search_imports_no_solver_logic():
-    """The search is a cross-check of the solver, so the only thing it takes
-    from gaussian_solver is the homogeneity tolerance both sides refuse at."""
-    tree = ast.parse(Path(blgauss.gaussian_verify.__file__).read_text(encoding="utf-8"))
-    from_solver = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            names = {a.name for a in node.names}
-            assert "gaussian_solver" not in names
-            if module in (".gaussian_solver", "blgauss.gaussian_solver"):
-                from_solver |= names
-        elif isinstance(node, ast.Import):
-            assert not any("gaussian_solver" in a.name for a in node.names)
-    assert from_solver == {"HOMOGENEITY_TOL"}
