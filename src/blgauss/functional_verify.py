@@ -12,15 +12,14 @@ reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
          is the smallest admissible envelope: the sup-convolution
          f(x) = sup { prod_i f_i(x_i)^{c_i} : sum_i c_i B_i^T x_i = x }.
 
-Each f_i is held twice: as its values on its own grid, which give the
-trapezoid rule for its integral, the boundary-decay warning and the
-envelope the sup-convolution returns, and as the callable it was sampled
-from (GridFunction.from_callable), which both checks read at every sample
-through one reader (_add_log): f_i clipped at 0 (a NaN reads 0), and 0
-outside its box. A GridFunction of bare values has no callable, and the
-checks refuse it. The checks call each f_i from up to W worker threads on
-chunks of shape (samples, dim), so f_i must be vectorized and hold no
-shared mutable state.
+Each f_i is a GridFunction, built by GridFunction.from_callable: the
+callable it was sampled from, which both checks read at every sample
+through one reader (_add_log), f_i clipped at 0 (a NaN reads 0) and 0
+outside its box; and its values on its own grid, which give the trapezoid
+rule for its integral and the boundary-decay warning. The envelope the
+sup-convolution returns is an array of its values on its own grid. The
+checks call each f_i from up to W worker threads on chunks of shape
+(samples, dim), so f_i must be vectorized and hold no shared mutable state.
 
 Both checks add c_i log f_i over their samples in place (_add_log), in
 chunks of _SUPCONV_CHUNK samples, and each chunk allocates its own arrays.
@@ -74,13 +73,13 @@ _SUPCONV_CHUNK = 65_536
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Non-negative function sampled on a uniform tensor grid over a box;
-    f is the callable it was sampled from, None for bare values."""
+    """Non-negative function f sampled on a uniform tensor grid over the box
+    [lo, hi], with its values at the grid points; build one with from_callable."""
 
     lo: np.ndarray
     hi: np.ndarray
     values: np.ndarray
-    f: object = field(default=None, init=False, repr=False)
+    f: object = field(repr=False)
 
     def __post_init__(self):
         lo, hi = _bounds(self.lo, self.hi)
@@ -127,24 +126,20 @@ class GridFunction:
         if (elements := lo.size * int(points) ** lo.size) > MAX_ELEMENTS:
             raise ValueError(f"{lo.size} * points^{lo.size} = {elements} exceeds the budget {MAX_ELEMENTS}")
         _, pts = _tensor_grid(lo, hi, points)
-        gf = cls(lo, hi, np.asarray(f(pts), dtype=float))
-        object.__setattr__(gf, "f", f)
-        return gf
+        return cls(lo, hi, np.asarray(f(pts), dtype=float), f)
 
     def max_boundary_value(self) -> float:
+        """The largest value on the two end faces of every axis."""
         v = self.values
-        if self.dim == 1:
-            return float(max(v[0], v[-1]))
-        return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
+        return float(max(max(v.take(0, d).max(), v.take(-1, d).max()) for d in range(self.dim)))
 
 
 def _bounds(lo, hi):
-    """lo and hi as float vectors, refused unless they bound a finite box of
-    positive extent in 1 or 2 dimensions."""
+    """lo and hi as float vectors, refused unless they bound a finite box of positive extent."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or lo.ndim != 1 or lo.size not in (1, 2):
-        raise ValueError("lo/hi must be vectors of length 1 or 2")
+    if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+        raise ValueError("lo/hi must be non-empty vectors of one length")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError(f"box bounds must be finite, got lo={lo.tolist()} hi={hi.tolist()}")
     if np.any(hi <= lo):
@@ -168,11 +163,13 @@ def gaussian_function(precision, center=None):
     def f(pts):
         diff = np.asarray(pts) - c
         # term by term: einsum sums a 2-D form in an order that depends on
-        # how many points share the call, and the checks call f on chunks
-        terms = (diff[..., i] * P[i, j] * diff[..., j] for i in range(d) for j in range(d))
-        q = next(terms)
-        for t in terms:
-            q += t
+        # how many points share the call, and the checks call f on chunks. A
+        # form past the float range is +inf, and its value, 0, is then exact
+        with np.errstate(over="ignore"):
+            terms = (diff[..., i] * P[i, j] * diff[..., j] for i in range(d) for j in range(d))
+            q = next(terms)
+            for t in terms:
+                q += t
         return np.exp(-0.5 * q)
 
     return f
@@ -216,11 +213,6 @@ def _check_functions(datum: BLDatum, fs) -> list[GridFunction]:
         want = datum.factors[i].target_dim
         if gf.dim != want:
             raise ValueError(f"function for factor {i} has dim {gf.dim}, expected {want}")
-        if gf.f is None:
-            raise ValueError(
-                f"function for factor {i} holds bare values; build it with "
-                "GridFunction.from_callable, whose callable the checks read"
-            )
     return fs
 
 
@@ -254,12 +246,15 @@ def check_grid(box: float, resolution: int) -> None:
 
 
 def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
-    """ValueError unless the datum is on R^1 or R^2 and check_grid passes;
-    then None when the reverse check applies, else why not: its kernel,
-    sum_i n_i - n over the non-zero factors, is above MAX_KERNEL_DIM."""
+    """ValueError unless the datum is on R^1 or R^2, check_grid passes and
+    the grid volume (2 * box)^n is within the float range; then None when
+    the reverse check applies, else why not: its kernel, sum_i n_i - n over
+    the non-zero factors, is above MAX_KERNEL_DIM."""
     if datum.n > 2:
         raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     check_grid(box, resolution)
+    if datum.n * math.log2(2.0 * box) >= 1024.0:
+        raise ValueError(f"box = {box} puts the grid volume (2 * box)^{datum.n} past the float range")
     kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     return None if kdim <= MAX_KERNEL_DIM else f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
 
@@ -276,12 +271,6 @@ def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
     return log_sum
 
 
-def _log0(vals: np.ndarray) -> np.ndarray:
-    """In-place log of non-negative values, log 0 = -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(vals, out=vals)
-
-
 def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
     """acc += c * log f(y) in place, f the callable gf was sampled from, y
     the points whose coordinates along each axis are the arrays coords,
@@ -291,7 +280,8 @@ def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
     v = np.fmax(gf.f(pts), 0.0)
     for y, lo, hi in zip(coords, gf.lo, gf.hi):
         np.copyto(v, 0.0, where=(y < lo) | (y > hi))
-    _log0(v)
+    with np.errstate(divide="ignore"):
+        np.log(v, out=v)
     v *= c
     acc += v
 
@@ -349,8 +339,7 @@ def _sample_base(kdim: int, resolution: int) -> np.ndarray:
         return np.zeros((1, 0))
     if kdim == 1:
         return np.linspace(-0.5, 0.5, resolution)[:, None]
-    axis = np.linspace(-1.0, 1.0, resolution)
-    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _tensor_grid([-1.0] * 2, [1.0] * 2, resolution)[1].reshape(-1, 2)
 
 
 def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
@@ -439,9 +428,9 @@ def sup_convolution(
     fs,
     resolution: int = 401,
     box: float = DEFAULT_BOX,
-) -> GridFunction:
+) -> np.ndarray:
     """Smallest envelope f with prod_i f_i(x_i)^{c_i} <= f(sum_i c_i B_i^T x_i),
-    evaluated by brute force on a grid over [-box, box]^n.
+    by brute force: its values on the (resolution,) * n grid over [-box, box]^n.
 
     The decompositions of a grid point x are Y0 + K t, with Y0 = pinv(L) x
     the min-norm preimage under L = [c_i B_i^T] and K an orthonormal basis
@@ -471,8 +460,7 @@ def sup_convolution(
     offsets = np.cumsum([0] + [gf.dim for gf in fs])  # each n_i, as _check_functions holds
     spans = list(zip(offsets[:-1], offsets[1:]))
 
-    lo, hi = np.full(datum.n, -box), np.full(datum.n, box)
-    _, pts = _tensor_grid(lo, hi, resolution)
+    _, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
     # one product for the whole grid, so that no preimage depends on the
     # chunk it falls in
     Y0 = pts.reshape(-1, datum.n) @ np.linalg.pinv(L).T  # (points, sum n_i)
@@ -519,7 +507,7 @@ def sup_convolution(
         out[start + live] = np.exp(peaks, out=peaks)
 
     _in_workers(-(-len(Y0) // chunk), run)
-    return GridFunction(lo, hi, out.reshape(pts.shape[:-1]))
+    return out.reshape(pts.shape[:-1])
 
 
 def reverse_integral_check(
@@ -540,7 +528,7 @@ def reverse_integral_check(
     log_num = _log_masses(datum, fs, 0.0)
     if log_num is None:
         return 0.0
-    total = integrate(envelope)
+    total = _trapezoid_nd(envelope, [np.linspace(-box, box, resolution)] * datum.n)
     if total <= 0.0:
         warnings.warn("the envelope integrates to zero; ratio reported as 0", stacklevel=2)
         return 0.0

@@ -106,7 +106,7 @@ def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> 
         log_num = log_num + weighted_sum(ld, g.c)
         rows.extend(g.sqrt_cb[:, None] * (L.swapaxes(2, 3) @ g.B).swapaxes(0, 1))
     log_den = gram_logdet(np.concatenate(rows, axis=1).swapaxes(1, 2), name="combined precision")
-    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+    return _ratios(log_num, constant, log_den)
 
 
 def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
@@ -118,7 +118,7 @@ def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) ->
         raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
     # the harmonic sum guard already bounds its condition number
-    return np.exp(-log_det_S - 2.0 * math.log(constant) - log_den)
+    return _ratios(-log_det_S, constant, log_den)
 
 
 def _dual_ratios(groups: tuple[FactorGroup, ...], constant: float, A: np.ndarray) -> np.ndarray:
@@ -129,7 +129,13 @@ def _dual_ratios(groups: tuple[FactorGroup, ...], constant: float, A: np.ndarray
     for g in groups:
         ld = gram_logdet(g.B @ L[:, None], name=f"B_i A B_i^T, i in {g.indices}")
         log_den = log_den + weighted_sum(ld, g.c)
-    return np.exp(log_num - 2.0 * math.log(constant) - log_den)
+    return _ratios(log_num, constant, log_den)
+
+
+def _ratios(log_num, constant: float, log_den) -> np.ndarray:
+    """exp(log_num - 2 log C - log_den), the tail of every kernel; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_num - 2.0 * math.log(constant) - log_den)
 
 
 def _ambient(datum: BLDatum, A) -> np.ndarray:

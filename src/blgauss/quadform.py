@@ -91,6 +91,8 @@ def _decompose(datum: BLDatum, mats: list[np.ndarray], x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.shape != (datum.n,):
         raise ValueError(f"x must have shape ({datum.n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x.tolist()}")
     A = _combine(datum, mats)
     Ax = A @ x
     value = float(x @ Ax)
@@ -135,11 +137,7 @@ def check_inf(
     scale = float(np.linalg.norm(y0))
 
     rng = np.random.default_rng(seed)
-    kdim = kernel.shape[1]
-    if kdim > 0 and scale > 0.0:
-        ys = y0[None, :] + (scale * rng.standard_normal((samples, kdim))) @ kernel.T
-    else:
-        ys = np.broadcast_to(y0, (samples, y0.size)).copy()
+    ys = y0[None, :] + (scale * rng.standard_normal((samples, kernel.shape[1]))) @ kernel.T
 
     objective = np.zeros(samples)
     offset = 0

@@ -126,11 +126,9 @@ def mc_log_mgf(config: BrownianConfig, g, terminal: np.ndarray | None = None) ->
     """Estimate log E exp(g(W_T)) with a delta-method standard error.
 
     terminal holds the (paths, n) points W_T (default terminal_points(config)).
-    Stabilized as m + log mean exp(g - m) with m = max g; raises
-    OverflowError only if g itself produced non-finite values."""
-    vals = np.asarray(g(_terminal(config, terminal)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError("g produced non-finite values at the terminal points")
+    Stabilized as m + log mean exp(g - m) with m = max g; g must give one
+    finite value per point (else ValueError, or OverflowError if non-finite)."""
+    vals = _payoff(g, _terminal(config, terminal), "terminal")
     m = float(vals.max())
     ex = np.exp(vals - m)
     mean_ex = float(ex.mean())
@@ -155,12 +153,21 @@ def drift_value(
     U_T = ud.sum(axis=0) * config.dt
     weighted = spd_solve(config.A, ud.T, name="covariance density").T
     h_norm_sq = float(np.sum(weighted * ud)) * config.dt
-    vals = np.asarray(g(WT + U_T), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError("g produced non-finite values at the shifted points")
+    vals = _payoff(g, WT + U_T, "shifted")
     estimate = float(vals.mean()) - 0.5 * h_norm_sq
     stderr = float(vals.std(ddof=1)) / math.sqrt(vals.size)
     return estimate, stderr
+
+
+def _payoff(g, points: np.ndarray, which: str) -> np.ndarray:
+    """g at the (paths, n) points, one value per path: ValueError on any
+    other shape, OverflowError on a non-finite value."""
+    vals = np.asarray(g(points), dtype=float)
+    if vals.shape != (len(points),):
+        raise ValueError(f"g must return shape ({len(points)},) at the {which} points, got {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError(f"g produced non-finite values at the {which} points")
+    return vals
 
 
 # -- closed forms and built-in test functions ------------------------------------

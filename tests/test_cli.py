@@ -314,6 +314,30 @@ class TestCheckQuadrature:
         assert main(["check-quadrature", "--datum", HADAMARD3]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    def test_a_grid_volume_past_the_float_range_exits_2(self, capsys):
+        # (2e200)^2 overflows: this printed two RuntimeWarnings, then an
+        # OverflowError traceback from the direct check's right-hand side
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-quadrature", "--datum", YOUNG, "--box", "1e200", "--resolution", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: box = 1e+200 ") and captured.out == ""
+        _one_line_no_traceback(captured.err, "(2 * box)^2")
+
+    def test_a_huge_box_on_the_line_keeps_finite_ratios(self, tmp_path, capsys):
+        # (2e200)^1 is a float; the inputs' forms overflow to +inf, whose
+        # value, 0, is exact, and no warning is raised
+        path = tmp_path / "pl.json"
+        path.write_text(json.dumps({"n": 1, "factors": [{"c": 0.5, "rows": [[1.0]]}] * 2}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-quadrature", "--datum", str(path), "--box", "1e200", "--resolution", "21",
+                         "--out", str(out)]) == 0
+        checks = _strict_json(out)["checks"]
+        for name in ("direct", "reverse"):
+            assert checks[name]["ratio"] == pytest.approx(1.0, abs=1e-13)
+
     def test_kernel_dimension_three_skips_the_reverse_check(self, tmp_path, capsys):
         # four identity factors on R^1 with c = 1/4: C = 1, and the
         # decompositions of a point form a 3-dimensional kernel

@@ -30,6 +30,10 @@ from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, y
 BOX = [-8.0], [8.0]
 
 
+def ones(pts):
+    return np.ones(pts.shape[:-1])
+
+
 def read(gf, pts):
     """gf's callable at points (..., dim), clipped at 0 and 0 outside its box."""
     inside = np.all((pts >= gf.lo) & (pts <= gf.hi), axis=-1)
@@ -44,21 +48,20 @@ def grid_gaussian(precision, points=801, center=None):
 
 
 class TestGridFunction:
-    def test_rejects_bad_boxes(self):
+    @pytest.mark.parametrize("lo, hi", [([0.0], [0.0]), ([], []), ([0.0], [1.0, 1.0])])
+    def test_rejects_bad_boxes(self, lo, hi):
         with pytest.raises(ValueError):
-            GridFunction([0.0], [0.0], np.ones(5))
-        with pytest.raises(ValueError):
-            GridFunction([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.ones((2, 2, 2)))
+            GridFunction(lo, hi, np.ones(5), ones)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0, -0.1]))
+            GridFunction([0.0], [1.0], np.array([1.0, -0.1]), ones)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0, np.nan]))
+            GridFunction([0.0], [1.0], np.array([1.0, np.nan]), ones)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0]))
+            GridFunction([0.0], [1.0], np.array([1.0]), ones)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.ones((3, 3)))
+            GridFunction([0.0], [1.0], np.ones((3, 3)), ones)
 
     @pytest.mark.parametrize("lo, hi", [([-np.inf], [np.inf]), ([0.0], [np.inf]), ([np.nan], [1.0]),
                                         ([0.0, -np.inf], [1.0, 1.0])])
@@ -66,9 +69,9 @@ class TestGridFunction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                GridFunction(lo, hi, np.ones((3,) * len(lo)))
+                GridFunction(lo, hi, np.ones((3,) * len(lo)), ones)
             with pytest.raises(ValueError, match="finite"):
-                GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), lo, hi, 5)
+                GridFunction.from_callable(ones, lo, hi, 5)
 
     def test_from_callable_1d(self):
         gf = GridFunction.from_callable(lambda p: p[..., 0] ** 2, [0.0], [1.0], 5)
@@ -87,16 +90,32 @@ class TestGridFunction:
         gf = grid_gaussian([[1.0]], points=101)
         assert gf.max_boundary_value() == pytest.approx(math.exp(-32.0), rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_face_is_read(self, dim):
+        # a narrow peak at the centre of one face at a time, 0.08 or less on
+        # every other face: the boundary maximum is the peak whichever face
+        # holds it, and the integral of the separable peak is the product of
+        # the one-dimensional integrals of its factors
+        for d in range(dim):
+            for end in (0.0, 1.0):
+                c = np.full(dim, 0.5)
+                c[d] = end
+                gf = GridFunction.from_callable(gaussian_function(20.0 * np.eye(dim), c),
+                                                [0.0] * dim, [1.0] * dim, 21)
+                assert gf.max_boundary_value() == 1.0
+                expect = math.prod(integrate(GridFunction.from_callable(
+                    gaussian_function([[20.0]], [ck]), [0.0], [1.0], 21)) for ck in c)
+                assert integrate(gf) == pytest.approx(expect, rel=1e-13)
+
     def test_from_callable_keeps_the_callable(self):
         f = gaussian_function([[1.0]])
         assert GridFunction.from_callable(f, *BOX, 11).f is f
-        assert GridFunction([-8.0], [8.0], np.ones(11)).f is None
 
     @pytest.mark.parametrize("points", [2.5, 1, 0, True])
     def test_from_callable_refuses_a_bad_point_count(self, points):
         # 2.5 ended in a TypeError from np.linspace
         with pytest.raises(ValueError, match=f"points must be an integer of at least 2, got {points}"):
-            GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), *BOX, points)
+            GridFunction.from_callable(ones, *BOX, points)
 
     @pytest.mark.parametrize("lo, hi, points", [([-8.0], [8.0], 10**8 + 1),
                                                 ([-8.0, -8.0], [8.0, 8.0], 7072)])
@@ -117,7 +136,7 @@ class TestIntegrate:
         assert integrate(gf) == pytest.approx(1.0, abs=1e-6)
 
     def test_linear_ramp_exact(self):
-        gf = GridFunction([0.0], [1.0], np.linspace(0, 1, 11))
+        gf = GridFunction.from_callable(lambda p: p[..., 0], [0.0], [1.0], 11)
         assert integrate(gf) == pytest.approx(0.5, abs=1e-14)
 
     def test_gaussian_2d_mass(self):
@@ -138,6 +157,13 @@ class TestBuiltinFunctions:
         assert f(np.array([[0.0]]))[0] == pytest.approx(1.0)
         assert f(np.array([[2.0]]))[0] == 0.0
         assert f(np.array([[1.99]]))[0] > 0.0
+
+    def test_gaussian_past_the_float_range_is_zero(self):
+        # the form overflows to +inf, whose value 0 is exact, without a warning
+        f = gaussian_function([[2.0, 0.5], [0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(f(np.array([[1e200, 0.0], [0.0, -1e300], [0.0, 0.0]])), [0.0, 0.0, 1.0])
 
     def test_box_indicator(self):
         f = box_function([-1.0], [2.0])
@@ -216,7 +242,7 @@ class TestDirectIntegralCheck:
 
     def test_boundary_truncation_warns(self):
         d = prekopa_leindler_datum()
-        flat = GridFunction.from_callable(lambda p: np.ones(p.shape[:-1]), [-8.0], [8.0], 101)
+        flat = GridFunction.from_callable(ones, [-8.0], [8.0], 101)
         with pytest.warns(UserWarning, match="decayed"):
             direct_integral_check(d, [flat, flat], 1.0, resolution=101)
 
@@ -309,7 +335,7 @@ class TestSupConvolution:
         _, d = young_flagship()
         fs = [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])]
         env = sup_convolution(d, fs, resolution=71)
-        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 71))
+        assert np.array_equal(env, dense_sup_convolution(d, fs, 71))
 
     def test_two_dim_factor_matches_dense_reference(self):
         # a 2-d factor next to a 1-d one: the kernel is still a line
@@ -322,7 +348,7 @@ class TestSupConvolution:
         env = sup_convolution(d, fs, resolution=71)
         ref = dense_sup_convolution(d, fs, 71)
         assert ref.max() > 0.5  # the envelope is not trivially zero
-        assert np.array_equal(env.values, ref)
+        assert np.array_equal(env, ref)
 
     def test_kdim0_matches_dense_reference(self):
         # a rotated 2-d factor: the decomposition is unique
@@ -331,7 +357,7 @@ class TestSupConvolution:
         env = sup_convolution(d, fs, resolution=61)
         ref = dense_sup_convolution(d, fs, 61)
         assert ref.max() > 0.5
-        assert np.array_equal(env.values, ref)
+        assert np.array_equal(env, ref)
 
     def test_kdim2_matches_dense_reference_on_a_line(self):
         # three identities on the line; 81 grid points of 81^2 samples in
@@ -339,7 +365,7 @@ class TestSupConvolution:
         d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
         fs = [grid_gaussian([[1.3]], points=401)] * 3
         env = sup_convolution(d, fs, resolution=81)
-        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 81))
+        assert np.array_equal(env, dense_sup_convolution(d, fs, 81))
 
     def test_kdim2_matches_dense_reference_in_the_plane(self):
         # four coordinate factors on R^2; 31^2 grid points in chunks of
@@ -349,7 +375,7 @@ class TestSupConvolution:
         )
         fs = [grid_gaussian([[p]], points=401) for p in (1.0, 2.0, 0.5, 1.5)]
         env = sup_convolution(d, fs, resolution=31)
-        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 31))
+        assert np.array_equal(env, dense_sup_convolution(d, fs, 31))
 
     @pytest.mark.parametrize(
         "boxes, x, parts",
@@ -375,8 +401,8 @@ class TestSupConvolution:
             read(fs[0], np.array([[parts[0]]]))[0]
             * read(fs[1], np.array([[parts[1]]]))[0]
         )
-        assert env.values[k] == pytest.approx(want, rel=1e-14)
-        assert np.array_equal(env.values, dense_sup_convolution(d, fs, 33))
+        assert env[k] == pytest.approx(want, rel=1e-14)
+        assert np.array_equal(env, dense_sup_convolution(d, fs, 33))
 
     @staticmethod
     def kernel_cases():
@@ -395,7 +421,7 @@ class TestSupConvolution:
         d, fs, res = self.kernel_cases()[kdim]
         env = sup_convolution(d, fs, resolution=res)
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", 1)
-        assert np.array_equal(sup_convolution(d, fs, resolution=res).values, env.values)
+        assert np.array_equal(sup_convolution(d, fs, resolution=res), env)
 
     @pytest.mark.parametrize("kdim", [0, 1, 2])
     def test_dead_points_and_outside_samples_are_not_read(self, kdim, monkeypatch):
@@ -413,7 +439,7 @@ class TestSupConvolution:
 
         monkeypatch.setattr(functional_verify, "_add_log", counted)
         env = sup_convolution(d, fs, resolution=res)
-        assert np.array_equal(env.values, ref)
+        assert np.array_equal(env, ref)
         every = len(fs) * res**d.n * res**kdim  # each factor, every point, every sample
         if kdim == 0:
             assert sum(asked) == every
@@ -456,7 +482,7 @@ class TestSupConvolution:
         # finely) give one envelope and one ratio
         if case < 4:
             d, fs, res = (self.kernel_cases() + [self.two_dim_factor_case()])[case]
-            run, pinned = lambda: sup_convolution(d, fs, resolution=res).values, None
+            run, pinned = lambda: sup_convolution(d, fs, resolution=res), None
         else:
             d, fs, c, res, pinned = self.direct_cases(chunk)[case - 4]
             run = lambda: np.array([direct_integral_check(d, fs, c, resolution=res)])
@@ -531,9 +557,9 @@ class TestSupConvolution:
         d = make_datum(1, [1.0], [np.eye(1)])
         f = grid_gaussian([[0.9]])
         env = sup_convolution(d, [f], resolution=201)
-        expect = GridFunction.from_callable(gaussian_function([[0.9]]), env.lo, env.hi, 201)
+        expect = GridFunction.from_callable(gaussian_function([[0.9]]), *BOX, 201)
         # f itself is read at each grid point: exp(log f) is f to rounding
-        np.testing.assert_allclose(env.values, expect.values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(env, expect.values, rtol=0, atol=1e-14)
 
     def test_identity_reads_a_box_indicator_exactly(self):
         # the envelope's grid points (spacing 0.08) are not the input's
@@ -542,8 +568,8 @@ class TestSupConvolution:
         d = make_datum(1, [1.0], [np.eye(1)])
         box = box_function([-1.0], [2.0])
         env = sup_convolution(d, [GridFunction.from_callable(box, *BOX, 11)], resolution=201)
-        assert np.array_equal(env.values, box(np.linspace(-8.0, 8.0, 201)[:, None]))
-        assert env.values.sum() == 38
+        assert np.array_equal(env, box(np.linspace(-8.0, 8.0, 201)[:, None]))
+        assert env.sum() == 38
 
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 8, 11, 200, 201])
     def test_identity_reads_the_callable_at_any_sampling(self, points):
@@ -553,7 +579,7 @@ class TestSupConvolution:
         f = gaussian_function([[0.7]], center=[0.3])
         env = sup_convolution(d, [GridFunction.from_callable(f, *BOX, points)], resolution=101)
         expect = f(np.linspace(-8.0, 8.0, 101)[:, None])
-        np.testing.assert_allclose(env.values, expect, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(env, expect, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("points", [2, 3, 5, 8, 61])
     def test_identity_reads_a_2d_callable_at_any_sampling(self, points):
@@ -561,8 +587,8 @@ class TestSupConvolution:
         f = gaussian_function([[2.0, 0.3], [0.3, 1.0]], center=[0.5, -0.2])
         gf = GridFunction.from_callable(f, [-8.0, -8.0], [8.0, 8.0], points)
         env = sup_convolution(d, [gf], resolution=41)
-        _, pts = functional_verify._tensor_grid(env.lo, env.hi, 41)
-        np.testing.assert_allclose(env.values, f(pts), rtol=1e-13, atol=0)
+        _, pts = functional_verify._tensor_grid([-8.0] * 2, [8.0] * 2, 41)
+        np.testing.assert_allclose(env, f(pts), rtol=1e-13, atol=0)
 
     def test_negative_and_nan_reads_are_zero(self):
         # f is non-negative and finite at its three nodes, but negative for
@@ -575,9 +601,9 @@ class TestSupConvolution:
         env = sup_convolution(d, [GridFunction.from_callable(f, *BOX, 3)], resolution=201)
         ys = np.linspace(-8.0, 8.0, 201)
         expect = np.fmax(f(ys[:, None]), 0.0)
-        assert np.all(np.isfinite(env.values))
-        assert np.all(env.values[((ys > 0) & (ys < 4)) | ((ys > 5) & (ys < 6))] == 0.0)
-        np.testing.assert_allclose(env.values, expect, rtol=1e-13, atol=0)
+        assert np.all(np.isfinite(env))
+        assert np.all(env[((ys > 0) & (ys < 4)) | ((ys > 5) & (ys < 6))] == 0.0)
+        np.testing.assert_allclose(env, expect, rtol=1e-13, atol=0)
 
     def test_gaussian_closure_one_dim_kernel(self):
         _, d = young_flagship()
@@ -585,8 +611,8 @@ class TestSupConvolution:
         fs = [grid_gaussian(p) for p in P]
         env = sup_convolution(d, fs, resolution=201)
         A = harmonic_combine(d, P)
-        expect = GridFunction.from_callable(gaussian_function(A), env.lo, env.hi, 201)
-        assert np.abs(env.values - expect.values).max() <= 5e-3
+        expect = GridFunction.from_callable(gaussian_function(A), [-8.0] * 2, [8.0] * 2, 201)
+        assert np.abs(env - expect.values).max() <= 5e-3
 
     def test_gaussian_closure_two_dim_kernel(self):
         d = make_datum(
@@ -596,8 +622,8 @@ class TestSupConvolution:
         fs = [grid_gaussian(p, points=401) for p in P]
         env = sup_convolution(d, fs, resolution=61)
         A = harmonic_combine(d, P)
-        expect = GridFunction.from_callable(gaussian_function(A), env.lo, env.hi, 61)
-        assert np.abs(env.values - expect.values).max() <= 3e-2
+        expect = GridFunction.from_callable(gaussian_function(A), [-8.0] * 2, [8.0] * 2, 61)
+        assert np.abs(env - expect.values).max() <= 3e-2
 
     def test_rejects_a_degenerate_datum(self):
         # solve refuses this datum as degenerate; so does the sup-convolution
@@ -628,20 +654,6 @@ def test_bad_box_is_refused_before_any_grid(check, box):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="box must be finite and positive"):
             run()
-
-
-@pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
-def test_bare_values_are_refused(check):
-    # a function held only as values has no callable to read between nodes
-    d = prekopa_leindler_datum()
-    fs = [grid_gaussian([[1.0]], points=41), GridFunction([-8.0], [8.0], np.ones(41))]
-    run = {
-        "direct": lambda: direct_integral_check(d, fs, 1.0, resolution=21),
-        "sup": lambda: sup_convolution(d, fs, resolution=21),
-        "reverse": lambda: reverse_integral_check(d, fs, 1.0, resolution=21),
-    }[check]
-    with pytest.raises(ValueError, match="from_callable"):
-        run()
 
 
 @pytest.mark.parametrize("resolution", [1, 0, -3, 2.5, 801.0])
@@ -676,6 +688,10 @@ def test_quadrature_support_rule():
         check_quadrature(four, 8.0, 1)
     with pytest.raises(ValueError, match="box must be finite and positive"):
         check_quadrature(four, -1.0, 11)
+    # the grid volume (2 * box)^n must be a float: 2e200 is, (2e200)^2 is not
+    assert check_quadrature(four, 1e200, 11) is not None
+    with pytest.raises(ValueError, match=r"^box = 1e\+200 puts the grid volume \(2 \* box\)\^2 past"):
+        check_quadrature(young_flagship()[1], 1e200, 11)
 
 
 def test_grid_budget_bounds_the_largest_array():

@@ -172,6 +172,18 @@ class TestSweeps:
             assert rep.violations > 0
             assert not rep.ok
 
+    def test_a_tiny_constant_overflows_to_violations_without_warnings(self):
+        # C = 1e-300 puts every log ratio near +1381: exp overflowed, with a
+        # RuntimeWarning per sweep; the ratio is inf, which counts as a violation
+        _, d = young_flagship()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in (sweep_direct, sweep_reverse, sweep_dual):
+                rep, ratios = sweep(d, 1e-300, samples=50, seed=11)
+                assert rep.violations == rep.samples == 50
+                assert np.all(np.isinf(ratios))
+            assert dual_check(d, 1e-300, np.eye(2)) == math.inf
+
     @pytest.mark.parametrize("samples", [5, 40])  # 5 < 16 leaves blocks empty
     @pytest.mark.parametrize("datum", [young_flagship()[1], dims_one_to_three_datum()],
                              ids=["young", "dims123"])

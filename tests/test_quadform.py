@@ -205,6 +205,32 @@ class TestCheckInf:
         with pytest.raises(DatumError):
             check_inf(d, [np.eye(1), np.eye(1)], np.zeros(2))
 
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_rejects_a_non_finite_x(self, x):
+        # [nan, 0] was reported ok, with 0 violations and a NaN equality gap;
+        # [inf, 0] also passed, and leaked invalid-value warnings from a matmul
+        d = young_flagship()[1]
+        mats = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x must be finite"):
+                inf_decomposition(d, mats, np.array(x))
+            with pytest.raises(ValueError, match="x must be finite"):
+                check_inf(d, mats, np.array(x), samples=10)
+
+    @pytest.mark.parametrize("kernel", [0, 1])
+    def test_x_zero_is_its_own_minimizer(self, kernel):
+        # the minimizer of x = 0 is 0, whose norm scales the competitors: every
+        # sample is the minimizer, with a kernel (Young) or without one
+        d, mats = [(make_datum(2, [1.0], [np.eye(2)]), [np.diag([1.0, 2.0])]),
+                   (young_flagship()[1], [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])])][kernel]
+        value, parts = inf_decomposition(d, mats, np.zeros(2))
+        assert value == 0.0 and not np.concatenate(parts).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_inf(d, mats, np.zeros(2), samples=50)
+        assert (rep.violations, rep.worst_ratio, rep.equality_gap) == (0, 1.0, 0.0)
+
     def test_tuple_is_checked_once(self, monkeypatch):
         # one check_spd per entry, not one per layer that reads the tuple
         calls = []

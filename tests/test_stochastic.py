@@ -260,6 +260,16 @@ class TestDriftValue:
         with pytest.raises(OverflowError):
             mc_log_mgf(c, bad)
 
+    @pytest.mark.parametrize("g", [lambda x: 1.0, lambda x: np.ones((x.shape[0], 3))],
+                             ids=["scalar", "paths-by-3"])
+    def test_a_g_of_the_wrong_shape_is_refused(self, g):
+        # a scalar g gave stderr nan and leaked two RuntimeWarnings; a
+        # (paths, 3) g took its standard error over 3 * paths values
+        c = small_config(paths=100)
+        for run in (lambda: mc_log_mgf(c, g), lambda: drift_value(c, g, DriftPolicy.zero())):
+            with pytest.raises(ValueError, match=r"g must return shape \(100,\)"):
+                run()
+
 
 class TestDiscretization:
     def test_terminal_points_do_not_depend_on_steps(self):
