@@ -22,26 +22,37 @@ checks call each f_i from up to W worker threads on chunks of shape
 (samples, dim), so f_i must be vectorized and hold no shared mutable state.
 
 Both checks add c_i log f_i over their samples in place (_add_log), in
-chunks of _SUPCONV_CHUNK samples, and each chunk allocates its own arrays.
+chunks of about _SUPCONV_CHUNK samples, and each chunk allocates its own
+arrays. A chunk of the direct check is a block of whole grid lines along
+the last axis, whose points it builds off the axis by repeat and tile
+instead of holding the whole grid. A factor whose map has a zero column
+reads one axis only (at n <= 2): the direct check reads its f_i once, on
+that axis's resolution points from the calling thread, and adds that
+table to every line in factor order, so each grid point gets the same
+floats as if f_i were read there.
+
 Work arrays that each thread allocated once and reused were no faster: on
-a 2-core x86-64 host, allocating per chunk cut the `functional` benchmark's
-wall time by about 4 % and its median op time by about 8 %, for about 2.4
-MiB (3 %) more peak RSS. That holds only once glibc's mmap threshold has
-risen, as it does when a larger mmapped block is freed (the direct check's
-integrand at 801 points, 5 MB, say). Before that, each chunk's 512 KiB
-arrays are mmapped and faulted in afresh: on that host a reverse check at
-201 points, first in a fresh process, took about 130,000 minor page faults
-and 0.42 s per call, against 0.22 s after a direct check had run.
+that host, allocating per chunk cut the `functional` benchmark's wall time
+by about 4 % and its median op time by about 8 %, for about 2.4 MiB (3 %)
+more peak RSS. That holds only once glibc's mmap threshold has risen, which
+it does when a larger mmapped block is freed: the direct check's full-grid
+integrand (5 MB at 801 points), freed when it returns. Before that, each
+chunk's 512 KiB arrays are mmapped and faulted in afresh: a reverse check at
+201 points on the Young flagship, first in a fresh process, took about
+97,000 minor page faults and 0.23-0.38 s per call, against 1 fault and
+0.14-0.17 s after a direct check had run. The integrand therefore stays one
+array that the final trapezoid rule reads, although each worker could
+integrate its own lines: a variant that did so, and never allocated it,
+left the reverse check after a direct check at about 60,000 faults per call.
 
 Both checks run their chunks on one worker per CPU this process may run on
 (_in_workers): the calling thread takes chunks 0, W, 2W, ..., and W - 1
 threads, each in a copy of the caller's context (so its np.errstate holds
 there too), take the rest. Each chunk writes only its own slice of the
-envelope or of the direct check's integrand, and every sample goes through
-the same operations in the same order, so both checks give the same bits
-whatever W is. The first exception in a worker stops the others and is
-re-raised in the caller. The direct check reads each chunk's grid points off
-the axis by flat index instead of holding the whole grid.
+envelope or of the direct check's integrand, which it exponentiates itself,
+and every sample goes through the same operations in the same order, so
+both checks give the same bits whatever W is. The first exception in a
+worker stops the others and is re-raised in the caller.
 """
 
 from __future__ import annotations
@@ -116,7 +127,10 @@ class GridFunction:
         The integral checks read f itself between the nodes, from up to W
         worker threads (one per CPU this process may run on) on chunks of
         shape (samples, dim), so f must be vectorized and hold no shared
-        mutable state. They read 0 outside the box and clip f at 0.
+        mutable state. The direct check also calls f once on a
+        (resolution, dim) array from the calling thread, when the map of its
+        factor reads one axis only. The checks read 0 outside the box and
+        clip f at 0.
 
         points is an integer of at least 2, and the grid's dim * points^dim
         coordinates must fit MAX_ELEMENTS; ValueError otherwise, before the
@@ -158,19 +172,27 @@ def gaussian_function(precision, center=None):
     """x -> exp(-(x-c)^T P (x-c) / 2), peak value 1."""
     P = np.atleast_2d(np.asarray(precision, dtype=float))
     d = P.shape[0]
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    # x - 0 is x, so a zero centre is not subtracted
+    c = None if center is None or not np.any(center) else np.asarray(center, dtype=float)
 
     def f(pts):
-        diff = np.asarray(pts) - c
-        # term by term: einsum sums a 2-D form in an order that depends on
-        # how many points share the call, and the checks call f on chunks. A
-        # form past the float range is +inf, and its value, 0, is then exact
+        diff = np.asarray(pts, dtype=float) if c is None else np.asarray(pts) - c
+        # term by term, (diff_i P_ij) diff_j added in order: einsum sums a 2-D
+        # form in an order that depends on how many points share the call,
+        # and the checks call f on chunks. A form past the float range is
+        # +inf, and its value, 0, is then exact
         with np.errstate(over="ignore"):
-            terms = (diff[..., i] * P[i, j] * diff[..., j] for i in range(d) for j in range(d))
-            q = next(terms)
-            for t in terms:
-                q += t
-        return np.exp(-0.5 * q)
+            q = np.multiply(diff[..., 0], P[0, 0], out=np.empty(diff.shape[:-1]))
+            q *= diff[..., 0]
+            t = np.empty_like(q) if d > 1 else None
+            for i in range(d):
+                for j in range(d):
+                    if i or j:
+                        np.multiply(diff[..., i], P[i, j], out=t)
+                        t *= diff[..., j]
+                        q += t
+            q *= -0.5
+        return np.exp(q, out=q)
 
     return f
 
@@ -249,14 +271,43 @@ def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
     """ValueError unless the datum is on R^1 or R^2, check_grid passes and
     the grid volume (2 * box)^n is within the float range; then None when
     the reverse check applies, else why not: its kernel, sum_i n_i - n over
-    the non-zero factors, is above MAX_KERNEL_DIM."""
+    the non-zero factors, is above MAX_KERNEL_DIM, or the box is above
+    _window_limit."""
     if datum.n > 2:
         raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     check_grid(box, resolution)
     if datum.n * math.log2(2.0 * box) >= 1024.0:
         raise ValueError(f"box = {box} puts the grid volume (2 * box)^{datum.n} past the float range")
     kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
-    return None if kdim <= MAX_KERNEL_DIM else f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
+    if kdim > MAX_KERNEL_DIM:
+        return f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
+    if kdim and not datum.degenerate and box > (limit := _window_limit(datum)):
+        return f"box = {box} is above {limit:.6g}, past which the decomposition windows leave the float range"
+    return None
+
+
+def _window_limit(datum: BLDatum) -> float:
+    """The largest box whose decomposition windows (_window) stay within the
+    float range at kernel dimension 1 or 2, every factor box being
+    [-box, box]^{n_i}, as check-quadrature builds them.
+
+    On the grid, |Y0_j| <= box p_j with p_j = ||pinv(L)_j||_1, attained at a
+    corner. A plane takes r_j = box + |Y0_j| <= box (1 + p_j), so
+    sum_j r_j^2 is finite while box^2 sum_j (1 + p_j)^2 is, and its
+    square root bounds every sample. A line with direction k takes a and b
+    of at most A = box max_j (1 + p_j) / |k_j| over the moving coordinates
+    (|k_j| > 1e-12, as _window); t_lo and t_hi are among them, so their sum
+    and difference are at most 2A, and a live point's samples lie in the
+    factor boxes. The float maximum is cut by 1e-12 relative for the
+    rounding of the few operations that form each value."""
+    L, K = decomposition_map(datum)
+    p = np.abs(np.linalg.pinv(L)).sum(axis=1)
+    top = np.finfo(float).max * (1.0 - 1e-12)
+    if K.shape[1] == 1:
+        k = np.abs(K[:, 0])
+        on = k > 1e-12
+        return top / (2.0 * np.max((1.0 + p[on]) / k[on]))
+    return math.sqrt(top / np.sum((1.0 + p) ** 2))
 
 
 def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
@@ -311,23 +362,46 @@ def direct_integral_check(
     log_rhs = _log_masses(datum, fs, math.log(constant))
     if log_rhs is None:
         return 0.0
+    n = datum.n
     axis = np.linspace(-box, box, resolution)
-    shape = (resolution,) * datum.n
-    size = math.prod(shape)
-    factors = [(datum.factors[i], gf) for i, gf in zip(datum.active, fs)]
-    chunk = min(size, _SUPCONV_CHUNK)
-    log_prod = np.zeros(size)
+    # the integrand, one row per grid line along the last axis; each chunk
+    # is a block of whole lines
+    integrand = np.zeros((resolution ** (n - 1), resolution))
+    lines = max(1, _SUPCONV_CHUNK // resolution)
+    # per factor in order: c_i log f_i over the whole grid when its map has
+    # a zero column (at n <= 2 it then reads one axis: f_i is read once, on
+    # that axis, and the table broadcast along the other), else None
+    terms = []
+    for i, gf in zip(datum.active, fs):
+        f = datum.factors[i]
+        (reads,) = np.nonzero(np.any(f.B != 0.0, axis=0))
+        whole = None
+        if len(reads) < n:
+            (a,) = reads
+            table = np.zeros(resolution)
+            _add_log(table, gf, list(f.B[:, [a]] * axis), f.c)
+            whole = np.broadcast_to(table if a == n - 1 else table[:, None], integrand.shape)
+        terms.append((f, gf, whole))
 
     def run(task: int) -> None:
-        start = task * chunk
-        acc = log_prod[start : start + chunk]
-        # the grid points of this chunk, read off the axis by flat index
-        pts = axis[np.stack(np.unravel_index(np.arange(start, start + len(acc)), shape), axis=1)]
-        for f, gf in factors:
-            _add_log(acc, gf, list((pts @ f.B.T).T), f.c)
+        rows = slice(task * lines, (task + 1) * lines)
+        acc = integrand[rows]
+        pts = None
+        for f, gf, whole in terms:
+            if whole is not None:
+                acc += whole[rows]
+                continue
+            if pts is None:
+                # the grid points of these lines, read off the axis
+                cols = [np.tile(axis, len(acc))]
+                if n == 2:
+                    cols.insert(0, np.repeat(axis[rows], resolution))
+                pts = np.stack(cols, axis=1)
+            _add_log(acc.reshape(-1), gf, list((pts @ f.B.T).T), f.c)
+        np.exp(acc, out=acc)
 
-    _in_workers(-(-size // chunk), run)
-    lhs = _trapezoid_nd(np.exp(log_prod, out=log_prod).reshape(shape), [axis] * datum.n)
+    _in_workers(-(-len(integrand) // lines), run)
+    lhs = _trapezoid_nd(integrand.reshape((resolution,) * n), [axis] * n)
     return lhs / math.exp(log_rhs)
 
 
@@ -363,11 +437,14 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         fixed = Y0[:, ~on]
         dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo - slack)
         return 0.5 * (t_lo + t_hi)[:, None], np.maximum(t_hi - t_lo, 0.0), dead
+    centre, dead = np.zeros((len(Y0), K.shape[1])), np.zeros(len(Y0), dtype=bool)
+    if K.shape[1] == 0:
+        # the decomposition Y0 is unique: the base has no columns to scale
+        return centre, np.ones(len(Y0)), dead
     # rigorous l2 bound: orthonormal kernel columns give
-    # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2 (unused for kdim 0, whose
-    # base has no columns)
+    # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2
     r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
-    return np.zeros((len(Y0), K.shape[1])), np.sqrt(np.sum(r * r, axis=1)), np.zeros(len(Y0), dtype=bool)
+    return centre, np.sqrt(np.sum(r * r, axis=1)), dead
 
 
 def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):

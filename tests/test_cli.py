@@ -338,6 +338,29 @@ class TestCheckQuadrature:
         for name in ("direct", "reverse"):
             assert checks[name]["ratio"] == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("factors, box, code, reverse", [
+        ([{"c": 1 / 3, "rows": [[1.0]]}] * 3, "1e200", 0,
+         "skipped (box = 1e+200 is above 3.8705e+153, past which the decomposition windows leave the float range)"),
+        ([{"c": 0.5, "rows": [[1.0]]}] * 2, "8e307", 0,
+         "skipped (box = 8e+307 is above 3.1779e+307, past which the decomposition windows leave the float range)"),
+        ([{"c": 1.0, "rows": [[2.0]]}], "1e200", 1, "ratio=2.00000000  (equality expected: gap 1.00e+00)"),
+    ], ids=["kdim2", "kdim1", "kdim0"])
+    def test_a_huge_box_leaks_no_window_overflow(self, factors, box, code, reverse, tmp_path, capsys):
+        # at these boxes a window of kernel dimension 2 or 1 would overflow,
+        # and its zero envelope read as "reverse ratio=0.00000000", a pass:
+        # the reverse check is skipped. Kernel dimension 0 has no window and
+        # runs: 21 points over [-1e200, 1e200] read each Gaussian at 0 alone,
+        # so both ratios are 1 / C = 2, a violation of the grid's making
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps({"n": 1, "factors": factors}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-quadrature", "--datum", str(path), "--box", box, "--resolution", "21"]) == code
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and len(lines) == 2
+        assert lines[0].startswith("direct   ratio=") and lines[1] == f"reverse  {reverse}"
+
     def test_kernel_dimension_three_skips_the_reverse_check(self, tmp_path, capsys):
         # four identity factors on R^1 with c = 1/4: C = 1, and the
         # decompositions of a point form a 3-dimensional kernel

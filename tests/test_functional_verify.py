@@ -25,6 +25,7 @@ from blgauss import (
 )
 from blgauss.functional_verify import check_grid, check_quadrature
 from blgauss.gaussian_verify import _direct_ratios, _reverse_ratios
+from blgauss.quadform import decomposition_map
 from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
@@ -165,6 +166,32 @@ class TestBuiltinFunctions:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(f(np.array([[1e200, 0.0], [0.0, -1e300], [0.0, 0.0]])), [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("center", [None, [0.0, 0.0], [0.7, -1.3]], ids=["none", "zero", "off"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gaussian_is_the_term_by_term_form_to_the_bit(self, d, center):
+        # the callable skips a zero centre and works in place; it must keep
+        # the bits of exp(-0.5 q), q the terms (diff_i P_ij) diff_j summed
+        # in order, at random points, at +-0, where q overflows (value 0)
+        # and at NaN
+        rng = np.random.default_rng(11 + d)
+        A = rng.standard_normal((d, d))
+        P = A @ A.T + 0.5 * np.eye(d)
+        center = None if center is None else center[:d]
+        special = [0.0, -0.0, 1e200, -1e300, np.nan, 1.5]
+        pts = np.concatenate([3.0 * rng.standard_normal((500, d)),
+                              np.stack(np.meshgrid(*[special] * d, indexing="ij"), axis=-1).reshape(-1, d)])
+        diff = pts - (np.zeros(d) if center is None else np.asarray(center))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [diff[:, i] * P[i, j] * diff[:, j] for i in range(d) for j in range(d)]
+            q = terms[0]
+            for t in terms[1:]:
+                q = q + t
+            expect = np.exp(-0.5 * q)
+            got = gaussian_function(P, center)(pts)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        overflowed = np.isinf(q) & (q > 0)
+        assert overflowed.any() and np.isnan(q).any() and np.all(got[overflowed] == 0.0)
+
     def test_box_indicator(self):
         f = box_function([-1.0], [2.0])
         np.testing.assert_array_equal(
@@ -216,22 +243,62 @@ class TestDirectIntegralCheck:
         ratio = direct_integral_check(d, fs, r.constant, resolution=801)
         assert ratio <= 1.0 + 1e-3
 
-    @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 1000, 1])
-    def test_chunks_read_the_grid_point_by_point(self, chunk, monkeypatch):
-        # chunks that start mid-row build their points from the axis alone;
-        # off-centre factors on a skewed datum tell a point from its mirror
-        # or transpose, against the dense meshgrid of every point at once
-        d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.4]]), np.array([[-0.3, 1.0]])])
-        fs = [grid_gaussian([[1.1]], points=201, center=[0.6]),
-              grid_gaussian([[0.7]], points=201, center=[-1.1])]
-        axis = np.linspace(-8.0, 8.0, 41)
-        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        prod = np.ones(X.shape[:-1])
-        for f, gf in zip(d.factors, fs):
-            prod *= read(gf, X @ f.B.T) ** f.c
-        expect = np.trapezoid(np.trapezoid(prod, axis, axis=1), axis) / (integrate(fs[0]) * integrate(fs[1]))
+    @staticmethod
+    def skewed_cases():
+        """Two data on R^2 without symmetry, with their inputs: two maps that
+        each read both axes, with off-centre Gaussian inputs; and a map that
+        reads both axes and two that each read one, with a coefficient other
+        than 1, with off-centre Gaussian, bump and box inputs."""
+        both = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.4]]), np.array([[-0.3, 1.0]])])
+        one_axis = make_datum(2, [0.6, 0.5, 0.7], [np.array([[1.0, 0.4]]), np.array([[0.0, 2.5]]),
+                                                   np.array([[-1.5, 0.0]])])
+        return [
+            (both, [grid_gaussian([[1.1]], points=201, center=[0.6]),
+                    grid_gaussian([[0.7]], points=201, center=[-1.1])]),
+            (one_axis, [grid_gaussian([[1.1]], points=201, center=[0.6]),
+                        GridFunction.from_callable(bump_function(radius=3.0, center=[-0.8]), *BOX, 201),
+                        GridFunction.from_callable(box_function([-2.5], [1.5]), *BOX, 201)]),
+        ]
+
+    @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 1000, 3 * 41, 41, 1],
+                             ids=["default", "24-lines", "3-lines", "1-line", "1"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["both-axes", "one-axis"])
+    def test_chunks_read_the_grid_point_by_point(self, case, chunk, monkeypatch):
+        # chunks of whole grid lines (one line at a chunk of 41 or less, the
+        # last of three lines short) build their points from the axis alone,
+        # and a map with a zero column reads its axis once for every line;
+        # off-centre inputs tell a point from its mirror or transpose. Every
+        # chunk gives the default's bits and the dense meshgrid's ratio
+        d, fs = self.skewed_cases()[case]
+        default = direct_integral_check(d, fs, 1.0, resolution=41)
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
-        assert direct_integral_check(d, fs, 1.0, resolution=41) == pytest.approx(expect, rel=1e-13)
+        ratio = direct_integral_check(d, fs, 1.0, resolution=41)
+        assert ratio == default
+        assert 0.1 < ratio == pytest.approx(dense_direct(d, fs, 41), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_function_is_read_on_the_axes_its_map_reads(self, n):
+        # per direct check, a map with a zero column has its function read
+        # once, on the resolution points of the one axis it reads, from the
+        # calling thread; a map that reads every axis, at every grid point.
+        # At 301 points per axis the plane takes two chunks
+        d, fs = self.skewed_cases()[1] if n == 2 else (prekopa_leindler_datum(), [grid_gaussian([[1.3]])] * 2)
+        calls = [[] for _ in fs]
+
+        def counted(k, f):
+            def g(pts):
+                calls[k].append((np.shape(pts), threading.current_thread()))
+                return f(pts)
+            return g
+
+        counting = [GridFunction(gf.lo, gf.hi, gf.values, counted(k, gf.f)) for k, gf in enumerate(fs)]
+        direct_integral_check(d, counting, 1.0, resolution=301)
+        reads_all = [bool(np.all(f.B != 0.0)) for f in d.factors]
+        assert reads_all == ([True, False, False] if n == 2 else [True, True])
+        for every, made in zip(reads_all, calls):
+            assert sum(math.prod(shape[:-1]) for shape, _ in made) == (301**n if every else 301)
+            if not every:
+                assert made == [((301, 1), threading.main_thread())]
 
     def test_zero_factor_returns_zero_with_warning(self):
         d = prekopa_leindler_datum()
@@ -256,6 +323,18 @@ class TestDirectIntegralCheck:
         d = prekopa_leindler_datum()
         with pytest.raises(ValueError):
             direct_integral_check(d, [grid_gaussian([[1.0]])], 1.0)
+
+
+def dense_direct(datum, fs, resolution):
+    """Reference direct ratio at constant 1 on [-8, 8]^2: the product of
+    every f_i^{c_i} on the dense meshgrid of every grid point at once."""
+    axis = np.linspace(-8.0, 8.0, resolution)
+    X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    prod = np.ones(X.shape[:-1])
+    for f, gf in zip(datum.factors, fs):
+        prod *= read(gf, X @ f.B.T) ** f.c
+    return np.trapezoid(np.trapezoid(prod, axis, axis=1), axis) / math.prod(
+        integrate(gf) ** f.c for f, gf in zip(datum.factors, fs))
 
 
 def dense_sup_convolution(datum, fs, resolution, box=8.0):
@@ -682,6 +761,10 @@ def test_quadrature_support_rule():
     assert check_quadrature(make_datum(2, [1.0], [np.eye(2)]), 8.0, 11) is None
     four = make_datum(1, [0.25] * 4, [np.eye(1)] * 4)
     assert check_quadrature(four, 8.0, 11) == "decomposition kernel has dimension 3 > 2"
+    # a degenerate datum has no decomposition map to bound the windows by;
+    # sup_convolution refuses it itself
+    degenerate = make_datum(2, [1.0] * 3, [np.array([[1.0, 0.0]])] * 3)
+    assert degenerate.degenerate and check_quadrature(degenerate, 8.0, 11) is None
     with pytest.raises(ValueError, match="ambient dimension 1 and 2 only"):
         check_quadrature(coordinate_datum(3), 8.0, 11)
     with pytest.raises(ValueError, match="resolution must be an integer of at least 2, got 1"):
@@ -692,6 +775,44 @@ def test_quadrature_support_rule():
     assert check_quadrature(four, 1e200, 11) is not None
     with pytest.raises(ValueError, match=r"^box = 1e\+200 puts the grid volume \(2 \* box\)\^2 past"):
         check_quadrature(young_flagship()[1], 1e200, 11)
+
+
+@pytest.mark.parametrize("kdim", [1, 2])
+def test_the_window_limit_holds_on_both_sides(kdim):
+    # kdim + 1 identities with equal weights on R^1 have a kernel of
+    # dimension kdim. Below the limit the reverse check runs without a
+    # warning; above it the check is skipped. The bound is tight for the
+    # plane and within a factor 2 for the line: past that, _window's
+    # arithmetic at the grid's corner overflows
+    m = kdim + 1
+    d = make_datum(1, [1.0 / m] * m, [np.eye(1)] * m)
+    limit = functional_verify._window_limit(d)
+    below, above = 0.99 * limit, 1.01 * limit
+    fs = [GridFunction.from_callable(gaussian_function([[1.0]]), -below, below, 21)] * m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_quadrature(d, below, 21) is None
+        assert reverse_integral_check(d, fs, 1.0, resolution=21, box=below) == pytest.approx(1.0, abs=1e-12)
+    reason = f"box = {above} is above {limit:.6g}, past which the decomposition windows leave the float range"
+    assert check_quadrature(d, above, 21) == reason
+    with pytest.raises(ValueError, match="past which the decomposition windows leave the float range$"):
+        sup_convolution(d, fs, resolution=21, box=above)
+    past = (2.01 if kdim == 1 else 1.01) * limit
+    L, K = decomposition_map(d)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        functional_verify._window(np.array([[past]]) @ np.linalg.pinv(L).T, K, np.full(m, -past), np.full(m, past))
+
+
+def test_a_unique_decomposition_takes_no_window():
+    # kernel dimension 0 has no window, so no box limit: at box = 1e200 the
+    # envelope is the dense reference, without a warning
+    d = make_datum(1, [1.0], [np.array([[2.0]])])
+    fs = [GridFunction.from_callable(gaussian_function([[1.0]]), -1e200, 1e200, 21)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_quadrature(d, 1e200, 21) is None
+        env = sup_convolution(d, fs, resolution=21, box=1e200)
+    assert env.max() == 1.0 and np.array_equal(env, dense_sup_convolution(d, fs, 21, box=1e200))
 
 
 def test_grid_budget_bounds_the_largest_array():
