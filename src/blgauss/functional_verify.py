@@ -203,7 +203,9 @@ def bump_function(radius=1.0, center=None):
     def f(pts):
         pts = np.asarray(pts)
         c = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, dtype=float)
-        r2 = np.sum(((pts - c) / radius) ** 2, axis=-1)
+        # a point past the float range has r2 = +inf, outside the support
+        with np.errstate(over="ignore"):
+            r2 = np.sum(((pts - c) / radius) ** 2, axis=-1)
         inside = r2 < 1.0
         safe = np.where(inside, r2, 0.0)
         return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
@@ -272,7 +274,17 @@ def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
     the grid volume (2 * box)^n is within the float range; then None when
     the reverse check applies, else why not: its kernel, sum_i n_i - n over
     the non-zero factors, is above MAX_KERNEL_DIM, or the box is above
-    _window_limit."""
+    _window_limit, every factor box being [-box, box]^{n_i} as
+    check-quadrature builds them."""
+    refusal = _kernel_refusal(datum, box, resolution)
+    if refusal is None and not datum.degenerate:
+        L, K = decomposition_map(datum)
+        refusal = _window_refusal(np.linalg.pinv(L), K, box, box)
+    return refusal
+
+
+def _kernel_refusal(datum: BLDatum, box: float, resolution: int) -> str | None:
+    """check_quadrature without the window rule."""
     if datum.n > 2:
         raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     check_grid(box, resolution)
@@ -281,27 +293,36 @@ def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
     kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     if kdim > MAX_KERNEL_DIM:
         return f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
-    if kdim and not datum.degenerate and box > (limit := _window_limit(datum)):
-        return f"box = {box} is above {limit:.6g}, past which the decomposition windows leave the float range"
     return None
 
 
-def _window_limit(datum: BLDatum) -> float:
-    """The largest box whose decomposition windows (_window) stay within the
-    float range at kernel dimension 1 or 2, every factor box being
-    [-box, box]^{n_i}, as check-quadrature builds them.
+def _window_refusal(pinv_L: np.ndarray, K: np.ndarray, box: float, reach: float) -> str | None:
+    """None when the decomposition windows of the grid over [-box, box]^n
+    stay within the float range, every factor box lying in [-reach, reach]
+    (reach >= box), or when the kernel K has no columns and so no window;
+    else why not."""
+    if not K.shape[1] or reach <= (limit := _window_limit(pinv_L, K)):
+        return None
+    what = f"box = {box} is" if reach == box else f"factor boxes reaching {reach:.6g} are"
+    return f"{what} above {limit:.6g}, past which the decomposition windows leave the float range"
 
-    On the grid, |Y0_j| <= box p_j with p_j = ||pinv(L)_j||_1, attained at a
-    corner. A plane takes r_j = box + |Y0_j| <= box (1 + p_j), so
-    sum_j r_j^2 is finite while box^2 sum_j (1 + p_j)^2 is, and its
+
+def _window_limit(pinv_L: np.ndarray, K: np.ndarray) -> float:
+    """The largest reach u for which the decomposition windows (_window)
+    stay within the float range at kernel dimension 1 or 2, the grid box
+    [-box, box]^n and every factor box lying in [-u, u] (box <= u); pinv_L
+    is pinv(L) and K the kernel basis of decomposition_map.
+
+    On the grid, |Y0_j| <= box p_j <= u p_j with p_j = ||pinv(L)_j||_1,
+    attained at a corner. A plane takes r_j <= u + |Y0_j| <= u (1 + p_j),
+    so sum_j r_j^2 is finite while u^2 sum_j (1 + p_j)^2 is, and its
     square root bounds every sample. A line with direction k takes a and b
-    of at most A = box max_j (1 + p_j) / |k_j| over the moving coordinates
+    of at most A = u max_j (1 + p_j) / |k_j| over the moving coordinates
     (|k_j| > 1e-12, as _window); t_lo and t_hi are among them, so their sum
     and difference are at most 2A, and a live point's samples lie in the
     factor boxes. The float maximum is cut by 1e-12 relative for the
     rounding of the few operations that form each value."""
-    L, K = decomposition_map(datum)
-    p = np.abs(np.linalg.pinv(L)).sum(axis=1)
+    p = np.abs(pinv_L).sum(axis=1)
     top = np.finfo(float).max * (1.0 - 1e-12)
     if K.shape[1] == 1:
         k = np.abs(K[:, 0])
@@ -311,15 +332,23 @@ def _window_limit(datum: BLDatum) -> float:
 
 
 def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
-    """log_sum + sum_i c_i log(integral f_i), added in factor order; None,
-    with a warning, when some f_i integrates to zero."""
+    """log_sum + sum_i c_i log(integral f_i), added in factor order; None
+    when some f_i integrates to zero."""
     for i, gf in zip(datum.active, fs):
         total = integrate(gf)
         if total <= 0.0:
-            warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=3)
             return None
         log_sum += datum.factors[i].c * math.log(total)
     return log_sum
+
+
+def _over_zero(numerator: float, zero: str) -> float:
+    """The ratio of a check whose denominator vanishes because `zero`
+    integrates to zero: +inf over a positive numerator (the grid missed a
+    support that the numerator reads), 0 over a zero one; with a warning."""
+    ratio = math.inf if numerator > 0.0 else 0.0
+    warnings.warn(f"{zero} integrates to zero; ratio reported as {ratio:g}", stacklevel=3)
+    return ratio
 
 
 def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
@@ -353,15 +382,14 @@ def direct_integral_check(
 ) -> float:
     """integral of prod_i f_i(B_i x)^{c_i} over [-box, box]^n, divided by
     C * prod_i (integral f_i)^{c_i}. At most ~1 when C dominates; equals 1
-    at extremizers up to quadrature error. Returns 0 (with a warning) when
-    the right-hand side vanishes."""
+    at extremizers up to quadrature error. When some f_i integrates to zero
+    the ratio is +inf, or 0 if the left-hand side is 0 too (_over_zero)."""
     check_constant(constant)
-    check_quadrature(datum, box, resolution)
+    # its ValueErrors only: the direct check has no decomposition kernel
+    _kernel_refusal(datum, box, resolution)
     fs = _check_functions(datum, fs)
     _warn_truncation(fs)
     log_rhs = _log_masses(datum, fs, math.log(constant))
-    if log_rhs is None:
-        return 0.0
     n = datum.n
     axis = np.linspace(-box, box, resolution)
     # the integrand, one row per grid line along the last axis; each chunk
@@ -402,6 +430,8 @@ def direct_integral_check(
 
     _in_workers(-(-len(integrand) // lines), run)
     lhs = _trapezoid_nd(integrand.reshape((resolution,) * n), [axis] * n)
+    if log_rhs is None:
+        return _over_zero(lhs, "a factor")
     return lhs / math.exp(log_rhs)
 
 
@@ -524,23 +554,31 @@ def sup_convolution(
     inside the boxes, whose envelope is 0) and, for a plane, at no sample
     outside the boxes. The chunks of grid points run on one worker per CPU
     this process may run on; the envelope does not depend on how many.
+
+    ValueError where check_quadrature refuses the reverse check, or where a
+    window would leave the float range: _window_limit bounds the reach of
+    the grid box and of every factor box together.
     """
-    if (refusal := check_quadrature(datum, box, resolution)) is not None:
+    if (refusal := _kernel_refusal(datum, box, resolution)) is not None:
         raise ValueError(refusal)
     fs = _check_functions(datum, fs)
     cs = [datum.factors[i].c for i in datum.active]
     L, K = decomposition_map(datum)
+    pinv_L = np.linalg.pinv(L)
     kdim = K.shape[1]
 
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
+    reach = max(box, float(np.abs(lows).max()), float(np.abs(highs).max()))
+    if (refusal := _window_refusal(pinv_L, K, box, reach)) is not None:
+        raise ValueError(refusal)
     offsets = np.cumsum([0] + [gf.dim for gf in fs])  # each n_i, as _check_functions holds
     spans = list(zip(offsets[:-1], offsets[1:]))
 
     _, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
     # one product for the whole grid, so that no preimage depends on the
     # chunk it falls in
-    Y0 = pts.reshape(-1, datum.n) @ np.linalg.pinv(L).T  # (points, sum n_i)
+    Y0 = pts.reshape(-1, datum.n) @ pinv_L.T  # (points, sum n_i)
     out = np.zeros(len(Y0))
 
     base = _sample_base(kdim, resolution)
@@ -597,16 +635,17 @@ def reverse_integral_check(
     """prod_i (integral f_i)^{c_i} divided by C * integral of the
     sup-convolution envelope. At most ~1 when C dominates the reversed
     inequality, 1 at the reversed extremizers up to quadrature error.
-    All-zero input returns 0 by convention (with a warning)."""
+    When some f_i integrates to zero the ratio is 0, with a warning; when
+    the envelope does, it is +inf (_over_zero)."""
     check_constant(constant)
     fs = list(fs)
     envelope = sup_convolution(datum, fs, resolution=resolution, box=box)
     _warn_truncation(fs)
     log_num = _log_masses(datum, fs, 0.0)
     if log_num is None:
+        warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
         return 0.0
     total = _trapezoid_nd(envelope, [np.linspace(-box, box, resolution)] * datum.n)
     if total <= 0.0:
-        warnings.warn("the envelope integrates to zero; ratio reported as 0", stacklevel=2)
-        return 0.0
+        return _over_zero(math.exp(log_num), "the envelope")
     return math.exp(log_num) / (constant * total)

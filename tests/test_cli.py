@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blgauss.gaussian_verify
-from blgauss import __version__, cli
+from blgauss import __version__, cli, dual_check
 from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
 from conftest import gl_family, gl_map, mercedes_frame_datum, random_gl
@@ -86,13 +86,15 @@ class TestExitCodes:
                                 "a non-zero factor map must be onto\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["constant"], ["check-inf"], ["check-gaussian", "--constant", "1"]],
+                             ids=lambda argv: argv[0])
     @pytest.mark.parametrize("n", [2.7, True])
-    def test_non_integral_dimension_exits_2(self, n, tmp_path, capsys):
+    def test_non_integral_dimension_exits_2(self, n, argv, tmp_path, capsys):
         doc = json.loads(Path(YOUNG).read_text(encoding="utf-8"))
         doc["n"] = n
         path = tmp_path / "young.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["constant", "--datum", str(path)]) == 2
+        assert main([argv[0], "--datum", str(path), *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: ambient dimension must be an integer, got {n!r}\n"
         assert captured.out == ""
@@ -152,10 +154,15 @@ class TestSolveAndConstant:
         assert rows[-1].split(",")[1] == repr(doc["result"]["residual"])
         assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[1:])
 
-    def test_inconclusive_solve_exits_1(self, capsys):
-        code = main(["solve", "--datum", YOUNG, "--max-iter", "3"])
+    def test_inconclusive_solve_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["solve", "--datum", YOUNG, "--max-iter", "3", "--out", str(out)])
         assert code == 1
         assert "inconclusive" in capsys.readouterr().err
+        # a spent budget reports the bound that the A it returns certifies
+        result = _strict_json(out)["result"]
+        certified = math.sqrt(dual_check(load_datum(YOUNG), 1.0, np.array(result["A"])))
+        assert result["constant"] == pytest.approx(certified, rel=1e-12, abs=0.0)
 
     def test_constant_prints_value(self, capsys):
         assert main(["constant", "--datum", YOUNG]) == 0
@@ -261,13 +268,18 @@ class TestCheckGaussian:
         assert text.count("violations=0") == 3
         assert "extremizer gap" in text
 
-    def test_deflated_constant_exits_1(self, capsys):
-        code = main(
-            ["check-gaussian", "--datum", YOUNG, "--samples", "200",
-             "--constant", str(0.5 * YOUNG_CONSTANT)]
-        )
+    @pytest.mark.parametrize("constant, samples", [(0.5 * YOUNG_CONSTANT, "200"), (1e-300, "50")],
+                             ids=["half", "1e-300"])
+    def test_deflated_constant_exits_1(self, constant, samples, capsys):
+        # 1e-300 overflows every sweep ratio to inf: a violation, and no
+        # numpy warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-gaussian", "--datum", YOUNG, "--samples", samples, "--constant", str(constant)])
         assert code == 1
-        assert "violations=0" not in capsys.readouterr().out.split("\n")[0]
+        captured = capsys.readouterr()
+        assert "violations=0" not in captured.out.split("\n")[0]
+        assert captured.err == ""
 
     def test_csv_has_all_samples(self, tmp_path):
         csv = tmp_path / "ratios.csv"

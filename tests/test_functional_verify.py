@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -159,6 +160,13 @@ class TestBuiltinFunctions:
         assert f(np.array([[2.0]]))[0] == 0.0
         assert f(np.array([[1.99]]))[0] > 0.0
 
+    def test_bump_past_the_float_range_is_zero(self):
+        # ((x - c) / r)^2 overflows to +inf, outside the support, without a warning
+        f = bump_function(0.2, [0.37, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(f(np.array([[1e200, 0.0], [0.0, -1e300], [0.37, 0.0]])), [0.0, 0.0, 1.0])
+
     def test_gaussian_past_the_float_range_is_zero(self):
         # the form overflows to +inf, whose value 0 is exact, without a warning
         f = gaussian_function([[2.0, 0.5], [0.5, 1.0]])
@@ -306,6 +314,19 @@ class TestDirectIntegralCheck:
         with pytest.warns(UserWarning, match="integrates to zero"):
             ratio = direct_integral_check(d, [grid_gaussian([[1.0]]), zero], 1.0, resolution=101)
         assert ratio == 0.0
+
+    def test_a_factor_its_grid_misses_reads_inf(self):
+        # the bump lies between the nodes of its own 11-point grid, so it
+        # integrates to zero, yet the 801-point direct grid reads it: a
+        # positive left-hand side over a zero right-hand side. At 101 points
+        # the direct grid misses it too, and 0 / 0 keeps 0
+        d = prekopa_leindler_datum()
+        fs = [grid_gaussian([[1.0]]), GridFunction.from_callable(bump_function(0.03, [0.05]), *BOX, 11)]
+        assert integrate(fs[1]) == 0.0
+        with pytest.warns(UserWarning, match="^a factor integrates to zero; ratio reported as inf$"):
+            assert direct_integral_check(d, fs, 1.0, resolution=801) == math.inf
+        with pytest.warns(UserWarning, match="^a factor integrates to zero; ratio reported as 0$"):
+            assert direct_integral_check(d, fs, 1.0, resolution=101) == 0.0
 
     def test_boundary_truncation_warns(self):
         d = prekopa_leindler_datum()
@@ -786,7 +807,8 @@ def test_the_window_limit_holds_on_both_sides(kdim):
     # arithmetic at the grid's corner overflows
     m = kdim + 1
     d = make_datum(1, [1.0 / m] * m, [np.eye(1)] * m)
-    limit = functional_verify._window_limit(d)
+    L, K = decomposition_map(d)
+    limit = functional_verify._window_limit(np.linalg.pinv(L), K)
     below, above = 0.99 * limit, 1.01 * limit
     fs = [GridFunction.from_callable(gaussian_function([[1.0]]), -below, below, 21)] * m
     with warnings.catch_warnings():
@@ -798,9 +820,25 @@ def test_the_window_limit_holds_on_both_sides(kdim):
     with pytest.raises(ValueError, match="past which the decomposition windows leave the float range$"):
         sup_convolution(d, fs, resolution=21, box=above)
     past = (2.01 if kdim == 1 else 1.01) * limit
-    L, K = decomposition_map(d)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         functional_verify._window(np.array([[past]]) @ np.linalg.pinv(L).T, K, np.full(m, -past), np.full(m, past))
+
+
+@pytest.mark.parametrize("kdim, reach, limit", [(1, "8e+307", "3.1779e+307"), (2, "1e+200", "3.8705e+153")])
+def test_the_window_limit_reads_the_factor_boxes(kdim, reach, limit):
+    # at box = 1 the grid is small, but the factor boxes reach far enough
+    # that _window's arithmetic would overflow: the limit reads them too
+    m = kdim + 1
+    d = make_datum(1, [1.0 / m] * m, [np.eye(1)] * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fs = [GridFunction.from_callable(bump_function(0.2, [0.37]), -float(reach), float(reach), 21)] * m
+        with pytest.raises(ValueError, match="^" + re.escape(f"factor boxes reaching {reach} are above {limit}, past which")):
+            sup_convolution(d, fs, resolution=21, box=1.0)
+        # within the limit the envelope is the dense reference
+        wide = [GridFunction.from_callable(gaussian_function([[1.0]]), -20.0, 20.0, 21)] * m
+        env = sup_convolution(d, wide, resolution=21, box=1.0)
+    np.testing.assert_allclose(env, dense_sup_convolution(d, wide, 21, box=1.0), rtol=1e-12)
 
 
 def test_a_unique_decomposition_takes_no_window():
@@ -894,3 +932,13 @@ class TestReverseIntegralCheck:
         with pytest.warns(UserWarning, match="integrates to zero"):
             ratio = reverse_integral_check(d, [zero, zero], 1.0, resolution=51)
         assert ratio == 0.0
+
+    def test_an_envelope_that_misses_the_inputs_reads_inf(self):
+        # the bump's support (0.17, 0.57) holds no node of the 21-point
+        # envelope grid (spacing 0.8): a positive numerator over a zero
+        # envelope integral is a violation, not a pass
+        d = prekopa_leindler_datum()
+        bump = GridFunction.from_callable(bump_function(0.2, [0.37]), *BOX, 801)
+        with pytest.warns(UserWarning, match="^the envelope integrates to zero; ratio reported as inf$"):
+            assert reverse_integral_check(d, [bump, bump], 1.0, resolution=21) == math.inf
+        assert reverse_integral_check(d, [bump, bump], 1.0, resolution=801) == pytest.approx(1.0, abs=1e-12)
