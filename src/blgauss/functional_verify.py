@@ -1,10 +1,12 @@
 """Low-dimensional quadrature checks of the actual integral inequalities.
 
 The Gaussian checks exercise the determinant forms; this module goes back to
-the integrals themselves on compact boxes, with functions sampled on
-tensor grids. Ambient dimension is limited to 2 (check_quadrature, which also
-says whether the reverse check applies): the point is an independent oracle
-at desk scale, not a general integrator.
+the integrals themselves on compact boxes, with functions sampled on tensor
+grids, as an independent oracle at desk scale, not a general integrator.
+One rule (_refusal, read by check_quadrature) says what a grid can read:
+ambient dimension 1 or 2, a grid within the element budget and the float
+range, and for the reverse check a decomposition kernel of dimension at most
+MAX_KERNEL_DIM whose windows stay within the float range.
 
 direct   integral of prod_i f_i(B_i x)^{c_i} over the ambient box, against
          C * prod_i (integral of f_i)^{c_i}
@@ -12,47 +14,38 @@ reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
          is the smallest admissible envelope: the sup-convolution
          f(x) = sup { prod_i f_i(x_i)^{c_i} : sum_i c_i B_i^T x_i = x }.
 
-Each f_i is a GridFunction, built by GridFunction.from_callable: the
-callable it was sampled from, which both checks read at every sample
-through one reader (_add_log), f_i clipped at 0 (a NaN reads 0) and 0
-outside its box; and its values on its own grid, which give the trapezoid
-rule for its integral and the boundary-decay warning. The envelope the
-sup-convolution returns is an array of its values on its own grid. The
-checks call each f_i from up to W worker threads on chunks of shape
-(samples, dim), so f_i must be vectorized and hold no shared mutable state.
+Each f_i is a GridFunction: the callable it was sampled from, which both
+checks read at every sample through one reader (_add_log), clipped at 0 (a
+NaN reads 0) and 0 outside its box; and its values on its own grid, which
+give the trapezoid rule for its integral and the boundary-decay warning
+(_log_masses). A check whose grid sees none of an input's mass, or of the
+envelope's, has nothing to compare and raises ValueError. The checks call
+each f_i from up to W worker threads on chunks of shape (samples, dim), so
+f_i must be vectorized and hold no shared mutable state.
 
-Both checks add c_i log f_i over their samples in place (_add_log), in
-chunks of about _SUPCONV_CHUNK samples, and each chunk allocates its own
-arrays. A chunk of the direct check is a block of whole grid lines along
-the last axis, whose points it builds off the axis by repeat and tile
-instead of holding the whole grid. A factor whose map has a zero column
-reads one axis only (at n <= 2): the direct check reads its f_i once, on
-that axis's resolution points from the calling thread, and adds that
-table to every line in factor order, so each grid point gets the same
+Both checks add c_i log f_i over their samples in place, in chunks of about
+_SUPCONV_CHUNK samples, and each chunk allocates its own arrays. A chunk of
+the direct check is a block of whole grid lines along the last axis, whose
+points it builds off the axis instead of holding the whole grid. A factor
+whose map reads one axis only has its f_i read once, on that axis, and the
+table added to every line in factor order, so each grid point gets the same
 floats as if f_i were read there.
 
-Work arrays that each thread allocated once and reused were no faster: on
-that host, allocating per chunk cut the `functional` benchmark's wall time
-by about 4 % and its median op time by about 8 %, for about 2.4 MiB (3 %)
-more peak RSS. That holds only once glibc's mmap threshold has risen, which
-it does when a larger mmapped block is freed: the direct check's full-grid
-integrand (5 MB at 801 points), freed when it returns. Before that, each
-chunk's 512 KiB arrays are mmapped and faulted in afresh: a reverse check at
-201 points on the Young flagship, first in a fresh process, took about
-97,000 minor page faults and 0.23-0.38 s per call, against 1 fault and
-0.14-0.17 s after a direct check had run. The integrand therefore stays one
-array that the final trapezoid rule reads, although each worker could
-integrate its own lines: a variant that did so, and never allocated it,
-left the reverse check after a direct check at about 60,000 faults per call.
+Work arrays that each thread allocated once and reused were no faster than
+per-chunk ones once glibc's mmap threshold has risen, which it does when a
+larger mmapped block is freed. The direct check's integrand is such a block:
+it stays one full-grid array that the final trapezoid rule reads, although
+each worker could integrate its own lines, because freeing it is what keeps
+a later check's chunks from being mmapped and faulted in afresh.
 
 Both checks run their chunks on one worker per CPU this process may run on
 (_in_workers): the calling thread takes chunks 0, W, 2W, ..., and W - 1
 threads, each in a copy of the caller's context (so its np.errstate holds
 there too), take the rest. Each chunk writes only its own slice of the
-envelope or of the direct check's integrand, which it exponentiates itself,
-and every sample goes through the same operations in the same order, so
-both checks give the same bits whatever W is. The first exception in a
-worker stops the others and is re-raised in the caller.
+envelope or of the integrand, and every sample goes through the same
+operations in the same order, so both checks give the same bits whatever W
+is. The first exception in a worker stops the others and is re-raised in
+the caller.
 """
 
 from __future__ import annotations
@@ -149,7 +142,7 @@ class GridFunction:
 
 
 def _bounds(lo, hi):
-    """lo and hi as float vectors, refused unless they bound a finite box of positive extent."""
+    """lo and hi as float vectors, refused unless they bound a box of finite, positive extent."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
@@ -158,6 +151,9 @@ def _bounds(lo, hi):
         raise ValueError(f"box bounds must be finite, got lo={lo.tolist()} hi={hi.tolist()}")
     if np.any(hi <= lo):
         raise ValueError("box must have positive extent on every axis")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(hi - lo)):
+            raise ValueError(f"box extent hi - lo must be finite, got lo={lo.tolist()} hi={hi.tolist()}")
     return lo, hi
 
 
@@ -198,7 +194,9 @@ def gaussian_function(precision, center=None):
 
 
 def bump_function(radius=1.0, center=None):
-    """Smooth compactly supported mollifier, peak value 1 at the center."""
+    """Smooth compactly supported mollifier of a finite, positive radius, peak value 1 at the center."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
 
     def f(pts):
         pts = np.asarray(pts)
@@ -240,68 +238,48 @@ def _check_functions(datum: BLDatum, fs) -> list[GridFunction]:
     return fs
 
 
-def _warn_truncation(fs) -> None:
-    for k, gf in enumerate(fs):
-        peak = gf.values.max()
-        if peak > 0.0 and gf.max_boundary_value() > DECAY_WARN * peak:
-            warnings.warn(
-                f"function {k} has not decayed at its box boundary; "
-                "the truncated integral may be unsound",
-                stacklevel=3,
-            )
-
-
 def _tensor_grid(lo, hi, points: int):
     """Axes and (..., dim) points of the uniform tensor grid on the box [lo, hi]."""
     axes = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
     return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def check_grid(box: float, resolution: int) -> None:
-    """ValueError unless the box half-width is finite and positive and the
-    resolution an integer of at least 2 points per axis whose largest array,
+def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
+    """_refusal for the factor boxes [-box, box]^{n_i} that check-quadrature
+    builds: ValueError when no check can read the grid; then None when the
+    reverse check applies, else why not."""
+    return _refusal(datum, box, resolution, box)
+
+
+def _refusal(datum: BLDatum, box: float, resolution: int, reach: float) -> str | None:
+    """The one rule for what a quadrature grid over [-box, box]^n can read,
+    every factor box lying in [-reach, reach] (reach >= box).
+
+    ValueError unless the datum is on R^1 or R^2, box is finite and
+    positive, resolution is an integer of at least 2 whose largest array,
     4 * resolution^2 floats (the sup-convolution's preimages or samples of a
-    plane, in at most 4 factor coordinates), fits MAX_ELEMENTS."""
+    plane, in at most 4 factor coordinates), fits MAX_ELEMENTS, and the grid
+    volume (2 * box)^n is within the float range. Then None when the reverse
+    check applies, else why not: the decomposition kernel, of dimension
+    sum_i n_i - n over the non-zero factors, is above MAX_KERNEL_DIM, or
+    reach is above _window_limit. A kernel of dimension 0 takes no window,
+    and a degenerate datum is left to decomposition_map to refuse."""
+    if datum.n > 2:
+        raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     if not (math.isfinite(box) and box > 0.0):
         raise ValueError(f"box must be finite and positive, got {box}")
     check_count("resolution", resolution, 2)
     if (elements := 4 * int(resolution) ** 2) > MAX_ELEMENTS:
         raise ValueError(f"4 * resolution^2 = {elements} exceeds the budget {MAX_ELEMENTS}")
-
-
-def check_quadrature(datum: BLDatum, box: float, resolution: int) -> str | None:
-    """ValueError unless the datum is on R^1 or R^2, check_grid passes and
-    the grid volume (2 * box)^n is within the float range; then None when
-    the reverse check applies, else why not: its kernel, sum_i n_i - n over
-    the non-zero factors, is above MAX_KERNEL_DIM, or the box is above
-    _window_limit, every factor box being [-box, box]^{n_i} as
-    check-quadrature builds them."""
-    refusal = _kernel_refusal(datum, box, resolution)
-    if refusal is None and not datum.degenerate:
-        L, K = decomposition_map(datum)
-        refusal = _window_refusal(np.linalg.pinv(L), K, box, box)
-    return refusal
-
-
-def _kernel_refusal(datum: BLDatum, box: float, resolution: int) -> str | None:
-    """check_quadrature without the window rule."""
-    if datum.n > 2:
-        raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
-    check_grid(box, resolution)
     if datum.n * math.log2(2.0 * box) >= 1024.0:
         raise ValueError(f"box = {box} puts the grid volume (2 * box)^{datum.n} past the float range")
     kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     if kdim > MAX_KERNEL_DIM:
         return f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
-    return None
-
-
-def _window_refusal(pinv_L: np.ndarray, K: np.ndarray, box: float, reach: float) -> str | None:
-    """None when the decomposition windows of the grid over [-box, box]^n
-    stay within the float range, every factor box lying in [-reach, reach]
-    (reach >= box), or when the kernel K has no columns and so no window;
-    else why not."""
-    if not K.shape[1] or reach <= (limit := _window_limit(pinv_L, K)):
+    if datum.degenerate or not kdim:
+        return None
+    L, K = decomposition_map(datum)
+    if reach <= (limit := _window_limit(np.linalg.pinv(L), K)):
         return None
     what = f"box = {box} is" if reach == box else f"factor boxes reaching {reach:.6g} are"
     return f"{what} above {limit:.6g}, past which the decomposition windows leave the float range"
@@ -331,24 +309,20 @@ def _window_limit(pinv_L: np.ndarray, K: np.ndarray) -> float:
     return math.sqrt(top / np.sum((1.0 + p) ** 2))
 
 
-def _log_masses(datum: BLDatum, fs, log_sum: float) -> float | None:
-    """log_sum + sum_i c_i log(integral f_i), added in factor order; None
-    when some f_i integrates to zero."""
-    for i, gf in zip(datum.active, fs):
-        total = integrate(gf)
-        if total <= 0.0:
-            return None
+def _log_masses(datum: BLDatum, fs, log_sum: float) -> float:
+    """log_sum + sum_i c_i log(integral f_i), added in factor order, with a
+    warning for each f_i that has not decayed at its box boundary;
+    ValueError when some f_i integrates to zero on its own grid."""
+    for k, (i, gf) in enumerate(zip(datum.active, fs)):
+        peak = gf.values.max()
+        if peak > 0.0 and gf.max_boundary_value() > DECAY_WARN * peak:
+            warnings.warn(f"function {k} has not decayed at its box boundary; "
+                          "the truncated integral may be unsound", stacklevel=3)
+        if (total := integrate(gf)) <= 0.0:
+            raise ValueError(f"function {k} integrates to zero on its grid of shape {gf.points_per_axis} "
+                             f"over lo={gf.lo.tolist()} hi={gf.hi.tolist()}")
         log_sum += datum.factors[i].c * math.log(total)
     return log_sum
-
-
-def _over_zero(numerator: float, zero: str) -> float:
-    """The ratio of a check whose denominator vanishes because `zero`
-    integrates to zero: +inf over a positive numerator (the grid missed a
-    support that the numerator reads), 0 over a zero one; with a warning."""
-    ratio = math.inf if numerator > 0.0 else 0.0
-    warnings.warn(f"{zero} integrates to zero; ratio reported as {ratio:g}", stacklevel=3)
-    return ratio
 
 
 def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
@@ -382,13 +356,12 @@ def direct_integral_check(
 ) -> float:
     """integral of prod_i f_i(B_i x)^{c_i} over [-box, box]^n, divided by
     C * prod_i (integral f_i)^{c_i}. At most ~1 when C dominates; equals 1
-    at extremizers up to quadrature error. When some f_i integrates to zero
-    the ratio is +inf, or 0 if the left-hand side is 0 too (_over_zero)."""
+    at extremizers up to quadrature error. ValueError where _refusal or
+    _log_masses refuses the grid or an f_i."""
     check_constant(constant)
-    # its ValueErrors only: the direct check has no decomposition kernel
-    _kernel_refusal(datum, box, resolution)
+    # its ValueErrors only: the direct check samples no decomposition
+    _refusal(datum, box, resolution, box)
     fs = _check_functions(datum, fs)
-    _warn_truncation(fs)
     log_rhs = _log_masses(datum, fs, math.log(constant))
     n = datum.n
     axis = np.linspace(-box, box, resolution)
@@ -430,8 +403,6 @@ def direct_integral_check(
 
     _in_workers(-(-len(integrand) // lines), run)
     lhs = _trapezoid_nd(integrand.reshape((resolution,) * n), [axis] * n)
-    if log_rhs is None:
-        return _over_zero(lhs, "a factor")
     return lhs / math.exp(log_rhs)
 
 
@@ -555,23 +526,19 @@ def sup_convolution(
     outside the boxes. The chunks of grid points run on one worker per CPU
     this process may run on; the envelope does not depend on how many.
 
-    ValueError where check_quadrature refuses the reverse check, or where a
-    window would leave the float range: _window_limit bounds the reach of
-    the grid box and of every factor box together.
+    ValueError where _refusal refuses the reverse check, read at the reach
+    of the grid box and of every factor box together.
     """
-    if (refusal := _kernel_refusal(datum, box, resolution)) is not None:
-        raise ValueError(refusal)
     fs = _check_functions(datum, fs)
+    lows = np.concatenate([gf.lo for gf in fs])
+    highs = np.concatenate([gf.hi for gf in fs])
+    reach = max(box, float(np.abs(lows).max()), float(np.abs(highs).max()))
+    if (refusal := _refusal(datum, box, resolution, reach)) is not None:
+        raise ValueError(refusal)
     cs = [datum.factors[i].c for i in datum.active]
     L, K = decomposition_map(datum)
     pinv_L = np.linalg.pinv(L)
     kdim = K.shape[1]
-
-    lows = np.concatenate([gf.lo for gf in fs])
-    highs = np.concatenate([gf.hi for gf in fs])
-    reach = max(box, float(np.abs(lows).max()), float(np.abs(highs).max()))
-    if (refusal := _window_refusal(pinv_L, K, box, reach)) is not None:
-        raise ValueError(refusal)
     offsets = np.cumsum([0] + [gf.dim for gf in fs])  # each n_i, as _check_functions holds
     spans = list(zip(offsets[:-1], offsets[1:]))
 
@@ -635,17 +602,14 @@ def reverse_integral_check(
     """prod_i (integral f_i)^{c_i} divided by C * integral of the
     sup-convolution envelope. At most ~1 when C dominates the reversed
     inequality, 1 at the reversed extremizers up to quadrature error.
-    When some f_i integrates to zero the ratio is 0, with a warning; when
-    the envelope does, it is +inf (_over_zero)."""
+    ValueError where sup_convolution or _log_masses refuses, or where the
+    envelope integrates to zero on its grid."""
     check_constant(constant)
     fs = list(fs)
     envelope = sup_convolution(datum, fs, resolution=resolution, box=box)
-    _warn_truncation(fs)
     log_num = _log_masses(datum, fs, 0.0)
-    if log_num is None:
-        warnings.warn("a factor integrates to zero; ratio reported as 0", stacklevel=2)
-        return 0.0
     total = _trapezoid_nd(envelope, [np.linspace(-box, box, resolution)] * datum.n)
     if total <= 0.0:
-        return _over_zero(math.exp(log_num), "the envelope")
+        raise ValueError(f"the envelope integrates to zero on its grid of shape {envelope.shape} "
+                         f"over lo={[-box] * datum.n} hi={[box] * datum.n}")
     return math.exp(log_num) / (constant * total)

@@ -373,6 +373,18 @@ class TestCheckQuadrature:
         assert captured.err == "" and len(lines) == 2
         assert lines[0].startswith("direct   ratio=") and lines[1] == f"reverse  {reverse}"
 
+    def test_a_grid_that_sees_no_input_exits_2(self, tmp_path, capsys):
+        # 21 points over [-3e153, 3e153] read no input's mass: the direct
+        # and reverse ratios both printed 0.00000000, a pass
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"n": 1, "factors": [{"c": 1 / 3, "rows": [[1.0]]}] * 3}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-quadrature", "--datum", str(path), "--box", "3e153", "--resolution", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: function 0 integrates to zero ")
+        _one_line_no_traceback(captured.err, "grid of shape (21,) over lo=[-3e+153] hi=[3e+153]")
+
     def test_kernel_dimension_three_skips_the_reverse_check(self, tmp_path, capsys):
         # four identity factors on R^1 with c = 1/4: C = 1, and the
         # decompositions of a point form a 3-dimensional kernel

@@ -24,7 +24,7 @@ from blgauss import (
     solve,
     sup_convolution,
 )
-from blgauss.functional_verify import check_grid, check_quadrature
+from blgauss.functional_verify import check_quadrature
 from blgauss.gaussian_verify import _direct_ratios, _reverse_ratios
 from blgauss.quadform import decomposition_map
 from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, young_flagship
@@ -65,8 +65,11 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction([0.0], [1.0], np.ones((3, 3)), ones)
 
+    # an extent hi - lo past the float range, as [-1e308, 1e308], leaked an
+    # overflow from np.linspace
     @pytest.mark.parametrize("lo, hi", [([-np.inf], [np.inf]), ([0.0], [np.inf]), ([np.nan], [1.0]),
-                                        ([0.0, -np.inf], [1.0, 1.0])])
+                                        ([0.0, -np.inf], [1.0, 1.0]), ([-1e308], [1e308]),
+                                        ([0.0, -1e308], [1.0, 1e308])])
     def test_rejects_unbounded_boxes(self, lo, hi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -159,6 +162,15 @@ class TestBuiltinFunctions:
         assert f(np.array([[0.0]]))[0] == pytest.approx(1.0)
         assert f(np.array([[2.0]]))[0] == 0.0
         assert f(np.array([[1.99]]))[0] > 0.0
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bump_refuses_a_radius_that_is_not_finite_and_positive(self, radius):
+        # 0 leaked a division by zero when sampled, NaN built an all-zero
+        # function and -1 acted as 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^radius must be finite and positive, got {radius}$"):
+                bump_function(radius)
 
     def test_bump_past_the_float_range_is_zero(self):
         # ((x - c) / r)^2 overflows to +inf, outside the support, without a warning
@@ -308,25 +320,30 @@ class TestDirectIntegralCheck:
             if not every:
                 assert made == [((301, 1), threading.main_thread())]
 
-    def test_zero_factor_returns_zero_with_warning(self):
+    def test_a_zero_factor_is_refused(self):
+        # a factor of zero mass leaves nothing to compare: no ratio, 0 or
+        # otherwise, is a pass
         d = prekopa_leindler_datum()
         zero = GridFunction.from_callable(lambda p: np.zeros(p.shape[:-1]), [-8.0], [8.0], 11)
-        with pytest.warns(UserWarning, match="integrates to zero"):
-            ratio = direct_integral_check(d, [grid_gaussian([[1.0]]), zero], 1.0, resolution=101)
-        assert ratio == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "function 1 integrates to zero on its grid of shape (11,) over lo=[-8.0] hi=[8.0]")):
+                direct_integral_check(d, [grid_gaussian([[1.0]]), zero], 1.0, resolution=101)
 
-    def test_a_factor_its_grid_misses_reads_inf(self):
+    @pytest.mark.parametrize("resolution", [801, 101])
+    def test_a_factor_its_grid_misses_is_refused(self, resolution):
         # the bump lies between the nodes of its own 11-point grid, so it
-        # integrates to zero, yet the 801-point direct grid reads it: a
-        # positive left-hand side over a zero right-hand side. At 101 points
-        # the direct grid misses it too, and 0 / 0 keeps 0
+        # integrates to zero, whether the direct grid reads it (801 points)
+        # or misses it too (101): either way the check is refused, where it
+        # read +inf or 0
         d = prekopa_leindler_datum()
         fs = [grid_gaussian([[1.0]]), GridFunction.from_callable(bump_function(0.03, [0.05]), *BOX, 11)]
         assert integrate(fs[1]) == 0.0
-        with pytest.warns(UserWarning, match="^a factor integrates to zero; ratio reported as inf$"):
-            assert direct_integral_check(d, fs, 1.0, resolution=801) == math.inf
-        with pytest.warns(UserWarning, match="^a factor integrates to zero; ratio reported as 0$"):
-            assert direct_integral_check(d, fs, 1.0, resolution=101) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^function 1 integrates to zero on its grid of shape \(11,\) over"):
+                direct_integral_check(d, fs, 1.0, resolution=resolution)
 
     def test_boundary_truncation_warns(self):
         d = prekopa_leindler_datum()
@@ -855,11 +872,13 @@ def test_a_unique_decomposition_takes_no_window():
 
 def test_grid_budget_bounds_the_largest_array():
     # no check builds an array of more than 4 * resolution^2 floats, which
-    # check_grid holds to the package's element budget of 10^8
-    check_grid(8.0, 5000)
+    # check_quadrature holds to the package's element budget of 10^8, on a
+    # line as on the plane
+    d = prekopa_leindler_datum()
+    assert check_quadrature(d, 8.0, 5000) is None
     for resolution, elements in ((5001, 100_040_004), (np.int64(10**10), 4 * 10**20)):
         with pytest.raises(ValueError, match=rf"4 \* resolution\^2 = {elements} exceeds the budget 100000000$"):
-            check_grid(8.0, resolution)
+            check_quadrature(d, 8.0, resolution)
 
 
 @pytest.mark.parametrize("check", ["direct", "sup", "reverse"])
@@ -926,19 +945,23 @@ class TestReverseIntegralCheck:
         assert ratio == pytest.approx(expect, abs=2e-3)
         assert ratio < 0.99
 
-    def test_zero_input_returns_zero_with_warning(self):
+    def test_a_zero_input_is_refused(self):
         d = prekopa_leindler_datum()
         zero = GridFunction.from_callable(lambda p: np.zeros(p.shape[:-1]), [-8.0], [8.0], 11)
-        with pytest.warns(UserWarning, match="integrates to zero"):
-            ratio = reverse_integral_check(d, [zero, zero], 1.0, resolution=51)
-        assert ratio == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^function 0 integrates to zero on its grid of shape \(11,\) over"):
+                reverse_integral_check(d, [zero, zero], 1.0, resolution=51)
 
-    def test_an_envelope_that_misses_the_inputs_reads_inf(self):
+    def test_an_envelope_that_misses_the_inputs_is_refused(self):
         # the bump's support (0.17, 0.57) holds no node of the 21-point
-        # envelope grid (spacing 0.8): a positive numerator over a zero
-        # envelope integral is a violation, not a pass
+        # envelope grid (spacing 0.8): the grid sees none of the envelope,
+        # so the check is refused, where it read +inf
         d = prekopa_leindler_datum()
         bump = GridFunction.from_callable(bump_function(0.2, [0.37]), *BOX, 801)
-        with pytest.warns(UserWarning, match="^the envelope integrates to zero; ratio reported as inf$"):
-            assert reverse_integral_check(d, [bump, bump], 1.0, resolution=21) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "the envelope integrates to zero on its grid of shape (21,) over lo=[-8.0] hi=[8.0]")):
+                reverse_integral_check(d, [bump, bump], 1.0, resolution=21)
         assert reverse_integral_check(d, [bump, bump], 1.0, resolution=801) == pytest.approx(1.0, abs=1e-12)
