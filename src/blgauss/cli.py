@@ -29,14 +29,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .datum import BLDatum, DatumError, datum_digest, load_datum, validate
+from .datum import BLDatum, DatumError, check_count, datum_digest, load_datum, validate
 from .functional_verify import (DEFAULT_BOX, GridFunction, check_quadrature, direct_integral_check,
                                 gaussian_function, reverse_integral_check)
 from .gaussian_solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ConvergenceError, SolveResult, direct_extremizers,
                               reverse_extremizers, solve)
 from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct_and_reverse, sweep_dual
 from .quadform import check_inf
-from .report import DEFAULT_SEED, check_count, check_seed
+from .report import DEFAULT_SEED, check_seed
 from .stochastic import BrownianConfig, builtin_suite, check_draws
 from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents

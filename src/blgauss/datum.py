@@ -203,6 +203,12 @@ def validate(datum: BLDatum) -> DatumDiagnostics:
                             [i for i in range(datum.m) if i not in datum.active])
 
 
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer of at least `least`, the rule of every count."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
+
+
 def check_solvable(datum: BLDatum) -> None:
     """DatumError unless the datum can have a finite positive constant: it is
     not degenerate and its homogeneity defect is at most HOMOGENEITY_TOL in

@@ -55,13 +55,13 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .datum import BLDatum
+from .datum import BLDatum, check_count
 from .quadform import decomposition_map
-from .report import MAX_ELEMENTS, check_constant, check_count
+from .report import MAX_ELEMENTS, check_constant
 
 DEFAULT_BOX = 8.0
 DECAY_WARN = 1e-6
@@ -77,21 +77,30 @@ _SUPCONV_CHUNK = 65_536
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Non-negative function f sampled on a uniform tensor grid over the box
-    [lo, hi], with its values at the grid points; build one with from_callable."""
+    """Non-negative function f sampled on a uniform tensor grid of `points`
+    per axis over the box [lo, hi], with its values there. f takes an array
+    of shape (..., dim) and returns (...); the integral checks call it from
+    worker threads (see the module docstring), so it must be vectorized and
+    hold no shared mutable state. ValueError before the grid is allocated
+    unless points is an integer of at least 2 and the grid's dim * points^dim
+    coordinates fit MAX_ELEMENTS; then unless f returns one finite,
+    non-negative value per grid point."""
 
+    f: object = field(repr=False)
     lo: np.ndarray
     hi: np.ndarray
-    values: np.ndarray
-    f: object = field(repr=False)
+    points: InitVar[int]
+    values: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, points):
         lo, hi = _bounds(self.lo, self.hi)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != lo.size:
-            raise ValueError(f"values must be {lo.size}-dimensional, got {values.ndim}")
-        if min(values.shape) < 2:
-            raise ValueError("need at least 2 points per axis")
+        check_count("points", points, 2)
+        if (elements := lo.size * int(points) ** lo.size) > MAX_ELEMENTS:
+            raise ValueError(f"{lo.size} * points^{lo.size} = {elements} exceeds the budget {MAX_ELEMENTS}")
+        _, pts = _tensor_grid(lo, hi, points)
+        values = np.asarray(self.f(pts), dtype=float)
+        if values.shape != pts.shape[:-1]:
+            raise ValueError(f"f must return one value per grid point, shape {pts.shape[:-1]}, got {values.shape}")
         if not np.all(np.isfinite(values)) or values.min() < 0.0:
             raise ValueError("values must be finite and non-negative")
         object.__setattr__(self, "lo", lo)
@@ -107,33 +116,12 @@ class GridFunction:
         return self.values.shape
 
     def axes(self) -> list[np.ndarray]:
-        return [
-            np.linspace(self.lo[d], self.hi[d], self.values.shape[d])
-            for d in range(self.dim)
-        ]
+        return [np.linspace(a, b, k) for a, b, k in zip(self.lo, self.hi, self.values.shape)]
 
     @classmethod
     def from_callable(cls, f, lo, hi, points: int) -> "GridFunction":
-        """Sample f on a uniform grid, and keep f: f takes an array of shape
-        (..., dim) and returns (...).
-
-        The integral checks read f itself between the nodes, from up to W
-        worker threads (one per CPU this process may run on) on chunks of
-        shape (samples, dim), so f must be vectorized and hold no shared
-        mutable state. The direct check also calls f once on a
-        (resolution, dim) array from the calling thread, when the map of its
-        factor reads one axis only. The checks read 0 outside the box and
-        clip f at 0.
-
-        points is an integer of at least 2, and the grid's dim * points^dim
-        coordinates must fit MAX_ELEMENTS; ValueError otherwise, before the
-        grid is allocated."""
-        lo, hi = _bounds(lo, hi)
-        check_count("points", points, 2)
-        if (elements := lo.size * int(points) ** lo.size) > MAX_ELEMENTS:
-            raise ValueError(f"{lo.size} * points^{lo.size} = {elements} exceeds the budget {MAX_ELEMENTS}")
-        _, pts = _tensor_grid(lo, hi, points)
-        return cls(lo, hi, np.asarray(f(pts), dtype=float), f)
+        """GridFunction(f, lo, hi, points): sample f on the grid, and keep f."""
+        return cls(f, lo, hi, points)
 
     def max_boundary_value(self) -> float:
         """The largest value on the two end faces of every axis."""
@@ -403,7 +391,22 @@ def direct_integral_check(
 
     _in_workers(-(-len(integrand) // lines), run)
     lhs = _trapezoid_nd(integrand.reshape((resolution,) * n), [axis] * n)
-    return lhs / math.exp(log_rhs)
+    return _ratio(lhs, _exp(log_rhs), math.log(lhs) if lhs > 0.0 else -math.inf, log_rhs)
+
+
+def _exp(x: float) -> float:
+    """math.exp, +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ratio(num: float, den: float, log_num: float, log_den: float) -> float:
+    """num / den while both are positive finite floats, else exp(log_num - log_den)."""
+    if 0.0 < num < math.inf and 0.0 < den < math.inf:
+        return num / den
+    return _exp(log_num - log_den)
 
 
 def _sample_base(kdim: int, resolution: int) -> np.ndarray:
@@ -612,4 +615,4 @@ def reverse_integral_check(
     if total <= 0.0:
         raise ValueError(f"the envelope integrates to zero on its grid of shape {envelope.shape} "
                          f"over lo={[-box] * datum.n} hi={[box] * datum.n}")
-    return math.exp(log_num) / (constant * total)
+    return _ratio(_exp(log_num), constant * total, log_num, math.log(constant) + math.log(total))

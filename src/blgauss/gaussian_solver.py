@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import IllConditionedError, check_spd, spd_inverse, sym, whiten
-from .datum import BLDatum, FactorGroup, check_solvable
+from .datum import BLDatum, FactorGroup, check_count, check_solvable
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -275,9 +274,7 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
         factor stopped it at the start). A spent budget reports the iterate
         after max_iter steps, with that iterate's own constant and residual.
     """
-    # report.check_count's rule, written out: the solver imports no verification layer
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
+    check_count("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     check_solvable(datum)

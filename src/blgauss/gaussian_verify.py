@@ -2,9 +2,9 @@
 
 Everything in this module treats the solver's output as a claim to be
 falsified: random SPD inputs are thrown at the determinant inequalities
-that the constant is supposed to dominate, and a random-restart gradient
-ascent along SPD geodesics recomputes a lower bound for the constant
-without ever touching the fixed-point iteration.
+that the constant is supposed to dominate, and one gradient ascent along
+SPD geodesics from A = I recomputes a lower bound for the constant without
+ever touching the fixed-point iteration.
 
 Specialized to centered Gaussians, the two inequalities read
 
@@ -31,9 +31,9 @@ import math
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup, check_solvable
+from .datum import BLDatum, DatumError, FactorGroup, check_count, check_solvable
 from .quadform import check_tuple, harmonic_sum
-from .report import DEFAULT_SEED, VerificationReport, check_constant, check_count, check_seed
+from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_constant, check_seed
 
 DEFAULT_SAMPLES = 1000
 
@@ -51,9 +51,8 @@ _BLOCKS = 16
 # 784 MiB of RSS instead of 87 MiB, and ran no faster.
 _CHUNK = 4096
 
-# Ascents per gaussian_constant_search, the iterations and the relative
-# gradient that stop one.
-_RESTARTS, _ASCENT_ITERS, _ASCENT_GTOL = 4, 400, 1e-9
+# The iterations and the relative gradient that stop gaussian_constant_search.
+_ASCENT_ITERS, _ASCENT_GTOL = 400, 1e-9
 
 
 def sample_spd_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,13 +182,18 @@ def _sweep(datum, constant, kernels, dims, samples, seed):
     RNG block, one draw and one call per kernel per run of blocks (see _runs),
     each sample one SPD matrix per entry of `dims`. A validated `extremizer`,
     one matrix per entry of `dims`, is sample 0 of its kernel's first call;
-    its ratio gives the report's equality gap. One result per kernel."""
+    its ratio gives the report's equality gap. One result per kernel.
+    ValueError, before any draw, when all ratios or one stack exceed MAX_ELEMENTS."""
     check_count("samples", samples, 1)
     check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
     counts = [base + (1 if b < extra else 0) for b in range(_BLOCKS)]
+    runs = list(_runs(counts))
+    size, k = max(sum(counts[b] for b in run) for run in runs), max(dims)
+    if (elements := max(samples, size * k * k)) > MAX_ELEMENTS:
+        raise ValueError(f"max(samples, {size} * {k}^2) = {elements} exceeds the budget {MAX_ELEMENTS}")
     parts = [[] for _ in kernels]
-    for run in _runs(counts):
+    for run in runs:
         stacks = _draw_run(dims, counts, run, seed)
         for (kernel, extremizer), part in zip(kernels, parts):
             if extremizer is None or part:
@@ -280,31 +284,48 @@ def gaussian_constant_search(datum: BLDatum) -> float:
     """Best constant found by plain gradient ascent of the log-det objective
     F(A) = logdet A - sum_i c_i logdet(B_i A B_i^T) along SPD geodesics.
 
-    F is geodesically concave: each ascent carries a factor K of A = K K^T
-    and climbs H -> F(K exp(H) K^T), whose gradient at H = 0 is I - K^T S K,
+    F is geodesically concave, so one ascent from A = I reaches its
+    supremum: it carries a factor K of A = K K^T and climbs
+    H -> F(K exp(H) K^T), whose gradient at H = 0 is I - K^T S K,
     S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i; F is scale invariant, so the
-    step is the traceless part of it.
+    step is the traceless part of it, taken by an Armijo rule.
 
     Deliberately ignorant of the solver: F and S come from harmonic_sum, not
     the solver's whitening, so this is an independent bound the solver's
-    constant is compared against. The first of _RESTARTS ascents starts at
-    the identity, the rest at A = exp(S) for a random traceless symmetric S.
-    A datum that check_solvable refuses is refused here with the same error.
+    constant is compared against. A datum that check_solvable refuses is
+    refused here with the same error.
     """
     check_solvable(datum)
     n = datum.n
-    rng = np.random.default_rng(DEFAULT_SEED)
-    best = -math.inf
-    for r in range(_RESTARTS):
-        if r == 0:
-            K = np.eye(n)
+    K = np.eye(n)
+    try:
+        obj, S = _objective(datum, K)
+    except np.linalg.LinAlgError:
+        return 0.0
+    step = 1.0
+    for _ in range(_ASCENT_ITERS):
+        H = sym(np.eye(n) - K.T @ S @ K)
+        H -= np.trace(H) / n * np.eye(n)
+        h2 = float(np.sum(H * H))
+        if math.sqrt(h2) <= _ASCENT_GTOL * math.sqrt(n):
+            break
+        lam, V = np.linalg.eigh(H)
+        # exp(step * lam / 2) stays within [e^-2, e^2], so no trial overflows
+        step = min(step, 4.0 / np.abs(lam).max())
+        while step >= 1e-14:
+            K_try = K @ (V * np.exp(0.5 * step * lam)) @ V.T
+            try:
+                obj_try, S_try = _objective(datum, K_try)
+            except np.linalg.LinAlgError:
+                obj_try = -math.inf
+            if obj_try >= obj + 1e-4 * step * h2:
+                K, obj, S = K_try, obj_try, S_try
+                step *= 2.0
+                break
+            step *= 0.5
         else:
-            S = 0.5 * sym(rng.standard_normal((n, n)))
-            S -= np.trace(S) / n * np.eye(n)
-            w, U = np.linalg.eigh(S)
-            K = (U * np.exp(0.5 * w)) @ U.T
-        best = max(best, _ascend_once(datum, K))
-    return math.exp(0.5 * best)
+            break
+    return math.exp(0.5 * obj)
 
 
 def _objective(datum: BLDatum, K: np.ndarray):
@@ -314,36 +335,3 @@ def _objective(datum: BLDatum, K: np.ndarray):
     Z, log_det = harmonic_sum(datum.groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
                                              for i in datum.active])
     return float(gram_logdet(K, "A") - log_det[0]), sym(Z[0].T @ Z[0])
-
-
-def _ascend_once(datum: BLDatum, K: np.ndarray) -> float:
-    n = datum.n
-    try:
-        obj, S = _objective(datum, K)
-    except np.linalg.LinAlgError:
-        return -math.inf
-    step = 1.0
-    for _ in range(_ASCENT_ITERS):
-        H = sym(np.eye(n) - K.T @ S @ K)
-        H -= np.trace(H) / n * np.eye(n)
-        h2 = float(np.sum(H * H))
-        if math.sqrt(h2) <= _ASCENT_GTOL * math.sqrt(n):
-            return obj
-        lam, V = np.linalg.eigh(H)
-        # exp(step * lam / 2) stays within [e^-2, e^2], so no trial overflows
-        step = min(step, 4.0 / np.abs(lam).max())
-        while step >= 1e-14:
-            K_try = K @ (V * np.exp(0.5 * step * lam)) @ V.T
-            try:
-                obj_try, S_try = _objective(datum, K_try)
-            except np.linalg.LinAlgError:
-                step *= 0.5
-                continue
-            if obj_try >= obj + 1e-4 * step * h2:
-                K, obj, S = K_try, obj_try, S_try
-                step *= 2.0
-                break
-            step *= 0.5
-        else:
-            return obj
-    return obj

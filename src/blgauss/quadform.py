@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup
-from .report import DEFAULT_SEED, VerificationReport, check_count, check_seed
+from .datum import BLDatum, DatumError, FactorGroup, check_count
+from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_seed
 
 INF_SLACK = 1e-10
 
@@ -126,13 +126,15 @@ def check_inf(
     kernel of (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, with standard normal
     coefficients scaled by the minimizer's norm. A sample counts as a
     violation when its objective is below the claimed value by more than
-    1e-10.
+    1e-10. ValueError, before any draw, when they exceed MAX_ELEMENTS.
     """
     check_count("samples", samples, 1)
     check_seed(seed)
     mats = check_tuple(datum, tuple_)
     value, parts = _decompose(datum, mats, x)
     _, kernel = decomposition_map(datum)
+    if (elements := samples * (kernel.shape[1] + kernel.shape[0])) > MAX_ELEMENTS:
+        raise ValueError(f"samples * (kernel dim + sum n_i) = {elements} exceeds the budget {MAX_ELEMENTS}")
     y0 = np.concatenate(parts)
     scale = float(np.linalg.norm(y0))
 

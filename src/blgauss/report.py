@@ -1,4 +1,4 @@
-"""Shared result record, default seed, element budget, and the seed, count and constant checks of the verification layers."""
+"""Shared result record, default seed, element budget, and the seed and constant checks of the verification layers."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from dataclasses import dataclass
 DEFAULT_SEED = 1729
 
 # The most floats one array may hold when its size follows from a command
-# line's options (bd's draws and covariance, check-quadrature's grids):
-# 800 MB, checked before anything that size is allocated.
+# line's options (bd's draws and covariance, check-quadrature's grids, the
+# Gaussian sweeps' ratios and drawn stacks, check-inf's kernel draws and
+# decompositions): 800 MB, checked before anything that size is allocated.
 MAX_ELEMENTS = 10**8
 
 
@@ -20,12 +21,6 @@ def check_seed(seed) -> None:
     sampler here accepts; raised before anything is drawn."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
-def check_count(name: str, value, least: int) -> None:
-    """ValueError unless value is an integer of at least `least`, the rule of every count."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
 def check_constant(constant) -> None:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_solve, sym
-from .report import DEFAULT_SEED, MAX_ELEMENTS, check_count, check_seed
+from .datum import check_count
+from .report import DEFAULT_SEED, MAX_ELEMENTS, check_seed
 
 
 def check_draws(n: int, steps: int, paths: int) -> None:
@@ -71,12 +72,22 @@ class BrownianConfig:
 @dataclass(frozen=True, eq=False)
 class DriftPolicy:
     """Deterministic drift derivative u'(s) = rate[:, 0] + s * rate[:, 1] for
-    an (n, 2) matrix rate (None: zero), piecewise constant on the grid; a
-    constant v is rate [v, 0], and v + s * 0 = v exactly. Deterministic
-    policies keep U_T and the Cameron-Martin norm path-independent, so the
-    value estimate inherits the paths' stderr only through g."""
+    a finite (n, 2) matrix rate, n >= 1, however built (None: zero; ValueError
+    otherwise), piecewise constant on the grid; a constant v is rate [v, 0],
+    and v + s * 0 = v exactly. Deterministic policies keep U_T and the
+    Cameron-Martin norm path-independent, so the value estimate inherits the
+    paths' stderr only through g."""
 
     rate: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.rate is not None:
+            rate = np.asarray(self.rate, dtype=float)
+            if rate.ndim != 2 or rate.shape[1] != 2 or not len(rate):
+                raise ValueError(f"rate must have shape (n, 2) with n >= 1, got {rate.shape}")
+            if not np.all(np.isfinite(rate)):
+                raise ValueError("rate must be finite")
+            object.__setattr__(self, "rate", rate)
 
     @classmethod
     def zero(cls) -> "DriftPolicy":
@@ -90,9 +101,6 @@ class DriftPolicy:
 
     @classmethod
     def linear_in_time(cls, rate) -> "DriftPolicy":
-        rate = np.asarray(rate, dtype=float)
-        if rate.ndim != 2 or rate.shape[1] != 2:
-            raise ValueError(f"rate must have shape (n, 2), got {rate.shape}")
         return cls(rate=rate)
 
     def derivative(self, times: np.ndarray, n: int) -> np.ndarray:

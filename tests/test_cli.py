@@ -110,6 +110,17 @@ class TestExitCodes:
         assert captured.err == "error: factor 0: c must be a number, got '0.75'\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, formula", [
+        (["check-gaussian", "--constant", "1"], "max(samples, 62500000000 * 1^2) = 1000000000000"),
+        (["check-inf"], "samples * (kernel dim + sum n_i) = 4000000000000"),
+    ], ids=["check-gaussian", "check-inf"])
+    def test_sample_count_over_budget_exits_2(self, argv, formula, capsys):
+        # both asked numpy for terabytes (466 GiB, 7.28 TiB) and died with a traceback
+        assert main([argv[0], "--datum", YOUNG, "--samples", "1000000000000", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {formula} exceeds the budget 100000000\n"
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_frame_datum(self, capsys, tmp_path):

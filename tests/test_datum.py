@@ -324,7 +324,7 @@ class TestValueSemantics:
         # policy hold arrays: == is identity and hashing does not raise
         from blgauss import BrownianConfig, DriftPolicy, GridFunction, Subspace
         made = [lambda: Subspace.coordinate(2, [0]),
-                lambda: GridFunction(np.zeros(1), np.ones(1), np.ones(3), np.cos),
+                lambda: GridFunction.from_callable(lambda p: np.cos(p[..., 0]), np.zeros(1), np.ones(1), 3),
                 lambda: BrownianConfig(A=np.eye(1)),
                 lambda: DriftPolicy.constant([1.0])]
         for make in made:

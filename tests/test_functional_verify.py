@@ -53,17 +53,21 @@ class TestGridFunction:
     @pytest.mark.parametrize("lo, hi", [([0.0], [0.0]), ([], []), ([0.0], [1.0, 1.0])])
     def test_rejects_bad_boxes(self, lo, hi):
         with pytest.raises(ValueError):
-            GridFunction(lo, hi, np.ones(5), ones)
+            GridFunction.from_callable(ones, lo, hi, 5)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0, -0.1]), ones)
+            GridFunction.from_callable(lambda p: np.array([1.0, -0.1]), [0.0], [1.0], 2)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0, np.nan]), ones)
+            GridFunction.from_callable(lambda p: np.array([1.0, np.nan]), [0.0], [1.0], 2)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.array([1.0]), ones)
+            GridFunction.from_callable(ones, [0.0], [1.0], 1)
         with pytest.raises(ValueError):
-            GridFunction([0.0], [1.0], np.ones((3, 3)), ones)
+            GridFunction.from_callable(lambda p: np.ones((3, 3)), [0.0], [1.0], 3)
+        # a (3, 3) f on a 5 x 5 grid was taken for a 3 x 3 function
+        with pytest.raises(ValueError, match=re.escape(
+                "f must return one value per grid point, shape (5, 5), got (3, 3)")):
+            GridFunction.from_callable(lambda p: np.ones((3, 3)), [-1, -1], [1, 1], 5)
 
     # an extent hi - lo past the float range, as [-1e308, 1e308], leaked an
     # overflow from np.linspace
@@ -74,7 +78,7 @@ class TestGridFunction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                GridFunction(lo, hi, np.ones((3,) * len(lo)), ones)
+                GridFunction(ones, lo, hi, 3)
             with pytest.raises(ValueError, match="finite"):
                 GridFunction.from_callable(ones, lo, hi, 5)
 
@@ -311,7 +315,10 @@ class TestDirectIntegralCheck:
                 return f(pts)
             return g
 
-        counting = [GridFunction(gf.lo, gf.hi, gf.values, counted(k, gf.f)) for k, gf in enumerate(fs)]
+        counting = [GridFunction.from_callable(counted(k, gf.f), gf.lo, gf.hi, gf.points_per_axis[0])
+                    for k, gf in enumerate(fs)]
+        for made in calls:
+            made.clear()  # the calls that sampled each grid
         direct_integral_check(d, counting, 1.0, resolution=301)
         reads_all = [bool(np.all(f.B != 0.0)) for f in d.factors]
         assert reads_all == ([True, False, False] if n == 2 else [True, True])
@@ -907,6 +914,24 @@ def test_bad_constant_is_refused_before_any_grid(check, constant):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="constant must be finite and positive"):
             run(d, fs, constant, resolution=21)
+
+
+@pytest.mark.parametrize("scale, constant, check", [(1e-300, 1e-200, "direct"), (1e-300, 1e-200, "reverse"),
+                                                    (1.0, 1e308, "direct"), (1.0, 1e308, "reverse")])
+def test_ratios_at_the_edges_of_the_float_range(scale, constant, check):
+    # C * prod_i (integral f_i)^{c_i} rounded to 0 (a ZeroDivisionError from
+    # both checks) or past the float range (an OverflowError from the direct
+    # check, a ratio of 0 from the reverse one); the ratio is formed in the
+    # log domain there, and equals the ratio at C = 1 divided by C
+    d = prekopa_leindler_datum()
+    g = gaussian_function([[1.0]])
+    fs = [GridFunction.from_callable(lambda p: scale * g(p), [-8.0], [8.0], 101)] * 2
+    run = {"direct": direct_integral_check, "reverse": reverse_integral_check}[check]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = run(d, fs, constant, resolution=101)
+        assert math.isfinite(ratio)
+        assert ratio == pytest.approx(run(d, fs, 1.0, resolution=101) / constant, rel=1e-12, abs=0.0)
 
 
 class TestReverseIntegralCheck:

@@ -551,6 +551,14 @@ class TestConstantSearch:
         assert r.converged
         assert gaussian_constant_search(d) == pytest.approx(r.constant, rel=1e-10)
 
+    def test_search_draws_no_random_number(self, monkeypatch):
+        # F is geodesically concave: one ascent from A = I, no random restarts
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search drew a random number")
+        monkeypatch.setattr(blgauss.gaussian_verify.np.random, "default_rng", refuse)
+        e, d = young_flagship()
+        assert gaussian_constant_search(d) == pytest.approx(beckner_constant(e), abs=1e-6)
+
     def test_search_approaches_an_unattained_constant(self):
         # C = 1 is a supremum that no Gaussian attains; the search is a lower bound
         d = make_datum(2, [0.5, 1.0, 0.5], [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),

@@ -173,6 +173,24 @@ class TestDriftPolicy:
         with pytest.raises(ValueError, match="constant drift must be a vector"):
             DriftPolicy.constant(v)
 
+    def test_every_construction_checks_the_rate(self):
+        # the raw constructor took an (n, 3) rate, whose third column
+        # drift_value dropped, and a NaN rate surfaced as an OverflowError of g
+        for make in (lambda: DriftPolicy(rate=np.ones((2, 3))), lambda: DriftPolicy(rate=np.zeros((0, 2))),
+                     lambda: DriftPolicy.constant([])):
+            with pytest.raises(ValueError, match=r"rate must have shape \(n, 2\) with n >= 1"):
+                make()
+        for make in (lambda: DriftPolicy(rate=np.full((2, 2), np.nan)),
+                     lambda: DriftPolicy.linear_in_time(np.full((2, 2), np.nan)),
+                     lambda: DriftPolicy.constant([np.inf, 0.0])):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                make()
+
+    def test_a_list_rate_is_an_array(self):
+        # a list rate raised AttributeError in derivative
+        policy = DriftPolicy(rate=[[1.0, 2.0], [0.5, -1.0]])
+        np.testing.assert_array_equal(policy.derivative(np.array([0.0, 1.0]), 2), [[1.0, 0.5], [3.0, -0.5]])
+
 
 class TestClosedForms:
     def test_linear_frozen(self):
