@@ -24,7 +24,13 @@ each f_i from up to W worker threads on chunks of shape (samples, dim), so
 f_i must be vectorized and hold no shared mutable state.
 
 Both checks add c_i log f_i over their samples in place, in chunks of about
-_SUPCONV_CHUNK samples, and each chunk allocates its own arrays. A chunk of
+_SUPCONV_CHUNK samples, and each chunk allocates its own arrays. On a line
+kernel with every f_i a gaussian_function, sum_i c_i log f_i along a grid
+point's segment is a concave quadratic with a closed-form maximizer; the
+sup-convolution reads only a few samples around it, certifies per point
+that no sample outside them can read higher (_line_peaks), and reads the
+whole segment of any point it cannot certify, so the envelope keeps every
+bit of brute force. Any other input or kernel reads every sample. A chunk of
 the direct check is a block of whole grid lines along the last axis, whose
 points it builds off the axis instead of holding the whole grid. A factor
 whose map reads one axis only has its f_i read once, on that axis, and the
@@ -153,11 +159,20 @@ def integrate(gf: GridFunction) -> float:
 # -- built-in function families -------------------------------------------------
 
 def gaussian_function(precision, center=None):
-    """x -> exp(-(x-c)^T P (x-c) / 2), peak value 1."""
-    P = np.atleast_2d(np.asarray(precision, dtype=float))
+    """x -> exp(-(x-c)^T P (x-c) / 2), peak value 1. ValueError unless the
+    precision P is a finite square matrix and the centre c, when given, a
+    finite vector of its dimension. The callable carries P and c (zero when
+    none is given) as its `_gaussian` mark, which sup_convolution reads to
+    choose the samples it reads (_line_model)."""
+    P = np.array(precision, dtype=float, ndmin=2)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or not P.size or not np.all(np.isfinite(P)):
+        raise ValueError(f"precision must be a finite square matrix, got {P.tolist()}")
     d = P.shape[0]
+    mu = np.zeros(d) if center is None else np.array(center, dtype=float)
+    if mu.shape != (d,) or not np.all(np.isfinite(mu)):
+        raise ValueError(f"center must be a finite vector of dimension {d}, got {mu.tolist()}")
     # x - 0 is x, so a zero centre is not subtracted
-    c = None if center is None or not np.any(center) else np.asarray(center, dtype=float)
+    c = mu if np.any(mu) else None
 
     def f(pts):
         diff = np.asarray(pts, dtype=float) if c is None else np.asarray(pts) - c
@@ -178,6 +193,10 @@ def gaussian_function(precision, center=None):
             q *= -0.5
         return np.exp(q, out=q)
 
+    # read-only, so that the mark stays the function
+    P.setflags(write=False)
+    mu.setflags(write=False)
+    f._gaussian = (P, mu)
     return f
 
 
@@ -467,6 +486,147 @@ def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):
     return [P[..., j] for j in range(len(K))]
 
 
+@dataclass(frozen=True, eq=False)
+class _LineModel:
+    """Q(t) = sum_i c_i log f_i(y0_i + k_i t) for Gaussian f_i on a line
+    kernel k: Q(t) = -1/2 d^T P d with d = u + k t, u = y0 - mu, P the block
+    diagonal of the c_i P_i and mu the centres, over the factor coordinates.
+    Q is a quadratic of curvature gamma = k^T P k, largest at
+    t* = -(u . g) / gamma, g = sym(P) k. Per factor, over the coordinate
+    spans: c_i, and a_i = max|P_i| n_i^2, so that |d_i^T P_i d_i| is at most
+    a_i max_j d_j^2. The arrays it reads hold one coordinate per row, so
+    that every operation runs along a grid chunk."""
+
+    k: np.ndarray
+    P: np.ndarray
+    mu: np.ndarray
+    g: np.ndarray
+    gamma: float
+    c: np.ndarray
+    a: np.ndarray
+    spans: list
+
+    def value(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Q at u + k t, u one row per coordinate broadcast against t."""
+        d = u + self.k.reshape((-1,) + (1,) * t.ndim) * t
+        q = np.zeros(d.shape[1:])
+        for i, j in zip(*np.nonzero(self.P)):
+            q += self.P[i, j] * d[i] * d[j]
+        return -0.5 * q
+
+    def per_factor(self, x: np.ndarray) -> np.ndarray:
+        """The largest of each factor's rows of x, one row per factor."""
+        return np.stack([x[a:b].max(axis=0) for a, b in self.spans])
+
+
+def _line_model(fs, cs, spans, k: np.ndarray) -> _LineModel | None:
+    """The model _line_peaks reads when every f_i is a gaussian_function on
+    its GridFunction's dimension (its `_gaussian` mark) and gamma exceeds its
+    own rounding, 2^-36 sum_i c_i a_i (|k| = 1), so that Q is certainly
+    concave; else None, and every point reads its whole segment."""
+    marks = [getattr(gf.f, "_gaussian", None) for gf in fs]
+    if any(m is None or len(m[1]) != gf.dim for m, gf in zip(marks, fs)):
+        return None
+    P = np.zeros((len(k), len(k)))
+    for (a, b), c, (Pi, _) in zip(spans, cs, marks):
+        P[a:b, a:b] = c * Pi
+    g = 0.5 * (P + P.T) @ k
+    gamma = float(k @ g)
+    c = np.array(cs)
+    a = np.array([np.abs(Pi).max() * len(Pi) ** 2 for Pi, _ in marks])
+    if not gamma > 2.0**-36 * float(c @ a):
+        return None
+    return _LineModel(k, P, np.concatenate([mu for _, mu in marks]), g, gamma, c, a, spans)
+
+
+def _radius(ratio):
+    """rho / h = sqrt(1/4 + 4 E / (gamma h^2)) + 2, the window's half-width
+    in sample steps, from ratio = E / (gamma h^2) (see _line_peaks)."""
+    return np.sqrt(0.25 + 4.0 * ratio) + 2.0
+
+
+def _line_peaks(model: _LineModel, y0, centre, scale, base, fs):
+    """The largest sum_i c_i log f_i over each live point's segment samples
+    centre + scale * base, read on a window of them that the model
+    certifies, with the bits the whole segment gives. Returns (peaks, rest):
+    rest are the points that must read their whole segment, whose peaks
+    entries are left unset.
+
+    A point's samples t_0 <= ... <= t_{R-1} are spaced h = scale / (R - 1).
+    Its window is the samples within rho = sqrt(h^2/4 + 4E/gamma) + 2h of
+    t* clamped to [t_0, t_{R-1}]. E bounds the rounding of a read s_m and
+    of value(), each against the exact Q(t_m), added. With V_i the largest
+    |y0_j| + |k_j t| + |mu_j| over factor i's coordinates and the segment,
+    the rounding of the decomposition, the term-by-term form, exp and log in
+    the normal range, the weight c_i and the sums is within a few eps of
+    c_i (1 + a_i V_i^2) per factor, and
+
+        E = sum_i c_i e_i,  e_i = 2^-36 (1 + a_i V_i^2).
+
+    A sample that exp rounds into the subnormal range may read far above
+    Q, so every read of the segment must stay normal: with U_i the largest
+    |y_j - mu_j| over factor i's coordinates at t_0 and t_{R-1}, as read,
+    1/2 a_i U_i^2 + e_i < -log(tiny) for every i. Then the window is
+    certified if its best read beats value() by more than E at the samples
+    just outside it. Q is concave, so where t* is not beyond them those are
+    the best samples outside; where it is, Q rises across the window toward
+    it, and no read in the window can beat the sample beyond.
+
+    rho sets only how many samples are read: the certificate carries the
+    bits. A point is left to rest where the window is its whole segment or
+    a single point (scale 0), where the model is not finite (a huge box),
+    where some read outside the window may leave the normal range, and
+    where the certificate fails (as when the best sample reads 0 at a box
+    edge)."""
+    R, k, mu = len(base), model.k, model.mu
+    cols = np.ascontiguousarray(y0.T)
+    with np.errstate(all="ignore"):
+        # t_0 and t_{R-1}, and y - mu there, formed as the reads form them
+        ends = [scale * base[m, 0] + centre[:, 0] for m in (0, -1)]
+        reach = np.maximum(np.abs(ends[0]), np.abs(ends[1]))
+        V = model.per_factor(np.abs(cols) + np.abs(k)[:, None] * reach + np.abs(mu)[:, None])
+        U = model.per_factor(np.maximum(*(np.abs(k[:, None] * t + cols - mu[:, None]) for t in ends)))
+        e = 2.0**-36 * (1.0 + model.a[:, None] * V * V)
+        E = model.c @ e
+        normal = np.all(0.5 * model.a[:, None] * U * U + e < -math.log(np.finfo(float).tiny), axis=0)
+        u = cols - mu[:, None]
+        h = scale / (R - 1)
+        # rho / h, and t* clamped, in steps of h from t_0
+        r = _radius(E / (model.gamma * h * h))
+        at = np.clip((-(model.g @ u) / model.gamma - ends[0]) / h, 0.0, R - 1.0)
+        lo, hi = np.ceil(at - r), np.floor(at + r)
+        w = np.flatnonzero(normal & (scale > 0.0) & np.isfinite(lo + hi) & ((lo > 0.0) | (hi < R - 1.0)))
+    lo = np.maximum(lo[w], 0.0).astype(np.intp)
+    hi = np.minimum(hi[w], R - 1.0).astype(np.intp)
+    counts = hi - lo + 1
+    first = np.cumsum(counts) - counts
+    # each window's samples in turn: point p, sample index m; formed as
+    # _decompositions forms a line's
+    p = np.repeat(w, counts)
+    m = np.repeat(lo - first, counts)
+    m += np.arange(len(m))
+    T = scale[p] * base[m, 0]
+    T += centre[p, 0]
+    Y = [kj * T for kj in k]
+    for y, y0j in zip(Y, cols):
+        y += y0j[p]
+    logs = np.zeros(len(T))
+    for (a, b), c, gf in zip(model.spans, model.c, fs):
+        _add_log(logs, gf, Y[a:b], c)
+    best = np.maximum.reduceat(logs, first) if len(w) else logs
+    # certified where the best read beats Q + E at the samples just outside
+    # the window, on each side that has one
+    out = np.stack([lo - 1, hi + 1])
+    with np.errstate(all="ignore"):
+        t = scale[w] * base[np.clip(out, 0, R - 1), 0] + centre[w, 0]
+        beaten = best > model.value(u[:, None, w], t) + E[w]
+    ok = np.all(beaten | (out < 0) | (out > R - 1), axis=0)
+    peaks, rest = np.empty(len(y0)), np.ones(len(y0), dtype=bool)
+    peaks[w[ok]] = best[ok]
+    rest[w[ok]] = False
+    return peaks, np.flatnonzero(rest)
+
+
 def _worker_count() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -526,8 +686,21 @@ def sup_convolution(
 
     The functions are read at no dead point (one without a decomposition
     inside the boxes, whose envelope is 0) and, for a plane, at no sample
-    outside the boxes. The chunks of grid points run on one worker per CPU
-    this process may run on; the envelope does not depend on how many.
+    outside the boxes. On a line with every f_i a gaussian_function (its
+    mark read by _line_model), sum_i c_i log f_i along the segment is the
+    concave quadratic Q(t) of curvature gamma > 0, largest at a closed-form
+    t*. Each point then reads only the samples around t* clamped to its
+    segment (5 or 6 where the rounding bound E is small against
+    gamma h^2), certified a posteriori against Q, E and the normal float
+    range (_line_peaks). A point that cannot be certified (gamma <= 0
+    is refused for the whole grid; a point may fail where its model is not
+    finite, its reads may leave the normal range, or its best read is 0)
+    reads its whole segment. Either way each sample read is formed by the
+    operations brute force uses, so the envelope is brute force's, bit for
+    bit. Kernel dimensions 0 and 2 and every other callable read every
+    sample. The chunks of grid points run on one worker per CPU this process
+    may run on; the envelope does not depend on how many, nor on the chunk
+    size.
 
     ValueError where _refusal refuses the reverse check, read at the reach
     of the grid box and of every factor box together.
@@ -552,20 +725,22 @@ def sup_convolution(
     out = np.zeros(len(Y0))
 
     base = _sample_base(kdim, resolution)
-    chunk = max(1, _SUPCONV_CHUNK // len(base))
+    # points whose windows are read whole per chunk
+    whole = max(1, _SUPCONV_CHUNK // len(base))
+    model = _line_model(fs, cs, spans, K[:, 0]) if kdim == 1 else None
+    # a window point reads 5 or 6 samples (rho >= 2.5 h) and its model
+    # keeps about ten more values: at 16 per point a chunk's arrays stay
+    # near a whole-segment chunk's. At 8 per point, 30 rounds of the
+    # benchmark's functional ops peaked up to 6 MiB higher in RSS (2-core
+    # x86-64 host), as glibc's heaps grew
+    chunk = whole if model is None else max(1, _SUPCONV_CHUNK // 16)
 
-    def run(task: int) -> None:
-        start = task * chunk
-        window = Y0[start : start + chunk]
-        centre, scale, dead = _window(window, K, lows, highs)
-        # a dead point has no decomposition inside the boxes and stays 0
-        live = np.flatnonzero(~dead)
-        if not len(live):
-            return
-        centre, scale = centre[live], scale[live]
+    def peaks(y0, centre, scale):
+        """The largest sum_i c_i log f_i over every sample of each point's
+        window (_window)."""
         T = scale[:, None, None] * base
         T += centre[:, None, :]
-        Y = _decompositions(window[live], T, K)
+        Y = _decompositions(y0, T, K)
         # a single-point segment lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the functions are read inside their boxes
         point = scale == 0.0
@@ -588,8 +763,25 @@ def sup_convolution(
         if kdim == 2:
             logs, kept = np.full(T.shape[:2], -np.inf), logs
             logs[inside] = kept
-        peaks = logs.reshape(len(live), len(base)).max(axis=1)
-        out[start + live] = np.exp(peaks, out=peaks)
+        return logs.reshape(len(y0), len(base)).max(axis=1)
+
+    def run(task: int) -> None:
+        start = task * chunk
+        window = Y0[start : start + chunk]
+        centre, scale, dead = _window(window, K, lows, highs)
+        # a dead point has no decomposition inside the boxes and stays 0
+        live = np.flatnonzero(~dead)
+        if not len(live):
+            return
+        y0, centre, scale = window[live], centre[live], scale[live]
+        if model is None:
+            best = peaks(y0, centre, scale)
+        else:
+            best, rest = _line_peaks(model, y0, centre, scale, base, fs)
+            for s in range(0, len(rest), whole):
+                b = rest[s : s + whole]
+                best[b] = peaks(y0[b], centre[b], scale[b])
+        out[start + live] = np.exp(best, out=best)
 
     _in_workers(-(-len(Y0) // chunk), run)
     return out.reshape(pts.shape[:-1])

@@ -216,6 +216,23 @@ class TestBuiltinFunctions:
         overflowed = np.isinf(q) & (q > 0)
         assert overflowed.any() and np.isnan(q).any() and np.all(got[overflowed] == 0.0)
 
+    @pytest.mark.parametrize("precision, center", [
+        (np.eye(2), [0.5]),  # was a 2-d Gaussian centred at (0.5, 0.5)
+        ([[1.0, 2.0, 3.0]], None),
+        (np.zeros((0, 0)), None),
+        (np.ones((1, 1, 1)), None),
+        ([[np.inf]], None),  # leaked an invalid-value warning on its first call
+        ([[1.0, np.nan], [np.nan, 1.0]], None),
+        ([[1.0]], [np.nan]),  # read 0 everywhere
+        ([[1.0]], 0.5),
+    ])
+    def test_gaussian_refuses_a_bad_precision_or_centre(self, precision, center):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^(precision must be a finite square matrix"
+                                                 r"|center must be a finite vector of dimension \d), got "):
+                gaussian_function(precision, center)
+
     def test_box_indicator(self):
         f = box_function([-1.0], [2.0])
         np.testing.assert_array_equal(
@@ -762,6 +779,166 @@ class TestSupConvolution:
         fs = [grid_gaussian([[1.0]], points=11)] * 4
         with pytest.raises(ValueError, match=r"^decomposition kernel has dimension 3 > 2$"):
             sup_convolution(d, fs, resolution=11)
+
+
+def plain(fs, seen=None):
+    """The same inputs behind plain callables, which carry no Gaussian mark,
+    so sup_convolution reads every sample of each segment. With seen, each
+    call appends whether it returned a subnormal value."""
+    def wrap(f):
+        def g(p):
+            v = f(p)
+            if seen is not None:
+                seen.append(bool(np.any((v > 0.0) & (v < np.finfo(float).tiny))))
+            return v
+        return g
+
+    return [GridFunction.from_callable(wrap(gf.f), gf.lo, gf.hi, gf.points_per_axis[0]) for gf in fs]
+
+
+def line_case(rng, box=None, resolution=None, kind=None):
+    """(datum, functions, box, resolution): a random datum whose
+    decomposition kernel is a line, n = 1 with factor dimensions (1, 1) or
+    n = 2 with (1, 1, 1) or (2, 1) (kind 0, 1 or 2, drawn unless given),
+    and gaussian_function inputs. Precision eigenvalues are 0.1 to 10, half
+    the centres are off 0 by up to a third of the box, and each factor box
+    is 0.7 to 2 times the grid box, which is 1 to 100 and the resolution 21
+    to 101 unless given."""
+    n, dims = [(1, (1, 1)), (2, (1, 1, 1)), (2, (2, 1))][rng.integers(3) if kind is None else kind]
+    d = make_datum(n, rng.uniform(0.3, 1.2, len(dims)), [rng.standard_normal((m, n)) for m in dims])
+    box = 10.0 ** rng.uniform(0.0, 2.0) if box is None else box
+    fs = []
+    for m in dims:
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        P = Q @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, m)) @ Q.T
+        centre = rng.uniform(-box / 3.0, box / 3.0, m) if rng.random() < 0.5 else None
+        reach = box * rng.uniform(0.7, 2.0)
+        fs.append(GridFunction.from_callable(gaussian_function(P, centre), [-reach] * m, [reach] * m, 5))
+    return d, fs, box, int(rng.integers(21, 102)) if resolution is None else resolution
+
+
+def at_the_window_limit(d, fs, box, resolution):
+    """The case with every factor box [-u, u] at the window limit u, and the
+    grid box there too where the grid volume allows (n = 1). Its factors
+    are 1-d: at the corners of a 2-d box the terms of the form overflow to
+    inf and -inf, whose sum is NaN."""
+    L, K = decomposition_map(d)
+    u = functional_verify._window_limit(np.linalg.pinv(L), K)
+    fs = [GridFunction.from_callable(gf.f, [-u] * gf.dim, [u] * gf.dim, 5) for gf in fs]
+    return d, fs, u if d.n == 1 else box, resolution
+
+
+class TestLineWindow:
+    """A line kernel with gaussian_function inputs reads each point's
+    segment only on a window that the closed-form maximizer places and a
+    certificate checks (_line_peaks), and keeps the whole segment's bits."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(1302)
+        out = [line_case(rng) for _ in range(40)]
+        out += [line_case(rng, resolution=2) for _ in range(3)]
+        # reads outside some windows reach the subnormal range, which exp
+        # may round up past the model, and some best reads are subnormal
+        out += [line_case(rng, box=b) for b in (20.0, 25.0, 30.0, 35.0, 40.0)]
+        wide = GridFunction.from_callable(gaussian_function([[1.0]]), -40.0, 40.0, 5)
+        out += [(prekopa_leindler_datum(), [wide] * 2, 40.0, 41), (young_flagship()[1], [wide] * 3, 40.0, 101)]
+        out += [at_the_window_limit(*line_case(rng, resolution=21, kind=k)) for k in (0, 1, 1)]
+        return out
+
+    @staticmethod
+    def counted_windows(monkeypatch):
+        """[points, points left to read their whole segment] per chunk."""
+        stats = []
+        line_peaks = functional_verify._line_peaks
+
+        def counted(model, y0, *args):
+            peaks, rest = line_peaks(model, y0, *args)
+            stats.append((len(y0), len(rest)))
+            return peaks, rest
+
+        monkeypatch.setattr(functional_verify, "_line_peaks", counted)
+        return stats
+
+    def test_the_window_keeps_the_whole_segments_bits(self, monkeypatch):
+        # each case as gaussian_function inputs and as plain callables; then
+        # again with rho cut by 2h (to no less than h/2, one sample), which
+        # only leaves more points to read their whole segment
+        stats = self.counted_windows(monkeypatch)
+        seen, rest = [], []
+        envelopes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, fs, box, res in self.cases():
+                want = sup_convolution(d, plain(fs, seen), resolution=res, box=box).tobytes()
+                for shrink in (0.0, 2.0):
+                    radius = functional_verify._radius
+                    monkeypatch.setattr(functional_verify, "_radius",
+                                        lambda x: np.maximum(radius(x) - shrink, 0.5))
+                    stats.clear()
+                    env = sup_convolution(d, fs, resolution=res, box=box)
+                    monkeypatch.setattr(functional_verify, "_radius", radius)
+                    assert env.tobytes() == want, (d, box, res, shrink)
+                    rest.append(np.sum(stats, axis=0))
+                envelopes.append(env)
+        points, left = np.array(rest[::2]).sum(axis=0)
+        _, left_shrunk = np.array(rest[1::2]).sum(axis=0)
+        # some points certify a window and some do not; a narrower window
+        # certifies fewer
+        assert 0 < left < points and left < left_shrunk
+        # some reads, and some envelope values, are subnormal
+        tiny = np.finfo(float).tiny
+        assert any(seen) and any(np.any((0.0 < e) & (e < tiny)) for e in envelopes)
+
+    def test_young_reads_a_handful_of_samples_per_point(self, monkeypatch):
+        _, d = young_flagship()
+        fs = [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])]
+        asked = []
+        add_log = functional_verify._add_log
+
+        def counted(acc, gf, coords, c):
+            asked.append(coords[0].size)
+            add_log(acc, gf, coords, c)
+
+        monkeypatch.setattr(functional_verify, "_add_log", counted)
+        env = sup_convolution(d, fs, resolution=201)
+        windows = sum(asked)
+        asked.clear()
+        assert sup_convolution(d, plain(fs), resolution=201).tobytes() == env.tobytes()
+        # a plain callable is read at all 201 samples of every live point
+        live = np.count_nonzero(env)
+        assert sum(asked) == 3 * 201 * live
+        assert windows <= 3 * 7 * live
+
+    @pytest.mark.parametrize("case", ["indefinite", "huge-box"])
+    def test_a_model_that_cannot_certify_reads_every_sample(self, case, monkeypatch):
+        # gamma = (1 - 2) / 4 < 0 makes the model convex, and no line model
+        # is built; at box 1e300 the model's magnitudes pass the float
+        # range, and every point reads its whole segment, without a warning
+        d = prekopa_leindler_datum()
+        box, ps = (8.0, (1.0, -2.0)) if case == "indefinite" else (1e300, (1.0, 0.5))
+        fs = [GridFunction.from_callable(gaussian_function([[p]]), -box, box, 21) for p in ps]
+        stats = self.counted_windows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = sup_convolution(d, fs, resolution=41, box=box)
+        assert env.tobytes() == sup_convolution(d, plain(fs), resolution=41, box=box).tobytes()
+        if case == "indefinite":
+            assert stats == [] and env.max() > 1.0
+        else:
+            points, rest = np.sum(stats, axis=0)
+            assert rest == points > 0
+
+    @pytest.mark.parametrize("kdim", [0, 2])
+    def test_other_kernel_dimensions_take_no_window(self, kdim, monkeypatch):
+        d, fs, res = TestSupConvolution.kernel_cases()[kdim]
+
+        def unused(*args):
+            raise AssertionError("a window was read")
+
+        monkeypatch.setattr(functional_verify, "_line_peaks", unused)
+        env = sup_convolution(d, fs, resolution=res)
+        assert env.tobytes() == sup_convolution(d, plain(fs), resolution=res).tobytes()
 
 
 @pytest.mark.parametrize("box", [-1.0, 0.0, np.nan, np.inf])
