@@ -20,46 +20,36 @@ NaN reads 0) and 0 outside its box; and its values on its own grid, which
 give the trapezoid rule for its integral and the boundary-decay warning
 (_log_masses). A check whose grid sees none of an input's mass, or of the
 envelope's, has nothing to compare and raises ValueError. The checks call
-each f_i from up to W worker threads on chunks of shape (samples, dim), so
-f_i must be vectorized and hold no shared mutable state.
+each f_i on chunks of shape (samples, dim), so f_i must be vectorized.
 
 Both checks add c_i log f_i over their samples in place, in chunks of about
-_SUPCONV_CHUNK samples, and each chunk allocates its own arrays. On a line
-kernel with every f_i a gaussian_function, sum_i c_i log f_i along a grid
-point's segment is a concave quadratic with a closed-form maximizer; the
-sup-convolution reads only a few samples around it, certifies per point
-that no sample outside them can read higher (_line_peaks), and reads the
-whole segment of any point it cannot certify, so the envelope keeps every
-bit of brute force. Any other input or kernel reads every sample. A chunk of
-the direct check is a block of whole grid lines along the last axis, whose
-points it builds off the axis instead of holding the whole grid. A factor
-whose map reads one axis only has its f_i read once, on that axis, and the
-table added to every line in factor order, so each grid point gets the same
-floats as if f_i were read there.
+_SUPCONV_CHUNK samples run one after another in the calling thread, and
+each chunk allocates its own arrays. On a line kernel with every f_i a
+gaussian_function, sum_i c_i log f_i along a grid point's segment is a
+concave quadratic with a closed-form maximizer; the sup-convolution reads
+only a few samples around it, certifies per point that no sample outside
+them can read higher (_line_peaks), and reads the whole segment of any
+point it cannot certify, so the envelope keeps every bit of brute force.
+Any other input or kernel reads every sample. A chunk of the direct check
+is a block of whole grid lines along the last axis, whose points it builds
+off the axis instead of holding the whole grid. A factor whose map reads
+one axis only has its f_i read once, on that axis, and the table added to
+every line in factor order, so each grid point gets the same floats as if
+f_i were read there. Every sample goes through the same operations in the
+same order whatever the chunk size, so neither check's bits depend on it.
 
-Work arrays that each thread allocated once and reused were no faster than
-per-chunk ones once glibc's mmap threshold has risen, which it does when a
-larger mmapped block is freed. The direct check's integrand is such a block:
-it stays one full-grid array that the final trapezoid rule reads, although
-each worker could integrate its own lines, because freeing it is what keeps
-a later check's chunks from being mmapped and faulted in afresh.
-
-Both checks run their chunks on one worker per CPU this process may run on
-(_in_workers): the calling thread takes chunks 0, W, 2W, ..., and W - 1
-threads, each in a copy of the caller's context (so its np.errstate holds
-there too), take the rest. Each chunk writes only its own slice of the
-envelope or of the integrand, and every sample goes through the same
-operations in the same order, so both checks give the same bits whatever W
-is. The first exception in a worker stops the others and is re-raised in
-the caller.
+Work arrays allocated once and reused were no faster than per-chunk ones
+once glibc's mmap threshold has risen, which it does when a larger mmapped
+block is freed. The direct check's integrand is such a block: it stays one
+full-grid array, though each chunk integrates its own lines, because
+freeing it keeps a later check's chunks from being mmapped and faulted in
+afresh (with per-chunk integrands, a later 81-point check of kernel
+dimension 2 took about 6,000 page faults a call, against 0).
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -76,8 +66,8 @@ MAX_KERNEL_DIM = 2
 # samples per chunk of the quadrature loops (a sup-convolution grid point
 # takes one, resolution or resolution^2 by kernel dimension): 512 KiB per
 # array of floats. A chunk's working arrays outgrow a 2 MiB per-core L2
-# cache, but a smaller chunk pays numpy's per-call cost more often: at
-# 16,384 samples two workers ran the sup-convolution slower than one
+# cache, but a smaller chunk pays numpy's per-call cost more often: in one
+# thread, 16,384 samples ran the Young reverse check at 201 points slower
 _SUPCONV_CHUNK = 65_536
 
 
@@ -85,12 +75,11 @@ _SUPCONV_CHUNK = 65_536
 class GridFunction:
     """Non-negative function f sampled on a uniform tensor grid of `points`
     per axis over the box [lo, hi], with its values there. f takes an array
-    of shape (..., dim) and returns (...); the integral checks call it from
-    worker threads (see the module docstring), so it must be vectorized and
-    hold no shared mutable state. ValueError before the grid is allocated
-    unless points is an integer of at least 2 and the grid's dim * points^dim
-    coordinates fit MAX_ELEMENTS; then unless f returns one finite,
-    non-negative value per grid point."""
+    of shape (..., dim) and returns (...); the integral checks call it on
+    chunks of samples, so it must be vectorized. ValueError before the grid
+    is allocated unless points is an integer of at least 2 and the grid's
+    dim * points^dim coordinates fit MAX_ELEMENTS; then unless f returns
+    one finite, non-negative value per grid point."""
 
     f: object = field(repr=False)
     lo: np.ndarray
@@ -174,22 +163,31 @@ def gaussian_function(precision, center=None):
     # x - 0 is x, so a zero centre is not subtracted
     c = mu if np.any(mu) else None
 
-    def f(pts):
-        diff = np.asarray(pts, dtype=float) if c is None else np.asarray(pts) - c
+    def form(diff):
         # term by term, (diff_i P_ij) diff_j added in order: einsum sums a 2-D
         # form in an order that depends on how many points share the call,
-        # and the checks call f on chunks. A form past the float range is
-        # +inf, and its value, 0, is then exact
-        with np.errstate(over="ignore"):
-            q = np.multiply(diff[..., 0], P[0, 0], out=np.empty(diff.shape[:-1]))
-            q *= diff[..., 0]
-            t = np.empty_like(q) if d > 1 else None
-            for i in range(d):
-                for j in range(d):
-                    if i or j:
-                        np.multiply(diff[..., i], P[i, j], out=t)
-                        t *= diff[..., j]
-                        q += t
+        # and the checks call f on chunks
+        q = np.multiply(diff[..., 0], P[0, 0], out=np.empty(diff.shape[:-1]))
+        q *= diff[..., 0]
+        t = np.empty_like(q) if d > 1 else None
+        for i in range(d):
+            for j in range(d):
+                if i or j:
+                    np.multiply(diff[..., i], P[i, j], out=t)
+                    t *= diff[..., j]
+                    q += t
+        return q
+
+    def f(pts):
+        diff = np.asarray(pts, dtype=float) if c is None else np.asarray(pts) - c
+        # a form past the float range is +inf, and its value, 0, exact. Where
+        # terms past it of opposite signs add to NaN, and only there, it is
+        # read again at diff scaled by a power of two to below 1 and back
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = form(diff)
+            if (lost := np.isnan(q)).any():
+                _, e = np.frexp(np.abs(diff[lost]).max(axis=-1))
+                q[lost] = np.ldexp(form(np.ldexp(diff[lost], -e[:, None])), 2 * e)
             q *= -0.5
         return np.exp(q, out=q)
 
@@ -373,8 +371,10 @@ def direct_integral_check(
     n = datum.n
     axis = np.linspace(-box, box, resolution)
     # the integrand, one row per grid line along the last axis; each chunk
-    # is a block of whole lines
+    # is a block of whole lines, integrated along them while it is in cache
+    # (numpy sums each row of a block as it sums that row of the grid)
     integrand = np.zeros((resolution ** (n - 1), resolution))
+    line_sums = np.empty(len(integrand))
     lines = max(1, _SUPCONV_CHUNK // resolution)
     # per factor in order: c_i log f_i over the whole grid when its map has
     # a zero column (at n <= 2 it then reads one axis: f_i is read once, on
@@ -391,8 +391,8 @@ def direct_integral_check(
             whole = np.broadcast_to(table if a == n - 1 else table[:, None], integrand.shape)
         terms.append((f, gf, whole))
 
-    def run(task: int) -> None:
-        rows = slice(task * lines, (task + 1) * lines)
+    for start in range(0, len(integrand), lines):
+        rows = slice(start, start + lines)
         acc = integrand[rows]
         pts = None
         for f, gf, whole in terms:
@@ -407,9 +407,8 @@ def direct_integral_check(
                 pts = np.stack(cols, axis=1)
             _add_log(acc.reshape(-1), gf, list((pts @ f.B.T).T), f.c)
         np.exp(acc, out=acc)
-
-    _in_workers(-(-len(integrand) // lines), run)
-    lhs = _trapezoid_nd(integrand.reshape((resolution,) * n), [axis] * n)
+        line_sums[rows] = np.trapezoid(acc, axis, axis=1)
+    lhs = _trapezoid_nd(line_sums.reshape((resolution,) * (n - 1)), [axis] * (n - 1))
     return _ratio(lhs, _exp(log_rhs), math.log(lhs) if lhs > 0.0 else -math.inf, log_rhs)
 
 
@@ -475,15 +474,16 @@ def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):
     preimages y0 (live, sum n_i): one (live, samples) array per factor
     coordinate. A line is a broadcast product per coordinate, the fastest
     form; otherwise one matmul serves every coordinate, since a matmul on
-    one column of K takes BLAS's matrix-vector path and rounds differently."""
+    one column of K takes BLAS's matrix-vector path and rounds differently.
+    y0 is added per coordinate, so that numpy's inner loop runs along T."""
     if T.shape[2] == 1:
         Y = [k * T[..., 0] for k in K[:, 0]]
-        for y, y0j in zip(Y, y0.T):
-            y += y0j[:, None]
-        return Y
-    P = T @ K.T
-    P += y0[:, None, :]
-    return [P[..., j] for j in range(len(K))]
+    else:
+        P = T @ K.T
+        Y = [P[..., j] for j in range(len(K))]
+    for y, y0j in zip(Y, y0.T):
+        y += y0j[:, None]
+    return Y
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,43 +627,6 @@ def _line_peaks(model: _LineModel, y0, centre, scale, base, fs):
     return peaks, np.flatnonzero(rest)
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_workers(tasks: int, run) -> None:
-    """run(task) for each task in range(tasks) on W = min(CPUs this process
-    may run on, tasks) workers: worker w takes tasks w, w + W, w + 2W and so
-    on. Worker 0 is the calling thread; the others are threads, each in a
-    copy of the caller's context. The first exception stops every worker
-    before its next task and is re-raised here once all have ended."""
-    workers, errors = min(_worker_count(), tasks), []
-
-    def worker(w: int) -> None:
-        try:
-            for task in range(w, tasks, workers):
-                if errors:
-                    return
-                run(task)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(worker, w))
-        for w in range(1, workers)
-    ]
-    for t in threads:
-        t.start()
-    worker(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
 def sup_convolution(
     datum: BLDatum,
     fs,
@@ -698,9 +661,7 @@ def sup_convolution(
     reads its whole segment. Either way each sample read is formed by the
     operations brute force uses, so the envelope is brute force's, bit for
     bit. Kernel dimensions 0 and 2 and every other callable read every
-    sample. The chunks of grid points run on one worker per CPU this process
-    may run on; the envelope does not depend on how many, nor on the chunk
-    size.
+    sample. The envelope does not depend on the chunk size.
 
     ValueError where _refusal refuses the reverse check, read at the reach
     of the grid box and of every factor box together.
@@ -739,7 +700,9 @@ def sup_convolution(
         """The largest sum_i c_i log f_i over every sample of each point's
         window (_window)."""
         T = scale[:, None, None] * base
-        T += centre[:, None, :]
+        # one kernel coordinate at a time, as _decompositions adds y0
+        for j in range(kdim):
+            T[..., j] += centre[:, j, None]
         Y = _decompositions(y0, T, K)
         # a single-point segment lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the functions are read inside their boxes
@@ -765,14 +728,13 @@ def sup_convolution(
             logs[inside] = kept
         return logs.reshape(len(y0), len(base)).max(axis=1)
 
-    def run(task: int) -> None:
-        start = task * chunk
+    for start in range(0, len(Y0), chunk):
         window = Y0[start : start + chunk]
         centre, scale, dead = _window(window, K, lows, highs)
         # a dead point has no decomposition inside the boxes and stays 0
         live = np.flatnonzero(~dead)
         if not len(live):
-            return
+            continue
         y0, centre, scale = window[live], centre[live], scale[live]
         if model is None:
             best = peaks(y0, centre, scale)
@@ -782,8 +744,6 @@ def sup_convolution(
                 b = rest[s : s + whole]
                 best[b] = peaks(y0[b], centre[b], scale[b])
         out[start + live] = np.exp(best, out=best)
-
-    _in_workers(-(-len(Y0) // chunk), run)
     return out.reshape(pts.shape[:-1])
 
 

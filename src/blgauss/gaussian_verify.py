@@ -207,12 +207,16 @@ def _sweep(datum, constant, kernels, dims, samples, seed):
 
 
 def _report(ratios: np.ndarray, with_extremizer: bool, seed: int) -> tuple[VerificationReport, np.ndarray]:
-    gap = None
+    """The report and ratios of the random samples. With an extremizer,
+    ratios[0] is its ratio: it is reported as the equality gap |1 - ratio|
+    and counts as one more violation above 1 + VIOLATION_RTOL, so that a
+    constant too small for its own extremizer fails the sweep."""
+    violations, gap = int(np.sum(ratios > 1.0 + VIOLATION_RTOL)), None
     if with_extremizer:
         gap, ratios = abs(1.0 - float(ratios[0])), ratios[1:]
     return VerificationReport(
         samples=int(ratios.size),
-        violations=int(np.sum(ratios > 1.0 + VIOLATION_RTOL)),
+        violations=violations,
         worst_ratio=float(ratios.max()),
         equality_gap=gap,
         seed=seed,

@@ -37,10 +37,11 @@ class VerificationReport:
     """Outcome of a randomized inequality check.
 
     samples       how many random instances were tested
-    violations    how many breached the check's tolerance (the exact rule is
-                  documented by each check: the Gaussian sweeps flag
-                  ratio > 1 + 1e-9, the inf-decomposition check flags an
-                  objective below the claimed infimum by more than 1e-10)
+    violations    how many samples, and a supplied extremizer, breached the
+                  check's tolerance (the exact rule is documented by each
+                  check: the Gaussian sweeps flag ratio > 1 + 1e-9, the
+                  inf-decomposition check flags an objective below the
+                  claimed infimum by more than 1e-10); ok when none did
     worst_ratio   largest observed ratio of claimed bound to sampled value;
                   anything at or below 1 means the claim held with room
     seed          RNG seed the sweep was run with

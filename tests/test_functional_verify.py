@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import threading
 import warnings
 
@@ -190,13 +189,28 @@ class TestBuiltinFunctions:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(f(np.array([[1e200, 0.0], [0.0, -1e300], [0.0, 0.0]])), [0.0, 0.0, 1.0])
 
+    def test_gaussian_reads_0_where_terms_past_the_float_range_cancel(self):
+        # at (1e200, 1e200) the terms (diff_i P_ij) diff_j are +inf, -inf,
+        # -inf and +inf: the sum was NaN, and a GridFunction on a box
+        # reaching 1e200 was refused as not finite
+        P = [[1.0, -0.5], [-0.5, 1.0]]
+        f = gaussian_function(P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(f(np.array([[1e200, 1e200], [-1e200, -1e200], [1e200, -1e200]])),
+                                          [0.0, 0.0, 0.0])
+            assert f(np.array([1e200, 1e200])) == 0.0
+            gf = GridFunction.from_callable(f, [-1e200, -1e200], [1e200, 1e200], 5)
+        assert gf.values[2, 2] == 1.0 and np.count_nonzero(gf.values) == 1
+
     @pytest.mark.parametrize("center", [None, [0.0, 0.0], [0.7, -1.3]], ids=["none", "zero", "off"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_gaussian_is_the_term_by_term_form_to_the_bit(self, d, center):
         # the callable skips a zero centre and works in place; it must keep
         # the bits of exp(-0.5 q), q the terms (diff_i P_ij) diff_j summed
         # in order, at random points, at +-0, where q overflows (value 0)
-        # and at NaN
+        # and at a NaN coordinate. Where terms past the float range with
+        # opposite signs make q NaN, the value is 0: P is positive definite
         rng = np.random.default_rng(11 + d)
         A = rng.standard_normal((d, d))
         P = A @ A.T + 0.5 * np.eye(d)
@@ -212,6 +226,9 @@ class TestBuiltinFunctions:
                 q = q + t
             expect = np.exp(-0.5 * q)
             got = gaussian_function(P, center)(pts)
+        lost = np.isnan(q) & ~np.isnan(pts).any(axis=1)
+        assert lost.any() == (d == 2)
+        expect[lost] = 0.0
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
         overflowed = np.isinf(q) & (q > 0)
         assert overflowed.any() and np.isnan(q).any() and np.all(got[overflowed] == 0.0)
@@ -616,35 +633,26 @@ class TestSupConvolution:
     @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 300, 1])
     @pytest.mark.parametrize("case", range(7), ids=["kdim0", "kdim1", "kdim2", "two-dim-factor",
                                                     "direct-young", "direct-two-dim-factor", "direct-1d"])
-    def test_any_worker_count_is_bit_identical(self, case, chunk, monkeypatch):
+    def test_any_chunk_size_is_bit_identical(self, case, chunk, monkeypatch):
         # every chunk writes its own slice of the envelope, or of the direct
-        # check's integrand, by the same operations, so W workers (W = 3 can
-        # outnumber the cores, and a short switch interval interleaves them
-        # finely) give one envelope and one ratio
+        # check's integrand, by the same operations, so any chunk size gives
+        # the default's envelope and ratio
         if case < 4:
             d, fs, res = (self.kernel_cases() + [self.two_dim_factor_case()])[case]
             run, pinned = lambda: sup_convolution(d, fs, resolution=res), None
         else:
             d, fs, c, res, pinned = self.direct_cases(chunk)[case - 4]
             run = lambda: np.array([direct_integral_check(d, fs, c, resolution=res)])
+        default = run()
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
-        results = []
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(functional_verify, "_worker_count", lambda w=workers: w)
-                results.append(run())
-        finally:
-            sys.setswitchinterval(interval)
-        assert results[0].max() > 0.1
-        assert all(np.array_equal(x, results[0]) for x in results[1:])
+        result = run()
+        assert result.max() > 0.1
+        assert np.array_equal(result, default)
         if pinned is not None:
-            assert repr(float(results[0][0])) == pinned
+            assert repr(float(result[0])) == pinned
 
     def two_chunk_run(self, check):
-        """A run of the sup-convolution or of the direct check in two chunks,
-        one per worker."""
+        """A run of the sup-convolution or of the direct check in two chunks."""
         if check == "sup":
             d, fs, res = self.kernel_cases()[2]
             return lambda: sup_convolution(d, fs, resolution=res)
@@ -652,45 +660,24 @@ class TestSupConvolution:
         fs = [grid_gaussian([[1.0]], points=41)] * 3
         return lambda: direct_integral_check(d, fs, 1.0, resolution=301)
 
-    @staticmethod
-    def fail_off_the_calling_thread(monkeypatch, fail):
-        """Two workers whose _add_log calls fail() on the second worker's
-        thread only; returns the threads that called it."""
-        seen = []
+    @pytest.mark.parametrize("check", ["sup", "direct"])
+    def test_the_chunks_run_in_the_calling_thread(self, check, monkeypatch):
+        # with Thread.start refused the check still runs, and the caller's
+        # np.errstate holds in every chunk's reads
+        run = self.two_chunk_run(check)
+
+        def refused(thread):
+            raise RuntimeError("a quadrature check started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert np.max(run()) > 0.1
         add_log = functional_verify._add_log
 
         def patched(*args):
-            seen.append(threading.current_thread())
-            if threading.current_thread() is not threading.main_thread():
-                fail()
+            np.ones(3) / np.zeros(3)
             add_log(*args)
 
         monkeypatch.setattr(functional_verify, "_add_log", patched)
-        monkeypatch.setattr(functional_verify, "_worker_count", lambda: 2)
-        return seen
-
-    @pytest.mark.parametrize("check", ["sup", "direct"])
-    def test_a_worker_exception_reaches_the_caller(self, check, monkeypatch):
-        run = self.two_chunk_run(check)
-
-        def fail():
-            raise RuntimeError("worker failed")
-
-        seen = self.fail_off_the_calling_thread(monkeypatch, fail)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="worker failed"):
-            run()
-        assert any(t is not threading.main_thread() for t in seen)
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("check", ["sup", "direct"])
-    def test_the_callers_errstate_holds_in_the_workers(self, check, monkeypatch):
-        run = self.two_chunk_run(check)
-
-        def fail():
-            np.ones(3) / np.zeros(3)
-
-        self.fail_off_the_calling_thread(monkeypatch, fail)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             run()
 

@@ -172,6 +172,23 @@ class TestSweeps:
             assert rep.violations > 0
             assert not rep.ok
 
+    def test_a_constant_too_small_for_its_extremizer_fails(self):
+        # deflated by 1e-3 at the solver's A, each of the 1,000 random
+        # samples of seed 0 still passes, but the extremizer's ratio, about
+        # 1 + 2e-3, is a violation
+        _, d = young_flagship()
+        r = solve(d)
+        constant = r.constant * (1.0 - 1e-3)
+        exts, env = reverse_extremizers(d, r.A)
+        reports = [rep for rep, _ in sweep_direct_and_reverse(d, constant, 1000, 0, extremizers=(
+            direct_extremizers(d, r.A), exts))]
+        reports.append(sweep_dual(d, constant, 1000, 0, extremizer=env)[0])
+        for rep in reports:
+            assert rep.worst_ratio < 1.0
+            assert rep.equality_gap == pytest.approx((1.0 - 1e-3) ** -2 - 1.0, rel=1e-9)
+            assert rep.violations == 1
+            assert not rep.ok
+
     def test_a_tiny_constant_overflows_to_violations_without_warnings(self):
         # C = 1e-300 puts every log ratio near +1381: exp overflowed, with a
         # RuntimeWarning per sweep; the ratio is inf, which counts as a violation
