@@ -27,10 +27,11 @@ _SUPCONV_CHUNK samples run one after another in the calling thread, and
 each chunk allocates its own arrays. On a line kernel with every f_i a
 gaussian_function, sum_i c_i log f_i along a grid point's segment is a
 concave quadratic with a closed-form maximizer; the sup-convolution reads
-only a few samples around it, certifies per point that no sample outside
-them can read higher (_line_peaks), and reads the whole segment of any
-point it cannot certify, so the envelope keeps every bit of brute force.
-Any other input or kernel reads every sample. A chunk of the direct check
+only a block of five samples around it, by the reader that reads whole
+segments, certifies per point from those reads alone that no sample
+outside them can read higher (_line_peaks), and reads the whole segment
+of any point it cannot certify, so the envelope keeps every bit of brute
+force. Any other input or kernel reads every sample. A chunk of the direct check
 is a block of whole grid lines along the last axis, whose points it builds
 off the axis instead of holding the whole grid. A factor whose map reads
 one axis only has its f_i read once, on that axis, and the table added to
@@ -199,13 +200,20 @@ def gaussian_function(precision, center=None):
 
 
 def bump_function(radius=1.0, center=None):
-    """Smooth compactly supported mollifier of a finite, positive radius, peak value 1 at the center."""
+    """Smooth compactly supported mollifier of a finite, positive radius,
+    peak value 1 at the center, a finite vector (the origin of the points'
+    dimension when none is given). ValueError for a bad radius or center,
+    and at points of another dimension than the center's."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
+    if center is not None:
+        center = np.array(center, dtype=float)
+        if center.ndim != 1 or not center.size or not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be a finite vector, got {center.tolist()}")
 
     def f(pts):
         pts = np.asarray(pts)
-        c = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, dtype=float)
+        c = np.zeros(pts.shape[-1]) if center is None else _at_dim(center, pts, "center")
         # a point past the float range has r2 = +inf, outside the support
         with np.errstate(over="ignore"):
             r2 = np.sum(((pts - c) / radius) ** 2, axis=-1)
@@ -217,16 +225,23 @@ def bump_function(radius=1.0, center=None):
 
 
 def box_function(lo, hi):
-    """Indicator of the box [lo, hi] (per axis)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    """Indicator of the box [lo, hi] (per axis). ValueError where _bounds
+    refuses the box, and at points of another dimension than the box's."""
+    lo, hi = _bounds(lo, hi)
 
     def f(pts):
         pts = np.asarray(pts)
-        inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        inside = np.all((pts >= _at_dim(lo, pts, "box")) & (pts <= hi), axis=-1)
         return inside.astype(float)
 
     return f
+
+
+def _at_dim(v: np.ndarray, pts: np.ndarray, what: str) -> np.ndarray:
+    """v, refused unless the points (..., dim) have its dimension."""
+    if pts.shape[-1:] != v.shape:
+        raise ValueError(f"points of shape {pts.shape} for a {what} of dimension {len(v)}")
+    return v
 
 
 # -- the two integral checks -----------------------------------------------------
@@ -498,21 +513,12 @@ class _LineModel:
     that every operation runs along a grid chunk."""
 
     k: np.ndarray
-    P: np.ndarray
     mu: np.ndarray
     g: np.ndarray
     gamma: float
     c: np.ndarray
     a: np.ndarray
     spans: list
-
-    def value(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Q at u + k t, u one row per coordinate broadcast against t."""
-        d = u + self.k.reshape((-1,) + (1,) * t.ndim) * t
-        q = np.zeros(d.shape[1:])
-        for i, j in zip(*np.nonzero(self.P)):
-            q += self.P[i, j] * d[i] * d[j]
-        return -0.5 * q
 
     def per_factor(self, x: np.ndarray) -> np.ndarray:
         """The largest of each factor's rows of x, one row per factor."""
@@ -536,48 +542,53 @@ def _line_model(fs, cs, spans, k: np.ndarray) -> _LineModel | None:
     a = np.array([np.abs(Pi).max() * len(Pi) ** 2 for Pi, _ in marks])
     if not gamma > 2.0**-36 * float(c @ a):
         return None
-    return _LineModel(k, P, np.concatenate([mu for _, mu in marks]), g, gamma, c, a, spans)
+    return _LineModel(k, np.concatenate([mu for _, mu in marks]), g, gamma, c, a, spans)
 
 
-def _radius(ratio):
-    """rho / h = sqrt(1/4 + 4 E / (gamma h^2)) + 2, the window's half-width
-    in sample steps, from ratio = E / (gamma h^2) (see _line_peaks)."""
-    return np.sqrt(0.25 + 4.0 * ratio) + 2.0
+def _block(at, R: int, w: int) -> np.ndarray:
+    """The first sample of each point's block of 2w + 1 samples: the block
+    centred on the sample nearest t* (at, in steps of h from t_0), shifted
+    into the R samples of its segment."""
+    return np.clip(np.rint(at), w, R - 1 - w).astype(np.intp) - w
 
 
-def _line_peaks(model: _LineModel, y0, centre, scale, base, fs):
+def _line_peaks(model: _LineModel, y0, centre, scale, base, read):
     """The largest sum_i c_i log f_i over each live point's segment samples
-    centre + scale * base, read on a window of them that the model
-    certifies, with the bits the whole segment gives. Returns (peaks, rest):
-    rest are the points that must read their whole segment, whose peaks
-    entries are left unset.
+    centre + scale * base, read on a block of them that its own reads
+    certify, with the bits the whole segment gives; read is
+    sup_convolution's reader. Returns (peaks, rest): rest are the points
+    that must read their whole segment, whose peaks entries are left unset.
 
     A point's samples t_0 <= ... <= t_{R-1} are spaced h = scale / (R - 1).
-    Its window is the samples within rho = sqrt(h^2/4 + 4E/gamma) + 2h of
-    t* clamped to [t_0, t_{R-1}]. E bounds the rounding of a read s_m and
-    of value(), each against the exact Q(t_m), added. With V_i the largest
-    |y0_j| + |k_j t| + |mu_j| over factor i's coordinates and the segment,
-    the rounding of the decomposition, the term-by-term form, exp and log in
-    the normal range, the weight c_i and the sums is within a few eps of
-    c_i (1 + a_i V_i^2) per factor, and
+    Its block is the 2w + 1 samples centred on the one nearest t*, shifted
+    to lie in the segment. E bounds the rounding of a read s_m against the
+    exact Q(t_m), twice over. With V_i the largest |y0_j| + |k_j t| + |mu_j|
+    over factor i's coordinates and the segment, the rounding of the
+    decomposition, the term-by-term form, exp and log in the normal range,
+    the weight c_i and the sums is within a few eps of c_i (1 + a_i V_i^2)
+    per factor, and
 
         E = sum_i c_i e_i,  e_i = 2^-36 (1 + a_i V_i^2).
 
     A sample that exp rounds into the subnormal range may read far above
     Q, so every read of the segment must stay normal: with U_i the largest
     |y_j - mu_j| over factor i's coordinates at t_0 and t_{R-1}, as read,
-    1/2 a_i U_i^2 + e_i < -log(tiny) for every i. Then the window is
-    certified if its best read beats value() by more than E at the samples
-    just outside it. Q is concave, so where t* is not beyond them those are
-    the best samples outside; where it is, Q rises across the window toward
-    it, and no read in the window can beat the sample beyond.
+    1/2 a_i U_i^2 + e_i < -log(tiny) for every i. Then the block is
+    certified if its best read s_b beats by more than 2E each edge read s_e
+    that is not a segment end and is not -inf (a sample rounded off a box
+    edge reads 0, not Q). For then Q(t_b) >= s_b - E > s_e + E >= Q(t_e),
+    so the concave Q falls beyond t_e, and a read s there has
+    s <= Q(t) + E <= Q(t_e) + E <= s_e + 2E < s_b.
 
-    rho sets only how many samples are read: the certificate carries the
-    bits. A point is left to rest where the window is its whole segment or
-    a single point (scale 0), where the model is not finite (a huge box),
-    where some read outside the window may leave the normal range, and
-    where the certificate fails (as when the best sample reads 0 at a box
-    edge)."""
+    The block's half-width w = 2 sets only how many samples are read: the
+    certificate carries the bits. The best sample lies within h/2 of t*,
+    and an edge that is not a segment end at least (w - 1/2) h from it, so
+    the edge falls short of the best sample's Q by more than 4E, and the
+    certificate holds, wherever (w - 1/2)^2 > 1/4 + 8E/(gamma h^2): at
+    w = 2, wherever E < gamma h^2 / 4. A point is left to rest where its
+    segment has at most 2w + 1 samples or is a single point (scale 0),
+    where t* is not finite (a huge box), where some read may leave the
+    normal range, and where the certificate fails."""
     R, k, mu = len(base), model.k, model.mu
     cols = np.ascontiguousarray(y0.T)
     with np.errstate(all="ignore"):
@@ -589,41 +600,20 @@ def _line_peaks(model: _LineModel, y0, centre, scale, base, fs):
         e = 2.0**-36 * (1.0 + model.a[:, None] * V * V)
         E = model.c @ e
         normal = np.all(0.5 * model.a[:, None] * U * U + e < -math.log(np.finfo(float).tiny), axis=0)
-        u = cols - mu[:, None]
         h = scale / (R - 1)
-        # rho / h, and t* clamped, in steps of h from t_0
-        r = _radius(E / (model.gamma * h * h))
-        at = np.clip((-(model.g @ u) / model.gamma - ends[0]) / h, 0.0, R - 1.0)
-        lo, hi = np.ceil(at - r), np.floor(at + r)
-        w = np.flatnonzero(normal & (scale > 0.0) & np.isfinite(lo + hi) & ((lo > 0.0) | (hi < R - 1.0)))
-    lo = np.maximum(lo[w], 0.0).astype(np.intp)
-    hi = np.minimum(hi[w], R - 1.0).astype(np.intp)
-    counts = hi - lo + 1
-    first = np.cumsum(counts) - counts
-    # each window's samples in turn: point p, sample index m; formed as
-    # _decompositions forms a line's
-    p = np.repeat(w, counts)
-    m = np.repeat(lo - first, counts)
-    m += np.arange(len(m))
-    T = scale[p] * base[m, 0]
-    T += centre[p, 0]
-    Y = [kj * T for kj in k]
-    for y, y0j in zip(Y, cols):
-        y += y0j[p]
-    logs = np.zeros(len(T))
-    for (a, b), c, gf in zip(model.spans, model.c, fs):
-        _add_log(logs, gf, Y[a:b], c)
-    best = np.maximum.reduceat(logs, first) if len(w) else logs
-    # certified where the best read beats Q + E at the samples just outside
-    # the window, on each side that has one
-    out = np.stack([lo - 1, hi + 1])
-    with np.errstate(all="ignore"):
-        t = scale[w] * base[np.clip(out, 0, R - 1), 0] + centre[w, 0]
-        beaten = best > model.value(u[:, None, w], t) + E[w]
-    ok = np.all(beaten | (out < 0) | (out > R - 1), axis=0)
+        # t* in steps of h from t_0
+        at = (-(model.g @ (cols - mu[:, None])) / model.gamma - ends[0]) / h
+    w = 2
+    c = np.flatnonzero(normal & (scale > 0.0) & np.isfinite(at) & (R > 2 * w + 1))
+    first = _block(at[c], R, w)
+    reads = read(y0[c], centre[c], scale[c], first[:, None] + np.arange(2 * w + 1))
+    best = reads.max(axis=1)
+    ok = np.ones(len(c), dtype=bool)
+    for s, end in ((reads[:, 0], first == 0), (reads[:, -1], first == R - 1 - 2 * w)):
+        ok &= end | ((s > -np.inf) & (best > s + 2.0 * E[c]))
     peaks, rest = np.empty(len(y0)), np.ones(len(y0), dtype=bool)
-    peaks[w[ok]] = best[ok]
-    rest[w[ok]] = False
+    peaks[c[ok]] = best[ok]
+    rest[c[ok]] = False
     return peaks, np.flatnonzero(rest)
 
 
@@ -652,16 +642,18 @@ def sup_convolution(
     outside the boxes. On a line with every f_i a gaussian_function (its
     mark read by _line_model), sum_i c_i log f_i along the segment is the
     concave quadratic Q(t) of curvature gamma > 0, largest at a closed-form
-    t*. Each point then reads only the samples around t* clamped to its
-    segment (5 or 6 where the rounding bound E is small against
-    gamma h^2), certified a posteriori against Q, E and the normal float
-    range (_line_peaks). A point that cannot be certified (gamma <= 0
-    is refused for the whole grid; a point may fail where its model is not
-    finite, its reads may leave the normal range, or its best read is 0)
-    reads its whole segment. Either way each sample read is formed by the
-    operations brute force uses, so the envelope is brute force's, bit for
-    bit. Kernel dimensions 0 and 2 and every other callable read every
-    sample. The envelope does not depend on the chunk size.
+    t*. Each point then reads only the block of five samples around t*,
+    shifted into its segment, and the block is certified a posteriori by
+    its own reads: its best read beats each edge read that is not a
+    segment end by more than twice the rounding bound E, with every read
+    of the segment in the normal float range (_line_peaks). A point that
+    cannot be certified (gamma <= 0 is refused for the whole grid; a point
+    may fail where t* is not finite, its reads may leave the normal range,
+    or E is not small against gamma h^2) reads its whole segment. Either
+    way every sample is read by the one reader, so the envelope is brute
+    force's, bit for bit. Kernel dimensions 0 and 2 and every other
+    callable read every sample. The envelope does not depend on the chunk
+    size.
 
     ValueError where _refusal refuses the reverse check, read at the reach
     of the grid box and of every factor box together.
@@ -689,17 +681,18 @@ def sup_convolution(
     # points whose windows are read whole per chunk
     whole = max(1, _SUPCONV_CHUNK // len(base))
     model = _line_model(fs, cs, spans, K[:, 0]) if kdim == 1 else None
-    # a window point reads 5 or 6 samples (rho >= 2.5 h) and its model
-    # keeps about ten more values: at 16 per point a chunk's arrays stay
-    # near a whole-segment chunk's. At 8 per point, 30 rounds of the
-    # benchmark's functional ops peaked up to 6 MiB higher in RSS (2-core
-    # x86-64 host), as glibc's heaps grew
+    # a window point reads a block of 5 samples and its model keeps about
+    # ten more values: at 16 per point a chunk's arrays stay near a
+    # whole-segment chunk's. At 8 per point, 30 rounds of the benchmark's
+    # functional ops peaked up to 6 MiB higher in RSS (2-core x86-64
+    # host), as glibc's heaps grew
     chunk = whole if model is None else max(1, _SUPCONV_CHUNK // 16)
 
-    def peaks(y0, centre, scale):
-        """The largest sum_i c_i log f_i over every sample of each point's
-        window (_window)."""
-        T = scale[:, None, None] * base
+    def read(y0, centre, scale, rows=slice(None)):
+        """sum_i c_i log f_i at each point's window samples centre + scale *
+        base[rows] (_window), one row of samples per point: rows is every
+        sample, or one array of sample indices per point."""
+        T = scale[:, None, None] * base[rows]
         # one kernel coordinate at a time, as _decompositions adds y0
         for j in range(kdim):
             T[..., j] += centre[:, j, None]
@@ -726,7 +719,7 @@ def sup_convolution(
         if kdim == 2:
             logs, kept = np.full(T.shape[:2], -np.inf), logs
             logs[inside] = kept
-        return logs.reshape(len(y0), len(base)).max(axis=1)
+        return logs.reshape(T.shape[:2])
 
     for start in range(0, len(Y0), chunk):
         window = Y0[start : start + chunk]
@@ -737,12 +730,12 @@ def sup_convolution(
             continue
         y0, centre, scale = window[live], centre[live], scale[live]
         if model is None:
-            best = peaks(y0, centre, scale)
+            best = read(y0, centre, scale).max(axis=1)
         else:
-            best, rest = _line_peaks(model, y0, centre, scale, base, fs)
+            best, rest = _line_peaks(model, y0, centre, scale, base, read)
             for s in range(0, len(rest), whole):
                 b = rest[s : s + whole]
-                best[b] = peaks(y0[b], centre[b], scale[b])
+                best[b] = read(y0[b], centre[b], scale[b]).max(axis=1)
         out[start + live] = np.exp(best, out=best)
     return out.reshape(pts.shape[:-1])
 

@@ -10,8 +10,10 @@ from blgauss import (
     DatumError,
     GridFunction,
     functional_verify,
+    beckner_constant,
     box_function,
     bump_function,
+    closed_form_A,
     direct_extremizers,
     direct_integral_check,
     gaussian_function,
@@ -249,6 +251,26 @@ class TestBuiltinFunctions:
             with pytest.raises(ValueError, match=r"^(precision must be a finite square matrix"
                                                  r"|center must be a finite vector of dimension \d), got "):
                 gaussian_function(precision, center)
+
+    @pytest.mark.parametrize("make, dim", [
+        (lambda: bump_function(1.0, center=[0.5]), 2),  # was centred at (0.5, 0.5)
+        (lambda: bump_function(1.0, center=[0.0, 0.0]), 1),  # read 0.368 at x = 0.5
+        (lambda: bump_function(1.0, center=[np.nan]), None),
+        (lambda: bump_function(1.0, center=[[0.5]]), None),
+        (lambda: bump_function(1.0, center=0.5), None),
+        (lambda: box_function([0.0], [1.0]), 2),  # was the square [0, 1]^2
+        (lambda: box_function([0.0, 0.0], [1.0]), None),
+        (lambda: box_function(np.nan, 1.0), None),
+        (lambda: box_function(0.0, np.inf), None),
+    ])
+    def test_bump_and_box_refuse_a_bad_centre_bound_or_point(self, make, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^(center must be a finite vector, got "
+                                                 r"|lo/hi must be non-empty vectors of one length$"
+                                                 r"|box bounds must be finite, got "
+                                                 r"|points of shape \(3, \d\) for a (center|box) of dimension \d$)"):
+                make()(np.zeros((3, dim)))
 
     def test_box_indicator(self):
         f = box_function([-1.0], [2.0])
@@ -618,14 +640,17 @@ class TestSupConvolution:
         """(datum, functions, constant, resolution, ratio) of the direct check
         on the Young flagship, the two-dim-factor case and a 1-D datum, with
         its pinned ratio. Chunks of one point take the flagship at 41 points
-        per axis, not 801."""
-        _, young = young_flagship()
-        r = solve(young)
-        fy = [grid_gaussian(P) for P in direct_extremizers(young, r.A)]
+        per axis, not 801. The flagship's inputs and constant take no LAPACK
+        call, so that its pin holds under every BLAS kernel: the precisions
+        1 / (B_i A B_i^T) are read off the closed-form A entry by entry."""
+        e, young = young_flagship()
+        (a, b), (_, c) = closed_form_A(e)
+        res, pin = (801, "0.9999999999913373") if chunk > 1 else (41, "0.9999999999878494")
+        fy = [grid_gaussian([[1.0 / p]], points=res) for p in (a + 2.0 * b + c, c, a)]
         d2, f2, res2 = self.two_dim_factor_case()
         f1 = [grid_gaussian([[1.3]]), grid_gaussian([[0.7]])]
         return [
-            (young, fy, r.constant, *((801, "0.9999999999913372") if chunk > 1 else (41, "0.9999999999843541"))),
+            (young, fy, beckner_constant(e), res, pin),
             (d2, f2, 1.0, res2, "1.2350561626725352"),
             (prekopa_leindler_datum(), f1, 1.0, 801, "0.9766981117201887"),
         ]
@@ -849,37 +874,39 @@ class TestLineWindow:
 
     def test_the_window_keeps_the_whole_segments_bits(self, monkeypatch):
         # each case as gaussian_function inputs and as plain callables; then
-        # again with rho cut by 2h (to no less than h/2, one sample), which
-        # only leaves more points to read their whole segment
+        # again with each block shifted by w + 1 samples, past the sample
+        # nearest t*, which only leaves more points to read their whole
+        # segment (a block that kept that sample would read the segment's
+        # peak even uncertified)
         stats = self.counted_windows(monkeypatch)
         seen, rest = [], []
         envelopes = []
+        block = functional_verify._block
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for d, fs, box, res in self.cases():
                 want = sup_convolution(d, plain(fs, seen), resolution=res, box=box).tobytes()
-                for shrink in (0.0, 2.0):
-                    radius = functional_verify._radius
-                    monkeypatch.setattr(functional_verify, "_radius",
-                                        lambda x: np.maximum(radius(x) - shrink, 0.5))
+                for shift in (False, True):
+                    monkeypatch.setattr(functional_verify, "_block",
+                                        lambda at, R, w: block(at + (w + 1) * shift, R, w))
                     stats.clear()
                     env = sup_convolution(d, fs, resolution=res, box=box)
-                    monkeypatch.setattr(functional_verify, "_radius", radius)
-                    assert env.tobytes() == want, (d, box, res, shrink)
+                    assert env.tobytes() == want, (d, box, res, shift)
                     rest.append(np.sum(stats, axis=0))
                 envelopes.append(env)
         points, left = np.array(rest[::2]).sum(axis=0)
-        _, left_shrunk = np.array(rest[1::2]).sum(axis=0)
-        # some points certify a window and some do not; a narrower window
+        _, left_shifted = np.array(rest[1::2]).sum(axis=0)
+        # some points certify a block and some do not; a shifted block
         # certifies fewer
-        assert 0 < left < points and left < left_shrunk
+        assert 0 < left < points and left < left_shifted
         # some reads, and some envelope values, are subnormal
         tiny = np.finfo(float).tiny
         assert any(seen) and any(np.any((0.0 < e) & (e < tiny)) for e in envelopes)
 
-    def test_young_reads_a_handful_of_samples_per_point(self, monkeypatch):
+    def test_young_reads_one_block_per_certified_point(self, monkeypatch):
         _, d = young_flagship()
         fs = [grid_gaussian(p, points=201) for p in ([[1.3]], [[0.7]], [[2.1]])]
+        stats = self.counted_windows(monkeypatch)
         asked = []
         add_log = functional_verify._add_log
 
@@ -895,7 +922,11 @@ class TestLineWindow:
         # a plain callable is read at all 201 samples of every live point
         live = np.count_nonzero(env)
         assert sum(asked) == 3 * 201 * live
-        assert windows <= 3 * 7 * live
+        # a point the window path certifies reads its block of 2w + 1 = 5
+        # samples, and here every other point only its whole segment
+        points, left = np.sum(stats, axis=0)
+        assert points == live and 0 < left < points / 100
+        assert windows == 3 * (5 * (points - left) + 201 * left)
 
     @pytest.mark.parametrize("case", ["indefinite", "huge-box"])
     def test_a_model_that_cannot_certify_reads_every_sample(self, case, monkeypatch):
