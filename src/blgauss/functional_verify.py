@@ -31,13 +31,17 @@ only a block of five samples around it, by the reader that reads whole
 segments, certifies per point from those reads alone that no sample
 outside them can read higher (_line_peaks), and reads the whole segment
 of any point it cannot certify, so the envelope keeps every bit of brute
-force. Any other input or kernel reads every sample. A chunk of the direct check
-is a block of whole grid lines along the last axis, whose points it builds
-off the axis instead of holding the whole grid. A factor whose map reads
-one axis only has its f_i read once, on that axis, and the table added to
-every line in factor order, so each grid point gets the same floats as if
-f_i were read there. Every sample goes through the same operations in the
-same order whatever the chunk size, so neither check's bits depend on it.
+force. On a plane kernel each row of a point's sample square is a line,
+whose feasible samples are one run: a point forms only those runs,
+widened past every rounding (_plane_runs), and keeps brute force's bits
+too. A line with other inputs reads every sample. A chunk of the direct
+check is a block of whole grid lines along the last axis, whose points it
+builds off the axis instead of holding the whole grid. A factor whose map
+reads one axis only has its f_i read once, on that axis, and the table
+added to every line in factor order, so each grid point gets the same
+floats as if f_i were read there. Every sample goes through the same
+operations in the same order whatever the chunk size, so neither check's
+bits depend on it.
 
 Work arrays allocated once and reused were no faster than per-chunk ones
 once glibc's mmap threshold has risen, which it does when a larger mmapped
@@ -151,9 +155,10 @@ def integrate(gf: GridFunction) -> float:
 def gaussian_function(precision, center=None):
     """x -> exp(-(x-c)^T P (x-c) / 2), peak value 1. ValueError unless the
     precision P is a finite square matrix and the centre c, when given, a
-    finite vector of its dimension. The callable carries P and c (zero when
-    none is given) as its `_gaussian` mark, which sup_convolution reads to
-    choose the samples it reads (_line_model)."""
+    finite vector of its dimension; and at points of another dimension
+    than P's. The callable carries P and c (zero when none is given) as its
+    `_gaussian` mark, which sup_convolution reads to choose the samples it
+    reads (_line_model)."""
     P = np.array(precision, dtype=float, ndmin=2)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or not P.size or not np.all(np.isfinite(P)):
         raise ValueError(f"precision must be a finite square matrix, got {P.tolist()}")
@@ -180,7 +185,9 @@ def gaussian_function(precision, center=None):
         return q
 
     def f(pts):
-        diff = np.asarray(pts, dtype=float) if c is None else np.asarray(pts) - c
+        pts = np.asarray(pts)
+        _at_dim(mu, pts, "Gaussian")
+        diff = np.asarray(pts, dtype=float) if c is None else pts - c
         # a form past the float range is +inf, and its value, 0, exact. Where
         # terms past it of opposite signs add to NaN, and only there, it is
         # read again at diff scaled by a power of two to below 1 and back
@@ -464,9 +471,7 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         # k_j = 0 do not move and must lie in their box
         k = K[:, 0]
         on = np.abs(k) > 1e-12
-        a = (lows[on] - Y0[:, on]) / k[on]
-        b = (highs[on] - Y0[:, on]) / k[on]
-        t_lo, t_hi = np.minimum(a, b).max(axis=1), np.maximum(a, b).min(axis=1)
+        t_lo, t_hi = _segment(Y0, k, on, lows, highs)
         # a and b carry rounding of order eps (|box| + |Y0|) / |k|, so a
         # segment that is empty by less than that is a single point
         mag = (np.maximum(np.abs(lows[on]), np.abs(highs[on])) + np.abs(Y0[:, on])) / np.abs(k[on])
@@ -482,6 +487,85 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     # ||t||^2 = sum_j (K_j . t)^2 <= sum_j r_j^2
     r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
     return centre, np.sqrt(np.sum(r * r, axis=1)), dead
+
+
+def _segment(Y0: np.ndarray, k: np.ndarray, on: np.ndarray, lows, highs):
+    """The ends t_lo <= t_hi, each shaped Y0 (..., sum n_i) without its last
+    axis, of the set of t that keeps the coordinates `on` of Y0 + t k
+    inside their factor boxes; k must not vanish on them."""
+    a = (lows[on] - Y0[..., on]) / k[on]
+    b = (highs[on] - Y0[..., on]) / k[on]
+    return np.minimum(a, b).max(axis=-1), np.maximum(a, b).min(axis=-1)
+
+
+def _plane_runs(y0: np.ndarray, scale: np.ndarray, K: np.ndarray, lows, highs, u: np.ndarray):
+    """Each point's run of samples in each row a of its plane window, the
+    samples t = scale (u_a, u_b) of _sample_base over the base's axis u:
+    the first b and the length (points, R), 0 for an empty row. The runs
+    hold every sample whose decomposition y0 + K t read's inside test
+    keeps, as read forms it, and a few more; but at scale 0, where every
+    sample is the one decomposition y0, which read clamps into the boxes,
+    at most the middle sample of each row.
+
+    Fixing a row, t_0 = scale u_a, leaves the line y0 + K_0 t_0 + K_1 t_1
+    in t_1, whose feasible set is the segment [t_lo, t_hi] (_segment) over
+    the coordinates where |K_j1| > 1e-12. A sample read accepts has its
+    exact decomposition within 7 eps (|y0_j| + scale) of box j, and the
+    segment's ends are formed within 4 eps (|box_j| + |y0_j| + scale) /
+    |K_j1|: the segment widened by 16 eps max_j (|box_j| + |y0_j| + scale)
+    / |K_j1|, and then by 2^-40 (R + 1) samples at each end for the
+    rounding of u_b and of the sample numbers, holds every such t_1. A
+    coordinate with |K_j1| <= 1e-12 moves by at most |K_j1| scale along
+    the row, which is empty where that coordinate lies farther than this
+    and 16 eps (|box_j| + |y0_j| + scale) outside its box. A point whose
+    runs are all empty still reads the samples that fill its one piece
+    (_run_table), which read as every sample of its window does: -inf, or
+    at scale 0 the clamped y0."""
+    R = len(u)
+    k = K[:, 1]
+    on = np.abs(k) > 1e-12
+    t0 = scale[:, None] * u  # (points, rows), as read forms the samples
+    Y0 = y0[:, None, :] + t0[..., None] * K[:, 0]
+    t_lo, t_hi = _segment(Y0, k, on, lows, highs)
+    err = 16.0 * np.finfo(float).eps * (np.maximum(np.abs(lows), np.abs(highs)) + np.abs(y0) + scale[:, None])
+    slack = (err[:, on] / np.abs(k[on])).max(axis=1)[:, None]
+    off = err[:, None, ~on] + np.abs(k[~on]) * scale[:, None, None]
+    empty = np.any((Y0[..., ~on] < lows[~on] - off) | (Y0[..., ~on] > highs[~on] + off), axis=-1)
+    # t_1 = scale u_b with u_b = -1 + 2 b / (R - 1): b = (t_1 / scale + 1)
+    # (R - 1) / 2, formed within 9 eps (R + 1) samples of the exact b
+    half, pad = 0.5 * (R - 1), 2.0**-40 * (R + 1)
+    s = np.where(scale > 0.0, scale, np.inf)[:, None]
+    with np.errstate(over="ignore"):
+        first = np.clip(np.ceil((t_lo - slack) / s * half + (half - pad)), 0.0, R)
+        last = np.clip(np.floor((t_hi + slack) / s * half + (half + pad)), -1.0, R - 1)
+    last[empty] = -1.0
+    return first.astype(np.intp), np.maximum(last - first + 1.0, 0.0).astype(np.intp)
+
+
+def _run_table(first: np.ndarray, counts: np.ndarray):
+    """The runs of every point (_plane_runs) laid end to end, point after
+    point and row after row, as a table of runs: where each run ends in
+    that order and what to add to a position in it to get its sample
+    a * R + b; then the pieces of R samples that each point's runs fill,
+    at least one. One more run per point fills out its last piece with
+    samples 0, 1, ... of its window's first row, which read reads as brute
+    force does. A piece of R >= 2 samples takes BLAS's matrix-matrix
+    product in _decompositions, as the whole square does: one sample takes
+    the matrix-vector path, which rounds differently."""
+    points, R = counts.shape
+    per_point = counts.sum(axis=1)
+    pieces = np.maximum(1, -(-per_point // R))
+    starts = np.hstack([np.arange(R) * R + first, np.zeros((points, 1), dtype=np.intp)]).ravel()
+    lengths = np.hstack([counts, (pieces * R - per_point)[:, None]]).ravel()
+    ends = np.cumsum(lengths)
+    return starts - (ends - lengths), ends, pieces
+
+
+def _table_samples(offsets: np.ndarray, ends: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The samples at positions lo to hi - 1 of a run table (_run_table)."""
+    j0, j1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+    runs = slice(j0, j1 + 1)  # the runs that hold lo and hi - 1, and those between
+    return np.repeat(offsets[runs], np.diff(np.minimum(ends[runs], hi), prepend=lo)) + np.arange(lo, hi)
 
 
 def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):
@@ -635,11 +719,20 @@ def sup_convolution(
     1  the exact segment of the line inside the factor boxes, sampled at
        resolution points (zero when the segment is empty)
     2  the disc whose radius bounds every feasible t, sampled on a
-       resolution^2 grid over its bounding square
+       resolution^2 grid over its bounding square, of which a point forms
+       only each row's run of samples that can lie inside the boxes
 
     The functions are read at no dead point (one without a decomposition
     inside the boxes, whose envelope is 0) and, for a plane, at no sample
-    outside the boxes. On a line with every f_i a gaussian_function (its
+    outside the boxes. A plane's feasible set is convex, so each row of its
+    square (first kernel coordinate fixed) meets it in one segment, found
+    as _window finds a line's; widened past the rounding of its own and of
+    read's arithmetic, its run of samples holds every sample read's inside
+    test keeps (_plane_runs). The runs of a chunk's points are read end to
+    end in pieces of a row's length, each piece as if it were a point, so
+    that few samples past the boxes are formed.
+
+    On a line with every f_i a gaussian_function (its
     mark read by _line_model), sum_i c_i log f_i along the segment is the
     concave quadratic Q(t) of curvature gamma > 0, largest at a closed-form
     t*. Each point then reads only the block of five samples around t*,
@@ -651,7 +744,7 @@ def sup_convolution(
     may fail where t* is not finite, its reads may leave the normal range,
     or E is not small against gamma h^2) reads its whole segment. Either
     way every sample is read by the one reader, so the envelope is brute
-    force's, bit for bit. Kernel dimensions 0 and 2 and every other
+    force's, bit for bit. Kernel dimension 0 and, on a line, every other
     callable read every sample. The envelope does not depend on the chunk
     size.
 
@@ -687,6 +780,16 @@ def sup_convolution(
     # functional ops peaked up to 6 MiB higher in RSS (2-core x86-64
     # host), as glibc's heaps grew
     chunk = whole if model is None else max(1, _SUPCONV_CHUNK // 16)
+    if kdim == 2:
+        # a plane point's runs take a value per row of its base, and are
+        # read in pieces of a row's length, half a chunk's samples a read:
+        # most samples of a run lie inside the boxes and are read, which
+        # keeps about twice a formed sample's bytes (a whole-square chunk
+        # of the three-identities datum at 81 points peaked at 3.5 MiB
+        # traced, its runs in pieces of 65,529 samples at 6.4 MiB, and in
+        # pieces of 32,724 at 3.4 MiB, by tracemalloc)
+        chunk = max(1, _SUPCONV_CHUNK // resolution)
+        per_read = max(1, _SUPCONV_CHUNK // (2 * resolution))
 
     def read(y0, centre, scale, rows=slice(None)):
         """sum_i c_i log f_i at each point's window samples centre + scale *
@@ -704,7 +807,7 @@ def sup_convolution(
             for y, a, b in zip(Y, lows, highs):
                 y[point] = np.clip(y[point], a, b)
         if kdim == 2:
-            # the disc's square is mostly outside the boxes: read only the
+            # a plane's runs reach a little past the boxes: read only the
             # samples inside every box, the rest keep log 0 = -inf. A
             # line's segment and a unique decomposition are feasible already.
             inside = np.ones(T.shape[:2], dtype=bool)
@@ -729,7 +832,17 @@ def sup_convolution(
         if not len(live):
             continue
         y0, centre, scale = window[live], centre[live], scale[live]
-        if model is None:
+        if kdim == 2:
+            offsets, ends, pieces = _run_table(*_plane_runs(y0, scale, K, lows, highs, base[:resolution, 1]))
+            # each piece is read as if it were a point of its own
+            of = np.repeat(np.arange(len(y0)), pieces)
+            peaks = np.empty(len(of))
+            for q in range(0, len(of), per_read):
+                b = of[q : q + per_read]
+                rows = _table_samples(offsets, ends, q * resolution, (q + len(b)) * resolution)
+                peaks[q : q + len(b)] = read(y0[b], centre[b], scale[b], rows.reshape(len(b), -1)).max(axis=1)
+            best = np.maximum.reduceat(peaks, np.cumsum(pieces) - pieces)
+        elif model is None:
             best = read(y0, centre, scale).max(axis=1)
         else:
             best, rest = _line_peaks(model, y0, centre, scale, base, read)

@@ -396,6 +396,35 @@ class TestCheckQuadrature:
         assert captured.out == "" and captured.err.startswith("error: function 0 integrates to zero ")
         _one_line_no_traceback(captured.err, "grid of shape (21,) over lo=[-3e+153] hi=[3e+153]")
 
+    @pytest.mark.parametrize("n, factors, gaps, ratios, digest", [
+        (1, [{"c": 1 / 3, "rows": [[1.0]]}] * 3, ("0.00e+00", "0.00e+00"), ("1.0", "1.0"),
+         "3046f1de6c700668cd254f78f79770ed1d135acfabf583382dbc795ef0a94650"),
+        (2, [{"c": 0.5, "rows": [row]} for row in ([1.0, 0.0], [0.0, 1.0])] * 2, ("3.33e-16", "4.44e-16"),
+         ("0.9999999999999997", "0.9999999999999996"),
+         "8574c028605fdca0ae3c7ee0ae8f03febe4a90a5a6ac86cefdfca9ee166904b7"),
+    ], ids=["three-identities", "four-coordinate"])
+    def test_kernel_dimension_two_keeps_its_bytes(self, n, factors, gaps, ratios, digest, tmp_path, capsys):
+        # the decompositions of a point form a plane: the reverse check's
+        # stdout and report, byte for byte, as the whole disc's square gave them
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps({"n": n, "factors": factors}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["check-quadrature", "--datum", str(path), "--resolution", "41", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            f"direct   ratio=1.00000000  (equality expected: gap {gaps[0]})\n"
+            f"reverse  ratio=1.00000000  (equality expected: gap {gaps[1]})\n"
+        )
+        checks = ",\n".join(f'    "{name}": {{\n      "ok": true,\n      "ratio": {r}\n    }}'
+                            for name, r in zip(("direct", "reverse"), ratios))
+        assert out.read_text(encoding="utf-8") == (
+            f'{{\n  "checks": {{\n{checks}\n  }},\n  "command": "check-quadrature",\n  "constant": 1.0,\n'
+            f'  "datum_digest": "{digest}",\n  "options": {{\n    "box": 8.0,\n'
+            f'    "datum": {json.dumps(str(path))},\n    "max_iter": 10000,\n    "resolution": 41,\n'
+            f'    "tol": 1e-10\n  }},\n  "version": "{__version__}"\n}}\n'
+        )
+
     def test_kernel_dimension_three_skips_the_reverse_check(self, tmp_path, capsys):
         # four identity factors on R^1 with c = 1/4: C = 1, and the
         # decompositions of a point form a 3-dimensional kernel

@@ -252,6 +252,18 @@ class TestBuiltinFunctions:
                                                  r"|center must be a finite vector of dimension \d), got "):
                 gaussian_function(precision, center)
 
+    @pytest.mark.parametrize("precision, center, point", [
+        ([[1.0]], None, [[1.0, 5.0]]),  # read exp(-1/2), ignoring the 5
+        ([[1.0]], [0.5], [[1.0, 5.0]]),
+        (np.eye(2), None, [[1.0]]),  # raised IndexError
+        (np.eye(2), [0.5, -0.5], [[1.0]]),
+    ])
+    def test_gaussian_refuses_points_of_another_dimension(self, precision, center, point):
+        f = gaussian_function(precision, center)
+        with pytest.raises(ValueError, match=r"^points of shape \(1, \d\) for a Gaussian of dimension \d$"):
+            f(np.array(point))
+        assert f(np.zeros((1, len(precision))))[0] > 0.0
+
     @pytest.mark.parametrize("make, dim", [
         (lambda: bump_function(1.0, center=[0.5]), 2),  # was centred at (0.5, 0.5)
         (lambda: bump_function(1.0, center=[0.0, 0.0]), 1),  # read 0.368 at x = 0.5
@@ -540,16 +552,17 @@ class TestSupConvolution:
         assert np.array_equal(env, ref)
 
     def test_kdim2_matches_dense_reference_on_a_line(self):
-        # three identities on the line; 81 grid points of 81^2 samples in
-        # nine chunks of 65_536 // 81^2 = 9
+        # three identities on the line; 81 grid points, whose runs are found
+        # in one chunk and read in pieces of 81 samples, 809 pieces a read
         d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
         fs = [grid_gaussian([[1.3]], points=401)] * 3
         env = sup_convolution(d, fs, resolution=81)
         assert np.array_equal(env, dense_sup_convolution(d, fs, 81))
 
     def test_kdim2_matches_dense_reference_in_the_plane(self):
-        # four coordinate factors on R^2; 31^2 grid points in chunks of
-        # 65_536 // 31^2 = 68: the last is partial
+        # four coordinate factors on R^2; 31^2 grid points, whose runs are
+        # found in one chunk (up to 65_536 // 31 = 2114 points) and read in
+        # pieces of 31 samples, 2114 pieces a read: the last is partial
         d = make_datum(
             2, [0.5] * 4, [np.eye(2)[:1], np.eye(2)[1:], np.eye(2)[:1], np.eye(2)[1:]]
         )
@@ -625,6 +638,31 @@ class TestSupConvolution:
             assert sum(asked) == every
         else:
             assert 0 < sum(asked) < (0.9 if kdim == 1 else 0.5) * every
+
+    @pytest.mark.parametrize("case, share", [("line3", 1 / 3), ("four", 1 / 6)])
+    def test_a_plane_forms_only_its_rows_runs(self, case, share, monkeypatch):
+        # count the decompositions formed: a plane point forms the runs of
+        # its base's rows that can reach inside every box, not the disc's
+        # whole square (13 % and 8 % of it). The four coordinate factors'
+        # kernel leaves two coordinates in place along each row, which
+        # empty the rows where they lie outside their boxes (24 % without)
+        if case == "line3":
+            d, fs, res = self.kernel_cases()[2]
+        else:
+            e = np.eye(2)
+            d = make_datum(2, [0.5] * 4, [e[:1], e[1:], e[:1], e[1:]])
+            fs, res = [grid_gaussian([[p]], points=401) for p in (1.0, 2.0, 0.5, 1.5)], 31
+        ref = dense_sup_convolution(d, fs, res)
+        formed = []
+        decompositions = functional_verify._decompositions
+
+        def counted(y0, T, K):
+            formed.append(T.shape[0] * T.shape[1])
+            return decompositions(y0, T, K)
+
+        monkeypatch.setattr(functional_verify, "_decompositions", counted)
+        assert np.array_equal(sup_convolution(d, fs, resolution=res), ref)
+        assert 0 < sum(formed) <= share * res ** (d.n + 2)
 
     @staticmethod
     def two_dim_factor_case():
@@ -838,6 +876,157 @@ def at_the_window_limit(d, fs, box, resolution):
     u = functional_verify._window_limit(np.linalg.pinv(L), K)
     fs = [GridFunction.from_callable(gf.f, [-u] * gf.dim, [u] * gf.dim, 5) for gf in fs]
     return d, fs, u if d.n == 1 else box, resolution
+
+
+def plane_case(rng, kind):
+    """(datum, functions, resolution): a random datum whose decomposition
+    kernel is a plane, by kind:
+
+    offcentre  n = 1, three 1-d factors of random signs and weights, on
+               asymmetric boxes, with off-centre Gaussians
+    rank-one   n = 2, four rank-one factors with random (not coordinate)
+               maps
+    two-dim    n = 2, a 2-d factor beside two rank-one ones
+    narrow     n = 1, three identities, the first on a box 0.05 to 1
+               wide, about the samples' spacing or less, so that a row's
+               run is often one sample
+    edges      n = 1, three identities on boxes with an end at one grid
+               point's preimage Y0_j each, where that point's sample t = 0
+               lies exactly"""
+    res = 25 if kind in ("offcentre", "narrow", "edges") else 15
+    if kind in ("rank-one", "two-dim"):
+        dims = (1, 1, 1, 1) if kind == "rank-one" else (2, 1, 1)
+        d = make_datum(2, rng.uniform(0.2, 0.8, len(dims)), [rng.standard_normal((m, 2)) for m in dims])
+        fs = []
+        for m in dims:
+            lo = rng.uniform(-6.0, 0.0, m)
+            P = np.diag(rng.uniform(0.3, 2.0, m))
+            fs.append(GridFunction.from_callable(gaussian_function(P), lo, lo + rng.uniform(1.0, 10.0, m), 21))
+        return d, fs, res
+    if kind == "offcentre":
+        d = make_datum(1, rng.dirichlet([2.0] * 3), [[[rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])]]
+                                                     for _ in range(3)])
+        lo = rng.uniform(-6.0, 1.0, 3)
+        hi = lo + rng.uniform(2.0, 9.0, 3)
+    else:
+        d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
+        if kind == "narrow":
+            lo = np.concatenate([rng.uniform(-3.0, 3.0, 1), rng.uniform(-8.0, -5.0, 2)])
+            hi = lo + np.concatenate([rng.uniform(0.05, 1.0, 1), rng.uniform(10.0, 13.0, 2)])
+        else:
+            # every box has an end at grid point i's preimage, the other
+            # at another grid point's
+            L, _ = decomposition_map(d)
+            Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ np.linalg.pinv(L).T
+            i = rng.integers(1, res - 1)
+            ends = np.sort([[i, rng.integers(i + 1, res) if rng.random() < 0.5 else rng.integers(0, i)]
+                            for _ in range(3)], axis=1)
+            lo, hi = Y0[ends[:, 0], range(3)], Y0[ends[:, 1], range(3)]
+    fs = [GridFunction.from_callable(gaussian_function([[rng.uniform(0.3, 2.0)]], [rng.uniform(-1.0, 1.0)]),
+                                     [a], [b], 21) for a, b in zip(lo, hi)]
+    return d, fs, res
+
+
+class TestPlaneRuns:
+    """A plane kernel forms each point's samples only on the runs of its
+    base's rows that can reach inside every box, and reads the dense
+    reference's envelope bit for bit at any chunk size."""
+
+    @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 300, 1])
+    @pytest.mark.parametrize("kind", ["offcentre", "rank-one", "two-dim", "narrow", "edges"])
+    def test_the_runs_keep_the_dense_envelope(self, kind, chunk, monkeypatch):
+        rng = np.random.default_rng([5, len(kind)])
+        monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
+        counts, on_edge = [], [0]
+        plane_runs = functional_verify._plane_runs
+        add_log = functional_verify._add_log
+
+        def runs(*args):
+            first, lengths = plane_runs(*args)
+            counts.append(lengths)
+            return first, lengths
+
+        def counted(acc, gf, coords, c):
+            on_edge[0] += sum(int(np.sum((y == lo) | (y == hi))) for y, lo, hi in zip(coords, gf.lo, gf.hi))
+            add_log(acc, gf, coords, c)
+
+        monkeypatch.setattr(functional_verify, "_plane_runs", runs)
+        monkeypatch.setattr(functional_verify, "_add_log", counted)
+        live = 0
+        for _ in range(3):
+            d, fs, res = plane_case(rng, kind)
+            env = sup_convolution(d, fs, resolution=res)
+            assert np.array_equal(env, dense_sup_convolution(d, fs, res))
+            live += env.max() > 0.0
+        assert live == 3
+        lengths = np.concatenate([c.ravel() for c in counts])
+        if kind == "narrow":
+            assert np.any(lengths == 1)
+        if kind == "edges":
+            assert on_edge[0] > 0
+
+    @pytest.mark.parametrize("res", [9, 10])
+    def test_a_window_of_scale_zero_reads_its_one_decomposition(self, res):
+        # boxes [-1e-306, 1e-306]: at x = 0 the window's radius squares to
+        # 0, every sample is the decomposition y0 = 0, and the runs, found
+        # by dividing by the scale, are at most the middle sample; at
+        # resolution 10 no grid point is 0, and no point has a decomposition
+        d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
+        fs = [GridFunction.from_callable(gaussian_function([[1.0]]), [-1e-306], [1e-306], 5)] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = sup_convolution(d, fs, resolution=res)
+        assert np.array_equal(env, dense_sup_convolution(d, fs, res))
+        assert env.max() == (1.0 if res % 2 else 0.0)
+
+    def test_the_runs_hold_every_sample_the_inside_test_keeps(self, monkeypatch):
+        # three identities on boxes [lo_j, 20]: a grid point's window scale
+        # comes from the upper ends, so each lo_j can be set to the j-th
+        # coordinate of one of its samples as read forms it, which then lies
+        # exactly on the box edge. The function reads exactly the samples
+        # that the whole square's inside test keeps
+        d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
+        res = 25
+        L, K = decomposition_map(d)
+        Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ np.linalg.pinv(L).T
+        base = functional_verify._sample_base(2, res)
+        rng = np.random.default_rng(5)
+        asked = []
+        add_log = functional_verify._add_log
+
+        def counted(acc, gf, coords, c):
+            asked.append(coords[0].size)
+            add_log(acc, gf, coords, c)
+
+        monkeypatch.setattr(functional_verify, "_add_log", counted)
+        on_edge = 0
+        for _ in range(12):
+            highs = np.full(3, 20.0)
+            lows = rng.uniform(-20.0, -8.0, 3)
+            i = rng.integers(0, res // 2)
+            _, scale, _ = functional_verify._window(Y0[i : i + 1], K, lows, highs)
+            T = scale[:, None, None] * base
+            T += 0.0
+            Y = (T @ K.T)[0] + Y0[i]
+            for j in range(3):
+                # a sample below y0_j, whose coordinate keeps the upper end farther
+                below = np.flatnonzero((Y[:, j] < Y0[i, j]) & (Y[:, j] > 2.0 * Y0[i, j] - 19.0))
+                lows[j] = Y[rng.choice(below), j]
+            fs = [GridFunction.from_callable(gaussian_function([[1.0]]), [a], [b], 21) for a, b in zip(lows, highs)]
+            asked.clear()
+            env = sup_convolution(d, fs, resolution=res)
+            assert np.array_equal(env, dense_sup_convolution(d, fs, res))
+            kept = 0
+            for x in range(res):
+                _, scale, _ = functional_verify._window(Y0[x : x + 1], K, lows, highs)
+                T = scale[:, None, None] * base
+                T += 0.0
+                Y = (T @ K.T)[0] + Y0[x]
+                inside = np.all((Y >= lows) & (Y <= highs), axis=1)
+                kept += np.sum(inside)
+                on_edge += np.sum(inside & np.any(Y == lows, axis=1))
+            assert sum(asked) == 3 * kept
+        assert on_edge >= 36
 
 
 class TestLineWindow:
