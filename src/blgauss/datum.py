@@ -5,9 +5,9 @@ from R^n onto R^{n_i}. The exact zero map is allowed as a degenerate marker
 (it contributes nothing to the inequalities and is excluded from all
 bookkeeping); a non-zero map that fails to be onto is malformed. Every check
 runs once, when the datum is built: a malformed datum is refused there, and
-a BLDatum keeps its non-zero factors, their groups by target dimension and
-the two verdicts on the whole datum (homogeneity defect, degeneracy), which
-the other layers read instead of recomputing them.
+a BLDatum keeps its non-zero factors, their groups by target dimension, the
+two verdicts on the whole datum (homogeneity defect, degeneracy) and its
+decomposition map, which the other layers read instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +102,12 @@ class BLDatum:
     degenerate          the non-zero maps fail to jointly separate points
                         (equivalently the adjoints fail to jointly span R^n);
                         both constants are +inf for such a datum.
+    decomposition       read-only (pinv(L), K) for L = [c_i B_i^T], the map
+                        (x_i) |-> sum_i c_i B_i^T x_i over non-zero factors,
+                        and K an orthonormal basis of ker L: the
+                        decompositions of x are pinv(L) x + K t. Formed on
+                        the first read; DatumError on every read of a
+                        degenerate datum, whose L is not onto.
     """
 
     n: int
@@ -152,6 +159,13 @@ class BLDatum:
                            float(sum(factors[i].c * factors[i].target_dim for i in active) - n))
         object.__setattr__(self, "degenerate",
                            bool(not maps or numerical_rank(np.vstack(maps)) < n))
+
+    @cached_property
+    def decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.degenerate:
+            raise DatumError("degenerate datum: the constraint map is not onto")
+        L = np.hstack([self.factors[i].c * self.factors[i].B.T for i in self.active])
+        return _readonly(np.linalg.pinv(L)), _readonly(np.linalg.svd(L)[2][self.n :].T)
 
     @property
     def m(self) -> int:

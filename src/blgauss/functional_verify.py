@@ -61,7 +61,6 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .datum import BLDatum, check_count
-from .quadform import decomposition_map
 from .report import MAX_ELEMENTS, check_constant
 
 DEFAULT_BOX = 8.0
@@ -290,7 +289,7 @@ def _refusal(datum: BLDatum, box: float, resolution: int, reach: float) -> str |
     check applies, else why not: the decomposition kernel, of dimension
     sum_i n_i - n over the non-zero factors, is above MAX_KERNEL_DIM, or
     reach is above _window_limit. A kernel of dimension 0 takes no window,
-    and a degenerate datum is left to decomposition_map to refuse."""
+    and a degenerate datum is left to its decomposition to refuse."""
     if datum.n > 2:
         raise ValueError("quadrature checks support ambient dimension 1 and 2 only")
     if not (math.isfinite(box) and box > 0.0):
@@ -303,10 +302,7 @@ def _refusal(datum: BLDatum, box: float, resolution: int, reach: float) -> str |
     kdim = sum(datum.factors[i].target_dim for i in datum.active) - datum.n
     if kdim > MAX_KERNEL_DIM:
         return f"decomposition kernel has dimension {kdim} > {MAX_KERNEL_DIM}"
-    if datum.degenerate or not kdim:
-        return None
-    L, K = decomposition_map(datum)
-    if reach <= (limit := _window_limit(np.linalg.pinv(L), K)):
+    if datum.degenerate or not kdim or reach <= (limit := _window_limit(*datum.decomposition)):
         return None
     what = f"box = {box} is" if reach == box else f"factor boxes reaching {reach:.6g} are"
     return f"{what} above {limit:.6g}, past which the decomposition windows leave the float range"
@@ -316,7 +312,7 @@ def _window_limit(pinv_L: np.ndarray, K: np.ndarray) -> float:
     """The largest reach u for which the decomposition windows (_window)
     stay within the float range at kernel dimension 1 or 2, the grid box
     [-box, box]^n and every factor box lying in [-u, u] (box <= u); pinv_L
-    is pinv(L) and K the kernel basis of decomposition_map.
+    and K are the datum's decomposition (BLDatum.decomposition).
 
     On the grid, |Y0_j| <= box p_j <= u p_j with p_j = ||pinv(L)_j||_1,
     attained at a corner. A plane takes r_j <= u + |Y0_j| <= u (1 + p_j),
@@ -461,11 +457,11 @@ def _sample_base(kdim: int, resolution: int) -> np.ndarray:
 
 
 def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
-    """Centre (count, kdim), scale (count,) and dead mask (count,) of the
-    kernel coordinates t to sample at each particular preimage Y0: the
-    samples are centre + scale * base, and a dead point has no feasible
-    decomposition inside the factor boxes. A scale of 0 occurs only for a
-    line whose feasible segment is a single point."""
+    """Centre (count, 1) on a line, else (count, 0), scale (count,) and dead
+    mask (count,) of the kernel coordinates t to sample at each preimage
+    Y0: the samples are centre + scale * base, centred on t = 0 off a line,
+    and a dead point has no feasible decomposition inside the factor boxes.
+    Only a line whose feasible segment is one point takes a scale of 0."""
     if K.shape[1] == 1:
         # the exact feasible segment of the line Y0 + t k; coordinates with
         # k_j = 0 do not move and must lie in their box
@@ -479,7 +475,7 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         fixed = Y0[:, ~on]
         dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo - slack)
         return 0.5 * (t_lo + t_hi)[:, None], np.maximum(t_hi - t_lo, 0.0), dead
-    centre, dead = np.zeros((len(Y0), K.shape[1])), np.zeros(len(Y0), dtype=bool)
+    centre, dead = np.zeros((len(Y0), 0)), np.zeros(len(Y0), dtype=bool)
     if K.shape[1] == 0:
         # the decomposition Y0 is unique: the base has no columns to scale
         return centre, np.ones(len(Y0)), dead
@@ -561,11 +557,11 @@ def _run_table(first: np.ndarray, counts: np.ndarray):
     return starts - (ends - lengths), ends, pieces
 
 
-def _table_samples(offsets: np.ndarray, ends: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _table_samples(shifts: np.ndarray, ends: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The samples at positions lo to hi - 1 of a run table (_run_table)."""
     j0, j1 = np.searchsorted(ends, [lo, hi - 1], side="right")
     runs = slice(j0, j1 + 1)  # the runs that hold lo and hi - 1, and those between
-    return np.repeat(offsets[runs], np.diff(np.minimum(ends[runs], hi), prepend=lo)) + np.arange(lo, hi)
+    return np.repeat(shifts[runs], np.diff(np.minimum(ends[runs], hi), prepend=lo)) + np.arange(lo, hi)
 
 
 def _decompositions(y0: np.ndarray, T: np.ndarray, K: np.ndarray):
@@ -710,10 +706,10 @@ def sup_convolution(
     """Smallest envelope f with prod_i f_i(x_i)^{c_i} <= f(sum_i c_i B_i^T x_i),
     by brute force: its values on the (resolution,) * n grid over [-box, box]^n.
 
-    The decompositions of a grid point x are Y0 + K t, with Y0 = pinv(L) x
-    the min-norm preimage under L = [c_i B_i^T] and K an orthonormal basis
-    of ker L, whose dimension sum_i n_i - n is at most MAX_KERNEL_DIM. One
-    loop serves every kernel dimension; only the window on t differs:
+    The decompositions of a grid point x are Y0 + K t (BLDatum.decomposition):
+    Y0 = pinv(L) x, the min-norm preimage under L = [c_i B_i^T], and K an
+    orthonormal basis of ker L, of dimension sum_i n_i - n <= MAX_KERNEL_DIM.
+    One loop serves every kernel dimension; only the window on t differs:
 
     0  no window: the decomposition Y0 is unique
     1  the exact segment of the line inside the factor boxes, sampled at
@@ -758,8 +754,7 @@ def sup_convolution(
     if (refusal := _refusal(datum, box, resolution, reach)) is not None:
         raise ValueError(refusal)
     cs = [datum.factors[i].c for i in datum.active]
-    L, K = decomposition_map(datum)
-    pinv_L = np.linalg.pinv(L)
+    pinv_L, K = datum.decomposition
     kdim = K.shape[1]
     offsets = np.cumsum([0] + [gf.dim for gf in fs])  # each n_i, as _check_functions holds
     spans = list(zip(offsets[:-1], offsets[1:]))
@@ -796,8 +791,8 @@ def sup_convolution(
         base[rows] (_window), one row of samples per point: rows is every
         sample, or one array of sample indices per point."""
         T = scale[:, None, None] * base[rows]
-        # one kernel coordinate at a time, as _decompositions adds y0
-        for j in range(kdim):
+        # one kernel coordinate per centre column, as _decompositions adds y0
+        for j in range(centre.shape[1]):
             T[..., j] += centre[:, j, None]
         Y = _decompositions(y0, T, K)
         # a single-point segment lies on the boxes' boundary, which rounding
@@ -833,13 +828,13 @@ def sup_convolution(
             continue
         y0, centre, scale = window[live], centre[live], scale[live]
         if kdim == 2:
-            offsets, ends, pieces = _run_table(*_plane_runs(y0, scale, K, lows, highs, base[:resolution, 1]))
+            shifts, ends, pieces = _run_table(*_plane_runs(y0, scale, K, lows, highs, base[:resolution, 1]))
             # each piece is read as if it were a point of its own
             of = np.repeat(np.arange(len(y0)), pieces)
             peaks = np.empty(len(of))
             for q in range(0, len(of), per_read):
                 b = of[q : q + per_read]
-                rows = _table_samples(offsets, ends, q * resolution, (q + len(b)) * resolution)
+                rows = _table_samples(shifts, ends, q * resolution, (q + len(b)) * resolution)
                 peaks[q : q + len(b)] = read(y0[b], centre[b], scale[b], rows.reshape(len(b), -1)).max(axis=1)
             best = np.maximum.reduceat(peaks, np.cumsum(pieces) - pieces)
         elif model is None:

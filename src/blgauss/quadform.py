@@ -101,17 +101,6 @@ def _decompose(datum: BLDatum, mats: list[np.ndarray], x: np.ndarray):
     return value, parts
 
 
-def decomposition_map(datum: BLDatum) -> tuple[np.ndarray, np.ndarray]:
-    """L = [c_i B_i^T] over non-zero factors, the n x (sum n_i) map
-    (x_1, ..., x_m) |-> sum_i c_i B_i^T x_i, and K, an orthonormal basis of
-    its kernel as columns. The decompositions of x are pinv(L) x + K t.
-    Raises DatumError on a degenerate datum, whose L is not onto."""
-    if datum.degenerate:
-        raise DatumError("degenerate datum: the constraint map is not onto")
-    L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in datum.active])
-    return L, np.linalg.svd(L)[2][datum.n :].T
-
-
 def check_inf(
     datum: BLDatum,
     tuple_,
@@ -132,7 +121,7 @@ def check_inf(
     check_seed(seed)
     mats = check_tuple(datum, tuple_)
     value, parts = _decompose(datum, mats, x)
-    _, kernel = decomposition_map(datum)
+    _, kernel = datum.decomposition
     if (elements := samples * (kernel.shape[1] + kernel.shape[0])) > MAX_ELEMENTS:
         raise ValueError(f"samples * (kernel dim + sum n_i) = {elements} exceeds the budget {MAX_ELEMENTS}")
     y0 = np.concatenate(parts)

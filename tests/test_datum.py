@@ -20,7 +20,8 @@ from blgauss import (
 )
 import blgauss._linalg
 import blgauss.datum
-from blgauss import gaussian_constant_search, solve
+from blgauss import GridFunction, gaussian_constant_search, gaussian_function, reverse_integral_check, solve
+from blgauss.cli import main
 from blgauss._linalg import numerical_rank
 from conftest import (
     coordinate_datum,
@@ -360,3 +361,43 @@ class TestCheckedOnce:
         res = solve(d)
         assert res.converged
         assert gaussian_constant_search(d) == pytest.approx(res.constant, rel=1e-6)
+
+    def test_the_decomposition_is_formed_once(self, monkeypatch, capsys):
+        # pinv(L) is formed on the first read of a datum's decomposition and
+        # never again: once per check-quadrature run, once per check-inf
+        # run whatever its instance count, never by a solve or by a second
+        # reverse check on the same datum
+        young = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "young.json")
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or pinv(*a, **k))
+
+        def count(argv):
+            calls.clear()
+            assert main(argv) == 0
+            return len(calls)
+        assert count(["check-quadrature", "--datum", young, "--resolution", "101"]) == 1
+        for instances in ("1", "3", "10"):
+            assert count(["check-inf", "--datum", young, "--instances", instances, "--samples", "50"]) == 1
+        assert count(["solve", "--datum", young]) == 0
+        capsys.readouterr()
+
+        _, d = young_flagship()
+        fs = [GridFunction.from_callable(gaussian_function([[1.0]]), -8.0, 8.0, 21)] * 3
+        calls.clear()
+        first = reverse_integral_check(d, fs, 1.0, resolution=21)
+        assert len(calls) == 1
+        assert reverse_integral_check(d, fs, 1.0, resolution=21) == first and len(calls) == 1
+
+        # the same two calls as ever, read-only
+        L = np.hstack([f.c * f.B.T for f in d.factors])
+        pinv_L, K = d.decomposition
+        assert np.array_equal(pinv_L, pinv(L)) and np.array_equal(K, np.linalg.svd(L)[2][d.n :].T)
+        for a in (pinv_L, K):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        # a degenerate datum has none, on every read
+        d = make_datum(2, [1, 1], [[[1, 0]], [[1, 1e-11]]])
+        for _ in range(2):
+            with pytest.raises(DatumError, match="degenerate datum: the constraint map is not onto"):
+                d.decomposition

@@ -27,7 +27,6 @@ from blgauss import (
 )
 from blgauss.functional_verify import check_quadrature
 from blgauss.gaussian_verify import _direct_ratios, _reverse_ratios
-from blgauss.quadform import decomposition_map
 from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
@@ -872,8 +871,7 @@ def at_the_window_limit(d, fs, box, resolution):
     grid box there too where the grid volume allows (n = 1). Its factors
     are 1-d: at the corners of a 2-d box the terms of the form overflow to
     inf and -inf, whose sum is NaN."""
-    L, K = decomposition_map(d)
-    u = functional_verify._window_limit(np.linalg.pinv(L), K)
+    u = functional_verify._window_limit(*d.decomposition)
     fs = [GridFunction.from_callable(gf.f, [-u] * gf.dim, [u] * gf.dim, 5) for gf in fs]
     return d, fs, u if d.n == 1 else box, resolution
 
@@ -916,8 +914,7 @@ def plane_case(rng, kind):
         else:
             # every box has an end at grid point i's preimage, the other
             # at another grid point's
-            L, _ = decomposition_map(d)
-            Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ np.linalg.pinv(L).T
+            Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ d.decomposition[0].T
             i = rng.integers(1, res - 1)
             ends = np.sort([[i, rng.integers(i + 1, res) if rng.random() < 0.5 else rng.integers(0, i)]
                             for _ in range(3)], axis=1)
@@ -987,8 +984,8 @@ class TestPlaneRuns:
         # that the whole square's inside test keeps
         d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
         res = 25
-        L, K = decomposition_map(d)
-        Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ np.linalg.pinv(L).T
+        pinv_L, K = d.decomposition
+        Y0 = np.linspace(-8.0, 8.0, res)[:, None] @ pinv_L.T
         base = functional_verify._sample_base(2, res)
         rng = np.random.default_rng(5)
         asked = []
@@ -1006,7 +1003,6 @@ class TestPlaneRuns:
             i = rng.integers(0, res // 2)
             _, scale, _ = functional_verify._window(Y0[i : i + 1], K, lows, highs)
             T = scale[:, None, None] * base
-            T += 0.0
             Y = (T @ K.T)[0] + Y0[i]
             for j in range(3):
                 # a sample below y0_j, whose coordinate keeps the upper end farther
@@ -1020,7 +1016,6 @@ class TestPlaneRuns:
             for x in range(res):
                 _, scale, _ = functional_verify._window(Y0[x : x + 1], K, lows, highs)
                 T = scale[:, None, None] * base
-                T += 0.0
                 Y = (T @ K.T)[0] + Y0[x]
                 inside = np.all((Y >= lows) & (Y <= highs), axis=1)
                 kept += np.sum(inside)
@@ -1215,8 +1210,8 @@ def test_the_window_limit_holds_on_both_sides(kdim):
     # arithmetic at the grid's corner overflows
     m = kdim + 1
     d = make_datum(1, [1.0 / m] * m, [np.eye(1)] * m)
-    L, K = decomposition_map(d)
-    limit = functional_verify._window_limit(np.linalg.pinv(L), K)
+    pinv_L, K = d.decomposition
+    limit = functional_verify._window_limit(pinv_L, K)
     below, above = 0.99 * limit, 1.01 * limit
     fs = [GridFunction.from_callable(gaussian_function([[1.0]]), -below, below, 21)] * m
     with warnings.catch_warnings():
@@ -1229,7 +1224,7 @@ def test_the_window_limit_holds_on_both_sides(kdim):
         sup_convolution(d, fs, resolution=21, box=above)
     past = (2.01 if kdim == 1 else 1.01) * limit
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        functional_verify._window(np.array([[past]]) @ np.linalg.pinv(L).T, K, np.full(m, -past), np.full(m, past))
+        functional_verify._window(np.array([[past]]) @ pinv_L.T, K, np.full(m, -past), np.full(m, past))
 
 
 @pytest.mark.parametrize("kdim, reach, limit", [(1, "8e+307", "3.1779e+307"), (2, "1e+200", "3.8705e+153")])

@@ -11,7 +11,7 @@ from blgauss import (
     make_datum,
 )
 import blgauss.quadform
-from blgauss.quadform import check_tuple, decomposition_map
+from blgauss.quadform import check_tuple
 from blgauss.report import DEFAULT_SEED
 from conftest import (
     coordinate_datum,
@@ -248,7 +248,7 @@ class TestCheckInf:
         d = make_datum(2, [1, 1], [[[1, 0]], [[1, 1e-11]]])
         assert d.degenerate
         with pytest.raises(DatumError, match="degenerate"):
-            decomposition_map(d)
+            d.decomposition
         with pytest.raises(DatumError, match="degenerate"):
             check_inf(d, [np.eye(1), np.eye(1)], np.zeros(2))
 
