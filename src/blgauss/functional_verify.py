@@ -35,21 +35,27 @@ force. On a plane kernel each row of a point's sample square is a line,
 whose feasible samples are one run: a point forms only those runs,
 widened past every rounding (_plane_runs), and keeps brute force's bits
 too. A line with other inputs reads every sample. A chunk of the direct
-check is a block of whole grid lines along the last axis, whose points it
-builds off the axis instead of holding the whole grid. A factor whose map
+check is a block of whole grid lines along the last axis. Its points lie
+in one (lines * resolution, n) buffer per call instead of the whole grid:
+the last axis's column, the axis repeated once per line, is the same in
+every block and is written once, and a block writes only its first axis's
+column, its lines' first coordinates (at n = 1 the one column is both
+axes); a short last block reads the buffer's head. A factor whose map
 reads one axis only has its f_i read once, on that axis, and the table
 added to every line in factor order, so each grid point gets the same
 floats as if f_i were read there. Every sample goes through the same
 operations in the same order whatever the chunk size, so neither check's
 bits depend on it.
 
-Work arrays allocated once and reused were no faster than per-chunk ones
-once glibc's mmap threshold has risen, which it does when a larger mmapped
-block is freed. The direct check's integrand is such a block: it stays one
-full-grid array, though each chunk integrates its own lines, because
-freeing it keeps a later check's chunks from being mmapped and faulted in
-afresh (with per-chunk integrands, a later 81-point check of kernel
-dimension 2 took about 6,000 page faults a call, against 0).
+Other work arrays allocated once and reused were no faster than per-chunk
+ones once glibc's mmap threshold has risen, which it does when a larger
+mmapped block is freed; the point buffer pays because a block no longer
+tiles, repeats and stacks its points, but writes one column. The direct
+check's integrand is such a block: it stays one full-grid array, though
+each chunk integrates its own lines, because freeing it keeps a later
+check's chunks from being mmapped and faulted in afresh (with per-chunk
+integrands, a later 81-point check of kernel dimension 2 took about 6,000
+page faults a call, against 0).
 """
 
 from __future__ import annotations
@@ -393,7 +399,7 @@ def direct_integral_check(
     # (numpy sums each row of a block as it sums that row of the grid)
     integrand = np.zeros((resolution ** (n - 1), resolution))
     line_sums = np.empty(len(integrand))
-    lines = max(1, _SUPCONV_CHUNK // resolution)
+    lines = min(max(1, _SUPCONV_CHUNK // resolution), len(integrand))
     # per factor in order: c_i log f_i over the whole grid when its map has
     # a zero column (at n <= 2 it then reads one axis: f_i is read once, on
     # that axis, and the table broadcast along the other), else None
@@ -408,6 +414,14 @@ def direct_integral_check(
             _add_log(table, gf, list(f.B[:, [a]] * axis), f.c)
             whole = np.broadcast_to(table if a == n - 1 else table[:, None], integrand.shape)
         terms.append((f, gf, whole))
+    # the grid points of a full block, when some map reads every axis: the
+    # last axis's column is the same in every block and is written once,
+    # and each block writes only its first axis's column (at n = 1 the one
+    # column is both)
+    buf = None
+    if any(whole is None for *_, whole in terms):
+        buf = np.empty((lines * resolution, n))
+        buf[:, -1] = np.tile(axis, lines)
 
     for start in range(0, len(integrand), lines):
         rows = slice(start, start + lines)
@@ -418,11 +432,9 @@ def direct_integral_check(
                 acc += whole[rows]
                 continue
             if pts is None:
-                # the grid points of these lines, read off the axis
-                cols = [np.tile(axis, len(acc))]
+                pts = buf[: acc.size]
                 if n == 2:
-                    cols.insert(0, np.repeat(axis[rows], resolution))
-                pts = np.stack(cols, axis=1)
+                    pts.reshape(*acc.shape, n)[:, :, 0] = axis[rows, None]
             _add_log(acc.reshape(-1), gf, list((pts @ f.B.T).T), f.c)
         np.exp(acc, out=acc)
         line_sums[rows] = np.trapezoid(acc, axis, axis=1)
@@ -762,7 +774,7 @@ def sup_convolution(
     _, pts = _tensor_grid([-box] * datum.n, [box] * datum.n, resolution)
     # one product for the whole grid, so that no preimage depends on the
     # chunk it falls in
-    Y0 = pts.reshape(-1, datum.n) @ pinv_L.T  # (points, sum n_i)
+    Y0 = pts.reshape(-1, datum.n) @ np.ascontiguousarray(pinv_L.T)  # (points, sum n_i)
     out = np.zeros(len(Y0))
 
     base = _sample_base(kdim, resolution)

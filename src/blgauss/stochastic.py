@@ -118,7 +118,7 @@ def terminal_points(config: BrownianConfig) -> np.ndarray:
     steps is. Same seed, same points."""
     rng = np.random.default_rng(config.seed)
     L = np.linalg.cholesky(config.A)
-    return math.sqrt(config.horizon) * rng.standard_normal((config.paths, config.n)) @ L.T
+    return math.sqrt(config.horizon) * rng.standard_normal((config.paths, config.n)) @ np.ascontiguousarray(L.T)
 
 
 def _terminal(config: BrownianConfig, terminal: np.ndarray | None) -> np.ndarray:
@@ -155,16 +155,24 @@ def drift_value(
 
     terminal as in mc_log_mgf. Always a lower bound for mc_log_mgf in
     expectation; the gap closes at the optimal drift."""
-    WT = _terminal(config, terminal)
+    (value,) = _drift_values(config, [g], policy, _terminal(config, terminal))
+    return value
+
+
+def _drift_values(config: BrownianConfig, gs, policy: DriftPolicy, WT: np.ndarray) -> list[tuple[float, float]]:
+    """drift_value of each g in gs under one policy, all read on one shifted
+    copy WT + U_T of the terminal points, one g's values alive at a time."""
     times = np.arange(config.steps) * config.dt
     ud = policy.derivative(times, config.n)
     U_T = ud.sum(axis=0) * config.dt
     weighted = spd_solve(config.A, ud.T, name="covariance density").T
     h_norm_sq = float(np.sum(weighted * ud)) * config.dt
-    vals = _payoff(g, WT + U_T, "shifted")
-    estimate = float(vals.mean()) - 0.5 * h_norm_sq
-    stderr = float(vals.std(ddof=1)) / math.sqrt(vals.size)
-    return estimate, stderr
+    shifted = WT + U_T
+    return [_drift_estimate(_payoff(g, shifted, "shifted"), h_norm_sq) for g in gs]
+
+
+def _drift_estimate(vals: np.ndarray, h_norm_sq: float) -> tuple[float, float]:
+    return float(vals.mean()) - 0.5 * h_norm_sq, float(vals.std(ddof=1)) / math.sqrt(vals.size)
 
 
 def _payoff(g, points: np.ndarray, which: str) -> np.ndarray:
@@ -268,10 +276,18 @@ def _suite_rows(config: BrownianConfig) -> list[SuiteRow]:
         "quadratic": (quadratic_g(Q), closed_form_quadratic(A, Q, T)),
     }
 
+    mgf = {g_name: mc_log_mgf(config, g, terminal=WT) for g_name, (g, _) in gs.items()}
+    # one shifted copy of WT per policy, read by every g
+    drift = {}
+    for p_name, policy in policies.items():
+        values = _drift_values(config, [g for g, _ in gs.values()], policy, WT)
+        for g_name, value in zip(gs, values):
+            drift[g_name, p_name] = value
+
     rows: list[SuiteRow] = []
-    for g_name, (g, closed) in gs.items():
+    for g_name, (_, closed) in gs.items():
         label = f"mc_log_mgf[{g_name}]"
-        mc, mc_se = mc_log_mgf(config, g, terminal=WT)
+        mc, mc_se = mgf[g_name]
         rows.append(
             SuiteRow(
                 label=label,
@@ -282,9 +298,9 @@ def _suite_rows(config: BrownianConfig) -> list[SuiteRow]:
                 kind="closed",
             )
         )
-        for p_name, policy in policies.items():
+        for p_name in policies:
             label = f"drift_value[{g_name};{p_name}]"
-            dv, dv_se = drift_value(config, g, policy, terminal=WT)
+            dv, dv_se = drift[g_name, p_name]
             rows.append(
                 SuiteRow(
                     label=label,

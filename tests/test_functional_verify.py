@@ -336,10 +336,11 @@ class TestDirectIntegralCheck:
 
     @staticmethod
     def skewed_cases():
-        """Two data on R^2 without symmetry, with their inputs: two maps that
-        each read both axes, with off-centre Gaussian inputs; and a map that
+        """Data without symmetry, with their inputs: on R^2, two maps that
+        each read both axes, with off-centre Gaussian inputs, and a map that
         reads both axes and two that each read one, with a coefficient other
-        than 1, with off-centre Gaussian, bump and box inputs."""
+        than 1, with off-centre Gaussian, bump and box inputs; on R, the
+        Prekopa-Leindler datum with off-centre Gaussian inputs."""
         both = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.4]]), np.array([[-0.3, 1.0]])])
         one_axis = make_datum(2, [0.6, 0.5, 0.7], [np.array([[1.0, 0.4]]), np.array([[0.0, 2.5]]),
                                                    np.array([[-1.5, 0.0]])])
@@ -349,17 +350,21 @@ class TestDirectIntegralCheck:
             (one_axis, [grid_gaussian([[1.1]], points=201, center=[0.6]),
                         GridFunction.from_callable(bump_function(radius=3.0, center=[-0.8]), *BOX, 201),
                         GridFunction.from_callable(box_function([-2.5], [1.5]), *BOX, 201)]),
+            (prekopa_leindler_datum(), [grid_gaussian([[1.1]], points=201, center=[0.6]),
+                                        grid_gaussian([[0.7]], points=201, center=[-1.1])]),
         ]
 
     @pytest.mark.parametrize("chunk", [functional_verify._SUPCONV_CHUNK, 1000, 3 * 41, 41, 1],
                              ids=["default", "24-lines", "3-lines", "1-line", "1"])
-    @pytest.mark.parametrize("case", [0, 1], ids=["both-axes", "one-axis"])
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["both-axes", "one-axis", "line"])
     def test_chunks_read_the_grid_point_by_point(self, case, chunk, monkeypatch):
         # chunks of whole grid lines (one line at a chunk of 41 or less, the
         # last of three lines short) build their points from the axis alone,
         # and a map with a zero column reads its axis once for every line;
-        # off-centre inputs tell a point from its mirror or transpose. Every
-        # chunk gives the default's bits and the dense meshgrid's ratio
+        # off-centre inputs tell a point from its mirror or transpose. On R
+        # the grid is one line, and its points' one column is both the
+        # first and the last axis. Every chunk gives the default's bits and
+        # the dense meshgrid's ratio
         d, fs = self.skewed_cases()[case]
         default = direct_integral_check(d, fs, 1.0, resolution=41)
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
@@ -438,15 +443,16 @@ class TestDirectIntegralCheck:
 
 
 def dense_direct(datum, fs, resolution):
-    """Reference direct ratio at constant 1 on [-8, 8]^2: the product of
+    """Reference direct ratio at constant 1 on [-8, 8]^n: the product of
     every f_i^{c_i} on the dense meshgrid of every grid point at once."""
     axis = np.linspace(-8.0, 8.0, resolution)
-    X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    X = np.stack(np.meshgrid(*[axis] * datum.n, indexing="ij"), axis=-1)
     prod = np.ones(X.shape[:-1])
     for f, gf in zip(datum.factors, fs):
         prod *= read(gf, X @ f.B.T) ** f.c
-    return np.trapezoid(np.trapezoid(prod, axis, axis=1), axis) / math.prod(
-        integrate(gf) ** f.c for f, gf in zip(datum.factors, fs))
+    for _ in range(datum.n):
+        prod = np.trapezoid(prod, axis, axis=-1)
+    return prod / math.prod(integrate(gf) ** f.c for f, gf in zip(datum.factors, fs))
 
 
 def dense_sup_convolution(datum, fs, resolution, box=8.0):

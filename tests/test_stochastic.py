@@ -314,6 +314,29 @@ class TestBuiltinSuite:
         assert closed["drift_value[linear;constant-opt]"] is not None
         assert closed["drift_value[linear;zero]"] is None
 
+    @pytest.mark.parametrize("n, horizon", [(1, 1.0), (2, 1.0), (3, 1.0), (2, 2.5)])
+    def test_rows_are_the_public_estimators(self, n, horizon):
+        # the suite reads every policy's shifted points once for both
+        # payoffs; each row keeps the bits of its public estimator called
+        # alone on the same terminal points
+        A = np.eye(n) + 0.2 * np.ones((n, n))
+        c = BrownianConfig(A=A, horizon=horizon, steps=16, paths=3000, seed=5)
+        b = np.linspace(1.0, 0.5, n)
+        Q = np.diag(np.linspace(0.5, 1.5, n)) + 0.1 * np.ones((n, n)) / n
+        policies = {
+            "zero": DriftPolicy.zero(),
+            "constant-opt": DriftPolicy.constant(A @ b),
+            "constant-half": DriftPolicy.constant(0.5 * (A @ b)),
+            "linear-in-time": DriftPolicy.linear_in_time(np.stack([0.3 * b, 0.4 * b], axis=1)),
+        }
+        WT = terminal_points(c)
+        expected = []
+        for g_name, g in {"linear": linear_g(b), "quadratic": quadratic_g(Q)}.items():
+            expected.append((f"mc_log_mgf[{g_name}]", mc_log_mgf(c, g, terminal=WT)))
+            expected += [(f"drift_value[{g_name};{p_name}]", drift_value(c, g, policy, terminal=WT))
+                         for p_name, policy in policies.items()]
+        assert [(row.label, (row.estimate, row.stderr)) for row in builtin_suite(c)] == expected
+
     def test_deterministic_given_seed(self):
         a = builtin_suite(small_config(paths=1000))
         b = builtin_suite(small_config(paths=1000))
