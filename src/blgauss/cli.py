@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -118,6 +119,8 @@ def cmd_validate(args, datum):
     print(f"degenerate: {diag.degenerate}")
     print(f"frame: {diag.frame}")
     print(f"zero maps: {diag.zero_map_indices or 'none'}")
+    witness = diag.kernel_witness
+    print(f"kernel witness: {'none' if witness is None else f'factor {witness}'}")
     return {"diagnostics": diag.to_dict()}, True
 
 
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         return p
 
-    add("validate", cmd_validate, "diagnose a datum (homogeneity, degeneracy, frame, zero maps)")
+    add("validate", cmd_validate, "diagnose a datum (homogeneity, degeneracy, frame, zero maps, kernel witness)")
 
     p = add("solve", cmd_solve, "run the fixed-point solver", solver=True)
     p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
@@ -338,8 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that main reuses: building one costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         datum = None if getattr(args, "datum", None) is None else load_datum(args.datum)
         payload, outcome = args.func(args, datum)

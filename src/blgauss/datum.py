@@ -6,8 +6,9 @@ from R^n onto R^{n_i}. The exact zero map is allowed as a degenerate marker
 bookkeeping); a non-zero map that fails to be onto is malformed. Every check
 runs once, when the datum is built: a malformed datum is refused there, and
 a BLDatum keeps its non-zero factors, their groups by target dimension, the
-two verdicts on the whole datum (homogeneity defect, degeneracy) and its
-decomposition map, which the other layers read instead of recomputing them.
+verdicts on the whole datum (homogeneity defect, degeneracy, a kernel that
+breaks the dimension condition by count alone) and its decomposition map,
+which the other layers read instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ class BLDatum:
     degenerate          the non-zero maps fail to jointly separate points
                         (equivalently the adjoints fail to jointly span R^n);
                         both constants are +inf for such a datum.
+    kernel_witness      the first non-zero factor j with n_j < n whose kernel
+                        V = ker B_j breaks the dimension condition
+                        dim V <= sum_i c_i dim(B_i V) of Bennett-Carbery-
+                        Christ-Tao on the weights and target dimensions
+                        alone: dim(B_i V) <= min(n_i, n - n_j) and B_j V = 0,
+                        so n - n_j > sum_{i != j} c_i min(n_i, n - n_j) +
+                        HOMOGENEITY_TOL proves both constants +inf. None
+                        when no factor does; an equality case never fires.
     decomposition       read-only (pinv(L), K) for L = [c_i B_i^T], the map
                         (x_i) |-> sum_i c_i B_i^T x_i over non-zero factors,
                         and K an orthonormal basis of ker L: the
@@ -117,6 +126,7 @@ class BLDatum:
     norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
     homogeneity_defect: float = field(init=False, repr=False, compare=False)
     degenerate: bool = field(init=False, repr=False, compare=False)
+    kernel_witness: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -159,6 +169,7 @@ class BLDatum:
                            float(sum(factors[i].c * factors[i].target_dim for i in active) - n))
         object.__setattr__(self, "degenerate",
                            bool(not maps or numerical_rank(np.vstack(maps)) < n))
+        object.__setattr__(self, "kernel_witness", _kernel_witness(n, active, factors))
 
     @cached_property
     def decomposition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +191,18 @@ class BLDatum:
         return tuple(f.c for f in self.factors)
 
 
+def _kernel_witness(n: int, active: tuple[int, ...], factors: tuple[LinearFactor, ...]) -> int | None:
+    """BLDatum.kernel_witness: the margins n - n_j - sum_{i != j} c_i
+    min(n_i, n - n_j) of every non-zero factor at once, from counts only."""
+    c = np.array([factors[i].c for i in active])
+    dims = np.array([factors[i].target_dim for i in active])
+    kernel = n - dims  # dim ker B_j
+    spans = np.minimum(dims, kernel[:, None]) @ c  # row j: sum_i c_i min(n_i, n - n_j)
+    margin = kernel - (spans - c * np.minimum(dims, kernel))
+    hits = np.flatnonzero((kernel > 0) & (margin > HOMOGENEITY_TOL))
+    return active[hits[0]] if hits.size else None
+
+
 def make_datum(n: int, weights, maps) -> BLDatum:
     """Convenience constructor from parallel weight / matrix sequences."""
     return BLDatum(n, tuple(LinearFactor(c, B) for c, B in zip(weights, maps, strict=True)))
@@ -189,7 +212,7 @@ def make_datum(n: int, weights, maps) -> BLDatum:
 class DatumDiagnostics:
     """Result of validate(): global health indicators for a datum.
 
-    homogeneity_defect, degenerate  as on BLDatum.
+    homogeneity_defect, degenerate, kernel_witness  as on BLDatum.
     frame               every non-zero B_i B_i^T = id and the weighted sum
                         of B_i^T B_i is id, so identity solves the fixed
                         point and the constant is exactly 1.
@@ -200,6 +223,7 @@ class DatumDiagnostics:
     degenerate: bool
     frame: bool
     zero_map_indices: list[int] = field(default_factory=list)
+    kernel_witness: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -207,6 +231,7 @@ class DatumDiagnostics:
             "degenerate": self.degenerate,
             "frame": self.frame,
             "zero_map_indices": list(self.zero_map_indices),
+            "kernel_witness": self.kernel_witness,
         }
 
 
@@ -214,7 +239,8 @@ def validate(datum: BLDatum) -> DatumDiagnostics:
     """Summarize a datum. It only reads it: a malformed datum was refused when
     it was built, and zero maps are legal and merely flagged here."""
     return DatumDiagnostics(datum.homogeneity_defect, datum.degenerate, is_frame(datum),
-                            [i for i in range(datum.m) if i not in datum.active])
+                            [i for i in range(datum.m) if i not in datum.active],
+                            datum.kernel_witness)
 
 
 def check_count(name: str, value, least: int) -> None:

@@ -21,9 +21,11 @@ conjugate gradients solve -Hess[H] = I - Qbar over symmetric traceless H,
 an Armijo line search on F picks t, and K <- K exp(tH/2) keeps det(A) = 1.
 The loop never forms or factors A: the line search hands back the accepted
 K with its whitening, and one SVD of K gives logdet(A) and the residual.
-+inf (no finite constant) is reported only on evidence: a degenerating
-iterate, a failed line search while F rises far from stationarity, or
-exp(F/2) <= C past the float range. Anything else unconverged is inconclusive.
++inf (no finite constant) is reported only on evidence: a kernel witness
+(datum.kernel_witness, an exact count of dimensions, which ends the solve
+before any whitening), a degenerating iterate, a failed line search while F
+rises far from stationarity, or exp(F/2) <= C past the float range. Anything
+else unconverged is inconclusive.
 
 _whiten reads logdet(B_i A B_i^T) and Y_i off one stacked SVD of B_i K per
 factor group (datum.groups), for the loop, its line search, fp_map and
@@ -268,16 +270,21 @@ def solve(datum: BLDatum, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     -------
     SolveResult
         A has determinant 1. Converged: `constant` is the constant. Otherwise
-        `converged` is False and `constant` is +inf when the run found the
-        objective unbounded above (no finite constant), or else the best
-        estimate exp(F/2) of an inconclusive run (NaN when an ill-conditioned
-        factor stopped it at the start). A spent budget reports the iterate
-        after max_iter steps, with that iterate's own constant and residual.
+        `converged` is False and `constant` is +inf when the datum carries a
+        kernel witness or the run found the objective unbounded above (no
+        finite constant), or else the best estimate exp(F/2) of an
+        inconclusive run (NaN when an ill-conditioned factor stopped it at
+        the start). A spent budget reports the iterate after max_iter steps,
+        with that iterate's own constant and residual. Two exits come before
+        the first trace row, with 0 iterations and a NaN residual: a kernel
+        witness (A = I, +inf, before any whitening) and the start failure.
     """
     check_count("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     check_solvable(datum)
+    if datum.kernel_witness is not None:  # ker B_j breaks the dimension condition
+        return SolveResult(np.eye(datum.n), math.inf, math.nan, 0, False, [])
     return _iterate(datum, np.eye(datum.n), tol, max_iter)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blgauss.gaussian_verify
-from blgauss import __version__, cli, dual_check
+from blgauss import __version__, cli, dual_check, make_datum
 from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
 from conftest import gl_family, gl_map, mercedes_frame_datum, random_gl
@@ -141,6 +141,16 @@ class TestValidate:
         assert "frame: False" in text
         assert "homogeneity defect: +0.000e" in text
 
+    @pytest.mark.parametrize("path, line, key", [
+        (YOUNG, "kernel witness: none", None),
+        (INFEASIBLE, "kernel witness: factor 0", 0),
+    ])
+    def test_kernel_witness_line_and_key(self, capsys, tmp_path, path, line, key):
+        out = tmp_path / "report.json"
+        assert main(["validate", "--datum", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        assert json.loads(out.read_text(encoding="utf-8"))["diagnostics"]["kernel_witness"] == key
+
 
 class TestSolveAndConstant:
     def test_solve_young(self, capsys):
@@ -184,12 +194,30 @@ class TestSolveAndConstant:
         assert main(["constant", "--datum", INFEASIBLE]) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
-    def test_spent_budget_on_infeasible_is_inconclusive(self, capsys):
-        # a run cut off before the evidence of +inf is not +inf
-        assert main(["constant", "--datum", INFEASIBLE, "--max-iter", "1"]) == 1
+    def test_spent_budget_on_infeasible_is_inconclusive(self, capsys, tmp_path):
+        # a run cut off before the evidence of +inf is not +inf. On R^3,
+        # ker B_1 = span(e2) breaks the dimension condition (1 > c_0), but no
+        # count shows it, so the datum has no kernel witness and the loop runs
+        path, e = tmp_path / "witness_free.json", np.eye(3)
+        save_datum(make_datum(3, [0.6, 0.6, 0.6], [e[[0, 1]], e[[0, 2]], e[:1]]), path)
+        assert load_datum(path).kernel_witness is None
+        assert main(["constant", "--datum", str(path), "--max-iter", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out.strip() != "inf"
         assert captured.err == "constant: the solve was inconclusive\n"
+        assert main(["constant", "--datum", str(path)]) == 0
+        assert capsys.readouterr().out == "inf\n"
+
+    def test_kernel_witness_is_inf_on_any_budget(self, capsys, tmp_path):
+        # infeasible.json's kernel witness proves +inf before the loop
+        assert main(["constant", "--datum", INFEASIBLE, "--max-iter", "1"]) == 0
+        assert capsys.readouterr() == ("inf\n", "")
+        out = tmp_path / "report.json"
+        assert main(["solve", "--datum", INFEASIBLE, "--max-iter", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("converged: False  iterations: 0  residual: nan\n"
+                                                  "constant: inf\n")
+        result = _strict_json(out)["result"]
+        assert (result["A"], result["constant"], result["iterations"]) == ([[1.0, 0.0], [0.0, 1.0]], "inf", 0)
 
     def test_empty_iteration_budget_exits_2(self, capsys):
         assert main(["constant", "--datum", YOUNG, "--max-iter", "0"]) == 2
@@ -566,6 +594,27 @@ def test_bad_tol_exits_2(argv, value, shown, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: tol must be finite and non-negative, got {shown}\n"
     assert captured.out == ""
+
+
+def test_one_parser_serves_every_run(monkeypatch, capsys):
+    # main builds its parser once per process; a --seed given to one run
+    # does not leak into the next, which prints what a fresh process prints
+    runs = [["bd", "--paths", "400", "--steps", "8", "--seed", "3"], ["bd", "--paths", "400", "--steps", "8"]]
+    alone = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        alone.append(capsys.readouterr().out)
+    assert alone[0] != alone[1]
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    together = []
+    for argv in runs:
+        assert main(argv) == 0
+        together.append(capsys.readouterr().out)
+    assert together == alone and len(built) == 1
+    assert build_parser() is not build_parser()
 
 
 class TestBd:

@@ -195,6 +195,53 @@ class TestValidate:
         json.dumps(doc)  # must be plain JSON types
 
 
+class TestKernelWitness:
+    # the first non-zero factor j with n_j < n and
+    # n - n_j - sum_{i != j} c_i min(n_i, n - n_j) > HOMOGENEITY_TOL
+    YOUNG_MAPS = [np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])]
+
+    def test_infeasible_demo_datum(self):
+        # c = (3/2, 1/2) on e1, e2: ker B_0 = span(e2) has dimension 1 > 1/2
+        d = load_datum(Path(__file__).resolve().parents[1] / "demos" / "data" / "infeasible.json")
+        assert d.kernel_witness == 0 and validate(d).kernel_witness == 0
+
+    def test_young_facet_point_is_an_equality_case(self):
+        # c_0 = 1 on the facet: ker B_0 gives 1 = 0.6 + 0.4, which does not fire
+        assert make_datum(2, [1.0, 0.6, 0.4], self.YOUNG_MAPS).kernel_witness is None
+        assert make_datum(2, [1.0001, 0.6, 0.3999], self.YOUNG_MAPS).kernel_witness == 0
+
+    def test_near_homogeneous_data_have_none(self):
+        e = np.eye(2)
+        assert make_datum(1, [0.5, 0.5 + 5e-10], [np.eye(1)] * 2).kernel_witness is None
+        assert make_datum(2, [0.5, 0.5 + 5e-10, 1.0], [e[:1], e[:1], e[1:]]).kernel_witness is None
+
+    def test_zero_and_square_maps_are_skipped(self):
+        # counted as a factor on R^1, the zero map would give 2 > 0.5 min(3, 2);
+        # a square map has no kernel
+        assert make_datum(3, [1.0, 0.5], [np.zeros((1, 3)), np.eye(3)]).kernel_witness is None
+        assert make_datum(2, [0.5, 0.3, 0.2], [np.eye(2)] * 3).kernel_witness is None
+        # a zero map's weight is not in the sum, and indices are datum indices
+        e = np.eye(2)
+        d = make_datum(2, [5.0, 1.5, 0.5], [np.zeros((1, 2)), e[:1], e[1:]])
+        assert d.kernel_witness == 1
+
+    def test_the_witness_breaks_the_dimension_condition(self, rng):
+        # on random homogeneous draws the kernel of a witness j breaks the
+        # condition by rank, not only by count: dim ker B_j > sum_i c_i
+        # rank(B_i K_j), each rank read against ||B_i||
+        fired = 0
+        for _ in range(60):
+            d = random_datum(rng, homogeneous=True)
+            j = d.kernel_witness
+            if j is None:
+                continue
+            fired += 1
+            K = np.linalg.svd(d.factors[j].B)[2][d.dims[j]:].T
+            spanned = sum(f.c * numerical_rank(f.B @ K, np.linalg.norm(f.B, 2)) for f in d.factors)
+            assert K.shape[1] > spanned + 1e-9
+        assert fired > 0
+
+
 class TestDirectSum:
     def test_block_structure(self):
         a = prekopa_leindler_datum()

@@ -283,6 +283,34 @@ def test_verdicts_agree_with_the_dimension_condition():
     assert verdicts == {True: 23, False: 167}
 
 
+def test_kernel_witness_fires_only_on_infinite_data():
+    # The witness is an exact count, so it fires only where the kernel-lattice
+    # dimension condition fails: on 159 of the 185 random draws and on
+    # infeasible.json. The other +inf draws reach their verdict in the loop.
+    witnessed = [(label, d) for label, d in _verdict_data() if d.kernel_witness is not None]
+    assert sum(label.startswith("random") for label, _ in witnessed) == 159
+    assert [label for label, _ in witnessed if not label.startswith("random")] == ["infeasible.json"]
+    assert not any(dimension_condition_holds(d) for _, d in witnessed)
+
+
+@pytest.mark.parametrize("max_iter", [1, 10_000])
+def test_kernel_witness_ends_solve_before_the_loop(monkeypatch, max_iter):
+    # +inf from the counts alone: A = I, no iteration, no trace row, and not
+    # one whitening or numpy.linalg call, whatever the budget
+    data, calls = [_infeasible_datum(), _overflow_datum()], []
+    for name in ("svd", "eigh", "norm", "cholesky", "inv"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(blgauss.gaussian_solver, "_whiten", lambda g, K: calls.append("whiten"))
+    for d in data:
+        r = solve(d, max_iter=max_iter)
+        assert (r.constant, r.iterations, r.converged, r.trace) == (math.inf, 0, False, [])
+        assert math.isnan(r.residual) and np.array_equal(r.A, np.eye(d.n))
+    assert calls == []
+
+
 def _unattained_datum():
     # E = span(e1) is critical and C = 1, but no Gaussian attains it
     return make_datum(2, [0.5, 1.0, 0.5], [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
@@ -314,7 +342,10 @@ def _overflow_datum():
                  id="random-overflow"),
 ])
 def test_how_runs_end_is_pinned(make, iterations, constant, rows, exit_):
-    r = solve(make())
+    # the loop itself: the infeasible and random-overflow data carry a kernel
+    # witness, on which solve returns before the loop
+    d = make()
+    r = _iterate(d, np.eye(d.n), 1e-10, 10_000)
     if iterations is not None:
         assert (r.iterations, len(r.trace)) == (iterations, rows)
     last_k, last_res, _ = r.trace[-1]
@@ -376,16 +407,18 @@ def test_lapack_calls_per_iteration(monkeypatch, make, iterations, searches, mul
 def test_spent_budget_reports_the_iterate_it_returns():
     # A spent budget evaluates the iterate after max_iter steps and takes no
     # step from it, so the constant and residual are those of the returned A.
-    # The infeasible datum's constant is +inf, but one step holds no evidence
-    # of that: the run is inconclusive, with the bound its A certifies.
+    # The infeasible datum's constant is +inf (solve reads it off the kernel
+    # witness, so the loop is run directly), but one step of the loop holds
+    # no evidence of that: the run is inconclusive, with the bound its A
+    # certifies.
     d = _infeasible_datum()
-    r = solve(d, max_iter=1)
+    r = _iterate(d, np.eye(2), 1e-10, 1)
     assert not r.converged and (r.iterations, len(r.trace)) == (1, 2)
     assert r.constant == pytest.approx(math.sqrt(dual_check(d, 1.0, r.A)), rel=1e-12)
     assert r.constant == pytest.approx(2980.9579870417283, rel=1e-9)
     assert r.trace[-1][0] == r.iterations and r.residual == r.trace[-1][1]
     # after two steps A degenerates: the MIN_EIGENVALUE exit, as without a budget
-    full, r = solve(d), solve(d, max_iter=2)
+    full, r = _iterate(d, np.eye(2), 1e-10, 10_000), _iterate(d, np.eye(2), 1e-10, 2)
     assert (r.constant, r.iterations, len(r.trace)) == (math.inf, 2, 2)
     assert np.array_equal(r.A, full.A) and r.trace == full.trace
 
@@ -407,8 +440,11 @@ def test_budget_of_the_converged_run_is_enough():
 ])
 def test_trace_has_a_row_per_iterate(make, max_iter, exit_):
     # every exit but the start failure and the MIN_EIGENVALUE exit writes the
-    # row of the iterate it returns, so the trace holds iterations + 1 rows
-    r = solve(make(), max_iter=max_iter)
+    # row of the iterate it returns, so the trace holds iterations + 1 rows;
+    # the loop is run directly, past the kernel witness of the infeasible and
+    # random-overflow data
+    d = make()
+    r = _iterate(d, np.eye(d.n), 1e-10, max_iter)
     assert len(r.trace) == r.iterations + 1
     assert [k for k, _, _ in r.trace] == list(range(r.iterations + 1))
     assert r.residual == r.trace[-1][1]
@@ -587,7 +623,7 @@ def test_divergent_ray_doubles_to_the_min_eigenvalue_reach(monkeypatch):
     searches = _counting_searches(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = solve(_infeasible_datum())
+        r = _iterate(_infeasible_datum(), np.eye(2), 1e-10, 10_000)
     assert r.constant == math.inf and r.iterations == 2
     assert searches == [[2.0, 1 + math.log2(reach / 2.0)]] * 2
     np.testing.assert_allclose(np.diag(r.A), np.exp([-2.0 * reach, 2.0 * reach]), rtol=1e-12)
