@@ -39,7 +39,7 @@ from .gaussian_verify import DEFAULT_SAMPLES, sample_tuple, sweep_direct_and_rev
 from .quadform import check_inf
 from .report import DEFAULT_SEED, check_seed
 from .stochastic import BrownianConfig, builtin_suite, check_draws
-from .structure import Subspace, coordinate_subspaces, is_critical, multiplicativity_check
+from .structure import Subspace, _multiplicativity_checks, coordinate_subspaces, is_critical
 from .young import YoungExponents, beckner_constant, closed_form_A, constant_from_cs, datum_from_exponents
 
 # Quadrature slack: grid error, not roundoff, so looser than the Gaussian sweeps.
@@ -262,8 +262,8 @@ def cmd_split(args, datum):
                   "tried; pass --subspace to split along another)")
 
     splits = []
-    for E in candidates:
-        result = multiplicativity_check(datum, E, tol=args.tol, max_iter=args.max_iter)
+    checks = _multiplicativity_checks(datum, candidates, {"tol": args.tol, "max_iter": args.max_iter})
+    for E, result in zip(candidates, checks):
         ok = result.gap <= SPLIT_GAP_TOL
         axes = [int(a) for a in np.flatnonzero(np.abs(E.basis).max(axis=1) > 1e-12)]
         print(

@@ -6,7 +6,8 @@ grids, as an independent oracle at desk scale, not a general integrator.
 One rule (_refusal, read by check_quadrature) says what a grid can read:
 ambient dimension 1 or 2, a grid within the element budget and the float
 range, and for the reverse check a decomposition kernel of dimension at most
-MAX_KERNEL_DIM whose windows stay within the float range.
+MAX_KERNEL_DIM whose windows stay within the float range; past it, both
+checks read any n and kernel dimension the same way.
 
 direct   integral of prod_i f_i(B_i x)^{c_i} over the ambient box, against
          C * prod_i (integral of f_i)^{c_i}
@@ -23,39 +24,22 @@ envelope's, has nothing to compare and raises ValueError. The checks call
 each f_i on chunks of shape (samples, dim), so f_i must be vectorized.
 
 Both checks add c_i log f_i over their samples in place, in chunks of about
-_SUPCONV_CHUNK samples run one after another in the calling thread, and
-each chunk allocates its own arrays. On a line kernel with every f_i a
-gaussian_function, sum_i c_i log f_i along a grid point's segment is a
-concave quadratic with a closed-form maximizer; the sup-convolution reads
-only a block of five samples around it, by the reader that reads whole
-segments, certifies per point from those reads alone that no sample
-outside them can read higher (_line_peaks), and reads the whole segment
-of any point it cannot certify, so the envelope keeps every bit of brute
-force. On a plane kernel each row of a point's sample square is a line,
-whose feasible samples are one run: a point forms only those runs,
-widened past every rounding (_plane_runs), and keeps brute force's bits
-too. A line with other inputs reads every sample. A chunk of the direct
-check is a block of whole grid lines along the last axis. Its points lie
-in one (lines * resolution, n) buffer per call instead of the whole grid:
-the last axis's column, the axis repeated once per line, is the same in
-every block and is written once, and a block writes only its first axis's
-column, its lines' first coordinates (at n = 1 the one column is both
-axes); a short last block reads the buffer's head. A factor whose map
-reads one axis only has its f_i read once, on that axis, and the table
-added to every line in factor order, so each grid point gets the same
-floats as if f_i were read there. Every sample goes through the same
-operations in the same order whatever the chunk size, so neither check's
-bits depend on it.
+_SUPCONV_CHUNK samples run one after another in the calling thread, each
+with its own arrays. Every sample goes through the same operations in the
+same order whatever the chunk size, so neither check's bits depend on it.
+A chunk of the direct check is a block of whole grid lines along the last
+axis, whose points lie in one buffer per call; a block writes only the axis
+columns that differ from the block before. A factor whose map has a zero
+column has its f_i read once, on the grid of the axes it reads, and the
+table added to every line, with the floats a read at each grid point gives.
+The sup-convolution forms a run of each row of a grid point's samples and
+reads the runs end to end, with brute force's bits (sup_convolution).
 
-Other work arrays allocated once and reused were no faster than per-chunk
-ones once glibc's mmap threshold has risen, which it does when a larger
-mmapped block is freed; the point buffer pays because a block no longer
-tiles, repeats and stacks its points, but writes one column. The direct
-check's integrand is such a block: it stays one full-grid array, though
-each chunk integrates its own lines, because freeing it keeps a later
-check's chunks from being mmapped and faulted in afresh (with per-chunk
-integrands, a later 81-point check of kernel dimension 2 took about 6,000
-page faults a call, against 0).
+The direct check's integrand is one full-grid array: freeing it raises
+glibc's mmap threshold, so a later check's chunks are not mmapped and
+faulted in afresh (per-chunk integrands cost a later 81-point check of
+kernel dimension 2 about 6,000 page faults a call). Other work arrays kept
+for reuse were no faster, save the point buffer, which saves writes.
 """
 
 from __future__ import annotations
@@ -74,7 +58,7 @@ DECAY_WARN = 1e-6
 # largest decomposition-kernel dimension sup_convolution samples
 MAX_KERNEL_DIM = 2
 # samples per chunk of the quadrature loops (a sup-convolution grid point
-# takes one, resolution or resolution^2 by kernel dimension): 512 KiB per
+# takes up to resolution^k at kernel dimension k): 512 KiB per
 # array of floats. A chunk's working arrays outgrow a 2 MiB per-core L2
 # cache, but a smaller chunk pays numpy's per-call cost more often: in one
 # thread, 16,384 samples ran the Young reverse check at 201 points slower
@@ -400,41 +384,45 @@ def direct_integral_check(
     integrand = np.zeros((resolution ** (n - 1), resolution))
     line_sums = np.empty(len(integrand))
     lines = min(max(1, _SUPCONV_CHUNK // resolution), len(integrand))
-    # per factor in order: c_i log f_i over the whole grid when its map has
-    # a zero column (at n <= 2 it then reads one axis: f_i is read once, on
-    # that axis, and the table broadcast along the other), else None
+    # each line's indices along the first n - 1 axes
+    places = _grid_indices(resolution, n - 1)
+    # per factor, when its map has a zero column: c_i log f_i on the grid of
+    # the axes it reads, a row per point of those before the last, and each
+    # line's row; else None
     terms = []
     for i, gf in zip(datum.active, fs):
         f = datum.factors[i]
         (reads,) = np.nonzero(np.any(f.B != 0.0, axis=0))
-        whole = None
+        table = row = None
         if len(reads) < n:
-            (a,) = reads
-            table = np.zeros(resolution)
-            _add_log(table, gf, list(f.B[:, [a]] * axis), f.c)
-            whole = np.broadcast_to(table if a == n - 1 else table[:, None], integrand.shape)
-        terms.append((f, gf, whole))
-    # the grid points of a full block, when some map reads every axis: the
-    # last axis's column is the same in every block and is written once,
-    # and each block writes only its first axis's column (at n = 1 the one
-    # column is both)
-    buf = None
-    if any(whole is None for *_, whole in terms):
+            lead = reads[reads < n - 1]
+            table = np.zeros(resolution ** len(reads))
+            _add_log(table, gf, list((axis[_grid_indices(resolution, len(reads))] @ f.B[:, reads].T).T), f.c)
+            table = table.reshape(resolution ** len(lead), -1)
+            row = places[:, lead] @ resolution ** np.arange(len(lead))[::-1]
+        terms.append((f, gf, table, row))
+    # a full block's grid points, when some map reads every axis: the last
+    # axis's column is written once, the others by the first block, and by
+    # a later block those whose period, resolution^(n - 1 - a) lines for
+    # axis a, does not divide a block
+    if any(table is None for *_, table, _ in terms):
         buf = np.empty((lines * resolution, n))
         buf[:, -1] = np.tile(axis, lines)
+        moves = [a for a in range(n - 1) if lines % resolution ** (n - 1 - a)]
 
     for start in range(0, len(integrand), lines):
         rows = slice(start, start + lines)
         acc = integrand[rows]
         pts = None
-        for f, gf, whole in terms:
-            if whole is not None:
-                acc += whole[rows]
+        for f, gf, table, row in terms:
+            if table is not None:
+                # a table of one row is the same on every line
+                acc += table[row[rows]] if len(table) > 1 else table
                 continue
             if pts is None:
                 pts = buf[: acc.size]
-                if n == 2:
-                    pts.reshape(*acc.shape, n)[:, :, 0] = axis[rows, None]
+                for a in moves if start else range(n - 1):
+                    pts.reshape(*acc.shape, n)[:, :, a] = axis[places[rows, a], None]
             _add_log(acc.reshape(-1), gf, list((pts @ f.B.T).T), f.c)
         np.exp(acc, out=acc)
         line_sums[rows] = np.trapezoid(acc, axis, axis=1)
@@ -457,23 +445,26 @@ def _ratio(num: float, den: float, log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
+def _grid_indices(resolution: int, d: int) -> np.ndarray:
+    """The (resolution^d, d) indices of a tensor grid of resolution points
+    per axis, the last axis running fastest; one point, of no indices, at d = 0."""
+    return np.indices((resolution,) * d).reshape(d, resolution**d).T
+
+
 def _sample_base(kdim: int, resolution: int) -> np.ndarray:
-    """Fixed (samples, kdim) pattern that every window scales: one point for
-    a unique decomposition, resolution points on [-1/2, 1/2] for a line, a
-    resolution^2 grid on [-1, 1]^2 for a plane."""
-    if kdim == 0:
-        return np.zeros((1, 0))
-    if kdim == 1:
-        return np.linspace(-0.5, 0.5, resolution)[:, None]
-    return _tensor_grid([-1.0] * 2, [1.0] * 2, resolution)[1].reshape(-1, 2)
+    """Fixed (resolution^kdim, kdim) pattern that every window scales: the
+    tensor grid of resolution points per axis on [-1, 1]^kdim, in rows of
+    resolution samples along the last kernel coordinate that fix the others."""
+    return np.linspace(-1.0, 1.0, resolution)[_grid_indices(resolution, kdim)]
 
 
 def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     """Centre (count, 1) on a line, else (count, 0), scale (count,) and dead
     mask (count,) of the kernel coordinates t to sample at each preimage
-    Y0: the samples are centre + scale * base, centred on t = 0 off a line,
-    and a dead point has no feasible decomposition inside the factor boxes.
-    Only a line whose feasible segment is one point takes a scale of 0."""
+    Y0: the samples are centre + scale * base, on a line its feasible
+    segment, else centred on t = 0, and a dead point has no feasible
+    decomposition inside the factor boxes. Only a line whose feasible
+    segment is one point takes a scale of 0."""
     if K.shape[1] == 1:
         # the exact feasible segment of the line Y0 + t k; coordinates with
         # k_j = 0 do not move and must lie in their box
@@ -486,7 +477,7 @@ def _window(Y0: np.ndarray, K: np.ndarray, lows: np.ndarray, highs: np.ndarray):
         slack = 8.0 * np.finfo(float).eps * mag.max(axis=1)
         fixed = Y0[:, ~on]
         dead = np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1) | (t_hi < t_lo - slack)
-        return 0.5 * (t_lo + t_hi)[:, None], np.maximum(t_hi - t_lo, 0.0), dead
+        return 0.5 * (t_lo + t_hi)[:, None], 0.5 * np.maximum(t_hi - t_lo, 0.0), dead
     centre, dead = np.zeros((len(Y0), 0)), np.zeros(len(Y0), dtype=bool)
     if K.shape[1] == 0:
         # the decomposition Y0 is unique: the base has no columns to scale
@@ -506,40 +497,41 @@ def _segment(Y0: np.ndarray, k: np.ndarray, on: np.ndarray, lows, highs):
     return np.minimum(a, b).max(axis=-1), np.maximum(a, b).min(axis=-1)
 
 
-def _plane_runs(y0: np.ndarray, scale: np.ndarray, K: np.ndarray, lows, highs, u: np.ndarray):
-    """Each point's run of samples in each row a of its plane window, the
-    samples t = scale (u_a, u_b) of _sample_base over the base's axis u:
-    the first b and the length (points, R), 0 for an empty row. The runs
-    hold every sample whose decomposition y0 + K t read's inside test
-    keeps, as read forms it, and a few more; but at scale 0, where every
-    sample is the one decomposition y0, which read clamps into the boxes,
-    at most the middle sample of each row.
+def _row_runs(y0: np.ndarray, scale: np.ndarray, K: np.ndarray, lows, highs, u: np.ndarray):
+    """At kernel dimension k >= 2, each point's run of samples t = scale v
+    (_sample_base, v over the axis u) in each row of its window: the first
+    sample along the row and the length, (points, len(u)^(k - 1)), 0 for an
+    empty row. The runs hold every sample whose decomposition y0 + K t
+    read's inside test keeps, as read forms it, and a few more; at scale 0,
+    where every sample is y0, which read clamps into the boxes, at most the
+    middle sample of each row.
 
-    Fixing a row, t_0 = scale u_a, leaves the line y0 + K_0 t_0 + K_1 t_1
-    in t_1, whose feasible set is the segment [t_lo, t_hi] (_segment) over
-    the coordinates where |K_j1| > 1e-12. A sample read accepts has its
-    exact decomposition within 7 eps (|y0_j| + scale) of box j, and the
-    segment's ends are formed within 4 eps (|box_j| + |y0_j| + scale) /
-    |K_j1|: the segment widened by 16 eps max_j (|box_j| + |y0_j| + scale)
-    / |K_j1|, and then by 2^-40 (R + 1) samples at each end for the
-    rounding of u_b and of the sample numbers, holds every such t_1. A
-    coordinate with |K_j1| <= 1e-12 moves by at most |K_j1| scale along
-    the row, which is empty where that coordinate lies farther than this
-    and 16 eps (|box_j| + |y0_j| + scale) outside its box. A point whose
-    runs are all empty still reads the samples that fill its one piece
-    (_run_table), which read as every sample of its window does: -inf, or
-    at scale 0 the clamped y0."""
-    R = len(u)
-    k = K[:, 1]
+    A row fixes t_l = scale v_l for l < k, leaving the line y0 + sum_{l<k}
+    K_l t_l + K_k t_k in t_k, feasible on the segment [t_lo, t_hi]
+    (_segment) over the coordinates where |K_jk| > 1e-12. A sample read
+    accepts is within (k + 5) eps (|y0_j| + scale) of box j, and the ends
+    are formed within (k + 2) eps (|box_j| + |y0_j| + scale) / |K_jk|: the
+    segment widened by 8k eps max_j (|box_j| + |y0_j| + scale) / |K_jk|, and
+    by 2^-40 (R + 1) samples at each end for the rounding of v_k and of the
+    sample numbers, holds every such t_k. A coordinate with |K_jk| <= 1e-12
+    moves by at most |K_jk| scale along the row, which is empty where it
+    lies farther than this and 8k eps (|box_j| + |y0_j| + scale) outside its
+    box. A point whose runs are all empty still fills its one piece
+    (_run_table), whose samples read -inf, or at scale 0 the clamped y0."""
+    R, kdim = len(u), K.shape[1]
+    k = K[:, -1]
     on = np.abs(k) > 1e-12
-    t0 = scale[:, None] * u  # (points, rows), as read forms the samples
-    Y0 = y0[:, None, :] + t0[..., None] * K[:, 0]
+    # the rows' fixed coordinates, as read forms the samples: (points, rows) each
+    fixed = scale[:, None, None] * u[_grid_indices(R, kdim - 1).T]
+    Y0 = y0[:, None, :]
+    for t, Kl in zip(fixed.swapaxes(0, 1), K.T):
+        Y0 = Y0 + t[..., None] * Kl
     t_lo, t_hi = _segment(Y0, k, on, lows, highs)
-    err = 16.0 * np.finfo(float).eps * (np.maximum(np.abs(lows), np.abs(highs)) + np.abs(y0) + scale[:, None])
+    err = 8.0 * kdim * np.finfo(float).eps * (np.maximum(np.abs(lows), np.abs(highs)) + np.abs(y0) + scale[:, None])
     slack = (err[:, on] / np.abs(k[on])).max(axis=1)[:, None]
     off = err[:, None, ~on] + np.abs(k[~on]) * scale[:, None, None]
     empty = np.any((Y0[..., ~on] < lows[~on] - off) | (Y0[..., ~on] > highs[~on] + off), axis=-1)
-    # t_1 = scale u_b with u_b = -1 + 2 b / (R - 1): b = (t_1 / scale + 1)
+    # t_k = scale v_k with v_k = -1 + 2 b / (R - 1): b = (t_k / scale + 1)
     # (R - 1) / 2, formed within 9 eps (R + 1) samples of the exact b
     half, pad = 0.5 * (R - 1), 2.0**-40 * (R + 1)
     s = np.where(scale > 0.0, scale, np.inf)[:, None]
@@ -550,21 +542,21 @@ def _plane_runs(y0: np.ndarray, scale: np.ndarray, K: np.ndarray, lows, highs, u
     return first.astype(np.intp), np.maximum(last - first + 1.0, 0.0).astype(np.intp)
 
 
-def _run_table(first: np.ndarray, counts: np.ndarray):
-    """The runs of every point (_plane_runs) laid end to end, point after
-    point and row after row, as a table of runs: where each run ends in
-    that order and what to add to a position in it to get its sample
-    a * R + b; then the pieces of R samples that each point's runs fill,
-    at least one. One more run per point fills out its last piece with
-    samples 0, 1, ... of its window's first row, which read reads as brute
-    force does. A piece of R >= 2 samples takes BLAS's matrix-matrix
-    product in _decompositions, as the whole square does: one sample takes
-    the matrix-vector path, which rounds differently."""
-    points, R = counts.shape
+def _run_table(first: np.ndarray, counts: np.ndarray, width: int):
+    """The runs (first, counts), each (points, rows) in rows of width
+    samples, laid end to end point after point and row after row: where
+    each run ends in that order and what to add to a position in it to get
+    its sample row * width + first; then the pieces of width samples each
+    point fills, at least one. One more run per point fills out its last
+    piece with samples 0, 1, ... of its window, read as brute force reads
+    them: a piece of width >= 2 takes BLAS's matrix-matrix product in
+    _decompositions at k >= 2, as the whole cube does, where one sample
+    would take the matrix-vector path, which rounds differently."""
+    points, rows = counts.shape
     per_point = counts.sum(axis=1)
-    pieces = np.maximum(1, -(-per_point // R))
-    starts = np.hstack([np.arange(R) * R + first, np.zeros((points, 1), dtype=np.intp)]).ravel()
-    lengths = np.hstack([counts, (pieces * R - per_point)[:, None]]).ravel()
+    pieces = np.maximum(1, -(-per_point // width))
+    starts = np.concatenate([np.arange(rows) * width + first, np.zeros((points, 1), dtype=np.intp)], axis=1).ravel()
+    lengths = np.concatenate([counts, (pieces * width - per_point)[:, None]], axis=1).ravel()
     ends = np.cumsum(lengths)
     return starts - (ends - lengths), ends, pieces
 
@@ -651,7 +643,7 @@ def _line_peaks(model: _LineModel, y0, centre, scale, base, read):
     sup_convolution's reader. Returns (peaks, rest): rest are the points
     that must read their whole segment, whose peaks entries are left unset.
 
-    A point's samples t_0 <= ... <= t_{R-1} are spaced h = scale / (R - 1).
+    A point's samples t_0 <= ... <= t_{R-1} are spaced h = 2 scale / (R - 1).
     Its block is the 2w + 1 samples centred on the one nearest t*, shifted
     to lie in the segment. E bounds the rounding of a read s_m against the
     exact Q(t_m), twice over. With V_i the largest |y0_j| + |k_j t| + |mu_j|
@@ -692,7 +684,7 @@ def _line_peaks(model: _LineModel, y0, centre, scale, base, read):
         e = 2.0**-36 * (1.0 + model.a[:, None] * V * V)
         E = model.c @ e
         normal = np.all(0.5 * model.a[:, None] * U * U + e < -math.log(np.finfo(float).tiny), axis=0)
-        h = scale / (R - 1)
+        h = 2.0 * scale / (R - 1)
         # t* in steps of h from t_0
         at = (-(model.g @ (cols - mu[:, None])) / model.gamma - ends[0]) / h
     w = 2
@@ -718,43 +710,22 @@ def sup_convolution(
     """Smallest envelope f with prod_i f_i(x_i)^{c_i} <= f(sum_i c_i B_i^T x_i),
     by brute force: its values on the (resolution,) * n grid over [-box, box]^n.
 
-    The decompositions of a grid point x are Y0 + K t (BLDatum.decomposition):
-    Y0 = pinv(L) x, the min-norm preimage under L = [c_i B_i^T], and K an
-    orthonormal basis of ker L, of dimension sum_i n_i - n <= MAX_KERNEL_DIM.
-    One loop serves every kernel dimension; only the window on t differs:
-
-    0  no window: the decomposition Y0 is unique
-    1  the exact segment of the line inside the factor boxes, sampled at
-       resolution points (zero when the segment is empty)
-    2  the disc whose radius bounds every feasible t, sampled on a
-       resolution^2 grid over its bounding square, of which a point forms
-       only each row's run of samples that can lie inside the boxes
-
-    The functions are read at no dead point (one without a decomposition
-    inside the boxes, whose envelope is 0) and, for a plane, at no sample
-    outside the boxes. A plane's feasible set is convex, so each row of its
-    square (first kernel coordinate fixed) meets it in one segment, found
-    as _window finds a line's; widened past the rounding of its own and of
-    read's arithmetic, its run of samples holds every sample read's inside
-    test keeps (_plane_runs). The runs of a chunk's points are read end to
-    end in pieces of a row's length, each piece as if it were a point, so
-    that few samples past the boxes are formed.
-
-    On a line with every f_i a gaussian_function (its
-    mark read by _line_model), sum_i c_i log f_i along the segment is the
-    concave quadratic Q(t) of curvature gamma > 0, largest at a closed-form
-    t*. Each point then reads only the block of five samples around t*,
-    shifted into its segment, and the block is certified a posteriori by
-    its own reads: its best read beats each edge read that is not a
-    segment end by more than twice the rounding bound E, with every read
-    of the segment in the normal float range (_line_peaks). A point that
-    cannot be certified (gamma <= 0 is refused for the whole grid; a point
-    may fail where t* is not finite, its reads may leave the normal range,
-    or E is not small against gamma h^2) reads its whole segment. Either
-    way every sample is read by the one reader, so the envelope is brute
-    force's, bit for bit. Kernel dimension 0 and, on a line, every other
-    callable read every sample. The envelope does not depend on the chunk
-    size.
+    The decompositions of a grid point x are Y0 + K t (BLDatum.decomposition),
+    Y0 = pinv(L) x and K an orthonormal basis of ker L, L = [c_i B_i^T], of
+    dimension k = sum_i n_i - n. One rule serves every k: a point samples t
+    on the resolution^k grid of its window centre + scale [-1, 1]^k
+    (_window), in rows along the last kernel coordinate. At k <= 1 the
+    window is the feasible set (Y0, or the exact feasible segment), read
+    whole. At k >= 2 it is a cube around the convex feasible set, which
+    meets each row in one segment: its samples, widened past every rounding,
+    are the row's run (_row_runs). A point's runs are read end to end in
+    pieces of a row's length, each as if it were a point (_run_table); a
+    point with no decomposition inside the boxes stays 0. On a line with
+    every f_i a gaussian_function a point first reads five samples around
+    the closed-form peak of sum_i c_i log f_i, and its whole segment only
+    where they do not certify their peak (_line_peaks). One reader reads
+    every sample, so the envelope is brute force's, bit for bit, whatever
+    the chunk size.
 
     ValueError where _refusal refuses the reverse check, read at the reach
     of the grid box and of every factor box together.
@@ -778,58 +749,72 @@ def sup_convolution(
     out = np.zeros(len(Y0))
 
     base = _sample_base(kdim, resolution)
-    # points whose windows are read whole per chunk
-    whole = max(1, _SUPCONV_CHUNK // len(base))
+    width = resolution ** min(kdim, 1)  # samples per row
     model = _line_model(fs, cs, spans, K[:, 0]) if kdim == 1 else None
-    # a window point reads a block of 5 samples and its model keeps about
-    # ten more values: at 16 per point a chunk's arrays stay near a
-    # whole-segment chunk's. At 8 per point, 30 rounds of the benchmark's
-    # functional ops peaked up to 6 MiB higher in RSS (2-core x86-64
-    # host), as glibc's heaps grew
-    chunk = whole if model is None else max(1, _SUPCONV_CHUNK // 16)
-    if kdim == 2:
-        # a plane point's runs take a value per row of its base, and are
-        # read in pieces of a row's length, half a chunk's samples a read:
-        # most samples of a run lie inside the boxes and are read, which
-        # keeps about twice a formed sample's bytes (a whole-square chunk
-        # of the three-identities datum at 81 points peaked at 3.5 MiB
-        # traced, its runs in pieces of 65,529 samples at 6.4 MiB, and in
-        # pieces of 32,724 at 3.4 MiB, by tracemalloc)
-        chunk = max(1, _SUPCONV_CHUNK // resolution)
-        per_read = max(1, _SUPCONV_CHUNK // (2 * resolution))
+    if kdim > 1:
+        def runs(y0, scale):
+            return _row_runs(y0, scale, K, lows, highs, base[:width, -1])
+        tested = range(len(K))
+        # half a chunk's samples a read: a run's samples mostly lie inside
+        # the boxes and are kept twice (the three identities at 81 points
+        # traced 6.4 MiB in reads of 65,529 samples, 3.4 MiB at 32,724)
+        per_read = max(1, _SUPCONV_CHUNK // (2 * width))
+    else:
+        # the window is the feasible set: no runs, and one piece of samples
+        # 0, 1, ... (_run_table); one past a box by rounding reads 0 (_add_log)
+        def runs(y0, scale):
+            return (np.zeros((len(y0), 0), dtype=np.intp),) * 2
+        tested = ()
+        per_read = max(1, _SUPCONV_CHUNK // width)
+    # a chunk's points keep a value per row of their windows, or with a
+    # model about 16: a block of 5 samples and ten more values. At 8 per
+    # point, 30 rounds of the benchmark's functional ops peaked up to 6 MiB
+    # higher in RSS (2-core x86-64 host), as glibc's heaps grew
+    chunk = max(1, _SUPCONV_CHUNK // (16 if model else len(base) // width))
 
-    def read(y0, centre, scale, rows=slice(None)):
+    def read(y0, centre, scale, index):
         """sum_i c_i log f_i at each point's window samples centre + scale *
-        base[rows] (_window), one row of samples per point: rows is every
-        sample, or one array of sample indices per point."""
-        T = scale[:, None, None] * base[rows]
+        base[index] (_window), index holding one row of sample numbers per
+        point: -inf at a sample outside the boxes, unread where tested."""
+        T = scale[:, None, None] * base[index]
         # one kernel coordinate per centre column, as _decompositions adds y0
         for j in range(centre.shape[1]):
             T[..., j] += centre[:, j, None]
         Y = _decompositions(y0, T, K)
-        # a single-point segment lies on the boxes' boundary, which rounding
+        # a single-point window lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the functions are read inside their boxes
         point = scale == 0.0
         if point.any():
             for y, a, b in zip(Y, lows, highs):
                 y[point] = np.clip(y[point], a, b)
-        if kdim == 2:
-            # a plane's runs reach a little past the boxes: read only the
-            # samples inside every box, the rest keep log 0 = -inf. A
-            # line's segment and a unique decomposition are feasible already.
-            inside = np.ones(T.shape[:2], dtype=bool)
-            for y, a, b in zip(Y, lows, highs):
-                inside &= y >= a
-                inside &= y <= b
+        inside = np.ones(T.shape[:2], dtype=bool)
+        for j in tested:
+            inside &= Y[j] >= lows[j]
+            inside &= Y[j] <= highs[j]
+        every = inside.all()
+        if not every:
             Y = [y[inside] for y in Y]
         # sum_i c_i log f_i over the samples, one factor at a time
         logs = np.zeros(Y[0].shape)
         for (a, b), c, gf in zip(spans, cs, fs):
             _add_log(logs, gf, Y[a:b], c)
-        if kdim == 2:
+        if not every:
             logs, kept = np.full(T.shape[:2], -np.inf), logs
             logs[inside] = kept
-        return logs.reshape(T.shape[:2])
+        return logs
+
+    def run_peaks(y0, centre, scale):
+        """The largest read over each point's runs."""
+        if not len(y0):  # every point certified its block
+            return np.empty(0)
+        shifts, ends, pieces = _run_table(*runs(y0, scale), width)
+        of = np.repeat(np.arange(len(y0)), pieces)
+        peaks = np.empty(len(of))
+        for q in range(0, len(of), per_read):
+            b = of[q : q + per_read]
+            index = _table_samples(shifts, ends, q * width, (q + len(b)) * width)
+            peaks[q : q + len(b)] = read(y0[b], centre[b], scale[b], index.reshape(len(b), width)).max(axis=1)
+        return np.maximum.reduceat(peaks, np.cumsum(pieces) - pieces)
 
     for start in range(0, len(Y0), chunk):
         window = Y0[start : start + chunk]
@@ -839,23 +824,8 @@ def sup_convolution(
         if not len(live):
             continue
         y0, centre, scale = window[live], centre[live], scale[live]
-        if kdim == 2:
-            shifts, ends, pieces = _run_table(*_plane_runs(y0, scale, K, lows, highs, base[:resolution, 1]))
-            # each piece is read as if it were a point of its own
-            of = np.repeat(np.arange(len(y0)), pieces)
-            peaks = np.empty(len(of))
-            for q in range(0, len(of), per_read):
-                b = of[q : q + per_read]
-                rows = _table_samples(shifts, ends, q * resolution, (q + len(b)) * resolution)
-                peaks[q : q + len(b)] = read(y0[b], centre[b], scale[b], rows.reshape(len(b), -1)).max(axis=1)
-            best = np.maximum.reduceat(peaks, np.cumsum(pieces) - pieces)
-        elif model is None:
-            best = read(y0, centre, scale).max(axis=1)
-        else:
-            best, rest = _line_peaks(model, y0, centre, scale, base, read)
-            for s in range(0, len(rest), whole):
-                b = rest[s : s + whole]
-                best[b] = read(y0[b], centre[b], scale[b]).max(axis=1)
+        best, rest = _line_peaks(model, y0, centre, scale, base, read) if model else (np.empty(len(y0)), slice(None))
+        best[rest] = run_peaks(y0[rest], centre[rest], scale[rest])
         out[start + live] = np.exp(best, out=best)
     return out.reshape(pts.shape[:-1])
 

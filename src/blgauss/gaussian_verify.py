@@ -110,7 +110,7 @@ def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> 
 
 def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
     check_constant(constant)
-    Z, log_den = harmonic_sum(groups, stacks)
+    Z, log_den, _ = harmonic_sum(groups, stacks)
     try:
         log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
     except np.linalg.LinAlgError as exc:
@@ -336,6 +336,6 @@ def _objective(datum: BLDatum, K: np.ndarray):
     """F(A) at A = K K^T and the sum S = sum_i c_i B_i^T inv(B_i A B_i^T) B_i;
     both sums come from the harmonic sum of the tuple (B_i A B_i^T)_i."""
     A = sym(K @ K.T)
-    Z, log_det = harmonic_sum(datum.groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
+    Z, log_det, _ = harmonic_sum(datum.groups, [sym(datum.factors[i].B @ A @ datum.factors[i].B.T)[None]
                                              for i in datum.active])
     return float(gram_logdet(K, "A") - log_det[0]), sym(Z[0].T @ Z[0])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, spd_inverse, spd_solve, sym, weighted_sum
+from ._linalg import check_spd, chol_logdet, spd_inverse, sym, weighted_sum
 from .datum import BLDatum, DatumError, FactorGroup, check_count
 from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_seed
 
@@ -43,32 +43,34 @@ def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
     return out
 
 
-def harmonic_sum(groups: tuple[FactorGroup, ...], stacks) -> tuple[np.ndarray, np.ndarray]:
+def harmonic_sum(groups: tuple[FactorGroup, ...], stacks):
     """The rows Z of sqrt(c_i) inv(L_i) B_i, A_i = L_i L_i^T, whose Gram matrix
     Z^T Z is the harmonic sum sum_i c_i B_i^T inv(A_i) B_i, and sum_i c_i
     logdet(A_i), for one (count, n_i, n_i) stack of A_i per non-zero factor in
-    tuple order; shapes (count, sum_i n_i, n) and (count,). One stacked
-    Cholesky and solve per factor group."""
-    rows, log_det = [], 0.0
+    tuple order; shapes (count, sum_i n_i, n) and (count,); and the L_i, a
+    (count, m_k, k, k) stack per factor group, from one Cholesky each."""
+    rows, log_det, factors = [], 0.0, []
     for g in groups:
         A = np.stack([stacks[p] for p in g.positions], axis=1)  # (count, m_k, k, k)
         L, ld = chol_logdet(A, name=f"tuple entries {g.indices}")
         log_det = log_det + weighted_sum(ld, g.c)
         Y = np.linalg.solve(L, np.broadcast_to(g.B, A.shape[:2] + g.B.shape[1:]))
         rows.extend(g.sqrt_cb[:, None] * Y.swapaxes(0, 1))
-    return np.concatenate(rows, axis=1), log_det
+        factors.append(L)
+    return np.concatenate(rows, axis=1), log_det, factors
 
 
 def harmonic_combine(datum: BLDatum, tuple_) -> np.ndarray:
     """inv(sum_i c_i B_i^T inv(A_i) B_i) over non-zero factors."""
-    return _combine(datum, check_tuple(datum, tuple_))
+    return _combine(datum, check_tuple(datum, tuple_))[0]
 
 
-def _combine(datum: BLDatum, mats: list[np.ndarray]) -> np.ndarray:
-    """harmonic_combine of a tuple check_tuple returned."""
-    Z, _ = harmonic_sum(datum.groups, [M[None] for M in mats])
+def _combine(datum: BLDatum, mats: list[np.ndarray]):
+    """harmonic_combine of a tuple check_tuple returned, and the Cholesky
+    factors of its entries (harmonic_sum)."""
+    Z, _, factors = harmonic_sum(datum.groups, [M[None] for M in mats])
     try:
-        return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum")
+        return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum"), factors
     except np.linalg.LinAlgError as exc:
         raise DatumError(
             "harmonic combination is singular; the factor maps do not jointly span "
@@ -93,11 +95,15 @@ def _decompose(datum: BLDatum, mats: list[np.ndarray], x: np.ndarray):
         raise ValueError(f"x must have shape ({datum.n},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x.tolist()}")
-    A = _combine(datum, mats)
+    A, factors = _combine(datum, mats)
     Ax = A @ x
     value = float(x @ Ax)
-    parts = [spd_solve(Ai, datum.factors[i].B @ Ax, name=f"tuple entry {i}")
-             for i, Ai in zip(datum.active, mats)]
+    # x_i = inv(L_i^T) inv(L_i) B_i A x, one stacked solve pair per group
+    parts = [None] * len(mats)
+    for g, (L,) in zip(datum.groups, factors):
+        X = np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, (g.B @ Ax)[..., None]))
+        for p, part in zip(g.positions, X[..., 0]):
+            parts[p] = part
     return value, parts
 
 

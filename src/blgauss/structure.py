@@ -8,9 +8,9 @@ two induced data and checks that product relation numerically.
 
 One rank rule, read by is_critical, restrict and quotient: dim B_i E counts
 the singular values of B_i E above RANK_TOL * ||B_i||, the norm the datum
-keeps, and is 0 for a zero map. Measured against B_i, not against itself,
-the roundoff in an image that is zero in exact arithmetic (a datum mapped by
-M, split along M^-1 E) has dimension 0.
+keeps (one stacked SVD per factor group), 0 for a zero map. Measured against
+B_i, not against itself, the roundoff in an image that is zero in exact
+arithmetic (a datum mapped by M, split along M^-1 E) has dimension 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import numerical_rank
+from ._linalg import numerical_rank, rank_and_norm
 from .datum import BLDatum, DatumError, LinearFactor
 from .gaussian_solver import ConvergenceError, SolveResult, solve
 
@@ -85,21 +85,29 @@ class Subspace:
         return cls(np.eye(n)[:, list(indices)])
 
 
-def _images(datum: BLDatum, E: Subspace):
-    """(factor, B_i @ E.basis, dim B_i E by the rank rule) for each factor."""
+def _images(datum: BLDatum, E: Subspace) -> list:
+    """(factor, B_i @ E.basis, dim B_i E by the rank rule) per factor, from
+    one stacked product and rank_and_norm call per group; 0 for a zero map."""
     if E.n != datum.n:
         raise ValueError(f"subspace lives in R^{E.n}, datum in R^{datum.n}")
-    for f, norm in zip(datum.factors, datum.norms):
-        M = f.B @ E.basis
-        yield f, M, numerical_rank(M, norm) if norm else 0
+    images = {}
+    for g in datum.groups:
+        M = g.B @ E.basis
+        ranks, _ = rank_and_norm(M, [datum.norms[i] for i in g.indices])
+        images.update((i, (M[j], int(r))) for j, (i, r) in enumerate(zip(g.indices, ranks)))
+    return [(f, *images[i]) if i in images else (f, f.B @ E.basis, 0) for i, f in enumerate(datum.factors)]
 
 
 def restrict(datum: BLDatum, E: Subspace) -> BLDatum:
     """Datum induced on E: factor i becomes B_i restricted to E, written in
     an orthonormal basis of B_i E. A factor whose restriction vanishes stays
     in the list as an exact zero map (BLDatum leaves it out of `active`)."""
+    return _restrict(E, _images(datum, E))
+
+
+def _restrict(E: Subspace, images) -> BLDatum:
     factors = []
-    for f, M, r in _images(datum, E):
+    for f, M, r in images:
         if r == 0:
             factors.append(LinearFactor(f.c, np.zeros((f.target_dim, E.dim))))
         else:
@@ -114,9 +122,13 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
     orthonormal bases on both sides. Factors whose projected target is
     zero-dimensional are dropped; zero maps with a nontrivial target are
     kept and flagged."""
+    return _quotient(E, _images(datum, E))
+
+
+def _quotient(E: Subspace, images) -> BLDatum:
     F = E.complement()
     factors = []
-    for f, M, r in _images(datum, E):
+    for f, M, r in images:
         if r == f.target_dim:
             continue  # B_i E is everything; nothing survives the projection
         U, _, _ = np.linalg.svd(M, full_matrices=True)
@@ -124,13 +136,16 @@ def quotient(datum: BLDatum, E: Subspace) -> BLDatum:
     if not factors:
         raise DatumError("every factor died in the quotient; the subspace is not proper "
                          "for this datum")
-    return BLDatum(datum.n - E.dim, tuple(factors))
+    return BLDatum(E.n - E.dim, tuple(factors))
 
 
 def is_critical(datum: BLDatum, E: Subspace) -> bool:
     """dim E = sum_i c_i dim(B_i E) within CRITICAL_TOL (zero maps contribute zero)."""
-    total = sum(f.c * r for f, _, r in _images(datum, E))
-    return abs(E.dim - total) <= CRITICAL_TOL
+    return _critical(E, _images(datum, E))
+
+
+def _critical(E: Subspace, images) -> bool:
+    return abs(E.dim - sum(f.c * r for f, _, r in images)) <= CRITICAL_TOL
 
 
 @dataclass
@@ -170,21 +185,29 @@ def multiplicativity_check(datum: BLDatum, E: Subspace, **solve_opts) -> SplitRe
 
     Requires E critical (the product identity needs it). Raises
     ConvergenceError naming the piece whose solve did not converge."""
-    if not is_critical(datum, E):
-        raise ValueError("subspace is not critical for this datum; "
-                         "the product identity does not apply")
-    pieces = {
-        "full datum": datum,
-        "restriction to E": restrict(datum, E),
-        "quotient on the complement": quotient(datum, E),
-    }
-    results = []
-    for name, d in pieces.items():
-        res = solve(d, **solve_opts)
-        if not res.converged:
-            raise ConvergenceError(f"no converged solve of the {name}")
-        results.append(res)
-    return SplitResult(*results)
+    return next(_multiplicativity_checks(datum, [E], solve_opts))
+
+
+def _multiplicativity_checks(datum: BLDatum, subspaces, solve_opts):
+    """multiplicativity_check along each subspace in turn, from one rank pass
+    each; the full datum is solved once, after the first pieces are built."""
+    full = None
+    for E in subspaces:
+        images = _images(datum, E)
+        if not _critical(E, images):
+            raise ValueError("subspace is not critical for this datum; "
+                             "the product identity does not apply")
+        pieces = {"restriction to E": _restrict(E, images), "quotient on the complement": _quotient(E, images)}
+        if full is None:
+            full = _converged("full datum", datum, solve_opts)
+        yield SplitResult(full, *(_converged(name, d, solve_opts) for name, d in pieces.items()))
+
+
+def _converged(name: str, datum: BLDatum, solve_opts) -> SolveResult:
+    res = solve(datum, **solve_opts)
+    if not res.converged:
+        raise ConvergenceError(f"no converged solve of the {name}")
+    return res
 
 
 def coordinate_subspaces(n: int):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import blgauss.gaussian_verify
+import blgauss.structure
 from blgauss import __version__, cli, dual_check, make_datum
 from blgauss.cli import _write_report, build_parser, main
 from blgauss.datum import datum_digest, load_datum, save_datum
@@ -701,6 +702,15 @@ class TestSplit:
             assert split["gap"] <= 1e-8
             assert split["restricted_constant"] == pytest.approx(YOUNG_CONSTANT, abs=1e-8)
         assert "VIOLATION" not in capsys.readouterr().out
+
+    def test_the_full_datum_is_solved_once(self, monkeypatch, capsys):
+        # young_pair's two critical coordinate subspaces share one solve of
+        # the datum on R^4; each pair of pieces on R^2 takes its own
+        solve, seen = blgauss.structure.solve, []
+        monkeypatch.setattr(blgauss.structure, "solve", lambda d, **kw: seen.append(d.n) or solve(d, **kw))
+        assert main(["split", "--datum", YOUNG_PAIR]) == 0
+        assert capsys.readouterr().out.count(" ok\n") == 2
+        assert seen == [4, 2, 2, 2, 2]
 
     def test_explicit_subspace_file(self, tmp_path, capsys):
         sub = tmp_path / "subspace.json"

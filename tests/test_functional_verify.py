@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from blgauss import (
 )
 from blgauss.functional_verify import check_quadrature
 from blgauss.gaussian_verify import _direct_ratios, _reverse_ratios
-from conftest import coordinate_datum, gaussian_ratio, prekopa_leindler_datum, young_flagship
+from blgauss.datum import load_datum
+from conftest import coordinate_datum, gaussian_ratio, loomis_whitney_datum, prekopa_leindler_datum, young_flagship
 
 BOX = [-8.0], [8.0]
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def ones(pts):
@@ -443,32 +446,36 @@ class TestDirectIntegralCheck:
 
 
 def dense_direct(datum, fs, resolution):
-    """Reference direct ratio at constant 1 on [-8, 8]^n: the product of
-    every f_i^{c_i} on the dense meshgrid of every grid point at once."""
+    """Reference direct ratio at constant 1 on [-8, 8]^n: exp of sum_i c_i
+    log f_i, added in factor order on the dense meshgrid of every grid point
+    at once, integrated from the last axis, over the exp of sum_i c_i
+    log(integral f_i)."""
     axis = np.linspace(-8.0, 8.0, resolution)
     X = np.stack(np.meshgrid(*[axis] * datum.n, indexing="ij"), axis=-1)
-    prod = np.ones(X.shape[:-1])
+    acc = np.zeros(X.shape[:-1])
     for f, gf in zip(datum.factors, fs):
-        prod *= read(gf, X @ f.B.T) ** f.c
+        with np.errstate(divide="ignore"):
+            acc += f.c * np.log(read(gf, X @ f.B.T))
+    lhs = np.exp(acc)
     for _ in range(datum.n):
-        prod = np.trapezoid(prod, axis, axis=-1)
-    return prod / math.prod(integrate(gf) ** f.c for f, gf in zip(datum.factors, fs))
+        lhs = np.trapezoid(lhs, axis, axis=-1)
+    return lhs / math.exp(sum(f.c * math.log(integrate(gf)) for f, gf in zip(datum.factors, fs)))
 
 
 def dense_sup_convolution(datum, fs, resolution, box=8.0):
     """Reference with one construction per kernel dimension: the unique
     preimage Y0 for kdim 0; for kdim 1 every grid point at once, with the
     full (points, resolution, total_dim) array of decompositions Y0 + t k1
-    sliced into factors afterwards; for kdim 2 one grid point at a time over
-    a resolution^2 grid of the square |t|_inf <= w, w bounding every
-    feasible t."""
+    sliced into factors afterwards; for kdim k >= 2 one grid point at a
+    time over a resolution^k grid of the cube |t|_inf <= w, w bounding
+    every feasible t."""
     active = datum.active
     L = np.hstack([datum.factors[i].c * datum.factors[i].B.T for i in active])
     dims = [datum.factors[i].target_dim for i in active]
     offsets = np.cumsum([0] + dims)
     kernel = np.linalg.svd(L)[2][datum.n :].T
     kdim = kernel.shape[1]
-    assert kdim == sum(dims) - datum.n <= 2
+    assert kdim == sum(dims) - datum.n
     lows = np.concatenate([gf.lo for gf in fs])
     highs = np.concatenate([gf.hi for gf in fs])
     axis = np.linspace(-box, box, resolution)
@@ -487,14 +494,14 @@ def dense_sup_convolution(datum, fs, resolution, box=8.0):
 
     if kdim == 0:
         return np.exp(log_product(Y0)).reshape((resolution,) * datum.n)
-    if kdim == 2:
+    if kdim >= 2:
         r = np.maximum(np.abs(lows - Y0), np.abs(highs - Y0))
         w = np.sqrt(np.sum(r * r, axis=1))
         base = np.linspace(-1.0, 1.0, resolution)
         vals = np.zeros(X.shape[0])
         for idx in range(X.shape[0]):
-            T0, T1 = np.meshgrid(w[idx] * base, w[idx] * base, indexing="ij")
-            T = np.stack([T0.ravel(), T1.ravel()], axis=-1)
+            cube = np.meshgrid(*[w[idx] * base] * kdim, indexing="ij")
+            T = np.stack([t.ravel() for t in cube], axis=-1)
             vals[idx] = np.exp(log_product(Y0[idx][None, :] + T @ kernel.T).max())
         return vals.reshape((resolution,) * datum.n)
 
@@ -836,6 +843,55 @@ class TestSupConvolution:
             sup_convolution(d, fs, resolution=11)
 
 
+class TestPastTheRefusals:
+    """With _refusal lifted, both checks read n = 3 and 4 and kernel
+    dimension 3 with the dense references' bits."""
+
+    @staticmethod
+    def solved(name):
+        d = load_datum(DATA / f"{name}.json")
+        A = solve(d).A
+        return d, direct_extremizers(d, A), reverse_extremizers(d, A)[0]
+
+    @pytest.mark.parametrize("resolution", [7, 10, 11])
+    @pytest.mark.parametrize("name", ["hadamard3", "young_pair"])
+    def test_the_direct_check_reads_any_n(self, name, resolution, monkeypatch):
+        # hadamard3's maps read every axis of R^3, young_pair's two of R^4
+        monkeypatch.setattr(functional_verify, "_refusal", lambda *args: None)
+        d, direct, _ = self.solved(name)
+        fs = [grid_gaussian(P, points=41) for P in direct]
+        ratio = direct_integral_check(d, fs, 1.0, resolution=resolution)
+        assert 0.1 < ratio == dense_direct(d, fs, resolution)
+
+    @pytest.mark.parametrize("name, resolutions", [("hadamard3", [7, 10, 11]), ("young_pair", [7, 9])])
+    def test_the_reverse_check_reads_any_n(self, name, resolutions, monkeypatch):
+        # kernel dimension 0 on R^3 and 2 on R^4
+        monkeypatch.setattr(functional_verify, "_refusal", lambda *args: None)
+        d, _, reverse = self.solved(name)
+        fs = [grid_gaussian(P, points=41) for P in reverse]
+        for resolution in resolutions:
+            env = sup_convolution(d, fs, resolution=resolution)
+            assert env.max() > 0.1
+            assert np.array_equal(env, dense_sup_convolution(d, fs, resolution))
+
+    @pytest.mark.parametrize("resolution", [7, 10, 11])
+    @pytest.mark.parametrize("case", ["loomis-whitney", "four-identities"])
+    def test_the_sup_convolution_reads_kernel_dimension_three(self, case, resolution, monkeypatch):
+        # the three coordinate planes of R^3, and four identities on R
+        # with weight 1/4: a cube of samples per grid point, in rows of
+        # resolution samples over two fixed kernel coordinates
+        monkeypatch.setattr(functional_verify, "_refusal", lambda *args: None)
+        if case == "loomis-whitney":
+            d = loomis_whitney_datum(3)
+            fs = [grid_gaussian(np.eye(2) * p, points=21) for p in (1.0, 1.3, 0.7)]
+        else:
+            d = make_datum(1, [0.25] * 4, [np.eye(1)] * 4)
+            fs = [grid_gaussian([[p]], points=41) for p in (1.0, 1.3, 0.7, 2.0)]
+        env = sup_convolution(d, fs, resolution=resolution)
+        assert env.max() > 0.0
+        assert np.array_equal(env, dense_sup_convolution(d, fs, resolution))
+
+
 def plain(fs, seen=None):
     """The same inputs behind plain callables, which carry no Gaussian mark,
     so sup_convolution reads every sample of each segment. With seen, each
@@ -941,7 +997,7 @@ class TestPlaneRuns:
         rng = np.random.default_rng([5, len(kind)])
         monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", chunk)
         counts, on_edge = [], [0]
-        plane_runs = functional_verify._plane_runs
+        plane_runs = functional_verify._row_runs
         add_log = functional_verify._add_log
 
         def runs(*args):
@@ -953,7 +1009,7 @@ class TestPlaneRuns:
             on_edge[0] += sum(int(np.sum((y == lo) | (y == hi))) for y, lo, hi in zip(coords, gf.lo, gf.hi))
             add_log(acc, gf, coords, c)
 
-        monkeypatch.setattr(functional_verify, "_plane_runs", runs)
+        monkeypatch.setattr(functional_verify, "_row_runs", runs)
         monkeypatch.setattr(functional_verify, "_add_log", counted)
         live = 0
         for _ in range(3):

@@ -11,6 +11,7 @@ from blgauss import (
     make_datum,
 )
 import blgauss.quadform
+from blgauss._linalg import spd_solve
 from blgauss.quadform import check_tuple
 from blgauss.report import DEFAULT_SEED
 from conftest import (
@@ -135,6 +136,18 @@ class TestInfDecomposition:
         _, parts = inf_decomposition(d, mats, x)
         _, y = kkt_infimum(d, mats, x)
         np.testing.assert_allclose(np.concatenate(parts), y, atol=1e-9)
+
+    def test_parts_are_the_per_factor_solves_to_the_bit(self, rng):
+        # one stacked solve pair per factor group, from the Cholesky factors
+        # of the harmonic sum, gives spd_solve's bits for each factor
+        for _ in range(20):
+            d = random_datum(rng)
+            mats = random_spd_tuple(d, rng)
+            x = rng.standard_normal(d.n)
+            Ax = harmonic_combine(d, mats) @ x
+            _, parts = inf_decomposition(d, mats, x)
+            for i, Ai, part in zip(d.active, mats, parts):
+                assert np.array_equal(part, spd_solve(Ai, d.factors[i].B @ Ax))
 
     def test_rejects_bad_x_shape(self):
         d = coordinate_datum(2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,13 @@ from blgauss import (
     solve,
     validate,
 )
-from blgauss.datum import DatumError
+from blgauss._linalg import numerical_rank
+from blgauss.datum import DatumError, load_datum
+from blgauss.structure import _images
 from conftest import coordinate_datum, gl_map, prekopa_leindler_datum, random_gl, young_flagship
 
 YOUNG_CONSTANT = 0.8773826753016616
+YOUNG_PAIR = Path(__file__).resolve().parents[1] / "demos" / "data" / "young_pair.json"
 
 
 class TestSubspace:
@@ -140,15 +145,31 @@ class TestCriticality:
             assert is_critical(d, E)
 
     def test_takes_no_svd_of_a_factor_map(self, monkeypatch):
-        # the rank rule reads ||B_i|| off the datum: one SVD per image B_i E
+        # the rank rule reads ||B_i|| off the datum: one stacked SVD of the
+        # images B_i E per factor group, one matrix per image
         _, y = young_flagship()
         d = direct_sum(y, y)
         svd, seen = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, *args, **kw: seen.append(np.array(a)) or svd(a, *args, **kw))
         assert is_critical(d, Subspace.coordinate(4, [0, 1]))
-        assert len(seen) == len(d.active)
-        assert not any(np.array_equal(a, f.B) for a in seen for f in d.factors)
+        assert len(seen) == len(d.groups)
+        images = [M for a in seen for M in a.reshape(-1, *a.shape[-2:])]
+        assert len(images) == len(d.active)
+        assert not any(np.array_equal(M, f.B) for M in images for f in d.factors)
+
+    def test_stacked_ranks_are_the_per_factor_ranks(self):
+        # young_pair with its maps B_i replaced by B_i M: at every coordinate
+        # subspace and at M^-1 span(e0, e1), each image and its dimension
+        # are those of one product and one numerical_rank per factor
+        M = random_gl(4, 1e3, np.random.default_rng(7))
+        d = gl_map(load_datum(YOUNG_PAIR), M)
+        mapped = Subspace.from_rows(np.linalg.solve(M, np.eye(4)[:, :2]).T)
+        for E in [*coordinate_subspaces(4), mapped]:
+            for (f, image, r), norm in zip(_images(d, E), d.norms):
+                assert np.array_equal(image, f.B @ E.basis)
+                assert r == numerical_rank(image, norm)
+        assert is_critical(d, mapped)
 
     def test_near_zero_map_has_no_image(self):
         # a map within ZERO_MAP_TOL of zero is outside `active`, and its image
