@@ -853,15 +853,35 @@ class TestPastTheRefusals:
         A = solve(d).A
         return d, direct_extremizers(d, A), reverse_extremizers(d, A)[0]
 
+    @staticmethod
+    def skewed(n):
+        """On R^n, a map that reads every axis, one that reads the first and
+        the last, and one per middle axis, with off-centre Gaussian inputs."""
+        maps = [np.linspace(1.0, -0.5, n)[None], (np.eye(n)[0] + 0.5 * np.eye(n)[-1])[None]]
+        maps += [1.2 * np.eye(n)[a : a + 1] for a in range(1, n - 1)]
+        inputs = [(1.1, 0.6), (0.7, -1.1), (1.3, 0.4), (0.9, -0.3)]
+        fs = [grid_gaussian([[p]], points=41, center=[m]) for p, m in inputs[: len(maps)]]
+        return make_datum(n, [0.6, 0.5, 0.7, 0.8][: len(maps)], maps), fs
+
+    @pytest.mark.parametrize("lines", [None, 1, 3, 52], ids=["default", "1-line", "3-lines", "52-lines"])
     @pytest.mark.parametrize("resolution", [7, 10, 11])
-    @pytest.mark.parametrize("name", ["hadamard3", "young_pair"])
-    def test_the_direct_check_reads_any_n(self, name, resolution, monkeypatch):
-        # hadamard3's maps read every axis of R^3, young_pair's two of R^4
+    @pytest.mark.parametrize("name", ["hadamard3", "young_pair", "skewed3", "skewed4"])
+    def test_the_direct_check_reads_any_n(self, name, resolution, lines, monkeypatch):
+        # hadamard3's maps read one axis of R^3 each, young_pair's one or
+        # two of R^4, and the skewed data's first map every axis, whose
+        # grid points blocks of a few lines form: a block rewrites each
+        # leading axis column whose period does not divide it, and the last
+        # block is short
         monkeypatch.setattr(functional_verify, "_refusal", lambda *args: None)
-        d, direct, _ = self.solved(name)
-        fs = [grid_gaussian(P, points=41) for P in direct]
+        if lines:
+            monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", lines * resolution)
+        if name.startswith("skewed"):
+            d, fs = self.skewed(int(name[-1]))
+        else:
+            d, direct, _ = self.solved(name)
+            fs = [grid_gaussian(P, points=41) for P in direct]
         ratio = direct_integral_check(d, fs, 1.0, resolution=resolution)
-        assert 0.1 < ratio == dense_direct(d, fs, resolution)
+        assert 0.0 < ratio == dense_direct(d, fs, resolution)
 
     @pytest.mark.parametrize("name, resolutions", [("hadamard3", [7, 10, 11]), ("young_pair", [7, 9])])
     def test_the_reverse_check_reads_any_n(self, name, resolutions, monkeypatch):
