@@ -340,14 +340,6 @@ class TestCheckGaussian:
         assert main(["check-gaussian", "--datum", YOUNG, "--samples", "100"]) == 0
         assert sorted(dims) == [(1, 1, 1)] * 16 + [(2,)] * 16
 
-    def test_reports_ignore_output_destinations(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        csv = tmp_path / "ratios.csv"
-        args = ["check-gaussian", "--datum", YOUNG, "--samples", "100"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--csv", str(csv)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestCheckQuadrature:
     def test_young_extremizers_near_equality(self, capsys, tmp_path):
@@ -575,6 +567,22 @@ def test_report_rule(argv, code, written, tmp_path, capsys):
     assert out.exists() == written
     if written and argv[0] == "check-gaussian":
         assert sum(check["violations"] for check in _strict_json(out)["checks"].values()) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-gaussian", "--datum", YOUNG, "--samples", "100"],
+    ["check-quadrature", "--datum", YOUNG, "--resolution", "101"],
+    ["bd", "--paths", "4000"],
+], ids=lambda argv: argv[0])
+def test_reports_ignore_output_destinations(argv, tmp_path):
+    # the report's bytes do not depend on where it, or check-gaussian's
+    # per-sample CSV, is written
+    a, b = tmp_path / "a.json", tmp_path / "elsewhere" / "b.json"
+    b.parent.mkdir()
+    more = ["--csv", str(tmp_path / "ratios.csv")] if argv[0] == "check-gaussian" else []
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)] + more) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])

@@ -1194,6 +1194,57 @@ class TestLineWindow:
         assert points == live and 0 < left < points / 100
         assert windows == 3 * (5 * (points - left) + 201 * left)
 
+    @pytest.mark.parametrize("precisions, box", [("unit", b) for b in (8.0, 16.0, 24.0, 30.0, 36.0)]
+                             + [("extremizer", b) for b in (8.0, 16.0, 24.0, 30.0)])
+    def test_every_young_point_certifies_its_block(self, precisions, box, monkeypatch):
+        # the Young flagship at 101 points per axis with inputs on [-box,
+        # box], in three chunks that each take one bound E: every one of its
+        # 8,719 live points certifies its block. A coarser E, or a coarser
+        # normal-range test, would leave some to read their whole segment
+        e, d = young_flagship()
+        ps = [np.eye(1)] * 3 if precisions == "unit" else reverse_extremizers(d, closed_form_A(e))[0]
+        fs = [GridFunction.from_callable(gaussian_function(p), -box, box, 101) for p in ps]
+        stats = self.counted_windows(monkeypatch)
+        sup_convolution(d, fs, resolution=101, box=box)
+        assert len(stats) == 3 and tuple(np.sum(stats, axis=0)) == (8719, 0)
+
+    def test_a_block_of_inf_and_nan_reads_keeps_the_row_maximum(self):
+        # the best read of each block is taken a column at a time; on reads
+        # holding -inf and NaN, which no gaussian_function gives, it keeps
+        # the bits of the maximum across each row, and the certificate its
+        # rule: a NaN in the block certifies nothing, an edge that reads
+        # -inf certifies only at a segment end, and an edge that ties the
+        # best never. Every live point of the flagship at 101 points reads a
+        # block; the reads are drawn from the rows below
+        _, d = young_flagship()
+        pinv_L, K = d.decomposition
+        _, pts = functional_verify._tensor_grid([-8.0] * 2, [8.0] * 2, 101)
+        Y0 = pts.reshape(-1, 2) @ np.ascontiguousarray(pinv_L.T)
+        centre, scale, dead = functional_verify._window(Y0, K, np.full(3, -8.0), np.full(3, 8.0))
+        fs = [grid_gaussian([[1.0]], points=101)] * 3
+        model = functional_verify._line_model(fs, [f.c for f in d.factors], [(0, 1), (1, 2), (2, 3)], K[:, 0])
+        inf, nan, tiny = np.inf, np.nan, 5e-324
+        rows = np.array([[-1.0, 0.0, 2.0, 0.0, -1.0], [-1.0, -inf, 2.0, -inf, -1.0],
+                         [-inf, 0.0, 2.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 0.0, -inf], [-inf] * 5,
+                         [-1.0, nan, 2.0, 0.0, -1.0], [nan, 0.0, 2.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 0.0, nan],
+                         [2.0, 0.0, -1.0, -2.0, -3.0], [-3.0, -2.0, -1.0, 0.0, 2.0], [-3.0, tiny, -1.0, -2.0, -3.0]])
+        rng = np.random.default_rng(43)
+        blocks = []
+
+        def read(y0, centre, scale, index):
+            blocks.append((index, rows[rng.integers(len(rows), size=len(index))]))
+            return blocks[-1][1]
+
+        peaks, rest = functional_verify._line_peaks(model, Y0[~dead], centre[~dead], scale[~dead],
+                                                    functional_verify._sample_base(1, 101), read)
+        ((index, reads),) = blocks
+        assert len(index) == np.count_nonzero(~dead)
+        best, ok = reads.max(axis=1), np.ones(len(reads), dtype=bool)
+        for s, end in ((reads[:, 0], index[:, 0] == 0), (reads[:, -1], index[:, -1] == 100)):
+            ok &= end | ((s > -np.inf) & (best > s + 0.5))
+        assert np.array_equal(rest, np.flatnonzero(~ok))
+        assert peaks[ok].tobytes() == best[ok].tobytes() and 0 < ok.sum() < len(ok)
+
     @pytest.mark.parametrize("case", ["indefinite", "huge-box"])
     def test_a_model_that_cannot_certify_reads_every_sample(self, case, monkeypatch):
         # gamma = (1 - 2) / 4 < 0 makes the model convex, and no line model
@@ -1223,6 +1274,48 @@ class TestLineWindow:
         monkeypatch.setattr(functional_verify, "_line_peaks", unused)
         env = sup_convolution(d, fs, resolution=res)
         assert env.tobytes() == sup_convolution(d, plain(fs), resolution=res).tobytes()
+
+
+@pytest.mark.parametrize("kdim", [1, 2, 3])
+def test_samples_match_the_broadcast_product(kdim):
+    # a window's samples are formed a kernel coordinate at a time; they keep
+    # the bits and the layout of the product broadcast over (points,
+    # samples, kdim) and the line's centre added after it, at scales of 0, a
+    # subnormal and 1e300, and at a kernel dimension no check samples
+    rng = np.random.default_rng(43)
+    base = functional_verify._sample_base(kdim, 7)
+    index = rng.integers(0, len(base), (40, 9))
+    scale = np.concatenate([[0.0, 5e-324, 1e300], 10.0 ** rng.uniform(-3.0, 3.0, 37)])
+    centre = 10.0 * rng.standard_normal((40, 1 if kdim == 1 else 0))
+    want = scale[:, None, None] * base[index]
+    want[..., : centre.shape[1]] += centre[:, None, :]
+    got = functional_verify._samples(centre, scale, base, index)
+    assert got.flags.c_contiguous and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(60,), (20, 9)], ids=["points", "rows"])
+def test_segments_match_the_reductions_across_coordinates(shape):
+    # _segment, and the line's dead points in _window, take one coordinate
+    # at a time. With ends on box faces (so -0.0 and +0.0 tie), a coordinate
+    # that does not move (k_j = 0) and one outside its box, they keep the
+    # bits of the reductions across the coordinates
+    rng = np.random.default_rng(44)
+    k = np.array([0.8, -0.5, 0.0, 0.3])
+    on = np.abs(k) > 1e-12
+    lows, highs = np.array([-3.0, -1.0, -2.0, -4.0]), np.array([2.0, 5.0, 2.0, 1.0])
+    Y0 = rng.uniform(-6.0, 6.0, shape + (4,))
+    Y0 = np.where(rng.random(Y0.shape) < 0.3, np.where(rng.random(Y0.shape) < 0.5, lows, highs), Y0)
+    a, b = (lows[on] - Y0[..., on]) / k[on], (highs[on] - Y0[..., on]) / k[on]
+    t_lo, t_hi = np.minimum(a, b).max(axis=-1), np.maximum(a, b).min(axis=-1)
+    got = functional_verify._segment(Y0, k, on, lows, highs)
+    assert got[0].tobytes() == t_lo.tobytes() and got[1].tobytes() == t_hi.tobytes()
+    if len(shape) == 1:
+        mag = (np.maximum(np.abs(lows[on]), np.abs(highs[on])) + np.abs(Y0[:, on])) / np.abs(k[on])
+        fixed = Y0[:, ~on]
+        dead = (np.any((fixed < lows[~on]) | (fixed > highs[~on]), axis=1)
+                | (t_hi < t_lo - 8.0 * np.finfo(float).eps * mag.max(axis=1)))
+        _, _, got_dead = functional_verify._window(Y0, k[:, None], lows, highs)
+        assert np.array_equal(got_dead, dead) and 0 < dead.sum() < len(dead)
 
 
 @pytest.mark.parametrize("box", [-1.0, 0.0, np.nan, np.inf])

@@ -217,6 +217,8 @@ class TestClosedForms:
         expected = [-0.5 * float(xi @ Q @ xi) for xi in x]
         np.testing.assert_allclose(quadratic_g(Q)(x), expected, rtol=1e-13, atol=1e-15)
         assert quadratic_g(Q)(x[0]) == pytest.approx(expected[0], rel=1e-13)
+        # scaled in place, with the bits of the scaled copy
+        assert quadratic_g(Q)(x).tobytes() == (-0.5 * np.einsum("...i,...i->...", x @ Q, x)).tobytes()
 
     def test_mc_agrees_with_linear(self):
         c = small_config(paths=40000)
@@ -238,6 +240,32 @@ class TestDriftValue:
         WT = terminal_points(c)
         est, _ = drift_value(c, linear_g(b), DriftPolicy.zero(), terminal=WT)
         assert est == pytest.approx(float(WT[:, 0].mean()), abs=1e-12)
+
+    @pytest.mark.parametrize("n, layout", [(1, "c"), (3, "c"), (6, "c"), (3, "rows"), (3, "columns"),
+                                           (3, "fortran")])
+    def test_the_shift_is_the_broadcast_sum(self, n, layout):
+        # U_T is added to W_T a coordinate column at a time: g reads the
+        # bits and the layout of the broadcast sum W_T + U_T, also on a
+        # terminal= array that is a strided view or in Fortran order. U_T is
+        # read off the shift of zero terminal points
+        A = np.eye(n) + 0.2 * np.ones((n, n))
+        c = BrownianConfig(A=A, steps=16, paths=300, seed=5)
+        policy = DriftPolicy.linear_in_time(np.stack([np.linspace(0.3, -0.4, n), np.full(n, 0.7)], axis=1))
+        WT = terminal_points(BrownianConfig(A=np.eye(2 * n), steps=16, paths=900, seed=5))
+        WT = {"c": np.ascontiguousarray(WT[:300, :n]), "rows": WT[::3, :n], "columns": WT[:300, ::2],
+              "fortran": np.asfortranarray(WT[:300, :n])}[layout]
+        seen = []
+
+        def g(x):
+            seen.append((x.strides, x.copy()))
+            return x[:, 0]
+
+        drift_value(c, g, policy, terminal=np.zeros((300, n)))
+        drift_value(c, g, policy, terminal=WT)
+        (_, shifts), (strides, shifted) = seen
+        want = WT + shifts[0]
+        assert np.all(shifts == shifts[0]) and np.any(shifts != 0.0)
+        assert strides == want.strides and shifted.tobytes() == want.tobytes()
 
     def test_every_policy_is_a_lower_bound(self):
         c = small_config(paths=20000)
