@@ -249,13 +249,20 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
+def check_spans(datum: BLDatum) -> None:
+    """DatumError for a degenerate datum, whose non-zero maps do not jointly
+    span: the one degeneracy rule, read by check_solvable, check_tuple and
+    the direct and reverse sweeps."""
+    if datum.degenerate:
+        raise DatumError("degenerate datum: the factor maps do not jointly span; "
+                         "both constants are +inf")
+
+
 def check_solvable(datum: BLDatum) -> None:
     """DatumError unless the datum can have a finite positive constant: it is
     not degenerate and its homogeneity defect is at most HOMOGENEITY_TOL in
     absolute value. The solver and gaussian_constant_search refuse by it."""
-    if datum.degenerate:
-        raise DatumError("degenerate datum: the factor maps do not jointly span; "
-                         "both constants are +inf")
+    check_spans(datum)
     if abs(datum.homogeneity_defect) > HOMOGENEITY_TOL:
         raise DatumError(
             f"homogeneity defect {datum.homogeneity_defect:.3e} exceeds {HOMOGENEITY_TOL:.0e}; "

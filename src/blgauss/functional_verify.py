@@ -17,23 +17,24 @@ reversed prod_i (integral of f_i)^{c_i} against C * integral of f, where f
 
 Each f_i is a GridFunction: the callable it was sampled from, which both
 checks read at every sample through one reader (_add_log), clipped at 0 (a
-NaN reads 0) and 0 outside its box; and its values on its own grid, which
-give the trapezoid rule for its integral and the boundary-decay warning
-(_log_masses). A check whose grid sees none of an input's mass, or of the
-envelope's, has nothing to compare and raises ValueError. The checks call
-each f_i on chunks of shape (samples, dim), so f_i must be vectorized.
+NaN reads 0) and 0 outside its box, so that _add_log alone judges a
+sample's boxes; and its values on its own grid, which give the trapezoid
+rule for its integral and the boundary-decay warning (_log_masses). A
+check whose grid sees none of an input's mass, or of the envelope's, has
+nothing to compare and raises ValueError. The checks call each f_i on
+chunks of shape (samples, dim), so f_i must be vectorized.
 
 Both checks add c_i log f_i over their samples in place, in chunks of about
 _SUPCONV_CHUNK samples run one after another in the calling thread, each
 with its own arrays. Every sample goes through the same operations in the
 same order whatever the chunk size, so neither check's bits depend on it.
 A chunk of the direct check is a block of whole grid lines along the last
-axis, whose points lie in one buffer per call; a block writes only the axis
-columns that differ from the block before. A factor whose map has a zero
-column has its f_i read once, on the grid of the axes it reads, and the
-table added to every line, with the floats a read at each grid point gives.
-The sup-convolution forms a run of each row of a grid point's samples and
-reads the runs end to end, with brute force's bits (sup_convolution).
+axis, whose points lie in one buffer per call; every block writes its
+leading axis columns. A factor whose map has a zero column has its f_i read
+once, on the grid of the axes it reads, and the table added to every line,
+with the floats a read at each grid point gives. The sup-convolution forms
+a run of each row of a grid point's samples and reads the runs end to end,
+half a chunk of samples a read, with brute force's bits (sup_convolution).
 Per-sample work runs along the samples, never across a short row: the best
 of 4,096 blocks of 5 reads took 338 us as a row maximum, 20 us by columns.
 
@@ -76,7 +77,9 @@ class GridFunction:
     chunks of samples, so it must be vectorized. ValueError before the grid
     is allocated unless points is an integer of at least 2 and the grid's
     dim * points^dim coordinates fit MAX_ELEMENTS; then unless f returns
-    one finite, non-negative value per grid point."""
+    one finite, non-negative value per grid point. The checks also read f
+    at points outside the box, where it should return finite values: they
+    read 0 there whatever f returns."""
 
     f: object = field(repr=False)
     lo: np.ndarray
@@ -345,7 +348,7 @@ def _add_log(acc: np.ndarray, gf: GridFunction, coords, c: float) -> None:
     """acc += c * log f(y) in place, f the callable gf was sampled from, y
     the points whose coordinates along each axis are the arrays coords,
     shaped like acc. f is clipped at 0 (a NaN reads 0) and reads 0 outside
-    gf's box; log 0 = -inf."""
+    gf's box, the one test of the boxes in both checks; log 0 = -inf."""
     pts = coords[0][..., None] if gf.dim == 1 else np.stack(coords, axis=-1)
     v = np.fmax(gf.f(pts), 0.0)
     for y, lo, hi in zip(coords, gf.lo, gf.hi):
@@ -405,13 +408,10 @@ def direct_integral_check(
             row = places[:, lead] @ resolution ** np.arange(len(lead))[::-1]
         terms.append((f, gf, table, row))
     # a full block's grid points, when some map reads every axis: the last
-    # axis's column is written once, the others by the first block, and by
-    # a later block those whose period, resolution^(n - 1 - a) lines for
-    # axis a, does not divide a block
+    # axis's column is written once, the others by every block
     if any(table is None for *_, table, _ in terms):
         buf = np.empty((lines * resolution, n))
         buf[:, -1] = np.tile(axis, lines)
-        moves = [a for a in range(n - 1) if lines % resolution ** (n - 1 - a)]
 
     for start in range(0, len(integrand), lines):
         rows = slice(start, start + lines)
@@ -424,7 +424,7 @@ def direct_integral_check(
                 continue
             if pts is None:
                 pts = buf[: acc.size]
-                for a in moves if start else range(n - 1):
+                for a in range(n - 1):
                     pts.reshape(*acc.shape, n)[:, :, a] = axis[places[rows, a], None]
             _add_log(acc.reshape(-1), gf, list((pts @ f.B.T).T), f.c)
         np.exp(acc, out=acc)
@@ -504,15 +504,15 @@ def _row_runs(y0: np.ndarray, scale: np.ndarray, K: np.ndarray, lows, highs, u: 
     """At kernel dimension k >= 2, each point's run of samples t = scale v
     (_sample_base, v over the axis u) in each row of its window: the first
     sample along the row and the length, (points, len(u)^(k - 1)), 0 for an
-    empty row. The runs hold every sample whose decomposition y0 + K t
-    read's inside test keeps, as read forms it, and a few more; at scale 0,
-    where every sample is y0, which read clamps into the boxes, at most the
-    middle sample of each row.
+    empty row. The runs hold every sample whose decomposition y0 + K t, as
+    read forms it, lies inside every box, and a few more, which _add_log
+    reads as -inf; at scale 0, where every sample is y0, which read clamps
+    into the boxes, at most the middle sample of each row.
 
     A row fixes t_l = scale v_l for l < k, leaving the line y0 + sum_{l<k}
     K_l t_l + K_k t_k in t_k, feasible on the segment [t_lo, t_hi]
-    (_segment) over the coordinates where |K_jk| > 1e-12. A sample read
-    accepts is within (k + 5) eps (|y0_j| + scale) of box j, and the ends
+    (_segment) over the coordinates where |K_jk| > 1e-12. A sample inside
+    the boxes is within (k + 5) eps (|y0_j| + scale) of box j, and the ends
     are formed within (k + 2) eps (|box_j| + |y0_j| + scale) / |K_jk|: the
     segment widened by 8k eps max_j (|box_j| + |y0_j| + scale) / |K_jk|, and
     by 2^-40 (R + 1) samples at each end for the rounding of v_k and of the
@@ -554,7 +554,9 @@ def _run_table(first: np.ndarray, counts: np.ndarray, width: int):
     piece with samples 0, 1, ... of its window, read as brute force reads
     them: a piece of width >= 2 takes BLAS's matrix-matrix product in
     _decompositions at k >= 2, as the whole cube does, where one sample
-    would take the matrix-vector path, which rounds differently."""
+    would take the matrix-vector path, which rounds differently. The
+    filler samples go through _add_log like the others, which reads one
+    outside a box as -inf; read takes half a chunk of samples at a time."""
     points, rows = counts.shape
     per_point = counts.sum(axis=1)
     pieces = np.maximum(1, -(-per_point // width))
@@ -732,13 +734,14 @@ def sup_convolution(
     whole. At k >= 2 it is a cube around the convex feasible set, which
     meets each row in one segment: its samples, widened past every rounding,
     are the row's run (_row_runs). A point's runs are read end to end in
-    pieces of a row's length, each as if it were a point (_run_table); a
-    point with no decomposition inside the boxes stays 0. On a line with
-    every f_i a gaussian_function a point first reads five samples around
-    the closed-form peak of sum_i c_i log f_i, and its whole segment only
-    where they do not certify their peak (_line_peaks). One reader reads
-    every sample, so the envelope is brute force's, bit for bit, whatever
-    the chunk size.
+    pieces of a row's length, each as if it were a point (_run_table), half
+    a chunk of samples a read; a sample outside some box reads -inf, which
+    _add_log alone decides, and a point with no decomposition inside the
+    boxes stays 0. On a line with every f_i a gaussian_function a point
+    first reads five samples around the closed-form peak of sum_i c_i log
+    f_i, and its whole segment only where they do not certify their peak
+    (_line_peaks). One reader reads every sample, so the envelope is brute
+    force's, bit for bit, whatever the chunk size.
 
     ValueError where _refusal refuses the reverse check, read at the reach
     of the grid box and of every factor box together.
@@ -767,18 +770,15 @@ def sup_convolution(
     if kdim > 1:
         def runs(y0, scale):
             return _row_runs(y0, scale, K, lows, highs, base[:width, -1])
-        tested = range(len(K))
-        # half a chunk's samples a read: a run's samples mostly lie inside
-        # the boxes and are kept twice (the three identities at 81 points
-        # traced 6.4 MiB in reads of 65,529 samples, 3.4 MiB at 32,724)
-        per_read = max(1, _SUPCONV_CHUNK // (2 * width))
     else:
         # the window is the feasible set: no runs, and one piece of samples
-        # 0, 1, ... (_run_table); one past a box by rounding reads 0 (_add_log)
+        # 0, 1, ... (_run_table)
         def runs(y0, scale):
             return (np.zeros((len(y0), 0), dtype=np.intp),) * 2
-        tested = ()
-        per_read = max(1, _SUPCONV_CHUNK // width)
+    # half a chunk's samples a read: three identities on R at 81 points
+    # traced a 2.0 MiB peak, 3.75 MiB in reads of a whole chunk, and the
+    # Young check at 401 points and box 34 took 2.4 s, 3.7 s in whole chunks
+    per_read = max(1, _SUPCONV_CHUNK // (2 * width))
     # a chunk's points keep a value per row of their windows, or with a
     # model about 16: a block of 5 samples and ten more values. At 8 per
     # point, 30 rounds of the benchmark's functional ops peaked up to 6 MiB
@@ -788,29 +788,19 @@ def sup_convolution(
     def read(y0, centre, scale, index):
         """sum_i c_i log f_i at each point's window samples centre + scale *
         base[index] (_window), index holding one row of sample numbers per
-        point: -inf at a sample outside the boxes, unread where tested."""
-        T = _samples(centre, scale, base, index)
-        Y = _decompositions(y0, T, K)
+        point, at most half a chunk of samples; _add_log alone judges the
+        boxes, reading -inf at a sample outside some box."""
+        Y = _decompositions(y0, _samples(centre, scale, base, index), K)
         # a single-point window lies on the boxes' boundary, which rounding
         # may cross: clamp it so that the functions are read inside their boxes
         point = scale == 0.0
         if point.any():
             for y, a, b in zip(Y, lows, highs):
                 y[point] = np.clip(y[point], a, b)
-        inside = np.ones(T.shape[:2], dtype=bool)
-        for j in tested:
-            inside &= Y[j] >= lows[j]
-            inside &= Y[j] <= highs[j]
-        every = inside.all()
-        if not every:
-            Y = [y[inside] for y in Y]
         # sum_i c_i log f_i over the samples, one factor at a time
-        logs = np.zeros(Y[0].shape)
+        logs = np.zeros(index.shape)
         for (a, b), c, gf in zip(spans, cs, fs):
             _add_log(logs, gf, Y[a:b], c)
-        if not every:
-            logs, kept = np.full(T.shape[:2], -np.inf), logs
-            logs[inside] = kept
         return logs
 
     def run_peaks(y0, centre, scale):

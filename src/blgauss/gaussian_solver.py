@@ -116,10 +116,9 @@ def grad_logdet(datum: BLDatum, A: np.ndarray) -> np.ndarray:
 
 def direct_extremizers(datum: BLDatum, A: np.ndarray) -> list[np.ndarray]:
     """Precision matrices of the optimal inputs for the direct inequality,
-    one per non-zero factor: inv(B_i A B_i^T)."""
-    A = check_spd(A, "A")
-    return [spd_inverse(sym(datum.factors[i].B @ A @ datum.factors[i].B.T), name=f"B_{i} A B_{i}^T")
-            for i in datum.active]
+    one per non-zero factor: the inverses of reverse_extremizers' tuple."""
+    tuple_, _ = reverse_extremizers(datum, A)
+    return [spd_inverse(M, name=f"B_{i} A B_{i}^T") for i, M in zip(datum.active, tuple_)]
 
 
 def reverse_extremizers(datum: BLDatum, A: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup, check_count, check_solvable
+from .datum import BLDatum, FactorGroup, check_count, check_solvable, check_spans
 from .quadform import check_tuple, harmonic_sum
 from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_constant, check_seed
 
@@ -111,10 +111,7 @@ def _direct_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> 
 def _reverse_ratios(groups: tuple[FactorGroup, ...], constant: float, stacks) -> np.ndarray:
     check_constant(constant)
     Z, log_den, _ = harmonic_sum(groups, stacks)
-    try:
-        log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
-    except np.linalg.LinAlgError as exc:
-        raise DatumError("harmonic sum is singular; the factor maps do not jointly span") from exc
+    log_det_S = gram_logdet(Z.swapaxes(1, 2), name="harmonic sum")
     # logdet(inv(S)) = -logdet(S); inv(S) has the reciprocal eigenvalues, so
     # the harmonic sum guard already bounds its condition number
     return _ratios(-log_det_S, constant, log_den)
@@ -265,6 +262,7 @@ def sweep_direct_and_reverse(
 
 
 def _checked(datum: BLDatum, tuple_):
+    check_spans(datum)  # before any draw, with or without an extremizer
     return None if tuple_ is None else check_tuple(datum, tuple_)
 
 

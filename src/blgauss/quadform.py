@@ -18,14 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import check_spd, chol_logdet, spd_inverse, sym, weighted_sum
-from .datum import BLDatum, DatumError, FactorGroup, check_count
+from .datum import BLDatum, FactorGroup, check_count, check_spans
 from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_seed
 
 INF_SLACK = 1e-10
 
 
 def check_tuple(datum: BLDatum, tuple_) -> list[np.ndarray]:
-    """Validate one SPD matrix per non-zero factor, shapes matching."""
+    """Validate one SPD matrix per non-zero factor, shapes matching, for a
+    datum that check_spans admits."""
+    check_spans(datum)
     mats = list(tuple_)
     if len(mats) != len(datum.active):
         raise ValueError(
@@ -69,13 +71,7 @@ def _combine(datum: BLDatum, mats: list[np.ndarray]):
     """harmonic_combine of a tuple check_tuple returned, and the Cholesky
     factors of its entries (harmonic_sum)."""
     Z, _, factors = harmonic_sum(datum.groups, [M[None] for M in mats])
-    try:
-        return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum"), factors
-    except np.linalg.LinAlgError as exc:
-        raise DatumError(
-            "harmonic combination is singular; the factor maps do not jointly span "
-            "(degenerate datum)"
-        ) from exc
+    return spd_inverse(sym(Z[0].T @ Z[0]), name="harmonic sum"), factors
 
 
 def inf_decomposition(datum: BLDatum, tuple_, x: np.ndarray):

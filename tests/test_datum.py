@@ -98,6 +98,11 @@ class TestValidate:
         assert not diag.frame
         assert not diag.degenerate
 
+    def test_a_datum_of_one_zero_map_is_not_a_frame(self):
+        diag = validate(make_datum(2, [1.0], [np.zeros((1, 2))]))
+        assert not diag.frame
+        assert diag.degenerate and diag.zero_map_indices == [0]
+
     def test_degenerate_detected(self):
         # both maps kill e2, so the stacked map has a kernel
         d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])

@@ -869,9 +869,8 @@ class TestPastTheRefusals:
     def test_the_direct_check_reads_any_n(self, name, resolution, lines, monkeypatch):
         # hadamard3's maps read one axis of R^3 each, young_pair's one or
         # two of R^4, and the skewed data's first map every axis, whose
-        # grid points blocks of a few lines form: a block rewrites each
-        # leading axis column whose period does not divide it, and the last
-        # block is short
+        # grid points blocks of a few lines form: every block rewrites each
+        # leading axis column, and the last block is short
         monkeypatch.setattr(functional_verify, "_refusal", lambda *args: None)
         if lines:
             monkeypatch.setattr(functional_verify, "_SUPCONV_CHUNK", lines * resolution)
@@ -1062,8 +1061,9 @@ class TestPlaneRuns:
         # three identities on boxes [lo_j, 20]: a grid point's window scale
         # comes from the upper ends, so each lo_j can be set to the j-th
         # coordinate of one of its samples as read forms it, which then lies
-        # exactly on the box edge. The function reads exactly the samples
-        # that the whole square's inside test keeps
+        # exactly on the box edge. Every sample that the whole square's
+        # inside test keeps is read, and every other sample read lies
+        # outside some box, where _add_log reads -inf
         d = make_datum(1, [1.0 / 3.0] * 3, [np.eye(1)] * 3)
         res = 25
         pinv_L, K = d.decomposition
@@ -1074,7 +1074,7 @@ class TestPlaneRuns:
         add_log = functional_verify._add_log
 
         def counted(acc, gf, coords, c):
-            asked.append(coords[0].size)
+            asked.append(coords[0].ravel().copy())
             add_log(acc, gf, coords, c)
 
         monkeypatch.setattr(functional_verify, "_add_log", counted)
@@ -1094,15 +1094,21 @@ class TestPlaneRuns:
             asked.clear()
             env = sup_convolution(d, fs, resolution=res)
             assert np.array_equal(env, dense_sup_convolution(d, fs, res))
-            kept = 0
+            # each read hands _add_log the three factors' coordinates in turn
+            read = np.concatenate([np.stack(asked[r : r + 3], axis=1) for r in range(0, len(asked), 3)])
+            kept = []
             for x in range(res):
                 _, scale, _ = functional_verify._window(Y0[x : x + 1], K, lows, highs)
                 T = scale[:, None, None] * base
                 Y = (T @ K.T)[0] + Y0[x]
                 inside = np.all((Y >= lows) & (Y <= highs), axis=1)
-                kept += np.sum(inside)
+                kept.append(Y[inside])
                 on_edge += np.sum(inside & np.any(Y == lows, axis=1))
-            assert sum(asked) == 3 * kept
+            kept = {y.tobytes() for y in np.concatenate(kept)}
+            samples = {y.tobytes(): y for y in read}
+            assert kept <= samples.keys()
+            others = np.array([y for b, y in samples.items() if b not in kept])
+            assert len(others) and np.all(np.any((others < lows) | (others > highs), axis=1))
         assert on_edge >= 36
 
 

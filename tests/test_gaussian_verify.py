@@ -31,9 +31,12 @@ from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
     gaussian_ratio,
+    gl_map,
+    loomis_whitney_datum,
     mercedes_frame_datum,
     prekopa_leindler_datum,
     random_datum,
+    random_gl,
     random_spd_tuple,
     young_flagship,
 )
@@ -162,6 +165,29 @@ class TestSweeps:
             assert rep.ok
         assert ratios_d.shape == (300,)
         assert ratios_d.max() <= 1.0 + 1e-9
+
+    def test_degenerate_data_are_refused_before_any_draw(self, monkeypatch):
+        # check_tuple's rule, with or without an extremizer; the dual sweep
+        # reads no tuple and keeps running
+        d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
+        assert sweep_dual(d, 1.0, 10)[0].samples == 10
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep drew a random number")
+        monkeypatch.setattr(blgauss.gaussian_verify.np.random, "default_rng", refuse)
+        for sweep in (sweep_direct, sweep_reverse, sweep_direct_and_reverse):
+            with pytest.raises(DatumError, match="^degenerate datum: the factor maps do not jointly span"):
+                sweep(d, 1.0, 10)
+
+    def test_an_ill_conditioned_sample_on_spanning_data_raises_its_own_error(self):
+        # solve converges on this GL-mapped datum, but one of 2,000 random
+        # tuples has a harmonic sum past COND_LIMIT: the sample's fault, not
+        # the datum's
+        d = gl_map(loomis_whitney_datum(3), random_gl(3, 1e4, np.random.default_rng(3)))
+        r = solve(d)
+        assert r.converged and not d.degenerate
+        with pytest.raises(IllConditionedError, match=r"^harmonic sum \[\d+\] is not positive definite"):
+            sweep_reverse(d, r.constant, samples=2000)
 
     def test_deflated_constant_is_caught(self):
         # the detector must fire when the claimed constant is too small
@@ -592,4 +618,12 @@ class TestConstantSearch:
             for refuse in (gaussian_constant_search, solve):
                 with pytest.raises(DatumError, match=words):
                     refuse(d)
+
+    def test_an_ill_conditioned_start_finds_nothing(self):
+        # B A B^T = diag(1, 1e-16) at A = I passes COND_LIMIT: the search
+        # returns 0.0, and solve stops inconclusive before its first iteration
+        d = make_datum(2, [1.0], [np.diag([1.0, 1e-8])])
+        r = solve(d)
+        assert (r.converged, r.iterations) == (False, 0) and math.isnan(r.constant)
+        assert gaussian_constant_search(d) == 0.0
 

@@ -11,7 +11,7 @@ from blgauss import (
     make_datum,
 )
 import blgauss.quadform
-from blgauss._linalg import spd_solve
+from blgauss._linalg import IllConditionedError, spd_solve
 from blgauss.quadform import check_tuple
 from blgauss.report import DEFAULT_SEED
 from conftest import (
@@ -109,6 +109,22 @@ class TestCheckTuple:
         d = coordinate_datum(2)
         with pytest.raises(ValueError):
             check_tuple(d, [np.eye(1), -np.eye(1)])
+
+    def test_refuses_a_degenerate_datum_by_the_solvers_rule(self):
+        # datum.degenerate, in check_solvable's words, before any entry is read
+        d = make_datum(2, [1.0, 1.0], [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
+        with pytest.raises(DatumError, match="^degenerate datum: the factor maps do not jointly span"):
+            check_tuple(d, [np.eye(1), -np.eye(1)])
+
+    def test_an_ill_conditioned_tuple_on_spanning_data_raises_its_own_error(self):
+        # the Young flagship spans; a harmonic sum past COND_LIMIT is the
+        # tuple's fault, not the datum's
+        _, d = young_flagship()
+        assert not d.degenerate
+        mats = [np.array([[1e-14]]), np.eye(1), np.array([[1e14]])]
+        for call in (harmonic_combine, lambda d, mats: check_inf(d, mats, np.array([0.3, -1.2]))):
+            with pytest.raises(IllConditionedError, match="^harmonic sum is not positive definite"):
+                call(d, mats)
 
 
 class TestInfDecomposition:
