@@ -10,9 +10,32 @@ gram_logdet read logdet(C C^T) off the singular values of C, so a Gram
 matrix is never formed and loses eps cond(C), not eps cond(C)^2.
 weighted_sum adds the per-factor log-determinants of a stack so that a
 row's sum does not depend on the stack's size.
+
+The guard refuses a matrix whose computed extreme eigenvalues give
+cond > COND_LIMIT. chol_logdet reads those eigenvalues (eigvalsh, most of
+its cost) only for the matrices its Cholesky factor cannot certify. For a
+k x k SPD matrix with k >= 2, lambda_max <= tr M, and AM-GM on the other
+k - 1 eigenvalues gives det M <= lambda_min (tr M / (k - 1))^(k - 1), so
+
+    cond M <= tr(M)^k / ((k - 1)^(k - 1) det M),
+
+with log det M the log-determinant the factor already gives. A matrix whose
+bound is at most COND_LIMIT / 1e3 passes without eigvalsh. The 10^3 margin
+covers both roundings. The computed factor is exact for M + E with
+|E| <= gamma_(k+1) |L| |L^T|, so ||E|| is at most about k^2 eps ||M||
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 10.1).
+The symmetric eigensolver is backward stable, so each computed eigenvalue
+is within a modest multiple of k eps ||M|| of the exact one (Weyl's
+inequality). For k up to a few hundred both errors stay far below
+1e-11 ||M||, the least eigenvalue a certified matrix can have, so a
+certified matrix would have passed the guard on its computed eigenvalues.
+The guard reads the other matrices exactly as before, so no decision,
+message or returned bit depends on which matrices were certified.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,7 +45,20 @@ RANK_TOL = 1e-10
 
 
 class IllConditionedError(np.linalg.LinAlgError):
-    """A quadratic form became too ill-conditioned to invert reliably."""
+    """A quadratic form became too ill-conditioned to invert reliably: the
+    matrix `name`, at `index` in its stack (() for a single matrix), for the
+    reason `detail`."""
+
+    def __init__(self, name: str, index: tuple[int, ...], detail: str):
+        super().__init__(f"{name}{_where(index)} {detail}")
+        self.name, self.index, self.detail = name, index, detail
+
+    def __reduce__(self):  # args holds the message alone, which __init__ does not take
+        return type(self), (self.name, self.index, self.detail)
+
+    def of(self, label: str) -> IllConditionedError:
+        """The same error, with the first axis of its stack named by `label`."""
+        return IllConditionedError(f"{self.name} of {label}", self.index[1:], self.detail)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -35,7 +71,8 @@ def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that M is symmetric positive definite and return it as float array.
 
     Entries must be finite, symmetry is relative (1e-12 of the largest entry)
-    and positivity is checked by eigenvalue. Raises ValueError on failure.
+    and positivity is checked by eigenvalue (a 1 x 1 matrix's is its entry,
+    read without LAPACK, as in chol_logdet). Raises ValueError on failure.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -47,14 +84,20 @@ def check_spd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} is zero, not positive definite")
     if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric to relative 1e-12")
-    w = np.linalg.eigvalsh(sym(M))
+    S = sym(M)
+    w = S[0] if S.shape[0] == 1 else np.linalg.eigvalsh(S)
     if w.min() <= 0.0:
         raise ValueError(f"{name} is not positive definite (min eigenvalue {w.min():.3e})")
-    return sym(M)
+    return S
 
 
-def _where(bad: np.ndarray) -> str:
-    return "" if bad.ndim == 0 else f" {[int(j) for j in np.unravel_index(bad.argmax(), bad.shape)]}"
+def _first(bad: np.ndarray) -> tuple[int, ...]:
+    """The index of the first True of `bad`, () for a 0-d `bad`."""
+    return tuple(int(j) for j in np.unravel_index(bad.argmax(), bad.shape))
+
+
+def _where(index: tuple[int, ...]) -> str:
+    return f" {list(index)}" if index else ""
 
 
 def _guard(lo: np.ndarray, hi: np.ndarray, name) -> None:
@@ -69,10 +112,10 @@ def _guard(lo: np.ndarray, hi: np.ndarray, name) -> None:
         return
     bad = (lo <= 0.0) | (hi / COND_LIMIT > lo)
     if bad.any():
-        j = np.unravel_index(bad.argmax(), bad.shape)
+        j = _first(bad)
         raise IllConditionedError(
-            f"{name() if callable(name) else name}{_where(bad)} is not positive definite "
-            f"with condition number <= {COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
+            name() if callable(name) else name, j, f"is not positive definite with condition "
+            f"number <= {COND_LIMIT:.0e} (eigenvalues {lo[j]:.3e} to {hi[j]:.3e})"
         )
 
 
@@ -82,7 +125,10 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nda
     M.shape[:-2].
 
     Every matrix must be symmetric to relative 1e-12 (ValueError) and pass
-    the conditioning guard (IllConditionedError).
+    the conditioning guard (IllConditionedError). The guard reads the
+    eigenvalues of only the matrices that the bound of the module docstring
+    leaves in doubt; a stack whose Cholesky fails is guarded whole, then the
+    Cholesky's error is raised, so the outcomes come in the guard's order.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -93,14 +139,39 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nda
     if skew.any():
         bad = np.abs(skew).max(axis=(-2, -1)) > 1e-12 * np.abs(M).max(axis=(-2, -1))
         if bad.any():
-            raise ValueError(f"{name}{_where(bad)} is not symmetric to relative 1e-12")
+            raise ValueError(f"{name}{_where(_first(bad))} is not symmetric to relative 1e-12")
         M = sym(M)
-    # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
-    # factor; skipping LAPACK there gives the same values with less overhead
-    w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
-    _guard(w[..., 0], w[..., -1], name)
-    L = np.sqrt(M) if M.shape[-1] == 1 else np.linalg.cholesky(M)
-    return L, 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    k = M.shape[-1]
+    if k == 1:
+        # a 1 x 1 matrix is its own eigenvalue and the square of its Cholesky
+        # factor; skipping LAPACK there gives the same values with less overhead
+        _guard(M[..., 0, 0], M[..., 0, 0], name)
+        L = np.sqrt(M)
+    else:
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            _guard_eigenvalues(M, np.ones(M.shape[:-2], dtype=bool), name)
+            raise
+    ld = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    if k > 1:
+        # log of the module docstring's bound on cond M; a NaN or infinite
+        # bound stays in doubt
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = k * np.log(np.trace(M, axis1=-2, axis2=-1)) - (k - 1) * math.log(k - 1) - ld
+        _guard_eigenvalues(M, ~(bound <= math.log(COND_LIMIT / 1e3)), name)
+    return L, ld
+
+
+def _guard_eigenvalues(M: np.ndarray, doubt: np.ndarray, name) -> None:
+    """_guard on the extreme eigenvalues of the matrices of the (..., k, k)
+    stack M that `doubt` marks; the others read as cond 1 and pass, so the
+    first refused matrix is the guard's, wherever it stands in the stack."""
+    if doubt.any():
+        lo, hi = np.ones(doubt.shape), np.ones(doubt.shape)
+        w = np.linalg.eigvalsh(M[doubt])
+        lo[doubt], hi[doubt] = w[:, 0], w[:, -1]
+        _guard(lo, hi, name)
 
 
 def whiten(C: np.ndarray, name="matrix", rows: bool = True):

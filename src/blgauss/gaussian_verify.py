@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._linalg import check_spd, chol_logdet, gram_logdet, sym, weighted_sum
+from ._linalg import IllConditionedError, check_spd, chol_logdet, gram_logdet, sym, weighted_sum
 from .datum import BLDatum, FactorGroup, check_count, check_solvable, check_spans
 from .quadform import check_tuple, harmonic_sum
 from .report import DEFAULT_SEED, MAX_ELEMENTS, VerificationReport, check_constant, check_seed
@@ -180,7 +180,9 @@ def _sweep(datum, constant, kernels, dims, samples, seed):
     each sample one SPD matrix per entry of `dims`. A validated `extremizer`,
     one matrix per entry of `dims`, is sample 0 of its kernel's first call;
     its ratio gives the report's equality gap. One result per kernel.
-    ValueError, before any draw, when all ratios or one stack exceed MAX_ELEMENTS."""
+    ValueError, before any draw, when all ratios or one stack exceed
+    MAX_ELEMENTS. A sample past the conditioning guard raises its
+    IllConditionedError, which names the sample (see _sample_name)."""
     check_count("samples", samples, 1)
     check_seed(seed)
     base, extra = divmod(samples, _BLOCKS)
@@ -193,14 +195,26 @@ def _sweep(datum, constant, kernels, dims, samples, seed):
     for run in runs:
         stacks = _draw_run(dims, counts, run, seed)
         for (kernel, extremizer), part in zip(kernels, parts):
-            if extremizer is None or part:
-                part.append(kernel(datum.groups, constant, stacks))
-            else:
-                part.append(kernel(datum.groups, constant,
+            first = extremizer is not None and not part
+            try:
+                part.append(kernel(datum.groups, constant, stacks if not first else
                                    [np.concatenate([M[None], S]) for M, S in zip(extremizer, stacks)]))
+            except IllConditionedError as err:
+                raise err.of(_sample_name(counts, run, err.index[0] - first)) from err
         del stacks  # before the next run is drawn
     return [_report(np.concatenate(part), extremizer is not None, seed)
             for (_, extremizer), part in zip(kernels, parts)]
+
+
+def _sample_name(counts: list[int], run: list[int], p: int) -> str:
+    """The name of position p of a run's samples (-1: the extremizer before
+    them): its number in the report's ratio order, its block and its draw."""
+    if p < 0:
+        return "the extremizer"
+    for b in run:
+        if p < counts[b]:
+            return f"sample {sum(counts[:b]) + p} (block {b}, draw {p})"
+        p -= counts[b]
 
 
 def _report(ratios: np.ndarray, with_extremizer: bool, seed: int) -> tuple[VerificationReport, np.ndarray]:

@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,6 +29,7 @@ from blgauss._linalg import (COND_LIMIT, IllConditionedError, _guard, check_spd,
 from blgauss.gaussian_solver import _whiten
 from blgauss.gaussian_verify import (VIOLATION_RTOL, _direct_ratios, _dual_ratios,
                                      _reverse_ratios, sweep_direct_and_reverse)
+from blgauss.report import DEFAULT_SEED
 from blgauss.young import beckner_constant
 from conftest import (
     coordinate_datum,
@@ -126,6 +129,25 @@ class TestPointChecks:
             assert dual_check(d, 1.0, np.eye(d.n)) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (2.0, None),
+    (1e-300, None),
+    (0.0, "^X is zero, not positive definite$"),
+    (-2.0, r"^X is not positive definite \(min eigenvalue -2.000e\+00\)$"),
+    (-1e-300, r"^X is not positive definite \(min eigenvalue -1.000e-300\)$"),
+])
+def test_check_spd_reads_a_1x1_eigenvalue_off_its_entry(entry, message, monkeypatch):
+    # with no LAPACK call, and the decision, message and bits of eigvalsh's
+    def eigvalsh(M):
+        raise AssertionError("called eigvalsh")
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    if message is None:
+        assert check_spd([[entry]], "X").tobytes() == np.array([[entry]]).tobytes()
+    else:
+        with pytest.raises(ValueError, match=message):
+            check_spd([[entry]], "X")
+
+
 def _poisoned(k: int, value: float) -> np.ndarray:
     M = np.eye(k)
     M[0, 0] = value
@@ -146,6 +168,21 @@ def test_non_finite_matrix_is_refused(call, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="has non-finite entries"):
             call(lambda k: _poisoned(k, value))
+
+
+def _assert_names_a_failing_sample(datum, constant, message, samples, seed) -> int:
+    """The block of the sample the sweep error `message` names, after checking
+    that its number is the block's offset plus its draw and that re-drawing
+    the block and evaluating that draw alone fails as well."""
+    sample, block, draw = map(int, re.search(r"sample (\d+) \(block (\d+), draw (\d+)\)", message).groups())
+    base, extra = divmod(samples, 16)
+    counts = [base + (1 if b < extra else 0) for b in range(16)]
+    assert sample == sum(counts[:block]) + draw and draw < counts[block]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+    stacks = [sample_spd_stack(f.target_dim, counts[block], rng) for f in datum.factors]
+    with pytest.raises(IllConditionedError, match=r"^harmonic sum \[0\] is not positive definite"):
+        _reverse_ratios(datum.groups, constant, [S[draw:draw + 1] for S in stacks])
+    return block
 
 
 class TestSweeps:
@@ -182,12 +219,47 @@ class TestSweeps:
     def test_an_ill_conditioned_sample_on_spanning_data_raises_its_own_error(self):
         # solve converges on this GL-mapped datum, but one of 2,000 random
         # tuples has a harmonic sum past COND_LIMIT: the sample's fault, not
-        # the datum's
+        # the datum's. The error names the sample as the report numbers its
+        # ratios, with or without the extremizer before it in the stack
         d = gl_map(loomis_whitney_datum(3), random_gl(3, 1e4, np.random.default_rng(3)))
         r = solve(d)
         assert r.converged and not d.degenerate
-        with pytest.raises(IllConditionedError, match=r"^harmonic sum \[\d+\] is not positive definite"):
-            sweep_reverse(d, r.constant, samples=2000)
+        messages = []
+        for ext in (None, reverse_extremizers(d, r.A)[0]):
+            with pytest.raises(IllConditionedError, match=r"^harmonic sum of sample \d+ \(block \d+, draw "
+                                                          r"\d+\) is not positive definite") as err:
+                sweep_reverse(d, r.constant, samples=2000, extremizer=ext)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        _assert_names_a_failing_sample(d, r.constant, messages[0], samples=2000, seed=DEFAULT_SEED)
+
+    def test_a_sample_of_a_later_run_is_named_by_its_number(self):
+        # 8,192 samples are two runs of eight 512-sample blocks; the first
+        # failing sample of this draw lies in the second run, whose stack
+        # restarts at the first sample of block 8
+        d = gl_map(loomis_whitney_datum(3), random_gl(3, 1e4, np.random.default_rng(0)))
+        r = solve(d)
+        with pytest.raises(IllConditionedError, match=r"^harmonic sum of sample") as err:
+            sweep_reverse(d, r.constant, samples=8192, seed=3)
+        block = _assert_names_a_failing_sample(d, r.constant, str(err.value), samples=8192, seed=3)
+        assert block >= 8
+
+    def test_a_sample_error_survives_pickling(self):
+        # as a worker process would hand it back
+        err = IllConditionedError("harmonic sum", (3, 1), "is not positive definite").of("sample 7")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is IllConditionedError and str(back) == str(err) == (
+            "harmonic sum of sample 7 [1] is not positive definite")
+        assert (back.name, back.index, back.detail) == ("harmonic sum of sample 7", (1,), "is not positive definite")
+
+    def test_the_extremizer_is_named_as_such(self):
+        # mapped by diag(1, 1e-8), the flagship's harmonic sum at identity
+        # entries has cond about 1e16; the extremizer stands first in the
+        # stack, so its sum is the first one refused
+        _, d = young_flagship()
+        ext = [np.eye(1), np.eye(1), np.eye(1)]
+        with pytest.raises(IllConditionedError, match="^harmonic sum of the extremizer is not"):
+            sweep_reverse(gl_map(d, np.diag([1.0, 1e-8])), 1.0, samples=10, extremizer=ext)
 
     def test_deflated_constant_is_caught(self):
         # the detector must fire when the claimed constant is too small
@@ -434,7 +506,122 @@ class TestExactRatios:
         assert max(worst.values()) <= VIOLATION_RTOL / 3, worst
 
 
+def reference_chol_logdet(M, name="matrix"):
+    """chol_logdet of an exactly symmetric stack as it was before the
+    Cholesky factor certified conditioning: every matrix's eigenvalues, the
+    guard on them, then the factor."""
+    M = np.asarray(M, dtype=float)
+    w = M[..., 0] if M.shape[-1] == 1 else np.linalg.eigvalsh(M)
+    _guard(w[..., 0], w[..., -1], name)
+    L = np.sqrt(M) if M.shape[-1] == 1 else np.linalg.cholesky(M)
+    return L, 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _outcome(f, M):
+    """The bytes f returns for M, or the type and message it raises."""
+    try:
+        L, ld = f(M)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return L.shape, L.tobytes(), np.shape(ld), np.asarray(ld).tobytes()
+
+
+def _with_eigenvalues(w, rng):
+    """sym(Q diag(w) Q^T) for a random orthogonal Q."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+    return sym((Q * w) @ Q.T)
+
+
+def _cond_battery(k, rng):
+    """k x k matrices of cond 10^e for e from 0 to 16 in steps of 1/4 at
+    scales from 1e-3 to 1e3 (eigenvalues spread log-uniformly between the
+    extremes), in order of cond."""
+    return [_with_eigenvalues(10.0 ** rng.uniform(-3, 3) * np.logspace(0, -e, k)[rng.permutation(k)], rng)
+            for e in np.arange(0, 16.25, 0.25)]
+
+
+def _rotated_near_limit(count, rng):
+    """Rotated 2 x 2 matrices with cond 10^e, e uniform in [13.9, 14.1]."""
+    t = rng.uniform(0.0, np.pi, count)
+    Q = np.stack([np.stack([np.cos(t), -np.sin(t)], -1), np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    w = np.exp(rng.uniform(-5, 5, count))[:, None] * np.stack(
+        [np.ones(count), 10.0 ** -rng.uniform(13.9, 14.1, count)], -1)
+    return sym((Q * w[:, None, :]) @ Q.swapaxes(1, 2))
+
+
+def _poisoned_members(k):
+    """Matrices that are not SPD or not finite."""
+    nan_diag, nan_off, inf_diag, neg = np.eye(k), np.eye(k), np.eye(k), np.eye(k)
+    nan_diag[-1, -1] = np.nan
+    nan_off[0, 1] = nan_off[1, 0] = np.nan
+    inf_diag[0, 0] = np.inf
+    neg[-1, -1] = -1.0
+    return [np.zeros((k, k)), neg, np.ones((k, k)), nan_diag, nan_off, inf_diag]
+
+
 class TestStackedCholesky:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12, 24])
+    def test_keeps_the_eigenvalue_guard_bit_for_bit(self, k, rng):
+        # every certified matrix would have passed the guard on its
+        # eigenvalues: each matrix, each stack whose first refused member
+        # follows certified ones, and each stack of stacks gives the
+        # reference's L and log-determinant bytes or its exception and message
+        conds = _cond_battery(k, rng)
+        poisoned = _poisoned_members(k)
+        scaled = [s * _with_eigenvalues(np.logspace(0, -2, k), rng) for s in (1e-300, 1e300, 1e308)]
+        good = np.stack(conds[:20])  # cond up to 10^4.75
+        stacks = [np.stack(conds), good, np.stack(scaled), good.reshape(4, 5, k, k)]
+        for bad in poisoned + conds[-8:]:
+            stacks += [np.concatenate([good, bad[None], good]), np.stack([good[0], bad, bad])]
+        with warnings.catch_warnings():
+            # the symmetry check's inf - inf warns, as it always did; nothing
+            # else may
+            warnings.filterwarnings("error")
+            warnings.filterwarnings("ignore", "invalid value encountered in subtract")
+            for M in conds + poisoned + scaled + stacks:
+                assert _outcome(chol_logdet, M) == _outcome(reference_chol_logdet, M)
+
+    def test_keeps_the_guard_next_to_the_limit(self, rng):
+        # the Cholesky certifies no matrix that the guard would refuse, each
+        # alone or with a stack of them
+        M = _rotated_near_limit(5000, rng)
+        refused = 0
+        for j in range(len(M)):
+            got = _outcome(chol_logdet, M[j])
+            assert got == _outcome(reference_chol_logdet, M[j])
+            refused += got[0] is IllConditionedError
+        assert 0 < refused < len(M)
+        assert _outcome(chol_logdet, M) == _outcome(reference_chol_logdet, M)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_the_sweeps_draws_read_no_eigenvalues(self, k, rng, monkeypatch):
+        # sample_spd_stack draws are certified by their own factors; the sweeps
+        # draw them for their tuples (k = 1 to 3) and the dual's A (k = 2, 3, 6)
+        stack = sample_spd_stack(k, 20_000, rng)
+        want = reference_chol_logdet(stack)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape))
+        L, ld = chol_logdet(stack)
+        assert np.array_equal(L, want[0]) and np.array_equal(ld, want[1])
+        datum = {2: young_flagship()[1], 3: dims_one_to_three_datum(), 6: generic_datum()}[k]
+        sweep_direct_and_reverse(datum, 1.0, 1000)
+        sweep_dual(datum, 1.0, 1000)
+        assert calls == []
+
+    def test_a_doubtful_member_alone_reads_its_eigenvalues(self, monkeypatch, rng):
+        # cond 1e12 is within the guard's limit but past the certificate's
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+        for k in (2, 6):
+            stack = sample_spd_stack(k, 50, rng)
+            for e in (12, 15):  # passes the guard, is refused by it
+                stack[17] = _with_eigenvalues(np.logspace(0, -e, k), rng)
+                want = _outcome(reference_chol_logdet, stack)
+                assert (want[0] is IllConditionedError) == (e == 15)
+                calls.clear()
+                assert _outcome(chol_logdet, stack) == want
+                assert calls == [(1, k, k)]
+
     def test_matches_chol_logdet_per_matrix(self, rng):
         for k in (1, 3):
             stack = sample_spd_stack(k, 6, rng).reshape(2, 3, k, k)
